@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from .hamiltonian import (
     z_from_phi,
     z_from_r,
 )
-from .matrix_core import _eigvals_general, adjoint, eig_hermitian, spectral_norm
+from .matrix_core import _eigvals_general, adjoint, eig_general, eig_hermitian, spectral_norm
 from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
 from .nip_evolution import (
@@ -57,7 +56,6 @@ class RunConfig:
 
     output_format: str
     output_path: str | None
-    workers: int
     tolerances: object
 
 
@@ -141,17 +139,11 @@ def _usage_error(message: str) -> int:
 
 def _config(args) -> RunConfig:
     tol = get_tolerances()
-    overrides = {}
     if getattr(args, "ep_margin", None) is not None:
-        overrides["ep_margin"] = args.ep_margin
-    if getattr(args, "fd_step", None) is not None:
-        overrides["fd_step"] = args.fd_step
-    if overrides:
-        tol = tol.replace(**overrides)
+        tol = tol.replace(ep_margin=args.ep_margin)
     return RunConfig(
         output_format=getattr(args, "format", "csv"),
         output_path=getattr(args, "out", None),
-        workers=max(1, getattr(args, "workers", 1) or 1),
         tolerances=tol,
     )
 
@@ -208,13 +200,6 @@ def _summary(line: str, cfg: RunConfig) -> None:
 def _matrix_json(matrix) -> dict:
     a = np.asarray(matrix, dtype=complex)
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
-
-
-def _map_parallel(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _svg_line_plot(points, x_label, y_label) -> str:
@@ -284,19 +269,12 @@ def cmd_curve(args) -> int:
         return _usage_error("--e-min must be below --e-max")
     if args.samples < 2:
         return _usage_error("--samples must be at least 2")
-    energies = np.linspace(args.e_min, args.e_max, args.samples)
-
-    def sample(e):
-        try:
-            return spectral_curve(args.n, float(e))
-        except NoSlope:
-            return None
-
-    points = _map_parallel(sample, energies, cfg.workers)
     rows = []
     flat = 0
-    for e, pt in zip(energies, points):
-        if pt is None:
+    for e in np.linspace(args.e_min, args.e_max, args.samples):
+        try:
+            pt = spectral_curve(args.n, float(e))
+        except NoSlope:
             flat += 1
             rows.append((float(e), None, None, None, None))
         else:
@@ -379,15 +357,10 @@ def cmd_evolve(args) -> int:
         for name, matrix in observables:
             lam = build_h_at_time(args.n, args.profile, state.t) if matrix is None else matrix
             row.append(expectation(state, lam))
-        snap = generator(args.n, args.profile, state.t, fd_step=args.fd_step, tol=tol)
-        for value in snap.g_eigs:
+        for value in eig_general(state.generator).eigenvalues:
             row += [value.real, value.imag]
         if args.crosscheck:
-            phi, _ = args.profile(state.t)
-            omega = dyson_from_ketkets(
-                ketkets(build_h(args.n, z_from_phi(phi)))
-            ).omega
-            row.append(float(np.linalg.norm(omega @ state.psi - partner[idx].psi)))
+            row.append(float(np.linalg.norm(state.omega @ state.psi - partner[idx].psi)))
         rows.append(row)
     _emit_table(header, rows, cfg)
 
@@ -407,13 +380,7 @@ def cmd_epscan(args) -> int:
     if args.samples < 1:
         return _usage_error("--samples must be at least 1")
     grid = np.linspace(args.r_min, args.r_max, args.samples)
-    chunks = np.array_split(grid, cfg.workers)
-    blocks = _map_parallel(
-        lambda chunk: ep_scan(args.n, chunk),
-        [c for c in chunks if c.size],
-        cfg.workers,
-    )
-    rows = [tuple(row) for row in np.vstack(blocks)]
+    rows = [tuple(row) for row in ep_scan(args.n, grid)]
     _emit_table(("r", "min_gap", "vector_condition"), rows, cfg)
     fallback = sum(1 for row in rows if not np.isfinite(row[2]))
     _summary(f"samples={len(rows)} defective_rows={fallback}", cfg)
@@ -575,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--samples", type=int, required=True)
     cv.add_argument("--svg", metavar="PATH", default=None,
                     help="also write a static line plot")
-    cv.add_argument("--workers", type=int, default=1)
     _add_output_flags(cv)
     cv.set_defaults(handler=cmd_curve)
 
@@ -612,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--r-min", type=float, required=True)
     es.add_argument("--r-max", type=float, required=True)
     es.add_argument("--samples", type=int, required=True)
-    es.add_argument("--workers", type=int, default=1)
     _add_output_flags(es)
     es.set_defaults(handler=cmd_epscan)
 

@@ -211,10 +211,31 @@ def _tridiag_eigenvalues(a: np.ndarray) -> np.ndarray:
     return roots.astype(complex)
 
 
-def _eig_tridiagonal(a: np.ndarray):
-    values = _tridiag_eigenvalues(a)
-    vectors = np.column_stack([_tridiag_eigvec(a, lam) for lam in values])
-    return values, vectors
+def _eig_dispatch(a: np.ndarray, vectors: bool):
+    """Unsorted eigenvalues, with right eigenvectors when ``vectors``.
+
+    Closed form at N=2, continuant-polished roots (plus inverse
+    iteration for the vectors) for tridiagonal matrices, dense solver
+    otherwise.
+    """
+    n = a.shape[0]
+    if n > MAX_DIM:
+        raise OutOfRange(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
+    if n == 1:
+        return a[0].copy(), np.ones((1, 1), dtype=complex)
+    if n == 2:
+        return _eig2_closed_form(a)
+    if _is_tridiagonal(a):
+        values = _tridiag_eigenvalues(a)
+        if not vectors:
+            return values, None
+        return values, np.column_stack([_tridiag_eigvec(a, lam) for lam in values])
+    try:
+        if not vectors:
+            return np.linalg.eigvals(a), None
+        return np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def _eigvals_general(matrix) -> np.ndarray:
@@ -225,25 +246,11 @@ def _eigvals_general(matrix) -> np.ndarray:
     need gaps (not vectors) can still use this after ``eig_general``
     refuses.
     """
-    a = as_square(matrix)
-    n = a.shape[0]
-    if n > MAX_DIM:
-        raise OutOfRange(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    if n == 1:
-        values = np.array([a[0, 0]])
-    elif n == 2:
-        values, _ = _eig2_closed_form(a)
-    elif _is_tridiagonal(a):
-        values = _tridiag_eigenvalues(a)
-    else:
-        try:
-            values = np.linalg.eigvals(a)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
+    values, _ = _eig_dispatch(as_square(matrix), vectors=False)
     return values[_ascending_order(values)]
 
 
-def eig_general(matrix, tol: Tolerances | None = None) -> EigenDecomposition:
+def eig_general(matrix) -> EigenDecomposition:
     """Full non-Hermitian eigendecomposition with quality diagnostics.
 
     Dispatch: closed form at N=2, continuant-polished roots plus inverse
@@ -252,25 +259,8 @@ def eig_general(matrix, tol: Tolerances | None = None) -> EigenDecomposition:
     input announces itself through ``vector_condition`` instead.
     """
     a = as_square(matrix)
+    values, vectors = _eig_dispatch(a, vectors=True)
     n = a.shape[0]
-    if n > MAX_DIM:
-        raise OutOfRange(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    if n == 1:
-        return EigenDecomposition(
-            eigenvalues=np.array([a[0, 0]]),
-            right_vectors=np.ones((1, 1), dtype=complex),
-            vector_condition=1.0,
-            residual=0.0,
-        )
-    if n == 2:
-        values, vectors = _eig2_closed_form(a)
-    elif _is_tridiagonal(a):
-        values, vectors = _eig_tridiagonal(a)
-    else:
-        try:
-            values, vectors = np.linalg.eig(a)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
 
     order = _ascending_order(values)
     values = values[order]
@@ -291,7 +281,7 @@ def eig_general(matrix, tol: Tolerances | None = None) -> EigenDecomposition:
     return EigenDecomposition(values, vectors, condition, residual)
 
 
-def eig_hermitian(matrix, tol: Tolerances | None = None) -> EigenDecomposition:
+def eig_hermitian(matrix) -> EigenDecomposition:
     """Eigendecomposition for Hermitian input: real spectrum, unitary basis."""
     a = as_square(matrix)
     norm_a = spectral_norm(a)

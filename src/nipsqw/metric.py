@@ -146,34 +146,29 @@ def quasi_hermiticity_residual(h, theta) -> float:
     return mismatch / scale
 
 
-def observable_check(lam, theta) -> float:
-    """Eligibility of a candidate observable under the given metric.
-
-    Same mismatch functional as ``quasi_hermiticity_residual``; small
-    values mean the operator is self-adjoint in the Theta inner product
-    and hence carries real measurable values.
-    """
-    return quasi_hermiticity_residual(lam, theta)
-
-
 @dataclass(frozen=True)
 class MetricBundle:
     """A metric with its Dyson factorization Theta = Omega^dagger Omega.
 
     ``omega_kind`` records which factorization produced ``omega``:
     ``ketket_columns`` (rows of Omega are the ketkets, diagonalizes the
-    Hamiltonian into ``h_diag``) or ``hermitian_root`` (Omega = sqrt of
-    Theta, Hermitian but not diagonalizing; ``h_diag`` and ``kappa``
-    are absent).  ``positivity_eigs`` are the metric's eigenvalues,
-    all strictly positive for an admissible inner product.
+    Hamiltonian into ``h_diag``; ``omega_inv`` is the inverse its
+    invertibility check computed) or ``hermitian_root`` (Omega = sqrt
+    of Theta, Hermitian but not diagonalizing; ``h_diag``, ``kappa``
+    and ``omega_inv`` are absent).
     """
 
     theta: np.ndarray
     kappa: np.ndarray | None
     omega: np.ndarray
+    omega_inv: np.ndarray | None
     omega_kind: str
     h_diag: np.ndarray | None
-    positivity_eigs: np.ndarray
+
+    @property
+    def positivity_eigs(self) -> np.ndarray:
+        """Metric eigenvalues, all positive for an admissible inner product."""
+        return np.real(eig_hermitian(self.theta).eigenvalues)
 
 
 def dyson_from_ketkets(basis: KetketBasis) -> MetricBundle:
@@ -187,19 +182,17 @@ def dyson_from_ketkets(basis: KetketBasis) -> MetricBundle:
     v = as_square(basis.vectors)
     omega = adjoint(v)
     try:
-        inverse(omega)
+        omega_inv = inverse(omega)
     except SingularMatrix as exc:
         raise SingularDyson(f"ketket columns nearly dependent: {exc}") from exc
     kappa = np.ones(v.shape[1])
-    theta = build_metric(basis, kappa)
-    positivity = np.real(eig_hermitian(theta).eigenvalues)
     return MetricBundle(
-        theta=theta,
+        theta=build_metric(basis, kappa),
         kappa=kappa,
         omega=omega,
+        omega_inv=omega_inv,
         omega_kind="ketket_columns",
         h_diag=np.diag(np.conj(basis.eigenvalues)),
-        positivity_eigs=positivity,
     )
 
 
@@ -212,13 +205,11 @@ def dyson_hermitian(theta) -> MetricBundle:
     attached to the bundle.
     """
     a = as_square(theta)
-    omega = sqrt_hpd(a)
-    positivity = np.real(eig_hermitian((a + adjoint(a)) / 2).eigenvalues)
     return MetricBundle(
         theta=(a + adjoint(a)) / 2,
         kappa=None,
-        omega=omega,
+        omega=sqrt_hpd(a),
+        omega_inv=None,
         omega_kind="hermitian_root",
         h_diag=None,
-        positivity_eigs=positivity,
     )

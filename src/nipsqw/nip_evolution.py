@@ -23,8 +23,8 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import as_square, eig_general, inverse
-from .metric import dyson_from_ketkets, dyson_hermitian, ketkets, observable_check
+from .matrix_core import adjoint, as_square, eig_general, inverse, sqrt_hpd
+from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 
 _CLD = np.clongdouble
 
@@ -44,12 +44,22 @@ TWO_SITE_FD_STEP = 1.5e-7
 
 @dataclass(frozen=True)
 class EvolutionState:
-    """One trajectory sample: ket, metric cache, and physical norm."""
+    """One trajectory sample: ket, metric cache, and physical norm.
+
+    ``generator`` is the matrix the integrator applied to the ket at this
+    sample: G = H - Sigma built from the selected map for ``evolve``, the
+    mapped Hamiltonian Omega H Omega^-1 for ``textbook_evolve``.
+    ``omega`` is the Dyson map with Theta = Omega^dagger Omega that
+    generator was built from.  Textbook states already live in the
+    mapped picture, so their ``theta`` and ``omega`` are the identity.
+    """
 
     t: float
     psi: np.ndarray
     theta: np.ndarray
     phys_norm: float
+    generator: np.ndarray
+    omega: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -64,26 +74,35 @@ class GeneratorSnapshot:
     g_eigs: np.ndarray
 
 
-def _dyson_triplet(n: int, phi: float, fd: float, hint):
-    """Map bundle, its angle-derivative stencil, and the basis used.
+def _ketket_map(basis):
+    """Omega whose rows are the ketkets (the ``ketket_columns`` map)."""
+    return adjoint(basis.vectors)
+
+
+def _root_map(basis):
+    """Hermitian square root of the all-ones metric (``hermitian_root``)."""
+    return sqrt_hpd(build_metric(basis, np.ones(len(basis.eigenvalues))))
+
+
+def _dyson_triplet(n: int, phi: float, fd: float, hint, side_map):
+    """Ketket bundle at phi, the angle slope of ``side_map``, the basis used.
 
     Central difference with the exactly representable spacing
     float(phi+fd) - float(phi-fd); the basis at phi is handed to both
     side evaluations as the ordering hint so the difference never
-    jumps between column pairings.
+    jumps between column pairings.  Only the centre bundle checks the
+    map for invertibility.
     """
     basis = ketkets(build_h(n, z_from_phi(phi)), order_hint=hint)
     bundle = dyson_from_ketkets(basis)
     hi = float(np.longdouble(phi) + np.longdouble(fd))
     lo = float(np.longdouble(phi) - np.longdouble(fd))
     spacing = float(np.longdouble(hi) - np.longdouble(lo))
-    omega_hi = dyson_from_ketkets(
-        ketkets(build_h(n, z_from_phi(hi)), order_hint=basis)
-    ).omega
-    omega_lo = dyson_from_ketkets(
-        ketkets(build_h(n, z_from_phi(lo)), order_hint=basis)
-    ).omega
-    omega_slope = (omega_hi - omega_lo) / spacing
+
+    def side(angle):
+        return side_map(ketkets(build_h(n, z_from_phi(angle)), order_hint=basis))
+
+    omega_slope = (side(hi) - side(lo)) / spacing
     return bundle, omega_slope, basis
 
 
@@ -108,9 +127,9 @@ def coriolis(
             f"|sin phi| = {abs(np.sin(phi)):.3e} is inside the "
             f"exceptional-point margin {tol.ep_margin:g} at t = {t:.6g}"
         )
-    bundle, omega_slope, _ = _dyson_triplet(n, float(phi), fd, None)
+    bundle, omega_slope, _ = _dyson_triplet(n, float(phi), fd, None, _ketket_map)
     omega_dot = omega_slope * float(phi_dot)
-    return 1j * (inverse(bundle.omega) @ omega_dot)
+    return 1j * (bundle.omega_inv @ omega_dot)
 
 
 def generator(
@@ -174,7 +193,7 @@ def _quadratic_form(psi, theta) -> complex:
     return complex(np.vdot(psi, theta @ psi))
 
 
-def _make_state(t, psi, theta) -> EvolutionState:
+def _make_state(t, psi, generator, theta, omega) -> EvolutionState:
     q = _quadratic_form(psi, theta)
     if abs(q.imag) > 1e-10 * abs(q.real):
         raise NonRealNorm(
@@ -185,6 +204,8 @@ def _make_state(t, psi, theta) -> EvolutionState:
         psi=np.asarray(psi, dtype=complex),
         theta=np.asarray(theta, dtype=complex),
         phys_norm=float(q.real),
+        generator=generator,
+        omega=omega,
     )
 
 
@@ -241,11 +262,9 @@ class _TwoSiteStages:
     def generators(self, k):
         return self.gen[2 * k], self.gen[2 * k + 1], self.gen[2 * k + 2]
 
-    def metric(self, k):
-        return self.theta[2 * k]
-
-    def map_at(self, k):
-        return self.omega[2 * k]
+    def sample(self, k):
+        """(generator, theta, omega) at the start of step k."""
+        return self.gen[2 * k], self.theta[2 * k], self.omega[2 * k]
 
 
 class _GenericStages:
@@ -271,36 +290,23 @@ class _GenericStages:
 
     def _stage(self, j):
         if self._slot[0] != j:
+            side_map = _root_map if self.hermitian_map else _ketket_map
             bundle, omega_slope, basis = _dyson_triplet(
-                self.n, float(self.phis[j]), self.fd, self._hint
+                self.n, float(self.phis[j]), self.fd, self._hint, side_map
             )
             self._hint = basis
             if self.hermitian_map:
-                bundle, omega_slope = self._hermitian_parts(j, bundle)
-            sigma = 1j * (inverse(bundle.omega) @ (omega_slope * self.rates[j]))
+                omega = sqrt_hpd(bundle.theta)
+                omega_inv = inverse(omega)
+            else:
+                omega, omega_inv = bundle.omega, bundle.omega_inv
             h = build_h(self.n, z_from_phi(self.phis[j]))
             if self.textbook:
-                gen = bundle.omega @ h @ inverse(bundle.omega)
+                gen = omega @ h @ omega_inv
             else:
-                gen = h - sigma
-            self._slot = (j, (gen, bundle.theta, bundle.omega))
+                gen = h - 1j * (omega_inv @ (omega_slope * self.rates[j]))
+            self._slot = (j, (gen, bundle.theta, omega))
         return self._slot[1]
-
-    def _hermitian_parts(self, j, ketket_bundle):
-        """Swap in the Hermitian-root map, differenced the same way."""
-        bundle = dyson_hermitian(ketket_bundle.theta)
-        phi = float(self.phis[j])
-        hint = self._hint
-        hi = float(np.longdouble(phi) + np.longdouble(self.fd))
-        lo = float(np.longdouble(phi) - np.longdouble(self.fd))
-        spacing = float(np.longdouble(hi) - np.longdouble(lo))
-
-        def root_map(angle):
-            side = ketkets(build_h(self.n, z_from_phi(angle)), order_hint=hint)
-            return dyson_hermitian(dyson_from_ketkets(side).theta).omega
-
-        omega_slope = (root_map(hi) - root_map(lo)) / spacing
-        return bundle, omega_slope
 
     def generators(self, k):
         g0 = self._stage(2 * k)[0]
@@ -308,11 +314,9 @@ class _GenericStages:
         g2 = self._stage(2 * k + 2)[0]
         return g0, g1, g2
 
-    def metric(self, k):
-        return self._stage(2 * k)[1]
-
-    def map_at(self, k):
-        return self._stage(2 * k)[2]
+    def sample(self, k):
+        """(generator, theta, omega) at the start of step k."""
+        return self._stage(2 * k)
 
 
 def _integrate(n, profile, psi0, t0, t1, dt, fd_step, tol, textbook, map_kind):
@@ -358,19 +362,22 @@ def _integrate(n, profile, psi0, t0, t1, dt, fd_step, tol, textbook, map_kind):
             n, phis[:n_stages], rates[:n_stages], fd, textbook, hermitian_map
         )
 
+    identity = np.eye(n, dtype=complex)
+
+    def state_at(k, psi):
+        gen, theta, omega = stages.sample(k)
+        if textbook:
+            theta = omega = identity
+        return _make_state(taus[2 * k], psi, gen, theta, omega)
+
     psi = psi0.astype(_CLD)
     if textbook:
-        psi = stages.map_at(0) @ psi
-        identity = np.eye(n, dtype=complex)
-        metric_of = lambda k: identity  # noqa: E731
-    else:
-        metric_of = stages.metric
-
-    states = [_make_state(taus[0], psi, metric_of(0))]
+        psi = stages.sample(0)[2] @ psi
+    states = [state_at(0, psi)]
     for k in range(usable):
         g0, g1, g2 = stages.generators(k)
         psi = _rk4_step(psi, np.longdouble(steps[k]), g0, g1, g2)
-        states.append(_make_state(taus[2 * k + 2], psi, metric_of(k + 1)))
+        states.append(state_at(k + 1, psi))
     if t_fail is not None:
         raise EPProximity(
             f"trajectory reached the exceptional-point margin at t = {t_fail:.6g}",
@@ -444,7 +451,7 @@ def expectation(state: EvolutionState, lam) -> float:
     """
     lam = as_square(lam)
     theta = as_square(state.theta)
-    mismatch = observable_check(lam, theta)
+    mismatch = quasi_hermiticity_residual(lam, theta)
     if mismatch > 1e-8:
         raise NotAnObservable(
             f"metric compatibility residual {mismatch:.3e} exceeds 1e-08"

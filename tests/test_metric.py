@@ -17,7 +17,6 @@ from nipsqw.metric import (
     dyson_from_ketkets,
     dyson_hermitian,
     ketkets,
-    observable_check,
     quasi_hermiticity_residual,
 )
 
@@ -187,21 +186,21 @@ def test_qh_residual_flags_wrong_metric():
     assert quasi_hermiticity_residual(corner_matrix(np.pi / 3), np.eye(2)) > 1e-2
 
 
-# ---------------------------------------------------------- observable_check
+# ------------------------------------------------- observable eligibility
 
 
 def test_observable_check_hamiltonian_is_eligible():
     h = corner_matrix(np.pi / 3)
     theta = build_metric(ketkets(h), [1.0, 1.0])
-    assert observable_check(h, theta) <= 1e-12
+    assert quasi_hermiticity_residual(h, theta) <= 1e-12
 
 
 def test_observable_check_identity_commutes():
-    assert observable_check(np.eye(2), metric_matrix(np.pi / 3)) == 0.0
+    assert quasi_hermiticity_residual(np.eye(2), metric_matrix(np.pi / 3)) == 0.0
 
 
 def test_observable_check_rejects_bare_position_weights():
-    value = observable_check(np.diag([1.0, 2.0]), metric_matrix(np.pi / 3))
+    value = quasi_hermiticity_residual(np.diag([1.0, 2.0]), metric_matrix(np.pi / 3))
     assert value > 1e-3
     # ||difference|| = 1 against ||diag|| = 2 and ||theta|| = 3
     assert value == pytest.approx(1.0 / 6.0, abs=1e-12)

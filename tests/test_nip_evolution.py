@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nipsqw.errors import EPProximity, NonRealNorm, NotAnObservable
 from nipsqw.hamiltonian import PhiProfile, build_h, z_from_phi
-from nipsqw.matrix_core import eig_general, spectral_norm
-from nipsqw.metric import dyson_from_ketkets, ketkets
+from nipsqw.matrix_core import adjoint, eig_general, spectral_norm
+from nipsqw.metric import build_metric, dyson_from_ketkets, ketkets
 from nipsqw.n2_oracle import N2Params, g_eigs, omega_s, regime, sigma_s, theta_s
 from nipsqw.nip_evolution import (
+    MAP_KINDS,
     EvolutionState,
     coriolis,
     evolve,
@@ -28,7 +31,10 @@ def make_state(psi, theta):
     psi = np.asarray(psi, dtype=complex)
     theta = np.asarray(theta, dtype=complex)
     q = np.vdot(psi, theta @ psi)
-    return EvolutionState(t=0.0, psi=psi, theta=theta, phys_norm=float(q.real))
+    return EvolutionState(
+        t=0.0, psi=psi, theta=theta, phys_norm=float(q.real),
+        generator=np.zeros_like(theta), omega=np.zeros_like(theta),
+    )
 
 
 # --------------------------------------------------------------- coriolis
@@ -289,7 +295,7 @@ def test_physical_norm_cross_terms_cancel():
 def test_physical_norm_rejects_corrupted_metric():
     theta = 2.0 * np.eye(2, dtype=complex)
     theta[0, 0] += 1e-6j
-    state = EvolutionState(t=0.0, psi=np.array([1.0 + 0j, 0.0]), theta=theta, phys_norm=2.0)
+    state = make_state([1.0, 0.0], theta)
     with pytest.raises(NonRealNorm):
         physical_norm(state)
 
@@ -313,3 +319,52 @@ def test_expectation_rejects_incompatible_operator():
     state = make_state([1.0, 0.0], theta_s(np.pi / 3))
     with pytest.raises(NotAnObservable):
         expectation(state, np.diag([1.0, 2.0]))
+
+
+# ------------------------------------------------ properties of every state
+
+
+def _metric_at(n, phi):
+    return build_metric(ketkets(build_h(n, z_from_phi(phi))), np.ones(n))
+
+
+PROPERTY_T1 = 0.2
+
+
+@st.composite
+def _drives(draw):
+    """(n, map kind, profile) with phi kept in [0.3, 1.4] or its mirror.
+
+    The window stays clear of both the exceptional point and pi/2.
+    """
+    n = draw(st.integers(2, 6))
+    map_kind = draw(st.sampled_from(MAP_KINDS))
+    window = st.floats(0.3, 1.4)
+    phi0 = draw(window)
+    mirror = draw(st.sampled_from((1.0, -1.0)))  # -1 reflects phi into pi - phi
+    start = phi0 if mirror > 0 else np.pi - phi0
+    if draw(st.booleans()):
+        rate = (draw(window) - phi0) / PROPERTY_T1
+        profile = PhiProfile.linear(start, mirror * rate)
+    else:
+        amp = draw(st.floats(-1.0, 1.0)) * min(phi0 - 0.3, 1.4 - phi0)
+        profile = PhiProfile.sinusoidal(start, mirror * amp, draw(st.floats(0.5, 5.0)))
+    return n, map_kind, profile
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_drives())
+def test_every_state_carries_a_consistent_map_and_generator(drive):
+    n, map_kind, profile = drive
+    states = evolve(n, profile, np.ones(n), 0.0, PROPERTY_T1, 0.05, map_kind=map_kind)
+    delta = 1e-6
+    for s in states:
+        omega = np.asarray(s.omega, dtype=complex)
+        g = np.asarray(s.generator, dtype=complex)
+        theta = s.theta
+        assert spectral_norm(adjoint(omega) @ omega - theta) <= 1e-10
+        # d<psi|Theta|psi>/dt = <psi|i(G^+ Theta - Theta G) + dTheta/dt|psi>
+        phi, phi_dot = profile(s.t)
+        slope = (_metric_at(n, phi + delta) - _metric_at(n, phi - delta)) / (2 * delta)
+        flow = 1j * (adjoint(g) @ theta - theta @ g) + phi_dot * slope
+        assert spectral_norm(flow) <= 1e-6
