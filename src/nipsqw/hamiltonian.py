@@ -53,24 +53,34 @@ def z_from_r(r: float) -> complex:
     return 1j * np.sqrt(1.0 - r * r)
 
 
-def z_from_phi(phi: float) -> complex:
+def z_from_phi(phi):
     """Signed-angle corner value z = i*cos(phi), so sin(phi) is the coupling.
 
     Unlike ``z_from_r(sin(phi))`` this keeps the sign of cos(phi), which
     distinguishes the two halves of a driven sweep through phi = pi/2;
-    the two agree on [0, pi/2].
+    the two agree on [0, pi/2].  An array of angles gives an array of
+    corner values.
     """
-    return 1j * np.cos(float(phi))
+    phi = np.asarray(phi, dtype=float)
+    z = 1j * np.cos(phi)
+    return z if phi.ndim else complex(z)
 
 
-def build_h(n: int, z: complex) -> np.ndarray:
-    """N-site well matrix: tridiagonal (-1, 2, -1) with corners 2-z, 2-z*."""
+def build_h(n: int, z) -> np.ndarray:
+    """N-site well matrix: tridiagonal (-1, 2, -1) with corners 2-z, 2-z*.
+
+    An array of corner values gives the stack of matrices, one per value.
+    """
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
-    h = 2.0 * np.eye(n, dtype=complex)
-    h -= np.eye(n, k=1, dtype=complex) + np.eye(n, k=-1, dtype=complex)
-    h[0, 0] = 2.0 - z
-    h[-1, -1] = 2.0 - np.conj(z)
+    z = np.asarray(z, dtype=complex)
+    sites = np.arange(n)
+    h = np.zeros(z.shape + (n, n), dtype=complex)
+    h[..., sites, sites] = 2.0
+    h[..., sites[1:], sites[:-1]] = -1.0
+    h[..., sites[:-1], sites[1:]] = -1.0
+    h[..., 0, 0] = 2.0 - z
+    h[..., -1, -1] = 2.0 - np.conj(z)
     return h
 
 

@@ -23,6 +23,7 @@ from .errors import (
     SingularMatrix,
 )
 from .matrix_core import (
+    COND_CEILING,
     adjoint,
     as_square,
     eig_general,
@@ -35,11 +36,6 @@ from .matrix_core import (
 #: minimum modulus of the diagonal entry before the column normalization
 #: falls back to the max-modulus convention
 DIAG_UNIT_FLOOR = 1e-8
-
-#: eigenvector condition numbers at or above this are indistinguishable
-#: from infinity in double precision (an exactly singular matrix rounds
-#: to ~1/eps rather than inf under the SVD)
-COND_CEILING = 1e15
 
 
 @dataclass(frozen=True)
@@ -76,21 +72,14 @@ def _overlap_order(vectors: np.ndarray, hint: np.ndarray) -> np.ndarray:
     return order
 
 
-def ketkets(h, *, order_hint: KetketBasis | None = None) -> KetketBasis:
-    """Solve the adjoint eigenvector problem that seeds every metric.
+def _ketket_basis(dec, order_hint: KetketBasis | None = None) -> KetketBasis:
+    """Order and scale an adjoint eigendecomposition into a ketket basis.
 
-    Requires a diagonalizable input; an exceptional point announces
-    itself either as solver non-convergence or as an unusable
-    (non-finite-condition) eigenvector matrix.  ``order_hint`` replaces
-    the default descending eigenvalue order with the column pairing
-    closest to a previously computed basis, keeping the family
-    continuous along a time profile.
+    ``dec`` is the ``eig_general`` result for the adjoint, or the
+    NoConvergence that the solve ended in.
     """
-    a = as_square(h)
-    try:
-        dec = eig_general(adjoint(a))
-    except NoConvergence as exc:
-        raise DefectiveAtEP(f"adjoint eigenproblem did not converge: {exc}") from exc
+    if isinstance(dec, NoConvergence):
+        raise DefectiveAtEP(f"adjoint eigenproblem did not converge: {dec}") from dec
     if not np.isfinite(dec.vector_condition) or dec.vector_condition >= COND_CEILING:
         raise DefectiveAtEP("eigenvector matrix is numerically singular")
 
@@ -104,13 +93,28 @@ def ketkets(h, *, order_hint: KetketBasis | None = None) -> KetketBasis:
     vectors = vectors[:, order]
 
     unit = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    columns = np.empty_like(unit)
-    for j in range(unit.shape[1]):
-        pivot = unit[j, j]
-        if abs(pivot) < DIAG_UNIT_FLOOR:
-            pivot = unit[np.argmax(np.abs(unit[:, j])), j]
-        columns[:, j] = unit[:, j] / pivot
-    return KetketBasis(eigenvalues=values, vectors=columns)
+    levels = np.arange(unit.shape[1])
+    pivots = unit[levels, levels]
+    largest = unit[np.argmax(np.abs(unit), axis=0), levels]
+    pivots = np.where(np.abs(pivots) < DIAG_UNIT_FLOOR, largest, pivots)
+    return KetketBasis(eigenvalues=values, vectors=unit / pivots)
+
+
+def ketkets(h, *, order_hint: KetketBasis | None = None) -> KetketBasis:
+    """Solve the adjoint eigenvector problem that seeds every metric.
+
+    Requires a diagonalizable input; an exceptional point announces
+    itself either as solver non-convergence or as an unusable
+    (non-finite-condition) eigenvector matrix.  ``order_hint`` replaces
+    the default descending eigenvalue order with the column pairing
+    closest to a previously computed basis, keeping the family
+    continuous along a time profile.
+    """
+    try:
+        dec = eig_general(adjoint(as_square(h)))
+    except NoConvergence as exc:
+        dec = exc
+    return _ketket_basis(dec, order_hint)
 
 
 def build_metric(basis: KetketBasis, kappa) -> np.ndarray:

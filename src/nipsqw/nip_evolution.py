@@ -23,8 +23,13 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import adjoint, as_square, eig_general, inverse, sqrt_hpd
-from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
+from .matrix_core import _decompose_stack, adjoint, as_square, eig_general, inverse, sqrt_hpd
+from .metric import (
+    _ketket_basis,
+    build_metric,
+    dyson_from_ketkets,
+    quasi_hermiticity_residual,
+)
 
 _CLD = np.clongdouble
 
@@ -40,6 +45,10 @@ MAP_KINDS = ("ketket_columns", "hermitian_root")
 #: truncation sits below integrator error, large enough to clear the
 #: extended-precision rounding floor
 TWO_SITE_FD_STEP = 1.5e-7
+
+#: stages per stacked eigen-solve in the generic stage pipeline; bounds
+#: the memory of a long trajectory and the work an early failure wastes
+STAGE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -84,26 +93,38 @@ def _root_map(basis):
     return sqrt_hpd(build_metric(basis, np.ones(len(basis.eigenvalues))))
 
 
-def _dyson_triplet(n: int, phi: float, fd: float, hint, side_map):
-    """Ketket bundle at phi, the angle slope of ``side_map``, the basis used.
+def _side_angles(phis, fd: float):
+    """Angles phi +- fd in double precision, and their spacing.
 
-    Central difference with the exactly representable spacing
-    float(phi+fd) - float(phi-fd); the basis at phi is handed to both
-    side evaluations as the ordering hint so the difference never
-    jumps between column pairings.  Only the centre bundle checks the
-    map for invertibility.
+    The spacing float(phi+fd) - float(phi-fd) is exactly representable,
+    so a central difference divides by the true distance.
     """
-    basis = ketkets(build_h(n, z_from_phi(phi)), order_hint=hint)
-    bundle = dyson_from_ketkets(basis)
-    hi = float(np.longdouble(phi) + np.longdouble(fd))
-    lo = float(np.longdouble(phi) - np.longdouble(fd))
-    spacing = float(np.longdouble(hi) - np.longdouble(lo))
+    phis = np.asarray(phis, dtype=np.longdouble)
+    hi = (phis + np.longdouble(fd)).astype(float)
+    lo = (phis - np.longdouble(fd)).astype(float)
+    spacing = (hi.astype(np.longdouble) - lo.astype(np.longdouble)).astype(float)
+    return hi, lo, spacing
 
-    def side(angle):
-        return side_map(ketkets(build_h(n, z_from_phi(angle)), order_hint=basis))
 
-    omega_slope = (side(hi) - side(lo)) / spacing
-    return bundle, omega_slope, basis
+def _adjoint_decompositions(n: int, angles):
+    """Well matrices at the angles, and their adjoints' eigendecompositions.
+
+    One stacked eigen-solve; entry k is a decomposition or the
+    NoConvergence that the adjoint at ``angles[k]`` ended in.
+    """
+    h = build_h(n, z_from_phi(angles))
+    return h, _decompose_stack(h.conj().swapaxes(-1, -2))
+
+
+def _map_slope(side_map, basis, high, low, spacing):
+    """Central difference of ``side_map`` between the side decompositions.
+
+    The basis at the centre is handed to both sides as the ordering hint
+    so the difference never jumps between column pairings.
+    """
+    upper = side_map(_ketket_basis(high, basis))
+    lower = side_map(_ketket_basis(low, basis))
+    return (upper - lower) / spacing
 
 
 def coriolis(
@@ -127,7 +148,11 @@ def coriolis(
             f"|sin phi| = {abs(np.sin(phi)):.3e} is inside the "
             f"exceptional-point margin {tol.ep_margin:g} at t = {t:.6g}"
         )
-    bundle, omega_slope, _ = _dyson_triplet(n, float(phi), fd, None, _ketket_map)
+    hi, lo, spacing = _side_angles(phi, fd)
+    _, (centre, high, low) = _adjoint_decompositions(n, [phi, hi, lo])
+    basis = _ketket_basis(centre)
+    bundle = dyson_from_ketkets(basis)
+    omega_slope = _map_slope(_ketket_map, basis, high, low, spacing)
     omega_dot = omega_slope * float(phi_dot)
     return 1j * (bundle.omega_inv @ omega_dot)
 
@@ -268,14 +293,19 @@ class _TwoSiteStages:
 
 
 class _GenericStages:
-    """Stage data built one stage at a time through the full pipeline.
+    """Stage data through the full pipeline, eigen-solved a block at a time.
 
-    Column pairings are chained through ordering hints so the map
-    varies continuously along the trajectory; only the most recent
-    stage is kept, since access is strictly sequential with one
-    shared endpoint between consecutive steps.  With the
-    hermitian_root factorization the map is the Hermitian square root
-    of the same metric, smooth in the angle by construction.
+    The adjoint problems of ``STAGE_BLOCK`` consecutive stages (each
+    centre angle and, unless textbook, its two difference angles) go
+    through one stacked eigen-solve when the loop first reaches the
+    block.  Ordering, scaling and the Dyson map then run stage by stage:
+    column pairings are chained through ordering hints so the map varies
+    continuously along the trajectory, and only the most recent stage is
+    kept, since access is strictly sequential with one shared endpoint
+    between consecutive steps.  With the hermitian_root factorization
+    the map is the Hermitian square root of the same metric, smooth in
+    the angle by construction.  Textbook stages need no map slope, so
+    they solve the centre angles only.
     """
 
     def __init__(self, n, phis, rates, fd, textbook, hermitian_map=False):
@@ -287,23 +317,44 @@ class _GenericStages:
         self.hermitian_map = hermitian_map
         self._hint = None
         self._slot = (-1, None)
+        self._block = (-1, None)
+
+    def _solved(self, j):
+        """H, the centre decomposition and (high, low, spacing) at stage j.
+
+        The side triple is None for textbook stages.
+        """
+        first = j - j % STAGE_BLOCK
+        if self._block[0] != first:
+            phis = self.phis[first:first + STAGE_BLOCK]
+            angles, spacing = [phis], None
+            if not self.textbook:
+                hi, lo, spacing = _side_angles(phis, self.fd)
+                angles += [hi, lo]
+            h, decs = _adjoint_decompositions(self.n, np.concatenate(angles))
+            self._block = (first, (len(phis), h, decs, spacing))
+        size, h, decs, spacing = self._block[1]
+        k = j - first
+        if self.textbook:
+            return h[k], decs[k], None
+        return h[k], decs[k], (decs[size + k], decs[2 * size + k], spacing[k])
 
     def _stage(self, j):
         if self._slot[0] != j:
-            side_map = _root_map if self.hermitian_map else _ketket_map
-            bundle, omega_slope, basis = _dyson_triplet(
-                self.n, float(self.phis[j]), self.fd, self._hint, side_map
-            )
+            h, centre, sides = self._solved(j)
+            basis = _ketket_basis(centre, self._hint)
+            bundle = dyson_from_ketkets(basis)
             self._hint = basis
             if self.hermitian_map:
                 omega = sqrt_hpd(bundle.theta)
                 omega_inv = inverse(omega)
             else:
                 omega, omega_inv = bundle.omega, bundle.omega_inv
-            h = build_h(self.n, z_from_phi(self.phis[j]))
-            if self.textbook:
+            if sides is None:
                 gen = omega @ h @ omega_inv
             else:
+                side_map = _root_map if self.hermitian_map else _ketket_map
+                omega_slope = _map_slope(side_map, basis, *sides)
                 gen = h - 1j * (omega_inv @ (omega_slope * self.rates[j]))
             self._slot = (j, (gen, bundle.theta, omega))
         return self._slot[1]

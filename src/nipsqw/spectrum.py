@@ -17,7 +17,13 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import NoConvergence, NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h, z_from_r
-from .matrix_core import EigenDecomposition, _eigvals_general, eig_general
+from .matrix_core import (
+    COND_CEILING,
+    EigenDecomposition,
+    _decompose_stack,
+    _eigvals_stack,
+    eig_general,
+)
 
 _CLD = np.clongdouble
 
@@ -215,31 +221,35 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     Returns rows (r, min_gap, vector_condition); the condition number
     blowing up as r -> 0 while the smallest gap closes is the
     exceptional-point signature.  Where the full eigendecomposition
-    gives up (defective point), the condition is the +inf sentinel and
-    the gap comes from an eigenvalue-only pass; a nan gap means even
-    that failed.
+    gives up (defective point), or its condition reaches
+    ``COND_CEILING``, the condition is the +inf sentinel; a failed
+    decomposition takes its gap from an eigenvalue-only pass, and a nan
+    gap means even that failed.  The whole grid is solved as one stack.
     """
     r_values = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if np.any(np.abs(r_values) > 1.0):
         raise OutOfRange("coupling grid must stay within [-1, 1]")
 
-    def min_gap(w: np.ndarray) -> float:
-        pair_gaps = np.abs(w[:, None] - w[None, :])
-        np.fill_diagonal(pair_gaps, np.inf)
-        return float(pair_gaps.min())
+    def min_gap(w: np.ndarray) -> np.ndarray:
+        pair_gaps = np.abs(w[:, :, None] - w[:, None, :])
+        pair_gaps[:, np.eye(w.shape[1], dtype=bool)] = np.inf
+        return pair_gaps.min(axis=(1, 2))
 
+    stack = build_h(n, [z_from_r(r) for r in r_values])
     rows = np.empty((r_values.size, 3), dtype=float)
-    for i, r in enumerate(r_values):
-        h = build_h(n, z_from_r(r))
-        try:
-            dec = eig_general(h)
-        except NoConvergence:
-            try:
-                w = _eigvals_general(h)
-            except NoConvergence:
-                rows[i] = (r, np.nan, np.inf)
-            else:
-                rows[i] = (r, min_gap(w), np.inf)
-            continue
-        rows[i] = (r, min_gap(dec.eigenvalues), dec.vector_condition)
+    rows[:, 0] = r_values
+    rows[:, 2] = np.inf
+    values = np.full((r_values.size, n), np.nan, dtype=complex)
+    failed = []
+    for i, dec in enumerate(_decompose_stack(stack)):
+        if isinstance(dec, NoConvergence):
+            failed.append(i)
+        else:
+            values[i], rows[i, 2] = dec.eigenvalues, dec.vector_condition
+    if failed:
+        fallback, errors = _eigvals_stack(stack[failed])
+        solved = [error is None for error in errors]
+        values[np.array(failed)[solved]] = fallback[solved]
+    rows[:, 1] = min_gap(values)
+    rows[rows[:, 2] >= COND_CEILING, 2] = np.inf
     return rows

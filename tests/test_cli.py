@@ -428,6 +428,16 @@ def test_epscan_six_site_defective_sentinel(capsys):
     assert "defective_rows=1" in err
 
 
+def test_epscan_exact_coalescence_is_a_defective_row(capsys):
+    code, out, err = invoke(
+        capsys, "epscan", "--n", "2", "--r-min", "0", "--r-max", "0", "--samples", "1"
+    )
+    assert code == 0
+    _, rows = table_of(out)
+    assert rows == [["0", "0", "inf"]]
+    assert "defective_rows=1" in err
+
+
 def test_epscan_range_validation(capsys):
     code, _, err = invoke(
         capsys, "epscan", "--n", "4", "--r-min", "-2", "--r-max", "1", "--samples", "5"

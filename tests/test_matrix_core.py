@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nipsqw.errors import (
     NoConvergence,
@@ -12,6 +13,9 @@ from nipsqw.errors import (
 )
 from nipsqw.matrix_core import (
     EigenDecomposition,
+    _decompose_stack,
+    _tridiag_lu,
+    _tridiag_solve,
     adjoint,
     char_poly,
     eig_general,
@@ -186,6 +190,97 @@ def test_eig_general_one_by_one():
     dec = eig_general(np.array([[2.5 + 1j]]))
     np.testing.assert_allclose(dec.eigenvalues, [2.5 + 1j])
     assert dec.residual == 0.0
+
+
+def test_batched_tridiagonal_lu_matches_banded_lapack():
+    # random systems pivot on some rows and not on others
+    rng = np.random.default_rng(47)
+    n, count = 9, 40
+    sub, diag, sup, rhs = (
+        rng.standard_normal((rows, count)) + 1j * rng.standard_normal((rows, count))
+        for rows in (n - 1, n, n - 1, n)
+    )
+    factors, singular = _tridiag_lu(sub, diag, sup)
+    assert not singular.any()
+    got = _tridiag_solve(factors, rhs)
+    for s in range(count):
+        bands = np.zeros((3, n), dtype=complex)
+        bands[0, 1:], bands[1], bands[2, :-1] = sup[:, s], diag[:, s], sub[:, s]
+        expected = scipy.linalg.solve_banded((1, 1), bands, rhs[:, s])
+        np.testing.assert_allclose(got[:, s], expected, rtol=1e-11, atol=0)
+
+
+def test_batched_tridiagonal_lu_flags_exactly_singular_systems():
+    # columns are systems; the first has two equal rows, [1 1 0] twice
+    off = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    diag = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 1.0]], dtype=complex)
+    _, singular = _tridiag_lu(off, diag, off)
+    assert singular.tolist() == [True, False]
+
+
+def assert_same_decomposition(got, expected):
+    """Bit-for-bit equality of two eig_general outcomes (or of their errors)."""
+    if isinstance(expected, NoConvergence):
+        assert isinstance(got, NoConvergence) and str(got) == str(expected)
+        return
+    np.testing.assert_array_equal(got.eigenvalues, expected.eigenvalues)
+    np.testing.assert_array_equal(got.right_vectors, expected.right_vectors)
+    assert got.vector_condition == expected.vector_condition
+    assert got.residual == expected.residual
+
+
+def single_outcome(matrix):
+    try:
+        return eig_general(matrix)
+    except NoConvergence as exc:
+        return exc
+
+
+def test_stack_with_singular_shifts_matches_single_solves():
+    # every shift of the diagonal matrix is exactly singular, so its
+    # vectors come from the nudged retry; its neighbours are healthy wells
+    wells = [corner_matrix(3, 1j * np.cos(phi)) for phi in (0.4, 1.1, 2.3)]
+    stack = np.stack([wells[0], np.diag([1.0, 2.0, 3.0]).astype(complex), *wells[1:]])
+    results = _decompose_stack(stack)
+    assert len(results) == len(stack)
+    for matrix, got in zip(stack, results):
+        assert_same_decomposition(got, eig_general(matrix))
+    np.testing.assert_allclose(np.abs(results[1].right_vectors), np.eye(3), atol=1e-12)
+
+
+def test_stack_keeps_a_refused_matrix_from_its_neighbours():
+    # the six-site well at r = 0 is defective and fails the residual gate
+    stack = np.stack([corner_matrix(6, z) for z in (0.6j, 1j, -0.3j, 1j, 0.9j)])
+    results = _decompose_stack(stack)
+    assert isinstance(results[1], NoConvergence) and isinstance(results[3], NoConvergence)
+    for matrix, got in zip(stack, results):
+        assert_same_decomposition(got, single_outcome(matrix))
+
+
+def test_stack_mixes_dense_and_tridiagonal_members():
+    rng = np.random.default_rng(41)
+    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    stack = np.stack([corner_matrix(4, 0.5j), dense, corner_matrix(4, -0.2j)])
+    for matrix, got in zip(stack, _decompose_stack(stack)):
+        assert_same_decomposition(got, eig_general(matrix))
+
+
+def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
+    rng = np.random.default_rng(43)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    expected = [eig_general(matrix) for matrix in stack]
+    lapack_eig = np.linalg.eig
+
+    def refuse_the_middle_one(a):
+        if len(a) > 1 or np.array_equal(a[0], stack[1]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return lapack_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", refuse_the_middle_one)
+    first, middle, last = _decompose_stack(stack)
+    assert isinstance(middle, NoConvergence)
+    assert_same_decomposition(first, expected[0])
+    assert_same_decomposition(last, expected[2])
 
 
 # ---------------------------------------------------------- eig_hermitian

@@ -10,6 +10,7 @@ from nipsqw.hamiltonian import PhiProfile, build_h, z_from_phi
 from nipsqw.matrix_core import adjoint, eig_general, spectral_norm
 from nipsqw.metric import build_metric, dyson_from_ketkets, ketkets
 from nipsqw.n2_oracle import N2Params, g_eigs, omega_s, regime, sigma_s, theta_s
+from nipsqw import nip_evolution
 from nipsqw.nip_evolution import (
     MAP_KINDS,
     EvolutionState,
@@ -250,6 +251,25 @@ def test_evolve_three_site_route():
 
 
 # ------------------------------------------------------- textbook partner
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+def test_stage_blocks_do_not_change_the_trajectory(monkeypatch, map_kind):
+    # 25 stages: one block at the default size, several at smaller sizes
+    profile = PhiProfile.sinusoidal(1.1, 0.3, 0.7)
+    psi0 = np.array([1.0, 0.5j, -0.25, 0.5])
+    runs = []
+    for block in (nip_evolution.STAGE_BLOCK, 7, 1):
+        monkeypatch.setattr(nip_evolution, "STAGE_BLOCK", block)
+        runs.append([
+            integrate(4, profile, psi0, 0.0, 0.12, 0.01, map_kind=map_kind)
+            for integrate in (evolve, textbook_evolve)
+        ])
+    for run in runs[1:]:
+        for states, reference in zip(run, runs[0]):
+            for state, ref in zip(states, reference):
+                np.testing.assert_array_equal(state.psi, ref.psi)
+                np.testing.assert_array_equal(state.generator, ref.generator)
 
 
 def test_textbook_stationary_profile_rotates_phases():

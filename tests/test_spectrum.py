@@ -207,6 +207,22 @@ def test_ep_scan_six_site_middle_merger():
     assert rows[0, 1] <= 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
+def test_ep_scan_whole_grid_equals_point_by_point(n):
+    # r = 0 puts a defective (or fallback) point between healthy ones;
+    # at n = 64 the 23 points span two chunks of the stacked solve
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 21), [1e-7, 0.35]])
+    expected = np.vstack([ep_scan(n, [r]) for r in grid])
+    np.testing.assert_array_equal(ep_scan(n, grid), expected)
+
+
+def test_ep_scan_condition_ceiling_reads_as_defective():
+    # the exact two-site coalescence rounds to a finite ~1/eps condition
+    rows = ep_scan(2, [0.0, 0.5])
+    assert rows[0, 2] == np.inf
+    assert np.isfinite(rows[1, 2])
+
+
 def test_ep_scan_domain_guard():
     with pytest.raises(OutOfRange):
         ep_scan(2, [0.5, 1.5])
