@@ -36,7 +36,10 @@ _EPS_LD = float(np.finfo(np.longdouble).eps)
 MAX_DIM = 64
 CHAR_POLY_MAX_DIM = 16  # coefficient growth guard
 _RESIDUAL_CAP = 1e-10   # accepted-decomposition bound, enforced for N <= 16
-_CHUNK_ENTRIES = 1 << 16  # matrix entries per chunk of a stacked eigen solve
+#: matrix entries per chunk of a stacked eigen-solve: the smallest size at
+#: which the decompositions, not the work arrays, set a large scan's peak
+#: memory; speed is flat from 1 << 14 to one unbounded chunk
+_CHUNK_ENTRIES = 1 << 16
 
 #: eigenvector condition numbers at or above this are indistinguishable
 #: from infinity in double precision (an exactly singular matrix rounds
@@ -359,9 +362,10 @@ def _eig_stack(stack: np.ndarray, vectors: bool):
     when ``vectors`` (else None), and per matrix None or the
     NoConvergence its solve ended in; a failed matrix holds the values
     0 and identity vectors, so it never spoils its neighbours.  Closed
-    form at N=2, continuant-polished roots (plus inverse iteration for
-    the vectors) for tridiagonal matrices, dense solver otherwise.  The
-    stack is solved in chunks that keep the work arrays near 1 MB.
+    form at N=2; continuant-polished roots (plus inverse iteration for
+    the vectors) when every matrix of the stack is tridiagonal, the
+    dense solver otherwise.  The stack is solved in chunks that keep the
+    work arrays near 1 MB.
     """
     m, n, _ = stack.shape
     if n > MAX_DIM:
@@ -371,25 +375,14 @@ def _eig_stack(stack: np.ndarray, vectors: bool):
     if n == 2:
         values, vecs = _eig2_closed_form(stack)
         return values, vecs, [None] * m
-    chunk = max(1, _CHUNK_ENTRIES // (n * n))
     off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
-    tridiagonal = ~stack[:, off_band].any(axis=-1)
-    if m <= chunk and tridiagonal.all():  # the common case needs no scatter
-        values, vecs, errors = _tridiag_eig(stack, vectors)
-    else:
-        values = np.zeros((m, n), dtype=complex)
-        vecs = np.zeros((m, n, n), dtype=complex) if vectors else None
-        errors = [None] * m
-        for solve, mask in ((_tridiag_eig, tridiagonal), (_dense_eig, ~tridiagonal)):
-            members = np.flatnonzero(mask)
-            for lo in range(0, members.size, chunk):
-                part = members[lo:lo + chunk]
-                part_values, part_vecs, part_errors = solve(stack[part], vectors)
-                values[part] = part_values
-                if vectors:
-                    vecs[part] = part_vecs
-                for k, error in zip(part, part_errors):
-                    errors[k] = error
+    solve = _dense_eig if stack[:, off_band].any() else _tridiag_eig
+    chunk = max(1, _CHUNK_ENTRIES // (n * n))
+    # an empty stack still makes one (empty) call, so the shapes come out right
+    parts = [solve(stack[lo:lo + chunk], vectors) for lo in range(0, max(m, 1), chunk)]
+    values = np.concatenate([part[0] for part in parts])
+    vecs = np.concatenate([part[1] for part in parts]) if vectors else None
+    errors = [error for part in parts for error in part[2]]
     for k, error in enumerate(errors):
         if error is not None:
             values[k] = 0.0
@@ -422,7 +415,9 @@ def _decompose_stack(stack: np.ndarray) -> list:
     """``eig_general`` for every matrix of an (m, N, N) stack at once.
 
     Entry k is the decomposition of ``stack[k]``, or the NoConvergence
-    that ``eig_general(stack[k])`` raises.
+    that ``eig_general(stack[k])`` raises.  (A stack that mixes
+    tridiagonal and other matrices goes through the dense solver as a
+    whole; every caller's stack is one kind or the other.)
     """
     m, n, _ = stack.shape
     values, vectors, errors = _eig_stack(stack, vectors=True)

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .matrix_core import (
     COND_CEILING,
+    EigenDecomposition,
     adjoint,
     as_square,
     eig_general,
@@ -72,12 +73,30 @@ def _overlap_order(vectors: np.ndarray, hint: np.ndarray) -> np.ndarray:
     return order
 
 
-def _ketket_basis(dec, order_hint: KetketBasis | None = None) -> KetketBasis:
-    """Order and scale an adjoint eigendecomposition into a ketket basis.
+def ketkets(
+    h,
+    *,
+    order_hint: KetketBasis | None = None,
+    adjoint_eig: EigenDecomposition | NoConvergence | None = None,
+) -> KetketBasis:
+    """Solve the adjoint eigenvector problem that seeds every metric.
 
-    ``dec`` is the ``eig_general`` result for the adjoint, or the
-    NoConvergence that the solve ended in.
+    Requires a diagonalizable input; an exceptional point announces
+    itself either as solver non-convergence or as an unusable
+    (non-finite-condition) eigenvector matrix.  ``order_hint`` replaces
+    the default descending eigenvalue order with the column pairing
+    closest to a previously computed basis, keeping the family
+    continuous along a time profile.  ``adjoint_eig`` is the
+    ``eig_general`` result for the adjoint of ``h`` (or the NoConvergence
+    that solve ended in) when the caller already has it from a stacked
+    solve; only the ordering and scaling are then left to do.
     """
+    dec = adjoint_eig
+    if dec is None:
+        try:
+            dec = eig_general(adjoint(as_square(h)))
+        except NoConvergence as exc:
+            dec = exc
     if isinstance(dec, NoConvergence):
         raise DefectiveAtEP(f"adjoint eigenproblem did not converge: {dec}") from dec
     if not np.isfinite(dec.vector_condition) or dec.vector_condition >= COND_CEILING:
@@ -98,23 +117,6 @@ def _ketket_basis(dec, order_hint: KetketBasis | None = None) -> KetketBasis:
     largest = unit[np.argmax(np.abs(unit), axis=0), levels]
     pivots = np.where(np.abs(pivots) < DIAG_UNIT_FLOOR, largest, pivots)
     return KetketBasis(eigenvalues=values, vectors=unit / pivots)
-
-
-def ketkets(h, *, order_hint: KetketBasis | None = None) -> KetketBasis:
-    """Solve the adjoint eigenvector problem that seeds every metric.
-
-    Requires a diagonalizable input; an exceptional point announces
-    itself either as solver non-convergence or as an unusable
-    (non-finite-condition) eigenvector matrix.  ``order_hint`` replaces
-    the default descending eigenvalue order with the column pairing
-    closest to a previously computed basis, keeping the family
-    continuous along a time profile.
-    """
-    try:
-        dec = eig_general(adjoint(as_square(h)))
-    except NoConvergence as exc:
-        dec = exc
-    return _ketket_basis(dec, order_hint)
 
 
 def build_metric(basis: KetketBasis, kappa) -> np.ndarray:

@@ -257,14 +257,6 @@ def test_stack_keeps_a_refused_matrix_from_its_neighbours():
         assert_same_decomposition(got, single_outcome(matrix))
 
 
-def test_stack_mixes_dense_and_tridiagonal_members():
-    rng = np.random.default_rng(41)
-    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    stack = np.stack([corner_matrix(4, 0.5j), dense, corner_matrix(4, -0.2j)])
-    for matrix, got in zip(stack, _decompose_stack(stack)):
-        assert_same_decomposition(got, eig_general(matrix))
-
-
 def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
     rng = np.random.default_rng(43)
     stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))

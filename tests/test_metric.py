@@ -6,6 +6,7 @@ import pytest
 from nipsqw.errors import (
     BadWeights,
     DefectiveAtEP,
+    NoConvergence,
     NotPositiveDefinite,
     SingularDyson,
 )
@@ -96,6 +97,17 @@ def test_ketkets_defective_at_coalescence():
         ketkets(build_h(2, z_from_r(0.0)))
     with pytest.raises(DefectiveAtEP):
         ketkets(build_h(6, z_from_r(0.0)))
+
+
+def test_ketkets_takes_a_solved_adjoint_decomposition():
+    h = build_h(5, z_from_phi(0.7))
+    hint = ketkets(build_h(5, z_from_phi(0.69)))
+    solved = ketkets(h, order_hint=hint, adjoint_eig=eig_general(adjoint(h)))
+    fresh = ketkets(h, order_hint=hint)
+    np.testing.assert_array_equal(solved.eigenvalues, fresh.eigenvalues)
+    np.testing.assert_array_equal(solved.vectors, fresh.vectors)
+    with pytest.raises(DefectiveAtEP):
+        ketkets(h, adjoint_eig=NoConvergence("polish exhausted"))
 
 
 def test_ketkets_order_hint_overrides_sorting():

@@ -214,6 +214,26 @@ def test_ep_scan_whole_grid_equals_point_by_point(n):
     grid = np.concatenate([np.linspace(-1.0, 1.0, 21), [1e-7, 0.35]])
     expected = np.vstack([ep_scan(n, [r]) for r in grid])
     np.testing.assert_array_equal(ep_scan(n, grid), expected)
+    assert ep_scan(n, []).shape == (0, 3)
+
+
+# vector_condition a hair from coalescence, as the previous one-matrix
+# solver (a solve_banded inverse iteration) printed it.  Two tridiagonal
+# solvers round the near-parallel eigenvectors differently there: the
+# stacked solver differs from these by up to 1.2e-13 x condition
+# (relative), and the test allows 2e-13 x condition.
+CONDITIONS_NEAR_COALESCENCE = [
+    (6, 0.00012589254117941674, 32398.41087836717),
+    (8, 0.00014125375446227554, 33732.083517738094),
+    (16, 0.00012589254117941674, 54330.65377988665),
+    (32, 0.00019952623149688788, 48802.358610050534),
+]
+
+
+@pytest.mark.parametrize("n, r, condition", CONDITIONS_NEAR_COALESCENCE)
+def test_ep_scan_condition_near_coalescence_stays_pinned(n, r, condition):
+    got = ep_scan(n, [-r, r])[:, 2]
+    np.testing.assert_allclose(got, condition, rtol=2e-13 * condition, atol=0)
 
 
 def test_ep_scan_condition_ceiling_reads_as_defective():
