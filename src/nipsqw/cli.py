@@ -322,7 +322,7 @@ def cmd_evolve(args) -> int:
     try:
         states = evolve(
             args.n, args.profile, args.psi0, args.t0, args.t1, args.dt,
-            fd_step=args.fd_step, tol=tol, map_kind=args.map,
+            tol=tol, map_kind=args.map,
         )
     except EPProximity as exc:
         states = exc.trajectory
@@ -336,7 +336,7 @@ def cmd_evolve(args) -> int:
         horizon = states[-1].t
         partner = textbook_evolve(
             args.n, args.profile, args.psi0, args.t0, horizon, args.dt,
-            fd_step=args.fd_step, tol=tol, map_kind=args.map,
+            tol=tol, map_kind=args.map,
         )
 
     observables = args.observable or []
@@ -407,7 +407,7 @@ class IdentityResult:
         return self.residual <= self.threshold
 
 
-def run_identity_suite(phi_grid=None, rates=None, fd_step=None, tol=None):
+def run_identity_suite(phi_grid=None, rates=None, tol=None):
     """Closed-form versus pipeline checks on the two-site problem.
 
     Every identity is evaluated on the (phi, rate) grid and reduced to
@@ -453,12 +453,12 @@ def run_identity_suite(phi_grid=None, rates=None, fd_step=None, tol=None):
         )
         for rate in rates:
             profile = PhiProfile.linear(phi, rate)
-            sigma = coriolis(2, profile, 0.0, fd_step=fd_step, tol=tol)
+            sigma = coriolis(2, profile, 0.0, tol=tol)
             worst["coriolis_difference"] = max(
                 worst["coriolis_difference"],
                 spectral_norm(sigma - sigma_s(phi, rate)),
             )
-            snap = generator(2, profile, 0.0, fd_step=fd_step, tol=tol)
+            snap = generator(2, profile, 0.0, tol=tol)
             worst["generator_difference"] = max(
                 worst["generator_difference"],
                 spectral_norm(snap.G - g_s(phi, rate)),
@@ -483,9 +483,7 @@ def cmd_n2verify(args) -> int:
     cfg = _config(args)
     phi_grid = args.phi_grid if args.phi_grid is not None else None
     try:
-        results = run_identity_suite(
-            phi_grid=phi_grid, fd_step=args.fd_step, tol=cfg.tolerances
-        )
+        results = run_identity_suite(phi_grid=phi_grid, tol=cfg.tolerances)
     except EPProximity as exc:
         print(f"error: coalescence guard tripped: {exc}", file=sys.stderr)
         return 2
@@ -568,7 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--crosscheck", action="store_true",
                     help="append the mapped-integration agreement column")
     ev.add_argument("--map", choices=MAP_KINDS, default="ketket_columns")
-    ev.add_argument("--fd-step", type=float, default=None)
     ev.add_argument("--ep-margin", type=float, default=None)
     _add_output_flags(ev)
     ev.set_defaults(handler=cmd_evolve)
@@ -582,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     es.set_defaults(handler=cmd_epscan)
 
     nv = subs.add_parser("n2verify", help="two-site closed-form identity suite")
-    nv.add_argument("--fd-step", type=float, default=None)
     nv.add_argument("--ep-margin", type=float, default=None)
     nv.add_argument("--phi-grid", type=_float_list_flag, metavar="P1,P2,...",
                     default=None, help="boundary angles to scan")

@@ -24,14 +24,16 @@ class Tolerances:
     eps_pd: relative eigenvalue floor for positive definiteness.
     tol_real: |Im E| threshold for classifying an energy as real.
     ep_margin: |sin phi| guard radius around the exceptional point.
-    fd_step: default central-difference step for the Coriolis matrix.
+
+    The Dyson map is differentiated analytically, so there is no
+    difference step among them; an override file that names ``fd_step``
+    is refused as an unknown tolerance.
     """
 
     eps_singular: float = 1e-12
     eps_pd: float = 1e-10
     tol_real: float = 1e-9
     ep_margin: float = 1e-6
-    fd_step: float = 1e-5
 
     def replace(self, **changes) -> "Tolerances":
         return dataclasses.replace(self, **changes)

@@ -480,8 +480,16 @@ def eig_hermitian(matrix) -> EigenDecomposition:
     )
 
 
-def sqrt_hpd(matrix, tol: Tolerances | None = None) -> np.ndarray:
-    """Hermitian positive-definite square root via spectral decomposition."""
+def sqrt_hpd(matrix, tol: Tolerances | None = None, *, tangent=None):
+    """Hermitian positive-definite square root via spectral decomposition.
+
+    With a Hermitian ``tangent`` dA, returns the pair (root, dRoot): the
+    root's derivative along dA is the solution X of the Sylvester
+    equation root X + X root = dA, which the same decomposition
+    A = U diag(s^2) U^dagger gives in closed form as
+    U [(U^dagger dA U)_ij / (s_i + s_j)] U^dagger (Higham, *Functions of
+    Matrices*, 2008).
+    """
     a = as_square(matrix)
     tol = tol if tol is not None else get_tolerances()
     norm_a = spectral_norm(a)
@@ -492,8 +500,14 @@ def sqrt_hpd(matrix, tol: Tolerances | None = None) -> np.ndarray:
         raise NotPositiveDefinite(
             f"smallest eigenvalue {values[0]:.3e} under the definiteness floor"
         )
-    root = (vectors * np.sqrt(values)) @ vectors.conj().T
-    return (root + root.conj().T) / 2
+    roots = np.sqrt(values)
+    root = (vectors * roots) @ vectors.conj().T
+    root = (root + root.conj().T) / 2
+    if tangent is None:
+        return root
+    lift = vectors.conj().T @ tangent @ vectors
+    slope = vectors @ (lift / (roots[:, None] + roots)) @ vectors.conj().T
+    return root, (slope + slope.conj().T) / 2
 
 
 def char_poly(matrix) -> np.ndarray:

@@ -47,11 +47,14 @@ class KetketBasis:
     by descending (real, imaginary) part so the two-site columns come
     out exactly as the closed-form Dyson map lists them.  Each column
     is scaled so its own diagonal entry equals one (max-modulus entry
-    when the diagonal entry nearly vanishes).
+    when the diagonal entry nearly vanishes); ``pivots[j]`` is the row
+    that column j was scaled by, which pins the gauge its derivative
+    along a drive keeps (None for a basis assembled by hand).
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
+    pivots: np.ndarray | None = None
 
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
@@ -113,10 +116,11 @@ def ketkets(
 
     unit = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     levels = np.arange(unit.shape[1])
-    pivots = unit[levels, levels]
-    largest = unit[np.argmax(np.abs(unit), axis=0), levels]
-    pivots = np.where(np.abs(pivots) < DIAG_UNIT_FLOOR, largest, pivots)
-    return KetketBasis(eigenvalues=values, vectors=unit / pivots)
+    faint = np.abs(unit[levels, levels]) < DIAG_UNIT_FLOOR
+    pivots = np.where(faint, np.argmax(np.abs(unit), axis=0), levels)
+    return KetketBasis(
+        eigenvalues=values, vectors=unit / unit[pivots, levels], pivots=pivots
+    )
 
 
 def build_metric(basis: KetketBasis, kappa) -> np.ndarray:

@@ -8,10 +8,10 @@ constant even though neither G nor H is normal.  An independent
 integration in the mapped representation (where the generator is
 Hermitian) cross-checks the whole pipeline.
 
-Two-site problems take a fast path: the closed-form map family is
-differentiated in extended precision, which keeps the finite-difference
-noise floor far below the fourth-order integrator error so convergence
-studies come out clean.
+The map is differentiated analytically in the boundary angle, from the
+same eigensolve that builds it.  Two-site problems take a fast path: the
+closed-form map family and its exact derivative are evaluated in
+extended precision for every stage at once.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import _decompose_stack, adjoint, as_square, eig_general, inverse, sqrt_hpd
-from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
+from .matrix_core import _decompose_stack, as_square, eig_general, inverse, sqrt_hpd
+from .metric import dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 
 _CLD = np.clongdouble
 
@@ -34,12 +34,6 @@ _CLD = np.clongdouble
 #: give different generators G(t) but share Theta = Omega^dagger Omega,
 #: so each conserves the same physical norm on its own.
 MAP_KINDS = ("ketket_columns", "hermitian_root")
-
-#: finite-difference step (in the boundary angle) for the extended
-#: precision two-site fast path; small enough that the O(step^2)
-#: truncation sits below integrator error, large enough to clear the
-#: extended-precision rounding floor
-TWO_SITE_FD_STEP = 1.5e-7
 
 #: stages per stacked eigen-solve in the generic stage pipeline; bounds
 #: the memory of a long trajectory and the work an early failure wastes
@@ -80,95 +74,71 @@ class GeneratorSnapshot:
     g_eigs: np.ndarray
 
 
-def _ketket_map(basis):
-    """Omega whose rows are the ketkets (the ``ketket_columns`` map)."""
-    return adjoint(basis.vectors)
+def _map_derivative(basis, bundle, phi: float, hermitian_map: bool = False):
+    """The selected Dyson map and its exact derivative in the boundary angle.
 
-
-def _root_map(basis):
-    """Hermitian square root of the all-ones metric (``hermitian_root``)."""
-    return sqrt_hpd(build_metric(basis, np.ones(len(basis.eigenvalues))))
-
-
-def _side_angles(phis, fd: float):
-    """Angles phi +- fd in double precision, and their spacing.
-
-    The spacing float(phi+fd) - float(phi-fd) is exactly representable,
-    so a central difference divides by the true distance.
+    Only the corners of H depend on phi, so the adjoint A = H^dagger has
+    dA/dphi = diag(-i sin phi, 0, ..., 0, i sin phi).  Nelson's method
+    (AIAA J. 14, 1976, 1201) turns that into the slope dV = V D of the
+    ketket columns V in their own gauge: with C = V^-1 dA V and the
+    adjoint eigenvalues mu, D_jk = C_jk / (mu_k - mu_j) off the diagonal,
+    and D_kk keeps the pivot entry of column k at one.  The ketket map
+    is V^dagger; the Hermitian root's slope comes from the Sylvester
+    equation Omega dOmega + dOmega Omega = dTheta inside ``sqrt_hpd``,
+    with dTheta = dV V^dagger + V dV^dagger.  V^-1 is the adjoint of the
+    inverse ``dyson_from_ketkets`` already computed.
     """
-    phis = np.asarray(phis, dtype=np.longdouble)
-    hi = (phis + np.longdouble(fd)).astype(float)
-    lo = (phis - np.longdouble(fd)).astype(float)
-    spacing = (hi.astype(np.longdouble) - lo.astype(np.longdouble)).astype(float)
-    return hi, lo, spacing
-
-
-def _adjoint_solves(n: int, angles):
-    """(H, adjoint eigendecomposition) pairs at the angles.
-
-    One stacked eigen-solve; a decomposition is the NoConvergence that
-    the adjoint's solve ended in when it failed.
-    """
-    h = build_h(n, z_from_phi(angles))
-    return list(zip(h, _decompose_stack(h.conj().swapaxes(-1, -2))))
-
-
-def _basis(solve, hint=None):
-    """Ketket basis of one (H, adjoint eigendecomposition) pair."""
-    h, dec = solve
-    return ketkets(h, order_hint=hint, adjoint_eig=dec)
-
-
-def _map_slope(side_map, basis, high, low, spacing):
-    """Central difference of ``side_map`` between the side solves.
-
-    The basis at the centre is handed to both sides as the ordering hint
-    so the difference never jumps between column pairings.
-    """
-    upper = side_map(_basis(high, basis))
-    lower = side_map(_basis(low, basis))
-    return (upper - lower) / spacing
+    v = basis.vectors
+    v_inv = bundle.omega_inv.conj().T
+    c = 1j * np.sin(phi) * (np.outer(v_inv[:, -1], v[-1]) - np.outer(v_inv[:, 0], v[0]))
+    mu = basis.eigenvalues
+    levels = np.arange(len(mu))
+    gaps = mu - mu[:, None]
+    gaps[levels, levels] = 1.0
+    d = c / gaps
+    d[levels, levels] = 0.0
+    rows = v[basis.pivots]
+    d[levels, levels] = -np.einsum("kj,jk->k", rows, d) / rows[levels, levels]
+    dv = v @ d
+    if not hermitian_map:
+        return bundle.omega, dv.conj().T
+    lift = dv @ v.conj().T
+    return sqrt_hpd(bundle.theta, tangent=lift + lift.conj().T)
 
 
 def coriolis(
     n: int,
     profile: PhiProfile,
     t: float,
-    fd_step: float | None = None,
     tol: Tolerances | None = None,
 ) -> np.ndarray:
     """Coriolis generator Sigma(t) = i Omega^-1(t) dOmega/dt.
 
-    The map is differentiated through the boundary angle (the only
-    route by which time enters), so the finite-difference error is
-    O(fd_step^2) independently of how fast the profile runs.
+    The ketket map is differentiated exactly through the boundary angle
+    (the only route by which time enters), and the chain rule multiplies
+    in the profile's rate.
     """
     tol = tol if tol is not None else get_tolerances()
-    fd = float(fd_step) if fd_step is not None else tol.fd_step
     phi, phi_dot = profile(float(t))
     if abs(np.sin(phi)) < tol.ep_margin:
         raise EPProximity(
             f"|sin phi| = {abs(np.sin(phi)):.3e} is inside the "
             f"exceptional-point margin {tol.ep_margin:g} at t = {t:.6g}"
         )
-    hi, lo, spacing = _side_angles(phi, fd)
-    centre, high, low = _adjoint_solves(n, [phi, hi, lo])
-    basis = _basis(centre)
+    basis = ketkets(build_h(n, z_from_phi(phi)))
     bundle = dyson_from_ketkets(basis)
-    omega_slope = _map_slope(_ketket_map, basis, high, low, spacing)
-    omega_dot = omega_slope * float(phi_dot)
-    return 1j * (bundle.omega_inv @ omega_dot)
+    omega_slope = _map_derivative(basis, bundle, float(phi))[1]
+    return 1j * (bundle.omega_inv @ (omega_slope * float(phi_dot)))
 
 
 def generator(
     n: int,
     profile: PhiProfile,
     t: float,
-    fd_step: float | None = None,
     tol: Tolerances | None = None,
 ) -> GeneratorSnapshot:
     """Snapshot of H, Sigma, and G = H - Sigma with their spectra."""
-    sigma = coriolis(n, profile, t, fd_step=fd_step, tol=tol)
+    sigma = coriolis(n, profile, t, tol=tol)
     h = build_h_at_time(n, profile, float(t))
     g = h - sigma
     return GeneratorSnapshot(
@@ -240,34 +210,27 @@ def _make_state(t, psi, generator, theta, omega) -> EvolutionState:
 class _TwoSiteStages:
     """Stage data for two sites: one extended-precision batch.
 
-    The closed-form map family (adjoint eigenvector columns) is
-    evaluated at every stage angle, differenced in the angle with
-    exact spacing, and assembled into the requested generator.
+    The closed-form map family (adjoint eigenvector columns) and its
+    exact angle derivative are evaluated at every stage angle and
+    assembled into the requested generator.
     """
 
-    def __init__(self, phis, rates, fd, textbook):
+    def __init__(self, phis, rates, textbook):
         phis = np.asarray(phis, dtype=np.longdouble)
-        rates = np.asarray(rates, dtype=float).astype(_CLD)
-        fd_ld = np.longdouble(fd)
-        hi = phis + fd_ld
-        lo = phis - fd_ld
-        omega_dot = (self._maps(hi) - self._maps(lo)) / (hi - lo).astype(_CLD)[
-            :, None, None
-        ]
-        omega_dot *= rates[:, None, None]
-
-        self.omega = self._maps(phis)
         e = np.exp(_CLD(-1j) * phis.astype(_CLD))
-        det = 1.0 - e * e
         m = len(phis)
+        self.omega = np.empty((m, 2, 2), dtype=_CLD)
+        self.omega[:, 0, 0] = 1.0
+        self.omega[:, 0, 1] = -1j * e
+        self.omega[:, 1, 0] = 1j * e
+        self.omega[:, 1, 1] = 1.0
         omega_inv = np.empty((m, 2, 2), dtype=_CLD)
         omega_inv[:, 0, 0] = 1.0
         omega_inv[:, 0, 1] = 1j * e
         omega_inv[:, 1, 0] = -1j * e
         omega_inv[:, 1, 1] = 1.0
-        omega_inv /= det[:, None, None]
+        omega_inv /= (1.0 - e * e)[:, None, None]
 
-        sigma = 1j * (omega_inv @ omega_dot)
         z = 1j * np.cos(phis.astype(_CLD))
         h = np.zeros((m, 2, 2), dtype=_CLD)
         h[:, 0, 0] = 2.0 - z
@@ -275,17 +238,15 @@ class _TwoSiteStages:
         h[:, 1, 0] = -1.0
         h[:, 1, 1] = 2.0 + z
         self.theta = self.omega.conj().swapaxes(-1, -2) @ self.omega
-        self.gen = (self.omega @ h @ omega_inv) if textbook else (h - sigma)
-
-    @staticmethod
-    def _maps(phis):
-        e = np.exp(_CLD(-1j) * phis.astype(_CLD))
-        omega = np.empty((len(phis), 2, 2), dtype=_CLD)
-        omega[:, 0, 0] = 1.0
-        omega[:, 0, 1] = -1j * e
-        omega[:, 1, 0] = 1j * e
-        omega[:, 1, 1] = 1.0
-        return omega
+        if textbook:
+            self.gen = self.omega @ h @ omega_inv
+        else:
+            # d/dphi [[1, -ie], [ie, 1]] = [[0, -e], [e, 0]], times the rate
+            omega_dot = np.zeros((m, 2, 2), dtype=_CLD)
+            omega_dot[:, 0, 1] = -e
+            omega_dot[:, 1, 0] = e
+            omega_dot *= np.asarray(rates, dtype=float).astype(_CLD)[:, None, None]
+            self.gen = h - 1j * (omega_inv @ omega_dot)
 
     def generators(self, k):
         return self.gen[2 * k], self.gen[2 * k + 1], self.gen[2 * k + 2]
@@ -298,24 +259,22 @@ class _TwoSiteStages:
 class _GenericStages:
     """Stage data through the full pipeline, eigen-solved a block at a time.
 
-    The adjoint problems of ``STAGE_BLOCK`` consecutive stages (each
-    centre angle and, unless textbook, its two difference angles) go
+    The adjoint problems of ``STAGE_BLOCK`` consecutive stage angles go
     through one stacked eigen-solve when the loop first reaches the
-    block.  Ordering, scaling and the Dyson map then run stage by stage:
-    column pairings are chained through ordering hints so the map varies
-    continuously along the trajectory, and only the most recent stage is
-    kept, since access is strictly sequential with one shared endpoint
-    between consecutive steps.  With the hermitian_root factorization
-    the map is the Hermitian square root of the same metric, smooth in
-    the angle by construction.  Textbook stages need no map slope, so
-    they solve the centre angles only.
+    block.  Ordering, scaling, the Dyson map and its analytic slope then
+    run stage by stage: column pairings are chained through ordering
+    hints so the map varies continuously along the trajectory, and only
+    the most recent stage is kept, since access is strictly sequential
+    with one shared endpoint between consecutive steps.  With the
+    hermitian_root factorization the map is the Hermitian square root
+    of the same metric, smooth in the angle by construction.  Textbook
+    stages need no map slope.
     """
 
-    def __init__(self, n, phis, rates, fd, textbook, hermitian_map=False):
+    def __init__(self, n, phis, rates, textbook, hermitian_map=False):
         self.n = n
         self.phis = np.asarray(phis, dtype=float)
         self.rates = np.asarray(rates, dtype=float)
-        self.fd = fd
         self.textbook = textbook
         self.hermitian_map = hermitian_map
         self._hint = None
@@ -323,42 +282,34 @@ class _GenericStages:
         self._block = (-1, None)
 
     def _solved(self, j):
-        """The centre solve and the (high, low, spacing) sides at stage j.
+        """(H, adjoint eigendecomposition) at stage j.
 
-        The side triple is None for textbook stages.
+        A decomposition is the NoConvergence that the adjoint's solve
+        ended in when it failed.
         """
         first = j - j % STAGE_BLOCK
         if self._block[0] != first:
-            phis = self.phis[first:first + STAGE_BLOCK]
-            angles, spacing = [phis], None
-            if not self.textbook:
-                hi, lo, spacing = _side_angles(phis, self.fd)
-                angles += [hi, lo]
-            solves = _adjoint_solves(self.n, np.concatenate(angles))
-            self._block = (first, (len(phis), solves, spacing))
-        size, solves, spacing = self._block[1]
-        k = j - first
-        if self.textbook:
-            return solves[k], None
-        return solves[k], (solves[size + k], solves[2 * size + k], spacing[k])
+            h = build_h(self.n, z_from_phi(self.phis[first:first + STAGE_BLOCK]))
+            solves = _decompose_stack(h.conj().swapaxes(-1, -2))
+            self._block = (first, list(zip(h, solves)))
+        return self._block[1][j - first]
 
     def _stage(self, j):
         if self._slot[0] != j:
-            centre, sides = self._solved(j)
-            h = centre[0]
-            basis = _basis(centre, self._hint)
+            h, dec = self._solved(j)
+            basis = ketkets(h, order_hint=self._hint, adjoint_eig=dec)
             bundle = dyson_from_ketkets(basis)
             self._hint = basis
-            if self.hermitian_map:
-                omega = sqrt_hpd(bundle.theta)
-                omega_inv = inverse(omega)
+            if self.textbook:
+                omega = sqrt_hpd(bundle.theta) if self.hermitian_map else bundle.omega
             else:
-                omega, omega_inv = bundle.omega, bundle.omega_inv
-            if sides is None:
+                omega, omega_slope = _map_derivative(
+                    basis, bundle, self.phis[j], self.hermitian_map
+                )
+            omega_inv = inverse(omega) if self.hermitian_map else bundle.omega_inv
+            if self.textbook:
                 gen = omega @ h @ omega_inv
             else:
-                side_map = _root_map if self.hermitian_map else _ketket_map
-                omega_slope = _map_slope(side_map, basis, *sides)
                 gen = h - 1j * (omega_inv @ (omega_slope * self.rates[j]))
             self._slot = (j, (gen, bundle.theta, omega))
         return self._slot[1]
@@ -374,7 +325,7 @@ class _GenericStages:
         return self._stage(2 * k)
 
 
-def _integrate(n, profile, psi0, t0, t1, dt, fd_step, tol, textbook, map_kind):
+def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
     if map_kind not in MAP_KINDS:
         raise ValueError(f"map_kind must be one of {MAP_KINDS}, got {map_kind!r}")
     hermitian_map = map_kind == "hermitian_root"
@@ -384,10 +335,6 @@ def _integrate(n, profile, psi0, t0, t1, dt, fd_step, tol, textbook, map_kind):
         raise ValueError(f"initial ket must have length {n}")
     if np.linalg.norm(psi0) == 0.0:
         raise ValueError("initial ket must be nonzero")
-    if fd_step is not None:
-        fd = float(fd_step)
-    else:
-        fd = TWO_SITE_FD_STEP if n == 2 and not hermitian_map else tol.fd_step
 
     steps, taus = _stage_times(float(t0), float(t1), float(dt))
     phis, rates = profile(np.asarray(taus, dtype=float))
@@ -411,10 +358,10 @@ def _integrate(n, profile, psi0, t0, t1, dt, fd_step, tol, textbook, map_kind):
 
     n_stages = 2 * usable + 1
     if n == 2 and not hermitian_map:
-        stages = _TwoSiteStages(phis[:n_stages], rates[:n_stages], fd, textbook)
+        stages = _TwoSiteStages(phis[:n_stages], rates[:n_stages], textbook)
     else:
         stages = _GenericStages(
-            n, phis[:n_stages], rates[:n_stages], fd, textbook, hermitian_map
+            n, phis[:n_stages], rates[:n_stages], textbook, hermitian_map
         )
 
     identity = np.eye(n, dtype=complex)
@@ -449,7 +396,6 @@ def evolve(
     t0: float,
     t1: float,
     dt: float,
-    fd_step: float | None = None,
     tol: Tolerances | None = None,
     map_kind: str = "ketket_columns",
 ) -> list[EvolutionState]:
@@ -463,7 +409,7 @@ def evolve(
     to the raised error.
     """
     return _integrate(
-        n, profile, psi0, t0, t1, dt, fd_step, tol, textbook=False, map_kind=map_kind
+        n, profile, psi0, t0, t1, dt, tol, textbook=False, map_kind=map_kind
     )
 
 
@@ -474,7 +420,6 @@ def textbook_evolve(
     t0: float,
     t1: float,
     dt: float,
-    fd_step: float | None = None,
     tol: Tolerances | None = None,
     map_kind: str = "ketket_columns",
 ) -> list[EvolutionState]:
@@ -486,7 +431,7 @@ def textbook_evolve(
     carry theta = identity).
     """
     return _integrate(
-        n, profile, psi0, t0, t1, dt, fd_step, tol, textbook=True, map_kind=map_kind
+        n, profile, psi0, t0, t1, dt, tol, textbook=True, map_kind=map_kind
     )
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nipsqw import nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, main, run_identity_suite
 from nipsqw.hamiltonian import RobinParams, robin_to_z
 from nipsqw.n2_oracle import g_eigs
@@ -458,12 +459,20 @@ def test_n2verify_default_grid_passes(capsys):
         assert float(line.split()[1]) <= IDENTITY_THRESHOLD
 
 
-def test_n2verify_degraded_difference_step_fails(capsys):
-    code, out, _ = invoke(capsys, "n2verify", "--fd-step", "0.1")
+def test_n2verify_degraded_difference_step_fails(capsys, monkeypatch):
+    # a map slope off by 1e-6 per entry must show up as a failed identity
+    exact = nip_evolution._map_derivative
+
+    def perturbed(*args, **kwargs):
+        omega, slope = exact(*args, **kwargs)
+        return omega, slope + 1e-6
+
+    monkeypatch.setattr(nip_evolution, "_map_derivative", perturbed)
+    code, out, _ = invoke(capsys, "n2verify")
     assert code == 3
-    failing = {line.split()[0] for line in out.splitlines() if "FAIL" in line}
-    assert "coriolis_difference" in failing
-    assert "map_times_inverse" not in failing  # closed forms stay exact
+    status = {line.split()[0]: line.split()[-1] for line in out.splitlines()[:-1]}
+    assert status["coriolis_difference"] == "FAIL"
+    assert status["map_times_inverse"] == "PASS"  # closed forms stay exact
 
 
 def test_n2verify_grid_touching_coalescence_exits_two(capsys):
@@ -515,6 +524,7 @@ def test_usage_errors_exit_one(capsys):
          "--workers", "2"),
         ("epscan", "--n", "4", "--r-min", "0.05", "--r-max", "1", "--samples", "5",
          "--workers", "2"),
+        ("n2verify", "--fd-step", "0.1"),
     ):
         code, _, _ = invoke(capsys, *argv)
         assert code == 1, argv

@@ -326,6 +326,21 @@ def test_sqrt_square_roundtrip():
         np.testing.assert_allclose(root @ root, hpd, atol=1e-9 * spectral_norm(hpd))
 
 
+def test_sqrt_tangent_solves_the_sylvester_equation():
+    rng = np.random.default_rng(43)
+    for n in (2, 4, 7):
+        b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        hpd = b.conj().T @ b + np.eye(n)
+        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        tangent = c + c.conj().T
+        root, slope = sqrt_hpd(hpd, tangent=tangent)
+        np.testing.assert_array_equal(root, sqrt_hpd(hpd))
+        np.testing.assert_allclose(slope, slope.conj().T, atol=1e-14)
+        np.testing.assert_allclose(
+            root @ slope + slope @ root, tangent, atol=1e-12 * spectral_norm(tangent)
+        )
+
+
 # -------------------------------------------------------------- char_poly
 
 

@@ -1,5 +1,6 @@
 """Coriolis generator, moving-metric integration, and its cross-checks."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,31 +58,87 @@ def test_coriolis_matches_two_site_closed_form():
     worst = 0.0
     for phi in np.linspace(0.15, np.pi - 0.15, 9):
         for rate in (0.3, 1.0, 5.0):
-            sigma = coriolis(2, PhiProfile.linear(phi, rate), t=0.0, fd_step=1e-5)
+            sigma = coriolis(2, PhiProfile.linear(phi, rate), t=0.0)
             worst = max(worst, spectral_norm(sigma - sigma_s(phi, rate)))
-    assert worst <= 1e-8
+    assert worst <= 1e-12
 
 
-def test_coriolis_error_is_second_order_in_step():
-    phi, rate = 1.0, 1.0
-    exact = sigma_s(phi, rate)
+def test_coriolis_agrees_with_a_central_difference_of_the_map():
+    # the analytic slope against a difference quotient of the ketket map
+    # built here: the gap closes at second order in the step
+    phi, rate = 1.0, 1.3
 
-    def err(h):
-        return spectral_norm(
-            coriolis(2, PhiProfile.linear(phi, rate), t=0.0, fd_step=h) - exact
-        )
+    def ketket_map(n, angle, hint=None):
+        return ketkets(build_h(n, z_from_phi(angle)), order_hint=hint)
 
-    ratio = err(2e-3) / err(1e-3)
-    assert 3.5 <= ratio <= 4.5
+    for n in range(3, 9):
+        exact = coriolis(n, PhiProfile.linear(phi, rate), t=0.0)
+        centre = ketket_map(n, phi)
+        omega_inv = dyson_from_ketkets(centre).omega_inv
+
+        def err(h):
+            upper = adjoint(ketket_map(n, phi + h, centre).vectors)
+            lower = adjoint(ketket_map(n, phi - h, centre).vectors)
+            slope = (upper - lower) / ((phi + h) - (phi - h))
+            return spectral_norm(1j * rate * (omega_inv @ slope) - exact)
+
+        coarse, fine = err(2e-3), err(1e-3)
+        assert fine <= 1e-5 * spectral_norm(exact), n
+        assert 3.5 <= coarse / fine <= 4.5, (n, coarse / fine)
 
 
-def test_coriolis_explicit_step_is_honored():
-    phi, rate = 1.0, 1.0
-    exact = sigma_s(phi, rate)
-    coarse = spectral_norm(
-        coriolis(2, PhiProfile.linear(phi, rate), t=0.0, fd_step=1e-1) - exact
-    )
-    assert coarse > 1e-5
+def _mp_adjoint_h(n, phi):
+    """H^dagger of the N-site well in mpmath arithmetic."""
+    h = mpmath.matrix(n, n)
+    for i in range(n):
+        h[i, i] = 2
+        if i + 1 < n:
+            h[i, i + 1] = h[i + 1, i] = -1
+    z = mpmath.mpc(0, mpmath.cos(phi))
+    h[0, 0] = 2 - z
+    h[n - 1, n - 1] = 2 - mpmath.conj(z)
+    return h.H
+
+
+def _mp_maps(n, phi, basis):
+    """(ketket map, Hermitian root) in the gauge of a double-precision basis.
+
+    Each mpmath eigenvector is paired to the basis column with the
+    nearest eigenvalue and scaled so its entry in that column's pivot
+    row is one.
+    """
+    values, vectors = mpmath.eig(_mp_adjoint_h(n, phi))
+    v = mpmath.matrix(n, n)
+    for k in range(n):
+        j = min(range(n), key=lambda i: abs(complex(values[i]) - basis.eigenvalues[k]))
+        row = int(basis.pivots[k])
+        for r in range(n):
+            v[r, k] = vectors[r, j] / vectors[row, j]
+    return v.H, mpmath.sqrtm(v * v.H)
+
+
+@pytest.mark.parametrize(
+    "n, phi",
+    [(3, 0.7), (3, np.pi / 2 - 5e-10), (4, 2.3), (5, 1.1), (6, 0.5), (6, 2.6)],
+)
+def test_map_slope_matches_a_high_precision_difference(n, phi):
+    basis = ketkets(build_h(n, z_from_phi(phi)))
+    if n == 3 and abs(phi - np.pi / 2) < 1e-9:
+        # the middle column's diagonal entry vanishes: max-modulus pivot
+        assert basis.pivots[1] != 1
+    bundle = dyson_from_ketkets(basis)
+    with mpmath.workdps(40):
+        step = mpmath.mpf("1e-12")
+        upper = _mp_maps(n, mpmath.mpf(phi) + step, basis)
+        lower = _mp_maps(n, mpmath.mpf(phi) - step, basis)
+        quotients = [
+            np.array((hi - lo) / (2 * step), dtype=complex).reshape(n, n)
+            for hi, lo in zip(upper, lower)
+        ]
+    for hermitian_map, reference in zip((False, True), quotients):
+        slope = nip_evolution._map_derivative(basis, bundle, phi, hermitian_map)[1]
+        gap = spectral_norm(slope - reference) / spectral_norm(reference)
+        assert gap <= 1e-11, (hermitian_map, gap)
 
 
 def test_coriolis_guards_the_coalescence_margin():
