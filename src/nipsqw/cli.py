@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import get_tolerances
-from .errors import EPProximity, NipsqwError, NoConvergence, NoSlope
+from .errors import BadOverrides, EPProximity, NipsqwError, NoConvergence
 from .hamiltonian import (
     PhiProfile,
     RobinParams,
@@ -45,7 +45,7 @@ from .nip_evolution import (
     generator,
     textbook_evolve,
 )
-from .spectrum import ep_scan, solve_spectrum, spectral_curve
+from .spectrum import _curve_stack, ep_scan, solve_spectrum
 
 FMT = "%.17g"
 
@@ -152,13 +152,15 @@ def _config(args) -> RunConfig:
 
 
 def _cell(value) -> str:
+    if type(value) is float:
+        return FMT % (value + 0.0)  # +0.0 folds -0.0 into 0.0
     if value is None:
         return ""
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return FMT % (float(value) + 0.0)  # +0.0 folds -0.0 into 0.0
+    return FMT % (float(value) + 0.0)
 
 
 def _json_value(value):
@@ -269,21 +271,12 @@ def cmd_curve(args) -> int:
         return _usage_error("--e-min must be below --e-max")
     if args.samples < 2:
         return _usage_error("--samples must be at least 2")
-    rows = []
-    flat = 0
-    for e in np.linspace(args.e_min, args.e_max, args.samples):
-        try:
-            pt = spectral_curve(args.n, float(e))
-        except NoSlope:
-            flat += 1
-            rows.append((float(e), None, None, None, None))
-        else:
-            rows.append((pt.energy, pt.r_squared, pt.r_plus, pt.r_minus, pt.residual))
+    rows = _curve_stack(args.n, np.linspace(args.e_min, args.e_max, args.samples))
     _emit_table(("energy", "r_squared", "r_plus", "r_minus", "residual"), rows, cfg)
     if args.svg is not None:
         curve_pts = [(r[0], r[1]) for r in rows if r[1] is not None]
         _write_text(_svg_line_plot(curve_pts, "energy", "coupling^2"), args.svg)
-    _summary(f"samples={len(rows)} flat_rows={flat}", cfg)
+    _summary(f"samples={len(rows)} flat_rows={sum(r[1] is None for r in rows)}", cfg)
     return 0
 
 
@@ -595,6 +588,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
+    except BadOverrides as exc:
+        return _usage_error(str(exc))
     except NipsqwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from pathlib import Path
+
+from .errors import BadOverrides
 
 ENV_VAR = "NIPSQW_TOL_OVERRIDES"
 
@@ -40,21 +43,27 @@ class Tolerances:
 
 
 def load_overrides(path: str) -> dict:
-    """Parse a key=value override file; blank lines and # comments ignored."""
+    """Parse a key=value override file (# comments ignored); BadOverrides if unusable."""
     known = {f.name for f in dataclasses.fields(Tolerances)}
     overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            if key not in known:
-                raise ValueError(f"{path}:{lineno}: unknown tolerance {key!r}")
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise BadOverrides(f"{path}: {exc.strerror}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise BadOverrides(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        if key not in known:
+            raise BadOverrides(f"{path}:{lineno}: unknown tolerance {key!r}")
+        try:
             overrides[key] = float(value)
+        except ValueError:
+            raise BadOverrides(f"{path}:{lineno}: {key} is not a number") from None
     return overrides
 
 

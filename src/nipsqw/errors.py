@@ -5,6 +5,10 @@ class NipsqwError(Exception):
     """Base class for every package-specific failure."""
 
 
+class BadOverrides(NipsqwError):
+    """The tolerance override file is unreadable or has a malformed line."""
+
+
 class SingularMatrix(NipsqwError):
     """Matrix failed the relative determinant test required for inversion."""
 

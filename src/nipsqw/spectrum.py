@@ -149,24 +149,22 @@ def chebyshev_eigvec(n: int, z: complex, e: complex) -> ChebyshevSolution:
     return ChebyshevSolution(y=complex(y), a=ab[0], b=ab[1], components=components)
 
 
-def _corner_det(n: int, z: complex, e, z_last=None) -> complex:
+def _corner_det(n: int, z, e, z_last=None) -> np.ndarray:
     """det(H(z) - E) by the continuant recurrence in extended precision.
 
-    The off-diagonal products are all one, so intermediates stay O(1)
-    and clustered roots remain resolvable.  ``z_last`` overrides the
-    conjugate in the far corner, for analytic continuation off the
-    physical coupling band.
+    Corner values and energies broadcast against each other, and the
+    recurrence runs once over the whole grid.  The off-diagonal products
+    are all one, so intermediates stay O(1) and clustered roots remain
+    resolvable.  ``z_last`` overrides the conjugate in the far corner,
+    for analytic continuation off the physical coupling band.
     """
     if z_last is None:
         z_last = np.conj(z)
-    diag = np.full(n, _CLD(2.0) - _CLD(e), dtype=_CLD)
-    diag[0] -= _CLD(z)
-    diag[-1] -= _CLD(z_last)
-    p_prev = _CLD(1.0)  # det of the empty block
-    p = diag[0]
-    for k in range(1, n):
-        p, p_prev = diag[k] * p - p_prev, p
-    return p
+    d = _CLD(2.0) - np.asarray(e, dtype=_CLD)
+    p_prev, p = _CLD(1.0), d - np.asarray(z, dtype=_CLD)  # empty block, first site
+    for _ in range(n - 2):
+        p, p_prev = d * p - p_prev, p
+    return (d - np.asarray(z_last, dtype=_CLD)) * p - p_prev
 
 
 @dataclass(frozen=True)
@@ -186,33 +184,50 @@ class SpectralCurvePoint:
     residual: float
 
 
-def spectral_curve(n: int, e: float) -> SpectralCurvePoint:
-    """Coupling strength at which the given energy joins the spectrum.
+def _curve_stack(n: int, energies) -> list[tuple]:
+    """The curve r^2(E) over a whole energy grid in one vectorized pass.
 
     Because z + z* = 0 and z z* = 1 - r^2 hold along z = i*sqrt(1-r^2),
     the determinant det(H(r) - E) is affine in r^2; two evaluations at
-    r^2 = 0 and 1 fix the line and its root.
+    r^2 = 0 and 1 fix the line and its root.  Row k holds the fields of
+    ``SpectralCurvePoint`` at ``energies[k]`` as Python floats, with None
+    where a mask leaves them undefined: r_plus and r_minus off the band,
+    every field but the energy where the determinant has no slope.
     """
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
-    e = float(e)
+    e = np.atleast_1d(np.asarray(energies, dtype=float))
     det0 = _corner_det(n, 1j, e)   # r^2 = 0
-    det1 = _corner_det(n, 0.0, e)  # r^2 = 1
-    slope = det1 - det0
-    if abs(complex(slope)) <= 1e-13:
-        raise NoSlope(f"determinant does not depend on the coupling at E = {e}")
-    r_squared = float((-det0 / slope).real)
-    r_plus = r_minus = None
-    if -1e-12 <= r_squared <= 1.0 + 1e-12:
-        clamped = min(max(r_squared, 0.0), 1.0)
-        r_plus = float(np.sqrt(clamped))
-        r_minus = -r_plus if r_plus > 0 else 0.0
+    slope = _corner_det(n, 0.0, e) - det0  # det at r^2 = 1 minus det at 0
+    rounded = slope.astype(complex)
+    flat = np.hypot(rounded.real, rounded.imag) <= 1e-13
+    # Flat rows divide by one instead, so no sentinel or warning arises.
+    r_squared = (-det0 / np.where(flat, _CLD(1.0), slope)).real.astype(float)
+    band = (r_squared >= -1e-12) & (r_squared <= 1.0 + 1e-12)
+    # np.where, not np.maximum, so a -0.0 r_squared keeps its sign in r_plus.
+    capped = np.where(r_squared > 1.0, 1.0, r_squared)
+    r_plus = np.sqrt(np.where(r_squared < 0.0, 0.0, capped))
     # Fresh determinant at the solved coupling; the corner pair (z, -z)
     # keeps z + z_last = 0 and z*z_last = 1 - r^2 on every branch and
     # reduces to (z, conj z) on the physical band where z is imaginary.
-    z = 1j * np.sqrt(complex(1.0 - r_squared))
-    residual = float(abs(complex(_corner_det(n, z, e, z_last=-z))))
-    return SpectralCurvePoint(e, r_squared, r_plus, r_minus, residual)
+    z = 1j * np.sqrt((1.0 - r_squared).astype(complex))
+    rebuilt = _corner_det(n, z, e, z_last=-z).astype(complex)
+    residual = np.hypot(rebuilt.real, rebuilt.imag)
+    table = np.array(
+        [e, r_squared, r_plus, np.where(r_plus > 0, -r_plus, 0.0), residual], dtype=object
+    )
+    table[2:4, ~band] = None
+    table[1:, flat] = None
+    return [tuple(row) for row in table.T.tolist()]
+
+
+def spectral_curve(n: int, e: float) -> SpectralCurvePoint:
+    """Coupling strength at which the given energy joins the spectrum: a stack
+    of one over ``_curve_stack``, raising NoSlope where r^2 has no effect."""
+    row = _curve_stack(n, [float(e)])[0]
+    if row[1] is None:
+        raise NoSlope(f"determinant does not depend on the coupling at E = {float(e)}")
+    return SpectralCurvePoint(*row)
 
 
 def ep_scan(n: int, r_grid) -> np.ndarray:

@@ -538,3 +538,33 @@ def test_tolerance_override_file(capsys, tmp_path, monkeypatch):
     assert code == 0
     # residual imaginary parts at the defective point now trip the gate
     assert "all_real=false" in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("fd_step = 1e-4\n", "unknown tolerance 'fd_step'"),
+        ("tol_real 1e-9\n", "expected key=value"),
+        ("tol_real = abc\n", "tol_real is not a number"),
+    ],
+    ids=["unknown_key", "no_equals", "not_a_number"],
+)
+def test_bad_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch, text, reason):
+    overrides = tmp_path / "tol.cfg"
+    overrides.write_text("# header comment\n" + text)
+    monkeypatch.setenv("NIPSQW_TOL_OVERRIDES", str(overrides))
+    code, out, err = invoke(capsys, "spectrum", "--n", "2", "--r", "0.5")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and "Traceback" not in err
+    assert lines[0].startswith(f"nipsqw: error: {overrides}:2: ")
+    assert reason in lines[0]
+
+
+def test_missing_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    missing = tmp_path / "absent.cfg"
+    monkeypatch.setenv("NIPSQW_TOL_OVERRIDES", str(missing))
+    code, _, err = invoke(capsys, "spectrum", "--n", "2", "--r", "0.5")
+    assert code == 1
+    assert err.splitlines() == [f"nipsqw: error: {missing}: No such file or directory"]

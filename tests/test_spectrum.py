@@ -1,12 +1,18 @@
 """Secular function, eigenvector ansatz, implicit curve, coalescence scans."""
 
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nipsqw.errors import NoSlope, NotAnEigenvalue, OutOfRange
 from nipsqw.hamiltonian import build_h, z_from_r
 from nipsqw.matrix_core import spectral_norm
 from nipsqw.spectrum import (
+    _curve_stack,
     chebyshev_eigvec,
     ep_scan,
     secular_value,
@@ -187,6 +193,91 @@ def test_curve_spectrum_duality():
             assert pt.residual <= 1e-9
             res = solve_spectrum(build_h(n, z_from_r(pt.r_plus)))
             assert np.min(np.abs(res.energies - e)) <= 1e-8
+
+
+def _scalar_corner_det(n, z, e, z_last=None):
+    """The point-by-point continuant that the stacked kernel replaced."""
+    cld = np.clongdouble
+    if z_last is None:
+        z_last = np.conj(z)
+    diag = np.full(n, cld(2.0) - cld(e), dtype=cld)
+    diag[0] -= cld(z)
+    diag[-1] -= cld(z_last)
+    p_prev = cld(1.0)
+    p = diag[0]
+    for k in range(1, n):
+        p, p_prev = diag[k] * p - p_prev, p
+    return p
+
+
+def _scalar_curve_row(n, e):
+    """One curve row the point-by-point way; None fields where undefined."""
+    det0 = _scalar_corner_det(n, 1j, e)
+    det1 = _scalar_corner_det(n, 0.0, e)
+    slope = det1 - det0
+    if abs(complex(slope)) <= 1e-13:
+        return (e, None, None, None, None)
+    r_squared = float((-det0 / slope).real)
+    r_plus = r_minus = None
+    if -1e-12 <= r_squared <= 1.0 + 1e-12:
+        r_plus = float(np.sqrt(min(max(r_squared, 0.0), 1.0)))
+        r_minus = -r_plus if r_plus > 0 else 0.0
+    z = 1j * np.sqrt(complex(1.0 - r_squared))
+    residual = float(abs(complex(_scalar_corner_det(n, z, e, z_last=-z))))
+    return (e, r_squared, r_plus, r_minus, residual)
+
+
+def _bits(row):
+    return [None if v is None else struct.pack("<d", v) for v in row]
+
+
+CURVE_GRID = np.concatenate([
+    np.linspace(0.05, 3.95, 391),
+    [(3.0 - np.sqrt(5.0)) / 2.0, 2.0, 0.0, 0.5, 1.5, 4.0, 1.0, 3.0],
+])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16], ids=lambda n: f"n={n}")
+def test_curve_stack_matches_point_by_point(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = _curve_stack(n, CURVE_GRID)
+        pair = _curve_stack(n, [0.5, 2.0])
+    want = [_scalar_curve_row(n, float(e)) for e in CURVE_GRID]
+    assert [_bits(row) for row in rows] == [_bits(row) for row in want]
+    assert [_bits(row) for row in pair] == [_bits(_scalar_curve_row(n, e)) for e in (0.5, 2.0)]
+    assert any(row[1] is not None and row[1] > 1.0 for row in rows)  # off the band
+    assert any(row[2] is not None for row in rows)
+    if n == 6:
+        assert rows[-8][1:] == (None,) * 4  # the no-slope energy (3 - sqrt 5)/2
+    if n == 3:
+        assert rows[-7][1:] == (None,) * 4  # the middle level of an odd well
+
+
+@st.composite
+def _curve_grids(draw):
+    """(n, energies), for odd n sometimes with the flat energy E = 2.
+
+    For even n, E = 2 is the exceptional point r = 0 itself, where a
+    dense solver resolves the double root only to about sqrt(eps).
+    """
+    n = draw(st.integers(2, 12))
+    energies = draw(st.lists(st.floats(0.05, 3.95), min_size=1, max_size=8))
+    return n, energies + [2.0] * (n % 2 * draw(st.booleans()))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_curve_grids())
+def test_curve_rows_satisfy_the_dense_eigenproblem(grid):
+    n, energies = grid
+    eye = np.eye(n)
+    for e, r_squared, r_plus, _, _ in _curve_stack(n, energies):
+        if r_squared is None:
+            ends = [np.linalg.det(build_h(n, z) - e * eye) for z in (1j, 0.0)]
+            assert abs(ends[0] - ends[1]) <= 1e-10
+        elif r_plus is not None:
+            values = np.linalg.eigvals(build_h(n, z_from_r(r_plus)))
+            assert np.min(np.abs(values - e)) <= 1e-8
 
 
 # ----------------------------------------------------------------- ep_scan
