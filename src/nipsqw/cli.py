@@ -373,7 +373,7 @@ def cmd_epscan(args) -> int:
     if args.samples < 1:
         return _usage_error("--samples must be at least 1")
     grid = np.linspace(args.r_min, args.r_max, args.samples)
-    rows = [tuple(row) for row in ep_scan(args.n, grid)]
+    rows = ep_scan(args.n, grid).tolist()
     _emit_table(("r", "min_gap", "vector_condition"), rows, cfg)
     fallback = sum(1 for row in rows if not np.isfinite(row[2]))
     _summary(f"samples={len(rows)} defective_rows={fallback}", cfg)

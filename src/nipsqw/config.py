@@ -22,8 +22,8 @@ ENV_VAR = "NIPSQW_TOL_OVERRIDES"
 class Tolerances:
     """Numerical thresholds used across the package.
 
-    eps_singular: relative determinant floor below which a matrix counts
-        as singular.
+    eps_singular: reciprocal-condition floor (s_min / s_max) at or below
+        which a matrix counts as singular.
     eps_pd: relative eigenvalue floor for positive definiteness.
     tol_real: |Im E| threshold for classifying an energy as real.
     ep_margin: |sin phi| guard radius around the exceptional point.

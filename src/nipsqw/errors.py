@@ -10,7 +10,7 @@ class BadOverrides(NipsqwError):
 
 
 class SingularMatrix(NipsqwError):
-    """Matrix failed the relative determinant test required for inversion."""
+    """Matrix failed the reciprocal-condition test required for inversion."""
 
 
 class NoConvergence(NipsqwError):

@@ -67,21 +67,17 @@ def adjoint(matrix) -> np.ndarray:
 
 
 def inverse(matrix, tol: Tolerances | None = None) -> np.ndarray:
-    """Invert, refusing matrices whose determinant is relatively tiny.
+    """Invert, refusing matrices that are numerically singular.
 
-    The test is scale-invariant: the product of singular-value ratios
-    s_i / s_max (equivalently |det M| relative to ||M||^N) must exceed
-    ``eps_singular``.  Failure signals exceptional-point proximity to
-    callers.
+    The test is scale-invariant and independent of the size: the
+    reciprocal condition s_min / s_max must exceed ``eps_singular``.
+    Failure signals exceptional-point proximity to callers.
     """
     a = as_square(matrix)
     tol = tol if tol is not None else get_tolerances()
     s = np.linalg.svd(a, compute_uv=False)
-    with np.errstate(divide="ignore"):
-        if s[0] == 0.0 or np.sum(np.log(s / s[0])) <= np.log(tol.eps_singular):
-            raise SingularMatrix(
-                f"relative determinant below {tol.eps_singular:g}"
-            )
+    if not s[-1] > tol.eps_singular * s[0]:
+        raise SingularMatrix(f"reciprocal condition at or below {tol.eps_singular:g}")
     return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
 
 

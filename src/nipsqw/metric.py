@@ -34,11 +34,6 @@ from .matrix_core import (
     sqrt_hpd,
 )
 
-#: minimum modulus of the diagonal entry before the column normalization
-#: falls back to the max-modulus convention
-DIAG_UNIT_FLOOR = 1e-8
-
-
 @dataclass(frozen=True)
 class KetketBasis:
     """Eigenbasis of the adjoint problem, one column per level.
@@ -46,53 +41,48 @@ class KetketBasis:
     ``eigenvalues[j]`` belongs to ``vectors[:, j]``; levels are ordered
     by descending (real, imaginary) part so the two-site columns come
     out exactly as the closed-form Dyson map lists them.  Each column
-    is scaled so its own diagonal entry equals one (max-modulus entry
-    when the diagonal entry nearly vanishes); ``pivots[j]`` is the row
-    that column j was scaled by, which pins the gauge its derivative
-    along a drive keeps (None for a basis assembled by hand).
+    is scaled so one end entry equals one: row 0 for the upper half of
+    the levels, row N-1 for the lower half (``_pivot_rows``).  The end
+    entries of an eigenvector of the tridiagonal H^dagger never vanish,
+    so the gauge is smooth wherever the levels stay apart.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    pivots: np.ndarray | None = None
 
 
 def _descending_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((-values.imag, -values.real))
 
 
-def _overlap_order(vectors: np.ndarray, hint: np.ndarray) -> np.ndarray:
-    """Greedy column pairing maximizing |<hint_j, v_k>| per level."""
-    unit = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    href = hint / np.linalg.norm(hint, axis=0, keepdims=True)
-    scores = np.abs(adjoint(href) @ unit)
-    n = scores.shape[0]
-    order = np.empty(n, dtype=int)
-    taken = np.zeros(n, dtype=bool)
-    for j in np.argsort(-scores.max(axis=1)):
-        pick = int(np.argmax(np.where(taken, -np.inf, scores[j])))
-        order[j] = pick
-        taken[pick] = True
-    return order
+def _pivot_rows(n: int) -> np.ndarray:
+    """Row whose entry is one in each ketket column: 0 below N/2, else N-1.
+
+    H^dagger is tridiagonal with nonzero off-diagonals, so an eigenvector
+    with a vanishing first (or last) entry would vanish everywhere by the
+    row recurrence; an end entry is therefore never zero, unlike the
+    diagonal entry, which vanishes at N=3, 7, 8, ... when H is real.
+    """
+    return np.where(2 * np.arange(n) < n, 0, n - 1)
 
 
 def ketkets(
     h,
     *,
-    order_hint: KetketBasis | None = None,
     adjoint_eig: EigenDecomposition | NoConvergence | None = None,
 ) -> KetketBasis:
     """Solve the adjoint eigenvector problem that seeds every metric.
 
     Requires a diagonalizable input; an exceptional point announces
     itself either as solver non-convergence or as an unusable
-    (non-finite-condition) eigenvector matrix.  ``order_hint`` replaces
-    the default descending eigenvalue order with the column pairing
-    closest to a previously computed basis, keeping the family
-    continuous along a time profile.  ``adjoint_eig`` is the
-    ``eig_general`` result for the adjoint of ``h`` (or the NoConvergence
-    that solve ended in) when the caller already has it from a stacked
-    solve; only the ordering and scaling are then left to do.
+    (non-finite-condition) eigenvector matrix.  The basis depends on
+    ``h`` alone: levels in descending eigenvalue order, each column in
+    the end-row gauge of ``_pivot_rows``.  Away from the exceptional
+    points the spectrum is real and simple, so that order is continuous
+    along any drive.  ``adjoint_eig`` is the ``eig_general`` result for
+    the adjoint of ``h`` (or the NoConvergence that solve ended in) when
+    the caller already has it from a stacked solve; only the ordering
+    and scaling are then left to do.
     """
     dec = adjoint_eig
     if dec is None:
@@ -105,21 +95,13 @@ def ketkets(
     if not np.isfinite(dec.vector_condition) or dec.vector_condition >= COND_CEILING:
         raise DefectiveAtEP("eigenvector matrix is numerically singular")
 
-    values = dec.eigenvalues
-    vectors = dec.right_vectors
-    if order_hint is not None:
-        order = _overlap_order(vectors, as_square(order_hint.vectors))
-    else:
-        order = _descending_order(values)
-    values = values[order]
-    vectors = vectors[:, order]
-
+    order = _descending_order(dec.eigenvalues)
+    vectors = dec.right_vectors[:, order]
     unit = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
     levels = np.arange(unit.shape[1])
-    faint = np.abs(unit[levels, levels]) < DIAG_UNIT_FLOOR
-    pivots = np.where(faint, np.argmax(np.abs(unit), axis=0), levels)
     return KetketBasis(
-        eigenvalues=values, vectors=unit / unit[pivots, levels], pivots=pivots
+        eigenvalues=dec.eigenvalues[order],
+        vectors=unit / unit[_pivot_rows(len(levels)), levels],
     )
 
 

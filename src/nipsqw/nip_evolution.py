@@ -24,7 +24,7 @@ from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
 from .matrix_core import _decompose_stack, as_square, eig_general, inverse, sqrt_hpd
-from .metric import dyson_from_ketkets, ketkets, quasi_hermiticity_residual
+from .metric import _pivot_rows, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 
 _CLD = np.clongdouble
 
@@ -82,7 +82,8 @@ def _map_derivative(basis, bundle, phi: float, hermitian_map: bool = False):
     (AIAA J. 14, 1976, 1201) turns that into the slope dV = V D of the
     ketket columns V in their own gauge: with C = V^-1 dA V and the
     adjoint eigenvalues mu, D_jk = C_jk / (mu_k - mu_j) off the diagonal,
-    and D_kk keeps the pivot entry of column k at one.  The ketket map
+    and D_kk keeps the end-row entry of column k (``_pivot_rows``) at
+    one, the gauge ``ketkets`` scales by.  The ketket map
     is V^dagger; the Hermitian root's slope comes from the Sylvester
     equation Omega dOmega + dOmega Omega = dTheta inside ``sqrt_hpd``,
     with dTheta = dV V^dagger + V dV^dagger.  V^-1 is the adjoint of the
@@ -97,7 +98,7 @@ def _map_derivative(basis, bundle, phi: float, hermitian_map: bool = False):
     gaps[levels, levels] = 1.0
     d = c / gaps
     d[levels, levels] = 0.0
-    rows = v[basis.pivots]
+    rows = v[_pivot_rows(len(mu))]
     d[levels, levels] = -np.einsum("kj,jk->k", rows, d) / rows[levels, levels]
     dv = v @ d
     if not hermitian_map:
@@ -262,10 +263,11 @@ class _GenericStages:
     The adjoint problems of ``STAGE_BLOCK`` consecutive stage angles go
     through one stacked eigen-solve when the loop first reaches the
     block.  Ordering, scaling, the Dyson map and its analytic slope then
-    run stage by stage: column pairings are chained through ordering
-    hints so the map varies continuously along the trajectory, and only
-    the most recent stage is kept, since access is strictly sequential
-    with one shared endpoint between consecutive steps.  With the
+    run stage by stage.  Each stage's basis is a function of its own H
+    (descending levels, end-row gauge), so the map varies continuously
+    along the trajectory with no state carried between stages.  Only the
+    most recent stage is kept, since access is strictly sequential with
+    one shared endpoint between consecutive steps.  With the
     hermitian_root factorization the map is the Hermitian square root
     of the same metric, smooth in the angle by construction.  Textbook
     stages need no map slope.
@@ -277,7 +279,6 @@ class _GenericStages:
         self.rates = np.asarray(rates, dtype=float)
         self.textbook = textbook
         self.hermitian_map = hermitian_map
-        self._hint = None
         self._slot = (-1, None)
         self._block = (-1, None)
 
@@ -297,9 +298,8 @@ class _GenericStages:
     def _stage(self, j):
         if self._slot[0] != j:
             h, dec = self._solved(j)
-            basis = ketkets(h, order_hint=self._hint, adjoint_eig=dec)
+            basis = ketkets(h, adjoint_eig=dec)
             bundle = dyson_from_ketkets(basis)
-            self._hint = basis
             if self.textbook:
                 omega = sqrt_hpd(bundle.theta) if self.hermitian_map else bundle.omega
             else:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nipsqw.config import get_tolerances
 from nipsqw.errors import (
     BadWeights,
     DefectiveAtEP,
@@ -101,25 +102,35 @@ def test_ketkets_defective_at_coalescence():
 
 def test_ketkets_takes_a_solved_adjoint_decomposition():
     h = build_h(5, z_from_phi(0.7))
-    hint = ketkets(build_h(5, z_from_phi(0.69)))
-    solved = ketkets(h, order_hint=hint, adjoint_eig=eig_general(adjoint(h)))
-    fresh = ketkets(h, order_hint=hint)
+    solved = ketkets(h, adjoint_eig=eig_general(adjoint(h)))
+    fresh = ketkets(h)
     np.testing.assert_array_equal(solved.eigenvalues, fresh.eigenvalues)
     np.testing.assert_array_equal(solved.vectors, fresh.vectors)
     with pytest.raises(DefectiveAtEP):
         ketkets(h, adjoint_eig=NoConvergence("polish exhausted"))
 
 
-def test_ketkets_order_hint_overrides_sorting():
-    plain = ketkets(corner_matrix(1.0))
-    swapped_hint = KetketBasis(
-        eigenvalues=plain.eigenvalues[::-1],
-        vectors=plain.vectors[:, ::-1],
-    )
-    hinted = ketkets(corner_matrix(1.001), order_hint=swapped_hint)
-    np.testing.assert_allclose(
-        hinted.eigenvalues, plain.eigenvalues[::-1], atol=1e-2
-    )
+def _overlap_pairing(before, after):
+    """For each column of ``before``, the column of ``after`` it overlaps most."""
+    a = before / np.linalg.norm(before, axis=0, keepdims=True)
+    b = after / np.linalg.norm(after, axis=0, keepdims=True)
+    return np.argmax(np.abs(adjoint(a) @ b), axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
+def test_ketkets_order_is_continuous_down_to_the_margin(n):
+    # descending order must pair each level with itself between
+    # neighbouring angles, even where the spectrum nearly coalesces
+    margin = np.arcsin(get_tolerances().ep_margin)
+    near = np.geomspace(margin, 0.5, 60)
+    for phis in (near, np.pi - near):
+        bases = [ketkets(build_h(n, z_from_phi(phi))) for phi in phis]
+        for before, after in zip(bases, bases[1:]):
+            pairing = _overlap_pairing(before.vectors, after.vectors)
+            np.testing.assert_array_equal(pairing, np.arange(n))
+        values = np.array([basis.eigenvalues for basis in bases])
+        smallest_gap = np.min(-np.diff(values.real, axis=1))
+        assert smallest_gap > 1e3 * np.max(np.abs(values.imag)), n
 
 
 # ------------------------------------------------------------ build_metric
@@ -239,6 +250,18 @@ def test_dyson_right_angle_gives_scaled_unitary():
     np.testing.assert_allclose(bundle.theta, 2.0 * np.eye(2), atol=1e-12)
     scaled = bundle.omega / np.sqrt(2.0)
     np.testing.assert_allclose(adjoint(scaled) @ scaled, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 24, 32])
+def test_dyson_map_builds_at_many_sites(n):
+    # well-conditioned maps whose determinant relative to the norm is
+    # far below eps_singular: the refusal goes by condition, not size
+    for phi in (0.6, 1.0, 1.2, 2.3):
+        bundle = dyson_from_ketkets(ketkets(build_h(n, z_from_phi(phi))))
+        assert np.linalg.cond(bundle.omega) < 1e2, (n, phi)
+        np.testing.assert_allclose(
+            bundle.omega @ bundle.omega_inv, np.eye(n), atol=1e-12
+        )
 
 
 def test_dyson_singular_near_coalescence():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nipsqw.errors import EPProximity, NonRealNorm, NotAnObservable
 from nipsqw.hamiltonian import PhiProfile, build_h, z_from_phi
 from nipsqw.matrix_core import adjoint, eig_general, spectral_norm
-from nipsqw.metric import build_metric, dyson_from_ketkets, ketkets
+from nipsqw.metric import _pivot_rows, build_metric, dyson_from_ketkets, ketkets
 from nipsqw.n2_oracle import N2Params, g_eigs, omega_s, regime, sigma_s, theta_s
 from nipsqw import nip_evolution
 from nipsqw.nip_evolution import (
@@ -65,11 +65,11 @@ def test_coriolis_matches_two_site_closed_form():
 
 def _differenced_coriolis(n, phi, rate, h):
     """i rate Omega^-1 dOmega/dphi with the slope a central difference of
-    the ketket map built here, gauge-matched to the centre basis."""
-    centre = ketkets(build_h(n, z_from_phi(phi)))
-    omega_inv = dyson_from_ketkets(centre).omega_inv
-    upper = adjoint(ketkets(build_h(n, z_from_phi(phi + h)), order_hint=centre).vectors)
-    lower = adjoint(ketkets(build_h(n, z_from_phi(phi - h)), order_hint=centre).vectors)
+    the ketket map built here; the side bases share the centre's order
+    and gauge."""
+    omega_inv = dyson_from_ketkets(ketkets(build_h(n, z_from_phi(phi)))).omega_inv
+    upper = adjoint(ketkets(build_h(n, z_from_phi(phi + h))).vectors)
+    lower = adjoint(ketkets(build_h(n, z_from_phi(phi - h))).vectors)
     slope = (upper - lower) / ((phi + h) - (phi - h))
     return 1j * rate * (omega_inv @ slope)
 
@@ -122,9 +122,8 @@ def _mp_maps(n, phi, basis):
     """
     values, vectors = mpmath.eig(_mp_adjoint_h(n, phi))
     v = mpmath.matrix(n, n)
-    for k in range(n):
+    for k, row in enumerate(_pivot_rows(n).tolist()):
         j = min(range(n), key=lambda i: abs(complex(values[i]) - basis.eigenvalues[k]))
-        row = int(basis.pivots[k])
         for r in range(n):
             v[r, k] = vectors[r, j] / vectors[row, j]
     return v.H, mpmath.sqrtm(v * v.H)
@@ -132,13 +131,15 @@ def _mp_maps(n, phi, basis):
 
 @pytest.mark.parametrize(
     "n, phi",
-    [(3, 0.7), (3, np.pi / 2 - 5e-10), (4, 2.3), (5, 1.1), (6, 0.5), (6, 2.6)],
+    [
+        (3, 0.7), (3, np.pi / 2 - 5e-10), (4, 2.3), (5, 1.1), (6, 0.5), (6, 2.6),
+        (7, np.pi / 2), (8, np.pi / 2),
+    ],
 )
 def test_map_slope_matches_a_high_precision_difference(n, phi):
+    # at pi/2 some diagonal entries of the N=3, 7 and 8 ketkets vanish;
+    # the end-row gauge does not see them
     basis = ketkets(build_h(n, z_from_phi(phi)))
-    if n == 3 and abs(phi - np.pi / 2) < 1e-9:
-        # the middle column's diagonal entry vanishes: max-modulus pivot
-        assert basis.pivots[1] != 1
     bundle = dyson_from_ketkets(basis)
     with mpmath.workdps(40):
         step = mpmath.mpf("1e-12")
@@ -318,6 +319,22 @@ def test_evolve_three_site_route():
         phi, _ = profile(s.t)
         omega = dyson_from_ketkets(ketkets(build_h(3, z_from_phi(phi)))).omega
         assert np.linalg.norm(omega @ s.psi - sp.psi) <= 1e-8
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+@pytest.mark.parametrize("n", [3, 7, 8])
+def test_evolve_crosses_the_hermitian_angle_at_fourth_order(n, map_kind):
+    # at phi = pi/2 a diagonal entry of some ketkets vanishes for these
+    # N; the map must stay smooth there, so the drift keeps RK4's order
+    profile = PhiProfile.linear(1.4, 0.1)
+    psi0 = np.ones(n) / np.sqrt(n)
+
+    def drift(dt):
+        return drift_of(evolve(n, profile, psi0, 0.0, 3.0, dt, map_kind=map_kind))
+
+    fine = drift(0.01)
+    assert fine <= 1e-8
+    assert drift(0.02) / fine >= 8.0
 
 
 # ------------------------------------------------------- textbook partner
