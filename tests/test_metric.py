@@ -122,7 +122,7 @@ def test_ketkets_order_is_continuous_down_to_the_margin(n):
     # descending order must pair each level with itself between
     # neighbouring angles, even where the spectrum nearly coalesces
     margin = np.arcsin(get_tolerances().ep_margin)
-    near = np.geomspace(margin, 0.5, 60)
+    near = np.geomspace(margin, 0.5, 40)
     for phis in (near, np.pi - near):
         bases = [ketkets(build_h(n, z_from_phi(phi))) for phi in phis]
         for before, after in zip(bases, bases[1:]):
