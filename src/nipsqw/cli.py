@@ -34,17 +34,12 @@ from .hamiltonian import (
     z_from_phi,
     z_from_r,
 )
-from .matrix_core import _eigvals_general, adjoint, eig_general, eig_hermitian, spectral_norm
+from .matrix_core import (
+    _decompose_stack, _eigvals_general, adjoint, eig_hermitian, spectral_norm,
+)
 from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
-from .nip_evolution import (
-    MAP_KINDS,
-    coriolis,
-    evolve,
-    expectation,
-    generator,
-    textbook_evolve,
-)
+from .nip_evolution import MAP_KINDS, evolve, expectation, generator, textbook_evolve
 from .spectrum import _curve_stack, ep_scan, solve_spectrum
 
 FMT = "%.17g"
@@ -341,8 +336,10 @@ def cmd_evolve(args) -> int:
     if args.crosscheck:
         header.append("crosscheck")
 
+    # every row's generator spectrum in one solve; a refusal surfaces at its row
+    spectra = _decompose_stack(np.array([state.generator for state in states]))
     rows = []
-    for idx, state in enumerate(states):
+    for idx, (state, spectrum) in enumerate(zip(states, spectra)):
         row = [state.t]
         for component in state.psi:
             row += [component.real, component.imag]
@@ -350,7 +347,9 @@ def cmd_evolve(args) -> int:
         for name, matrix in observables:
             lam = build_h_at_time(args.n, args.profile, state.t) if matrix is None else matrix
             row.append(expectation(state, lam))
-        for value in eig_general(state.generator).eigenvalues:
+        if isinstance(spectrum, NoConvergence):
+            raise spectrum
+        for value in spectrum.eigenvalues:
             row += [value.real, value.imag]
         if args.crosscheck:
             row.append(float(np.linalg.norm(state.omega @ state.psi - partner[idx].psi)))
@@ -446,12 +445,11 @@ def run_identity_suite(phi_grid=None, rates=None, tol=None):
         )
         for rate in rates:
             profile = PhiProfile.linear(phi, rate)
-            sigma = coriolis(2, profile, 0.0, tol=tol)
+            snap = generator(2, profile, 0.0, tol=tol)  # its Sigma is coriolis()
             worst["coriolis_difference"] = max(
                 worst["coriolis_difference"],
-                spectral_norm(sigma - sigma_s(phi, rate)),
+                spectral_norm(snap.Sigma - sigma_s(phi, rate)),
             )
-            snap = generator(2, profile, 0.0, tol=tol)
             worst["generator_difference"] = max(
                 worst["generator_difference"],
                 spectral_norm(snap.G - g_s(phi, rate)),

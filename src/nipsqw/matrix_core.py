@@ -69,16 +69,27 @@ def adjoint(matrix) -> np.ndarray:
 def inverse(matrix, tol: Tolerances | None = None) -> np.ndarray:
     """Invert, refusing matrices that are numerically singular.
 
-    The test is scale-invariant and independent of the size: the
-    reciprocal condition s_min / s_max must exceed ``eps_singular``.
-    Failure signals exceptional-point proximity to callers.
+    A stack of one through ``_inverse_stack``.  Failure signals
+    exceptional-point proximity to callers.
     """
-    a = as_square(matrix)
     tol = tol if tol is not None else get_tolerances()
-    s = np.linalg.svd(a, compute_uv=False)
-    if not s[-1] > tol.eps_singular * s[0]:
+    inv, singular = _inverse_stack(as_square(matrix)[None], tol)
+    if singular[0]:
         raise SingularMatrix(f"reciprocal condition at or below {tol.eps_singular:g}")
-    return np.linalg.solve(a, np.eye(a.shape[0], dtype=complex))
+    return inv[0]
+
+
+def _inverse_stack(stack: np.ndarray, tol: Tolerances):
+    """Inverses of an (m, N, N) stack, and the mask of refused matrices.
+
+    The test is scale-invariant and independent of the size: the
+    reciprocal condition s_min / s_max must exceed ``eps_singular``.  A
+    refused matrix gets the identity as its inverse.
+    """
+    s = np.linalg.svd(stack, compute_uv=False)
+    singular = ~(s[:, -1] > tol.eps_singular * s[:, 0])
+    eye = np.eye(stack.shape[-1], dtype=complex)
+    return np.linalg.solve(np.where(singular[:, None, None], eye, stack), eye), singular
 
 
 @dataclass(frozen=True)
@@ -359,9 +370,10 @@ def _eig_stack(stack: np.ndarray, vectors: bool):
     NoConvergence its solve ended in; a failed matrix holds the values
     0 and identity vectors, so it never spoils its neighbours.  Closed
     form at N=2; continuant-polished roots (plus inverse iteration for
-    the vectors) when every matrix of the stack is tridiagonal, the
-    dense solver otherwise.  The stack is solved in chunks that keep the
-    work arrays near 1 MB.
+    the vectors) for each tridiagonal matrix, the dense solver for the
+    rest, so a matrix's result does not depend on the others in its
+    stack.  Each kind is solved in chunks that keep the work arrays
+    near 1 MB.
     """
     m, n, _ = stack.shape
     if n > MAX_DIM:
@@ -372,13 +384,19 @@ def _eig_stack(stack: np.ndarray, vectors: bool):
         values, vecs = _eig2_closed_form(stack)
         return values, vecs, [None] * m
     off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
-    solve = _dense_eig if stack[:, off_band].any() else _tridiag_eig
+    dense = stack[:, off_band].any(axis=-1)
     chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    # an empty stack still makes one (empty) call, so the shapes come out right
-    parts = [solve(stack[lo:lo + chunk], vectors) for lo in range(0, max(m, 1), chunk)]
-    values = np.concatenate([part[0] for part in parts])
-    vecs = np.concatenate([part[1] for part in parts]) if vectors else None
-    errors = [error for part in parts for error in part[2]]
+    values = np.zeros((m, n), dtype=complex)
+    vecs = np.empty((m, n, n), dtype=complex) if vectors else None
+    errors = [None] * m
+    for solve, kind in ((_dense_eig, dense), (_tridiag_eig, ~dense)):
+        members = np.flatnonzero(kind)
+        for part in (members[lo:lo + chunk] for lo in range(0, len(members), chunk)):
+            values[part], part_vecs, part_errors = solve(stack[part], vectors)
+            if vectors:
+                vecs[part] = part_vecs
+            for k, error in zip(part, part_errors):
+                errors[k] = error
     for k, error in enumerate(errors):
         if error is not None:
             values[k] = 0.0
@@ -407,13 +425,13 @@ def _eigvals_general(matrix) -> np.ndarray:
     return values[0]
 
 
-def _decompose_stack(stack: np.ndarray) -> list:
+def _decompose_arrays(stack: np.ndarray):
     """``eig_general`` for every matrix of an (m, N, N) stack at once.
 
-    Entry k is the decomposition of ``stack[k]``, or the NoConvergence
-    that ``eig_general(stack[k])`` raises.  (A stack that mixes
-    tridiagonal and other matrices goes through the dense solver as a
-    whole; every caller's stack is one kind or the other.)
+    Returns the ascending eigenvalues (m, N), the unit right vectors
+    (m, N, N), the vector conditions and eigenpair residuals (m,), and
+    per matrix None or the NoConvergence that ``eig_general(stack[k])``
+    raises.
     """
     m, n, _ = stack.shape
     values, vectors, errors = _eig_stack(stack, vectors=True)
@@ -431,17 +449,23 @@ def _decompose_stack(stack: np.ndarray) -> list:
         residual = np.where(norm_a > 0, defect / norm_a, defect)
         condition = sv[:, 0] / sv[:, -1]
     condition[~np.isfinite(condition)] = np.inf
-
-    results = []
     for k, error in enumerate(errors):
         if error is None and n <= 16 and residual[k] > _RESIDUAL_CAP:
-            error = NoConvergence(
+            errors[k] = NoConvergence(
                 f"eigenpair residual {residual[k]:.3e} exceeds {_RESIDUAL_CAP:g}"
             )
-        results.append(error or EigenDecomposition(
+    return values, vectors, condition, residual, errors
+
+
+def _decompose_stack(stack: np.ndarray) -> list:
+    """Entry k is the EigenDecomposition of ``stack[k]``, or its NoConvergence."""
+    values, vectors, condition, residual, errors = _decompose_arrays(stack)
+    return [
+        error or EigenDecomposition(
             values[k], vectors[k], float(condition[k]), float(residual[k])
-        ))
-    return results
+        )
+        for k, error in enumerate(errors)
+    ]
 
 
 def eig_general(matrix) -> EigenDecomposition:
@@ -479,31 +503,51 @@ def eig_hermitian(matrix) -> EigenDecomposition:
 def sqrt_hpd(matrix, tol: Tolerances | None = None, *, tangent=None):
     """Hermitian positive-definite square root via spectral decomposition.
 
-    With a Hermitian ``tangent`` dA, returns the pair (root, dRoot): the
-    root's derivative along dA is the solution X of the Sylvester
-    equation root X + X root = dA, which the same decomposition
-    A = U diag(s^2) U^dagger gives in closed form as
-    U [(U^dagger dA U)_ij / (s_i + s_j)] U^dagger (Higham, *Functions of
-    Matrices*, 2008).
+    A stack of one through ``_sqrt_hpd_stack``; with a Hermitian
+    ``tangent`` dA, returns the pair (root, dRoot).
     """
     a = as_square(matrix)
     tol = tol if tol is not None else get_tolerances()
-    norm_a = spectral_norm(a)
-    if spectral_norm(a - a.conj().T) > 1e-12 * max(norm_a, 1e-300):
+    if spectral_norm(a - a.conj().T) > 1e-12 * max(spectral_norm(a), 1e-300):
         raise NotHermitian("square root requires a Hermitian matrix")
-    values, vectors = np.linalg.eigh(a)
-    if values[0] <= tol.eps_pd * max(np.abs(values).max(), 1e-300):
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {values[0]:.3e} under the definiteness floor"
+    lift = None if tangent is None else np.asarray(tangent)[None]
+    root, _, slope, errors = _sqrt_hpd_stack(a[None], tol, lift)
+    if isinstance(errors[0], NotPositiveDefinite):
+        raise errors[0]
+    return root[0] if tangent is None else (root[0], slope[0])
+
+
+def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances, tangent=None):
+    """(root, inverse, slope or None, errors) of an (m, N, N) Hermitian stack.
+
+    One ``eigh`` per matrix, A = U diag(s^2) U^dagger, gives the root
+    U diag(s) U^dagger, its inverse U diag(1/s) U^dagger and, along a
+    Hermitian ``tangent`` stack dA, the root's slope: the solution X of
+    root X + X root = dA, U [(U^dagger dA U)_ij / (s_i + s_j)] U^dagger
+    (Higham, *Functions of Matrices*, 2008).  errors[k] is None,
+    NotPositiveDefinite (s_min^2 under ``eps_pd`` of s_max^2) or
+    SingularMatrix (s_min / s_max fails the ``_inverse_stack`` test).
+    """
+    values, vectors = np.linalg.eigh(stack)
+    flat = values[:, 0] <= tol.eps_pd * np.maximum(np.abs(values).max(axis=-1), 1e-300)
+    roots = np.sqrt(np.where(flat[:, None], 1.0, values))
+    singular = ~(roots[:, 0] > tol.eps_singular * roots[:, -1])
+    errors = [None] * len(stack)
+    for k in np.flatnonzero(flat | singular):
+        errors[k] = NotPositiveDefinite(
+            f"smallest eigenvalue {values[k, 0]:.3e} under the definiteness floor"
+        ) if flat[k] else SingularMatrix(
+            f"reciprocal condition at or below {tol.eps_singular:g}"
         )
-    roots = np.sqrt(values)
-    root = (vectors * roots) @ vectors.conj().T
-    root = (root + root.conj().T) / 2
-    if tangent is None:
-        return root
-    lift = vectors.conj().T @ tangent @ vectors
-    slope = vectors @ (lift / (roots[:, None] + roots)) @ vectors.conj().T
-    return root, (slope + slope.conj().T) / 2
+    left = vectors.conj().swapaxes(-1, -2)
+    root = (vectors * roots[:, None, :]) @ left
+    inv = (vectors / roots[:, None, :]) @ left
+    slope = None
+    if tangent is not None:
+        lift = left @ tangent @ vectors
+        slope = vectors @ (lift / (roots[:, :, None] + roots[:, None, :])) @ left
+        slope = (slope + slope.conj().swapaxes(-1, -2)) / 2
+    return (root + root.conj().swapaxes(-1, -2)) / 2, inv, slope, errors
 
 
 def char_poly(matrix) -> np.ndarray:

@@ -15,24 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadWeights,
-    DefectiveAtEP,
-    NoConvergence,
-    SingularDyson,
-    SingularMatrix,
-)
+from .config import Tolerances, get_tolerances
+from .errors import BadWeights, DefectiveAtEP, SingularDyson
 from .matrix_core import (
     COND_CEILING,
-    EigenDecomposition,
+    _decompose_arrays,
+    _inverse_stack,
     adjoint,
     as_square,
-    eig_general,
     eig_hermitian,
-    inverse,
     spectral_norm,
     sqrt_hpd,
 )
+
 
 @dataclass(frozen=True)
 class KetketBasis:
@@ -66,43 +61,68 @@ def _pivot_rows(n: int) -> np.ndarray:
     return np.where(2 * np.arange(n) < n, 0, n - 1)
 
 
-def ketkets(
-    h,
-    *,
-    adjoint_eig: EigenDecomposition | NoConvergence | None = None,
-) -> KetketBasis:
+def ketkets(h) -> KetketBasis:
     """Solve the adjoint eigenvector problem that seeds every metric.
 
-    Requires a diagonalizable input; an exceptional point announces
-    itself either as solver non-convergence or as an unusable
-    (non-finite-condition) eigenvector matrix.  The basis depends on
-    ``h`` alone: levels in descending eigenvalue order, each column in
-    the end-row gauge of ``_pivot_rows``.  Away from the exceptional
-    points the spectrum is real and simple, so that order is continuous
-    along any drive.  ``adjoint_eig`` is the ``eig_general`` result for
-    the adjoint of ``h`` (or the NoConvergence that solve ended in) when
-    the caller already has it from a stacked solve; only the ordering
-    and scaling are then left to do.
+    A stack of one through ``_ketket_stack``.  Requires a diagonalizable
+    input; an exceptional point announces itself either as solver
+    non-convergence or as an unusable (non-finite-condition)
+    eigenvector matrix.
     """
-    dec = adjoint_eig
-    if dec is None:
-        try:
-            dec = eig_general(adjoint(as_square(h)))
-        except NoConvergence as exc:
-            dec = exc
-    if isinstance(dec, NoConvergence):
-        raise DefectiveAtEP(f"adjoint eigenproblem did not converge: {dec}") from dec
-    if not np.isfinite(dec.vector_condition) or dec.vector_condition >= COND_CEILING:
-        raise DefectiveAtEP("eigenvector matrix is numerically singular")
+    values, vectors, errors = _ketket_stack(as_square(h)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return KetketBasis(eigenvalues=values[0], vectors=vectors[0])
 
-    order = _descending_order(dec.eigenvalues)
-    vectors = dec.right_vectors[:, order]
-    unit = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-    levels = np.arange(unit.shape[1])
-    return KetketBasis(
-        eigenvalues=dec.eigenvalues[order],
-        vectors=unit / unit[_pivot_rows(len(levels)), levels],
+
+def _ketket_stack(h: np.ndarray):
+    """Adjoint eigenbases of an (m, N, N) stack of Hamiltonians.
+
+    Each basis depends on its own H alone, ordered and scaled as
+    ``KetketBasis`` says.  Returns the (m, N) eigenvalues, the (m, N, N)
+    columns and, per matrix, None or the DefectiveAtEP that refuses it.
+    """
+    n = h.shape[-1]
+    values, vectors, condition, _, failures = _decompose_arrays(h.conj().swapaxes(-1, -2))
+    errors = [
+        DefectiveAtEP(f"adjoint eigenproblem did not converge: {failure}") if failure
+        else None if cond < COND_CEILING
+        else DefectiveAtEP("eigenvector matrix is numerically singular")
+        for failure, cond in zip(failures, condition)
+    ]
+    order = _descending_order(values)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
+    unit = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
+    pivots = unit[:, _pivot_rows(n), np.arange(n)]
+    # a failed solve holds identity columns, whose pivot entries may vanish
+    pivots[[error is not None for error in errors]] = 1.0
+    return np.take_along_axis(values, order, axis=-1), unit / pivots[:, None, :], errors
+
+
+def _ketket_slope(phis, values, vectors, omega_inv) -> np.ndarray:
+    """Exact slope dV/dphi of a stack of ketket columns in the boundary angle.
+
+    Only the corners of H depend on phi, so the adjoint A = H^dagger has
+    dA/dphi = diag(-i sin phi, 0, ..., 0, i sin phi).  Nelson's method
+    (AIAA J. 14, 1976, 1201) turns that into the slope dV = V D of the
+    columns V in their own gauge: with C = V^-1 dA V and the adjoint
+    eigenvalues mu, D_jk = C_jk / (mu_k - mu_j) off the diagonal, and
+    D_kk keeps the end-row entry of column k (``_pivot_rows``) at one.
+    V^-1 is the adjoint of the Dyson inverse ``omega_inv``.
+    """
+    n = values.shape[-1]
+    v_inv = omega_inv.conj().swapaxes(-1, -2)
+    c = 1j * np.sin(phis)[:, None, None] * (
+        v_inv[:, :, -1:] * vectors[:, -1:, :] - v_inv[:, :, :1] * vectors[:, :1, :]
     )
+    levels = np.arange(n)
+    gaps = values[:, None, :] - values[:, :, None]
+    gaps[:, levels, levels] = 1.0
+    d = c / gaps
+    d[:, levels, levels] = 0.0
+    rows = vectors[:, _pivot_rows(n)]
+    d[:, levels, levels] = -np.einsum("mkj,mjk->mk", rows, d) / rows[:, levels, levels]
+    return vectors @ d
 
 
 def build_metric(basis: KetketBasis, kappa) -> np.ndarray:
@@ -172,20 +192,32 @@ def dyson_from_ketkets(basis: KetketBasis) -> MetricBundle:
     linearly dependent and the map stops being invertible.
     """
     v = as_square(basis.vectors)
-    omega = adjoint(v)
-    try:
-        omega_inv = inverse(omega)
-    except SingularMatrix as exc:
-        raise SingularDyson(f"ketket columns nearly dependent: {exc}") from exc
-    kappa = np.ones(v.shape[1])
+    omega, omega_inv, theta, errors = _dyson_stack(v[None], get_tolerances())
+    if errors[0] is not None:
+        raise errors[0]
     return MetricBundle(
-        theta=build_metric(basis, kappa),
-        kappa=kappa,
-        omega=omega,
-        omega_inv=omega_inv,
+        theta=theta[0],
+        kappa=np.ones(v.shape[1]),
+        omega=omega[0],
+        omega_inv=omega_inv[0],
         omega_kind="ketket_columns",
         h_diag=np.diag(np.conj(basis.eigenvalues)),
     )
+
+
+def _dyson_stack(vectors: np.ndarray, tol: Tolerances):
+    """Ketket-column maps of an (m, N, N) stack of columns V.
+
+    Returns Omega = V^dagger, its inverse, the all-ones metric
+    Theta = Omega^dagger Omega and, per matrix, None or the SingularDyson
+    that refuses a map failing the ``_inverse_stack`` test.
+    """
+    omega = vectors.conj().swapaxes(-1, -2)
+    omega_inv, singular = _inverse_stack(omega, tol)
+    theta = vectors @ omega
+    why = "ketket columns nearly dependent: reciprocal condition at or below"
+    errors = [SingularDyson(f"{why} {tol.eps_singular:g}") if bad else None for bad in singular]
+    return omega, omega_inv, (theta + theta.conj().swapaxes(-1, -2)) / 2, errors
 
 
 def dyson_hermitian(theta) -> MetricBundle:

@@ -8,10 +8,12 @@ constant even though neither G nor H is normal.  An independent
 integration in the mapped representation (where the generator is
 Hermitian) cross-checks the whole pipeline.
 
-The map is differentiated analytically in the boundary angle, from the
-same eigensolve that builds it.  Two-site problems take a fast path: the
-closed-form map family and its exact derivative are evaluated in
-extended precision for every stage at once.
+The whole chain -- ketket basis, Dyson map, its analytic slope in the
+boundary angle, Coriolis term -- runs on one route, ``_stage_stack``,
+as (m, N, N) expressions over a block of stage angles; ``coriolis`` and
+``generator`` are stacks of one through it.  Two-site problems take a
+fast path: the closed-form map family and its exact derivative are
+evaluated in extended precision for every stage at once.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, get_tolerances
-from .errors import EPProximity, NonRealNorm, NotAnObservable
+from .errors import EPProximity, NoConvergence, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import _decompose_stack, as_square, eig_general, inverse, sqrt_hpd
-from .metric import _pivot_rows, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
+from .matrix_core import _decompose_stack, _sqrt_hpd_stack, as_square
+from .metric import _dyson_stack, _ketket_slope, _ketket_stack, quasi_hermiticity_residual
 
 _CLD = np.clongdouble
 
@@ -35,10 +37,10 @@ _CLD = np.clongdouble
 #: so each conserves the same physical norm on its own.
 MAP_KINDS = ("ketket_columns", "hermitian_root")
 
-#: stages per stacked eigen-solve in the generic stage pipeline; bounds
-#: the memory of a long trajectory and the work an early failure wastes
-#: (2,000 steps at N=3 peak near 20 MB of decompositions when solved in
-#: one piece, near 3 MB in blocks of 32, at the same speed)
+#: stages per call of the stage kernel; bounds the memory of a long
+#: trajectory and the work an early refusal wastes (2,000 steps at N=3:
+#: 0.3 MB of kernel arrays in blocks of 32, 10 MB in one piece, 0.31 s
+#: against 0.17 s; 2-core x86 VM)
 STAGE_BLOCK = 32
 
 
@@ -74,37 +76,41 @@ class GeneratorSnapshot:
     g_eigs: np.ndarray
 
 
-def _map_derivative(basis, bundle, phi: float, hermitian_map: bool = False):
-    """The selected Dyson map and its exact derivative in the boundary angle.
+def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
+    """H, Sigma, Theta and Omega at every stage angle, each (m, N, N).
 
-    Only the corners of H depend on phi, so the adjoint A = H^dagger has
-    dA/dphi = diag(-i sin phi, 0, ..., 0, i sin phi).  Nelson's method
-    (AIAA J. 14, 1976, 1201) turns that into the slope dV = V D of the
-    ketket columns V in their own gauge: with C = V^-1 dA V and the
-    adjoint eigenvalues mu, D_jk = C_jk / (mu_k - mu_j) off the diagonal,
-    and D_kk keeps the end-row entry of column k (``_pivot_rows``) at
-    one, the gauge ``ketkets`` scales by.  The ketket map
-    is V^dagger; the Hermitian root's slope comes from the Sylvester
-    equation Omega dOmega + dOmega Omega = dTheta inside ``sqrt_hpd``,
-    with dTheta = dV V^dagger + V dV^dagger.  V^-1 is the adjoint of the
-    inverse ``dyson_from_ketkets`` already computed.
+    The ketket basis of each H, its Dyson map and metric, and Nelson's
+    slope of the map, times the rate, give Sigma = i Omega^-1 dOmega/dt;
+    with ``hermitian_map`` the map is the Hermitian root of the same
+    metric, differentiated through its Sylvester equation.  Textbook
+    stages return Omega H Omega^-1 in Sigma's place.  Each stage depends
+    on its own angle and rate alone, so any split into blocks gives the
+    same arrays.  A refused stack raises its earliest stage's refusal.
     """
-    v = basis.vectors
-    v_inv = bundle.omega_inv.conj().T
-    c = 1j * np.sin(phi) * (np.outer(v_inv[:, -1], v[-1]) - np.outer(v_inv[:, 0], v[0]))
-    mu = basis.eigenvalues
-    levels = np.arange(len(mu))
-    gaps = mu - mu[:, None]
-    gaps[levels, levels] = 1.0
-    d = c / gaps
-    d[levels, levels] = 0.0
-    rows = v[_pivot_rows(len(mu))]
-    d[levels, levels] = -np.einsum("kj,jk->k", rows, d) / rows[levels, levels]
-    dv = v @ d
-    if not hermitian_map:
-        return bundle.omega, dv.conj().T
-    lift = dv @ v.conj().T
-    return sqrt_hpd(bundle.theta, tangent=lift + lift.conj().T)
+
+    def refuse(errors):
+        first = next((k for k, error in enumerate(errors) if error is not None), None)
+        if first is not None:
+            if first:  # an earlier stage may still fail a later step
+                _stage_stack(n, phis[:first], rates[:first], tol, textbook, hermitian_map)
+            raise errors[first]
+
+    h = build_h(n, z_from_phi(phis))
+    values, vectors, errors = _ketket_stack(h)
+    refuse(errors)
+    omega, omega_inv, theta, errors = _dyson_stack(vectors, tol)
+    refuse(errors)
+    slope = None if textbook else _ketket_slope(phis, values, vectors, omega_inv)
+    if hermitian_map:
+        lift = None if textbook else slope @ omega
+        tangent = None if textbook else lift + lift.conj().swapaxes(-1, -2)
+        omega, omega_inv, omega_dot, errors = _sqrt_hpd_stack(theta, tol, tangent)
+        refuse(errors)
+    elif not textbook:
+        omega_dot = slope.conj().swapaxes(-1, -2)
+    if textbook:
+        return h, omega @ h @ omega_inv, theta, omega
+    return h, 1j * (omega_inv @ (omega_dot * rates[:, None, None])), theta, omega
 
 
 def coriolis(
@@ -115,9 +121,9 @@ def coriolis(
 ) -> np.ndarray:
     """Coriolis generator Sigma(t) = i Omega^-1(t) dOmega/dt.
 
-    The ketket map is differentiated exactly through the boundary angle
-    (the only route by which time enters), and the chain rule multiplies
-    in the profile's rate.
+    The stage kernel on a stack of one: the ketket map is differentiated
+    exactly through the boundary angle (the only route by which time
+    enters), and the chain rule multiplies in the profile's rate.
     """
     tol = tol if tol is not None else get_tolerances()
     phi, phi_dot = profile(float(t))
@@ -126,10 +132,7 @@ def coriolis(
             f"|sin phi| = {abs(np.sin(phi)):.3e} is inside the "
             f"exceptional-point margin {tol.ep_margin:g} at t = {t:.6g}"
         )
-    basis = ketkets(build_h(n, z_from_phi(phi)))
-    bundle = dyson_from_ketkets(basis)
-    omega_slope = _map_derivative(basis, bundle, float(phi))[1]
-    return 1j * (bundle.omega_inv @ (omega_slope * float(phi_dot)))
+    return _stage_stack(n, np.array([phi]), np.array([phi_dot]), tol)[1][0]
 
 
 def generator(
@@ -142,13 +145,17 @@ def generator(
     sigma = coriolis(n, profile, t, tol=tol)
     h = build_h_at_time(n, profile, float(t))
     g = h - sigma
+    spectra = _decompose_stack(np.stack([sigma, g]))
+    for dec in spectra:
+        if isinstance(dec, NoConvergence):
+            raise dec
     return GeneratorSnapshot(
         t=float(t),
         H=h,
         Sigma=sigma,
         G=g,
-        sigma_eigs=eig_general(sigma).eigenvalues,
-        g_eigs=eig_general(g).eigenvalues,
+        sigma_eigs=spectra[0].eigenvalues,
+        g_eigs=spectra[1].eigenvalues,
     )
 
 
@@ -201,128 +208,41 @@ def _make_state(t, psi, generator, theta, omega) -> EvolutionState:
     return EvolutionState(
         t=float(t),
         psi=np.asarray(psi, dtype=complex),
-        theta=np.asarray(theta, dtype=complex),
+        theta=np.array(theta, dtype=complex),
         phys_norm=float(q.real),
-        generator=generator,
-        omega=omega,
+        generator=np.array(generator, dtype=complex),
+        omega=np.array(omega, dtype=complex),
     )
 
 
-class _TwoSiteStages:
-    """Stage data for two sites: one extended-precision batch.
+def _two_site_stack(phis, rates, textbook):
+    """``_stage_stack`` for two sites in closed form, in extended precision.
 
-    The closed-form map family (adjoint eigenvector columns) and its
-    exact angle derivative are evaluated at every stage angle and
-    assembled into the requested generator.
+    The closed-form ketket map family and its exact angle derivative,
+    at every stage angle at once.  It stays beside the generic kernel
+    for speed: over 801 stages it costs about 0.001 ms per stage, the
+    generic kernel 0.010 ms in one piece and 0.020 ms in blocks of 32
+    (2-core x86 VM, numpy 2.4).
     """
-
-    def __init__(self, phis, rates, textbook):
-        phis = np.asarray(phis, dtype=np.longdouble)
-        e = np.exp(_CLD(-1j) * phis.astype(_CLD))
-        m = len(phis)
-        self.omega = np.empty((m, 2, 2), dtype=_CLD)
-        self.omega[:, 0, 0] = 1.0
-        self.omega[:, 0, 1] = -1j * e
-        self.omega[:, 1, 0] = 1j * e
-        self.omega[:, 1, 1] = 1.0
-        omega_inv = np.empty((m, 2, 2), dtype=_CLD)
-        omega_inv[:, 0, 0] = 1.0
-        omega_inv[:, 0, 1] = 1j * e
-        omega_inv[:, 1, 0] = -1j * e
-        omega_inv[:, 1, 1] = 1.0
-        omega_inv /= (1.0 - e * e)[:, None, None]
-
-        z = 1j * np.cos(phis.astype(_CLD))
-        h = np.zeros((m, 2, 2), dtype=_CLD)
-        h[:, 0, 0] = 2.0 - z
-        h[:, 0, 1] = -1.0
-        h[:, 1, 0] = -1.0
-        h[:, 1, 1] = 2.0 + z
-        self.theta = self.omega.conj().swapaxes(-1, -2) @ self.omega
-        if textbook:
-            self.gen = self.omega @ h @ omega_inv
-        else:
-            # d/dphi [[1, -ie], [ie, 1]] = [[0, -e], [e, 0]], times the rate
-            omega_dot = np.zeros((m, 2, 2), dtype=_CLD)
-            omega_dot[:, 0, 1] = -e
-            omega_dot[:, 1, 0] = e
-            omega_dot *= np.asarray(rates, dtype=float).astype(_CLD)[:, None, None]
-            self.gen = h - 1j * (omega_inv @ omega_dot)
-
-    def generators(self, k):
-        return self.gen[2 * k], self.gen[2 * k + 1], self.gen[2 * k + 2]
-
-    def sample(self, k):
-        """(generator, theta, omega) at the start of step k."""
-        return self.gen[2 * k], self.theta[2 * k], self.omega[2 * k]
+    phis = np.asarray(phis, dtype=np.longdouble)
+    e = np.exp(_CLD(-1j) * phis.astype(_CLD))
+    one, zero, hop = (np.full_like(e, value) for value in (1.0, 0.0, -1.0))
+    z = 1j * np.cos(phis.astype(_CLD))
+    h = _stack_2x2(2.0 - z, hop, hop, 2.0 + z)
+    omega = _stack_2x2(one, -1j * e, 1j * e, one)
+    omega_inv = _stack_2x2(one, 1j * e, -1j * e, one) / (1.0 - e * e)[:, None, None]
+    theta = omega.conj().swapaxes(-1, -2) @ omega
+    if textbook:
+        return h, omega @ h @ omega_inv, theta, omega
+    # d/dphi [[1, -ie], [ie, 1]] = [[0, -e], [e, 0]], times the rate
+    omega_dot = _stack_2x2(zero, -e, e, zero)
+    omega_dot *= np.asarray(rates, dtype=float).astype(_CLD)[:, None, None]
+    return h, 1j * (omega_inv @ omega_dot), theta, omega
 
 
-class _GenericStages:
-    """Stage data through the full pipeline, eigen-solved a block at a time.
-
-    The adjoint problems of ``STAGE_BLOCK`` consecutive stage angles go
-    through one stacked eigen-solve when the loop first reaches the
-    block.  Ordering, scaling, the Dyson map and its analytic slope then
-    run stage by stage.  Each stage's basis is a function of its own H
-    (descending levels, end-row gauge), so the map varies continuously
-    along the trajectory with no state carried between stages.  Only the
-    most recent stage is kept, since access is strictly sequential with
-    one shared endpoint between consecutive steps.  With the
-    hermitian_root factorization the map is the Hermitian square root
-    of the same metric, smooth in the angle by construction.  Textbook
-    stages need no map slope.
-    """
-
-    def __init__(self, n, phis, rates, textbook, hermitian_map=False):
-        self.n = n
-        self.phis = np.asarray(phis, dtype=float)
-        self.rates = np.asarray(rates, dtype=float)
-        self.textbook = textbook
-        self.hermitian_map = hermitian_map
-        self._slot = (-1, None)
-        self._block = (-1, None)
-
-    def _solved(self, j):
-        """(H, adjoint eigendecomposition) at stage j.
-
-        A decomposition is the NoConvergence that the adjoint's solve
-        ended in when it failed.
-        """
-        first = j - j % STAGE_BLOCK
-        if self._block[0] != first:
-            h = build_h(self.n, z_from_phi(self.phis[first:first + STAGE_BLOCK]))
-            solves = _decompose_stack(h.conj().swapaxes(-1, -2))
-            self._block = (first, list(zip(h, solves)))
-        return self._block[1][j - first]
-
-    def _stage(self, j):
-        if self._slot[0] != j:
-            h, dec = self._solved(j)
-            basis = ketkets(h, adjoint_eig=dec)
-            bundle = dyson_from_ketkets(basis)
-            if self.textbook:
-                omega = sqrt_hpd(bundle.theta) if self.hermitian_map else bundle.omega
-            else:
-                omega, omega_slope = _map_derivative(
-                    basis, bundle, self.phis[j], self.hermitian_map
-                )
-            omega_inv = inverse(omega) if self.hermitian_map else bundle.omega_inv
-            if self.textbook:
-                gen = omega @ h @ omega_inv
-            else:
-                gen = h - 1j * (omega_inv @ (omega_slope * self.rates[j]))
-            self._slot = (j, (gen, bundle.theta, omega))
-        return self._slot[1]
-
-    def generators(self, k):
-        g0 = self._stage(2 * k)[0]
-        g1 = self._stage(2 * k + 1)[0]
-        g2 = self._stage(2 * k + 2)[0]
-        return g0, g1, g2
-
-    def sample(self, k):
-        """(generator, theta, omega) at the start of step k."""
-        return self._stage(2 * k)
+def _stack_2x2(a, b, c, d):
+    """The (m, 2, 2) stack [[a, b], [c, d]] of four length-m arrays."""
+    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
 def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
@@ -357,29 +277,38 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         t_fail = float(taus[first_bad])
 
     n_stages = 2 * usable + 1
-    if n == 2 and not hermitian_map:
-        stages = _TwoSiteStages(phis[:n_stages], rates[:n_stages], textbook)
-    else:
-        stages = _GenericStages(
-            n, phis[:n_stages], rates[:n_stages], textbook, hermitian_map
-        )
+    phis, rates = phis[:n_stages], rates[:n_stages]
+    two_site = n == 2 and not hermitian_map
+    block = n_stages if two_site else STAGE_BLOCK
+
+    def stages():
+        """(generator, theta, omega) of every stage in order, a block at a time."""
+        for lo in range(0, n_stages, block):
+            span = slice(lo, lo + block)
+            h, second, theta, omega = (
+                _two_site_stack(phis[span], rates[span], textbook) if two_site
+                else _stage_stack(n, phis[span], rates[span], tol, textbook, hermitian_map)
+            )
+            yield from zip(second if textbook else h - second, theta, omega)
 
     identity = np.eye(n, dtype=complex)
 
-    def state_at(k, psi):
-        gen, theta, omega = stages.sample(k)
+    def state_at(k, psi, gen, theta, omega):
         if textbook:
             theta = omega = identity
         return _make_state(taus[2 * k], psi, gen, theta, omega)
 
+    stage = stages()
+    g0, theta, omega = next(stage)
     psi = psi0.astype(_CLD)
     if textbook:
-        psi = stages.sample(0)[2] @ psi
-    states = [state_at(0, psi)]
+        psi = omega @ psi
+    states = [state_at(0, psi, g0, theta, omega)]
     for k in range(usable):
-        g0, g1, g2 = stages.generators(k)
+        (g1, _, _), (g2, theta, omega) = next(stage), next(stage)
         psi = _rk4_step(psi, np.longdouble(steps[k]), g0, g1, g2)
-        states.append(state_at(k + 1, psi))
+        states.append(state_at(k + 1, psi, g2, theta, omega))
+        g0 = g2
     if t_fail is not None:
         raise EPProximity(
             f"trajectory reached the exceptional-point margin at t = {t_fail:.6g}",

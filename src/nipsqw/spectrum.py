@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, get_tolerances
-from .errors import NoConvergence, NoSlope, NotAnEigenvalue, OutOfRange
+from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h, z_from_r
 from .matrix_core import (
     COND_CEILING,
     EigenDecomposition,
-    _decompose_stack,
+    _decompose_arrays,
     _eigvals_stack,
     eig_general,
 )
@@ -253,18 +253,13 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     stack = build_h(n, [z_from_r(r) for r in r_values])
     rows = np.empty((r_values.size, 3), dtype=float)
     rows[:, 0] = r_values
-    rows[:, 2] = np.inf
-    values = np.full((r_values.size, n), np.nan, dtype=complex)
-    failed = []
-    for i, dec in enumerate(_decompose_stack(stack)):
-        if isinstance(dec, NoConvergence):
-            failed.append(i)
-        else:
-            values[i], rows[i, 2] = dec.eigenvalues, dec.vector_condition
-    if failed:
+    values, _, rows[:, 2], _, errors = _decompose_arrays(stack)
+    failed = np.flatnonzero([error is not None for error in errors])
+    values[failed], rows[failed, 2] = np.nan, np.inf
+    if failed.size:
         fallback, errors = _eigvals_stack(stack[failed])
         solved = [error is None for error in errors]
-        values[np.array(failed)[solved]] = fallback[solved]
+        values[failed[solved]] = fallback[solved]
     rows[:, 1] = min_gap(values)
     rows[rows[:, 2] >= COND_CEILING, 2] = np.inf
     return rows

@@ -461,13 +461,12 @@ def test_n2verify_default_grid_passes(capsys):
 
 def test_n2verify_degraded_difference_step_fails(capsys, monkeypatch):
     # a map slope off by 1e-6 per entry must show up as a failed identity
-    exact = nip_evolution._map_derivative
+    exact = nip_evolution._ketket_slope
 
     def perturbed(*args, **kwargs):
-        omega, slope = exact(*args, **kwargs)
-        return omega, slope + 1e-6
+        return exact(*args, **kwargs) + 1e-6
 
-    monkeypatch.setattr(nip_evolution, "_map_derivative", perturbed)
+    monkeypatch.setattr(nip_evolution, "_ketket_slope", perturbed)
     code, out, _ = invoke(capsys, "n2verify")
     assert code == 3
     status = {line.split()[0]: line.split()[-1] for line in out.splitlines()[:-1]}

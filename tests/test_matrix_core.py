@@ -257,6 +257,16 @@ def test_stack_keeps_a_refused_matrix_from_its_neighbours():
         assert_same_decomposition(got, single_outcome(matrix))
 
 
+def test_mixed_stack_solves_each_matrix_by_its_own_kind():
+    # a tridiagonal well between dense matrices takes the tridiagonal
+    # route, exactly as it does alone
+    rng = np.random.default_rng(7)
+    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    stack = np.stack([dense, corner_matrix(4, 0.6j), dense.T])
+    for matrix, got in zip(stack, _decompose_stack(stack)):
+        assert_same_decomposition(got, eig_general(matrix))
+
+
 def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
     rng = np.random.default_rng(43)
     stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))

@@ -7,7 +7,6 @@ from nipsqw.config import get_tolerances
 from nipsqw.errors import (
     BadWeights,
     DefectiveAtEP,
-    NoConvergence,
     NotPositiveDefinite,
     SingularDyson,
 )
@@ -98,16 +97,6 @@ def test_ketkets_defective_at_coalescence():
         ketkets(build_h(2, z_from_r(0.0)))
     with pytest.raises(DefectiveAtEP):
         ketkets(build_h(6, z_from_r(0.0)))
-
-
-def test_ketkets_takes_a_solved_adjoint_decomposition():
-    h = build_h(5, z_from_phi(0.7))
-    solved = ketkets(h, adjoint_eig=eig_general(adjoint(h)))
-    fresh = ketkets(h)
-    np.testing.assert_array_equal(solved.eigenvalues, fresh.eigenvalues)
-    np.testing.assert_array_equal(solved.vectors, fresh.vectors)
-    with pytest.raises(DefectiveAtEP):
-        ketkets(h, adjoint_eig=NoConvergence("polish exhausted"))
 
 
 def _overlap_pairing(before, after):

@@ -6,12 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nipsqw.errors import EPProximity, NonRealNorm, NotAnObservable
+from nipsqw.config import get_tolerances
+from nipsqw.errors import (
+    DefectiveAtEP,
+    EPProximity,
+    NoConvergence,
+    NonRealNorm,
+    NotAnObservable,
+    SingularDyson,
+)
 from nipsqw.hamiltonian import PhiProfile, build_h, z_from_phi
 from nipsqw.matrix_core import adjoint, eig_general, spectral_norm
 from nipsqw.metric import _pivot_rows, build_metric, dyson_from_ketkets, ketkets
 from nipsqw.n2_oracle import N2Params, g_eigs, omega_s, regime, sigma_s, theta_s
-from nipsqw import nip_evolution
+from nipsqw import metric, nip_evolution
 from nipsqw.nip_evolution import (
     MAP_KINDS,
     EvolutionState,
@@ -113,17 +121,16 @@ def _mp_adjoint_h(n, phi):
     return h.H
 
 
-def _mp_maps(n, phi, basis):
-    """(ketket map, Hermitian root) in the gauge of a double-precision basis.
+def _mp_maps(n, phi, levels):
+    """(ketket map, Hermitian root) in the gauge of double-precision levels.
 
-    Each mpmath eigenvector is paired to the basis column with the
-    nearest eigenvalue and scaled so its entry in that column's pivot
-    row is one.
+    Each mpmath eigenvector is paired to the level with the nearest
+    eigenvalue and scaled so its entry in that level's pivot row is one.
     """
     values, vectors = mpmath.eig(_mp_adjoint_h(n, phi))
     v = mpmath.matrix(n, n)
     for k, row in enumerate(_pivot_rows(n).tolist()):
-        j = min(range(n), key=lambda i: abs(complex(values[i]) - basis.eigenvalues[k]))
+        j = min(range(n), key=lambda i: abs(complex(values[i]) - levels[k]))
         for r in range(n):
             v[r, k] = vectors[r, j] / vectors[row, j]
     return v.H, mpmath.sqrtm(v * v.H)
@@ -138,21 +145,50 @@ def _mp_maps(n, phi, basis):
 )
 def test_map_slope_matches_a_high_precision_difference(n, phi):
     # at pi/2 some diagonal entries of the N=3, 7 and 8 ketkets vanish;
-    # the end-row gauge does not see them
-    basis = ketkets(build_h(n, z_from_phi(phi)))
-    bundle = dyson_from_ketkets(basis)
+    # the end-row gauge does not see them.  At unit rate the kernel's
+    # Sigma = i Omega^-1 dOmega/dphi, so its slope is -i Omega Sigma.
+    levels = ketkets(build_h(n, z_from_phi(phi))).eigenvalues
     with mpmath.workdps(40):
         step = mpmath.mpf("1e-12")
-        upper = _mp_maps(n, mpmath.mpf(phi) + step, basis)
-        lower = _mp_maps(n, mpmath.mpf(phi) - step, basis)
+        upper = _mp_maps(n, mpmath.mpf(phi) + step, levels)
+        lower = _mp_maps(n, mpmath.mpf(phi) - step, levels)
         quotients = [
             np.array((hi - lo) / (2 * step), dtype=complex).reshape(n, n)
             for hi, lo in zip(upper, lower)
         ]
     for hermitian_map, reference in zip((False, True), quotients):
-        slope = nip_evolution._map_derivative(basis, bundle, phi, hermitian_map)[1]
+        _, sigma, _, omega = nip_evolution._stage_stack(
+            n, np.array([phi]), np.ones(1), get_tolerances(), hermitian_map=hermitian_map
+        )
+        slope = -1j * (omega[0] @ sigma[0])
         gap = spectral_norm(slope - reference) / spectral_norm(reference)
         assert gap <= 1e-11, (hermitian_map, gap)
+
+
+def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
+    # a failed adjoint solve becomes DefectiveAtEP; of two refusals in one
+    # block the earlier stage's wins, even when a later step refuses it
+    phis, rates, tol = np.linspace(0.8, 1.2, 5), np.ones(5), get_tolerances()
+    decompose, invert = metric._decompose_arrays, metric._inverse_stack
+
+    def no_convergence_at_3(stack):
+        values, vectors, condition, residual, errors = decompose(stack)
+        if len(stack) > 3:
+            errors[3] = NoConvergence("polish exhausted")
+        return values, vectors, condition, residual, errors
+
+    def singular_at_1(stack, tol):
+        inv, singular = invert(stack, tol)
+        if len(stack) > 1:
+            singular[1] = True
+        return inv, singular
+
+    monkeypatch.setattr(metric, "_decompose_arrays", no_convergence_at_3)
+    with pytest.raises(DefectiveAtEP, match="polish exhausted"):
+        nip_evolution._stage_stack(4, phis, rates, tol)
+    monkeypatch.setattr(metric, "_inverse_stack", singular_at_1)
+    with pytest.raises(SingularDyson):
+        nip_evolution._stage_stack(4, phis, rates, tol)
 
 
 def test_coriolis_guards_the_coalescence_margin():
@@ -335,6 +371,29 @@ def test_evolve_crosses_the_hermitian_angle_at_fourth_order(n, map_kind):
     fine = drift(0.01)
     assert fine <= 1e-8
     assert drift(0.02) / fine >= 8.0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_evolve_generators_are_the_generator_snapshots(n):
+    # one route: the integrator's stage kernel and generator() agree
+    profile = PhiProfile.linear(0.9, 0.2)
+    psi0 = np.ones(n) / np.sqrt(n)
+    for state in evolve(n, profile, psi0, 0.0, 0.5, 0.05):
+        snap = generator(n, profile, state.t)
+        gap = spectral_norm(state.generator - snap.G) / spectral_norm(snap.G)
+        assert gap <= 1e-13, (state.t, gap)
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+@pytest.mark.parametrize("n", [2, 3])
+def test_states_hold_double_precision_matrices(n, integrate, map_kind):
+    psi0 = np.ones(n) / np.sqrt(n)
+    states = integrate(n, PhiProfile.linear(1.0, 0.1), psi0, 0.0, 0.05, 0.01,
+                       map_kind=map_kind)
+    for field in ("psi", "theta", "generator", "omega"):
+        assert getattr(states[-1], field).dtype == np.complex128, field
+    assert np.linalg.eigvals(states[-1].generator).shape == (n,)
 
 
 # ------------------------------------------------------- textbook partner
