@@ -29,17 +29,18 @@ from .hamiltonian import (
     PhiProfile,
     RobinParams,
     build_h,
-    build_h_at_time,
     robin_to_z,
     z_from_phi,
     z_from_r,
 )
 from .matrix_core import (
-    _decompose_stack, _eigvals_general, adjoint, eig_hermitian, spectral_norm,
+    _decompose_stack, _eigvals_general, adjoint, as_square, eig_hermitian, spectral_norm,
 )
 from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
-from .nip_evolution import MAP_KINDS, evolve, expectation, generator, textbook_evolve
+from .nip_evolution import (
+    MAP_KINDS, _expectation_stack, evolve, generator, textbook_evolve,
+)
 from .spectrum import _curve_stack, ep_scan, solve_spectrum
 
 FMT = "%.17g"
@@ -336,17 +337,32 @@ def cmd_evolve(args) -> int:
     if args.crosscheck:
         header.append("crosscheck")
 
-    # every row's generator spectrum in one solve; a refusal surfaces at its row
+    # every row's generator spectrum in one solve and each observable
+    # column in one stacked pass; a refusal surfaces at its row
     spectra = _decompose_stack(np.array([state.generator for state in states]))
+    columns = []
+    if observables:
+        kets = np.array([state.psi for state in states])
+        thetas = np.array([state.theta for state in states])
+        phis, _ = args.profile(np.array([state.t for state in states]))
+        energy = build_h(args.n, z_from_phi(phis))
+        columns = [
+            _expectation_stack(
+                kets, thetas,
+                energy if matrix is None else np.broadcast_to(as_square(matrix), thetas.shape),
+            )
+            for _, matrix in observables
+        ]
     rows = []
     for idx, (state, spectrum) in enumerate(zip(states, spectra)):
         row = [state.t]
         for component in state.psi:
             row += [component.real, component.imag]
         row.append(state.phys_norm)
-        for name, matrix in observables:
-            lam = build_h_at_time(args.n, args.profile, state.t) if matrix is None else matrix
-            row.append(expectation(state, lam))
+        for values, errors in columns:
+            if errors[idx] is not None:
+                raise errors[idx]
+            row.append(values[idx])
         if isinstance(spectrum, NoConvergence):
             raise spectrum
         for value in spectrum.eigenvalues:

@@ -24,7 +24,6 @@ from .matrix_core import (
     adjoint,
     as_square,
     eig_hermitian,
-    spectral_norm,
     sqrt_hpd,
 )
 
@@ -147,15 +146,22 @@ def quasi_hermiticity_residual(h, theta) -> float:
     """Scale-free size of H^dagger Theta - Theta H.
 
     Zero exactly when the metric makes the Hamiltonian self-adjoint in
-    the physical inner product <.|Theta|.>.
+    the physical inner product <.|Theta|.>.  A stack of one through
+    ``_quasi_hermiticity_stack``.
     """
-    a = as_square(h)
-    t = as_square(theta)
-    mismatch = spectral_norm(adjoint(a) @ t - t @ a)
-    scale = spectral_norm(a) * spectral_norm(t)
-    if scale == 0.0:
-        return 0.0 if mismatch == 0.0 else float("inf")
-    return mismatch / scale
+    return float(_quasi_hermiticity_stack(as_square(h)[None], as_square(theta)[None])[0])
+
+
+def _quasi_hermiticity_stack(h, theta) -> np.ndarray:
+    """``quasi_hermiticity_residual`` of each (H, Theta) pair of two stacks."""
+
+    def norms(stack):
+        return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+    mismatch = norms(h.conj().swapaxes(-1, -2) @ theta - theta @ h)
+    scale = norms(h) * norms(theta)
+    unscaled = np.where(mismatch == 0.0, 0.0, np.inf)
+    return np.divide(mismatch, scale, out=unscaled, where=scale != 0.0)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,14 @@ as (m, N, N) expressions over a block of stage angles; ``coriolis`` and
 ``generator`` are stacks of one through it.  Two-site problems take a
 fast path: the closed-form map family and its exact derivative are
 evaluated in extended precision for every stage at once.
+
+The equation is linear in psi, so each RK4 step is a matrix,
+psi_{k+1} = R_k psi_k.  The integrator takes the stages of up to
+``STAGE_BLOCK // 2`` steps from one kernel call, forms their R_k with
+stacked matmuls in the dtype of the stage stack (complex128 for the
+generic kernel, so BLAS does them; extended precision for two sites),
+marches the extended-precision ket with one matrix-vector product per
+step and checks the block's physical norms in one stacked product.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NoConvergence, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
 from .matrix_core import _decompose_stack, _sqrt_hpd_stack, as_square
-from .metric import _dyson_stack, _ketket_slope, _ketket_stack, quasi_hermiticity_residual
+from .metric import _dyson_stack, _ketket_slope, _ketket_stack, _quasi_hermiticity_stack
 
 _CLD = np.clongdouble
 
@@ -37,10 +45,12 @@ _CLD = np.clongdouble
 #: so each conserves the same physical norm on its own.
 MAP_KINDS = ("ketket_columns", "hermitian_root")
 
-#: stages per call of the stage kernel; bounds the memory of a long
-#: trajectory and the work an early refusal wastes (2,000 steps at N=3:
-#: 0.3 MB of kernel arrays in blocks of 32, 10 MB in one piece, 0.31 s
-#: against 0.17 s; 2-core x86 VM)
+#: stages per call of the stage kernel, STAGE_BLOCK // 2 RK4 steps (the
+#: first call also computes the starting stage); bounds the memory of a
+#: long trajectory and the work an early refusal wastes.  2,000 steps at
+#: N=3 take 0.3 MB of arrays beside the states in blocks of 32, 0.6 MB in
+#: blocks of 128 and 10 MB in one piece, for 0.24 / 0.14 / 0.11 s; at N=8
+#: 0.9 / 2.9 / 38 MB for 0.57 / 0.44 / 0.46 s (2-core x86 VM, numpy 2.4)
 STAGE_BLOCK = 32
 
 
@@ -177,42 +187,46 @@ def _stage_times(t0: float, t1: float, dt: float):
     remainder = span - n_full * dt
     if remainder <= 1e-9 * dt:
         remainder = 0.0
-    steps = [dt] * n_full + ([remainder] if remainder else [])
-    t0_ld = np.longdouble(t0)
-    half = np.longdouble(dt) / 2
-    taus = [t0_ld + k * half for k in range(2 * n_full + 1)]
+    steps = np.full(n_full + bool(remainder), dt)
+    taus = np.longdouble(t0) + np.arange(2 * n_full + 1) * (np.longdouble(dt) / 2)
     if remainder:
-        taus.append(taus[-1] + np.longdouble(remainder) / 2)
-        taus.append(np.longdouble(t1))
-    return steps, np.array(taus, dtype=np.longdouble)
+        steps[-1] = remainder
+        taus = np.append(taus, [taus[-1] + np.longdouble(remainder) / 2, np.longdouble(t1)])
+    return steps, taus
 
 
-def _rk4_step(psi, h, g0, g1, g2):
-    k1 = -1j * (g0 @ psi)
-    k2 = -1j * (g1 @ (psi + (h / 2) * k1))
-    k3 = -1j * (g1 @ (psi + (h / 2) * k2))
-    k4 = -1j * (g2 @ (psi + h * k3))
-    return psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _propagators(gens, steps):
+    """RK4 step matrices R_k, with psi_{k+1} = R_k psi_k, one per step.
+
+    ``gens`` holds the stage generators G_0, G_1/2, G_1, G_3/2, ... of the
+    steps in order, 2m + 1 of them.  The ODE is linear, so the classic
+    stages K_1 = -i G_0, K_2 = -i G_1/2 (I + h/2 K_1),
+    K_3 = -i G_1/2 (I + h/2 K_2) and K_4 = -i G_1 (I + h K_3) are
+    matrices and R = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4).  The
+    propagators take the dtype of the stage stack: complex128 keeps the
+    matmuls on BLAS, which extended precision would not be.
+    """
+    g0, g_half, g1 = gens[:-1:2], gens[1::2], gens[2::2]
+    h = np.asarray(steps, dtype=np.finfo(gens.dtype).dtype)[:, None, None]
+    k1 = -1j * g0
+    k2 = -1j * (g_half + (h / 2) * (g_half @ k1))
+    k3 = -1j * (g_half + (h / 2) * (g_half @ k2))
+    k4 = -1j * (g1 + h * (g1 @ k3))
+    return np.eye(gens.shape[-1], dtype=gens.dtype) + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _quadratic_form(psi, theta) -> complex:
-    return complex(np.vdot(psi, theta @ psi))
+#: largest |Im| / |Re| a metric norm or expectation may show and still
+#: count as real to rounding
+IMAG_GATE = 1e-10
 
 
-def _make_state(t, psi, generator, theta, omega) -> EvolutionState:
-    q = _quadratic_form(psi, theta)
-    if abs(q.imag) > 1e-10 * abs(q.real):
-        raise NonRealNorm(
-            f"metric norm came out complex ({q:.3e}) at t = {float(t):.6g}"
-        )
-    return EvolutionState(
-        t=float(t),
-        psi=np.asarray(psi, dtype=complex),
-        theta=np.array(theta, dtype=complex),
-        phys_norm=float(q.real),
-        generator=np.array(generator, dtype=complex),
-        omega=np.array(omega, dtype=complex),
-    )
+def _metric_norms(kets, thetas):
+    """<psi_k|Theta_k|psi_k> of each ket against its metric, complex.
+
+    Theta psi first, then the inner product, as stacked matmuls: each row
+    rounds as ``np.vdot(psi, theta @ psi)`` does, which einsum would not.
+    """
+    return (kets.conj()[:, None, :] @ (thetas @ kets[..., None]))[:, 0, 0]
 
 
 def _two_site_stack(phis, rates, textbook):
@@ -276,39 +290,50 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         usable = (first_bad - 1) // 2
         t_fail = float(taus[first_bad])
 
-    n_stages = 2 * usable + 1
-    phis, rates = phis[:n_stages], rates[:n_stages]
     two_site = n == 2 and not hermitian_map
-    block = n_stages if two_site else STAGE_BLOCK
-
-    def stages():
-        """(generator, theta, omega) of every stage in order, a block at a time."""
-        for lo in range(0, n_stages, block):
-            span = slice(lo, lo + block)
-            h, second, theta, omega = (
-                _two_site_stack(phis[span], rates[span], textbook) if two_site
-                else _stage_stack(n, phis[span], rates[span], tol, textbook, hermitian_map)
-            )
-            yield from zip(second if textbook else h - second, theta, omega)
-
-    identity = np.eye(n, dtype=complex)
-
-    def state_at(k, psi, gen, theta, omega):
-        if textbook:
-            theta = omega = identity
-        return _make_state(taus[2 * k], psi, gen, theta, omega)
-
-    stage = stages()
-    g0, theta, omega = next(stage)
+    per_call = max(1, usable if two_site else STAGE_BLOCK // 2)
+    edges = [0, *range(per_call, usable, per_call), usable]
     psi = psi0.astype(_CLD)
-    if textbook:
-        psi = omega @ psi
-    states = [state_at(0, psi, g0, theta, omega)]
-    for k in range(usable):
-        (g1, _, _), (g2, theta, omega) = next(stage), next(stage)
-        psi = _rk4_step(psi, np.longdouble(steps[k]), g0, g1, g2)
-        states.append(state_at(k + 1, psi, g2, theta, omega))
-        g0 = g2
+    states = []
+    for lo, hi in zip(edges, edges[1:]):
+        # steps lo..hi-1 take stages 2 lo..2 hi; the block before ends at
+        # stage 2 lo, so only the first block computes its starting state
+        start = int(lo > 0)
+        span = slice(2 * lo + start, 2 * hi + 1)
+        h, second, theta, omega = (
+            _two_site_stack(phis[span], rates[span], textbook) if two_site
+            else _stage_stack(n, phis[span], rates[span], tol, textbook, hermitian_map)
+        )
+        gens = second if textbook else h - second
+        if textbook and not start:
+            psi = omega[0] @ psi
+        propagators = _propagators(
+            np.concatenate([last_gen, gens]) if start else gens, steps[lo:hi]
+        )
+        last_gen = gens[-1:]
+        kets = np.empty((hi - lo + 1, n), dtype=_CLD)
+        kets[0] = psi
+        for k, step in enumerate(propagators.astype(_CLD, copy=False), start=1):
+            kets[k] = psi = step @ psi
+        kets = kets[start:]
+        at_state = slice(start, None, 2)  # the stack rows at even global stages
+        times = taus[2 * (lo + start) : 2 * hi + 1 : 2]
+        if textbook:
+            theta = omega = np.broadcast_to(np.eye(n), theta.shape)
+        norms = _metric_norms(kets, theta[at_state])
+        bad = np.flatnonzero(np.abs(norms.imag) > IMAG_GATE * np.abs(norms.real))
+        if bad.size:
+            q, t = complex(norms[bad[0]]), float(times[bad[0]])
+            raise NonRealNorm(f"metric norm came out complex ({q:.3e}) at t = {t:.6g}")
+        states += map(
+            EvolutionState,
+            times.astype(float).tolist(),
+            kets.astype(complex),
+            theta[at_state].astype(complex),
+            norms.real.astype(float).tolist(),
+            gens[at_state].astype(complex),
+            omega[at_state].astype(complex),
+        )
     if t_fail is not None:
         raise EPProximity(
             f"trajectory reached the exceptional-point margin at t = {t_fail:.6g}",
@@ -366,10 +391,36 @@ def textbook_evolve(
 
 def physical_norm(state: EvolutionState) -> float:
     """Metric norm <psi|Theta|psi>, demanded real to rounding."""
-    q = _quadratic_form(state.psi, as_square(state.theta))
-    if abs(q.imag) > 1e-10 * abs(q.real):
+    q = complex(_metric_norms(np.asarray(state.psi)[None], as_square(state.theta)[None])[0])
+    if abs(q.imag) > IMAG_GATE * abs(q.real):
         raise NonRealNorm(f"metric norm has imaginary part {q.imag:.3e}")
     return float(q.real)
+
+
+def _expectation_stack(kets, thetas, lams):
+    """Metric expectations of each ket, with each row's refusal or None.
+
+    Row k is <psi|Theta Lambda|psi> / <psi|Theta|psi> for its own ket,
+    metric and operator.  It is refused with ``NotAnObservable`` when
+    Lambda fails quasi-Hermiticity against Theta, else with
+    ``NonRealNorm`` when the value is not real to rounding.
+    """
+    mismatch = _quasi_hermiticity_stack(lams, thetas).tolist()
+    # Python's complex division, which rounds unlike numpy's near the gate
+    values = [
+        num / den
+        for num, den in zip(_metric_norms(kets, thetas @ lams).tolist(),
+                            _metric_norms(kets, thetas).tolist())
+    ]
+    errors = [
+        NotAnObservable(f"metric compatibility residual {gap:.3e} exceeds 1e-08")
+        if gap > 1e-8
+        else NonRealNorm(f"expectation has imaginary part {value.imag:.3e}")
+        if abs(value.imag) > IMAG_GATE * max(1.0, abs(value.real))
+        else None
+        for gap, value in zip(mismatch, values)
+    ]
+    return [value.real for value in values], errors
 
 
 def expectation(state: EvolutionState, lam) -> float:
@@ -378,15 +429,9 @@ def expectation(state: EvolutionState, lam) -> float:
     Only operators compatible with the instantaneous metric qualify;
     for those the value is real up to rounding.
     """
-    lam = as_square(lam)
-    theta = as_square(state.theta)
-    mismatch = quasi_hermiticity_residual(lam, theta)
-    if mismatch > 1e-8:
-        raise NotAnObservable(
-            f"metric compatibility residual {mismatch:.3e} exceeds 1e-08"
-        )
-    weight = _quadratic_form(state.psi, theta)
-    value = _quadratic_form(state.psi, theta @ lam) / weight
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise NonRealNorm(f"expectation has imaginary part {value.imag:.3e}")
-    return float(value.real)
+    values, errors = _expectation_stack(
+        np.asarray(state.psi)[None], as_square(state.theta)[None], as_square(lam)[None]
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return values[0]

@@ -319,6 +319,60 @@ def test_evolve_aborts_at_margin_with_partial_trajectory():
     assert ts[-1] < err.t_fail
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_margin_abort_keeps_the_prefix_before_the_first_refused_stage(n):
+    # the prefix ends at the last step whose stages all clear the margin,
+    # and it is the trajectory a run to that step returns
+    profile, dt, psi0 = PhiProfile.linear(0.5, -0.25), 0.01, np.ones(n)
+    with pytest.raises(EPProximity) as info:
+        evolve(n, profile, psi0, 0.0, 10.0, dt)
+    taus = np.arange(2001) * (np.longdouble(dt) / 2)
+    phis, _ = profile(taus.astype(float))
+    first_bad = int(np.argmax(np.abs(np.sin(phis)) < get_tolerances().ep_margin))
+    prefix = info.value.trajectory
+    assert [s.t for s in prefix] == taus[: first_bad : 2].astype(float).tolist()
+    assert info.value.t_fail == float(taus[first_bad])
+    for state, ref in zip(prefix, evolve(n, profile, psi0, 0.0, prefix[-1].t, dt), strict=True):
+        np.testing.assert_array_equal(state.psi, ref.psi)
+
+
+def test_a_complex_norm_names_its_earliest_state(monkeypatch):
+    # every stage from t = 0.225 on gets a complex metric; 0.225 is a
+    # half step, so the first refused state is t = 0.23, in the second block
+    kernel = nip_evolution._stage_stack
+
+    def corrupted(n, phis, rates, tol, textbook=False, hermitian_map=False):
+        h, sigma, theta, omega = kernel(n, phis, rates, tol, textbook, hermitian_map)
+        bad = (phis >= 1.0 + 0.1 * 0.2225)[:, None, None]
+        return h, sigma, theta + 1e-6j * bad * np.eye(n), omega
+
+    monkeypatch.setattr(nip_evolution, "_stage_stack", corrupted)
+    with pytest.raises(NonRealNorm, match=r"came out complex .* at t = 0\.23$"):
+        evolve(3, PhiProfile.linear(1.0, 0.1), np.ones(3), 0.0, 0.6, 0.01)
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+def test_a_refusal_in_a_later_block_still_raises(integrate, map_kind):
+    # with this floor the N=3 ketket map is first refused near t = 2.36,
+    # several stage blocks in
+    tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.2)
+    profile, psi0 = PhiProfile.linear(1.0, -0.25), np.ones(3)
+    states = integrate(3, profile, psi0, 0.0, 2.0, 0.02, tol=tol, map_kind=map_kind)
+    assert len(states) == 101
+    with pytest.raises(SingularDyson, match="reciprocal condition at or below 0.2"):
+        integrate(3, profile, psi0, 0.0, 3.0, 0.02, tol=tol, map_kind=map_kind)
+
+
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_empty_horizon_returns_the_initial_state(n, integrate):
+    states = integrate(n, PhiProfile.linear(1.0, 0.1), np.ones(n), 0.5, 0.5, 0.1)
+    assert len(states) == 1
+    assert states[0].t == 0.5
+    assert physical_norm(states[0]) == pytest.approx(states[0].phys_norm, rel=1e-12)
+
+
 def test_evolve_rejects_bad_arguments():
     profile = PhiProfile.constant(1.0)
     with pytest.raises(ValueError):
@@ -394,6 +448,20 @@ def test_states_hold_double_precision_matrices(n, integrate, map_kind):
     for field in ("psi", "theta", "generator", "omega"):
         assert getattr(states[-1], field).dtype == np.complex128, field
     assert np.linalg.eigvals(states[-1].generator).shape == (n,)
+
+
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+@pytest.mark.parametrize("n", [2, 3])
+def test_states_do_not_share_memory(n, integrate):
+    # textbook states all carry the identity; each must own its copies
+    states = integrate(n, PhiProfile.linear(1.0, 0.1), np.ones(n), 0.0, 0.05, 0.01)
+    later = [np.copy(getattr(states[1], field)) for field in ("psi", "theta", "omega")]
+    omega = states[0].omega.copy()
+    states[0].theta[...] = 7.0
+    states[0].psi[...] = 7.0
+    np.testing.assert_array_equal(states[0].omega, omega)
+    for field, before in zip(("psi", "theta", "omega"), later):
+        np.testing.assert_array_equal(getattr(states[1], field), before)
 
 
 # ------------------------------------------------------- textbook partner
@@ -534,3 +602,31 @@ def test_every_state_carries_a_consistent_map_and_generator(drive):
         slope = (_metric_at(n, phi + delta) - _metric_at(n, phi - delta)) / (2 * delta)
         flow = 1j * (adjoint(g) @ theta - theta @ g) + phi_dot * slope
         assert spectral_norm(flow) <= 1e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(2, 6),
+    st.floats(0.8, np.pi - 0.8),
+    st.floats(-0.3, 0.3),
+    st.floats(0.005, 0.05),
+    st.integers(1, 24),
+)
+def test_evolve_is_classic_rk4_on_the_generator(n, phi0, rate, dt, steps):
+    # the textbook k1..k4 on vectors, with G(t) from generator() at t,
+    # t + dt/2 and t + dt; phi stays in [0.2, pi - 0.2], and runs of more
+    # than 16 steps cross a stage block
+    profile = PhiProfile.linear(phi0, rate)
+    psi = np.ones(n) + 0.5j * np.arange(n)
+    states = evolve(n, profile, psi, 0.0, steps * dt, dt)
+    assert len(states) == steps + 1
+    g = [generator(n, profile, k * dt / 2).G for k in range(2 * steps + 1)]
+    for k, state in enumerate(states):
+        if k:
+            g0, g_half, g1 = g[2 * k - 2 : 2 * k + 1]
+            k1 = -1j * (g0 @ psi)
+            k2 = -1j * (g_half @ (psi + dt / 2 * k1))
+            k3 = -1j * (g_half @ (psi + dt / 2 * k2))
+            k4 = -1j * (g1 @ (psi + dt * k3))
+            psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.linalg.norm(state.psi - psi) <= 1e-12 * np.linalg.norm(psi), k
