@@ -306,6 +306,20 @@ def cmd_metric(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = _config(args)
+    if not 0.0 < args.dt < np.inf:
+        return _usage_error("--dt must be positive and finite")
+    if not -np.inf < args.t0 <= args.t1 < np.inf:
+        return _usage_error("--t0 and --t1 must be finite, --t1 not below --t0")
+    if args.psi0.size != args.n:
+        return _usage_error(f"--psi0 needs {args.n} re,im pairs, got {args.psi0.size}")
+    if not (np.all(np.isfinite(args.psi0)) and np.any(args.psi0)):
+        return _usage_error("--psi0 must be finite and nonzero")
+    for name, matrix in args.observable or []:
+        if matrix is not None and matrix.shape != (args.n, args.n):
+            return _usage_error(
+                f"observable {name!r} is {matrix.shape[0]}x{matrix.shape[1]}, "
+                f"need {args.n}x{args.n}"
+            )
     tol = cfg.tolerances
     aborted = None
     try:

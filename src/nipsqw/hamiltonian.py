@@ -12,12 +12,15 @@ phi with z = i*cos(phi) so that the coupling strength is sin(phi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DegenerateBoundary, OutOfRange
 from .matrix_core import as_square, spectral_norm
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,8 @@ class PhiProfile:
     Calling the profile returns the pair (phi, phi_dot); both scalars
     and arrays of times are accepted.  Tabulated profiles interpolate
     with a cubic spline and differentiate the spline itself, never the
-    raw samples.
+    raw samples; they refuse times outside the table with ``OutOfRange``
+    instead of extrapolating.
     """
 
     KINDS = ("constant", "linear", "sinusoidal", "tabulated")
@@ -120,6 +124,9 @@ class PhiProfile:
 
     @classmethod
     def tabulated(cls, times, phis) -> "PhiProfile":
+        # scipy.interpolate is most of a cold start, so only tables load it
+        from scipy.interpolate import CubicSpline
+
         t = np.asarray(times, dtype=float)
         p = np.asarray(phis, dtype=float)
         if t.ndim != 1 or t.shape != p.shape or t.size < 4:
@@ -180,6 +187,15 @@ class PhiProfile:
             phi = self.params["phi0"] + amp * np.sin(freq * t_arr)
             dot = amp * freq * np.cos(freq * t_arr)
         else:
+            # no extrapolation; the slack admits the stage grid's end rounding
+            lo, hi = self.params["t_min"], self.params["t_max"]
+            slack = 1e-9 * (hi - lo)
+            outside = t_arr[(t_arr < lo - slack) | (t_arr > hi + slack)]
+            if outside.size:
+                raise OutOfRange(
+                    f"time {outside.flat[0]:.17g} is outside the table's span "
+                    f"[{lo:.17g}, {hi:.17g}]"
+                )
             phi = self._spline(t_arr)
             dot = self._spline_dot(t_arr)
         if t_arr.ndim == 0:

@@ -392,6 +392,41 @@ def test_evolve_flag_validation(capsys):
     assert code == 1
 
 
+def test_evolve_table_profile_matches_its_line(capsys, tmp_path):
+    # a cubic spline through samples of a line is that line
+    times = np.linspace(0.0, 1.0, 6)
+    table = tmp_path / "line.csv"
+    np.savetxt(table, np.column_stack([times, 1.2 - 0.3 * times]), delimiter=",")
+    common = ("evolve", "--n", "3", "--psi0", "1,0,0.5,0.5,0,-1", "--t1", "1",
+              "--dt", "0.05", "--observable", "hamiltonian", "--crosscheck")
+    code, out, _ = invoke(capsys, *common, "--profile", f"table:{table}")
+    assert code == 0
+    header, rows = table_of(out)
+    code, out, _ = invoke(capsys, *common, "--profile", "linear:phi0=1.2,omega=-0.3")
+    assert code == 0
+    want_header, want_rows = table_of(out)
+    assert header == want_header
+    got = np.array(rows, dtype=float)
+    want = np.array(want_rows, dtype=float)
+    np.testing.assert_array_equal(got[:, 0], want[:, 0])
+    # every column but the rounding-level crosscheck
+    got, want = got[:, :-1], want[:, :-1]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_evolve_past_the_table_exits_two(capsys, tmp_path):
+    table = tmp_path / "short.csv"
+    table.write_text("0,1.0\n1,1.05\n2,1.1\n3,1.15\n")
+    argv = ("evolve", "--n", "2", "--profile", f"table:{table}",
+            "--psi0", "1,0,0,0", "--dt", "0.1")
+    code, out, err = invoke(capsys, *argv, "--t1", "30")
+    assert code == 2
+    assert out == "" and "outside the table" in err and "Traceback" not in err
+    code, out, _ = invoke(capsys, *argv, "--t1", "3")
+    assert code == 0
+    assert table_of(out)[1][-1][0] == "3"
+
+
 # ------------------------------------------------------------------- epscan
 
 
@@ -511,7 +546,31 @@ def test_reruns_are_byte_identical(capsys):
     assert first == second
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, tmp_path):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("1,0,0,0,0,0\n0,0,1,0,0,0\n0,0,0,0,1,0\n")
+    evolve = ("evolve", "--n", "2", "--profile", "constant:phi=1.0")
+    ket = ("--psi0", "1,0,0,0")
+    horizon = ("--t1", "1", "--dt", "0.1")
+    evolve_errors = (
+        (*evolve, *ket, "--t1", "1", "--dt", "0"),
+        (*evolve, *ket, "--t1", "1", "--dt", "-0.1"),
+        (*evolve, *ket, "--t1", "1", "--dt", "inf"),
+        (*evolve, *ket, "--t0", "1", "--t1", "0.5", "--dt", "0.1"),
+        (*evolve, *ket, "--t1", "inf", "--dt", "0.1"),
+        (*evolve, *ket, "--t1", "nan", "--dt", "0.1"),
+        (*evolve, "--psi0", "1,0", *horizon),
+        (*evolve, "--psi0", "1,0,0,0,0,0", *horizon),
+        (*evolve, "--psi0", "0,0,0,0", *horizon),
+        (*evolve, "--psi0", "nan,0,0,0", *horizon),
+        (*evolve, *ket, *horizon, "--observable", f"file:{wide}"),
+    )
+    for argv in evolve_errors:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1, argv
+        assert out == "" and "Traceback" not in err, argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("nipsqw: error: "), argv
     for argv in (
         ("spectrum", "--n", "2"),
         ("spectrum", "--n", "2", "--r", "0.5", "--z", "0,1"),
@@ -525,8 +584,9 @@ def test_usage_errors_exit_one(capsys):
          "--workers", "2"),
         ("n2verify", "--fd-step", "0.1"),
     ):
-        code, _, _ = invoke(capsys, *argv)
+        code, _, err = invoke(capsys, *argv)
         assert code == 1, argv
+        assert "Traceback" not in err, argv
 
 
 def test_tolerance_override_file(capsys, tmp_path, monkeypatch):

@@ -198,6 +198,28 @@ def test_profile_tabulated_rejects_unsorted():
         PhiProfile.tabulated([0.0, 1.0, 0.5, 2.0], [1.0, 1.1, 1.2, 1.3])
 
 
+EXTRAPOLATING_TABLE = ([0.0, 1.0, 2.0, 3.0], [1.0, 1.05, 1.1, 1.15])
+
+
+@pytest.mark.parametrize(
+    "t", [30.0, 3.0 + 1e-6, -1e-6, -2.0, [1.0, 3.5], [-0.5, 2.0], [[0.0], [30.0]]]
+)
+def test_profile_tabulated_refuses_to_extrapolate(t):
+    # the spline's end polynomial would answer p(30) = (2.5, 0.05)
+    p = PhiProfile.tabulated(*EXTRAPOLATING_TABLE)
+    with pytest.raises(OutOfRange, match="outside the table"):
+        p(t)
+
+
+def test_profile_tabulated_admits_the_end_rounding_slack():
+    p = PhiProfile.tabulated(*EXTRAPOLATING_TABLE)
+    inside = np.array([-2e-9, 0.0, 1.5, 3.0, 3.0 + 2e-9])  # slack is 3e-9
+    phi, dot = p(inside)
+    np.testing.assert_allclose(phi, 1.0 + 0.05 * inside, rtol=1e-12)
+    np.testing.assert_allclose(dot, 0.05, rtol=1e-12)
+    assert p(3.0 + 2e-9) == (pytest.approx(1.15 + 1e-10, rel=1e-12), pytest.approx(0.05))
+
+
 def test_profile_grammar_roundtrip():
     assert PhiProfile.from_spec("constant:phi=1.2")(0.0) == (1.2, 0.0)
     phi, dot = PhiProfile.from_spec("linear:phi0=1.0,omega=0.1")(2.0)

@@ -412,6 +412,22 @@ def test_evolve_three_site_route():
 
 
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_a_table_of_a_line_drives_like_the_line(n, map_kind):
+    # a cubic spline through samples of a line is that line
+    times = np.linspace(0.0, 1.0, 6)
+    table = PhiProfile.tabulated(times, 1.2 - 0.3 * times)
+    line = PhiProfile.linear(1.2, -0.3)
+    psi0 = np.arange(1, n + 1) + 0.5j
+    got = evolve(n, table, psi0, 0.0, 1.0, 0.05, map_kind=map_kind)
+    want = evolve(n, line, psi0, 0.0, 1.0, 0.05, map_kind=map_kind)
+    assert [s.t for s in got] == [s.t for s in want]
+    got_psi = np.array([s.psi for s in got])
+    want_psi = np.array([s.psi for s in want])
+    assert np.max(np.abs(got_psi - want_psi)) <= 1e-12 * np.max(np.abs(want_psi))
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
 @pytest.mark.parametrize("n", [3, 7, 8])
 def test_evolve_crosses_the_hermitian_angle_at_fourth_order(n, map_kind):
     # at phi = pi/2 a diagonal entry of some ketkets vanishes for these
