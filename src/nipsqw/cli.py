@@ -34,14 +34,14 @@ from .hamiltonian import (
     z_from_r,
 )
 from .matrix_core import (
-    _decompose_stack, _eigvals_general, adjoint, as_square, eig_hermitian, spectral_norm,
+    _decompose_arrays, _decompose_stack, adjoint, as_square, eig_hermitian, spectral_norm,
 )
 from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
 from .nip_evolution import (
     MAP_KINDS, _expectation_stack, evolve, generator, textbook_evolve,
 )
-from .spectrum import _curve_stack, ep_scan, solve_spectrum
+from .spectrum import _curve_stack, ep_scan
 
 FMT = "%.17g"
 
@@ -126,6 +126,27 @@ def _resolve_boundary(args) -> complex:
     if getattr(args, "phi", None) is not None:
         return z_from_phi(args.phi)
     return robin_to_z(args.robin)
+
+
+def _flag_problem(args) -> str | None:
+    """The usage error among the parsed numbers, or None.
+
+    A command with --n needs at least two sites, and the numbers of
+    these flags must be finite; ``cmd_evolve`` checks its own time grid,
+    ket and observables.
+    """
+    if getattr(args, "n", 2) < 2:
+        return f"need at least two sites, got {args.n}"
+    for name in ("z", "r", "phi", "robin", "kappa", "e_min", "e_max", "profile",
+                 "ep_margin", "phi_grid"):
+        value = getattr(args, name, None)
+        if isinstance(value, RobinParams):
+            value = (value.alpha, value.beta, value.grid_h)
+        elif isinstance(value, PhiProfile):
+            value = tuple(value.params.values())
+        if value is not None and not np.all(np.isfinite(value)):
+            return f"--{name.replace('_', '-')} takes finite numbers only"
+    return None
 
 
 def _usage_error(message: str) -> int:
@@ -243,15 +264,13 @@ def _svg_line_plot(points, x_label, y_label) -> str:
 def cmd_spectrum(args) -> int:
     cfg = _config(args)
     h = build_h(args.n, _resolve_boundary(args))
-    try:
-        result = solve_spectrum(h, tol_real=cfg.tolerances.tol_real)
-        energies, flags = result.energies, result.real_flags
-    except NoConvergence:
-        # Defective (or nearly so): the eigenvector gate refuses, but the
-        # energies themselves are still well conditioned, so fall back to
-        # the values-only dispatch and classify reality the same way.
-        energies = _eigvals_general(h)
-        flags = np.abs(energies.imag) <= cfg.tolerances.tol_real
+    # A defective point fails the eigenvector gate but keeps its energies,
+    # which stay well conditioned; only energies that failed are NaN.
+    values, _, _, _, errors = _decompose_arrays(h[None])
+    energies = values[0]
+    if np.isnan(energies).any():
+        raise errors[0]
+    flags = np.abs(energies.imag) <= cfg.tolerances.tol_real
     rows = [
         (idx + 1, e.real, e.imag, bool(flag))
         for idx, (e, flag) in enumerate(zip(energies, flags))
@@ -320,6 +339,8 @@ def cmd_evolve(args) -> int:
                 f"observable {name!r} is {matrix.shape[0]}x{matrix.shape[1]}, "
                 f"need {args.n}x{args.n}"
             )
+        if matrix is not None and not np.all(np.isfinite(matrix)):
+            return _usage_error(f"observable {name!r} takes finite numbers only")
     tol = cfg.tolerances
     aborted = None
     try:
@@ -614,6 +635,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    problem = _flag_problem(args)
+    if problem is not None:
+        return _usage_error(problem)
     try:
         return args.handler(args)
     except BadOverrides as exc:

@@ -108,10 +108,6 @@ class EigenDecomposition:
     residual: float
 
 
-def _ascending_order(values: np.ndarray) -> np.ndarray:
-    return np.lexsort((values.imag, values.real), axis=-1)
-
-
 def _eig2_closed_form(a: np.ndarray):
     """Roots of each 2x2 characteristic quadratic in extended precision.
 
@@ -322,57 +318,58 @@ def _inverse_iteration(a: np.ndarray, values: np.ndarray):
     return vectors.reshape(n, m, n).transpose(1, 0, 2), first_failed
 
 
-def _tridiag_eig(a: np.ndarray, vectors: bool):
-    """Continuant-polished roots, plus inverse iteration for the vectors."""
+def _tridiag_eig(a: np.ndarray):
+    """Continuant-polished roots, plus inverse iteration for the vectors.
+
+    Returns the values, the vectors and per matrix None or its
+    NoConvergence.  A matrix whose polish did not converge gets NaN
+    values; one whose vectors failed keeps its values.
+    """
     n = a.shape[-1]
     seeds = np.linalg.eigvals(a)
     diag = np.diagonal(a, 0, 1, 2).astype(_CLD)
     offprod = (np.diagonal(a, 1, 1, 2) * np.diagonal(a, -1, 1, 2)).astype(_CLD)
     roots, converged = _aberth_polish(diag, offprod, seeds)
     values = roots.astype(complex)
-    errors = [
-        None if ok else NoConvergence(f"root polish exhausted {100 * n * n} iterations")
-        for ok in converged
-    ]
-    if not vectors:
-        return values, None, errors
     vecs, first_failed = _inverse_iteration(a, values)
-    for k, level in enumerate(first_failed):
-        if level >= 0 and errors[k] is None:
-            errors[k] = NoConvergence(
-                f"inverse iteration failed at eigenvalue {values[k, level]}"
-            )
+    errors = [
+        NoConvergence(f"root polish exhausted {100 * n * n} iterations") if not ok
+        else NoConvergence(f"inverse iteration failed at eigenvalue {values[k, level]}")
+        if level >= 0 else None
+        for k, (ok, level) in enumerate(zip(converged, first_failed))
+    ]
+    values[~converged] = np.nan
     return values, vecs, errors
 
 
-def _dense_eig(a: np.ndarray, vectors: bool):
-    """LAPACK on the whole stack; one matrix at a time if any one fails."""
+def _dense_eig(a: np.ndarray):
+    """LAPACK on the whole stack; one matrix at a time if any one fails.
+
+    A matrix that LAPACK fails gets NaN values.
+    """
     try:
-        if vectors:
-            values, vecs = np.linalg.eig(a)
-        else:
-            values, vecs = np.linalg.eigvals(a), None
+        values, vecs = np.linalg.eig(a)
         return values, vecs, [None] * len(a)
     except np.linalg.LinAlgError as exc:
         if len(a) == 1:
-            vecs = a.copy() if vectors else None
-            return np.zeros(a.shape[:2], dtype=complex), vecs, [NoConvergence(str(exc))]
-    values, vecs, errors = zip(*(_dense_eig(matrix[None], vectors) for matrix in a))
-    vecs = np.concatenate(vecs) if vectors else None
-    return np.concatenate(values), vecs, [error for (error,) in errors]
+            values = np.full(a.shape[:2], np.nan, dtype=complex)
+            return values, a.copy(), [NoConvergence(str(exc))]
+    values, vecs, errors = zip(*(_dense_eig(matrix[None]) for matrix in a))
+    return np.concatenate(values), np.concatenate(vecs), [error for (error,) in errors]
 
 
-def _eig_stack(stack: np.ndarray, vectors: bool):
-    """Unsorted eigenvalues of an (m, N, N) stack, with failures per matrix.
+def _eig_stack(stack: np.ndarray):
+    """Unsorted eigenpairs of an (m, N, N) stack, with failures per matrix.
 
-    Returns the (m, N) eigenvalues, the (m, N, N) right eigenvectors
-    when ``vectors`` (else None), and per matrix None or the
-    NoConvergence its solve ended in; a failed matrix holds the values
-    0 and identity vectors, so it never spoils its neighbours.  Closed
-    form at N=2; continuant-polished roots (plus inverse iteration for
-    the vectors) for each tridiagonal matrix, the dense solver for the
-    rest, so a matrix's result does not depend on the others in its
-    stack.  Each kind is solved in chunks that keep the work arrays
+    Returns the (m, N) eigenvalues, the (m, N, N) right eigenvectors and,
+    per matrix, None or the NoConvergence its solve ended in.  A failed
+    matrix holds identity vectors, so it never spoils its neighbours; it
+    keeps its eigenvalues when only its vectors failed, and holds NaN
+    values when its values failed (a root polish that did not converge,
+    or a LAPACK failure).  Closed form at N=2; continuant-polished roots
+    and inverse iteration for each tridiagonal matrix, the dense solver
+    for the rest, so a matrix's result does not depend on the others in
+    its stack.  Each kind is solved in chunks that keep the work arrays
     near 1 MB.
     """
     m, n, _ = stack.shape
@@ -386,43 +383,17 @@ def _eig_stack(stack: np.ndarray, vectors: bool):
     off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
     dense = stack[:, off_band].any(axis=-1)
     chunk = max(1, _CHUNK_ENTRIES // (n * n))
-    values = np.zeros((m, n), dtype=complex)
-    vecs = np.empty((m, n, n), dtype=complex) if vectors else None
+    values = np.empty((m, n), dtype=complex)
+    vecs = np.empty((m, n, n), dtype=complex)
     errors = [None] * m
     for solve, kind in ((_dense_eig, dense), (_tridiag_eig, ~dense)):
         members = np.flatnonzero(kind)
         for part in (members[lo:lo + chunk] for lo in range(0, len(members), chunk)):
-            values[part], part_vecs, part_errors = solve(stack[part], vectors)
-            if vectors:
-                vecs[part] = part_vecs
+            values[part], vecs[part], part_errors = solve(stack[part])
             for k, error in zip(part, part_errors):
                 errors[k] = error
-    for k, error in enumerate(errors):
-        if error is not None:
-            values[k] = 0.0
-            if vectors:
-                vecs[k] = np.eye(n)
+    vecs[[error is not None for error in errors]] = np.eye(n)
     return values, vecs, errors
-
-
-def _eigvals_stack(stack: np.ndarray):
-    """Sorted eigenvalues of a stack, with the per-matrix failures."""
-    values, _, errors = _eig_stack(stack, vectors=False)
-    return np.take_along_axis(values, _ascending_order(values), axis=-1), errors
-
-
-def _eigvals_general(matrix) -> np.ndarray:
-    """Eigenvalues only, same dispatch as ``eig_general``, no vector gate.
-
-    Defective matrices have well-conditioned eigenvalue clusters even
-    when no acceptable eigenvector basis exists, so diagnostics that
-    need gaps (not vectors) can still use this after ``eig_general``
-    refuses.
-    """
-    values, errors = _eigvals_stack(as_square(matrix)[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return values[0]
 
 
 def _decompose_arrays(stack: np.ndarray):
@@ -431,11 +402,13 @@ def _decompose_arrays(stack: np.ndarray):
     Returns the ascending eigenvalues (m, N), the unit right vectors
     (m, N, N), the vector conditions and eigenpair residuals (m,), and
     per matrix None or the NoConvergence that ``eig_general(stack[k])``
-    raises.
+    raises.  A refused matrix still has its eigenvalues, so a defective
+    point keeps its energies; they are NaN only where the values
+    themselves failed (``_eig_stack``).
     """
     m, n, _ = stack.shape
-    values, vectors, errors = _eig_stack(stack, vectors=True)
-    order = _ascending_order(values)
+    values, vectors, errors = _eig_stack(stack)
+    order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)

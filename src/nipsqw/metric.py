@@ -45,10 +45,6 @@ class KetketBasis:
     vectors: np.ndarray
 
 
-def _descending_order(values: np.ndarray) -> np.ndarray:
-    return np.lexsort((-values.imag, -values.real))
-
-
 def _pivot_rows(n: int) -> np.ndarray:
     """Row whose entry is one in each ketket column: 0 below N/2, else N-1.
 
@@ -89,13 +85,12 @@ def _ketket_stack(h: np.ndarray):
         else DefectiveAtEP("eigenvector matrix is numerically singular")
         for failure, cond in zip(failures, condition)
     ]
-    order = _descending_order(values)
-    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
-    unit = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
+    # the solver's ascending unit columns, read in reverse
+    unit = vectors[:, :, ::-1]
     pivots = unit[:, _pivot_rows(n), np.arange(n)]
     # a failed solve holds identity columns, whose pivot entries may vanish
     pivots[[error is not None for error in errors]] = 1.0
-    return np.take_along_axis(values, order, axis=-1), unit / pivots[:, None, :], errors
+    return values[:, ::-1], unit / pivots[:, None, :], errors
 
 
 def _ketket_slope(phis, values, vectors, omega_inv) -> np.ndarray:

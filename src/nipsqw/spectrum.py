@@ -17,13 +17,7 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h, z_from_r
-from .matrix_core import (
-    COND_CEILING,
-    EigenDecomposition,
-    _decompose_arrays,
-    _eigvals_stack,
-    eig_general,
-)
+from .matrix_core import COND_CEILING, EigenDecomposition, _decompose_arrays, eig_general
 
 _CLD = np.clongdouble
 
@@ -235,11 +229,12 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
 
     Returns rows (r, min_gap, vector_condition); the condition number
     blowing up as r -> 0 while the smallest gap closes is the
-    exceptional-point signature.  Where the full eigendecomposition
-    gives up (defective point), or its condition reaches
-    ``COND_CEILING``, the condition is the +inf sentinel; a failed
-    decomposition takes its gap from an eigenvalue-only pass, and a nan
-    gap means even that failed.  The whole grid is solved as one stack.
+    exceptional-point signature.  Where the eigendecomposition gives up
+    (defective point), or its condition reaches ``COND_CEILING``, the
+    condition is the +inf sentinel.  The gaps come from the same solve,
+    which keeps the eigenvalues of a defective point; a nan gap means
+    the eigenvalues themselves failed.  The whole grid is solved as one
+    stack.
     """
     r_values = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if np.any(np.abs(r_values) > 1.0):
@@ -254,12 +249,7 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     rows = np.empty((r_values.size, 3), dtype=float)
     rows[:, 0] = r_values
     values, _, rows[:, 2], _, errors = _decompose_arrays(stack)
-    failed = np.flatnonzero([error is not None for error in errors])
-    values[failed], rows[failed, 2] = np.nan, np.inf
-    if failed.size:
-        fallback, errors = _eigvals_stack(stack[failed])
-        solved = [error is None for error in errors]
-        values[failed[solved]] = fallback[solved]
+    rows[[error is not None for error in errors], 2] = np.inf
     rows[:, 1] = min_gap(values)
     rows[rows[:, 2] >= COND_CEILING, 2] = np.inf
     return rows

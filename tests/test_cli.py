@@ -1,14 +1,17 @@
 """End-to-end drives of the command-line entry point, run in process."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from nipsqw import nip_evolution
+from nipsqw import matrix_core, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, main, run_identity_suite
-from nipsqw.hamiltonian import RobinParams, robin_to_z
+from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
+from nipsqw.matrix_core import _decompose_arrays
 from nipsqw.n2_oracle import g_eigs
+from nipsqw.spectrum import ep_scan
 
 
 def invoke(capsys, *argv):
@@ -474,6 +477,49 @@ def test_epscan_exact_coalescence_is_a_defective_row(capsys):
     assert "defective_rows=1" in err
 
 
+def test_defective_energies_come_from_the_one_solve(capsys):
+    # the six-site well at r = 0 fails the residual gate, yet keeps its energies
+    values, _, _, _, errors = _decompose_arrays(build_h(6, z_from_r(0.0))[None])
+    assert str(errors[0]).startswith("eigenpair residual")
+    code, out, _ = invoke(capsys, "spectrum", "--n", "6", "--r", "0")
+    assert code == 0
+    _, rows = table_of(out)
+    printed = [complex(float(re), float(im)) for _, re, im, _ in rows]
+    np.testing.assert_array_equal(printed, values[0])
+
+
+def test_failed_roots_are_nan_on_every_route(capsys, monkeypatch):
+    # the root polish reports non-convergence for the r = 0.5 well alone
+    corner = 2.0 - z_from_r(0.5)
+    polish = matrix_core._aberth_polish
+
+    def fail_one(diag, offprod, seeds):
+        roots, converged = polish(diag, offprod, seeds)
+        converged[diag[:, 0] == corner] = False
+        return roots, converged
+
+    monkeypatch.setattr(matrix_core, "_aberth_polish", fail_one)
+    grid = [0.3, 0.5, 0.7]
+    stack = build_h(5, [z_from_r(r) for r in grid])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors, condition, _, errors = _decompose_arrays(stack)
+        rows = ep_scan(5, grid)
+        code, out, err = invoke(capsys, "spectrum", "--n", "5", "--r", "0.5")
+    assert np.isnan(values[1]).all()
+    assert str(errors[1]) == "root polish exhausted 2500 iterations"
+    for k in (0, 2):
+        alone = _decompose_arrays(stack[k:k + 1])
+        for got, want in zip((values, vectors, condition), alone):
+            np.testing.assert_array_equal(got[k], want[0])
+        assert errors[k] is None and alone[4][0] is None
+    assert np.isnan(rows[1, 1]) and rows[1, 2] == np.inf
+    rows_alone = np.vstack([ep_scan(5, [r]) for r in grid[::2]])
+    np.testing.assert_array_equal(rows[[0, 2]], rows_alone)
+    assert code == 2 and out == ""
+    assert err == "error: root polish exhausted 2500 iterations\n"
+
+
 def test_epscan_range_validation(capsys):
     code, _, err = invoke(
         capsys, "epscan", "--n", "4", "--r-min", "-2", "--r-max", "1", "--samples", "5"
@@ -587,6 +633,56 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         code, _, err = invoke(capsys, *argv)
         assert code == 1, argv
         assert "Traceback" not in err, argv
+
+
+NON_FINITE_ARGV = {
+    "spectrum_r": ("spectrum", "--n", "2", "--r", "nan"),
+    "spectrum_z": ("spectrum", "--n", "2", "--z", "inf,0"),
+    "spectrum_robin": ("spectrum", "--n", "2", "--robin", "nan,1,0.1"),
+    "metric_phi": ("metric", "--n", "2", "--phi", "nan"),
+    "metric_kappa": ("metric", "--n", "2", "--r", "0.5", "--kappa", "nan,1"),
+    "n2verify_nan": ("n2verify", "--phi-grid", "nan"),
+    "n2verify_inf": ("n2verify", "--phi-grid", "inf"),
+    "curve_e_max": ("curve", "--n", "3", "--e-min", "0", "--e-max", "inf", "--samples", "3"),
+    "evolve_rate": ("evolve", "--n", "2", "--profile", "linear:phi0=1,omega=nan"),
+    "evolve_angle": ("evolve", "--n", "2", "--profile", "constant:phi=inf"),
+    "evolve_margin": ("evolve", "--n", "2", "--profile", "constant:phi=1",
+                      "--ep-margin", "nan"),
+    "evolve_observable": ("evolve", "--n", "2", "--profile", "constant:phi=1",
+                          "--observable", "file:{nan_csv}"),
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGV.values(), ids=NON_FINITE_ARGV.keys())
+def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, argv):
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("nan,0,0,0\n0,0,1,0\n")
+    argv = [item.format(nan_csv=nan_csv) for item in argv]
+    if argv[0] == "evolve":
+        argv += ["--psi0", "1,0,0,0", "--t1", "1", "--dt", "0.1"]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nipsqw: error: "), err
+    assert "finite numbers only" in lines[0]
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--r", "0.5"),
+        ("curve", "--e-min", "0", "--e-max", "1", "--samples", "3"),
+        ("metric", "--r", "0.5"),
+        ("epscan", "--r-min", "0", "--r-max", "1", "--samples", "3"),
+        ("evolve", "--profile", "constant:phi=1", "--psi0", "1,0", "--t1", "1", "--dt", "0.1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_site_count_below_two_is_a_usage_error(capsys, argv, n):
+    code, out, err = invoke(capsys, argv[0], "--n", n, *argv[1:])
+    assert code == 1 and out == ""
+    assert err == f"nipsqw: error: need at least two sites, got {n}\n"
 
 
 def test_tolerance_override_file(capsys, tmp_path, monkeypatch):

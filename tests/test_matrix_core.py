@@ -11,8 +11,10 @@ from nipsqw.errors import (
     OutOfRange,
     SingularMatrix,
 )
+from nipsqw import matrix_core
 from nipsqw.matrix_core import (
     EigenDecomposition,
+    _decompose_arrays,
     _decompose_stack,
     _tridiag_lu,
     _tridiag_solve,
@@ -283,6 +285,26 @@ def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
     assert isinstance(middle, NoConvergence)
     assert_same_decomposition(first, expected[0])
     assert_same_decomposition(last, expected[2])
+
+
+def test_failed_vectors_keep_their_eigenvalues(monkeypatch):
+    # inverse iteration reports a failed level for the middle matrix only
+    stack = np.stack([corner_matrix(5, z) for z in (0.6j, 0.8j, 0.3j)])
+    want_values, want_vectors, _, _, _ = _decompose_arrays(stack)
+    iterate = matrix_core._inverse_iteration
+
+    def fail_the_middle_one(a, values):
+        vectors, first_failed = iterate(a, values)
+        first_failed[a[:, 0, 0] == 2.0 - 0.8j] = 2
+        return vectors, first_failed
+
+    monkeypatch.setattr(matrix_core, "_inverse_iteration", fail_the_middle_one)
+    values, vectors, _, _, errors = _decompose_arrays(stack)
+    np.testing.assert_array_equal(values, want_values)
+    np.testing.assert_array_equal(matrix_core._eig_stack(stack)[1][1], np.eye(5))
+    np.testing.assert_array_equal(vectors[[0, 2]], want_vectors[[0, 2]])
+    assert errors[0] is None and errors[2] is None
+    assert str(errors[1]).startswith("inverse iteration failed at eigenvalue")
 
 
 # ---------------------------------------------------------- eig_hermitian
