@@ -73,11 +73,11 @@ def _complex_flag(text: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
-def _robin_flag(text: str) -> RobinParams:
+def _robin_flag(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected alpha,beta,h — got {text!r}")
-    return RobinParams(float(parts[0]), float(parts[1]), float(parts[2]))
+    return tuple(float(part) for part in parts)
 
 
 def _float_list_flag(text: str) -> np.ndarray:
@@ -125,27 +125,27 @@ def _resolve_boundary(args) -> complex:
         return z_from_r(args.r)
     if getattr(args, "phi", None) is not None:
         return z_from_phi(args.phi)
-    return robin_to_z(args.robin)
+    return robin_to_z(RobinParams(*args.robin))
 
 
 def _flag_problem(args) -> str | None:
     """The usage error among the parsed numbers, or None.
 
-    A command with --n needs at least two sites, and the numbers of
-    these flags must be finite; ``cmd_evolve`` checks its own time grid,
-    ket and observables.
+    A command with --n needs at least two sites, the numbers of these
+    flags must be finite and the --robin grid spacing positive;
+    ``cmd_evolve`` checks its own time grid, ket and observables.
     """
     if getattr(args, "n", 2) < 2:
         return f"need at least two sites, got {args.n}"
     for name in ("z", "r", "phi", "robin", "kappa", "e_min", "e_max", "profile",
                  "ep_margin", "phi_grid"):
         value = getattr(args, name, None)
-        if isinstance(value, RobinParams):
-            value = (value.alpha, value.beta, value.grid_h)
-        elif isinstance(value, PhiProfile):
+        if isinstance(value, PhiProfile):
             value = tuple(value.params.values())
         if value is not None and not np.all(np.isfinite(value)):
             return f"--{name.replace('_', '-')} takes finite numbers only"
+    if getattr(args, "robin", None) is not None and not args.robin[2] > 0:
+        return f"--robin grid spacing must be positive, got {args.robin[2]:g}"
     return None
 
 

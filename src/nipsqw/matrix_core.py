@@ -8,11 +8,12 @@ once, and ``eig_general`` is a stack of one.  Tridiagonal inputs get a
 dedicated path: the dense-solver eigenvalues of the stack are polished
 by simultaneous Newton corrections on the characteristic polynomial,
 evaluated through its three-term recurrence in extended precision, and
-the eigenvectors come from inverse iteration with one vectorized
-pivoting LU over all m*N shifted systems.  The polish resolves nearly
-coalescing pairs far below the noise floor of a one-shot dense solve,
-which matters for exceptional-point diagnostics.  Failures are kept per
-matrix, so one defective matrix never fails the rest of its stack.
+each eigenvector comes from the same recurrence, run from both ends and
+joined at its best twist row.  The polish resolves nearly coalescing
+pairs far below the noise floor of a one-shot dense solve, which
+matters for exceptional-point diagnostics; roots it cannot tell apart
+refuse the matrix as defective.  Failures are kept per matrix, so one
+defective matrix never fails the rest of its stack.
 """
 
 from __future__ import annotations
@@ -197,133 +198,59 @@ def _aberth_polish(diag, offprod, seeds):
     return roots, converged
 
 
-def _cabs1(z: np.ndarray) -> np.ndarray:
-    return np.abs(z.real) + np.abs(z.imag)
+def _twisted_vectors(a: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Right eigenvectors of irreducible tridiagonal matrices, unnormalized.
 
-
-def _tridiag_lu(sub, diag, sup):
-    """LU with partial pivoting of many tridiagonal systems at once.
-
-    LAPACK's gttrf recipe with one system per column: ``diag`` is (N, S),
-    ``sub`` and ``sup`` are (N-1, S).  Returns the factors (multipliers,
-    the three diagonals of U, row swaps) and the mask of systems with an
-    exactly zero pivot.  Both branches of each pivot choice are computed,
-    so the division warnings of the branch not taken are silenced.
+    For each shift T - lambda, the top-down pivots D+ and the bottom-up
+    pivots D- of its two bidiagonal factorizations, kept in ratio form so
+    no continuant can overflow, meet at the twist row k that minimizes
+    |D+_k + D-_k - (d_k - lambda)|, the residual of the one row the
+    vector leaves unsolved (Fernando, SIAM J. Matrix Anal. Appl. 18,
+    1997, 1013; Dhillon & Parlett, Linear Algebra Appl. 387, 2004, 1).
+    The vector is one at row k and built outward through the three-term
+    recurrence: v_i = -u_i v_(i+1) / D+_i above k, v_i = -l_(i-1) v_(i-1)
+    / D-_i below it, with d, l and u the diagonal, sub- and superdiagonal.
+    An exactly zero pivot becomes eps (1 + |lambda|), as in LAPACK's
+    stegr.  Every shift is its own system, so a vector does not depend on
+    the rest of the stack; one that overflows comes out non-finite.
+    Returns the (m, N, N) columns, one per value.
     """
-    n = diag.shape[0]
-    d = diag.copy()
-    du = sup.copy()
-    du2 = np.zeros_like(sub)  # second superdiagonal of U; last row unused
-    mult = np.empty_like(sub)
-    swap = np.empty(sub.shape, dtype=bool)
+    n = a.shape[-1]
+    sub = np.diagonal(a, -1, 1, 2)[:, :, None]
+    sup = np.diagonal(a, 1, 1, 2)[:, :, None]
+    offprod = sub * sup
+    # [matrix, row, level]
+    shifted = np.diagonal(a, 0, 1, 2)[:, :, None] - values[:, None, :]
+    tiny = np.finfo(float).eps * (1.0 + np.abs(values))
+    plus = shifted.copy()
+    minus = shifted.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(n - 1):
-            pivot, below, upper, nxt = d[i], sub[i], du[i], d[i + 1]
-            s = _cabs1(pivot) < _cabs1(below)
-            fact = np.where(s, pivot / below, below / pivot)
-            new_next = np.where(s, upper - fact * nxt, nxt - fact * upper)
-            d[i] = np.where(s, below, pivot)
-            du[i] = np.where(s, nxt, upper)
-            d[i + 1] = new_next
-            if i < n - 2:
-                du2[i] = np.where(s, du[i + 1], 0.0)
-                du[i + 1] = np.where(s, -fact * du[i + 1], du[i + 1])
-            mult[i] = fact
-            swap[i] = s
-    return (mult, d, du, du2, swap), np.any(d == 0, axis=0)
-
-
-def _tridiag_solve(factors, b):
-    """Solve with ``_tridiag_lu`` factors (LAPACK's gttrs recipe).
-
-    Singular systems come out non-finite, without warnings.
-    """
-    mult, d, du, du2, swap = factors
-    n = d.shape[0]
-    b = b + np.zeros_like(d)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(n - 1):
-            top = np.where(swap[i], b[i + 1], b[i])
-            b[i + 1] = np.where(swap[i], b[i], b[i + 1]) - mult[i] * top
-            b[i] = top
-        b[n - 1] = b[n - 1] / d[n - 1]
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-        for i in range(n - 3, -1, -1):
-            b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
-    return b
-
-
-def _column_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean column norms, summed in row order whatever the width.
-
-    (numpy's own reduction switches to pairwise order for one column,
-    which would make a vector depend on how many systems share a solve.)
-    """
-    squares = (v.conj() * v).real
-    total = squares[0].copy()
-    for row in squares[1:]:
-        total += row
-    return np.sqrt(total)
-
-
-def _inverse_iteration_start(n: int) -> np.ndarray:
-    # deterministic start with no symmetry under index reversal, so it
-    # overlaps every eigenvector of a persymmetric matrix
-    k = np.arange(n)
-    v = np.cos(0.9 * k + 0.4) + 1j * np.sin(1.7 * k + 0.8)
-    return v / np.linalg.norm(v)
-
-
-def _inverse_iteration(a: np.ndarray, values: np.ndarray):
-    """Right eigenvectors of tridiagonal matrices by inverse iteration.
-
-    All m*N shifted systems T - lambda are factored together and swept
-    twice from a fixed start.  A system that hits an exactly zero pivot
-    or a non-finite vector has its shift nudged deterministically and is
-    retried, three tries in all.  Returns the (m, N, N) vectors and, per
-    matrix, the index of the first eigenvalue whose vector failed (-1
-    when none did).
-    """
-    m, n = values.shape
-    sub = np.diagonal(a, -1, 1, 2).T
-    diag = np.diagonal(a, 0, 1, 2).T
-    sup = np.diagonal(a, 1, 1, 2).T
-    lam = values.reshape(-1)  # system s solves for level s % n of matrix s // n
-    shift = np.zeros_like(lam)
-    owner = np.repeat(np.arange(m), n)
-    vectors = np.empty((n, m * n), dtype=complex)
-    start = _inverse_iteration_start(n)[:, None]
-    todo = np.arange(m * n)
-    for attempt in range(3):
-        if attempt:
-            # exactly singular shift; nudge deterministically and retry
-            shift[todo] += 1e-13 * (1.0 + np.abs(lam[todo])) * (1.0 + 1.0j)
-        cols = owner[todo]
-        factors, singular = _tridiag_lu(
-            sub[:, cols], diag[:, cols] - (lam[todo] + shift[todo]), sup[:, cols]
-        )
-        v = start
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for _ in range(2):
-                v = _tridiag_solve(factors, v)
-                v = v / _column_norms(v)
-        ok = ~singular & np.isfinite(v).all(axis=0)
-        vectors[:, todo[ok]] = v[:, ok]
-        todo = todo[~ok]
-        if not todo.size:
-            break
-    first_failed = np.full(m, -1)
-    for s in todo[::-1]:
-        first_failed[s // n] = s % n
-    return vectors.reshape(n, m, n).transpose(1, 0, 2), first_failed
+            plus[:, i] = np.where(plus[:, i] == 0, tiny, plus[:, i])
+            plus[:, i + 1] -= offprod[:, i] / plus[:, i]
+            j = n - 1 - i
+            minus[:, j] = np.where(minus[:, j] == 0, tiny, minus[:, j])
+            minus[:, j - 1] -= offprod[:, j - 1] / minus[:, j]
+        twist = np.abs(plus + minus - shifted).argmin(axis=1)[:, None, :]
+        rows = np.arange(n)[None, :, None]
+        # v_i is the product of the ratios between row i and the twist
+        up = np.where(rows[:, :-1] < twist, -sup / plus[:, :-1], 1.0)
+        down = np.where(rows[:, 1:] > twist, -sub / minus[:, 1:], 1.0)
+        one = np.ones_like(up[:, :1])
+        above = np.cumprod(np.concatenate([up, one], axis=1)[:, ::-1], axis=1)[:, ::-1]
+        return above * np.cumprod(np.concatenate([one, down], axis=1), axis=1)
 
 
 def _tridiag_eig(a: np.ndarray):
-    """Continuant-polished roots, plus inverse iteration for the vectors.
+    """Continuant-polished roots, plus twisted-recurrence vectors.
 
     Returns the values, the vectors and per matrix None or its
     NoConvergence.  A matrix whose polish did not converge gets NaN
-    values; one whose vectors failed keeps its values.
+    values.  An irreducible tridiagonal matrix has one eigenvector per
+    eigenvalue, so two roots that the polish cannot tell apart -- closer
+    than the sum of their stall floors sqrt(eps_ld) (1 + |lambda|) --
+    mark it defective and refuse it.  Such a matrix, and one with a
+    non-finite vector, keeps its values.
     """
     n = a.shape[-1]
     seeds = np.linalg.eigvals(a)
@@ -331,12 +258,18 @@ def _tridiag_eig(a: np.ndarray):
     offprod = (np.diagonal(a, 1, 1, 2) * np.diagonal(a, -1, 1, 2)).astype(_CLD)
     roots, converged = _aberth_polish(diag, offprod, seeds)
     values = roots.astype(complex)
-    vecs, first_failed = _inverse_iteration(a, values)
+    vecs = _twisted_vectors(a, values)
+    gaps = np.abs(values[:, :, None] - values[:, None, :]) + np.diag(np.full(n, np.inf))
+    floor = np.sqrt(_EPS_LD) * (1.0 + np.abs(values))
+    close = (gaps < floor[:, :, None] + floor[:, None, :]).any(axis=-1)
+    broken = ~np.isfinite(vecs).all(axis=1)
     errors = [
         NoConvergence(f"root polish exhausted {100 * n * n} iterations") if not ok
-        else NoConvergence(f"inverse iteration failed at eigenvalue {values[k, level]}")
-        if level >= 0 else None
-        for k, (ok, level) in enumerate(zip(converged, first_failed))
+        else NoConvergence(f"coalescing eigenvalues at {values[k, c.argmax()]}: defective")
+        if c.any()
+        else NoConvergence(f"no finite eigenvector at eigenvalue {values[k, b.argmax()]}")
+        if b.any() else None
+        for k, (ok, c, b) in enumerate(zip(converged, close, broken))
     ]
     values[~converged] = np.nan
     return values, vecs, errors
@@ -367,10 +300,11 @@ def _eig_stack(stack: np.ndarray):
     keeps its eigenvalues when only its vectors failed, and holds NaN
     values when its values failed (a root polish that did not converge,
     or a LAPACK failure).  Closed form at N=2; continuant-polished roots
-    and inverse iteration for each tridiagonal matrix, the dense solver
-    for the rest, so a matrix's result does not depend on the others in
-    its stack.  Each kind is solved in chunks that keep the work arrays
-    near 1 MB.
+    and twisted-recurrence vectors for each irreducible tridiagonal
+    matrix, the dense solver for the rest (a zero off-diagonal product
+    makes a tridiagonal matrix reducible), so a matrix's result does not
+    depend on the others in its stack.  Each kind is solved in chunks
+    that keep the work arrays near 1 MB.
     """
     m, n, _ = stack.shape
     if n > MAX_DIM:
@@ -381,7 +315,8 @@ def _eig_stack(stack: np.ndarray):
         values, vecs = _eig2_closed_form(stack)
         return values, vecs, [None] * m
     off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
-    dense = stack[:, off_band].any(axis=-1)
+    offprod = np.diagonal(stack, 1, 1, 2) * np.diagonal(stack, -1, 1, 2)
+    dense = stack[:, off_band].any(axis=-1) | (offprod == 0).any(axis=-1)
     chunk = max(1, _CHUNK_ENTRIES // (n * n))
     values = np.empty((m, n), dtype=complex)
     vecs = np.empty((m, n, n), dtype=complex)
@@ -445,10 +380,12 @@ def eig_general(matrix) -> EigenDecomposition:
     """Full non-Hermitian eigendecomposition with quality diagnostics.
 
     A stack of one through the stacked route (``_decompose_stack``):
-    closed form at N=2, continuant-polished roots plus inverse iteration
-    for tridiagonal matrices, dense solver otherwise.  Raises
-    NoConvergence when the residual contract cannot be met; a defective
-    input announces itself through ``vector_condition`` instead.
+    closed form at N=2, continuant-polished roots plus twisted-recurrence
+    vectors for irreducible tridiagonal matrices, dense solver otherwise.
+    Raises NoConvergence when the residual contract cannot be met, and
+    for a tridiagonal input whose roots coalesce (a defective matrix);
+    other defective inputs announce themselves through
+    ``vector_condition``.
     """
     result = _decompose_stack(as_square(matrix)[None])[0]
     if isinstance(result, NoConvergence):

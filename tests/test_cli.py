@@ -478,9 +478,9 @@ def test_epscan_exact_coalescence_is_a_defective_row(capsys):
 
 
 def test_defective_energies_come_from_the_one_solve(capsys):
-    # the six-site well at r = 0 fails the residual gate, yet keeps its energies
+    # the six-site well at r = 0 is refused as defective, yet keeps its energies
     values, _, _, _, errors = _decompose_arrays(build_h(6, z_from_r(0.0))[None])
-    assert str(errors[0]).startswith("eigenpair residual")
+    assert str(errors[0]).startswith("coalescing eigenvalues")
     code, out, _ = invoke(capsys, "spectrum", "--n", "6", "--r", "0")
     assert code == 0
     _, rows = table_of(out)
@@ -639,6 +639,7 @@ NON_FINITE_ARGV = {
     "spectrum_r": ("spectrum", "--n", "2", "--r", "nan"),
     "spectrum_z": ("spectrum", "--n", "2", "--z", "inf,0"),
     "spectrum_robin": ("spectrum", "--n", "2", "--robin", "nan,1,0.1"),
+    "spectrum_robin_spacing": ("spectrum", "--n", "2", "--robin", "1,1,nan"),
     "metric_phi": ("metric", "--n", "2", "--phi", "nan"),
     "metric_kappa": ("metric", "--n", "2", "--r", "0.5", "--kappa", "nan,1"),
     "n2verify_nan": ("n2verify", "--phi-grid", "nan"),
@@ -665,6 +666,13 @@ def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("nipsqw: error: "), err
     assert "finite numbers only" in lines[0]
+
+
+@pytest.mark.parametrize("spacing", ["-0.1", "0"])
+def test_non_positive_robin_spacing_is_a_usage_error(capsys, spacing):
+    code, out, err = invoke(capsys, "spectrum", "--n", "4", "--robin", f"1,1,{spacing}")
+    assert code == 1 and out == ""
+    assert err == f"nipsqw: error: --robin grid spacing must be positive, got {spacing}\n"
 
 
 @pytest.mark.parametrize("n", ["1", "0"])

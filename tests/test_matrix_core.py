@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nipsqw.errors import (
     NoConvergence,
@@ -12,12 +13,11 @@ from nipsqw.errors import (
     SingularMatrix,
 )
 from nipsqw import matrix_core
+from nipsqw.hamiltonian import build_h, z_from_phi
 from nipsqw.matrix_core import (
     EigenDecomposition,
     _decompose_arrays,
     _decompose_stack,
-    _tridiag_lu,
-    _tridiag_solve,
     adjoint,
     char_poly,
     eig_general,
@@ -194,30 +194,56 @@ def test_eig_general_one_by_one():
     assert dec.residual == 0.0
 
 
-def test_batched_tridiagonal_lu_matches_banded_lapack():
-    # random systems pivot on some rows and not on others
-    rng = np.random.default_rng(47)
-    n, count = 9, 40
-    sub, diag, sup, rhs = (
-        rng.standard_normal((rows, count)) + 1j * rng.standard_normal((rows, count))
-        for rows in (n - 1, n, n - 1, n)
+@st.composite
+def _tridiagonal_matrices(draw):
+    """Random complex, real nonsymmetric or graded tridiagonals, or the well.
+
+    The graded kind is D T D with D from 1e-3 to 1, so its entries span
+    1e-6 to 1; the well keeps its angle clear of the exceptional points
+    at 0 and pi.
+    """
+    kind = draw(st.sampled_from(("complex", "real", "graded", "well")))
+    n = draw(st.integers(3, 64))
+    if kind == "well":
+        return build_h(n, z_from_phi(draw(st.floats(0.01, np.pi - 0.01))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bands = [rng.standard_normal(size) for size in (n - 1, n, n - 1)]
+    if kind != "real":
+        bands = [band + 1j * rng.standard_normal(band.size) for band in bands]
+    m = np.diag(bands[0], -1) + np.diag(bands[1]) + np.diag(bands[2], 1)
+    if kind == "graded":
+        grade = np.geomspace(1e-3, 1.0, n)
+        m = grade[:, None] * m * grade
+    return m.astype(complex)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_tridiagonal_matrices())
+def test_tridiagonal_eigenpairs_meet_the_residual_bound(m):
+    _, _, _, residual, errors = _decompose_arrays(m[None])
+    assert errors == [None]
+    assert residual[0] <= 1e-14
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_tridiagonal_matrices(), st.data())
+def test_reducible_tridiagonal_takes_the_dense_route(m, data):
+    # a zero off-diagonal entry splits the matrix; LAPACK solves it
+    n = len(m)
+    row = data.draw(st.integers(0, n - 2))
+    if data.draw(st.booleans()):
+        m[row + 1, row] = 0.0
+    else:
+        m[row, row + 1] = 0.0
+    values, vectors, _, residual, errors = _decompose_arrays(m[None])
+    lapack_values, lapack_vectors = np.linalg.eig(m)
+    order = np.lexsort((lapack_values.imag, lapack_values.real))
+    lapack_vectors = lapack_vectors[:, order]
+    np.testing.assert_array_equal(values[0], lapack_values[order])
+    np.testing.assert_allclose(
+        vectors[0], lapack_vectors / np.linalg.norm(lapack_vectors, axis=0), atol=1e-14
     )
-    factors, singular = _tridiag_lu(sub, diag, sup)
-    assert not singular.any()
-    got = _tridiag_solve(factors, rhs)
-    for s in range(count):
-        bands = np.zeros((3, n), dtype=complex)
-        bands[0, 1:], bands[1], bands[2, :-1] = sup[:, s], diag[:, s], sub[:, s]
-        expected = scipy.linalg.solve_banded((1, 1), bands, rhs[:, s])
-        np.testing.assert_allclose(got[:, s], expected, rtol=1e-11, atol=0)
-
-
-def test_batched_tridiagonal_lu_flags_exactly_singular_systems():
-    # columns are systems; the first has two equal rows, [1 1 0] twice
-    off = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
-    diag = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 1.0]], dtype=complex)
-    _, singular = _tridiag_lu(off, diag, off)
-    assert singular.tolist() == [True, False]
+    assert errors == [None] and residual[0] <= 1e-14
 
 
 def assert_same_decomposition(got, expected):
@@ -239,8 +265,8 @@ def single_outcome(matrix):
 
 
 def test_stack_with_singular_shifts_matches_single_solves():
-    # every shift of the diagonal matrix is exactly singular, so its
-    # vectors come from the nudged retry; its neighbours are healthy wells
+    # the diagonal matrix is reducible, so it takes the dense route; its
+    # neighbours are healthy wells on the tridiagonal route
     wells = [corner_matrix(3, 1j * np.cos(phi)) for phi in (0.4, 1.1, 2.3)]
     stack = np.stack([wells[0], np.diag([1.0, 2.0, 3.0]).astype(complex), *wells[1:]])
     results = _decompose_stack(stack)
@@ -251,7 +277,7 @@ def test_stack_with_singular_shifts_matches_single_solves():
 
 
 def test_stack_keeps_a_refused_matrix_from_its_neighbours():
-    # the six-site well at r = 0 is defective and fails the residual gate
+    # the six-site well at r = 0 is defective: its middle roots coalesce
     stack = np.stack([corner_matrix(6, z) for z in (0.6j, 1j, -0.3j, 1j, 0.9j)])
     results = _decompose_stack(stack)
     assert isinstance(results[1], NoConvergence) and isinstance(results[3], NoConvergence)
@@ -288,23 +314,23 @@ def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
 
 
 def test_failed_vectors_keep_their_eigenvalues(monkeypatch):
-    # inverse iteration reports a failed level for the middle matrix only
+    # the twisted recurrence emits a NaN column for the middle matrix only
     stack = np.stack([corner_matrix(5, z) for z in (0.6j, 0.8j, 0.3j)])
     want_values, want_vectors, _, _, _ = _decompose_arrays(stack)
-    iterate = matrix_core._inverse_iteration
+    twisted = matrix_core._twisted_vectors
 
     def fail_the_middle_one(a, values):
-        vectors, first_failed = iterate(a, values)
-        first_failed[a[:, 0, 0] == 2.0 - 0.8j] = 2
-        return vectors, first_failed
+        vectors = twisted(a, values)
+        vectors[a[:, 0, 0] == 2.0 - 0.8j, :, 2] = np.nan
+        return vectors
 
-    monkeypatch.setattr(matrix_core, "_inverse_iteration", fail_the_middle_one)
+    monkeypatch.setattr(matrix_core, "_twisted_vectors", fail_the_middle_one)
     values, vectors, _, _, errors = _decompose_arrays(stack)
     np.testing.assert_array_equal(values, want_values)
     np.testing.assert_array_equal(matrix_core._eig_stack(stack)[1][1], np.eye(5))
     np.testing.assert_array_equal(vectors[[0, 2]], want_vectors[[0, 2]])
     assert errors[0] is None and errors[2] is None
-    assert str(errors[1]).startswith("inverse iteration failed at eigenvalue")
+    assert str(errors[1]).startswith("no finite eigenvector at eigenvalue")
 
 
 # ---------------------------------------------------------- eig_hermitian

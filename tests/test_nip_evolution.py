@@ -443,6 +443,44 @@ def test_evolve_crosses_the_hermitian_angle_at_fourth_order(n, map_kind):
     assert drift(0.02) / fine >= 8.0
 
 
+def ketket_map_exact(n, profile, psi0, t1, dt):
+    """psi(t) = Omega(t)^-1 exp(-i int Lambda dt) Omega(0) psi0 on the dt grid.
+
+    Under the ketket map Omega H Omega^-1 is the real diagonal Lambda of
+    descending energies, and i d(Omega psi)/dt = Lambda (Omega psi), so
+    the map evolution is exact given the static solves: the energies by
+    LAPACK at 8 Gauss-Legendre nodes per step, the maps by ``ketkets``.
+    """
+    times = np.linspace(0.0, t1, round(t1 / dt) + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    at = (times[:-1, None] + dt / 2 * (1.0 + nodes)).ravel()
+    energies = np.linalg.eigvals(build_h(n, z_from_phi(profile(at)[0])))
+    energies = np.sort(energies.real)[:, ::-1].reshape(len(times) - 1, 8, n)
+    steps = dt / 2 * np.einsum("k,skj->sj", weights, energies)
+    phases = np.vstack([np.zeros(n), np.cumsum(steps, axis=0)])
+    maps = [dyson_from_ketkets(ketkets(build_h(n, z_from_phi(profile(t)[0])))) for t in times]
+    start = maps[0].omega @ psi0
+    return np.array([m.omega_inv @ (np.exp(-1j * p) * start) for m, p in zip(maps, phases)])
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_evolve_matches_the_exact_ketket_map_solution_at_fourth_order(n):
+    # a linear drive through pi/2; the reference pins the trajectory,
+    # phase included, and RK4's error falls 2^4-fold with the step
+    profile = PhiProfile.linear(0.9, 0.6)
+    psi0 = np.ones(n, dtype=complex)
+    exact = ketket_map_exact(n, profile, psi0, 2.0, 0.01)
+
+    def error(dt, stride):
+        got = np.array([s.psi for s in evolve(n, profile, psi0, 0.0, 2.0, dt)])
+        want = exact[::stride]
+        return np.max(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1))
+
+    fine = error(0.01, 1)
+    assert fine <= 1e-8
+    assert 14.0 <= error(0.02, 2) / fine <= 18.0
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_evolve_generators_are_the_generator_snapshots(n):
     # one route: the integrator's stage kernel and generator() agree
