@@ -34,7 +34,8 @@ from .hamiltonian import (
     z_from_r,
 )
 from .matrix_core import (
-    _decompose_arrays, _decompose_stack, adjoint, as_square, eig_hermitian, spectral_norm,
+    MAX_DIM, _decompose_arrays, _decompose_stack, adjoint, as_square, eig_hermitian,
+    spectral_norm,
 )
 from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
@@ -60,7 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"nipsqw: error: {message}\n")
 
 
 # ------------------------------------------------------------ flag parsing
@@ -131,12 +132,14 @@ def _resolve_boundary(args) -> complex:
 def _flag_problem(args) -> str | None:
     """The usage error among the parsed numbers, or None.
 
-    A command with --n needs at least two sites, the numbers of these
-    flags must be finite and the --robin grid spacing positive;
-    ``cmd_evolve`` checks its own time grid, ket and observables.
+    --n needs two sites to ``MAX_DIM`` (any count above one for curve),
+    the numbers of these flags must be finite and the --robin grid spacing
+    positive; ``cmd_evolve`` checks its own time grid, ket and observables.
     """
     if getattr(args, "n", 2) < 2:
         return f"need at least two sites, got {args.n}"
+    if args.subcommand != "curve" and getattr(args, "n", 2) > MAX_DIM:
+        return f"need at most {MAX_DIM} sites, got {args.n}"
     for name in ("z", "r", "phi", "robin", "kappa", "e_min", "e_max", "profile",
                  "ep_margin", "phi_grid"):
         value = getattr(args, name, None)
@@ -329,6 +332,8 @@ def cmd_evolve(args) -> int:
         return _usage_error("--dt must be positive and finite")
     if not -np.inf < args.t0 <= args.t1 < np.inf:
         return _usage_error("--t0 and --t1 must be finite, --t1 not below --t0")
+    if not (args.t1 - args.t0) / args.dt < 2.0**53:  # a step count a float holds exactly
+        return _usage_error("--dt splits the horizon into too many steps")
     if args.psi0.size != args.n:
         return _usage_error(f"--psi0 needs {args.n} re,im pairs, got {args.psi0.size}")
     if not (np.all(np.isfinite(args.psi0)) and np.any(args.psi0)):
@@ -352,8 +357,8 @@ def cmd_evolve(args) -> int:
         states = exc.trajectory
         aborted = exc
         if not states:
-            _summary(f"aborted_at={exc.t_fail:.17g} ({exc})", cfg)
-            return 2
+            _summary(f"aborted_at={exc.t_fail:.17g}", cfg)
+            raise
 
     partner = None
     if args.crosscheck:
@@ -411,8 +416,8 @@ def cmd_evolve(args) -> int:
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     _summary(f"norm_drift={drift:.17g}", cfg)
     if aborted is not None:
-        _summary(f"aborted_at={aborted.t_fail:.17g} ({aborted})", cfg)
-        return 2
+        _summary(f"aborted_at={aborted.t_fail:.17g}", cfg)
+        raise aborted
     return 0
 
 
@@ -460,51 +465,32 @@ def run_identity_suite(phi_grid=None, rates=None, tol=None):
     tol = tol if tol is not None else get_tolerances()
     phis = tuple(float(p) for p in (phi_grid if phi_grid is not None else DEFAULT_PHI_GRID))
     rates = tuple(float(w) for w in (rates if rates is not None else DEFAULT_RATES))
-    worst = {
-        "map_times_inverse": 0.0,
-        "metric_factorization": 0.0,
-        "pipeline_map_matches_columns": 0.0,
-        "metric_eigenvalues": 0.0,
-        "quasi_hermiticity": 0.0,
-        "coriolis_difference": 0.0,
-        "generator_difference": 0.0,
-        "generator_eigenvalues": 0.0,
-    }
+    worst = dict.fromkeys(
+        ("map_times_inverse", "metric_factorization", "pipeline_map_matches_columns",
+         "metric_eigenvalues", "quasi_hermiticity", "coriolis_difference",
+         "generator_difference", "generator_eigenvalues"),
+        0.0,
+    )
+
+    def note(name, residual):
+        worst[name] = max(worst[name], residual)
+
     for phi in phis:
         omega = omega_s(phi)
-        worst["map_times_inverse"] = max(
-            worst["map_times_inverse"],
-            spectral_norm(omega @ omega_s_inv(phi) - np.eye(2)),
-        )
-        worst["metric_factorization"] = max(
-            worst["metric_factorization"],
-            spectral_norm(adjoint(omega) @ omega - theta_s(phi)),
-        )
+        note("map_times_inverse", spectral_norm(omega @ omega_s_inv(phi) - np.eye(2)))
+        note("metric_factorization", spectral_norm(adjoint(omega) @ omega - theta_s(phi)))
         h = build_h(2, z_from_phi(phi))
         bundle = dyson_from_ketkets(ketkets(h))
-        worst["pipeline_map_matches_columns"] = max(
-            worst["pipeline_map_matches_columns"],
-            spectral_norm(bundle.omega - omega),
-        )
+        note("pipeline_map_matches_columns", spectral_norm(bundle.omega - omega))
         got_eigs = np.sort(np.real(eig_hermitian(bundle.theta).eigenvalues))
         want_eigs = np.sort(np.array(theta_eigs(phi)))
-        worst["metric_eigenvalues"] = max(
-            worst["metric_eigenvalues"], float(np.max(np.abs(got_eigs - want_eigs)))
-        )
-        worst["quasi_hermiticity"] = max(
-            worst["quasi_hermiticity"], quasi_hermiticity_residual(h, bundle.theta)
-        )
+        note("metric_eigenvalues", float(np.max(np.abs(got_eigs - want_eigs))))
+        note("quasi_hermiticity", quasi_hermiticity_residual(h, bundle.theta))
         for rate in rates:
             profile = PhiProfile.linear(phi, rate)
             snap = generator(2, profile, 0.0, tol=tol)  # its Sigma is coriolis()
-            worst["coriolis_difference"] = max(
-                worst["coriolis_difference"],
-                spectral_norm(snap.Sigma - sigma_s(phi, rate)),
-            )
-            worst["generator_difference"] = max(
-                worst["generator_difference"],
-                spectral_norm(snap.G - g_s(phi, rate)),
-            )
+            note("coriolis_difference", spectral_norm(snap.Sigma - sigma_s(phi, rate)))
+            note("generator_difference", spectral_norm(snap.G - g_s(phi, rate)))
             # Both generator eigenvalues share one real part in the strongly
             # non-stationary regime, so a lexicographic sort can swap them on
             # noise; compare the unordered pair by its best pairing instead.
@@ -512,9 +498,7 @@ def run_identity_suite(phi_grid=None, rates=None, tol=None):
             want = np.array(g_eigs(phi, rate))
             straight = float(np.max(np.abs(got - want)))
             swapped = float(np.max(np.abs(got - want[::-1])))
-            worst["generator_eigenvalues"] = max(
-                worst["generator_eigenvalues"], min(straight, swapped)
-            )
+            note("generator_eigenvalues", min(straight, swapped))
     return [
         IdentityResult(name, residual, IDENTITY_THRESHOLD)
         for name, residual in worst.items()
@@ -639,10 +623,16 @@ def main(argv=None) -> int:
     if problem is not None:
         return _usage_error(problem)
     try:
-        return args.handler(args)
+        # numbers too large for the arithmetic fail, not print inf and nan
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.handler(args)
     except BadOverrides as exc:
         return _usage_error(str(exc))
-    except NipsqwError as exc:
+    except OSError as exc:  # an unwritable --out or --svg
+        return _usage_error(f"{exc.filename}: {exc.strerror}")
+    except MemoryError as exc:  # --samples or a time grid beyond memory
+        return _usage_error(f"out of memory: {exc}")
+    except (NipsqwError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,8 +22,11 @@ ENV_VAR = "NIPSQW_TOL_OVERRIDES"
 class Tolerances:
     """Numerical thresholds used across the package.
 
-    eps_singular: reciprocal-condition floor (s_min / s_max) at or below
-        which a matrix counts as singular.
+    eps_singular: reciprocal-condition floor.  The ketket map refuses a
+        level whose eigenvalue condition s_j = |v_j^T v_j| / |v_j|^2 is
+        at or below it (and a basis with some |v_j^T v_k| above it times
+        |v_j| |v_k|); ``inverse`` refuses a matrix with s_min / s_max at
+        or below it.
     eps_pd: relative eigenvalue floor for positive definiteness.
     tol_real: |Im E| threshold for classifying an energy as real.
     ep_margin: |sin phi| guard radius around the exceptional point.

@@ -50,7 +50,8 @@ class BadWeights(NipsqwError):
 
 
 class SingularDyson(NipsqwError):
-    """The assembled similarity map is numerically non-invertible."""
+    """A ketket level is at the ``eps_singular`` condition floor, or the
+    columns are not c-orthogonal, so the c-product inverse fails."""
 
 
 class EPProximity(NipsqwError):

@@ -70,27 +70,16 @@ def adjoint(matrix) -> np.ndarray:
 def inverse(matrix, tol: Tolerances | None = None) -> np.ndarray:
     """Invert, refusing matrices that are numerically singular.
 
-    A stack of one through ``_inverse_stack``.  Failure signals
-    exceptional-point proximity to callers.
+    The test is scale-invariant and independent of the size: the
+    reciprocal condition s_min / s_max must exceed ``eps_singular``.
+    Failure signals exceptional-point proximity to callers.
     """
     tol = tol if tol is not None else get_tolerances()
-    inv, singular = _inverse_stack(as_square(matrix)[None], tol)
-    if singular[0]:
+    a = as_square(matrix)
+    s = np.linalg.svd(a, compute_uv=False)
+    if not s[-1] > tol.eps_singular * s[0]:
         raise SingularMatrix(f"reciprocal condition at or below {tol.eps_singular:g}")
-    return inv[0]
-
-
-def _inverse_stack(stack: np.ndarray, tol: Tolerances):
-    """Inverses of an (m, N, N) stack, and the mask of refused matrices.
-
-    The test is scale-invariant and independent of the size: the
-    reciprocal condition s_min / s_max must exceed ``eps_singular``.  A
-    refused matrix gets the identity as its inverse.
-    """
-    s = np.linalg.svd(stack, compute_uv=False)
-    singular = ~(s[:, -1] > tol.eps_singular * s[:, 0])
-    eye = np.eye(stack.shape[-1], dtype=complex)
-    return np.linalg.solve(np.where(singular[:, None, None], eye, stack), eye), singular
+    return np.linalg.solve(a, np.eye(len(a), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -422,7 +411,7 @@ def sqrt_hpd(matrix, tol: Tolerances | None = None, *, tangent=None):
         raise NotHermitian("square root requires a Hermitian matrix")
     lift = None if tangent is None else np.asarray(tangent)[None]
     root, _, slope, errors = _sqrt_hpd_stack(a[None], tol, lift)
-    if isinstance(errors[0], NotPositiveDefinite):
+    if errors[0] is not None:
         raise errors[0]
     return root[0] if tangent is None else (root[0], slope[0])
 
@@ -434,21 +423,17 @@ def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances, tangent=None):
     U diag(s) U^dagger, its inverse U diag(1/s) U^dagger and, along a
     Hermitian ``tangent`` stack dA, the root's slope: the solution X of
     root X + X root = dA, U [(U^dagger dA U)_ij / (s_i + s_j)] U^dagger
-    (Higham, *Functions of Matrices*, 2008).  errors[k] is None,
-    NotPositiveDefinite (s_min^2 under ``eps_pd`` of s_max^2) or
-    SingularMatrix (s_min / s_max fails the ``_inverse_stack`` test).
+    (Higham, *Functions of Matrices*, 2008).  errors[k] is None, or
+    NotPositiveDefinite when s_min^2 is under ``eps_pd`` of s_max^2.
     """
     values, vectors = np.linalg.eigh(stack)
     flat = values[:, 0] <= tol.eps_pd * np.maximum(np.abs(values).max(axis=-1), 1e-300)
     roots = np.sqrt(np.where(flat[:, None], 1.0, values))
-    singular = ~(roots[:, 0] > tol.eps_singular * roots[:, -1])
-    errors = [None] * len(stack)
-    for k in np.flatnonzero(flat | singular):
-        errors[k] = NotPositiveDefinite(
-            f"smallest eigenvalue {values[k, 0]:.3e} under the definiteness floor"
-        ) if flat[k] else SingularMatrix(
-            f"reciprocal condition at or below {tol.eps_singular:g}"
-        )
+    errors = [
+        NotPositiveDefinite(f"smallest eigenvalue {value:.3e} under the definiteness floor")
+        if bad else None
+        for bad, value in zip(flat, values[:, 0])
+    ]
     left = vectors.conj().swapaxes(-1, -2)
     root = (vectors * roots[:, None, :]) @ left
     inv = (vectors / roots[:, None, :]) @ left

@@ -20,7 +20,6 @@ from .errors import BadWeights, DefectiveAtEP, SingularDyson
 from .matrix_core import (
     COND_CEILING,
     _decompose_arrays,
-    _inverse_stack,
     adjoint,
     as_square,
     eig_hermitian,
@@ -93,7 +92,7 @@ def _ketket_stack(h: np.ndarray):
     return values[:, ::-1], unit / pivots[:, None, :], errors
 
 
-def _ketket_slope(phis, values, vectors, omega_inv) -> np.ndarray:
+def _ketket_slope(phis, values, vectors, cprods) -> np.ndarray:
     """Exact slope dV/dphi of a stack of ketket columns in the boundary angle.
 
     Only the corners of H depend on phi, so the adjoint A = H^dagger has
@@ -102,13 +101,14 @@ def _ketket_slope(phis, values, vectors, omega_inv) -> np.ndarray:
     columns V in their own gauge: with C = V^-1 dA V and the adjoint
     eigenvalues mu, D_jk = C_jk / (mu_k - mu_j) off the diagonal, and
     D_kk keeps the end-row entry of column k (``_pivot_rows``) at one.
-    V^-1 is the adjoint of the Dyson inverse ``omega_inv``.
+    V^-1 = diag(1/c) V^T by the c-products ``cprods`` (``_dyson_stack``),
+    so C needs only the end rows of V.
     """
     n = values.shape[-1]
-    v_inv = omega_inv.conj().swapaxes(-1, -2)
+    first, last = vectors[:, 0], vectors[:, -1]
     c = 1j * np.sin(phis)[:, None, None] * (
-        v_inv[:, :, -1:] * vectors[:, -1:, :] - v_inv[:, :, :1] * vectors[:, :1, :]
-    )
+        last[:, :, None] * last[:, None, :] - first[:, :, None] * first[:, None, :]
+    ) / cprods[:, :, None]
     levels = np.arange(n)
     gaps = values[:, None, :] - values[:, :, None]
     gaps[:, levels, levels] = 1.0
@@ -165,10 +165,10 @@ class MetricBundle:
 
     ``omega_kind`` records which factorization produced ``omega``:
     ``ketket_columns`` (rows of Omega are the ketkets, diagonalizes the
-    Hamiltonian into ``h_diag``; ``omega_inv`` is the inverse its
-    invertibility check computed) or ``hermitian_root`` (Omega = sqrt
-    of Theta, Hermitian but not diagonalizing; ``h_diag``, ``kappa``
-    and ``omega_inv`` are absent).
+    Hamiltonian into ``h_diag``; ``omega_inv`` comes from the columns'
+    c-products, see ``_dyson_stack``) or ``hermitian_root`` (Omega = sqrt
+    of Theta, Hermitian but not diagonalizing; ``h_diag``, ``kappa`` and
+    ``omega_inv`` are absent).
     """
 
     theta: np.ndarray
@@ -190,10 +190,17 @@ def dyson_from_ketkets(basis: KetketBasis) -> MetricBundle:
     Omega^dagger carries the ketkets as columns, so Omega H Omega^-1 is
     the diagonal matrix of paired eigenvalues: this is the map onto the
     textbook picture.  Near an exceptional point the columns become
-    linearly dependent and the map stops being invertible.
+    linearly dependent and the map stops being invertible.  The inverse
+    is exact only for c-orthogonal columns (``_dyson_stack``), so a basis
+    with some |v_j^T v_k| above ``eps_singular`` |v_j| |v_k| is refused.
     """
     v = as_square(basis.vectors)
-    omega, omega_inv, theta, errors = _dyson_stack(v[None], get_tolerances())
+    tol = get_tolerances()
+    lengths = np.linalg.norm(v, axis=0)
+    cross = np.abs(v.T @ v) > tol.eps_singular * np.outer(lengths, lengths)
+    if cross[~np.eye(len(v), dtype=bool)].any():
+        raise SingularDyson(f"ketket columns are not c-orthogonal to {tol.eps_singular:g}")
+    omega, omega_inv, theta, _, errors = _dyson_stack(v[None], tol)
     if errors[0] is not None:
         raise errors[0]
     return MetricBundle(
@@ -209,16 +216,25 @@ def dyson_from_ketkets(basis: KetketBasis) -> MetricBundle:
 def _dyson_stack(vectors: np.ndarray, tol: Tolerances):
     """Ketket-column maps of an (m, N, N) stack of columns V.
 
-    Returns Omega = V^dagger, its inverse, the all-ones metric
-    Theta = Omega^dagger Omega and, per matrix, None or the SingularDyson
-    that refuses a map failing the ``_inverse_stack`` test.
+    H^dagger is complex symmetric, so its eigenvectors are orthogonal
+    under the bilinear c-product: V^T V = diag(c), c_j = v_j^T v_j
+    (Moiseyev, *Non-Hermitian Quantum Mechanics*, 2011), and Omega =
+    V^dagger has the inverse conj(V) diag(1/conj(c)).  s_j = |c_j| /
+    |v_j|^2 is the reciprocal condition of level j (Wilkinson), 1/s_j^2
+    its Petermann factor.  Returns Omega, its inverse, the all-ones
+    metric Theta = Omega^dagger Omega, the c-products (m, N) and, per
+    matrix, None or the SingularDyson that refuses a map with some s_j
+    at or below ``eps_singular``.
     """
     omega = vectors.conj().swapaxes(-1, -2)
-    omega_inv, singular = _inverse_stack(omega, tol)
+    cprods = np.einsum("mij,mij->mj", vectors, vectors)
+    usable = np.abs(cprods) > tol.eps_singular * (np.abs(vectors) ** 2).sum(axis=-2)
+    omega_inv = vectors.conj() / np.where(usable, cprods, 1.0).conj()[:, None, :]
     theta = vectors @ omega
-    why = "ketket columns nearly dependent: reciprocal condition at or below"
-    errors = [SingularDyson(f"{why} {tol.eps_singular:g}") if bad else None for bad in singular]
-    return omega, omega_inv, (theta + theta.conj().swapaxes(-1, -2)) / 2, errors
+    why = f"a level's reciprocal condition at or below {tol.eps_singular:g}"
+    errors = [None if ok else SingularDyson(f"ketket columns nearly dependent: {why}")
+              for ok in usable.all(-1)]
+    return omega, omega_inv, (theta + theta.conj().swapaxes(-1, -2)) / 2, cprods, errors
 
 
 def dyson_hermitian(theta) -> MetricBundle:

@@ -60,7 +60,7 @@ def omega_s_inv(phi: float) -> np.ndarray:
     """Exact inverse; blows up at the exceptional point sin phi = 0."""
     _require_off_ep(phi)
     off = 1j * np.exp(-1j * phi)
-    return np.array([[1.0, off], [-off, 1.0]]) / (1.0 - np.exp(-2j * phi))
+    return np.array([[1.0, off], [-off, 1.0]]) / (2j * np.sin(phi) * np.exp(-1j * phi))
 
 
 def omega_s_dot(phi: float, phi_dot: float) -> np.ndarray:

@@ -108,9 +108,9 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     h = build_h(n, z_from_phi(phis))
     values, vectors, errors = _ketket_stack(h)
     refuse(errors)
-    omega, omega_inv, theta, errors = _dyson_stack(vectors, tol)
+    omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
     refuse(errors)
-    slope = None if textbook else _ketket_slope(phis, values, vectors, omega_inv)
+    slope = None if textbook else _ketket_slope(phis, values, vectors, cprods)
     if hermitian_map:
         lift = None if textbook else slope @ omega
         tangent = None if textbook else lift + lift.conj().swapaxes(-1, -2)

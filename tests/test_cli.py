@@ -1,10 +1,14 @@
 """End-to-end drives of the command-line entry point, run in process."""
 
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nipsqw import matrix_core, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, main, run_identity_suite
@@ -731,3 +735,122 @@ def test_missing_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
     code, _, err = invoke(capsys, "spectrum", "--n", "2", "--r", "0.5")
     assert code == 1
     assert err.splitlines() == [f"nipsqw: error: {missing}: No such file or directory"]
+
+
+# ------------------------------------------------------------------ any argv
+
+EDGE_NUMBERS = ("0", "-0.7", "3", "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "", "x")
+EDGE_SITES = ("-2", "0", "1", "64", "65", "2.5", "x", "1000000")
+EDGE_SAMPLES = ("-1", "0", "1", "1000000000000000", "2.5", "x")
+EDGE_LISTS = ("", ",", "1,", "1,2,3", "nan,1", "1,inf", "x,1", "-1,2", "1e308,1", "0,0.5")
+EDGE_PROFILES = (
+    "constant:phi=0", "constant:phi=", "linear:phi0=1", "linear:phi0=1,omega=0.3,omega=1",
+    "sin:phi0=1,amp=0.2,freq=1e308", "bogus:phi=1", "linear", "", "table:{short}",
+    "table:{text}", "table:{empty}", "table:{missing}", "table:{folder}",
+)
+EDGE_OBSERVABLES = ("energy", "file:{text}", "file:{empty}", "file:{ragged}", "file:{missing}",
+                    "file:")
+EDGE_PATHS = ("{missing}/table.out", "{folder}")
+
+
+@st.composite
+def _argvs(draw):
+    """An argument vector over the CLI grammar: each subcommand, its flags
+    mostly well formed, some taking an edge value, left out or joined by a
+    bogus flag.  Edge values are 0, negative, nan, inf and huge numbers,
+    empty and malformed lists and profile specs, and malformed, empty and
+    missing files.  Sizes stay small or large enough to fail at once, so
+    no draw allocates much.
+    """
+
+    def pick(good, bad):  # an edge value one time in eight
+        return draw(st.sampled_from(bad if draw(st.integers(0, 7)) == 7 else good))
+
+    def number(*good):
+        return pick(good, EDGE_NUMBERS)
+
+    command = draw(st.sampled_from(("spectrum", "curve", "metric", "evolve", "epscan",
+                                    "n2verify")))
+    # the curve takes any size, where a million sites would only be slow
+    sites = pick(("2", "3", "5"), EDGE_SITES[:-1] if command == "curve" else EDGE_SITES)
+    size = int(sites) if sites.isdigit() and int(sites) <= 64 else 2
+    required = [("--n", sites)] if command != "n2verify" else []
+    optional = [("--format", pick(("csv", "json"), ("xml",))),
+                ("--out", pick(("{folder}/table.out",), EDGE_PATHS))]
+    if command in ("spectrum", "metric"):
+        required.append(draw(st.sampled_from((
+            ("--z", f"{number('0', '0.3')},{number('0.5', '-0.2')}"),
+            ("--r", number("0.3", "-0.7", "1")),
+            ("--phi", number("1.2", "0.3")) if command == "metric"
+            else ("--robin", f"{number('1', '0.5')},{number('1', '2')},{number('0.1')}"),
+        ))))
+    if command == "metric":
+        optional = [("--kappa", pick((",".join(["1.5"] * size),), EDGE_LISTS)), optional[1]]
+    if command == "curve":
+        required += [("--e-min", number("0.1", "0.5")), ("--e-max", number("3.5", "3.9")),
+                     ("--samples", pick(("2", "7"), EDGE_SAMPLES))]
+        optional.append(("--svg", pick(("{folder}/curve.svg",), EDGE_PATHS)))
+    if command == "epscan":
+        required += [("--r-min", number("-1", "-0.5")), ("--r-max", number("0.5", "1")),
+                     ("--samples", pick(("2", "7"), EDGE_SAMPLES))]
+    if command == "evolve":
+        required += [
+            ("--profile", pick(("constant:phi=1.2", "linear:phi0=1,omega=0.3",
+                                "linear:phi0=0.3,omega=-0.5", "sin:phi0=1,amp=0.2,freq=3",
+                                "table:{table}"), EDGE_PROFILES)),
+            ("--psi0", pick((",".join(["1", "0.5"] * size),), ("0,0", "nan,0", "", "1"))),
+            ("--t1", number("0.3", "1")),
+            ("--dt", number("0.1", "0.25", "1e308")),
+        ]
+        optional += [("--t0", number("0", "0.2")),
+                     ("--observable", pick(("hamiltonian", "file:{matrix}"), EDGE_OBSERVABLES)),
+                     ("--crosscheck", None),
+                     ("--map", pick(("ketket_columns", "hermitian_root"), ("x",))),
+                     ("--ep-margin", number("1e-6", "0.3"))]
+    if command == "n2verify":
+        optional = [("--phi-grid", pick(("0.5,1.5", "1"), EDGE_LISTS)),
+                    ("--ep-margin", number("1e-6", "0.3")), optional[1]]
+    argv = [command]
+    for flag, value in required + optional:
+        odds = 7 if (flag, value) in required else 1  # left out one time in odds + 1
+        if draw(st.integers(0, odds)) != odds:
+            argv += [flag] if value is None else [f"{flag}={value}"]
+    return argv + ["--bogus"] * (draw(st.integers(0, 7)) == 7)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    contents = {
+        "table": "0,1.0\n1,1.1\n2,1.2\n",
+        "short": "0,1.0\n",
+        "text": "a,b\nc,d\n",
+        "empty": "",
+        "matrix": "1,0,0,0\n0,0,1,0\n",
+        "ragged": "1,0\n0,0,1\n",
+    }
+    for name, text in contents.items():
+        (folder / f"{name}.csv").write_text(text)
+    files = {name: str(folder / f"{name}.csv") for name in contents}
+    return {**files, "missing": str(folder / "absent"), "folder": str(folder)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_argvs())
+@example(["evolve", "--n=2", "--profile=linear:phi0=0.3,omega=-0.5", "--psi0=1,0,0,0",
+          "--t1=1", "--dt=0.1"])
+@example(["evolve", "--n=2", "--profile=constant:phi=0", "--psi0=1,0,0,0", "--t1=1",
+          "--dt=0.1", "--out={folder}/table.out"])
+def test_no_argv_ends_in_a_traceback(cli_files, argv):
+    # exit codes stay in the contract, and a failure is one error line:
+    # "nipsqw: error: " for flag misuse, "error: " for a numerical failure
+    argv = [item.format(**cli_files) for item in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (1, 2):
+        prefix = "nipsqw: error: " if code == 1 else "error: "
+        lines = err.getvalue().splitlines()
+        assert sum(line.startswith(prefix) for line in lines) == 1, (argv, lines)

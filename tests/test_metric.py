@@ -1,5 +1,6 @@
 """Metric family, Dyson factorizations, and observable eligibility."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,6 +15,7 @@ from nipsqw.hamiltonian import build_h, z_from_phi, z_from_r
 from nipsqw.matrix_core import adjoint, eig_general, eig_hermitian, inverse, spectral_norm
 from nipsqw.metric import (
     KetketBasis,
+    _dyson_stack,
     build_metric,
     dyson_from_ketkets,
     dyson_hermitian,
@@ -269,6 +271,44 @@ def test_dyson_singular_near_coalescence():
     )
     with pytest.raises(SingularDyson):
         dyson_from_ketkets(basis)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 16, 24, 33, 64])
+def test_c_product_inverse_matches_svd_and_solve(n):
+    # the well's H is complex symmetric, so conj(V) diag(1/conj(c)) inverts
+    # Omega = V^dagger without a factorization, up to rounding
+    for phi in np.linspace(0.02, np.pi - 0.02, 7):
+        bundle = dyson_from_ketkets(ketkets(build_h(n, z_from_phi(phi))))
+        reference = inverse(bundle.omega)
+        gap = np.abs(bundle.omega_inv - reference).max() / np.abs(reference).max()
+        assert gap <= 1e-12, (n, phi, gap)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_per_level_condition_matches_high_precision(n):
+    # |c_j| / |v_j|^2 is the reciprocal eigenvalue condition s_j, which
+    # 50-digit left and right eigenvectors of the same double matrix give
+    # as |y_j^H x_j| / (|y_j| |x_j|)
+    h = build_h(n, z_from_phi(np.arcsin(0.02)))
+    vectors = ketkets(h).vectors
+    _, _, _, cprods, _ = _dyson_stack(vectors[None], get_tolerances())
+    got = (np.abs(cprods[0]) / (np.abs(vectors) ** 2).sum(axis=0)).min()
+    with mpmath.workdps(50):
+        _, left, right = mpmath.eig(mpmath.matrix(h.conj().T.tolist()), left=True, right=True)
+        want = min(
+            abs((left[j, :] * right[:, j])[0])
+            / (mpmath.norm(left[j, :]) * mpmath.norm(right[:, j]))
+            for j in range(n)
+        )
+    assert got == pytest.approx(float(want), rel=1e-12)
+
+
+def test_dyson_refuses_columns_that_are_not_c_orthogonal():
+    # eigenvectors of a tridiagonal matrix with unequal off-diagonals are
+    # not c-orthogonal, so the c-product inverse would be silently wrong
+    a = np.diag(np.full(4, 2.0)) - np.diag(np.ones(3), -1) - 0.5 * np.diag(np.ones(3), 1)
+    with pytest.raises(SingularDyson, match="not c-orthogonal"):
+        dyson_from_ketkets(ketkets(a))
 
 
 def test_dyson_intertwines_adjoint_action():

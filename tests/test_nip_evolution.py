@@ -169,7 +169,7 @@ def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
     # a failed adjoint solve becomes DefectiveAtEP; of two refusals in one
     # block the earlier stage's wins, even when a later step refuses it
     phis, rates, tol = np.linspace(0.8, 1.2, 5), np.ones(5), get_tolerances()
-    decompose, invert = metric._decompose_arrays, metric._inverse_stack
+    decompose, dyson = metric._decompose_arrays, nip_evolution._dyson_stack
 
     def no_convergence_at_3(stack):
         values, vectors, condition, residual, errors = decompose(stack)
@@ -177,16 +177,16 @@ def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
             errors[3] = NoConvergence("polish exhausted")
         return values, vectors, condition, residual, errors
 
-    def singular_at_1(stack, tol):
-        inv, singular = invert(stack, tol)
-        if len(stack) > 1:
-            singular[1] = True
-        return inv, singular
+    def singular_at_1(vectors, tol):
+        omega, omega_inv, theta, cprods, errors = dyson(vectors, tol)
+        if len(vectors) > 1:
+            errors[1] = SingularDyson("injected")
+        return omega, omega_inv, theta, cprods, errors
 
     monkeypatch.setattr(metric, "_decompose_arrays", no_convergence_at_3)
     with pytest.raises(DefectiveAtEP, match="polish exhausted"):
         nip_evolution._stage_stack(4, phis, rates, tol)
-    monkeypatch.setattr(metric, "_inverse_stack", singular_at_1)
+    monkeypatch.setattr(nip_evolution, "_dyson_stack", singular_at_1)
     with pytest.raises(SingularDyson):
         nip_evolution._stage_stack(4, phis, rates, tol)
 
@@ -354,13 +354,14 @@ def test_a_complex_norm_names_its_earliest_state(monkeypatch):
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
 def test_a_refusal_in_a_later_block_still_raises(integrate, map_kind):
-    # with this floor the N=3 ketket map is first refused near t = 2.36,
-    # several stage blocks in
-    tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.2)
+    # the smallest per-level reciprocal condition of the N=3 ketket map
+    # levels off near 1/3; with this floor the map is first refused near
+    # t = 2.45, several stage blocks in
+    tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.4)
     profile, psi0 = PhiProfile.linear(1.0, -0.25), np.ones(3)
     states = integrate(3, profile, psi0, 0.0, 2.0, 0.02, tol=tol, map_kind=map_kind)
     assert len(states) == 101
-    with pytest.raises(SingularDyson, match="reciprocal condition at or below 0.2"):
+    with pytest.raises(SingularDyson, match="reciprocal condition at or below 0.4"):
         integrate(3, profile, psi0, 0.0, 3.0, 0.02, tol=tol, map_kind=map_kind)
 
 
@@ -479,6 +480,36 @@ def test_evolve_matches_the_exact_ketket_map_solution_at_fourth_order(n):
     fine = error(0.01, 1)
     assert fine <= 1e-8
     assert 14.0 <= error(0.02, 2) / fine <= 18.0
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 10), st.floats(0.5, np.pi - 0.5), st.floats(-0.5, 0.5))
+def test_evolve_keeps_every_ketket_level_invariant(n, phi0, rate):
+    # Omega(t) psi(t) = exp(-i int Lambda dt) Omega(0) psi0 exactly, so each
+    # |(Omega psi)_j| is conserved on its own.  Omega = V^dagger comes from
+    # the ketkets and psi from a solve, so the reference shares no inverse
+    # with evolve; phi stays in [0.25, pi - 0.25] and may cross pi/2
+    profile = PhiProfile.linear(phi0, rate)
+    psi0 = np.ones(n) + 0.5j * np.arange(n)
+    states = evolve(n, profile, psi0, 0.0, 0.5, 0.01)
+    times = np.array([s.t for s in states])
+    widths = np.diff(times)[:, None]
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    at = (times[:-1, None] + widths / 2 * (1.0 + nodes)).ravel()
+    energies = np.linalg.eigvals(build_h(n, z_from_phi(profile(at)[0])))
+    energies = np.sort(energies.real)[:, ::-1].reshape(len(widths), 8, n)
+    steps = widths / 2 * np.einsum("k,skj->sj", weights, energies)
+    phases = np.vstack([np.zeros(n), np.cumsum(steps, axis=0)])
+    omegas = np.array([adjoint(ketkets(build_h(n, z_from_phi(profile(t)[0]))).vectors)
+                       for t in times])
+    mapped = np.exp(-1j * phases) * (omegas[0] @ psi0)
+    exact = np.linalg.solve(omegas, mapped[..., None])[..., 0]
+    got = np.array([s.psi for s in states])
+    error = np.linalg.norm(got - exact, axis=1) / np.linalg.norm(exact, axis=1)
+    assert error.max() <= 1e-7
+    levels = np.abs(np.einsum("tij,tj->ti", omegas, got))
+    drift = np.abs(levels - np.abs(mapped[0])).max() / np.linalg.norm(mapped[0])
+    assert drift <= 1e-7
 
 
 @pytest.mark.parametrize("n", range(3, 9))
