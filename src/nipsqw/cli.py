@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import get_tolerances
-from .errors import BadOverrides, EPProximity, NipsqwError, NoConvergence
+from .errors import BadOverrides, EPProximity, NipsqwError
 from .hamiltonian import (
     PhiProfile,
     RobinParams,
@@ -34,7 +34,7 @@ from .hamiltonian import (
     z_from_r,
 )
 from .matrix_core import (
-    MAX_DIM, _decompose_arrays, _decompose_stack, adjoint, as_square, eig_hermitian,
+    MAX_DIM, _eigen_arrays, adjoint, as_square, eig_hermitian,
     spectral_norm,
 )
 from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
@@ -269,7 +269,7 @@ def cmd_spectrum(args) -> int:
     h = build_h(args.n, _resolve_boundary(args))
     # A defective point fails the eigenvector gate but keeps its energies,
     # which stay well conditioned; only energies that failed are NaN.
-    values, _, _, _, errors = _decompose_arrays(h[None])
+    values, _, _, errors = _eigen_arrays(h[None])
     energies = values[0]
     if np.isnan(energies).any():
         raise errors[0]
@@ -379,7 +379,7 @@ def cmd_evolve(args) -> int:
 
     # every row's generator spectrum in one solve and each observable
     # column in one stacked pass; a refusal surfaces at its row
-    spectra = _decompose_stack(np.array([state.generator for state in states]))
+    spectra, _, _, failures = _eigen_arrays(np.array([state.generator for state in states]))
     columns = []
     if observables:
         kets = np.array([state.psi for state in states])
@@ -394,7 +394,7 @@ def cmd_evolve(args) -> int:
             for _, matrix in observables
         ]
     rows = []
-    for idx, (state, spectrum) in enumerate(zip(states, spectra)):
+    for idx, (state, spectrum, failure) in enumerate(zip(states, spectra, failures)):
         row = [state.t]
         for component in state.psi:
             row += [component.real, component.imag]
@@ -403,9 +403,9 @@ def cmd_evolve(args) -> int:
             if errors[idx] is not None:
                 raise errors[idx]
             row.append(values[idx])
-        if isinstance(spectrum, NoConvergence):
-            raise spectrum
-        for value in spectrum.eigenvalues:
+        if failure is not None:
+            raise failure
+        for value in spectrum:
             row += [value.real, value.imag]
         if args.crosscheck:
             row.append(float(np.linalg.norm(state.omega @ state.psi - partner[idx].psi)))

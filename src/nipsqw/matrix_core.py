@@ -42,9 +42,9 @@ _RESIDUAL_CAP = 1e-10   # accepted-decomposition bound, enforced for N <= 16
 #: memory; speed is flat from 1 << 14 to one unbounded chunk
 _CHUNK_ENTRIES = 1 << 16
 
-#: eigenvector condition numbers at or above this are indistinguishable
-#: from infinity in double precision (an exactly singular matrix rounds
-#: to ~1/eps rather than inf under the SVD)
+#: eigenvector conditions at or above this read as infinite (a singular V
+#: rounds to ~1/eps, not inf, under the SVD); the ketket stage path holds
+#: its SVD-free bound N / min_j s_j to it (``metric._ketket_stack``)
 COND_CEILING = 1e15
 
 
@@ -320,37 +320,53 @@ def _eig_stack(stack: np.ndarray):
     return values, vecs, errors
 
 
-def _decompose_arrays(stack: np.ndarray):
-    """``eig_general`` for every matrix of an (m, N, N) stack at once.
+def _eigen_arrays(stack: np.ndarray):
+    """Sorted eigenpairs of an (m, N, N) stack and their refusals, no SVD.
 
     Returns the ascending eigenvalues (m, N), the unit right vectors
-    (m, N, N), the vector conditions and eigenpair residuals (m,), and
-    per matrix None or the NoConvergence that ``eig_general(stack[k])``
+    (m, N, N), each matrix's worst eigenpair defect |A v - lambda v| (m,)
+    and per matrix None or the NoConvergence that ``eig_general(stack[k])``
     raises.  A refused matrix still has its eigenvalues, so a defective
     point keeps its energies; they are NaN only where the values
-    themselves failed (``_eig_stack``).
+    themselves failed (``_eig_stack``).  For N <= 16, a defect above
+    ``_RESIDUAL_CAP`` |A|_2 is refused too.
     """
-    m, n, _ = stack.shape
+    n = stack.shape[-1]
     values, vectors, errors = _eig_stack(stack)
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
-
-    # one SVD call gives the spectral norms and the vector conditions
-    sv = np.linalg.svd(np.concatenate([stack, vectors]), compute_uv=False)
-    norm_a, sv = sv[:m, 0], sv[m:]
     defect = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=-2)
     defect = defect.max(axis=-1)
+    # the residual cap: |A|_F / sqrt(N) <= |A|_2, so only a defect past that
+    # bound needs the SVD's |A|_2; the slack keeps rounding from passing one
+    if n <= 16:
+        bound = _RESIDUAL_CAP * (1 - 1e-9) * np.linalg.norm(stack, axis=(-2, -1)) / np.sqrt(n)
+        past = [k for k, error in enumerate(errors) if error is None and not defect[k] <= bound[k]]
+        norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0] if past else []
+        for k, residual in zip(past, defect[past] / norm_a):
+            if residual > _RESIDUAL_CAP:
+                errors[k] = NoConvergence(
+                    f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}"
+                )
+    return values, vectors, defect, errors
+
+
+def _decompose_arrays(stack: np.ndarray):
+    """``_eigen_arrays`` plus the diagnostics of ``eig_general``, from one SVD.
+
+    Returns (values, vectors, condition, residual, errors), with the vector
+    condition cond_2(V) and the residual |A v - lambda v| / |A|_2 (m,).
+    """
+    m = len(stack)
+    values, vectors, defect, errors = _eigen_arrays(stack)
+    sv = np.linalg.svd(np.concatenate([stack, vectors]), compute_uv=False)
+    norm_a, sv = sv[:m, 0], sv[m:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         residual = np.where(norm_a > 0, defect / norm_a, defect)
         condition = sv[:, 0] / sv[:, -1]
     condition[~np.isfinite(condition)] = np.inf
-    for k, error in enumerate(errors):
-        if error is None and n <= 16 and residual[k] > _RESIDUAL_CAP:
-            errors[k] = NoConvergence(
-                f"eigenpair residual {residual[k]:.3e} exceeds {_RESIDUAL_CAP:g}"
-            )
     return values, vectors, condition, residual, errors
 
 

@@ -20,6 +20,7 @@ from .errors import BadWeights, DefectiveAtEP, SingularDyson
 from .matrix_core import (
     COND_CEILING,
     _decompose_arrays,
+    _eigen_arrays,
     adjoint,
     as_square,
     eig_hermitian,
@@ -60,24 +61,36 @@ def ketkets(h) -> KetketBasis:
 
     A stack of one through ``_ketket_stack``.  Requires a diagonalizable
     input; an exceptional point announces itself either as solver
-    non-convergence or as an unusable (non-finite-condition)
-    eigenvector matrix.
+    non-convergence or as an eigenvector matrix whose condition cond_2(V),
+    from its SVD, reaches ``COND_CEILING``: the input need not be complex
+    symmetric, so its eigenvectors need not be c-orthogonal.
     """
-    values, vectors, errors = _ketket_stack(as_square(h)[None])
+    values, vectors, errors = _ketket_stack(as_square(h)[None], exact_condition=True)
     if errors[0] is not None:
         raise errors[0]
     return KetketBasis(eigenvalues=values[0], vectors=vectors[0])
 
 
-def _ketket_stack(h: np.ndarray):
+def _ketket_stack(h: np.ndarray, exact_condition: bool = False):
     """Adjoint eigenbases of an (m, N, N) stack of Hamiltonians.
 
     Each basis depends on its own H alone, ordered and scaled as
     ``KetketBasis`` says.  Returns the (m, N) eigenvalues, the (m, N, N)
     columns and, per matrix, None or the DefectiveAtEP that refuses it.
+    The well's H^dagger is complex symmetric, so its unit eigenvectors have
+    V^T V = diag(c) and cond_2(V) <= N / min_j s_j, with s_j = |c_j| level
+    j's reciprocal eigenvalue condition: refusing where that SVD-free bound
+    reaches ``COND_CEILING`` refuses every matrix whose cond_2(V) does.
+    ``exact_condition`` takes cond_2(V) from the SVD, for any square H.
     """
     n = h.shape[-1]
-    values, vectors, condition, _, failures = _decompose_arrays(h.conj().swapaxes(-1, -2))
+    adjoint_stack = h.conj().swapaxes(-1, -2)
+    if exact_condition:
+        values, vectors, condition, _, failures = _decompose_arrays(adjoint_stack)
+    else:
+        values, vectors, _, failures = _eigen_arrays(adjoint_stack)
+        with np.errstate(divide="ignore"):
+            condition = n / np.abs(np.einsum("mij,mij->mj", vectors, vectors)).min(axis=-1)
     errors = [
         DefectiveAtEP(f"adjoint eigenproblem did not converge: {failure}") if failure
         else None if cond < COND_CEILING

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, get_tolerances
-from .errors import EPProximity, NoConvergence, NonRealNorm, NotAnObservable
+from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import _decompose_stack, _sqrt_hpd_stack, as_square
+from .matrix_core import _eigen_arrays, _sqrt_hpd_stack, as_square
 from .metric import _dyson_stack, _ketket_slope, _ketket_stack, _quasi_hermiticity_stack
 
 _CLD = np.clongdouble
@@ -155,17 +155,12 @@ def generator(
     sigma = coriolis(n, profile, t, tol=tol)
     h = build_h_at_time(n, profile, float(t))
     g = h - sigma
-    spectra = _decompose_stack(np.stack([sigma, g]))
-    for dec in spectra:
-        if isinstance(dec, NoConvergence):
-            raise dec
+    values, _, _, errors = _eigen_arrays(np.stack([sigma, g]))
+    for error in errors:
+        if error is not None:
+            raise error
     return GeneratorSnapshot(
-        t=float(t),
-        H=h,
-        Sigma=sigma,
-        G=g,
-        sigma_eigs=spectra[0].eigenvalues,
-        g_eigs=spectra[1].eigenvalues,
+        t=float(t), H=h, Sigma=sigma, G=g, sigma_eigs=values[0], g_eigs=values[1]
     )
 
 

@@ -246,6 +246,47 @@ def test_reducible_tridiagonal_takes_the_dense_route(m, data):
     assert errors == [None] and residual[0] <= 1e-14
 
 
+@pytest.mark.parametrize("share", [0.5, 2.0])
+def test_residual_cap_takes_the_exact_norm_past_the_frobenius_bound(monkeypatch, share):
+    # one large corner makes |A|_F / sqrt(N) about a quarter of |A|_2, so a
+    # defect of `share` times the cap of |A|_2 is past the Frobenius bound
+    # and only the SVD's exact |A|_2 decides; the cap is never moved
+    n = 16
+    m = corner_matrix(n, 0.3j)
+    m[0, 0] = 100.0
+    norm_a = np.linalg.norm(m, 2)
+    assert np.linalg.norm(m) / np.sqrt(n) < 0.3 * norm_a
+    twisted, svd = matrix_core._twisted_vectors, np.linalg.svd
+    svd_calls = []
+
+    def perturb_one_column(a, values):
+        vectors = twisted(a, values)
+        unit = vectors[:, :, 0] / np.linalg.norm(vectors[:, :, 0], axis=-1)
+        shove = np.zeros(n, dtype=complex)
+        shove[5] = 1.0
+        pull = np.linalg.norm((a[0] - values[0, 0] * np.eye(n)) @ shove)
+        vectors[:, :, 0] = unit + share * 1e-10 * norm_a / pull * shove
+        return vectors
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(matrix_core, "_twisted_vectors", perturb_one_column)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    _, _, defect, errors = matrix_core._eigen_arrays(m[None])
+    assert svd_calls == [(1, n, n)]
+    residual = defect[0] / norm_a
+    assert abs(residual / (share * 1e-10) - 1.0) < 1e-3
+    if share < 1:
+        assert errors == [None]
+        assert eig_general(m).residual == pytest.approx(residual, rel=1e-12)
+    else:
+        assert str(errors[0]) == f"eigenpair residual {residual:.3e} exceeds 1e-10"
+        with pytest.raises(NoConvergence, match="eigenpair residual"):
+            eig_general(m)
+
+
 def assert_same_decomposition(got, expected):
     """Bit-for-bit equality of two eig_general outcomes (or of their errors)."""
     if isinstance(expected, NoConvergence):

@@ -101,6 +101,18 @@ def test_ketkets_defective_at_coalescence():
         ketkets(build_h(6, z_from_r(0.0)))
 
 
+def test_ketkets_keeps_the_svd_condition_for_any_square_input():
+    # a normal matrix whose unit eigenvectors have v^T v = 0 while cond(V)
+    # = 1: the stage path's c-product bound would refuse it, ketkets must not
+    basis = ketkets(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
+    np.testing.assert_allclose(sorted(basis.eigenvalues, key=np.imag), [-1j, 1j], atol=1e-15)
+    unit = basis.vectors / np.linalg.norm(basis.vectors, axis=0)
+    assert np.abs(np.sum(unit * unit, axis=0)).max() <= 1e-15
+    assert np.linalg.cond(unit) <= 1.0 + 1e-12
+    with pytest.raises(DefectiveAtEP):
+        ketkets(build_h(6, z_from_r(0.0)))
+
+
 def _overlap_pairing(before, after):
     """For each column of ``before``, the column of ``after`` it overlaps most."""
     a = before / np.linalg.norm(before, axis=0, keepdims=True)

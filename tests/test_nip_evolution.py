@@ -165,17 +165,51 @@ def test_map_slope_matches_a_high_precision_difference(n, phi):
         assert gap <= 1e-11, (hermitian_map, gap)
 
 
+def test_the_stage_path_runs_no_svd(monkeypatch):
+    # the stage path refuses on the per-level c-products and checks the
+    # eigenpair residual against |H|_F, so a healthy block needs no SVD
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran on the stage path")
+
+    inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(inner, "svd", no_svd)
+    profile = PhiProfile.linear(1.3, 0.2)  # crosses pi/2 at t = 1.35
+    for n in (3, 8):
+        psi0 = np.arange(1, n + 1) + 0.3j
+        for map_kind in MAP_KINDS:
+            for integrate in (evolve, textbook_evolve):
+                states = integrate(n, profile, psi0, 0.0, 1.5, 0.05, map_kind=map_kind)
+                assert len(states) == 31 and drift_of(states) < 1e-6
+        assert np.isfinite(coriolis(n, profile, 1.35)).all()
+        assert np.isfinite(generator(n, profile, 1.35).g_eigs).all()
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_stage_refusal_is_the_per_level_condition_bound(monkeypatch, n):
+    # a stage is refused exactly when N / min_j |v_j^T v_j| over its unit
+    # adjoint eigenvectors reaches the ceiling, before any SingularDyson
+    phis, rates, tol = np.array([0.05]), np.ones(1), get_tolerances()
+    vectors = eig_general(adjoint(build_h(n, z_from_phi(0.05)))).right_vectors
+    bound = n / np.abs(np.sum(vectors * vectors, axis=0)).min()
+    monkeypatch.setattr(metric, "COND_CEILING", bound * (1 + 1e-9))
+    nip_evolution._stage_stack(n, phis, rates, tol)
+    monkeypatch.setattr(metric, "COND_CEILING", bound * (1 - 1e-9))
+    with pytest.raises(DefectiveAtEP, match="numerically singular"):
+        nip_evolution._stage_stack(n, phis, rates, tol.replace(eps_singular=0.5))
+
+
 def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
     # a failed adjoint solve becomes DefectiveAtEP; of two refusals in one
     # block the earlier stage's wins, even when a later step refuses it
     phis, rates, tol = np.linspace(0.8, 1.2, 5), np.ones(5), get_tolerances()
-    decompose, dyson = metric._decompose_arrays, nip_evolution._dyson_stack
+    solve, dyson = metric._eigen_arrays, nip_evolution._dyson_stack
 
     def no_convergence_at_3(stack):
-        values, vectors, condition, residual, errors = decompose(stack)
+        values, vectors, defect, errors = solve(stack)
         if len(stack) > 3:
             errors[3] = NoConvergence("polish exhausted")
-        return values, vectors, condition, residual, errors
+        return values, vectors, defect, errors
 
     def singular_at_1(vectors, tol):
         omega, omega_inv, theta, cprods, errors = dyson(vectors, tol)
@@ -183,7 +217,7 @@ def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
             errors[1] = SingularDyson("injected")
         return omega, omega_inv, theta, cprods, errors
 
-    monkeypatch.setattr(metric, "_decompose_arrays", no_convergence_at_3)
+    monkeypatch.setattr(metric, "_eigen_arrays", no_convergence_at_3)
     with pytest.raises(DefectiveAtEP, match="polish exhausted"):
         nip_evolution._stage_stack(4, phis, rates, tol)
     monkeypatch.setattr(nip_evolution, "_dyson_stack", singular_at_1)
