@@ -40,20 +40,11 @@ from .matrix_core import (
 from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
 from .nip_evolution import (
-    MAP_KINDS, _expectation_stack, evolve, generator, textbook_evolve,
+    MAP_KINDS, _check_inputs, _expectation_stack, evolve, generator, textbook_evolve,
 )
 from .spectrum import _curve_stack, ep_scan
 
 FMT = "%.17g"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved global options shared by the subcommand handlers."""
-
-    output_format: str
-    output_path: str | None
-    tolerances: object
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,7 +125,7 @@ def _flag_problem(args) -> str | None:
 
     --n needs two sites to ``MAX_DIM`` (any count above one for curve),
     the numbers of these flags must be finite and the --robin grid spacing
-    positive; ``cmd_evolve`` checks its own time grid, ket and observables.
+    positive; ``cmd_evolve`` checks its ket, time grid and observables.
     """
     if getattr(args, "n", 2) < 2:
         return f"need at least two sites, got {args.n}"
@@ -157,15 +148,10 @@ def _usage_error(message: str) -> int:
     return 1
 
 
-def _config(args) -> RunConfig:
+def _tolerances(args):
+    """The process tolerances with --ep-margin applied when it is given."""
     tol = get_tolerances()
-    if getattr(args, "ep_margin", None) is not None:
-        tol = tol.replace(ep_margin=args.ep_margin)
-    return RunConfig(
-        output_format=getattr(args, "format", "csv"),
-        output_path=getattr(args, "out", None),
-        tolerances=tol,
-    )
+    return tol if args.ep_margin is None else tol.replace(ep_margin=args.ep_margin)
 
 
 # ---------------------------------------------------------------- emission
@@ -193,8 +179,8 @@ def _json_value(value):
     return float(value)
 
 
-def _emit_table(header, rows, cfg: RunConfig) -> None:
-    if cfg.output_format == "json":
+def _emit_table(header, rows, args) -> None:
+    if args.format == "json":
         payload = {
             "columns": list(header),
             "rows": [[_json_value(v) for v in row] for row in rows],
@@ -204,7 +190,7 @@ def _emit_table(header, rows, cfg: RunConfig) -> None:
         lines = [",".join(header)]
         lines += [",".join(_cell(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
-    _write_text(text, cfg.output_path)
+    _write_text(text, args.out)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -214,8 +200,8 @@ def _write_text(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _summary(line: str, cfg: RunConfig) -> None:
-    stream = sys.stderr if cfg.output_path is None else sys.stdout
+def _summary(line: str, args) -> None:
+    stream = sys.stderr if args.out is None else sys.stdout
     print(line, file=stream)
 
 
@@ -265,7 +251,6 @@ def _svg_line_plot(points, x_label, y_label) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _config(args)
     h = build_h(args.n, _resolve_boundary(args))
     # A defective point fails the eigenvector gate but keeps its energies,
     # which stay well conditioned; only energies that failed are NaN.
@@ -273,33 +258,31 @@ def cmd_spectrum(args) -> int:
     energies = values[0]
     if np.isnan(energies).any():
         raise errors[0]
-    flags = np.abs(energies.imag) <= cfg.tolerances.tol_real
+    flags = np.abs(energies.imag) <= get_tolerances().tol_real
     rows = [
         (idx + 1, e.real, e.imag, bool(flag))
         for idx, (e, flag) in enumerate(zip(energies, flags))
     ]
-    _emit_table(("index", "energy_re", "energy_im", "is_real"), rows, cfg)
-    _summary(f"all_real={str(bool(flags.all())).lower()}", cfg)
+    _emit_table(("index", "energy_re", "energy_im", "is_real"), rows, args)
+    _summary(f"all_real={str(bool(flags.all())).lower()}", args)
     return 0
 
 
 def cmd_curve(args) -> int:
-    cfg = _config(args)
     if not args.e_min < args.e_max:
         return _usage_error("--e-min must be below --e-max")
     if args.samples < 2:
         return _usage_error("--samples must be at least 2")
     rows = _curve_stack(args.n, np.linspace(args.e_min, args.e_max, args.samples))
-    _emit_table(("energy", "r_squared", "r_plus", "r_minus", "residual"), rows, cfg)
+    _emit_table(("energy", "r_squared", "r_plus", "r_minus", "residual"), rows, args)
     if args.svg is not None:
         curve_pts = [(r[0], r[1]) for r in rows if r[1] is not None]
         _write_text(_svg_line_plot(curve_pts, "energy", "coupling^2"), args.svg)
-    _summary(f"samples={len(rows)} flat_rows={sum(r[1] is None for r in rows)}", cfg)
+    _summary(f"samples={len(rows)} flat_rows={sum(r[1] is None for r in rows)}", args)
     return 0
 
 
 def cmd_metric(args) -> int:
-    cfg = _config(args)
     kappa = args.kappa if args.kappa is not None else np.ones(args.n)
     if kappa.size != args.n or np.any(kappa <= 0):
         return _usage_error(f"--kappa needs {args.n} positive weights")
@@ -322,23 +305,17 @@ def cmd_metric(args) -> int:
         "positivity_eigs": np.real(eig_hermitian(theta).eigenvalues).tolist(),
         "qh_residual": quasi_hermiticity_residual(h, theta),
     }
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.output_path)
+    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
 def cmd_evolve(args) -> int:
-    cfg = _config(args)
-    if not 0.0 < args.dt < np.inf:
-        return _usage_error("--dt must be positive and finite")
-    if not -np.inf < args.t0 <= args.t1 < np.inf:
-        return _usage_error("--t0 and --t1 must be finite, --t1 not below --t0")
-    if not (args.t1 - args.t0) / args.dt < 2.0**53:  # a step count a float holds exactly
-        return _usage_error("--dt splits the horizon into too many steps")
-    if args.psi0.size != args.n:
-        return _usage_error(f"--psi0 needs {args.n} re,im pairs, got {args.psi0.size}")
-    if not (np.all(np.isfinite(args.psi0)) and np.any(args.psi0)):
-        return _usage_error("--psi0 must be finite and nonzero")
-    for name, matrix in args.observable or []:
+    try:
+        _check_inputs(args.n, args.psi0, args.t0, args.t1, args.dt)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    observables = args.observable or []
+    for name, matrix in observables:
         if matrix is not None and matrix.shape != (args.n, args.n):
             return _usage_error(
                 f"observable {name!r} is {matrix.shape[0]}x{matrix.shape[1]}, "
@@ -346,92 +323,68 @@ def cmd_evolve(args) -> int:
             )
         if matrix is not None and not np.all(np.isfinite(matrix)):
             return _usage_error(f"observable {name!r} takes finite numbers only")
-    tol = cfg.tolerances
+    tol = _tolerances(args)
+    start = (args.n, args.profile, args.psi0, args.t0)
     aborted = None
     try:
-        states = evolve(
-            args.n, args.profile, args.psi0, args.t0, args.t1, args.dt,
-            tol=tol, map_kind=args.map,
-        )
+        states = evolve(*start, args.t1, args.dt, tol=tol, map_kind=args.map)
     except EPProximity as exc:
-        states = exc.trajectory
-        aborted = exc
+        states, aborted = exc.trajectory, exc
         if not states:
-            _summary(f"aborted_at={exc.t_fail:.17g}", cfg)
+            _summary(f"aborted_at={exc.t_fail:.17g}", args)
             raise
-
-    partner = None
+    crosscheck = []
     if args.crosscheck:
-        horizon = states[-1].t
-        partner = textbook_evolve(
-            args.n, args.profile, args.psi0, args.t0, horizon, args.dt,
-            tol=tol, map_kind=args.map,
-        )
-
-    observables = args.observable or []
-    header = ["t"]
-    header += [f"psi{i}_{part}" for i in range(args.n) for part in ("re", "im")]
-    header.append("phys_norm")
-    header += [f"expect_{name}" for name, _ in observables]
-    header += [f"g{i}_{part}" for i in range(args.n) for part in ("re", "im")]
-    if args.crosscheck:
-        header.append("crosscheck")
+        partner = textbook_evolve(*start, states[-1].t, args.dt, tol=tol, map_kind=args.map)
+        crosscheck = [[float(np.linalg.norm(state.omega @ state.psi - mapped.psi))
+                       for state, mapped in zip(states, partner)]]
 
     # every row's generator spectrum in one solve and each observable
-    # column in one stacked pass; a refusal surfaces at its row
+    # column in one stacked pass; the earliest refused row is raised, and
+    # within a row an observable's refusal before the spectrum's
+    times = np.array([state.t for state in states])
+    norms = np.array([state.phys_norm for state in states])
+    kets = np.array([state.psi for state in states])
+    thetas = np.array([state.theta for state in states])
     spectra, _, _, failures = _eigen_arrays(np.array([state.generator for state in states]))
-    columns = []
-    if observables:
-        kets = np.array([state.psi for state in states])
-        thetas = np.array([state.theta for state in states])
-        phis, _ = args.profile(np.array([state.t for state in states]))
-        energy = build_h(args.n, z_from_phi(phis))
-        columns = [
-            _expectation_stack(
-                kets, thetas,
-                energy if matrix is None else np.broadcast_to(as_square(matrix), thetas.shape),
-            )
-            for _, matrix in observables
-        ]
-    rows = []
-    for idx, (state, spectrum, failure) in enumerate(zip(states, spectra, failures)):
-        row = [state.t]
-        for component in state.psi:
-            row += [component.real, component.imag]
-        row.append(state.phys_norm)
-        for values, errors in columns:
-            if errors[idx] is not None:
-                raise errors[idx]
-            row.append(values[idx])
-        if failure is not None:
-            raise failure
-        for value in spectrum:
-            row += [value.real, value.imag]
-        if args.crosscheck:
-            row.append(float(np.linalg.norm(state.omega @ state.psi - partner[idx].psi)))
-        rows.append(row)
-    _emit_table(header, rows, cfg)
+    if any(matrix is None for _, matrix in observables):
+        energy = build_h(args.n, z_from_phi(args.profile(times)[0]))
+    stacks = [
+        _expectation_stack(
+            kets, thetas,
+            energy if matrix is None else np.broadcast_to(as_square(matrix), thetas.shape),
+        )
+        for _, matrix in observables
+    ]
+    rows = zip(*(errors for _, errors in stacks), failures)
+    refusal = next((e for row in rows for e in row if e is not None), None)
+    if refusal is not None:
+        raise refusal
+    pairs = [f"{i}_{part}" for i in range(args.n) for part in ("re", "im")]
+    header = ["t", *(f"psi{pair}" for pair in pairs), "phys_norm",
+              *(f"expect_{name}" for name, _ in observables), *(f"g{pair}" for pair in pairs)]
+    columns = [times, kets.view(float), norms, *(values for values, _ in stacks),
+               spectra.view(float), *crosscheck]
+    _emit_table(header + ["crosscheck"] * args.crosscheck, np.column_stack(columns).tolist(), args)
 
-    norms = np.array([s.phys_norm for s in states])
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
-    _summary(f"norm_drift={drift:.17g}", cfg)
+    _summary(f"norm_drift={drift:.17g}", args)
     if aborted is not None:
-        _summary(f"aborted_at={aborted.t_fail:.17g}", cfg)
+        _summary(f"aborted_at={aborted.t_fail:.17g}", args)
         raise aborted
     return 0
 
 
 def cmd_epscan(args) -> int:
-    cfg = _config(args)
     if not -1.0 <= args.r_min <= args.r_max <= 1.0:
         return _usage_error("coupling range must satisfy -1 <= r-min <= r-max <= 1")
     if args.samples < 1:
         return _usage_error("--samples must be at least 1")
     grid = np.linspace(args.r_min, args.r_max, args.samples)
     rows = ep_scan(args.n, grid).tolist()
-    _emit_table(("r", "min_gap", "vector_condition"), rows, cfg)
+    _emit_table(("r", "min_gap", "vector_condition"), rows, args)
     fallback = sum(1 for row in rows if not np.isfinite(row[2]))
-    _summary(f"samples={len(rows)} defective_rows={fallback}", cfg)
+    _summary(f"samples={len(rows)} defective_rows={fallback}", args)
     return 0
 
 
@@ -506,13 +459,7 @@ def run_identity_suite(phi_grid=None, rates=None, tol=None):
 
 
 def cmd_n2verify(args) -> int:
-    cfg = _config(args)
-    phi_grid = args.phi_grid if args.phi_grid is not None else None
-    try:
-        results = run_identity_suite(phi_grid=phi_grid, tol=cfg.tolerances)
-    except EPProximity as exc:
-        print(f"error: coalescence guard tripped: {exc}", file=sys.stderr)
-        return 2
+    results = run_identity_suite(phi_grid=args.phi_grid, tol=_tolerances(args))
     lines = [
         f"{item.name:<32s} {item.residual:12.3e}  "
         f"{'PASS' if item.passed else 'FAIL'}"
@@ -522,7 +469,7 @@ def cmd_n2verify(args) -> int:
     lines.append(
         f"identities={len(results)} failures={failures} threshold={IDENTITY_THRESHOLD:g}"
     )
-    _write_text("\n".join(lines) + "\n", cfg.output_path)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 3 if failures else 0
 
 
@@ -623,6 +570,7 @@ def main(argv=None) -> int:
     if problem is not None:
         return _usage_error(problem)
     try:
+        get_tolerances()  # a malformed override file is a usage error everywhere
         # numbers too large for the arithmetic fail, not print inf and nan
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.handler(args)

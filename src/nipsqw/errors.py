@@ -68,7 +68,7 @@ class EPProximity(NipsqwError):
 
 
 class NonRealNorm(NipsqwError):
-    """A quadratic form that must be real came back with an imaginary part."""
+    """A quadratic form that must be real came back complex or non-finite."""
 
 
 class NotAnObservable(NipsqwError):

@@ -36,7 +36,7 @@ _EPS_LD = float(np.finfo(np.longdouble).eps)
 
 MAX_DIM = 64
 CHAR_POLY_MAX_DIM = 16  # coefficient growth guard
-_RESIDUAL_CAP = 1e-10   # accepted-decomposition bound, enforced for N <= 16
+_RESIDUAL_CAP = 1e-10   # accepted-decomposition bound
 #: matrix entries per chunk of a stacked eigen-solve: the smallest size at
 #: which the decompositions, not the work arrays, set a large scan's peak
 #: memory; speed is flat from 1 << 14 to one unbounded chunk
@@ -328,8 +328,8 @@ def _eigen_arrays(stack: np.ndarray):
     and per matrix None or the NoConvergence that ``eig_general(stack[k])``
     raises.  A refused matrix still has its eigenvalues, so a defective
     point keeps its energies; they are NaN only where the values
-    themselves failed (``_eig_stack``).  For N <= 16, a defect above
-    ``_RESIDUAL_CAP`` |A|_2 is refused too.
+    themselves failed (``_eig_stack``).  A defect above ``_RESIDUAL_CAP``
+    |A|_2 is refused too.
     """
     n = stack.shape[-1]
     values, vectors, errors = _eig_stack(stack)
@@ -341,15 +341,14 @@ def _eigen_arrays(stack: np.ndarray):
     defect = defect.max(axis=-1)
     # the residual cap: |A|_F / sqrt(N) <= |A|_2, so only a defect past that
     # bound needs the SVD's |A|_2; the slack keeps rounding from passing one
-    if n <= 16:
-        bound = _RESIDUAL_CAP * (1 - 1e-9) * np.linalg.norm(stack, axis=(-2, -1)) / np.sqrt(n)
-        past = [k for k, error in enumerate(errors) if error is None and not defect[k] <= bound[k]]
-        norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0] if past else []
-        for k, residual in zip(past, defect[past] / norm_a):
-            if residual > _RESIDUAL_CAP:
-                errors[k] = NoConvergence(
-                    f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}"
-                )
+    bound = _RESIDUAL_CAP * (1 - 1e-9) * np.linalg.norm(stack, axis=(-2, -1)) / np.sqrt(n)
+    past = [k for k, error in enumerate(errors) if error is None and not defect[k] <= bound[k]]
+    norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0] if past else []
+    for k, residual in zip(past, defect[past] / norm_a):
+        if residual > _RESIDUAL_CAP:
+            errors[k] = NoConvergence(
+                f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}"
+            )
     return values, vectors, defect, errors
 
 

@@ -173,11 +173,7 @@ def _stage_times(t0: float, t1: float, dt: float):
     The horizon end is always hit exactly; a remainder shorter than dt
     becomes one final shortened step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    span = float(t1) - float(t0)
-    if span < 0.0:
-        raise ValueError("t1 must not precede t0")
+    span = t1 - t0
     n_full = int(np.floor(span / dt + 1e-9))
     remainder = span - n_full * dt
     if remainder <= 1e-9 * dt:
@@ -213,6 +209,24 @@ def _propagators(gens, steps):
 #: largest |Im| / |Re| a metric norm or expectation may show and still
 #: count as real to rounding
 IMAG_GATE = 1e-10
+_DOUBLE_MAX = np.finfo(float).max
+
+
+def _unreal(values, floor=0.0):
+    """The real-value gate: per value None, "non-finite" or "complex (value)".
+
+    A value passes when |Im| <= IMAG_GATE max(floor, |Re|) and both parts
+    fit a double; NaN or a part past the double range is non-finite,
+    refused before a cast to float can warn.
+    """
+    values = np.asarray(values)
+    re, im = np.abs(values.real), np.abs(values.imag)
+    finite = (re <= _DOUBLE_MAX) & (im <= _DOUBLE_MAX)
+    real = finite & (im <= IMAG_GATE * np.maximum(floor, re))
+    return [
+        None if ok else f"complex ({complex(values[k]):.3e})" if fin else "non-finite"
+        for k, (ok, fin) in enumerate(zip(real.tolist(), finite.tolist()))
+    ]
 
 
 def _metric_norms(kets, thetas):
@@ -254,18 +268,35 @@ def _stack_2x2(a, b, c, d):
     return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
+def _check_inputs(n, psi0, t0, t1, dt):
+    """psi0 as a complex N-vector and t0, t1, dt as floats, or ValueError.
+
+    dt must be finite and positive, t0 <= t1 both finite, the horizon under
+    2^53 steps (a count a double holds exactly) and psi0 finite and nonzero.
+    """
+    t0, t1, dt = float(t0), float(t1), float(dt)
+    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt:g}")
+    if not -np.inf < t0 <= t1 < np.inf:
+        raise ValueError(f"t0 and t1 must be finite, t1 not below t0, got {t0:g} and {t1:g}")
+    if not (t1 - t0) / dt < 2.0**53:
+        raise ValueError("dt splits the horizon into 2^53 steps or more")
+    if psi0.shape != (n,):
+        raise ValueError(f"initial ket must have length {n}, got {psi0.size}")
+    if not (np.all(np.isfinite(psi0)) and np.any(psi0)):
+        raise ValueError("initial ket must be finite and nonzero")
+    return psi0, t0, t1, dt
+
+
 def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
+    psi0, t0, t1, dt = _check_inputs(n, psi0, t0, t1, dt)
     if map_kind not in MAP_KINDS:
         raise ValueError(f"map_kind must be one of {MAP_KINDS}, got {map_kind!r}")
     hermitian_map = map_kind == "hermitian_root"
     tol = tol if tol is not None else get_tolerances()
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    if psi0.shape != (n,):
-        raise ValueError(f"initial ket must have length {n}")
-    if np.linalg.norm(psi0) == 0.0:
-        raise ValueError("initial ket must be nonzero")
 
-    steps, taus = _stage_times(float(t0), float(t1), float(dt))
+    steps, taus = _stage_times(t0, t1, dt)
     phis, rates = profile(np.asarray(taus, dtype=float))
     phis = np.atleast_1d(phis)
     rates = np.atleast_1d(rates)
@@ -316,10 +347,9 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         if textbook:
             theta = omega = np.broadcast_to(np.eye(n), theta.shape)
         norms = _metric_norms(kets, theta[at_state])
-        bad = np.flatnonzero(np.abs(norms.imag) > IMAG_GATE * np.abs(norms.real))
-        if bad.size:
-            q, t = complex(norms[bad[0]]), float(times[bad[0]])
-            raise NonRealNorm(f"metric norm came out complex ({q:.3e}) at t = {t:.6g}")
+        for k, why in enumerate(_unreal(norms)):
+            if why:
+                raise NonRealNorm(f"metric norm came out {why} at t = {float(times[k]):.6g}")
         states += map(
             EvolutionState,
             times.astype(float).tolist(),
@@ -355,7 +385,9 @@ def evolve(
     its instant and the physical norm, which stays constant to the
     integrator's order.  A trajectory that would cross the
     exceptional-point margin aborts with the completed prefix attached
-    to the raised error.
+    to the raised error; the earliest state whose norm is complex or
+    non-finite raises ``NonRealNorm``.  Bad inputs raise ``ValueError``
+    (``_check_inputs``).
     """
     return _integrate(
         n, profile, psi0, t0, t1, dt, tol, textbook=False, map_kind=map_kind
@@ -377,7 +409,7 @@ def textbook_evolve(
     The initial ket is mapped through Omega(t0); the generator is
     Hermitian, so the ordinary norm is conserved, making this the
     independent cross-check of the moving-metric integration (states
-    carry theta = identity).
+    carry theta = identity).  Refuses inputs and norms as ``evolve`` does.
     """
     return _integrate(
         n, profile, psi0, t0, t1, dt, tol, textbook=True, map_kind=map_kind
@@ -385,11 +417,12 @@ def textbook_evolve(
 
 
 def physical_norm(state: EvolutionState) -> float:
-    """Metric norm <psi|Theta|psi>, demanded real to rounding."""
-    q = complex(_metric_norms(np.asarray(state.psi)[None], as_square(state.theta)[None])[0])
-    if abs(q.imag) > IMAG_GATE * abs(q.real):
-        raise NonRealNorm(f"metric norm has imaginary part {q.imag:.3e}")
-    return float(q.real)
+    """Metric norm <psi|Theta|psi>, demanded real to rounding and finite."""
+    q = _metric_norms(np.asarray(state.psi)[None], as_square(state.theta)[None])
+    why = _unreal(q)[0]
+    if why:
+        raise NonRealNorm(f"metric norm came out {why}")
+    return float(q[0].real)
 
 
 def _expectation_stack(kets, thetas, lams):
@@ -398,7 +431,7 @@ def _expectation_stack(kets, thetas, lams):
     Row k is <psi|Theta Lambda|psi> / <psi|Theta|psi> for its own ket,
     metric and operator.  It is refused with ``NotAnObservable`` when
     Lambda fails quasi-Hermiticity against Theta, else with
-    ``NonRealNorm`` when the value is not real to rounding.
+    ``NonRealNorm`` when the value is not real to rounding or not finite.
     """
     mismatch = _quasi_hermiticity_stack(lams, thetas).tolist()
     # Python's complex division, which rounds unlike numpy's near the gate
@@ -410,10 +443,9 @@ def _expectation_stack(kets, thetas, lams):
     errors = [
         NotAnObservable(f"metric compatibility residual {gap:.3e} exceeds 1e-08")
         if gap > 1e-8
-        else NonRealNorm(f"expectation has imaginary part {value.imag:.3e}")
-        if abs(value.imag) > IMAG_GATE * max(1.0, abs(value.real))
+        else NonRealNorm(f"expectation came out {why}") if why
         else None
-        for gap, value in zip(mismatch, values)
+        for gap, why in zip(mismatch, _unreal(values, floor=1.0))
     ]
     return [value.real for value in values], errors
 

@@ -246,12 +246,16 @@ def test_reducible_tridiagonal_takes_the_dense_route(m, data):
     assert errors == [None] and residual[0] <= 1e-14
 
 
-@pytest.mark.parametrize("share", [0.5, 2.0])
-def test_residual_cap_takes_the_exact_norm_past_the_frobenius_bound(monkeypatch, share):
-    # one large corner makes |A|_F / sqrt(N) about a quarter of |A|_2, so a
+@pytest.mark.parametrize(
+    "share, n",
+    [(0.5, 16), (2.0, 16), (0.5, 24), (2.0, 24), (0.5, 64), (2.0, 64)],
+    ids=["0.5", "2.0", "0.5-n24", "2.0-n24", "0.5-n64", "2.0-n64"],
+)
+def test_residual_cap_takes_the_exact_norm_past_the_frobenius_bound(monkeypatch, share, n):
+    # one large corner makes |A|_F / sqrt(N) under 0.3 of |A|_2, so a
     # defect of `share` times the cap of |A|_2 is past the Frobenius bound
-    # and only the SVD's exact |A|_2 decides; the cap is never moved
-    n = 16
+    # and only the SVD's exact |A|_2 decides; the cap is never moved, and
+    # holds at every N up to MAX_DIM
     m = corner_matrix(n, 0.3j)
     m[0, 0] = 100.0
     norm_a = np.linalg.norm(m, 2)

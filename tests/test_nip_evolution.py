@@ -420,6 +420,26 @@ def test_evolve_rejects_bad_arguments():
         evolve(2, profile, [1.0, 0.0], 1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         evolve(2, profile, [1.0, 0.0], 0.0, 1.0, 0.1, map_kind="diagonal")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            evolve(2, profile, [bad, 0.0], 0.0, 1.0, 0.1)
+        with pytest.raises(ValueError):
+            evolve(2, profile, [1.0, 0.0], 0.0, 1.0, bad)
+        with pytest.raises(ValueError):
+            evolve(2, profile, [1.0, 0.0], 0.0, bad, 0.1)
+    with pytest.raises(ValueError):
+        evolve(2, profile, [1.0, 0.0], -np.inf, 1.0, 0.1)
+    with pytest.raises(ValueError):
+        evolve(2, profile, [1.0, 0.0], 0.0, 1.0, 2.0**-53)
+
+
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+def test_a_non_finite_norm_is_refused_at_its_state(integrate):
+    # dt = 3 is far past RK4's stability limit for this generator, so the
+    # norm grows until it leaves the double range at t = 177
+    psi0 = np.arange(1, 4) + 0.3j
+    with pytest.raises(NonRealNorm, match=r"came out non-finite at t = 177$"):
+        integrate(3, PhiProfile.constant(1.3), psi0, 0.0, 600.0, 3.0)
 
 
 def test_evolve_hermitian_root_map_conserves_its_own_norm():
