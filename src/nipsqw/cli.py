@@ -125,17 +125,14 @@ def _flag_problem(args) -> str | None:
 
     --n needs two sites to ``MAX_DIM`` (any count above one for curve),
     the numbers of these flags must be finite and the --robin grid spacing
-    positive; ``cmd_evolve`` checks its ket, time grid and observables.
+    positive; ``cmd_evolve`` checks its profile, ket, time grid and observables.
     """
     if getattr(args, "n", 2) < 2:
         return f"need at least two sites, got {args.n}"
     if args.subcommand != "curve" and getattr(args, "n", 2) > MAX_DIM:
         return f"need at most {MAX_DIM} sites, got {args.n}"
-    for name in ("z", "r", "phi", "robin", "kappa", "e_min", "e_max", "profile",
-                 "ep_margin", "phi_grid"):
+    for name in ("z", "r", "phi", "robin", "kappa", "e_min", "e_max", "ep_margin", "phi_grid"):
         value = getattr(args, name, None)
-        if isinstance(value, PhiProfile):
-            value = tuple(value.params.values())
         if value is not None and not np.all(np.isfinite(value)):
             return f"--{name.replace('_', '-')} takes finite numbers only"
     if getattr(args, "robin", None) is not None and not args.robin[2] > 0:
@@ -311,7 +308,7 @@ def cmd_metric(args) -> int:
 
 def cmd_evolve(args) -> int:
     try:
-        _check_inputs(args.n, args.psi0, args.t0, args.t1, args.dt)
+        _check_inputs(args.n, args.profile, args.psi0, args.t0, args.t1, args.dt)
     except ValueError as exc:
         return _usage_error(str(exc))
     observables = args.observable or []

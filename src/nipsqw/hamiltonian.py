@@ -97,7 +97,10 @@ class PhiProfile:
     instead of extrapolating.
     """
 
-    KINDS = ("constant", "linear", "sinusoidal", "tabulated")
+    #: each law's parameter names, in the order of ``params`` and the repr
+    LAWS = {"constant": ("phi",), "linear": ("phi0", "omega"),
+            "sinusoidal": ("phi0", "amp", "freq"), "tabulated": ("t_min", "t_max")}
+    KINDS = tuple(LAWS)
 
     def __init__(self, kind: str, params: dict, spline: CubicSpline | None = None):
         if kind not in self.KINDS:
@@ -108,19 +111,20 @@ class PhiProfile:
         self._spline_dot = spline.derivative() if spline is not None else None
 
     @classmethod
+    def _law(cls, kind: str, *values, spline=None) -> "PhiProfile":
+        return cls(kind, dict(zip(cls.LAWS[kind], map(float, values))), spline)
+
+    @classmethod
     def constant(cls, phi: float) -> "PhiProfile":
-        return cls("constant", {"phi": float(phi)})
+        return cls._law("constant", phi)
 
     @classmethod
     def linear(cls, phi0: float, omega: float) -> "PhiProfile":
-        return cls("linear", {"phi0": float(phi0), "omega": float(omega)})
+        return cls._law("linear", phi0, omega)
 
     @classmethod
     def sinusoidal(cls, phi0: float, amplitude: float, frequency: float) -> "PhiProfile":
-        return cls(
-            "sinusoidal",
-            {"phi0": float(phi0), "amp": float(amplitude), "freq": float(frequency)},
-        )
+        return cls._law("sinusoidal", phi0, amplitude, frequency)
 
     @classmethod
     def tabulated(cls, times, phis) -> "PhiProfile":
@@ -133,7 +137,7 @@ class PhiProfile:
             raise ValueError("tabulated profile needs matching 1-d arrays, >= 4 samples")
         if np.any(np.diff(t) <= 0):
             raise ValueError("tabulated times must be strictly increasing")
-        return cls("tabulated", {"t_min": t[0], "t_max": t[-1]}, spline=CubicSpline(t, p))
+        return cls._law("tabulated", t[0], t[-1], spline=CubicSpline(t, p))
 
     @classmethod
     def from_spec(cls, text: str) -> "PhiProfile":
@@ -150,29 +154,22 @@ class PhiProfile:
             if data.shape[1] != 2:
                 raise ValueError(f"{rest}: expected two columns t,phi")
             return cls.tabulated(data[:, 0], data[:, 1])
-        expected_keys = {
-            "constant": ("phi",),
-            "linear": ("phi0", "omega"),
-            "sin": ("phi0", "amp", "freq"),
-        }.get(kind)
-        if expected_keys is None:
+        law = {"constant": "constant", "linear": "linear", "sin": "sinusoidal"}.get(kind)
+        if law is None:
             raise ValueError(f"unknown profile kind {kind!r}")
+        keys = cls.LAWS[law]
         values = {}
         for item in rest.split(","):
             key, eq, val = item.partition("=")
             if not eq:
                 raise ValueError(f"profile item {item!r} is not key=value")
-            if key not in expected_keys or key in values:
+            if key not in keys or key in values:
                 raise ValueError(f"unexpected profile key {key!r} for {kind!r}")
             values[key] = float(val)
-        missing = [k for k in expected_keys if k not in values]
+        missing = [k for k in keys if k not in values]
         if missing:
             raise ValueError(f"profile {kind!r} is missing keys {missing}")
-        if kind == "constant":
-            return cls.constant(values["phi"])
-        if kind == "linear":
-            return cls.linear(values["phi0"], values["omega"])
-        return cls.sinusoidal(values["phi0"], values["amp"], values["freq"])
+        return cls(law, {key: values[key] for key in keys})
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)

@@ -2,18 +2,18 @@
 
 Everything operates on plain square numpy arrays; results come back as
 new arrays or as :class:`EigenDecomposition` records.  The general
-eigensolver works on stacks: ``_decompose_stack`` takes an (m, N, N)
-array of same-size matrices and does every step for the whole stack at
-once, and ``eig_general`` is a stack of one.  Tridiagonal inputs get a
-dedicated path: the dense-solver eigenvalues of the stack are polished
-by simultaneous Newton corrections on the characteristic polynomial,
-evaluated through its three-term recurrence in extended precision, and
-each eigenvector comes from the same recurrence, run from both ends and
-joined at its best twist row.  The polish resolves nearly coalescing
-pairs far below the noise floor of a one-shot dense solve, which
-matters for exceptional-point diagnostics; roots it cannot tell apart
-refuse the matrix as defective.  Failures are kept per matrix, so one
-defective matrix never fails the rest of its stack.
+eigensolver works on stacks: ``_eigen_arrays`` solves an (m, N, N) array
+of same-size matrices at once and without an SVD, ``_decompose_arrays``
+adds the SVD diagnostics, and ``eig_general`` is a stack of one through
+it.  Tridiagonal inputs get a dedicated path: the dense-solver eigenvalues
+are polished by simultaneous Newton corrections on the characteristic
+polynomial, evaluated through its three-term recurrence in extended
+precision, and each eigenvector comes from the same recurrence, run from
+both ends and joined at its best twist row.  The polish resolves nearly
+coalescing pairs far below the noise floor of a one-shot dense solve,
+which matters for exceptional-point diagnostics; roots it cannot tell
+apart refuse the matrix as defective.  Failures are kept per matrix, so
+one defective matrix never fails the rest of its stack.
 """
 
 from __future__ import annotations
@@ -43,16 +43,16 @@ _RESIDUAL_CAP = 1e-10   # accepted-decomposition bound
 _CHUNK_ENTRIES = 1 << 16
 
 #: eigenvector conditions at or above this read as infinite (a singular V
-#: rounds to ~1/eps, not inf, under the SVD); the ketket stage path holds
-#: its SVD-free bound N / min_j s_j to it (``metric._ketket_stack``)
+#: rounds to ~1/eps, not inf, under the SVD); every ketket solve holds its
+#: SVD-free bound N / min_j s_j to it (``metric._ketket_stack``)
 COND_CEILING = 1e15
 
 
 def as_square(matrix) -> np.ndarray:
-    """Validate and return a square complex array (no NaN/Inf entries)."""
+    """Validate and return a non-empty square complex array (no NaN/Inf entries)."""
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
@@ -280,6 +280,13 @@ def _dense_eig(a: np.ndarray):
     return np.concatenate(values), np.concatenate(vecs), [error for (error,) in errors]
 
 
+def _irreducible_tridiagonal(stack: np.ndarray) -> np.ndarray:
+    """Per matrix of an (m, N, N) stack: tridiagonal, no off-diagonal product zero."""
+    rows, cols = np.indices(stack.shape[1:])
+    offprod = np.diagonal(stack, 1, 1, 2) * np.diagonal(stack, -1, 1, 2)
+    return ~(stack[:, np.abs(rows - cols) > 1].any(axis=-1) | (offprod == 0).any(axis=-1))
+
+
 def _eig_stack(stack: np.ndarray):
     """Unsorted eigenpairs of an (m, N, N) stack, with failures per matrix.
 
@@ -303,9 +310,7 @@ def _eig_stack(stack: np.ndarray):
     if n == 2:
         values, vecs = _eig2_closed_form(stack)
         return values, vecs, [None] * m
-    off_band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
-    offprod = np.diagonal(stack, 1, 1, 2) * np.diagonal(stack, -1, 1, 2)
-    dense = stack[:, off_band].any(axis=-1) | (offprod == 0).any(axis=-1)
+    dense = ~_irreducible_tridiagonal(stack)
     chunk = max(1, _CHUNK_ENTRIES // (n * n))
     values = np.empty((m, n), dtype=complex)
     vecs = np.empty((m, n, n), dtype=complex)

@@ -19,8 +19,8 @@ from .config import Tolerances, get_tolerances
 from .errors import BadWeights, DefectiveAtEP, SingularDyson
 from .matrix_core import (
     COND_CEILING,
-    _decompose_arrays,
     _eigen_arrays,
+    _irreducible_tridiagonal,
     adjoint,
     as_square,
     eig_hermitian,
@@ -30,15 +30,15 @@ from .matrix_core import (
 
 @dataclass(frozen=True)
 class KetketBasis:
-    """Eigenbasis of the adjoint problem, one column per level.
+    """Eigenbasis of a well's adjoint problem, one column per level.
 
     ``eigenvalues[j]`` belongs to ``vectors[:, j]``; levels are ordered
     by descending (real, imaginary) part so the two-site columns come
     out exactly as the closed-form Dyson map lists them.  Each column
     is scaled so one end entry equals one: row 0 for the upper half of
     the levels, row N-1 for the lower half (``_pivot_rows``).  The end
-    entries of an eigenvector of the tridiagonal H^dagger never vanish,
-    so the gauge is smooth wherever the levels stay apart.
+    entries of an eigenvector of the well's H^dagger never vanish, so
+    the gauge is smooth wherever the levels stay apart.
     """
 
     eigenvalues: np.ndarray
@@ -59,20 +59,22 @@ def _pivot_rows(n: int) -> np.ndarray:
 def ketkets(h) -> KetketBasis:
     """Solve the adjoint eigenvector problem that seeds every metric.
 
-    A stack of one through ``_ketket_stack``.  Requires a diagonalizable
-    input; an exceptional point announces itself either as solver
-    non-convergence or as an eigenvector matrix whose condition cond_2(V),
-    from its SVD, reaches ``COND_CEILING``: the input need not be complex
-    symmetric, so its eigenvectors need not be c-orthogonal.
+    A stack of one through ``_ketket_stack``, the stage path's solve and
+    refusal.  H must be a well: complex symmetric (H^T = H) and tridiagonal
+    with nonzero off-diagonals, as ``build_h`` gives at any corner value.
+    The end-row gauge and the c-product bound hold only there; else ValueError.
     """
-    values, vectors, errors = _ketket_stack(as_square(h)[None], exact_condition=True)
+    a = as_square(h)
+    if not ((a == a.T).all() and _irreducible_tridiagonal(a[None])[0]):
+        raise ValueError("ketkets needs a complex symmetric tridiagonal H, no off-diagonal zero")
+    values, vectors, errors = _ketket_stack(a[None])
     if errors[0] is not None:
         raise errors[0]
     return KetketBasis(eigenvalues=values[0], vectors=vectors[0])
 
 
-def _ketket_stack(h: np.ndarray, exact_condition: bool = False):
-    """Adjoint eigenbases of an (m, N, N) stack of Hamiltonians.
+def _ketket_stack(h: np.ndarray):
+    """Adjoint eigenbases of an (m, N, N) stack of wells.
 
     Each basis depends on its own H alone, ordered and scaled as
     ``KetketBasis`` says.  Returns the (m, N) eigenvalues, the (m, N, N)
@@ -81,16 +83,11 @@ def _ketket_stack(h: np.ndarray, exact_condition: bool = False):
     V^T V = diag(c) and cond_2(V) <= N / min_j s_j, with s_j = |c_j| level
     j's reciprocal eigenvalue condition: refusing where that SVD-free bound
     reaches ``COND_CEILING`` refuses every matrix whose cond_2(V) does.
-    ``exact_condition`` takes cond_2(V) from the SVD, for any square H.
     """
     n = h.shape[-1]
-    adjoint_stack = h.conj().swapaxes(-1, -2)
-    if exact_condition:
-        values, vectors, condition, _, failures = _decompose_arrays(adjoint_stack)
-    else:
-        values, vectors, _, failures = _eigen_arrays(adjoint_stack)
-        with np.errstate(divide="ignore"):
-            condition = n / np.abs(np.einsum("mij,mij->mj", vectors, vectors)).min(axis=-1)
+    values, vectors, _, failures = _eigen_arrays(h.conj().swapaxes(-1, -2))
+    with np.errstate(divide="ignore"):
+        condition = n / np.abs(np.einsum("mij,mij->mj", vectors, vectors)).min(axis=-1)
     errors = [
         DefectiveAtEP(f"adjoint eigenproblem did not converge: {failure}") if failure
         else None if cond < COND_CEILING

@@ -268,12 +268,15 @@ def _stack_2x2(a, b, c, d):
     return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
 
 
-def _check_inputs(n, psi0, t0, t1, dt):
+def _check_inputs(n, profile, psi0, t0, t1, dt):
     """psi0 as a complex N-vector and t0, t1, dt as floats, or ValueError.
 
-    dt must be finite and positive, t0 <= t1 both finite, the horizon under
-    2^53 steps (a count a double holds exactly) and psi0 finite and nonzero.
+    Each profile parameter, t0, t1, dt and psi0 entry must be finite, with
+    dt > 0, t0 <= t1, psi0 nonzero and the horizon under 2^53 steps (a
+    count a double holds exactly).
     """
+    if not np.all(np.isfinite(tuple(profile.params.values()))):
+        raise ValueError(f"profile {profile!r} takes finite numbers only")
     t0, t1, dt = float(t0), float(t1), float(dt)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if not 0.0 < dt < np.inf:
@@ -290,7 +293,7 @@ def _check_inputs(n, psi0, t0, t1, dt):
 
 
 def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
-    psi0, t0, t1, dt = _check_inputs(n, psi0, t0, t1, dt)
+    psi0, t0, t1, dt = _check_inputs(n, profile, psi0, t0, t1, dt)
     if map_kind not in MAP_KINDS:
         raise ValueError(f"map_kind must be one of {MAP_KINDS}, got {map_kind!r}")
     hermitian_map = map_kind == "hermitian_root"
@@ -298,8 +301,6 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
 
     steps, taus = _stage_times(t0, t1, dt)
     phis, rates = profile(np.asarray(taus, dtype=float))
-    phis = np.atleast_1d(phis)
-    rates = np.atleast_1d(rates)
 
     margin_ok = np.abs(np.sin(phis)) >= tol.ep_margin
     bad = np.flatnonzero(~margin_ok)

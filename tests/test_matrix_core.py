@@ -26,6 +26,8 @@ from nipsqw.matrix_core import (
     spectral_norm,
     sqrt_hpd,
 )
+from nipsqw.metric import ketkets
+from nipsqw.spectrum import solve_spectrum
 
 
 def corner_matrix(n, z):
@@ -87,6 +89,15 @@ def test_rejects_nonfinite_entries():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         adjoint(bad)
+
+
+@pytest.mark.parametrize(
+    "solve", [eig_general, solve_spectrum, ketkets, inverse, sqrt_hpd, eig_hermitian],
+    ids=lambda solve: solve.__name__,
+)
+def test_an_empty_matrix_is_refused(solve):
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        solve(np.zeros((0, 0)))
 
 
 # ---------------------------------------------------------------- inverse

@@ -11,7 +11,7 @@ from nipsqw.errors import (
     NotPositiveDefinite,
     SingularDyson,
 )
-from nipsqw.hamiltonian import build_h, z_from_phi, z_from_r
+from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_phi, z_from_r
 from nipsqw.matrix_core import adjoint, eig_general, eig_hermitian, inverse, spectral_norm
 from nipsqw.metric import (
     KetketBasis,
@@ -101,16 +101,21 @@ def test_ketkets_defective_at_coalescence():
         ketkets(build_h(6, z_from_r(0.0)))
 
 
-def test_ketkets_keeps_the_svd_condition_for_any_square_input():
-    # a normal matrix whose unit eigenvectors have v^T v = 0 while cond(V)
-    # = 1: the stage path's c-product bound would refuse it, ketkets must not
-    basis = ketkets(np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
-    np.testing.assert_allclose(sorted(basis.eigenvalues, key=np.imag), [-1j, 1j], atol=1e-15)
-    unit = basis.vectors / np.linalg.norm(basis.vectors, axis=0)
-    assert np.abs(np.sum(unit * unit, axis=0)).max() <= 1e-15
-    assert np.linalg.cond(unit) <= 1.0 + 1e-12
-    with pytest.raises(DefectiveAtEP):
-        ketkets(build_h(6, z_from_r(0.0)))
+def test_ketkets_refuses_inputs_outside_the_well_domain():
+    # the end-row gauge and the c-product refusal hold only for a complex
+    # symmetric tridiagonal H with nonzero off-diagonals: a diagonal H has
+    # eigenvectors with zero end entries, and [[0, 1], [-1, 0]] has v^T v = 0
+    cut = build_h(4, 0.5j)
+    cut[1, 2] = cut[2, 1] = 0.0
+    unequal = np.diag(np.full(4, 2.0)) - np.diag(np.ones(3), -1) - 0.5 * np.diag(np.ones(3), 1)
+    for h in (np.diag([1.0, 2.0, 3.0]), [[0.0, 1.0], [-1.0, 0.0]], unequal, cut):
+        with pytest.raises(ValueError, match="complex symmetric tridiagonal"):
+            ketkets(h)
+    robin = robin_to_z(RobinParams(1.0, 0.5, 0.2))
+    for h in (build_h(4, 0.5j), build_h(5, robin)):
+        basis = ketkets(h)
+        defect = adjoint(h) @ basis.vectors - basis.vectors * basis.eigenvalues
+        assert np.abs(defect).max() <= 1e-12 * np.abs(basis.vectors).max()
 
 
 def _overlap_pairing(before, after):
@@ -317,10 +322,12 @@ def test_per_level_condition_matches_high_precision(n):
 
 def test_dyson_refuses_columns_that_are_not_c_orthogonal():
     # eigenvectors of a tridiagonal matrix with unequal off-diagonals are
-    # not c-orthogonal, so the c-product inverse would be silently wrong
+    # not c-orthogonal, so the c-product inverse would be silently wrong;
+    # ketkets refuses such a matrix, so the basis is built by hand
     a = np.diag(np.full(4, 2.0)) - np.diag(np.ones(3), -1) - 0.5 * np.diag(np.ones(3), 1)
+    values, vectors = np.linalg.eig(adjoint(a))
     with pytest.raises(SingularDyson, match="not c-orthogonal"):
-        dyson_from_ketkets(ketkets(a))
+        dyson_from_ketkets(KetketBasis(eigenvalues=values, vectors=vectors))
 
 
 def test_dyson_intertwines_adjoint_action():

@@ -183,6 +183,8 @@ def test_the_stage_path_runs_no_svd(monkeypatch):
                 assert len(states) == 31 and drift_of(states) < 1e-6
         assert np.isfinite(coriolis(n, profile, 1.35)).all()
         assert np.isfinite(generator(n, profile, 1.35).g_eigs).all()
+        basis = ketkets(build_h(n, z_from_phi(1.3)))
+        assert np.isfinite(dyson_from_ketkets(basis).omega_inv).all()
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -431,6 +433,13 @@ def test_evolve_rejects_bad_arguments():
         evolve(2, profile, [1.0, 0.0], -np.inf, 1.0, 0.1)
     with pytest.raises(ValueError):
         evolve(2, profile, [1.0, 0.0], 0.0, 1.0, 2.0**-53)
+    # checked before the profile is evaluated, so no RuntimeWarning fires
+    bad_profiles = (PhiProfile.linear(np.nan, 0.1), PhiProfile.linear(1.0, np.inf),
+                    PhiProfile.sinusoidal(1.0, np.nan, 1.0))
+    for integrate in (evolve, textbook_evolve):
+        for bad in bad_profiles:
+            with pytest.raises(ValueError, match="finite numbers only"):
+                integrate(3, bad, [1.0, 0.0, 0.0], 0.0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
