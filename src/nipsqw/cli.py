@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 flag misuse, 2 numerical failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -493,7 +494,9 @@ def _add_output_flags(sub, formats=("csv", "json")):
                      help="write the table to a file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built once per process: parsing keeps no state."""
     parser = _Parser(prog="nipsqw", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -14,6 +14,12 @@ coalescing pairs far below the noise floor of a one-shot dense solve,
 which matters for exceptional-point diagnostics; roots it cannot tell
 apart refuse the matrix as defective.  Failures are kept per matrix, so
 one defective matrix never fails the rest of its stack.
+
+These solvers serve ``eig_general``, the spectral scans, ``ketkets``, the
+two-site evolve stages and the spectra of the generators.  The evolve
+stages at N >= 3 solve their driven wells in closed form instead
+(``metric._well_ketket_stack``) and share only the residual cap,
+``_residual_refusals``.
 """
 
 from __future__ import annotations
@@ -336,17 +342,26 @@ def _eigen_arrays(stack: np.ndarray):
     themselves failed (``_eig_stack``).  A defect above ``_RESIDUAL_CAP``
     |A|_2 is refused too.
     """
-    n = stack.shape[-1]
     values, vectors, errors = _eig_stack(stack)
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
+    return values, vectors, _residual_refusals(stack, values, vectors, errors), errors
+
+
+def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
+    """Each matrix's worst eigenpair defect |A v - lambda v| over unit columns.
+
+    A matrix whose ``errors`` entry is None and whose defect exceeds
+    ``_RESIDUAL_CAP`` |A|_2 gets a NoConvergence there.  Only a defect
+    past the cheaper bound |A|_F / sqrt(N) <= |A|_2 costs an SVD.
+    """
     defect = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=-2)
     defect = defect.max(axis=-1)
-    # the residual cap: |A|_F / sqrt(N) <= |A|_2, so only a defect past that
-    # bound needs the SVD's |A|_2; the slack keeps rounding from passing one
-    bound = _RESIDUAL_CAP * (1 - 1e-9) * np.linalg.norm(stack, axis=(-2, -1)) / np.sqrt(n)
+    # the slack keeps rounding in either norm from passing a refused defect
+    bound = _RESIDUAL_CAP * (1 - 1e-9) * np.linalg.norm(stack, axis=(-2, -1))
+    bound /= np.sqrt(stack.shape[-1])
     past = [k for k, error in enumerate(errors) if error is None and not defect[k] <= bound[k]]
     norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0] if past else []
     for k, residual in zip(past, defect[past] / norm_a):
@@ -354,7 +369,7 @@ def _eigen_arrays(stack: np.ndarray):
             errors[k] = NoConvergence(
                 f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}"
             )
-    return values, vectors, defect, errors
+    return defect
 
 
 def _decompose_arrays(stack: np.ndarray):

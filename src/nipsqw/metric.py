@@ -16,11 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, get_tolerances
-from .errors import BadWeights, DefectiveAtEP, SingularDyson
+from .errors import BadWeights, DefectiveAtEP, NoConvergence, SingularDyson
+from .hamiltonian import z_from_phi
 from .matrix_core import (
     COND_CEILING,
     _eigen_arrays,
     _irreducible_tridiagonal,
+    _residual_refusals,
     adjoint,
     as_square,
     eig_hermitian,
@@ -38,7 +40,9 @@ class KetketBasis:
     is scaled so one end entry equals one: row 0 for the upper half of
     the levels, row N-1 for the lower half (``_pivot_rows``).  The end
     entries of an eigenvector of the well's H^dagger never vanish, so
-    the gauge is smooth wherever the levels stay apart.
+    the gauge is smooth wherever the levels stay apart.  ``ketkets``
+    builds it on the general eigen route; the evolve stages build the
+    same basis of each driven well in closed form (``_well_ketket_stack``).
     """
 
     eigenvalues: np.ndarray
@@ -59,10 +63,14 @@ def _pivot_rows(n: int) -> np.ndarray:
 def ketkets(h) -> KetketBasis:
     """Solve the adjoint eigenvector problem that seeds every metric.
 
-    A stack of one through ``_ketket_stack``, the stage path's solve and
-    refusal.  H must be a well: complex symmetric (H^T = H) and tridiagonal
-    with nonzero off-diagonals, as ``build_h`` gives at any corner value.
-    The end-row gauge and the c-product bound hold only there; else ValueError.
+    A stack of one through ``_ketket_stack``: the general eigen route on
+    H^dagger, with the stage path's gauge and refusal (``_gauged_bases``).
+    The stage path solves its driven wells in closed form from the angle
+    instead; given only H, the coupling read from its corner would lose
+    the pair that meets at r = 0 below r ~ 1e-4.  H must be a well:
+    complex symmetric (H^T = H) and tridiagonal with nonzero off-diagonals,
+    as ``build_h`` gives at any corner value.  The end-row gauge and the
+    c-product bound hold only there; else ValueError.
     """
     a = as_square(h)
     if not ((a == a.T).all() and _irreducible_tridiagonal(a[None])[0]):
@@ -78,28 +86,149 @@ def _ketket_stack(h: np.ndarray):
 
     Each basis depends on its own H alone, ordered and scaled as
     ``KetketBasis`` says.  Returns the (m, N) eigenvalues, the (m, N, N)
-    columns and, per matrix, None or the DefectiveAtEP that refuses it.
-    The well's H^dagger is complex symmetric, so its unit eigenvectors have
-    V^T V = diag(c) and cond_2(V) <= N / min_j s_j, with s_j = |c_j| level
-    j's reciprocal eigenvalue condition: refusing where that SVD-free bound
-    reaches ``COND_CEILING`` refuses every matrix whose cond_2(V) does.
+    columns and, per matrix, None or the DefectiveAtEP that refuses it
+    (``_gauged_bases``).  The general route: ``matrix_core._eigen_arrays``
+    on H^dagger, for any well.
     """
-    n = h.shape[-1]
     values, vectors, _, failures = _eigen_arrays(h.conj().swapaxes(-1, -2))
+    # the solver's ascending unit columns, read in reverse
+    return _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
+
+
+def _gauged_bases(values, unit, failures):
+    """Descending adjoint eigenbases in the end-row gauge, with their refusals.
+
+    ``unit`` (m, N, N) holds one unit eigenvector of H^dagger per value of
+    ``values`` (m, N), both in descending order; ``failures`` holds per
+    matrix None or the NoConvergence of its solve.  The well's H^dagger is
+    complex symmetric, so its unit eigenvectors have V^T V = diag(c) and
+    cond_2(V) <= N / min_j s_j, with s_j = |c_j| level j's reciprocal
+    eigenvalue condition.  A failed solve becomes DefectiveAtEP, and so
+    does a matrix whose SVD-free bound reaches ``COND_CEILING``: that
+    refuses every matrix whose cond_2(V) does.  Returns the values, the
+    columns scaled as ``KetketBasis`` says and per matrix None or its
+    DefectiveAtEP.
+    """
+    n = unit.shape[-1]
     with np.errstate(divide="ignore"):
-        condition = n / np.abs(np.einsum("mij,mij->mj", vectors, vectors)).min(axis=-1)
+        condition = n / np.abs(np.einsum("mij,mij->mj", unit, unit)).min(axis=-1)
     errors = [
         DefectiveAtEP(f"adjoint eigenproblem did not converge: {failure}") if failure
         else None if cond < COND_CEILING
         else DefectiveAtEP("eigenvector matrix is numerically singular")
         for failure, cond in zip(failures, condition)
     ]
-    # the solver's ascending unit columns, read in reverse
-    unit = vectors[:, :, ::-1]
     pivots = unit[:, _pivot_rows(n), np.arange(n)]
     # a failed solve holds identity columns, whose pivot entries may vanish
     pivots[[error is not None for error in errors]] = 1.0
-    return values[:, ::-1], unit / pivots[:, None, :], errors
+    return values, unit / pivots[:, None, :], errors
+
+
+#: Newton steps the angle solve of ``_well_angles`` may take
+_ANGLE_STEPS = 60
+
+
+def _well_angles(n: int, phis):
+    """Angles u_k = pi/2 - theta_k of the levels below E = 2 of driven wells.
+
+    The well with corner z = i cos phi has the levels E_k = 2 - 2 cos theta_k,
+    where theta_k is the one root of N theta + arg(cos theta + i kappa sin
+    theta) = k pi in ((k-1) pi/N, k pi/N), with kappa = r^2 / (2 - r^2) and
+    r = sin phi (Znojil, J. Math. Phys. 50, 2009, 122105; Yueh, Appl. Math.
+    E-Notes 5, 2005, 66).  kappa comes from the angle: read from the corner
+    of H it would lose the pair that meets at r = 0 below r ~ 1e-4.  The
+    levels are symmetric about E = 2 and an odd N has one at exactly 2, so
+    only k = 1 ... floor(N/2) are solved, each in u = pi/2 - theta, where
+    the pair nearest E = 2 keeps its relative precision:
+    g(u) = N u - j pi - atan2(kappa cos u, sin u) = 0 on [j pi/N, (j+1) pi/N],
+    j = N/2 - k, with g' = N + kappa / (sin^2 u + kappa^2 cos^2 u).
+    Safeguarded Newton: a step that leaves the bracket bisects it instead,
+    and a root stops when the step or the bracket is within 4 eps u.  For
+    j = 0, the pair that meets at r = 0, the start is the root of
+    N u = atan(kappa / u) with atan(q) ~ q / sqrt(1 + (2q/pi)^2), within
+    30% of the true one; otherwise it is one fixed-point step
+    u = (j pi + atan2(kappa cos u, sin u)) / N from the bracket's middle.
+    A root that has stopped no longer moves, so each matrix's angles do not
+    depend on the rest of the stack.  Returns the (m, N//2) angles, largest
+    first, and per matrix whether all of them converged within
+    ``_ANGLE_STEPS``.
+    """
+    r = np.sin(np.asarray(phis, dtype=float))[:, None]
+    kappa = r * r / (2.0 - r * r)
+    j = n / 2 - np.arange(1, n // 2 + 1)
+    lo = np.broadcast_to(j * np.pi / n, (len(r), len(j)))
+    hi = lo + np.pi / n
+    t = 2 * n * kappa / np.pi**2
+    mid = (lo + hi) / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(
+            j == 0,
+            np.sqrt(kappa / n / (t + np.sqrt(1 + t * t))),
+            (j * np.pi + np.arctan2(kappa * np.cos(mid), np.sin(mid))) / n,
+        )
+        u = np.clip(u, lo, hi)
+        done = np.zeros(u.shape, dtype=bool)
+        for _ in range(_ANGLE_STEPS):
+            sin_u, cos_u = np.sin(u), np.cos(u)
+            g = n * u - j * np.pi - np.arctan2(kappa * cos_u, sin_u)
+            step = g / (n + kappa / (sin_u * sin_u + (kappa * cos_u) ** 2))
+            lo = np.where(g <= 0, u, lo)
+            hi = np.where(g >= 0, u, hi)
+            tight = 4 * np.finfo(float).eps * u
+            done |= (np.abs(step) <= tight) | (hi - lo <= tight)
+            if done.all():
+                break
+            nxt = u - step
+            nxt = np.where((nxt > lo) & (nxt < hi), nxt, (lo + hi) / 2)
+            u = np.where(done, u, nxt)
+    return u, done.all(axis=-1)
+
+
+def _well_ketket_stack(h: np.ndarray, phis):
+    """``_ketket_stack`` of driven wells in closed form, N >= 3.
+
+    ``h`` is build_h(N, z_from_phi(phis)).  With x = cos theta of each level
+    (``_well_angles``), the column of H^dagger has the Chebyshev form
+    v_i = U_(i-1)(x) - conj(z) U_(i-2)(x), rows i = 1 ... N, from the
+    recurrence v_0 = conj(z), v_1 = 1, v_(i+1) = 2 x v_i - v_(i-1); it is
+    one on row 1.  U_k(-x) = (-1)^k U_k(x), so one real recurrence over
+    the x >= 0 half gives every column.  A stage refuses as ``_ketket_stack``
+    does, with angles that did not converge as its failed solve, and with
+    the eigenpair defect of the unit columns against H^dagger held to the
+    residual cap of ``matrix_core._eigen_arrays``.
+    """
+    n, odd = h.shape[-1], h.shape[-1] % 2
+    angles, converged = _well_angles(n, phis)
+    # x >= 0 ascending: the middle level of an odd N, then the levels below 2
+    x = np.sin(angles[:, ::-1])
+    if odd:
+        x = np.concatenate([np.zeros((len(x), 1)), x], axis=1)
+    cheb = np.empty((n + 1,) + x.shape)  # U_-1 ... U_(N-1) at each x
+    cheb[0], cheb[1] = 0.0, 1.0
+    twice = 2 * x
+    for i in range(1, n):
+        np.multiply(twice, cheb[i], out=cheb[i + 1])
+        cheb[i + 1] -= cheb[i - 1]
+    cheb = cheb.transpose(1, 0, 2)  # [matrix, row, level]
+    now, before = cheb[:, 1:], cheb[:, :-1]
+    zbar = np.conj(z_from_phi(phis))[:, None, None]
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
+    below = signs * (now[:, :, odd:] + zbar * before[:, :, odd:])
+    above = now - zbar * before
+    # descending energy is ascending x: -x, then 0, then +x, whose pivot row
+    # N-1 takes the reversed conjugate (H^dagger = P conj(H^dagger) P under
+    # the row reversal P), one there by the recurrence's start
+    columns = np.concatenate(
+        [below[:, :, ::-1], above[:, :, :odd], above[:, ::-1, odd:].conj()], axis=-1
+    )
+    values = (2.0 + 2.0 * np.concatenate([x[:, odd:][:, ::-1], -x], axis=-1)).astype(complex)
+    failures = [
+        None if ok else NoConvergence(f"angle solve exhausted {_ANGLE_STEPS} Newton steps")
+        for ok in converged
+    ]
+    unit = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
+    _residual_refusals(h.conj().swapaxes(-1, -2), values, unit, failures)
+    return _gauged_bases(values, unit, failures)
 
 
 def _ketket_slope(phis, values, vectors, cprods) -> np.ndarray:

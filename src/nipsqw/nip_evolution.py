@@ -11,8 +11,11 @@ Hermitian) cross-checks the whole pipeline.
 The whole chain -- ketket basis, Dyson map, its analytic slope in the
 boundary angle, Coriolis term -- runs on one route, ``_stage_stack``,
 as (m, N, N) expressions over a block of stage angles; ``coriolis`` and
-``generator`` are stacks of one through it.  Two-site problems take a
-fast path: the closed-form map family and its exact derivative are
+``generator`` are stacks of one through it.  At N >= 3 the kernel solves
+each driven well in closed form from its angle, with no eigensolver
+(``metric._well_ketket_stack``); at N = 2 it takes the general eigen
+route (``metric._ketket_stack``).  Two-site runs on the ketket map skip
+the kernel: the closed-form map family and its exact derivative are
 evaluated in extended precision for every stage at once.
 
 The equation is linear in psi, so each RK4 step is a matrix,
@@ -34,7 +37,13 @@ from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
 from .matrix_core import _eigen_arrays, _sqrt_hpd_stack, as_square
-from .metric import _dyson_stack, _ketket_slope, _ketket_stack, _quasi_hermiticity_stack
+from .metric import (
+    _dyson_stack,
+    _ketket_slope,
+    _ketket_stack,
+    _quasi_hermiticity_stack,
+    _well_ketket_stack,
+)
 
 _CLD = np.clongdouble
 
@@ -47,10 +56,15 @@ MAP_KINDS = ("ketket_columns", "hermitian_root")
 
 #: stages per call of the stage kernel, STAGE_BLOCK // 2 RK4 steps (the
 #: first call also computes the starting stage); bounds the memory of a
-#: long trajectory and the work an early refusal wastes.  2,000 steps at
-#: N=3 take 0.3 MB of arrays beside the states in blocks of 32, 0.6 MB in
-#: blocks of 128 and 10 MB in one piece, for 0.24 / 0.14 / 0.11 s; at N=8
-#: 0.9 / 2.9 / 38 MB for 0.57 / 0.44 / 0.46 s (2-core x86 VM, numpy 2.4)
+#: long trajectory and the work an early refusal wastes.  2,000 steps of
+#: ``evolve`` (linear phi0 = 0.9, omega = 0.6, dt 0.001) take, beside the
+#: states, in blocks of 32 / in blocks of 128 / in one piece: at N=3
+#: 0.2 / 0.4 / 4.2 MB for 0.09-0.14 / 0.06 / 0.04 s; at N=8 0.7 / 2.1 / 34 MB
+#: for 0.20 / 0.09-0.12 / 0.10-0.13 s; at N=24 4.6 / 17 / 315 MB for
+#: 0.47-0.64 / 0.51-0.57 / 0.98 s (two runs, median of 3 each; 2-core x86
+#: VM, numpy 2.4).  With the closed-form wells the per-block overhead
+#: outweighs the solve up to N=8, but a retune waits for a benchmark op
+#: whose trajectory spans blocks
 STAGE_BLOCK = 32
 
 
@@ -106,7 +120,7 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
             raise errors[first]
 
     h = build_h(n, z_from_phi(phis))
-    values, vectors, errors = _ketket_stack(h)
+    values, vectors, errors = _well_ketket_stack(h, phis) if n > 2 else _ketket_stack(h)
     refuse(errors)
     omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
     refuse(errors)

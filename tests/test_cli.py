@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nipsqw
 from nipsqw import matrix_core, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, main, run_identity_suite
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
@@ -594,6 +599,38 @@ def test_reruns_are_byte_identical(capsys):
     first = invoke(capsys, *args)
     second = invoke(capsys, *args)
     assert first == second
+
+
+def _fresh_process_run(*argv):
+    """(exit code, stdout, stderr) of the command in a new interpreter."""
+    root = str(Path(nipsqw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "nipsqw.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_one_process_runs_commands_as_fresh_ones_do(capsys):
+    # the parser is built once per process; an appended flag, a usage error
+    # or another subcommand must not carry over into the next command
+    evolve = ("evolve", "--n", "3", "--profile", "linear:phi0=1.0,omega=0.1",
+              "--psi0", "1,0,0,0.5,0,0", "--t1", "0.1", "--dt", "0.05")
+    commands = [
+        (*evolve, "--observable", "hamiltonian", "--observable", "hamiltonian"),
+        ("epscan", "--n", "4", "--r-min", "0.1", "--r-max", "1", "--samples", "5"),
+        ("evolve", "--n", "3", "--t1", "1"),
+        (*evolve, "--observable", "hamiltonian"),
+    ]
+    runs = [invoke(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in runs] == [0, 0, 1, 0]
+    assert runs[0][1].splitlines()[0].count("hamiltonian") == 2
+    assert runs[3][1].splitlines()[0].count("hamiltonian") == 1
+    assert runs == [_fresh_process_run(*argv) for argv in commands]
 
 
 def test_usage_errors_exit_one(capsys, tmp_path):

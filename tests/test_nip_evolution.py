@@ -1,5 +1,7 @@
 """Coriolis generator, moving-metric integration, and its cross-checks."""
 
+from unittest import mock
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from nipsqw.config import get_tolerances
 from nipsqw.errors import (
     DefectiveAtEP,
     EPProximity,
-    NoConvergence,
     NonRealNorm,
     NotAnObservable,
     SingularDyson,
@@ -202,16 +203,16 @@ def test_stage_refusal_is_the_per_level_condition_bound(monkeypatch, n):
 
 
 def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
-    # a failed adjoint solve becomes DefectiveAtEP; of two refusals in one
+    # a failed angle solve becomes DefectiveAtEP; of two refusals in one
     # block the earlier stage's wins, even when a later step refuses it
     phis, rates, tol = np.linspace(0.8, 1.2, 5), np.ones(5), get_tolerances()
-    solve, dyson = metric._eigen_arrays, nip_evolution._dyson_stack
+    solve, dyson = metric._well_angles, nip_evolution._dyson_stack
 
-    def no_convergence_at_3(stack):
-        values, vectors, defect, errors = solve(stack)
-        if len(stack) > 3:
-            errors[3] = NoConvergence("polish exhausted")
-        return values, vectors, defect, errors
+    def no_convergence_at_3(n, phis):
+        angles, converged = solve(n, phis)
+        if len(phis) > 3:
+            converged[3] = False
+        return angles, converged
 
     def singular_at_1(vectors, tol):
         omega, omega_inv, theta, cprods, errors = dyson(vectors, tol)
@@ -219,12 +220,89 @@ def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
             errors[1] = SingularDyson("injected")
         return omega, omega_inv, theta, cprods, errors
 
-    monkeypatch.setattr(metric, "_eigen_arrays", no_convergence_at_3)
-    with pytest.raises(DefectiveAtEP, match="polish exhausted"):
+    monkeypatch.setattr(metric, "_well_angles", no_convergence_at_3)
+    with pytest.raises(DefectiveAtEP, match="angle solve exhausted"):
         nip_evolution._stage_stack(4, phis, rates, tol)
     monkeypatch.setattr(nip_evolution, "_dyson_stack", singular_at_1)
     with pytest.raises(SingularDyson):
         nip_evolution._stage_stack(4, phis, rates, tol)
+
+
+def _mp_levels(n, phi):
+    """Descending levels of H^dagger and their end-row-gauged columns, 50 digits.
+
+    Each level is a root of det(H^dagger - E), run as the continuant of the
+    rows of ``_mp_adjoint_h`` and polished by Newton's method from LAPACK's
+    values; its column solves the first N-1 rows from v_0 = 1.  Neither
+    step uses the angle form of the closed-form solve.
+    """
+    with mpmath.workdps(50):
+        a = _mp_adjoint_h(n, mpmath.mpf(phi))
+        seeds = np.linalg.eigvals(np.array(a.tolist(), dtype=complex))
+        levels, columns = [], []
+        for seed in sorted(seeds, key=lambda e: -e.real):
+            e = mpmath.mpc(seed)
+            for _ in range(60):
+                p_prev, p, q_prev, q = 0, 1, 0, 0
+                for k in range(n):
+                    off = a[k, k - 1] * a[k - 1, k] if k else 0
+                    p_prev, p, q_prev, q = (
+                        p, (a[k, k] - e) * p - off * p_prev,
+                        q, (a[k, k] - e) * q - p - off * q_prev,
+                    )
+                step = p / q
+                e -= step
+                if abs(step) < mpmath.mpf(10) ** -45:
+                    break
+            v = [mpmath.mpf(1), -(a[0, 0] - e) / a[0, 1]]
+            for k in range(1, n - 1):
+                v.append(-(a[k, k - 1] * v[k - 1] + (a[k, k] - e) * v[k]) / a[k, k + 1])
+            levels.append(complex(e))
+            columns.append(v)
+        gauged = [
+            [complex(entry / v[row]) for entry in v]
+            for v, row in zip(columns, _pivot_rows(n).tolist())
+        ]
+    return np.array(levels), np.array(gauged).T
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 24])
+def test_closed_form_wells_match_fifty_digits_down_to_the_margin(n):
+    # the closed-form solve against a 50-digit solve of the same matrix, on
+    # both sides of pi/2 and down to the exceptional-point margin, where the
+    # general route is off by up to 3e-11
+    sines = np.geomspace(0.5, get_tolerances().ep_margin, 6)
+    phis = np.concatenate([np.arcsin(sines), np.pi - np.arcsin(sines)])
+    values, vectors, errors = metric._well_ketket_stack(build_h(n, z_from_phi(phis)), phis)
+    assert errors == [None] * len(phis)
+    for phi, got_values, got_vectors in zip(phis, values, vectors):
+        want_values, want_vectors = _mp_levels(n, phi)
+        assert np.abs(got_values - want_values).max() <= 1e-14, phi
+        gaps = np.linalg.norm(got_vectors - want_vectors, axis=0)
+        assert (gaps <= 1e-12 * np.linalg.norm(want_vectors, axis=0)).all(), phi
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(3, 24),
+    st.floats(0.3, np.pi - 0.3),
+    st.sampled_from((1.0, -1.0)),
+    st.floats(-2.0, 2.0),
+    st.booleans(),
+    st.booleans(),
+)
+def test_the_closed_form_stage_matches_the_general_route(
+    n, phi, sign, rate, textbook, hermitian_map
+):
+    # the same stage with the general eigen route in place of the closed form
+    phis, rates, tol = np.array([sign * phi]), np.array([rate]), get_tolerances()
+    got = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
+    with mock.patch.object(
+        nip_evolution, "_well_ketket_stack", lambda h, phis: metric._ketket_stack(h)
+    ):
+        want = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
+    for name, a, b in zip(("H", "Sigma", "Theta", "Omega"), got, want):
+        assert spectral_norm(a[0] - b[0]) <= 1e-11 * spectral_norm(b[0]), name
 
 
 def test_coriolis_guards_the_coalescence_margin():
