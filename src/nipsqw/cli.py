@@ -38,7 +38,9 @@ from .matrix_core import (
     MAX_DIM, _eigen_arrays, adjoint, as_square, eig_hermitian,
     spectral_norm,
 )
-from .metric import build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual
+from .metric import (
+    _ketket_stack, build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual,
+)
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
 from .nip_evolution import (
     MAP_KINDS, _check_inputs, _expectation_stack, evolve, generator, textbook_evolve,
@@ -251,9 +253,10 @@ def _svg_line_plot(points, x_label, y_label) -> str:
 def cmd_spectrum(args) -> int:
     h = build_h(args.n, _resolve_boundary(args))
     # A defective point fails the eigenvector gate but keeps its energies,
-    # which stay well conditioned; only energies that failed are NaN.
-    values, _, _, errors = _eigen_arrays(h[None])
-    energies = values[0]
+    # which stay well conditioned; only energies that failed are NaN.  The
+    # well is PT-symmetric, so H^dagger's levels, read ascending, are H's.
+    values, _, errors = _ketket_stack(h[None])
+    energies = values[0, ::-1]
     if np.isnan(energies).any():
         raise errors[0]
     flags = np.abs(energies.imag) <= get_tolerances().tol_real

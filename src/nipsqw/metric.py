@@ -17,11 +17,10 @@ import numpy as np
 
 from .config import Tolerances, get_tolerances
 from .errors import BadWeights, DefectiveAtEP, NoConvergence, SingularDyson
-from .hamiltonian import z_from_phi
+from .hamiltonian import build_h
 from .matrix_core import (
     COND_CEILING,
     _eigen_arrays,
-    _irreducible_tridiagonal,
     _residual_refusals,
     adjoint,
     as_square,
@@ -40,9 +39,9 @@ class KetketBasis:
     is scaled so one end entry equals one: row 0 for the upper half of
     the levels, row N-1 for the lower half (``_pivot_rows``).  The end
     entries of an eigenvector of the well's H^dagger never vanish, so
-    the gauge is smooth wherever the levels stay apart.  ``ketkets``
-    builds it on the general eigen route; the evolve stages build the
-    same basis of each driven well in closed form (``_well_ketket_stack``).
+    the gauge is smooth wherever the levels stay apart.  ``_ketket_stack``
+    builds it in closed form for a driven well (``_well_ketket_stack``) and
+    by the eigensolver of ``matrix_core`` for every other well.
     """
 
     eigenvalues: np.ndarray
@@ -63,17 +62,22 @@ def _pivot_rows(n: int) -> np.ndarray:
 def ketkets(h) -> KetketBasis:
     """Solve the adjoint eigenvector problem that seeds every metric.
 
-    A stack of one through ``_ketket_stack``: the general eigen route on
-    H^dagger, with the stage path's gauge and refusal (``_gauged_bases``).
-    The stage path solves its driven wells in closed form from the angle
-    instead; given only H, the coupling read from its corner would lose
-    the pair that meets at r = 0 below r ~ 1e-4.  H must be a well:
-    complex symmetric (H^T = H) and tridiagonal with nonzero off-diagonals,
-    as ``build_h`` gives at any corner value.  The end-row gauge and the
-    c-product bound hold only there; else ValueError.
+    A stack of one through ``_ketket_stack``: a driven well in closed form
+    at the coupling its corner gives, any other well by the eigensolver of
+    ``matrix_core`` on H^dagger, with the stage path's gauge and refusal
+    (``_gauged_bases``).  It solves
+    the matrix it is given; the stage path takes the coupling from the
+    angle instead, and so differs near the exceptional point by the
+    rounding of cos phi in H's corner, about 1e-4 relative in kappa at
+    sin phi = 1e-6.  H must be a well: complex symmetric (H^T = H) and
+    tridiagonal with nonzero off-diagonals, as ``build_h`` gives at any
+    corner value.  The end-row gauge and the c-product bound hold only
+    there; else ValueError.
     """
     a = as_square(h)
-    if not ((a == a.T).all() and _irreducible_tridiagonal(a[None])[0]):
+    rows, cols = np.indices(a.shape)
+    offprod = np.diagonal(a, 1) * np.diagonal(a, -1)
+    if not ((a == a.T).all() and (offprod != 0).all() and not a[np.abs(rows - cols) > 1].any()):
         raise ValueError("ketkets needs a complex symmetric tridiagonal H, no off-diagonal zero")
     values, vectors, errors = _ketket_stack(a[None])
     if errors[0] is not None:
@@ -81,15 +85,51 @@ def ketkets(h) -> KetketBasis:
     return KetketBasis(eigenvalues=values[0], vectors=vectors[0])
 
 
-def _ketket_stack(h: np.ndarray):
+def _driven_wells(h: np.ndarray) -> np.ndarray:
+    """Per matrix of an (m, N, N) stack: build_h(N, z) with Re z = 0, |z| <= 1, N >= 3.
+
+    Such a well has z = i c with c = Im H_NN, so its coupling is
+    r = sqrt(1 - c^2).
+    """
+    n = h.shape[-1]
+    if n < 3:
+        return np.zeros(len(h), dtype=bool)
+    c = h[:, -1, -1].imag
+    return (h == build_h(n, 1j * c)).all(axis=(-2, -1)) & (np.abs(c) <= 1.0)
+
+
+def _ketket_stack(h: np.ndarray, r=None):
     """Adjoint eigenbases of an (m, N, N) stack of wells.
 
     Each basis depends on its own H alone, ordered and scaled as
     ``KetketBasis`` says.  Returns the (m, N) eigenvalues, the (m, N, N)
     columns and, per matrix, None or the DefectiveAtEP that refuses it
-    (``_gauged_bases``).  The general route: ``matrix_core._eigen_arrays``
-    on H^dagger, for any well.
+    (``_gauged_bases``).  The one dispatcher of the wells: each driven well
+    (``_driven_wells``) is solved in closed form at its coupling ``r``
+    (m,), read from its corner as sqrt((1 - |z|)(1 + |z|)) when not given;
+    every other well (N = 2, Robin corners, |z| > 1) by
+    ``matrix_core._eigen_arrays`` on H^dagger: the 2x2 closed form at N = 2,
+    LAPACK above it.
     """
+    well = _driven_wells(h)
+    if r is None:
+        size = np.abs(np.where(well, h[:, -1, -1].imag, 0.0))
+        r = np.sqrt((1.0 - size) * (1.0 + size))
+    values = np.empty(h.shape[:2], dtype=complex)
+    vectors = np.empty(h.shape, dtype=complex)
+    errors = [None] * len(h)
+    for part, solve in ((well, lambda k: _well_ketket_stack(h[k], r[k])),
+                        (~well, lambda k: _eigen_ketket_stack(h[k]))):
+        members = np.flatnonzero(part)
+        if members.size:
+            values[members], vectors[members], part_errors = solve(members)
+            for k, error in zip(members, part_errors):
+                errors[k] = error
+    return values, vectors, errors
+
+
+def _eigen_ketket_stack(h: np.ndarray):
+    """``_ketket_stack`` of any wells, by ``_eigen_arrays`` on H^dagger."""
     values, vectors, _, failures = _eigen_arrays(h.conj().swapaxes(-1, -2))
     # the solver's ascending unit columns, read in reverse
     return _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
@@ -128,17 +168,17 @@ def _gauged_bases(values, unit, failures):
 _ANGLE_STEPS = 60
 
 
-def _well_angles(n: int, phis):
+def _well_angles(n: int, r):
     """Angles u_k = pi/2 - theta_k of the levels below E = 2 of driven wells.
 
     The well with corner z = i cos phi has the levels E_k = 2 - 2 cos theta_k,
     where theta_k is the one root of N theta + arg(cos theta + i kappa sin
     theta) = k pi in ((k-1) pi/N, k pi/N), with kappa = r^2 / (2 - r^2) and
-    r = sin phi (Znojil, J. Math. Phys. 50, 2009, 122105; Yueh, Appl. Math.
-    E-Notes 5, 2005, 66).  kappa comes from the angle: read from the corner
-    of H it would lose the pair that meets at r = 0 below r ~ 1e-4.  The
-    levels are symmetric about E = 2 and an odd N has one at exactly 2, so
-    only k = 1 ... floor(N/2) are solved, each in u = pi/2 - theta, where
+    the coupling r = sin phi (Znojil, J. Math. Phys. 50, 2009, 122105; Yueh,
+    Appl. Math. E-Notes 5, 2005, 66).  kappa comes from r as given: the
+    stage path passes sin phi, since 1 - |z|^2 from a rounded corner loses
+    the pair that meets at r = 0 below r ~ 1e-4.  The levels are symmetric
+    about E = 2 and an odd N has one at exactly 2, so only k = 1 ... floor(N/2) are solved, each in u = pi/2 - theta, where
     the pair nearest E = 2 keeps its relative precision:
     g(u) = N u - j pi - atan2(kappa cos u, sin u) = 0 on [j pi/N, (j+1) pi/N],
     j = N/2 - k, with g' = N + kappa / (sin^2 u + kappa^2 cos^2 u).
@@ -153,7 +193,7 @@ def _well_angles(n: int, phis):
     first, and per matrix whether all of them converged within
     ``_ANGLE_STEPS``.
     """
-    r = np.sin(np.asarray(phis, dtype=float))[:, None]
+    r = np.asarray(r, dtype=float)[:, None]
     kappa = r * r / (2.0 - r * r)
     j = n / 2 - np.arange(1, n // 2 + 1)
     lo = np.broadcast_to(j * np.pi / n, (len(r), len(j)))
@@ -184,21 +224,25 @@ def _well_angles(n: int, phis):
     return u, done.all(axis=-1)
 
 
-def _well_ketket_stack(h: np.ndarray, phis):
+def _well_ketket_stack(h: np.ndarray, r):
     """``_ketket_stack`` of driven wells in closed form, N >= 3.
 
-    ``h`` is build_h(N, z_from_phi(phis)).  With x = cos theta of each level
-    (``_well_angles``), the column of H^dagger has the Chebyshev form
-    v_i = U_(i-1)(x) - conj(z) U_(i-2)(x), rows i = 1 ... N, from the
-    recurrence v_0 = conj(z), v_1 = 1, v_(i+1) = 2 x v_i - v_(i-1); it is
-    one on row 1.  U_k(-x) = (-1)^k U_k(x), so one real recurrence over
-    the x >= 0 half gives every column.  A stage refuses as ``_ketket_stack``
-    does, with angles that did not converge as its failed solve, and with
-    the eigenpair defect of the unit columns against H^dagger held to the
-    residual cap of ``matrix_core._eigen_arrays``.
+    ``h`` is build_h(N, z) with z = i c, |c| <= 1, and ``r`` its coupling
+    sqrt(1 - c^2) (sin phi for z = i cos phi), from which the angles come;
+    conj(z) = conj(i c) is read from H's last corner, 2 + i c.  With
+    x = cos theta of each level (``_well_angles``), the column of H^dagger
+    has the Chebyshev form v_i = U_(i-1)(x) - conj(z) U_(i-2)(x), rows
+    i = 1 ... N, from the recurrence v_0 = conj(z), v_1 = 1, v_(i+1) =
+    2 x v_i - v_(i-1); it is one on row 1.  U_k(-x) = (-1)^k U_k(x), so one
+    real recurrence over the x >= 0 half gives every column.  A well is
+    refused as the other wells are (``_gauged_bases``), with angles that
+    did not converge as its failed solve, and with the eigenpair defect of
+    the unit columns against H^dagger held to the residual cap of
+    ``matrix_core._eigen_arrays``; the values of an angle solve that did
+    not converge are NaN.
     """
     n, odd = h.shape[-1], h.shape[-1] % 2
-    angles, converged = _well_angles(n, phis)
+    angles, converged = _well_angles(n, r)
     # x >= 0 ascending: the middle level of an odd N, then the levels below 2
     x = np.sin(angles[:, ::-1])
     if odd:
@@ -211,7 +255,7 @@ def _well_ketket_stack(h: np.ndarray, phis):
         cheb[i + 1] -= cheb[i - 1]
     cheb = cheb.transpose(1, 0, 2)  # [matrix, row, level]
     now, before = cheb[:, 1:], cheb[:, :-1]
-    zbar = np.conj(z_from_phi(phis))[:, None, None]
+    zbar = np.conj(1j * h[:, -1, -1].imag)[:, None, None]
     signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
     below = signs * (now[:, :, odd:] + zbar * before[:, :, odd:])
     above = now - zbar * before
@@ -222,6 +266,7 @@ def _well_ketket_stack(h: np.ndarray, phis):
         [below[:, :, ::-1], above[:, :, :odd], above[:, ::-1, odd:].conj()], axis=-1
     )
     values = (2.0 + 2.0 * np.concatenate([x[:, odd:][:, ::-1], -x], axis=-1)).astype(complex)
+    values[~converged] = np.nan
     failures = [
         None if ok else NoConvergence(f"angle solve exhausted {_ANGLE_STEPS} Newton steps")
         for ok in converged

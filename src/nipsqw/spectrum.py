@@ -17,7 +17,8 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h, z_from_r
-from .matrix_core import COND_CEILING, EigenDecomposition, _decompose_arrays, eig_general
+from .matrix_core import COND_CEILING, EigenDecomposition, eig_general
+from .metric import _ketket_stack
 
 _CLD = np.clongdouble
 
@@ -229,12 +230,14 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
 
     Returns rows (r, min_gap, vector_condition); the condition number
     blowing up as r -> 0 while the smallest gap closes is the
-    exceptional-point signature.  Where the eigendecomposition gives up
-    (defective point), or its condition reaches ``COND_CEILING``, the
-    condition is the +inf sentinel.  The gaps come from the same solve,
-    which keeps the eigenvalues of a defective point; a nan gap means
-    the eigenvalues themselves failed.  The whole grid is solved as one
-    stack.
+    exceptional-point signature.  Each well is solved at the coupling r
+    it is given, in closed form at N >= 3 (``metric._ketket_stack``), and
+    its condition is cond_2 of the unit eigenvectors, from one SVD.  Where
+    the solve refuses the point (defective), or the condition reaches
+    ``COND_CEILING``, the condition is the +inf sentinel.  The gaps come
+    from the same solve, which keeps the levels of a defective point; a
+    nan gap means the levels themselves failed.  The whole grid is solved
+    as one stack.
     """
     r_values = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if np.any(np.abs(r_values) > 1.0):
@@ -246,10 +249,14 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
         return pair_gaps.min(axis=(1, 2))
 
     stack = build_h(n, [z_from_r(r) for r in r_values])
+    values, vectors, errors = _ketket_stack(stack, r_values)
+    sv = np.linalg.svd(vectors / np.linalg.norm(vectors, axis=-2, keepdims=True),
+                       compute_uv=False)
     rows = np.empty((r_values.size, 3), dtype=float)
     rows[:, 0] = r_values
-    values, _, rows[:, 2], _, errors = _decompose_arrays(stack)
-    rows[[error is not None for error in errors], 2] = np.inf
     rows[:, 1] = min_gap(values)
+    with np.errstate(divide="ignore"):
+        rows[:, 2] = sv[:, 0] / sv[:, -1]
+    rows[[error is not None for error in errors], 2] = np.inf
     rows[rows[:, 2] >= COND_CEILING, 2] = np.inf
     return rows

@@ -15,10 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nipsqw
-from nipsqw import matrix_core, nip_evolution
+from nipsqw import matrix_core, metric, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, main, run_identity_suite
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
-from nipsqw.matrix_core import _decompose_arrays
 from nipsqw.n2_oracle import g_eigs
 from nipsqw.spectrum import ep_scan
 
@@ -488,45 +487,71 @@ def test_epscan_exact_coalescence_is_a_defective_row(capsys):
 
 def test_defective_energies_come_from_the_one_solve(capsys):
     # the six-site well at r = 0 is refused as defective, yet keeps its energies
-    values, _, _, _, errors = _decompose_arrays(build_h(6, z_from_r(0.0))[None])
-    assert str(errors[0]).startswith("coalescing eigenvalues")
+    values, _, errors = metric._ketket_stack(build_h(6, z_from_r(0.0))[None])
+    assert str(errors[0]) == "eigenvector matrix is numerically singular"
     code, out, _ = invoke(capsys, "spectrum", "--n", "6", "--r", "0")
     assert code == 0
     _, rows = table_of(out)
     printed = [complex(float(re), float(im)) for _, re, im, _ in rows]
-    np.testing.assert_array_equal(printed, values[0])
+    np.testing.assert_array_equal(printed, values[0, ::-1])
 
 
 def test_failed_roots_are_nan_on_every_route(capsys, monkeypatch):
-    # the root polish reports non-convergence for the r = 0.5 well alone
-    corner = 2.0 - z_from_r(0.5)
-    polish = matrix_core._aberth_polish
+    # the angle solve reports non-convergence for the r = 0.5 well alone,
+    # and LAPACK fails the z = 3i well alone
+    solve, lapack_eig = metric._well_angles, np.linalg.eig
 
-    def fail_one(diag, offprod, seeds):
-        roots, converged = polish(diag, offprod, seeds)
-        converged[diag[:, 0] == corner] = False
-        return roots, converged
+    def fail_one_angle(n, r):
+        angles, converged = solve(n, r)
+        converged[np.abs(np.asarray(r) - 0.5) < 1e-12] = False
+        return angles, converged
 
-    monkeypatch.setattr(matrix_core, "_aberth_polish", fail_one)
+    def fail_one_matrix(a):
+        if (np.abs(a[:, 0, 0] - 2.0) == 3.0).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return lapack_eig(a)
+
+    monkeypatch.setattr(metric, "_well_angles", fail_one_angle)
+    monkeypatch.setattr(np.linalg, "eig", fail_one_matrix)
     grid = [0.3, 0.5, 0.7]
     stack = build_h(5, [z_from_r(r) for r in grid])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, vectors, condition, _, errors = _decompose_arrays(stack)
+        values, vectors, errors = metric._ketket_stack(stack)
         rows = ep_scan(5, grid)
-        code, out, err = invoke(capsys, "spectrum", "--n", "5", "--r", "0.5")
+        on_the_well = invoke(capsys, "spectrum", "--n", "5", "--r", "0.5")
+        past_the_circle = invoke(capsys, "spectrum", "--n", "5", "--z", "0,3")
     assert np.isnan(values[1]).all()
-    assert str(errors[1]) == "root polish exhausted 2500 iterations"
+    angles_failed = "adjoint eigenproblem did not converge: angle solve exhausted 60 Newton steps"
+    assert str(errors[1]) == angles_failed
     for k in (0, 2):
-        alone = _decompose_arrays(stack[k:k + 1])
-        for got, want in zip((values, vectors, condition), alone):
+        alone = metric._ketket_stack(stack[k:k + 1])
+        for got, want in zip((values, vectors), alone):
             np.testing.assert_array_equal(got[k], want[0])
-        assert errors[k] is None and alone[4][0] is None
+        assert errors[k] is None and alone[2][0] is None
     assert np.isnan(rows[1, 1]) and rows[1, 2] == np.inf
     rows_alone = np.vstack([ep_scan(5, [r]) for r in grid[::2]])
     np.testing.assert_array_equal(rows[[0, 2]], rows_alone)
-    assert code == 2 and out == ""
-    assert err == "error: root polish exhausted 2500 iterations\n"
+    lapack_failed = "adjoint eigenproblem did not converge: Eigenvalues did not converge"
+    for (code, out, err), why in ((on_the_well, angles_failed), (past_the_circle, lapack_failed)):
+        assert code == 2 and out == ""
+        assert err == f"error: {why}\n"
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 64])
+def test_driven_wells_take_no_eigensolver(capsys, monkeypatch, n):
+    # ketkets, ep_scan and the spectrum, metric and epscan commands solve
+    # every driven well in closed form, from the coupling alone
+    calls = []
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name: calls.append(name))
+    metric.ketkets(build_h(n, z_from_r(0.4)))
+    ep_scan(n, np.linspace(-1.0, 1.0, 9))
+    for argv in (("spectrum", "--r", "0.4"), ("metric", "--phi", "2.5"),
+                 ("epscan", "--r-min", "-1", "--r-max", "1", "--samples", "9")):
+        code, _, _ = invoke(capsys, argv[0], "--n", str(n), *argv[1:])
+        assert code == 0, argv
+    assert calls == []
 
 
 def test_epscan_range_validation(capsys):
@@ -738,9 +763,9 @@ def test_tolerance_override_file(capsys, tmp_path, monkeypatch):
     overrides = tmp_path / "tol.cfg"
     overrides.write_text("tol_real = 1e-30\n")
     monkeypatch.setenv("NIPSQW_TOL_OVERRIDES", str(overrides))
-    code, _, err = invoke(capsys, "spectrum", "--n", "6", "--r", "0")
+    code, _, err = invoke(capsys, "spectrum", "--n", "6", "--z", "0.3,0.5")
     assert code == 0
-    # residual imaginary parts at the defective point now trip the gate
+    # LAPACK's residual imaginary parts of the real levels now trip the gate
     assert "all_real=false" in err
 
 

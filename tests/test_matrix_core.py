@@ -12,12 +12,11 @@ from nipsqw.errors import (
     OutOfRange,
     SingularMatrix,
 )
-from nipsqw import matrix_core
+from nipsqw import matrix_core, metric
 from nipsqw.hamiltonian import build_h, z_from_phi
 from nipsqw.matrix_core import (
     EigenDecomposition,
-    _decompose_arrays,
-    _decompose_stack,
+    _eigen_arrays,
     adjoint,
     char_poly,
     eig_general,
@@ -231,9 +230,16 @@ def _tridiagonal_matrices(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_tridiagonal_matrices())
 def test_tridiagonal_eigenpairs_meet_the_residual_bound(m):
-    _, _, _, residual, errors = _decompose_arrays(m[None])
-    assert errors == [None]
-    assert residual[0] <= 1e-14
+    assert eig_general(m).residual <= 1e-14
+
+
+def test_a_close_but_distinct_pair_is_solved():
+    # Wilkinson's W21+: its top two eigenvalues agree to about 1e-14, yet
+    # the matrix is symmetric, so its eigenvectors stay orthonormal
+    m = (np.diag(np.abs(np.arange(-10.0, 11.0))) + np.eye(21, k=1) + np.eye(21, k=-1))
+    dec = eig_general(m)
+    assert np.isfinite(dec.vector_condition) and dec.vector_condition < 10
+    assert dec.residual <= 1e-14
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -246,15 +252,15 @@ def test_reducible_tridiagonal_takes_the_dense_route(m, data):
         m[row + 1, row] = 0.0
     else:
         m[row, row + 1] = 0.0
-    values, vectors, _, residual, errors = _decompose_arrays(m[None])
+    dec = eig_general(m)
     lapack_values, lapack_vectors = np.linalg.eig(m)
     order = np.lexsort((lapack_values.imag, lapack_values.real))
     lapack_vectors = lapack_vectors[:, order]
-    np.testing.assert_array_equal(values[0], lapack_values[order])
+    np.testing.assert_array_equal(dec.eigenvalues, lapack_values[order])
     np.testing.assert_allclose(
-        vectors[0], lapack_vectors / np.linalg.norm(lapack_vectors, axis=0), atol=1e-14
+        dec.right_vectors, lapack_vectors / np.linalg.norm(lapack_vectors, axis=0), atol=1e-14
     )
-    assert errors == [None] and residual[0] <= 1e-14
+    assert dec.residual <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -271,25 +277,25 @@ def test_residual_cap_takes_the_exact_norm_past_the_frobenius_bound(monkeypatch,
     m[0, 0] = 100.0
     norm_a = np.linalg.norm(m, 2)
     assert np.linalg.norm(m) / np.sqrt(n) < 0.3 * norm_a
-    twisted, svd = matrix_core._twisted_vectors, np.linalg.svd
+    lapack_eig, svd = np.linalg.eig, np.linalg.svd
     svd_calls = []
 
-    def perturb_one_column(a, values):
-        vectors = twisted(a, values)
+    def perturb_one_column(a):
+        values, vectors = lapack_eig(a)
         unit = vectors[:, :, 0] / np.linalg.norm(vectors[:, :, 0], axis=-1)
         shove = np.zeros(n, dtype=complex)
         shove[5] = 1.0
         pull = np.linalg.norm((a[0] - values[0, 0] * np.eye(n)) @ shove)
         vectors[:, :, 0] = unit + share * 1e-10 * norm_a / pull * shove
-        return vectors
+        return values, vectors
 
     def counted_svd(*args, **kwargs):
         svd_calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(matrix_core, "_twisted_vectors", perturb_one_column)
+    monkeypatch.setattr(np.linalg, "eig", perturb_one_column)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    _, _, defect, errors = matrix_core._eigen_arrays(m[None])
+    _, _, defect, errors = _eigen_arrays(m[None])
     assert svd_calls == [(1, n, n)]
     residual = defect[0] / norm_a
     assert abs(residual / (share * 1e-10) - 1.0) < 1e-3
@@ -302,53 +308,55 @@ def test_residual_cap_takes_the_exact_norm_past_the_frobenius_bound(monkeypatch,
             eig_general(m)
 
 
-def assert_same_decomposition(got, expected):
-    """Bit-for-bit equality of two eig_general outcomes (or of their errors)."""
-    if isinstance(expected, NoConvergence):
-        assert isinstance(got, NoConvergence) and str(got) == str(expected)
-        return
-    np.testing.assert_array_equal(got.eigenvalues, expected.eigenvalues)
-    np.testing.assert_array_equal(got.right_vectors, expected.right_vectors)
-    assert got.vector_condition == expected.vector_condition
-    assert got.residual == expected.residual
-
-
-def single_outcome(matrix):
-    try:
-        return eig_general(matrix)
-    except NoConvergence as exc:
-        return exc
+def assert_stack_matches_single_solves(solve, stack):
+    """Each matrix's result from ``solve(stack)`` equals ``solve`` of it alone,
+    bit for bit; a refusal matches in type and message."""
+    together = solve(stack)
+    for k in range(len(stack)):
+        alone = solve(stack[k:k + 1])
+        for got, want in zip(together, alone):
+            if isinstance(got, list):
+                assert type(got[k]) is type(want[0]) and str(got[k]) == str(want[0])
+            else:
+                np.testing.assert_array_equal(got[k], want[0])
+    return together
 
 
 def test_stack_with_singular_shifts_matches_single_solves():
-    # the diagonal matrix is reducible, so it takes the dense route; its
-    # neighbours are healthy wells on the tridiagonal route
+    # a diagonal matrix, whose eigenvectors are the unit vectors, among wells
     wells = [corner_matrix(3, 1j * np.cos(phi)) for phi in (0.4, 1.1, 2.3)]
     stack = np.stack([wells[0], np.diag([1.0, 2.0, 3.0]).astype(complex), *wells[1:]])
-    results = _decompose_stack(stack)
-    assert len(results) == len(stack)
-    for matrix, got in zip(stack, results):
-        assert_same_decomposition(got, eig_general(matrix))
-    np.testing.assert_allclose(np.abs(results[1].right_vectors), np.eye(3), atol=1e-12)
+    values, vectors, _, errors = assert_stack_matches_single_solves(_eigen_arrays, stack)
+    assert errors == [None] * 4
+    for matrix, got_values, got_vectors in zip(stack, values, vectors):
+        dec = eig_general(matrix)
+        np.testing.assert_array_equal(got_values, dec.eigenvalues)
+        np.testing.assert_array_equal(got_vectors, dec.right_vectors)
+    np.testing.assert_allclose(np.abs(vectors[1]), np.eye(3), atol=1e-12)
 
 
 def test_stack_keeps_a_refused_matrix_from_its_neighbours():
-    # the six-site well at r = 0 is defective: its middle roots coalesce
+    # the six-site well at r = 0 is defective: its middle levels coalesce,
+    # and the ketket solve refuses it without touching its neighbours
     stack = np.stack([corner_matrix(6, z) for z in (0.6j, 1j, -0.3j, 1j, 0.9j)])
-    results = _decompose_stack(stack)
-    assert isinstance(results[1], NoConvergence) and isinstance(results[3], NoConvergence)
-    for matrix, got in zip(stack, results):
-        assert_same_decomposition(got, single_outcome(matrix))
+    _, _, errors = assert_stack_matches_single_solves(metric._ketket_stack, stack)
+    assert [error is None for error in errors] == [True, False, True, False, True]
+    assert str(errors[1]) == "eigenvector matrix is numerically singular"
 
 
 def test_mixed_stack_solves_each_matrix_by_its_own_kind():
-    # a tridiagonal well between dense matrices takes the tridiagonal
-    # route, exactly as it does alone
-    rng = np.random.default_rng(7)
-    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    stack = np.stack([dense, corner_matrix(4, 0.6j), dense.T])
-    for matrix, got in zip(stack, _decompose_stack(stack)):
-        assert_same_decomposition(got, eig_general(matrix))
+    # driven wells take the closed form and the other wells LAPACK, in one
+    # stack exactly as alone: a Robin corner, a corner with |z| > 1, and
+    # corners with Re z = 0 on both sides of the unit circle
+    corners = (0.6j, 0.3 + 0.5j, -0.95j, 3j, 1j * np.cos(2.0), 1.0 + 0.0j)
+    stack = np.stack([corner_matrix(4, z) for z in corners])
+    got = assert_stack_matches_single_solves(metric._ketket_stack, stack)
+    driven = [0, 2, 4]
+    r = np.sqrt(1 - np.abs(np.array(corners)[driven]) ** 2)
+    for want, part in ((metric._well_ketket_stack(stack[driven], r), driven),
+                       (metric._eigen_ketket_stack(stack[[1, 3, 5]]), [1, 3, 5])):
+        for got_part, want_part in zip(got[:2], want[:2]):
+            np.testing.assert_allclose(got_part[part], want_part, rtol=0, atol=1e-14)
 
 
 def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
@@ -363,30 +371,34 @@ def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
         return lapack_eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", refuse_the_middle_one)
-    first, middle, last = _decompose_stack(stack)
-    assert isinstance(middle, NoConvergence)
-    assert_same_decomposition(first, expected[0])
-    assert_same_decomposition(last, expected[2])
+    values, vectors, _, errors = _eigen_arrays(stack)
+    assert str(errors[1]) == "Eigenvalues did not converge"
+    assert np.isnan(values[1]).all()
+    np.testing.assert_array_equal(vectors[1], np.eye(4))
+    for k in (0, 2):
+        assert errors[k] is None
+        np.testing.assert_array_equal(values[k], expected[k].eigenvalues)
+        np.testing.assert_array_equal(vectors[k], expected[k].right_vectors)
 
 
 def test_failed_vectors_keep_their_eigenvalues(monkeypatch):
-    # the twisted recurrence emits a NaN column for the middle matrix only
-    stack = np.stack([corner_matrix(5, z) for z in (0.6j, 0.8j, 0.3j)])
-    want_values, want_vectors, _, _, _ = _decompose_arrays(stack)
-    twisted = matrix_core._twisted_vectors
+    # LAPACK hands back a wrong column for the middle matrix only: the
+    # residual cap refuses it, and it keeps its eigenvalues
+    stack = np.stack([corner_matrix(5, z) for z in (0.4 + 0.6j, 0.8j, 2.0 + 0.3j)])
+    want_values, want_vectors, _, _ = _eigen_arrays(stack)
+    lapack_eig = np.linalg.eig
 
-    def fail_the_middle_one(a, values):
-        vectors = twisted(a, values)
-        vectors[a[:, 0, 0] == 2.0 - 0.8j, :, 2] = np.nan
-        return vectors
+    def fail_the_middle_one(a):
+        values, vectors = lapack_eig(a)
+        vectors[a[:, 0, 0] == 2.0 - 0.8j, :, 2] = np.eye(5)[0]
+        return values, vectors
 
-    monkeypatch.setattr(matrix_core, "_twisted_vectors", fail_the_middle_one)
-    values, vectors, _, _, errors = _decompose_arrays(stack)
+    monkeypatch.setattr(np.linalg, "eig", fail_the_middle_one)
+    values, vectors, _, errors = _eigen_arrays(stack)
     np.testing.assert_array_equal(values, want_values)
-    np.testing.assert_array_equal(matrix_core._eig_stack(stack)[1][1], np.eye(5))
     np.testing.assert_array_equal(vectors[[0, 2]], want_vectors[[0, 2]])
     assert errors[0] is None and errors[2] is None
-    assert str(errors[1]).startswith("no finite eigenvector at eigenvalue")
+    assert str(errors[1]).startswith("eigenpair residual") and "exceeds 1e-10" in str(errors[1])
 
 
 # ---------------------------------------------------------- eig_hermitian

@@ -17,7 +17,7 @@ from nipsqw.errors import (
     SingularDyson,
 )
 from nipsqw.hamiltonian import PhiProfile, build_h, z_from_phi
-from nipsqw.matrix_core import adjoint, eig_general, spectral_norm
+from nipsqw.matrix_core import _eigen_arrays, adjoint, eig_general, spectral_norm
 from nipsqw.metric import _pivot_rows, build_metric, dyson_from_ketkets, ketkets
 from nipsqw.n2_oracle import N2Params, g_eigs, omega_s, regime, sigma_s, theta_s
 from nipsqw import metric, nip_evolution
@@ -208,9 +208,9 @@ def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
     phis, rates, tol = np.linspace(0.8, 1.2, 5), np.ones(5), get_tolerances()
     solve, dyson = metric._well_angles, nip_evolution._dyson_stack
 
-    def no_convergence_at_3(n, phis):
-        angles, converged = solve(n, phis)
-        if len(phis) > 3:
+    def no_convergence_at_3(n, r):
+        angles, converged = solve(n, r)
+        if len(r) > 3:
             converged[3] = False
         return angles, converged
 
@@ -269,11 +269,12 @@ def _mp_levels(n, phi):
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 24])
 def test_closed_form_wells_match_fifty_digits_down_to_the_margin(n):
     # the closed-form solve against a 50-digit solve of the same matrix, on
-    # both sides of pi/2 and down to the exceptional-point margin, where the
-    # general route is off by up to 3e-11
+    # both sides of pi/2 and down to the exceptional-point margin, where
+    # LAPACK's levels are off by up to 3e-9
     sines = np.geomspace(0.5, get_tolerances().ep_margin, 6)
     phis = np.concatenate([np.arcsin(sines), np.pi - np.arcsin(sines)])
-    values, vectors, errors = metric._well_ketket_stack(build_h(n, z_from_phi(phis)), phis)
+    h = build_h(n, z_from_phi(phis))
+    values, vectors, errors = metric._well_ketket_stack(h, np.sin(phis))
     assert errors == [None] * len(phis)
     for phi, got_values, got_vectors in zip(phis, values, vectors):
         want_values, want_vectors = _mp_levels(n, phi)
@@ -294,12 +295,15 @@ def test_closed_form_wells_match_fifty_digits_down_to_the_margin(n):
 def test_the_closed_form_stage_matches_the_general_route(
     n, phi, sign, rate, textbook, hermitian_map
 ):
-    # the same stage with the general eigen route in place of the closed form
+    # the same stage with LAPACK's bases of H^dagger, in the same gauge, in
+    # place of the closed form
+    def lapack_bases(h, r):
+        values, vectors, _, failures = _eigen_arrays(h.conj().swapaxes(-1, -2))
+        return metric._gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
+
     phis, rates, tol = np.array([sign * phi]), np.array([rate]), get_tolerances()
     got = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
-    with mock.patch.object(
-        nip_evolution, "_well_ketket_stack", lambda h, phis: metric._ketket_stack(h)
-    ):
+    with mock.patch.object(nip_evolution, "_well_ketket_stack", lapack_bases):
         want = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
     for name, a, b in zip(("H", "Sigma", "Theta", "Omega"), got, want):
         assert spectral_norm(a[0] - b[0]) <= 1e-11 * spectral_norm(b[0]), name

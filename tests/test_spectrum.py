@@ -3,6 +3,7 @@
 import struct
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,7 +263,8 @@ def _curve_grids(draw):
     dense solver resolves the double root only to about sqrt(eps).
     """
     n = draw(st.integers(2, 12))
-    energies = draw(st.lists(st.floats(0.05, 3.95), min_size=1, max_size=8))
+    energy = st.floats(0.05, 3.95).filter(lambda e: n % 2 or e != 2.0)
+    energies = draw(st.lists(energy, min_size=1, max_size=8))
     return n, energies + [2.0] * (n % 2 * draw(st.booleans()))
 
 
@@ -299,8 +301,8 @@ def test_ep_scan_six_site_middle_merger():
 
 
 def test_ep_scan_reads_every_even_coalescence_as_defective():
-    # r = 0 is an exact exceptional point of every even well; the middle
-    # roots split by up to 1.1e-9 (N = 46) after the polish
+    # r = 0 is an exact exceptional point of every even well, where the
+    # closed form's middle pair meets exactly
     for n in range(4, 65, 2):
         rows = ep_scan(n, [0.0, 1e-7, -1e-7])
         assert rows[0, 2] == np.inf, n
@@ -309,24 +311,46 @@ def test_ep_scan_reads_every_even_coalescence_as_defective():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
 def test_ep_scan_whole_grid_equals_point_by_point(n):
-    # r = 0 puts a defective (or fallback) point between healthy ones;
-    # at n = 64 the 23 points span two chunks of the stacked solve
+    # r = 0 puts a defective point between healthy ones at even n
     grid = np.concatenate([np.linspace(-1.0, 1.0, 21), [1e-7, 0.35]])
     expected = np.vstack([ep_scan(n, [r]) for r in grid])
     np.testing.assert_array_equal(ep_scan(n, grid), expected)
     assert ep_scan(n, []).shape == (0, 3)
 
 
-# vector_condition a hair from coalescence, against an independent
-# oracle: mpmath at 50 digits (mp.eig of the same double-precision
-# build_h matrix, columns scaled to unit norm, condition from mp.svd_c
-# as s_max / s_min).  The twisted-recurrence vectors land within 3e-12
-# relative; the double-precision SVD alone contributes ~eps x condition.
+def _mp_condition(n, r):
+    """cond_2 of the unit eigenvectors of the well at the exact coupling r.
+
+    mpmath at 50 digits: the well is built with z = i sqrt(1 - r^2) in that
+    precision, its eigenvectors come from mp.eig, scaled to unit norm, and
+    the condition from mp.svd_c as s_max / s_min.
+    """
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        z = mpmath.mpc(0, mpmath.sqrt(1 - r * r))
+        h = mpmath.matrix(n, n)
+        for i in range(n):
+            h[i, i] = 2
+            if i:
+                h[i, i - 1] = h[i - 1, i] = -1
+        h[0, 0] = 2 - z
+        h[n - 1, n - 1] = 2 - mpmath.conj(z)
+        _, v = mpmath.eig(h)
+        for j in range(n):
+            v[:, j] /= mpmath.norm(v[:, j])
+        s = mpmath.svd_c(v, compute_uv=False)
+        return float(max(s) / min(s))
+
+
+# vector_condition a hair from coalescence, against ``_mp_condition`` at
+# the coupling ep_scan is given.  The closed-form vectors land within
+# 1e-12 relative; the double-precision SVD alone contributes ~eps x
+# condition.
 CONDITIONS_NEAR_COALESCENCE = [
-    (6, 0.00012589254117941674, 32398.410991912137),
-    (8, 0.00014125375446227554, 33732.08342386945),
-    (16, 0.00012589254117941674, 54330.65473140261),
-    (32, 0.00019952623149688788, 48802.35861005237),
+    (6, 0.00012589254117941674, 32398.410948175686),
+    (8, 0.00014125375446227554, 33732.08330557799),
+    (16, 0.00012589254117941674, 54330.654658058585),
+    (32, 0.00019952623149688788, 48802.35857191012),
 ]
 
 
@@ -334,6 +358,40 @@ CONDITIONS_NEAR_COALESCENCE = [
 def test_ep_scan_condition_near_coalescence_stays_pinned(n, r, condition):
     got = ep_scan(n, [-r, r])[:, 2]
     np.testing.assert_allclose(got, condition, rtol=1e-10, atol=0)
+
+
+# ``_mp_condition(n, 1e-8)`` for every even n: the pair that meets at r = 0
+# is 1e-8 apart, well conditioned enough for a finite, true condition
+CONDITIONS_AT_ONE_E_MINUS_8 = {
+    4: 323606797.74997896, 6: 407871830.2612431, 8: 476478344.02922684,
+    10: 536077370.9796819, 12: 589567123.8705188, 14: 638537847.8547019,
+    16: 683982421.5385042, 18: 726572987.0864931, 20: 766790651.1755464,
+    22: 804994238.137045, 24: 841460010.3886198, 26: 876406132.1692172,
+    28: 910008505.6866642, 30: 942411441.0558993, 32: 973735086.6183158,
+    34: 1004080748.7937069, 36: 1033534792.1621478, 38: 1062171557.8065705,
+    40: 1090055586.4425485, 42: 1117243338.8636315, 44: 1143784546.154868,
+    46: 1169723282.7178495, 48: 1195098828.6940887, 50: 1219946370.2423027,
+    52: 1244297573.4667656, 54: 1268181058.8068979, 56: 1291622796.2197835,
+    58: 1314646436.7517073, 60: 1337273592.5886815, 62: 1359524075.0494483,
+    64: 1381416097.9953916,
+}
+
+
+def test_ep_scan_reads_true_conditions_next_to_every_even_coalescence():
+    # the closed form solves the well at the r it is given; the
+    # double-precision SVD of a condition-1e9 basis is good to ~eps x condition
+    for n, condition in CONDITIONS_AT_ONE_E_MINUS_8.items():
+        got = ep_scan(n, [0.0, -1e-8, 1e-8])[:, 2]
+        assert got[0] == np.inf, n
+        rtol = 2 * np.finfo(float).eps * condition
+        np.testing.assert_allclose(got[1:], condition, rtol=rtol, atol=0, err_msg=str(n))
+
+
+def test_the_pinned_conditions_are_fifty_digit_solves():
+    for n, r, condition in CONDITIONS_NEAR_COALESCENCE[:2]:
+        assert _mp_condition(n, r) == pytest.approx(condition, rel=1e-15)
+    for n in (4, 6, 8):
+        assert _mp_condition(n, 1e-8) == pytest.approx(CONDITIONS_AT_ONE_E_MINUS_8[n], rel=1e-15)
 
 
 def test_ep_scan_condition_ceiling_reads_as_defective():
