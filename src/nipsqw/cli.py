@@ -39,7 +39,7 @@ from .matrix_core import (
     spectral_norm,
 )
 from .metric import (
-    _ketket_stack, build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual,
+    _ketket_basis, build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual,
 )
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
 from .nip_evolution import (
@@ -255,10 +255,10 @@ def cmd_spectrum(args) -> int:
     # A defective point fails the eigenvector gate but keeps its energies,
     # which stay well conditioned; only energies that failed are NaN.  The
     # well is PT-symmetric, so H^dagger's levels, read ascending, are H's.
-    values, _, errors = _ketket_stack(h[None])
-    energies = values[0, ::-1]
+    values, _, error = _ketket_basis(h)
+    energies = values[::-1]
     if np.isnan(energies).any():
-        raise errors[0]
+        raise error
     flags = np.abs(energies.imag) <= get_tolerances().tol_real
     rows = [
         (idx + 1, e.real, e.imag, bool(flag))
@@ -409,16 +409,15 @@ class IdentityResult:
         return self.residual <= self.threshold
 
 
-def run_identity_suite(phi_grid=None, rates=None, tol=None):
+def run_identity_suite(phi_grid=None, tol=None):
     """Closed-form versus pipeline checks on the two-site problem.
 
-    Every identity is evaluated on the (phi, rate) grid and reduced to
-    its worst absolute residual.  Raises EPProximity if the grid
-    strays inside the coalescence margin.
+    Every identity is evaluated on the grid of phi by ``DEFAULT_RATES``
+    and reduced to its worst absolute residual.  Raises EPProximity if
+    the grid strays inside the coalescence margin.
     """
     tol = tol if tol is not None else get_tolerances()
     phis = tuple(float(p) for p in (phi_grid if phi_grid is not None else DEFAULT_PHI_GRID))
-    rates = tuple(float(w) for w in (rates if rates is not None else DEFAULT_RATES))
     worst = dict.fromkeys(
         ("map_times_inverse", "metric_factorization", "pipeline_map_matches_columns",
          "metric_eigenvalues", "quasi_hermiticity", "coriolis_difference",
@@ -440,7 +439,7 @@ def run_identity_suite(phi_grid=None, rates=None, tol=None):
         want_eigs = np.sort(np.array(theta_eigs(phi)))
         note("metric_eigenvalues", float(np.max(np.abs(got_eigs - want_eigs))))
         note("quasi_hermiticity", quasi_hermiticity_residual(h, bundle.theta))
-        for rate in rates:
+        for rate in DEFAULT_RATES:
             profile = PhiProfile.linear(phi, rate)
             snap = generator(2, profile, 0.0, tol=tol)  # its Sigma is coriolis()
             note("coriolis_difference", spectral_norm(snap.Sigma - sigma_s(phi, rate)))

@@ -199,11 +199,6 @@ class PhiProfile:
             return float(phi), float(dot)
         return np.asarray(phi, dtype=float), np.asarray(dot, dtype=float)
 
-    def min_abs_sin(self, t_grid) -> float:
-        """Smallest |sin(phi)| over a grid of times (guard helper)."""
-        phi, _ = self(np.asarray(t_grid, dtype=float))
-        return float(np.min(np.abs(np.sin(phi))))
-
     def __repr__(self):
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"PhiProfile.{self.kind}({inner})"

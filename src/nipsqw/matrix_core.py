@@ -8,9 +8,9 @@ and by LAPACK above it, and ``eig_general`` is a stack of one through it
 with the SVD diagnostics added.  Failures are kept per matrix, so one
 failed matrix never fails the rest of its stack.
 
-These solvers serve ``eig_general``, ``solve_spectrum``, the two-site
-ketket bases, every matrix that is not a driven well and the spectra of
-the generators.  Driven wells at N >= 3 are solved in closed form instead
+These solvers serve ``eig_general``, ``solve_spectrum``, every matrix
+that is not a driven well and the spectra of the generators.  Driven
+wells, two sites included, are solved in closed form instead
 (``metric._well_ketket_stack``), and share only the residual cap,
 ``_residual_refusals``.
 """
@@ -38,7 +38,7 @@ _RESIDUAL_CAP = 1e-10   # accepted-decomposition bound
 
 #: eigenvector conditions at or above this read as infinite (a singular V
 #: rounds to ~1/eps, not inf, under the SVD); every ketket solve holds its
-#: SVD-free bound N / min_j s_j to it (``metric._ketket_stack``)
+#: SVD-free bound N / min_j s_j to it (``metric._gauged_bases``)
 COND_CEILING = 1e15
 
 

@@ -39,9 +39,9 @@ class KetketBasis:
     is scaled so one end entry equals one: row 0 for the upper half of
     the levels, row N-1 for the lower half (``_pivot_rows``).  The end
     entries of an eigenvector of the well's H^dagger never vanish, so
-    the gauge is smooth wherever the levels stay apart.  ``_ketket_stack``
-    builds it in closed form for a driven well (``_well_ketket_stack``) and
-    by the eigensolver of ``matrix_core`` for every other well.
+    the gauge is smooth wherever the levels stay apart.  A driven well
+    takes the closed form at every N (``_well_ketket_stack``), every other
+    well the eigensolver of ``matrix_core`` (``_ketket_basis``).
     """
 
     eigenvalues: np.ndarray
@@ -62,16 +62,15 @@ def _pivot_rows(n: int) -> np.ndarray:
 def ketkets(h) -> KetketBasis:
     """Solve the adjoint eigenvector problem that seeds every metric.
 
-    A stack of one through ``_ketket_stack``: a driven well in closed form
-    at the coupling its corner gives, any other well by the eigensolver of
-    ``matrix_core`` on H^dagger, with the stage path's gauge and refusal
-    (``_gauged_bases``).  It solves
-    the matrix it is given; the stage path takes the coupling from the
-    angle instead, and so differs near the exceptional point by the
-    rounding of cos phi in H's corner, about 1e-4 relative in kappa at
-    sin phi = 1e-6.  H must be a well: complex symmetric (H^T = H) and
-    tridiagonal with nonzero off-diagonals, as ``build_h`` gives at any
-    corner value.  The end-row gauge and the c-product bound hold only
+    Through ``_ketket_basis``: a driven well, two sites included, in
+    closed form at the coupling its corner gives, any other well by the
+    eigensolver of ``matrix_core`` on H^dagger, with the stage path's gauge
+    and refusal (``_gauged_bases``).  It solves the matrix it is given; the
+    stage path takes the coupling from the angle instead, and so differs
+    near the exceptional point by the rounding of cos phi in H's corner,
+    about 1e-4 relative in kappa at sin phi = 1e-6.  H must be a well:
+    complex symmetric (H^T = H) and tridiagonal with nonzero off-diagonals,
+    as ``build_h`` gives at any corner value.  The end-row gauge and the c-product bound hold only
     there; else ValueError.
     """
     a = as_square(h)
@@ -79,57 +78,33 @@ def ketkets(h) -> KetketBasis:
     offprod = np.diagonal(a, 1) * np.diagonal(a, -1)
     if not ((a == a.T).all() and (offprod != 0).all() and not a[np.abs(rows - cols) > 1].any()):
         raise ValueError("ketkets needs a complex symmetric tridiagonal H, no off-diagonal zero")
-    values, vectors, errors = _ketket_stack(a[None])
-    if errors[0] is not None:
-        raise errors[0]
-    return KetketBasis(eigenvalues=values[0], vectors=vectors[0])
+    values, vectors, error = _ketket_basis(a)
+    if error is not None:
+        raise error
+    return KetketBasis(eigenvalues=values, vectors=vectors)
 
 
-def _driven_wells(h: np.ndarray) -> np.ndarray:
-    """Per matrix of an (m, N, N) stack: build_h(N, z) with Re z = 0, |z| <= 1, N >= 3.
+def _ketket_basis(h: np.ndarray):
+    """Adjoint eigenbasis of one well: its values, columns and refusal.
 
-    Such a well has z = i c with c = Im H_NN, so its coupling is
-    r = sqrt(1 - c^2).
+    Ordered and scaled as ``KetketBasis`` says; the refusal is None or the
+    DefectiveAtEP of ``_gauged_bases``, beside the values it keeps.  A
+    driven well, build_h(N, i c) with |c| <= 1, is solved in closed form
+    at the coupling its corner gives, sqrt((1 - |c|)(1 + |c|))
+    (``_well_ketket_stack``); any other well by ``_eigen_ketket_stack``.
     """
-    n = h.shape[-1]
-    if n < 3:
-        return np.zeros(len(h), dtype=bool)
-    c = h[:, -1, -1].imag
-    return (h == build_h(n, 1j * c)).all(axis=(-2, -1)) & (np.abs(c) <= 1.0)
-
-
-def _ketket_stack(h: np.ndarray, r=None):
-    """Adjoint eigenbases of an (m, N, N) stack of wells.
-
-    Each basis depends on its own H alone, ordered and scaled as
-    ``KetketBasis`` says.  Returns the (m, N) eigenvalues, the (m, N, N)
-    columns and, per matrix, None or the DefectiveAtEP that refuses it
-    (``_gauged_bases``).  The one dispatcher of the wells: each driven well
-    (``_driven_wells``) is solved in closed form at its coupling ``r``
-    (m,), read from its corner as sqrt((1 - |z|)(1 + |z|)) when not given;
-    every other well (N = 2, Robin corners, |z| > 1) by
-    ``matrix_core._eigen_arrays`` on H^dagger: the 2x2 closed form at N = 2,
-    LAPACK above it.
-    """
-    well = _driven_wells(h)
-    if r is None:
-        size = np.abs(np.where(well, h[:, -1, -1].imag, 0.0))
-        r = np.sqrt((1.0 - size) * (1.0 + size))
-    values = np.empty(h.shape[:2], dtype=complex)
-    vectors = np.empty(h.shape, dtype=complex)
-    errors = [None] * len(h)
-    for part, solve in ((well, lambda k: _well_ketket_stack(h[k], r[k])),
-                        (~well, lambda k: _eigen_ketket_stack(h[k]))):
-        members = np.flatnonzero(part)
-        if members.size:
-            values[members], vectors[members], part_errors = solve(members)
-            for k, error in zip(members, part_errors):
-                errors[k] = error
-    return values, vectors, errors
+    c = h[-1, -1].imag
+    if abs(c) <= 1.0 and (h == build_h(len(h), 1j * c)).all():
+        r = np.sqrt((1.0 - abs(c)) * (1.0 + abs(c)))
+        values, vectors, errors = _well_ketket_stack(h[None], [r])
+    else:
+        values, vectors, errors = _eigen_ketket_stack(h[None])
+    return values[0], vectors[0], errors[0]
 
 
 def _eigen_ketket_stack(h: np.ndarray):
-    """``_ketket_stack`` of any wells, by ``_eigen_arrays`` on H^dagger."""
+    """Adjoint eigenbases of an (m, N, N) stack of any wells, by
+    ``_eigen_arrays`` on H^dagger, as ``_gauged_bases`` returns them."""
     values, vectors, _, failures = _eigen_arrays(h.conj().swapaxes(-1, -2))
     # the solver's ascending unit columns, read in reverse
     return _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
@@ -175,11 +150,13 @@ def _well_angles(n: int, r):
     where theta_k is the one root of N theta + arg(cos theta + i kappa sin
     theta) = k pi in ((k-1) pi/N, k pi/N), with kappa = r^2 / (2 - r^2) and
     the coupling r = sin phi (Znojil, J. Math. Phys. 50, 2009, 122105; Yueh,
-    Appl. Math. E-Notes 5, 2005, 66).  kappa comes from r as given: the
-    stage path passes sin phi, since 1 - |z|^2 from a rounded corner loses
-    the pair that meets at r = 0 below r ~ 1e-4.  The levels are symmetric
-    about E = 2 and an odd N has one at exactly 2, so only k = 1 ... floor(N/2) are solved, each in u = pi/2 - theta, where
-    the pair nearest E = 2 keeps its relative precision:
+    Appl. Math. E-Notes 5, 2005, 66), at every N >= 2.  kappa comes from r
+    as given: the stage path passes sin phi and ``ep_scan`` its grid, since
+    1 - |z|^2 from a rounded corner loses the pair that meets at r = 0
+    below r ~ 1e-4.  The levels are symmetric about E = 2 and an odd N has
+    one at exactly 2, so only k = 1 ... floor(N/2) are solved, each in
+    u = pi/2 - theta, where the pair nearest E = 2 keeps its relative
+    precision:
     g(u) = N u - j pi - atan2(kappa cos u, sin u) = 0 on [j pi/N, (j+1) pi/N],
     j = N/2 - k, with g' = N + kappa / (sin^2 u + kappa^2 cos^2 u).
     Safeguarded Newton: a step that leaves the bracket bisects it instead,
@@ -225,7 +202,7 @@ def _well_angles(n: int, r):
 
 
 def _well_ketket_stack(h: np.ndarray, r):
-    """``_ketket_stack`` of driven wells in closed form, N >= 3.
+    """Adjoint eigenbases of an (m, N, N) stack of driven wells, in closed form.
 
     ``h`` is build_h(N, z) with z = i c, |c| <= 1, and ``r`` its coupling
     sqrt(1 - c^2) (sin phi for z = i cos phi), from which the angles come;
@@ -239,7 +216,9 @@ def _well_ketket_stack(h: np.ndarray, r):
     did not converge as its failed solve, and with the eigenpair defect of
     the unit columns against H^dagger held to the residual cap of
     ``matrix_core._eigen_arrays``; the values of an angle solve that did
-    not converge are NaN.
+    not converge are NaN.  It serves every N >= 2; at r = 0 the middle
+    pair of an even N meets, and that well is refused.  Returns what
+    ``_gauged_bases`` does.
     """
     n, odd = h.shape[-1], h.shape[-1] % 2
     angles, converged = _well_angles(n, r)

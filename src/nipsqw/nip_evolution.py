@@ -11,13 +11,12 @@ Hermitian) cross-checks the whole pipeline.
 The whole chain -- ketket basis, Dyson map, its analytic slope in the
 boundary angle, Coriolis term -- runs on one route, ``_stage_stack``,
 as (m, N, N) expressions over a block of stage angles; ``coriolis`` and
-``generator`` are stacks of one through it.  At N >= 3 the kernel solves
-each driven well in closed form at its coupling sin phi, with no
-eigensolver (``metric._well_ketket_stack``); at N = 2 it takes the 2x2
-closed form of ``matrix_core`` (``metric._ketket_stack``).  Two-site runs
-on the ketket map skip the kernel: the closed-form map family and its
-exact derivative are evaluated in extended precision for every stage at
-once.
+``generator`` are stacks of one through it.  At every N, two sites
+included, the kernel solves each driven well in closed form at its
+coupling sin phi, with no eigensolver (``metric._well_ketket_stack``).
+Two-site runs on the ketket map skip the kernel: the closed-form map
+family and its exact derivative are evaluated in extended precision for
+every stage at once.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator takes the stages of up to
@@ -41,7 +40,6 @@ from .matrix_core import _eigen_arrays, _sqrt_hpd_stack, as_square
 from .metric import (
     _dyson_stack,
     _ketket_slope,
-    _ketket_stack,
     _quasi_hermiticity_stack,
     _well_ketket_stack,
 )
@@ -121,7 +119,7 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
             raise errors[first]
 
     h = build_h(n, z_from_phi(phis))
-    values, vectors, errors = _well_ketket_stack(h, np.sin(phis)) if n > 2 else _ketket_stack(h)
+    values, vectors, errors = _well_ketket_stack(h, np.sin(phis))
     refuse(errors)
     omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
     refuse(errors)

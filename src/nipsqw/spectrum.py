@@ -18,7 +18,7 @@ from .config import Tolerances, get_tolerances
 from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h, z_from_r
 from .matrix_core import COND_CEILING, EigenDecomposition, eig_general
-from .metric import _ketket_stack
+from .metric import _well_ketket_stack
 
 _CLD = np.clongdouble
 
@@ -231,8 +231,8 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     Returns rows (r, min_gap, vector_condition); the condition number
     blowing up as r -> 0 while the smallest gap closes is the
     exceptional-point signature.  Each well is solved at the coupling r
-    it is given, in closed form at N >= 3 (``metric._ketket_stack``), and
-    its condition is cond_2 of the unit eigenvectors, from one SVD.  Where
+    it is given, in closed form at every N (``metric._well_ketket_stack``),
+    and its condition is cond_2 of the unit eigenvectors, from one SVD.  Where
     the solve refuses the point (defective), or the condition reaches
     ``COND_CEILING``, the condition is the +inf sentinel.  The gaps come
     from the same solve, which keeps the levels of a defective point; a
@@ -249,7 +249,7 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
         return pair_gaps.min(axis=(1, 2))
 
     stack = build_h(n, [z_from_r(r) for r in r_values])
-    values, vectors, errors = _ketket_stack(stack, r_values)
+    values, vectors, errors = _well_ketket_stack(stack, r_values)
     sv = np.linalg.svd(vectors / np.linalg.norm(vectors, axis=-2, keepdims=True),
                        compute_uv=False)
     rows = np.empty((r_values.size, 3), dtype=float)

@@ -487,13 +487,13 @@ def test_epscan_exact_coalescence_is_a_defective_row(capsys):
 
 def test_defective_energies_come_from_the_one_solve(capsys):
     # the six-site well at r = 0 is refused as defective, yet keeps its energies
-    values, _, errors = metric._ketket_stack(build_h(6, z_from_r(0.0))[None])
-    assert str(errors[0]) == "eigenvector matrix is numerically singular"
+    values, _, error = metric._ketket_basis(build_h(6, z_from_r(0.0)))
+    assert str(error) == "eigenvector matrix is numerically singular"
     code, out, _ = invoke(capsys, "spectrum", "--n", "6", "--r", "0")
     assert code == 0
     _, rows = table_of(out)
     printed = [complex(float(re), float(im)) for _, re, im, _ in rows]
-    np.testing.assert_array_equal(printed, values[0, ::-1])
+    np.testing.assert_array_equal(printed, values[::-1])
 
 
 def test_failed_roots_are_nan_on_every_route(capsys, monkeypatch):
@@ -513,11 +513,11 @@ def test_failed_roots_are_nan_on_every_route(capsys, monkeypatch):
 
     monkeypatch.setattr(metric, "_well_angles", fail_one_angle)
     monkeypatch.setattr(np.linalg, "eig", fail_one_matrix)
-    grid = [0.3, 0.5, 0.7]
+    grid = np.array([0.3, 0.5, 0.7])
     stack = build_h(5, [z_from_r(r) for r in grid])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values, vectors, errors = metric._ketket_stack(stack)
+        values, vectors, errors = metric._well_ketket_stack(stack, grid)
         rows = ep_scan(5, grid)
         on_the_well = invoke(capsys, "spectrum", "--n", "5", "--r", "0.5")
         past_the_circle = invoke(capsys, "spectrum", "--n", "5", "--z", "0,3")
@@ -525,7 +525,7 @@ def test_failed_roots_are_nan_on_every_route(capsys, monkeypatch):
     angles_failed = "adjoint eigenproblem did not converge: angle solve exhausted 60 Newton steps"
     assert str(errors[1]) == angles_failed
     for k in (0, 2):
-        alone = metric._ketket_stack(stack[k:k + 1])
+        alone = metric._well_ketket_stack(stack[k:k + 1], grid[k:k + 1])
         for got, want in zip((values, vectors), alone):
             np.testing.assert_array_equal(got[k], want[0])
         assert errors[k] is None and alone[2][0] is None
@@ -538,13 +538,14 @@ def test_failed_roots_are_nan_on_every_route(capsys, monkeypatch):
         assert err == f"error: {why}\n"
 
 
-@pytest.mark.parametrize("n", [3, 4, 8, 64])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
 def test_driven_wells_take_no_eigensolver(capsys, monkeypatch, n):
     # ketkets, ep_scan and the spectrum, metric and epscan commands solve
     # every driven well in closed form, from the coupling alone
     calls = []
     for name in ("eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(matrix_core, "_eig2_closed_form", lambda *args: calls.append("eig2"))
     metric.ketkets(build_h(n, z_from_r(0.4)))
     ep_scan(n, np.linspace(-1.0, 1.0, 9))
     for argv in (("spectrum", "--r", "0.4"), ("metric", "--phi", "2.5"),

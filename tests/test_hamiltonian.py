@@ -253,13 +253,3 @@ def test_profile_grammar_rejects(bad):
     with pytest.raises(ValueError):
         PhiProfile.from_spec(bad)
 
-
-def test_profile_margin_helper():
-    # the sweep crosses phi = 0 exactly at t = 0.5
-    p = PhiProfile.linear(0.05, -0.1)
-    assert p.min_abs_sin(np.linspace(0.0, 1.0, 101)) == 0.0
-    # a sweep that stays clear reports its closest approach
-    q = PhiProfile.linear(0.3, -0.1)
-    assert q.min_abs_sin(np.linspace(0.0, 1.0, 101)) == pytest.approx(
-        np.sin(0.2), abs=1e-12
-    )

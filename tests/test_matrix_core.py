@@ -308,12 +308,13 @@ def test_residual_cap_takes_the_exact_norm_past_the_frobenius_bound(monkeypatch,
             eig_general(m)
 
 
-def assert_stack_matches_single_solves(solve, stack):
-    """Each matrix's result from ``solve(stack)`` equals ``solve`` of it alone,
-    bit for bit; a refusal matches in type and message."""
-    together = solve(stack)
+def assert_stack_matches_single_solves(solve, stack, *per_matrix):
+    """Each matrix's result from ``solve(stack, *per_matrix)`` equals ``solve``
+    of it alone, with its own entries of ``per_matrix``, bit for bit; a
+    refusal matches in type and message."""
+    together = solve(stack, *per_matrix)
     for k in range(len(stack)):
-        alone = solve(stack[k:k + 1])
+        alone = solve(stack[k:k + 1], *(arg[k:k + 1] for arg in per_matrix))
         for got, want in zip(together, alone):
             if isinstance(got, list):
                 assert type(got[k]) is type(want[0]) and str(got[k]) == str(want[0])
@@ -337,26 +338,30 @@ def test_stack_with_singular_shifts_matches_single_solves():
 
 def test_stack_keeps_a_refused_matrix_from_its_neighbours():
     # the six-site well at r = 0 is defective: its middle levels coalesce,
-    # and the ketket solve refuses it without touching its neighbours
-    stack = np.stack([corner_matrix(6, z) for z in (0.6j, 1j, -0.3j, 1j, 0.9j)])
-    _, _, errors = assert_stack_matches_single_solves(metric._ketket_stack, stack)
+    # and the closed form refuses it without touching its neighbours
+    corners = np.array([0.6j, 1j, -0.3j, 1j, 0.9j])
+    stack = np.stack([corner_matrix(6, z) for z in corners])
+    r = np.sqrt(1 - np.abs(corners) ** 2)
+    _, _, errors = assert_stack_matches_single_solves(metric._well_ketket_stack, stack, r)
     assert [error is None for error in errors] == [True, False, True, False, True]
     assert str(errors[1]) == "eigenvector matrix is numerically singular"
 
 
-def test_mixed_stack_solves_each_matrix_by_its_own_kind():
-    # driven wells take the closed form and the other wells LAPACK, in one
-    # stack exactly as alone: a Robin corner, a corner with |z| > 1, and
-    # corners with Re z = 0 on both sides of the unit circle
-    corners = (0.6j, 0.3 + 0.5j, -0.95j, 3j, 1j * np.cos(2.0), 1.0 + 0.0j)
-    stack = np.stack([corner_matrix(4, z) for z in corners])
-    got = assert_stack_matches_single_solves(metric._ketket_stack, stack)
-    driven = [0, 2, 4]
-    r = np.sqrt(1 - np.abs(np.array(corners)[driven]) ** 2)
-    for want, part in ((metric._well_ketket_stack(stack[driven], r), driven),
-                       (metric._eigen_ketket_stack(stack[[1, 3, 5]]), [1, 3, 5])):
-        for got_part, want_part in zip(got[:2], want[:2]):
-            np.testing.assert_allclose(got_part[part], want_part, rtol=0, atol=1e-14)
+def test_each_well_takes_the_route_of_its_kind():
+    # driven wells take the closed form, the other wells LAPACK, each stack
+    # exactly as alone: corners with Re z = 0 inside the unit circle, then
+    # a Robin corner, a corner with |z| > 1 and a real one
+    driven, other = np.array([0.6j, -0.95j, 1j * np.cos(2.0)]), [0.3 + 0.5j, 3j, 1.0]
+    r = np.sqrt(1 - np.abs(driven) ** 2)
+    routes = ((metric._well_ketket_stack, driven, (r,)), (metric._eigen_ketket_stack, other, ()))
+    for n in (2, 4):
+        for solve, corners, args in routes:
+            stack = np.stack([corner_matrix(n, z) for z in corners])
+            values, vectors, _ = assert_stack_matches_single_solves(solve, stack, *args)
+            for matrix, got_values, got_vectors in zip(stack, values, vectors):
+                want_values, want_vectors, _ = metric._ketket_basis(matrix)
+                np.testing.assert_allclose(got_values, want_values, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(got_vectors, want_vectors, rtol=0, atol=1e-14)
 
 
 def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):

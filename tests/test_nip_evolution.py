@@ -285,7 +285,7 @@ def test_closed_form_wells_match_fifty_digits_down_to_the_margin(n):
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(
-    st.integers(3, 24),
+    st.integers(2, 24),
     st.floats(0.3, np.pi - 0.3),
     st.sampled_from((1.0, -1.0)),
     st.floats(-2.0, 2.0),
@@ -307,6 +307,31 @@ def test_the_closed_form_stage_matches_the_general_route(
         want = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
     for name, a, b in zip(("H", "Sigma", "Theta", "Omega"), got, want):
         assert spectral_norm(a[0] - b[0]) <= 1e-11 * spectral_norm(b[0]), name
+
+
+@pytest.mark.parametrize("sine", [1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("rate", [0.7, -1.3])
+def test_two_site_coriolis_keeps_the_closed_form_near_coalescence(sine, rate):
+    # the two-site well takes its coupling from the angle, so the rounding
+    # of cos phi in H's corner no longer reaches kappa
+    for phi in (np.arcsin(sine), np.pi - np.arcsin(sine)):
+        want = sigma_s(phi, rate)
+        got = coriolis(2, PhiProfile.linear(phi, rate), 0.0)
+        assert spectral_norm(got - want) <= 1e-9 * spectral_norm(want), phi
+
+
+@pytest.mark.parametrize("textbook", [False, True])
+def test_two_site_kernel_matches_the_generic_kernel(textbook):
+    # the extended-precision closed form against the generic kernel at two
+    # sites, on both sides of pi/2 and down to the exceptional-point margin
+    sines = np.geomspace(0.9, get_tolerances().ep_margin, 13)
+    phis = np.concatenate([np.arcsin(sines), np.pi - np.arcsin(sines)])
+    rates = np.where(np.arange(len(phis)) % 2, 0.7, -1.3)
+    got = nip_evolution._two_site_stack(phis, rates, textbook)
+    want = nip_evolution._stage_stack(2, phis, rates, get_tolerances(), textbook)
+    for name, a, b in zip(("H", "Sigma", "Theta", "Omega"), got, want):
+        for phi, a_k, b_k in zip(phis, a.astype(complex), b):
+            assert spectral_norm(a_k - b_k) <= 1e-9 * spectral_norm(b_k), (name, phi)
 
 
 def test_coriolis_guards_the_coalescence_margin():

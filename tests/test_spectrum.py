@@ -363,7 +363,7 @@ def test_ep_scan_condition_near_coalescence_stays_pinned(n, r, condition):
 # ``_mp_condition(n, 1e-8)`` for every even n: the pair that meets at r = 0
 # is 1e-8 apart, well conditioned enough for a finite, true condition
 CONDITIONS_AT_ONE_E_MINUS_8 = {
-    4: 323606797.74997896, 6: 407871830.2612431, 8: 476478344.02922684,
+    2: 200000000.0, 4: 323606797.74997896, 6: 407871830.2612431, 8: 476478344.02922684,
     10: 536077370.9796819, 12: 589567123.8705188, 14: 638537847.8547019,
     16: 683982421.5385042, 18: 726572987.0864931, 20: 766790651.1755464,
     22: 804994238.137045, 24: 841460010.3886198, 26: 876406132.1692172,
@@ -390,7 +390,7 @@ def test_ep_scan_reads_true_conditions_next_to_every_even_coalescence():
 def test_the_pinned_conditions_are_fifty_digit_solves():
     for n, r, condition in CONDITIONS_NEAR_COALESCENCE[:2]:
         assert _mp_condition(n, r) == pytest.approx(condition, rel=1e-15)
-    for n in (4, 6, 8):
+    for n in (2, 4, 6, 8):
         assert _mp_condition(n, 1e-8) == pytest.approx(CONDITIONS_AT_ONE_E_MINUS_8[n], rel=1e-15)
 
 
