@@ -18,6 +18,14 @@ Two-site runs on the ketket map skip the kernel: the closed-form map
 family and its exact derivative are evaluated in extended precision for
 every stage at once.
 
+``evolve`` and ``textbook_evolve`` of one drive solve the same blocks at
+bit-identical angles, on either map.  So the generic kernel keeps the map
+part of the one block it last solved without a refusal -- H, the ketket
+basis, Omega, Omega^-1, Theta and the c-products (``_map_stack``) -- and a
+repeat of that block reuses those read-only arrays.  That covers a
+trajectory of at most ``STAGE_BLOCK // 2`` steps; outputs are the same as
+a fresh solve's.
+
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator takes the stages of up to
 ``STAGE_BLOCK // 2`` steps from one kernel call, forms their R_k with
@@ -99,13 +107,45 @@ class GeneratorSnapshot:
     g_eigs: np.ndarray
 
 
+#: the map part of the most recent block ``_map_stack`` solved without a
+#: refusal: ((N, Tolerances, angle dtype, angle bytes), its read-only arrays)
+_map_memo = None
+
+
+def _map_stack(n, phis, tol, refuse):
+    """H, adjoint levels, ketket columns, Omega, Omega^-1, Theta, c-products.
+
+    The part of a block that ``evolve`` and ``textbook_evolve`` share on
+    both maps.  Each stage depends on its own angle alone and the rate
+    enters only after the map, so the most recent block solved without a
+    refusal is kept, keyed on N, the tolerances and the exact bytes of
+    its angles, and a repeat of that block returns the same read-only
+    arrays.  ``refuse`` raises the refusal of a list of per-stage errors;
+    a refused block is never kept.
+    """
+    global _map_memo
+    key, memo = (n, tol, phis.dtype, phis.tobytes()), _map_memo
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    h = build_h(n, z_from_phi(phis))
+    values, vectors, errors = _well_ketket_stack(h, np.sin(phis))
+    refuse(errors)
+    omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
+    refuse(errors)
+    arrays = (h, values, vectors, omega, omega_inv, theta, cprods)
+    for array in arrays:
+        array.flags.writeable = False
+    _map_memo = key, arrays
+    return arrays
+
+
 def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     """H, Sigma, Theta and Omega at every stage angle, each (m, N, N).
 
-    The ketket basis of each H, its Dyson map and metric, and Nelson's
-    slope of the map, times the rate, give Sigma = i Omega^-1 dOmega/dt;
-    with ``hermitian_map`` the map is the Hermitian root of the same
-    metric, differentiated through its Sylvester equation.  Textbook
+    The ketket basis of each H, its Dyson map and metric (``_map_stack``),
+    and Nelson's slope of the map, times the rate, give Sigma = i Omega^-1
+    dOmega/dt; with ``hermitian_map`` the map is the Hermitian root of the
+    same metric, differentiated through its Sylvester equation.  Textbook
     stages return Omega H Omega^-1 in Sigma's place.  Each stage depends
     on its own angle and rate alone, so any split into blocks gives the
     same arrays.  A refused stack raises its earliest stage's refusal.
@@ -118,11 +158,7 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
                 _stage_stack(n, phis[:first], rates[:first], tol, textbook, hermitian_map)
             raise errors[first]
 
-    h = build_h(n, z_from_phi(phis))
-    values, vectors, errors = _well_ketket_stack(h, np.sin(phis))
-    refuse(errors)
-    omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
-    refuse(errors)
+    h, values, vectors, omega, omega_inv, theta, cprods = _map_stack(n, phis, tol, refuse)
     slope = None if textbook else _ketket_slope(phis, values, vectors, cprods)
     if hermitian_map:
         lift = None if textbook else slope @ omega
@@ -258,9 +294,13 @@ def _two_site_stack(phis, rates, textbook):
     at every stage angle at once.  It stays beside the generic kernel
     for speed: over 801 stages it costs about 0.001 ms per stage, the
     generic kernel 0.010 ms in one piece and 0.020 ms in blocks of 32
-    (2-core x86 VM, numpy 2.4).
+    (2-core x86 VM, numpy 2.4).  Where sin phi < 0 the generic kernel's
+    gauge is the family at -phi; H is even in phi, so the map is taken
+    there and its angle derivative changes sign.
     """
     phis = np.asarray(phis, dtype=np.longdouble)
+    mirror = np.where(np.sin(phis) < 0, -1.0, 1.0)
+    phis = mirror * phis
     e = np.exp(_CLD(-1j) * phis.astype(_CLD))
     one, zero, hop = (np.full_like(e, value) for value in (1.0, 0.0, -1.0))
     z = 1j * np.cos(phis.astype(_CLD))
@@ -272,7 +312,7 @@ def _two_site_stack(phis, rates, textbook):
         return h, omega @ h @ omega_inv, theta, omega
     # d/dphi [[1, -ie], [ie, 1]] = [[0, -e], [e, 0]], times the rate
     omega_dot = _stack_2x2(zero, -e, e, zero)
-    omega_dot *= np.asarray(rates, dtype=float).astype(_CLD)[:, None, None]
+    omega_dot *= (mirror * np.asarray(rates, dtype=float)).astype(_CLD)[:, None, None]
     return h, 1j * (omega_inv @ omega_dot), theta, omega
 
 

@@ -223,6 +223,7 @@ def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
     monkeypatch.setattr(metric, "_well_angles", no_convergence_at_3)
     with pytest.raises(DefectiveAtEP, match="angle solve exhausted"):
         nip_evolution._stage_stack(4, phis, rates, tol)
+    nip_evolution._map_memo = None  # the first phase kept the clean 3-stage prefix
     monkeypatch.setattr(nip_evolution, "_dyson_stack", singular_at_1)
     with pytest.raises(SingularDyson):
         nip_evolution._stage_stack(4, phis, rates, tol)
@@ -303,6 +304,7 @@ def test_the_closed_form_stage_matches_the_general_route(
 
     phis, rates, tol = np.array([sign * phi]), np.array([rate]), get_tolerances()
     got = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
+    nip_evolution._map_memo = None  # else the memo answers with the closed form
     with mock.patch.object(nip_evolution, "_well_ketket_stack", lapack_bases):
         want = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
     for name, a, b in zip(("H", "Sigma", "Theta", "Omega"), got, want):
@@ -323,15 +325,28 @@ def test_two_site_coriolis_keeps_the_closed_form_near_coalescence(sine, rate):
 @pytest.mark.parametrize("textbook", [False, True])
 def test_two_site_kernel_matches_the_generic_kernel(textbook):
     # the extended-precision closed form against the generic kernel at two
-    # sites, on both sides of pi/2 and down to the exceptional-point margin
+    # sites, on both sides of pi/2 and of -pi/2 and down to the
+    # exceptional-point margin; where sin phi < 0 the generic gauge is the
+    # two-site family at -phi
     sines = np.geomspace(0.9, get_tolerances().ep_margin, 13)
-    phis = np.concatenate([np.arcsin(sines), np.pi - np.arcsin(sines)])
+    upper = np.concatenate([np.arcsin(sines), np.pi - np.arcsin(sines)])
+    phis = np.concatenate([upper, -upper, upper + np.pi])
     rates = np.where(np.arange(len(phis)) % 2, 0.7, -1.3)
     got = nip_evolution._two_site_stack(phis, rates, textbook)
     want = nip_evolution._stage_stack(2, phis, rates, get_tolerances(), textbook)
     for name, a, b in zip(("H", "Sigma", "Theta", "Omega"), got, want):
         for phi, a_k, b_k in zip(phis, a.astype(complex), b):
             assert spectral_norm(a_k - b_k) <= 1e-9 * spectral_norm(b_k), (name, phi)
+
+
+@pytest.mark.parametrize("phi0", [-1.0, -0.5, 1.0, 4.0])
+def test_two_site_evolve_applies_the_generator_snapshots(phi0):
+    # the two-site ketket route and generator() pick one gauge at any sign
+    # of sin phi
+    profile = PhiProfile.linear(phi0, 0.3)
+    for state in evolve(2, profile, np.array([1.0, 0.5j]), 0.0, 0.5, 0.05):
+        want = generator(2, profile, state.t).G
+        assert spectral_norm(state.generator - want) <= 1e-12 * spectral_norm(want), state.t
 
 
 def test_coriolis_guards_the_coalescence_margin():
@@ -739,6 +754,84 @@ def test_stage_blocks_do_not_change_the_trajectory(monkeypatch, map_kind):
             for state, ref in zip(states, reference):
                 np.testing.assert_array_equal(state.psi, ref.psi)
                 np.testing.assert_array_equal(state.generator, ref.generator)
+
+
+# ------------------------------------------------------------ map memo
+
+STATE_FIELDS = ("psi", "theta", "generator", "omega")
+
+
+def _spy_on_wells(monkeypatch):
+    """Blocks handed to the closed-form well solve, as stage counts."""
+    solve, blocks = nip_evolution._well_ketket_stack, []
+
+    def counted(h, r):
+        blocks.append(len(h))
+        return solve(h, r)
+
+    monkeypatch.setattr(nip_evolution, "_well_ketket_stack", counted)
+    return blocks
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+def test_both_integrations_of_a_drive_share_each_well_solve(monkeypatch, map_kind):
+    # 16 steps, STAGE_BLOCK // 2: one block of 33 stages for both calls
+    blocks = _spy_on_wells(monkeypatch)
+    profile, psi0 = PhiProfile.linear(1.2, 0.4), np.ones(5)
+    for integrate in (evolve, textbook_evolve):
+        integrate(5, profile, psi0, 0.0, 0.16, 0.01, map_kind=map_kind)
+    assert blocks == [33]
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+def test_textbook_evolve_reads_the_same_warm_or_cold(map_kind):
+    profile, psi0 = PhiProfile.sinusoidal(1.1, 0.3, 0.7), np.array([1.0, 0.5j, -0.25, 0.5])
+    args = (4, profile, psi0, 0.0, 0.12, 0.01)
+    evolve(*args, map_kind=map_kind)
+    warm = textbook_evolve(*args, map_kind=map_kind)
+    nip_evolution._map_memo = None
+    cold = textbook_evolve(*args, map_kind=map_kind)
+    for state, ref in zip(warm, cold, strict=True):
+        for field in STATE_FIELDS:
+            np.testing.assert_array_equal(getattr(state, field), getattr(ref, field))
+        assert (state.t, state.phys_norm) == (ref.t, ref.phys_norm)
+
+
+def test_a_refused_block_is_solved_again(monkeypatch):
+    # the N=3 map is first refused at the sixth stage; the refusal checks the
+    # clean 5-stage prefix, which is kept, and the refused block is not
+    blocks = _spy_on_wells(monkeypatch)
+    tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.4)
+    phis = np.linspace(0.6, 0.2, 9)
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(SingularDyson) as info:
+            nip_evolution._stage_stack(3, phis, np.ones(9), tol)
+        refusals.append(info.value)
+    assert refusals[0] is not refusals[1]
+    assert blocks == [9, 5, 9]
+
+
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+def test_kept_arrays_are_read_only(integrate):
+    # the kernel hands out the kept H, Theta and Omega; states own copies
+    args = (3, PhiProfile.linear(1.0, 0.1), np.ones(3), 0.0, 0.1, 0.01)
+    states = integrate(*args)
+    assert not any(array.flags.writeable for array in nip_evolution._map_memo[1])
+    for state in states:
+        for field in STATE_FIELDS:
+            getattr(state, field)[...] = 7.0
+    again = integrate(*args)
+    nip_evolution._map_memo = None
+    for state, ref in zip(again, integrate(*args), strict=True):
+        for field in STATE_FIELDS:
+            np.testing.assert_array_equal(getattr(state, field), getattr(ref, field))
+    h, _, theta, omega = nip_evolution._stage_stack(
+        3, np.array([1.0]), np.ones(1), get_tolerances(), integrate is textbook_evolve
+    )
+    for array in (h, theta, omega):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 7.0
 
 
 def test_textbook_stationary_profile_rotates_phases():
