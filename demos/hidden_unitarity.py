@@ -18,9 +18,8 @@ STEP = 1e-3
 
 def main() -> None:
     states = evolve(2, PROFILE, PSI0, 0.0, HORIZON, STEP)
-    phys = np.array([s.phys_norm for s in states])
-    naive = np.array([float(np.linalg.norm(s.psi)) ** 2 for s in states])
-    times = np.array([s.t for s in states])
+    phys, times = states.phys_norm, states.t
+    naive = np.linalg.norm(states.psi, axis=1) ** 2
 
     print(f"linear drive phi(t) = 1 + 0.1 t on [0, {HORIZON}], {len(states)} samples")
     print(f"{'t':>6s} {'naive |psi|^2':>14s} {'physical norm':>14s}")

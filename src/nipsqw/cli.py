@@ -336,18 +336,15 @@ def cmd_evolve(args) -> int:
             raise
     crosscheck = []
     if args.crosscheck:
-        partner = textbook_evolve(*start, states[-1].t, args.dt, tol=tol, map_kind=args.map)
-        crosscheck = [[float(np.linalg.norm(state.omega @ state.psi - mapped.psi))
-                       for state, mapped in zip(states, partner)]]
+        partner = textbook_evolve(*start, states.t[-1], args.dt, tol=tol, map_kind=args.map)
+        crosscheck = [[float(np.linalg.norm(omega @ psi - mapped))
+                       for omega, psi, mapped in zip(states.omega, states.psi, partner.psi)]]
 
     # every row's generator spectrum in one solve and each observable
     # column in one stacked pass; the earliest refused row is raised, and
     # within a row an observable's refusal before the spectrum's
-    times = np.array([state.t for state in states])
-    norms = np.array([state.phys_norm for state in states])
-    kets = np.array([state.psi for state in states])
-    thetas = np.array([state.theta for state in states])
-    spectra, _, _, failures = _eigen_arrays(np.array([state.generator for state in states]))
+    times, norms, kets, thetas = states.t, states.phys_norm, states.psi, states.theta
+    spectra, _, _, failures = _eigen_arrays(states.generator)
     if any(matrix is None for _, matrix in observables):
         energy = build_h(args.n, z_from_phi(args.profile(times)[0]))
     stacks = [

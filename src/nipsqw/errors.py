@@ -57,13 +57,15 @@ class SingularDyson(NipsqwError):
 class EPProximity(NipsqwError):
     """A computation came within the guard radius of the exceptional point.
 
-    When raised mid-evolution, ``trajectory`` holds the states completed
-    before the guard tripped and ``t_fail`` the offending time.
+    When raised by ``evolve`` or ``textbook_evolve``, ``trajectory`` is
+    the ``Trajectory`` of the states completed before the guard tripped
+    (no rows when the first stage is inside the margin) and ``t_fail``
+    the offending time; raised elsewhere, ``trajectory`` is empty.
     """
 
     def __init__(self, message, trajectory=None, t_fail=None):
         super().__init__(message)
-        self.trajectory = list(trajectory) if trajectory is not None else []
+        self.trajectory = trajectory if trajectory is not None else ()
         self.t_fail = t_fail
 
 

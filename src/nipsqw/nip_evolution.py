@@ -19,12 +19,14 @@ family and its exact derivative are evaluated in extended precision for
 every stage at once.
 
 ``evolve`` and ``textbook_evolve`` of one drive solve the same blocks at
-bit-identical angles, on either map.  So the generic kernel keeps the map
-part of the one block it last solved without a refusal -- H, the ketket
-basis, Omega, Omega^-1, Theta and the c-products (``_map_stack``) -- and a
-repeat of that block reuses those read-only arrays.  That covers a
-trajectory of at most ``STAGE_BLOCK // 2`` steps; outputs are the same as
-a fresh solve's.
+bit-identical angles, on either map.  So the map part of the one block
+last solved without a refusal is kept -- H, the ketket basis, Omega,
+Omega^-1, Theta and the c-products of the generic kernel (``_map_stack``),
+or the closed-form two-site map of the whole drive (``_two_site_map``) --
+and a repeat of that block on the same route reuses those read-only
+arrays.  On the generic kernel that covers a trajectory of at most
+``STAGE_BLOCK // 2`` steps, on the two-site route every drive; outputs
+are the same as a fresh solve's.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator takes the stages of up to
@@ -32,11 +34,15 @@ psi_{k+1} = R_k psi_k.  The integrator takes the stages of up to
 stacked matmuls in the dtype of the stage stack (complex128 for the
 generic kernel, so BLAS does them; extended precision for two sites),
 marches the extended-precision ket with one matrix-vector product per
-step and checks the block's physical norms in one stacked product.
+step and checks the block's physical norms in one stacked product.  Each
+block writes its rows into arrays allocated once per trajectory, and the
+integrations return them as a ``Trajectory``: read-only stacks that build
+an ``EvolutionState`` only when a row is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +101,47 @@ class EvolutionState:
     omega: np.ndarray
 
 
+class Trajectory(Sequence):
+    """The samples of one integration as stacked, read-only arrays.
+
+    ``t`` (m,), ``psi`` (m, N), ``theta``, ``generator`` and ``omega``
+    (m, N, N) and ``phys_norm`` (m,) hold the fields of the m samples,
+    in double precision; a textbook trajectory's ``theta`` and ``omega``
+    are one broadcast identity.  As a sequence it is the samples in time
+    order: row k is built as an ``EvolutionState`` (float ``t`` and
+    ``phys_norm``, views of the row's arrays) only when it is read, and
+    a slice is a ``Trajectory`` of views.  Adding a sequence of states
+    gives the list of both, as list concatenation does.  The constructor
+    makes the arrays it is given read-only.
+    """
+
+    __slots__ = ("t", "psi", "theta", "phys_norm", "generator", "omega")
+
+    def __init__(self, t, psi, theta, phys_norm, generator, omega):
+        for name, array in zip(self.__slots__, (t, psi, theta, phys_norm, generator, omega)):
+            array.flags.writeable = False
+            setattr(self, name, array)
+
+    def _stacks(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Trajectory(*(array[k] for array in self._stacks()))
+        t, psi, theta, phys_norm, generator, omega = (array[k] for array in self._stacks())
+        return EvolutionState(float(t), psi, theta, float(phys_norm), generator, omega)
+
+    def __iter__(self):
+        t, psi, theta, phys_norm, generator, omega = self._stacks()
+        return map(EvolutionState, t.tolist(), psi, theta, phys_norm.tolist(), generator, omega)
+
+    def __add__(self, other):
+        return [*self, *other]
+
+
 @dataclass(frozen=True)
 class GeneratorSnapshot:
     """The three generators at one instant, with their eigenvalues."""
@@ -107,9 +154,26 @@ class GeneratorSnapshot:
     g_eigs: np.ndarray
 
 
-#: the map part of the most recent block ``_map_stack`` solved without a
-#: refusal: ((N, Tolerances, angle dtype, angle bytes), its read-only arrays)
+#: the map part of the most recent block solved without a refusal:
+#: ((route, ..., angle dtype, angle bytes), its read-only arrays)
 _map_memo = None
+
+
+def _kept(key, solve):
+    """The arrays ``solve()`` returns, kept read-only for a repeat of ``key``.
+
+    One entry, the last key solved; the key leads with its route, so the
+    generic kernel and the two-site route never read each other's arrays.
+    A ``solve`` that raises keeps nothing.
+    """
+    global _map_memo
+    if _map_memo is not None and _map_memo[0] == key:
+        return _map_memo[1]
+    arrays = solve()
+    for array in arrays:
+        array.flags.writeable = False
+    _map_memo = key, arrays
+    return arrays
 
 
 def _map_stack(n, phis, tol, refuse):
@@ -118,25 +182,21 @@ def _map_stack(n, phis, tol, refuse):
     The part of a block that ``evolve`` and ``textbook_evolve`` share on
     both maps.  Each stage depends on its own angle alone and the rate
     enters only after the map, so the most recent block solved without a
-    refusal is kept, keyed on N, the tolerances and the exact bytes of
-    its angles, and a repeat of that block returns the same read-only
-    arrays.  ``refuse`` raises the refusal of a list of per-stage errors;
-    a refused block is never kept.
+    refusal is kept (``_kept``), keyed on N, the tolerances and the exact
+    bytes of its angles, and a repeat of that block returns the same
+    read-only arrays.  ``refuse`` raises the refusal of a list of
+    per-stage errors; a refused block is never kept.
     """
-    global _map_memo
-    key, memo = (n, tol, phis.dtype, phis.tobytes()), _map_memo
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    h = build_h(n, z_from_phi(phis))
-    values, vectors, errors = _well_ketket_stack(h, np.sin(phis))
-    refuse(errors)
-    omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
-    refuse(errors)
-    arrays = (h, values, vectors, omega, omega_inv, theta, cprods)
-    for array in arrays:
-        array.flags.writeable = False
-    _map_memo = key, arrays
-    return arrays
+
+    def solve():
+        h = build_h(n, z_from_phi(phis))
+        values, vectors, errors = _well_ketket_stack(h, np.sin(phis))
+        refuse(errors)
+        omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
+        refuse(errors)
+        return h, values, vectors, omega, omega_inv, theta, cprods
+
+    return _kept(("kernel", n, tol, phis.dtype, phis.tobytes()), solve)
 
 
 def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
@@ -287,30 +347,43 @@ def _metric_norms(kets, thetas):
     return (kets.conj()[:, None, :] @ (thetas @ kets[..., None]))[:, 0, 0]
 
 
-def _two_site_stack(phis, rates, textbook):
-    """``_stage_stack`` for two sites in closed form, in extended precision.
+def _two_site_map(phis):
+    """Mirror, e^{-i phi}, H, Omega, Omega^-1 and Theta of two sites.
 
-    The closed-form ketket map family and its exact angle derivative,
-    at every stage angle at once.  It stays beside the generic kernel
-    for speed: over 801 stages it costs about 0.001 ms per stage, the
-    generic kernel 0.010 ms in one piece and 0.020 ms in blocks of 32
-    (2-core x86 VM, numpy 2.4).  Where sin phi < 0 the generic kernel's
-    gauge is the family at -phi; H is even in phi, so the map is taken
-    there and its angle derivative changes sign.
+    The closed-form ketket map family at every stage angle at once, in
+    extended precision.  Where sin phi < 0 the generic kernel's gauge is
+    the family at -phi; H is even in phi, so the map is taken there
+    (``mirror`` is -1) and its angle derivative changes sign.
     """
     phis = np.asarray(phis, dtype=np.longdouble)
     mirror = np.where(np.sin(phis) < 0, -1.0, 1.0)
     phis = mirror * phis
     e = np.exp(_CLD(-1j) * phis.astype(_CLD))
-    one, zero, hop = (np.full_like(e, value) for value in (1.0, 0.0, -1.0))
+    one, hop = np.full_like(e, 1.0), np.full_like(e, -1.0)
     z = 1j * np.cos(phis.astype(_CLD))
     h = _stack_2x2(2.0 - z, hop, hop, 2.0 + z)
     omega = _stack_2x2(one, -1j * e, 1j * e, one)
     omega_inv = _stack_2x2(one, 1j * e, -1j * e, one) / (1.0 - e * e)[:, None, None]
-    theta = omega.conj().swapaxes(-1, -2) @ omega
+    return mirror, e, h, omega, omega_inv, omega.conj().swapaxes(-1, -2) @ omega
+
+
+def _two_site_stack(phis, rates, textbook):
+    """``_stage_stack`` for two sites in closed form, in extended precision.
+
+    The map (``_two_site_map``) is kept as the generic kernel's is, so the
+    second integration of a drive reuses it; the map's exact angle
+    derivative, times the rate, gives Sigma.  The route stays beside the
+    generic kernel for speed: over 801 stages it costs about 0.001 ms per
+    stage, the generic kernel 0.010 ms in one piece and 0.020 ms in blocks
+    of 32 (2-core x86 VM, numpy 2.4).
+    """
+    mirror, e, h, omega, omega_inv, theta = _kept(
+        ("two_site", phis.dtype, phis.tobytes()), lambda: _two_site_map(phis)
+    )
     if textbook:
         return h, omega @ h @ omega_inv, theta, omega
     # d/dphi [[1, -ie], [ie, 1]] = [[0, -e], [e, 0]], times the rate
+    zero = np.zeros_like(e)
     omega_dot = _stack_2x2(zero, -e, e, zero)
     omega_dot *= (mirror * np.asarray(rates, dtype=float)).astype(_CLD)[:, None, None]
     return h, 1j * (omega_inv @ omega_dot), theta, omega
@@ -355,26 +428,25 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
     steps, taus = _stage_times(t0, t1, dt)
     phis, rates = profile(np.asarray(taus, dtype=float))
 
-    margin_ok = np.abs(np.sin(phis)) >= tol.ep_margin
-    bad = np.flatnonzero(~margin_ok)
-    usable = len(steps)
-    t_fail = None
+    # the prefix ends at the last step whose stages all clear the margin;
+    # usable is -1 when the first stage is inside it
+    bad = np.flatnonzero(~(np.abs(np.sin(phis)) >= tol.ep_margin))
+    usable, t_fail = len(steps), None
     if bad.size:
-        first_bad = int(bad[0])
-        if first_bad == 0:
-            raise EPProximity(
-                f"profile starts inside the exceptional-point margin at t = {t0:.6g}",
-                trajectory=[],
-                t_fail=float(taus[0]),
-            )
-        usable = (first_bad - 1) // 2
-        t_fail = float(taus[first_bad])
+        usable, t_fail = (int(bad[0]) - 1) // 2, float(taus[bad[0]])
 
+    rows = usable + 1
+    psis = np.empty((rows, n), dtype=complex)
+    generators = np.empty((rows, n, n), dtype=complex)
+    phys_norms = np.empty(rows)
+    if textbook:
+        thetas = omegas = np.broadcast_to(np.eye(n, dtype=complex), generators.shape)
+    else:
+        thetas, omegas = np.empty((2, rows, n, n), dtype=complex)
     two_site = n == 2 and not hermitian_map
     per_call = max(1, usable if two_site else STAGE_BLOCK // 2)
-    edges = [0, *range(per_call, usable, per_call), usable]
+    edges = [0, *range(per_call, usable, per_call), usable] if rows else []
     psi = psi0.astype(_CLD)
-    states = []
     for lo, hi in zip(edges, edges[1:]):
         # steps lo..hi-1 take stages 2 lo..2 hi; the block before ends at
         # stage 2 lo, so only the first block computes its starting state
@@ -397,25 +469,22 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
             kets[k] = psi = step @ psi
         kets = kets[start:]
         at_state = slice(start, None, 2)  # the stack rows at even global stages
-        times = taus[2 * (lo + start) : 2 * hi + 1 : 2]
-        if textbook:
-            theta = omega = np.broadcast_to(np.eye(n), theta.shape)
-        norms = _metric_norms(kets, theta[at_state])
+        block = slice(lo + start, hi + 1)
+        if not textbook:
+            thetas[block], omegas[block] = theta[at_state], omega[at_state]
+        norms = _metric_norms(kets, thetas[block] if textbook else theta[at_state])
         for k, why in enumerate(_unreal(norms)):
             if why:
-                raise NonRealNorm(f"metric norm came out {why} at t = {float(times[k]):.6g}")
-        states += map(
-            EvolutionState,
-            times.astype(float).tolist(),
-            kets.astype(complex),
-            theta[at_state].astype(complex),
-            norms.real.astype(float).tolist(),
-            gens[at_state].astype(complex),
-            omega[at_state].astype(complex),
-        )
+                time = float(taus[2 * (lo + start + k)])
+                raise NonRealNorm(f"metric norm came out {why} at t = {time:.6g}")
+        psis[block], generators[block], phys_norms[block] = kets, gens[at_state], norms.real
+    states = Trajectory(
+        taus[: 2 * rows : 2].astype(float), psis, thetas, phys_norms, generators, omegas
+    )
     if t_fail is not None:
+        where = "trajectory reached" if rows else "profile starts inside"
         raise EPProximity(
-            f"trajectory reached the exceptional-point margin at t = {t_fail:.6g}",
+            f"{where} the exceptional-point margin at t = {t_fail:.6g}",
             trajectory=states,
             t_fail=t_fail,
         )
@@ -431,17 +500,17 @@ def evolve(
     dt: float,
     tol: Tolerances | None = None,
     map_kind: str = "ketket_columns",
-) -> list[EvolutionState]:
+) -> Trajectory:
     """Integrate i dpsi/dt = G(t) psi, sampling every step.
 
     Classical fixed-step fourth-order Runge-Kutta with the generator
-    evaluated at sub-stage times.  Every sample carries the metric at
-    its instant and the physical norm, which stays constant to the
-    integrator's order.  A trajectory that would cross the
-    exceptional-point margin aborts with the completed prefix attached
-    to the raised error; the earliest state whose norm is complex or
-    non-finite raises ``NonRealNorm``.  Bad inputs raise ``ValueError``
-    (``_check_inputs``).
+    evaluated at sub-stage times.  The samples come back as a
+    ``Trajectory``; every sample carries the metric at its instant and
+    the physical norm, which stays constant to the integrator's order.
+    A trajectory that would cross the exceptional-point margin aborts
+    with the completed prefix attached to the raised error; the
+    earliest state whose norm is complex or non-finite raises
+    ``NonRealNorm``.  Bad inputs raise ``ValueError`` (``_check_inputs``).
     """
     return _integrate(
         n, profile, psi0, t0, t1, dt, tol, textbook=False, map_kind=map_kind
@@ -457,7 +526,7 @@ def textbook_evolve(
     dt: float,
     tol: Tolerances | None = None,
     map_kind: str = "ketket_columns",
-) -> list[EvolutionState]:
+) -> Trajectory:
     """Integrate the mapped problem i dpsi'/dt = (Omega H Omega^-1) psi'.
 
     The initial ket is mapped through Omega(t0); the generator is

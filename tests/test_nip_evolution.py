@@ -24,6 +24,7 @@ from nipsqw import metric, nip_evolution
 from nipsqw.nip_evolution import (
     MAP_KINDS,
     EvolutionState,
+    Trajectory,
     coriolis,
     evolve,
     expectation,
@@ -720,18 +721,102 @@ def test_states_hold_double_precision_matrices(n, integrate, map_kind):
     assert np.linalg.eigvals(states[-1].generator).shape == (n,)
 
 
+# ------------------------------------------------------------ trajectory
+
+TRAJECTORY_FIELDS = ("t", "psi", "theta", "phys_norm", "generator", "omega")
+
+
+def assert_same_states(states, reference):
+    """Row by row: the same field values, bit for bit, and the same types."""
+    assert len(states) == len(reference)
+    for state, ref in zip(states, reference, strict=True):
+        for field in TRAJECTORY_FIELDS:
+            got, want = getattr(state, field), getattr(ref, field)
+            assert type(got) is type(want), field
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
 @pytest.mark.parametrize("n", [2, 3])
-def test_states_do_not_share_memory(n, integrate):
-    # textbook states all carry the identity; each must own its copies
+def test_trajectory_rows_are_the_states_of_its_stacks(n, integrate, map_kind):
+    # 40 steps: several stage blocks on the generic kernel
+    states = integrate(n, PhiProfile.linear(1.0, 0.1), np.ones(n) + 0.5j, 0.0, 0.4, 0.01,
+                       map_kind=map_kind)
+    assert isinstance(states, Trajectory)
+    assert len(states) == 41 == len(states.t)
+    assert states.psi.shape == (41, n)
+    for field in ("theta", "generator", "omega"):
+        assert getattr(states, field).shape == (41, n, n)
+    assert states.t.dtype == states.phys_norm.dtype == np.float64
+    rows = list(states)
+    for k, state in enumerate(rows):
+        assert isinstance(state, EvolutionState)
+        assert type(state.t) is float and type(state.phys_norm) is float
+        assert state.t == states.t[k] and state.phys_norm == states.phys_norm[k]
+        for field in ("psi", "theta", "generator", "omega"):
+            value = getattr(state, field)
+            assert value.dtype == np.complex128, field
+            np.testing.assert_array_equal(value, getattr(states, field)[k])
+        assert physical_norm(state) == pytest.approx(state.phys_norm, rel=1e-12)
+    assert_same_states([states[k] for k in range(len(states))], rows)
+    assert_same_states([states[k - len(states)] for k in range(len(states))], rows)
+    if integrate is textbook_evolve:
+        # one broadcast identity, not a copy per state
+        assert states.theta is states.omega
+        assert states.theta.strides[0] == 0
+        np.testing.assert_array_equal(states.theta[7], np.eye(n))
+
+
+def test_trajectory_slices_and_indices():
+    states = evolve(3, PhiProfile.linear(1.0, 0.1), np.ones(3), 0.0, 0.2, 0.01)
+    rows = list(states)
+    for part in (slice(None, None, -1), slice(3, 17, 4), slice(-5, None), slice(30, 40)):
+        sliced = states[part]
+        assert isinstance(sliced, Trajectory)
+        assert_same_states(sliced, rows[part])
+    assert_same_states([states[-1], states[np.int64(-21)]], [rows[20], rows[0]])
+    for k in (21, -22):
+        with pytest.raises(IndexError):
+            states[k]
+    # adding states gives a list, as list concatenation does
+    joined = states[:-1] + [rows[-1]]
+    assert isinstance(joined, list)
+    assert_same_states(joined, rows)
+
+
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+@pytest.mark.parametrize("n", [2, 3])
+def test_trajectory_rows_are_read_only(n, integrate):
+    # states are frozen, and so are the stacks their arrays view
     states = integrate(n, PhiProfile.linear(1.0, 0.1), np.ones(n), 0.0, 0.05, 0.01)
-    later = [np.copy(getattr(states[1], field)) for field in ("psi", "theta", "omega")]
-    omega = states[0].omega.copy()
-    states[0].theta[...] = 7.0
-    states[0].psi[...] = 7.0
-    np.testing.assert_array_equal(states[0].omega, omega)
-    for field, before in zip(("psi", "theta", "omega"), later):
-        np.testing.assert_array_equal(getattr(states[1], field), before)
+    before = [np.copy(getattr(states, field)) for field in TRAJECTORY_FIELDS]
+    for field in TRAJECTORY_FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(states, field)[...] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(states[1:], field)[0] = 7.0
+    for field in ("psi", "theta", "generator", "omega"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(states[0], field)[...] = 7.0
+    for field, copy in zip(TRAJECTORY_FIELDS, before):
+        np.testing.assert_array_equal(getattr(states, field), copy)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_margin_prefix_is_the_trajectory_of_a_run_that_stops_short(n):
+    profile, dt, psi0 = PhiProfile.linear(0.5, -0.25), 0.01, np.ones(n) + 0.25j
+    with pytest.raises(EPProximity) as info:
+        evolve(n, profile, psi0, 0.0, 10.0, dt)
+    prefix = info.value.trajectory
+    assert isinstance(prefix, Trajectory) and len(prefix) > 100
+    assert_same_states(prefix, evolve(n, profile, psi0, 0.0, prefix[-1].t, dt))
+    # a drive that starts inside the margin completes no state
+    with pytest.raises(EPProximity, match="profile starts inside") as info:
+        evolve(n, PhiProfile.constant(0.0), psi0, 0.0, 1.0, dt)
+    assert isinstance(info.value.trajectory, Trajectory)
+    assert len(info.value.trajectory) == 0
+    assert info.value.trajectory.psi.shape == (0, n)
 
 
 # ------------------------------------------------------- textbook partner
@@ -797,6 +882,57 @@ def test_textbook_evolve_reads_the_same_warm_or_cold(map_kind):
         assert (state.t, state.phys_norm) == (ref.t, ref.phys_norm)
 
 
+def _spy_on_two_site_maps(monkeypatch):
+    """Blocks handed to the closed-form two-site map, as stage counts."""
+    build, blocks = nip_evolution._two_site_map, []
+
+    def counted(phis):
+        blocks.append(len(phis))
+        return build(phis)
+
+    monkeypatch.setattr(nip_evolution, "_two_site_map", counted)
+    return blocks
+
+
+def test_both_integrations_of_a_two_site_drive_share_its_map(monkeypatch):
+    # 400 steps are one closed-form block of 801 stages for both calls
+    blocks = _spy_on_two_site_maps(monkeypatch)
+    profile, psi0 = PhiProfile.sinusoidal(1.2, 0.4, 2.0), np.array([1.0, 0.5j])
+    for integrate in (evolve, textbook_evolve):
+        integrate(2, profile, psi0, 0.0, 0.4, 1e-3)
+    assert blocks == [801]
+    assert not any(array.flags.writeable for array in nip_evolution._map_memo[1])
+
+
+def test_a_two_site_drive_reads_the_same_warm_or_cold():
+    profile, psi0 = PhiProfile.linear(2.0, -0.5), np.array([1.0, 0.5j])
+    args = (2, profile, psi0, 0.0, 0.4, 1e-3)
+    nip_evolution._map_memo = None
+    cold_evolve = evolve(*args)
+    warm_textbook, warm_evolve = textbook_evolve(*args), evolve(*args)
+    nip_evolution._map_memo = None
+    assert_same_states(warm_textbook, textbook_evolve(*args))
+    assert_same_states(warm_evolve, cold_evolve)
+
+
+def test_the_two_site_route_and_the_kernel_keep_separate_maps(monkeypatch):
+    # 10 steps: both routes solve the same 21 stage angles in one block,
+    # and neither reads the other's kept arrays
+    wells, maps = _spy_on_wells(monkeypatch), _spy_on_two_site_maps(monkeypatch)
+    profile, psi0 = PhiProfile.linear(1.2, 0.4), np.array([1.0, 0.5j])
+    args = (2, profile, psi0, 0.0, 0.1, 0.01)
+    runs = []
+    for _ in range(2):
+        nip_evolution._map_memo = None
+        runs.append([integrate(*args, map_kind=map_kind)
+                     for map_kind in ("ketket_columns", "hermitian_root", "ketket_columns")
+                     for integrate in (evolve, textbook_evolve)])
+    assert maps == [21, 21, 21, 21] and wells == [21, 21]
+    for states, reference in zip(*runs):
+        assert_same_states(states, reference)
+    assert_same_states(runs[0][0], runs[0][4])
+
+
 def test_a_refused_block_is_solved_again(monkeypatch):
     # the N=3 map is first refused at the sixth stage; the refusal checks the
     # clean 5-stage prefix, which is kept, and the refused block is not
@@ -814,13 +950,17 @@ def test_a_refused_block_is_solved_again(monkeypatch):
 
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
 def test_kept_arrays_are_read_only(integrate):
-    # the kernel hands out the kept H, Theta and Omega; states own copies
+    # the kernel hands out the kept H, Theta and Omega; trajectories hold
+    # read-only copies
     args = (3, PhiProfile.linear(1.0, 0.1), np.ones(3), 0.0, 0.1, 0.01)
     states = integrate(*args)
-    assert not any(array.flags.writeable for array in nip_evolution._map_memo[1])
-    for state in states:
-        for field in STATE_FIELDS:
-            getattr(state, field)[...] = 7.0
+    kept = nip_evolution._map_memo[1]
+    assert not any(array.flags.writeable for array in kept)
+    for field in STATE_FIELDS:
+        stack = getattr(states, field)
+        assert not any(np.shares_memory(stack, array) for array in kept)
+        with pytest.raises(ValueError, match="read-only"):
+            stack[...] = 7.0
     again = integrate(*args)
     nip_evolution._map_memo = None
     for state, ref in zip(again, integrate(*args), strict=True):
