@@ -157,40 +157,49 @@ def _tolerances(args):
 # ---------------------------------------------------------------- emission
 
 
-def _cell(value) -> str:
-    if type(value) is float:
-        return FMT % (value + 0.0)  # +0.0 folds -0.0 into 0.0
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    return FMT % (float(value) + 0.0)
+def _csv_cells(column, gap) -> list:
+    """One column's CSV text: 17 significant digits with -0.0 as 0, or
+    true/false for booleans, and an empty cell wherever ``gap`` is set."""
+    if column.dtype == bool:
+        return np.where(column, "true", "false").tolist()
+    if gap is None:
+        return list(map(FMT.__mod__, (column + 0.0).tolist()))  # +0.0 folds -0.0 into 0.0
+    cells = np.full(column.shape, "", dtype=object)
+    cells[~gap] = _csv_cells(column[~gap], None)
+    return cells.tolist()
 
 
-def _json_value(value):
-    if value is None or isinstance(value, (str, bool)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return float(value)
+def _json_cells(column, gap) -> list:
+    """One column's JSON values: native numbers, the CSV's spelling of a
+    non-finite one (strict JSON has no inf or nan), None where ``gap`` is set."""
+    cells = column.astype(object)
+    bad = ~np.isfinite(column)
+    cells[bad] = [FMT % value for value in column[bad].tolist()]
+    if gap is not None:
+        cells[gap] = None
+    return cells.tolist()
 
 
-def _emit_table(header, rows, args) -> None:
+def _emit_table(header, columns, args, absent=None, mirror=None) -> None:
+    """Write a table given column by column, each value formatted once.
+
+    ``columns`` holds one 1-D array per header name, and ``absent`` one
+    boolean mask per column marking its empty cells.  ``mirror = (j, k)``
+    says column j is never negative and column k is -column j where that
+    is positive, 0 elsewhere, so its CSV text is column j's with a minus sign.
+    """
+    gaps = [None] * len(header) if absent is None else absent
     if args.format == "json":
-        payload = {
-            "columns": list(header),
-            "rows": [[_json_value(v) for v in row] for row in rows],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        rows = list(zip(*map(_json_cells, columns, gaps)))
+        text = json.dumps({"columns": list(header), "rows": rows}, indent=2, sort_keys=True)
     else:
-        lines = [",".join(header)]
-        lines += [",".join(_cell(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    _write_text(text, args.out)
+        skip = mirror[1] if mirror else None
+        cells = [None if k == skip else _csv_cells(column, gap)
+                 for k, (column, gap) in enumerate(zip(columns, gaps))]
+        if mirror:  # "%.17g" is symmetric in sign
+            cells[skip] = [c if c in ("", "0") else "-" + c for c in cells[mirror[0]]]
+        text = "\n".join([",".join(header), *map(",".join, zip(*cells))])
+    _write_text(text + "\n", args.out)
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -215,8 +224,8 @@ def _svg_line_plot(points, x_label, y_label) -> str:
     width, height, pad = 640.0, 480.0, 60.0
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo, x_hi = min(xs, default=0.0), max(xs, default=0.0)  # all flat: an empty frame
+    y_lo, y_hi = min(ys, default=0.0), max(ys, default=0.0)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -260,11 +269,8 @@ def cmd_spectrum(args) -> int:
     if np.isnan(energies).any():
         raise error
     flags = np.abs(energies.imag) <= get_tolerances().tol_real
-    rows = [
-        (idx + 1, e.real, e.imag, bool(flag))
-        for idx, (e, flag) in enumerate(zip(energies, flags))
-    ]
-    _emit_table(("index", "energy_re", "energy_im", "is_real"), rows, args)
+    columns = (np.arange(1, args.n + 1), energies.real, energies.imag, flags)
+    _emit_table(("index", "energy_re", "energy_im", "is_real"), columns, args)
     _summary(f"all_real={str(bool(flags.all())).lower()}", args)
     return 0
 
@@ -274,12 +280,13 @@ def cmd_curve(args) -> int:
         return _usage_error("--e-min must be below --e-max")
     if args.samples < 2:
         return _usage_error("--samples must be at least 2")
-    rows = _curve_stack(args.n, np.linspace(args.e_min, args.e_max, args.samples))
-    _emit_table(("energy", "r_squared", "r_plus", "r_minus", "residual"), rows, args)
+    table, absent = _curve_stack(args.n, np.linspace(args.e_min, args.e_max, args.samples))
+    _emit_table(("energy", "r_squared", "r_plus", "r_minus", "residual"), table.T, args,
+                absent.T, mirror=(2, 3))
     if args.svg is not None:
-        curve_pts = [(r[0], r[1]) for r in rows if r[1] is not None]
+        curve_pts = table[~absent[:, 1], :2].tolist()
         _write_text(_svg_line_plot(curve_pts, "energy", "coupling^2"), args.svg)
-    _summary(f"samples={len(rows)} flat_rows={sum(r[1] is None for r in rows)}", args)
+    _summary(f"samples={len(table)} flat_rows={np.count_nonzero(absent[:, 1])}", args)
     return 0
 
 
@@ -363,7 +370,7 @@ def cmd_evolve(args) -> int:
               *(f"expect_{name}" for name, _ in observables), *(f"g{pair}" for pair in pairs)]
     columns = [times, kets.view(float), norms, *(values for values, _ in stacks),
                spectra.view(float), *crosscheck]
-    _emit_table(header + ["crosscheck"] * args.crosscheck, np.column_stack(columns).tolist(), args)
+    _emit_table(header + ["crosscheck"] * args.crosscheck, np.column_stack(columns).T, args)
 
     drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
     _summary(f"norm_drift={drift:.17g}", args)
@@ -379,9 +386,9 @@ def cmd_epscan(args) -> int:
     if args.samples < 1:
         return _usage_error("--samples must be at least 1")
     grid = np.linspace(args.r_min, args.r_max, args.samples)
-    rows = ep_scan(args.n, grid).tolist()
-    _emit_table(("r", "min_gap", "vector_condition"), rows, args)
-    fallback = sum(1 for row in rows if not np.isfinite(row[2]))
+    rows = ep_scan(args.n, grid)
+    _emit_table(("r", "min_gap", "vector_condition"), rows.T, args)
+    fallback = np.count_nonzero(~np.isfinite(rows[:, 2]))
     _summary(f"samples={len(rows)} defective_rows={fallback}", args)
     return 0
 
@@ -537,7 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="'hamiltonian' or 'file:PATH' (repeatable)")
     ev.add_argument("--crosscheck", action="store_true",
                     help="append the mapped-integration agreement column")
-    ev.add_argument("--map", choices=MAP_KINDS, default="ketket_columns")
+    ev.add_argument("--map", choices=MAP_KINDS, default="ketket_columns",
+                    help="Dyson map (default %(default)s); hermitian_root is a "
+                         "different dynamics with the same metric, not a gauge")
     ev.add_argument("--ep-margin", type=float, default=None)
     _add_output_flags(ev)
     ev.set_defaults(handler=cmd_evolve)

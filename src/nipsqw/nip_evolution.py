@@ -60,11 +60,15 @@ from .metric import (
 
 _CLD = np.clongdouble
 
-#: Dyson-map factorizations an integration can be built on.  The
-#: adjoint-eigenvector columns are the default; the Hermitian square
-#: root of the same metric is the gauge-rotated alternative.  The two
-#: give different generators G(t) but share Theta = Omega^dagger Omega,
-#: so each conserves the same physical norm on its own.
+#: Dyson-map factorizations an integration can be built on: the
+#: adjoint-eigenvector columns (default) or the Hermitian square root of
+#: the same metric.  They share Theta = Omega^dagger Omega, so each
+#: conserves the physical norm, but they are two dynamics, not two gauges
+#: of one: Omega_h = U Omega_k adds the Hermitian gauge potential
+#: Omega_k^-1 (-i U^dagger dU/dt) Omega_k to G(t), which shifts the
+#: quasi-energies of a periodic drive.  At N=3 under
+#: sin:phi0=1.2,amp=0.5,freq=3 the one-period eigenphases are -1.4009 and
+#: -0.6935 on the root map, -1.3983 and -0.6961 on the ketket map.
 MAP_KINDS = ("ketket_columns", "hermitian_root")
 
 #: stages per call of the stage kernel, STAGE_BLOCK // 2 RK4 steps (the

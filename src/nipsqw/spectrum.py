@@ -179,15 +179,16 @@ class SpectralCurvePoint:
     residual: float
 
 
-def _curve_stack(n: int, energies) -> list[tuple]:
+def _curve_stack(n: int, energies) -> tuple[np.ndarray, np.ndarray]:
     """The curve r^2(E) over a whole energy grid in one vectorized pass.
 
     Because z + z* = 0 and z z* = 1 - r^2 hold along z = i*sqrt(1-r^2),
     the determinant det(H(r) - E) is affine in r^2; two evaluations at
-    r^2 = 0 and 1 fix the line and its root.  Row k holds the fields of
-    ``SpectralCurvePoint`` at ``energies[k]`` as Python floats, with None
-    where a mask leaves them undefined: r_plus and r_minus off the band,
-    every field but the energy where the determinant has no slope.
+    r^2 = 0 and 1 fix the line and its root.  Returns an (m, 5) float
+    table whose row k holds the fields of ``SpectralCurvePoint`` at
+    ``energies[k]``, and an (m, 5) mask of the cells a field leaves
+    undefined (they hold nan): r_plus and r_minus off the band, every
+    field but the energy where the determinant has no slope.
     """
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
@@ -208,21 +209,24 @@ def _curve_stack(n: int, energies) -> list[tuple]:
     z = 1j * np.sqrt((1.0 - r_squared).astype(complex))
     rebuilt = _corner_det(n, z, e, z_last=-z).astype(complex)
     residual = np.hypot(rebuilt.real, rebuilt.imag)
-    table = np.array(
-        [e, r_squared, r_plus, np.where(r_plus > 0, -r_plus, 0.0), residual], dtype=object
+    table = np.column_stack(
+        [e, r_squared, r_plus, np.where(r_plus > 0, -r_plus, 0.0), residual]
     )
-    table[2:4, ~band] = None
-    table[1:, flat] = None
-    return [tuple(row) for row in table.T.tolist()]
+    absent = np.zeros(table.shape, dtype=bool)
+    absent[~band, 2:4] = True
+    absent[flat, 1:] = True
+    table[absent] = np.nan
+    return table, absent
 
 
 def spectral_curve(n: int, e: float) -> SpectralCurvePoint:
     """Coupling strength at which the given energy joins the spectrum: a stack
     of one over ``_curve_stack``, raising NoSlope where r^2 has no effect."""
-    row = _curve_stack(n, [float(e)])[0]
-    if row[1] is None:
+    table, absent = _curve_stack(n, [float(e)])
+    if absent[0, 1]:
         raise NoSlope(f"determinant does not depend on the coupling at E = {float(e)}")
-    return SpectralCurvePoint(*row)
+    return SpectralCurvePoint(*(None if gap else value
+                                for value, gap in zip(table[0].tolist(), absent[0])))
 
 
 def ep_scan(n: int, r_grid) -> np.ndarray:

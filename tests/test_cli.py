@@ -1,9 +1,12 @@
 """End-to-end drives of the command-line entry point, run in process."""
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 
 import nipsqw
 from nipsqw import matrix_core, metric, nip_evolution
-from nipsqw.cli import IDENTITY_THRESHOLD, main, run_identity_suite
+from nipsqw.cli import IDENTITY_THRESHOLD, _emit_table, main, run_identity_suite
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
 from nipsqw.n2_oracle import g_eigs
 from nipsqw.spectrum import ep_scan
@@ -176,6 +179,19 @@ def test_curve_svg_plot_written(capsys, tmp_path):
     assert code == 0
     body = target.read_text()
     assert body.startswith("<svg") and "<polyline" in body and body.rstrip().endswith("</svg>")
+
+
+def test_curve_svg_of_only_flat_rows_is_an_empty_frame(capsys, tmp_path):
+    # both energies, (3 -+ sqrt 5)/2, are levels of the six-site well that
+    # no coupling moves
+    target = tmp_path / "flat.svg"
+    code, out, err = invoke(
+        capsys, "curve", "--n", "6", "--e-min", "0.3819660112501051",
+        "--e-max", "2.618033988749895", "--samples", "2", "--svg", str(target),
+    )
+    assert code == 0, err
+    assert "flat_rows=2" in err
+    assert '<polyline points=""' in target.read_text()
 
 
 def test_curve_range_validation(capsys):
@@ -625,6 +641,150 @@ def test_reruns_are_byte_identical(capsys):
     first = invoke(capsys, *args)
     second = invoke(capsys, *args)
     assert first == second
+
+
+# ------------------------------------------------------------ table writer
+
+SPECIAL_FLOATS = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308)
+
+
+def _reference_cell(value, gap):
+    """Today's CSV text of one cell, the per-cell way."""
+    if gap:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "%.17g" % (value + 0.0)
+
+
+def _reference_json(value, gap):
+    if gap:
+        return None
+    if isinstance(value, float) and not np.isfinite(value):
+        return "%.17g" % value
+    return value
+
+
+@st.composite
+def _tables(draw):
+    """(columns, absent, mirror): float, integer and boolean columns with
+    edge values and empty cells, and sometimes a mirrored pair of columns."""
+    rows = draw(st.integers(0, 6))
+    floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from(SPECIAL_FLOATS))
+    kinds = draw(st.lists(st.sampled_from(("float", "int", "bool")), min_size=1, max_size=5))
+    columns, absent = [], []
+    for kind in kinds:
+        cells = {"float": floats, "int": st.integers(-1000, 1000), "bool": st.booleans()}[kind]
+        columns.append(np.array(draw(st.lists(cells, min_size=rows, max_size=rows)),
+                                dtype={"float": float, "int": np.int64, "bool": bool}[kind]))
+        gaps = st.lists(st.booleans(), min_size=rows, max_size=rows)
+        absent.append(np.array(draw(gaps), dtype=bool) if kind == "float"
+                      and draw(st.booleans()) else None)
+    mirror = None
+    if draw(st.booleans()):  # a non-negative column and its mirror, as r_plus and r_minus
+        plus = draw(st.lists(st.one_of(st.floats(min_value=0.0), st.sampled_from((-0.0, 0.0))),
+                             min_size=rows, max_size=rows))
+        plus = np.array(plus, dtype=float)
+        gap = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
+        mirror = (len(columns), len(columns) + 1)
+        columns += [plus, np.where(plus > 0, -plus, 0.0)]
+        absent += [gap, gap]
+    return columns, absent, mirror
+
+
+def _write_table(columns, absent, mirror, fmt):
+    header = [f"c{k}" for k in range(len(columns))]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        _emit_table(header, columns, argparse.Namespace(format=fmt, out=None),
+                    absent, mirror=mirror)
+    return header, sink.getvalue()
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_tables())
+def test_table_writer_matches_the_per_cell_reference(table):
+    columns, absent, mirror = table
+    values = [column.tolist() for column in columns]
+    gaps = [[False] * len(column) if gap is None else gap.tolist()
+            for column, gap in zip(columns, absent)]
+    header, csv = _write_table(columns, absent, mirror, "csv")
+    lines = [",".join(header)] + [
+        ",".join(_reference_cell(v, g) for v, g in zip(row, row_gaps))
+        for row, row_gaps in zip(zip(*values), zip(*gaps))
+    ]
+    assert csv == "\n".join(lines) + "\n"
+    _, text = _write_table(columns, absent, mirror, "json")
+    rows = [[_reference_json(v, g) for v, g in zip(row, row_gaps)]
+            for row, row_gaps in zip(zip(*values), zip(*gaps))]
+    assert text == json.dumps({"columns": header, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    assert _strict_json(text)["rows"] == rows
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--n", "6", "--r", "0"),
+    ("spectrum", "--n", "2", "--z", "0,3"),
+    ("curve", "--n", "3", "--e-min", "1", "--e-max", "3", "--samples", "3"),
+    ("curve", "--n", "2", "--e-min", "0", "--e-max", "5", "--samples", "11"),
+    ("epscan", "--n", "4", "--r-min", "-1", "--r-max", "1", "--samples", "3"),
+    ("epscan", "--n", "64", "--r-min", "-1", "--r-max", "1", "--samples", "9"),
+    ("evolve", "--n", "3", "--profile", "linear:phi0=1.0,omega=0.1", "--psi0", "1,0,0,0.5,0,0",
+     "--t1", "0.1", "--dt", "0.05", "--observable", "hamiltonian", "--crosscheck"),
+    ("metric", "--n", "4", "--r", "0.8"),
+], ids=lambda argv: " ".join(argv[:3]))
+def test_json_tables_are_strict_json(capsys, argv):
+    code, out, _ = invoke(capsys, *argv, *(("--format", "json") if argv[0] != "metric" else ()))
+    assert code == 0
+    doc = _strict_json(out)
+    if argv[0] == "epscan":  # the defective row at r = 0 keeps the CSV's spelling
+        assert [row[0] for row in doc["rows"] if row[2] == "inf"] == [0.0]
+
+
+def test_epscan_json_writes_a_nan_gap_as_a_string(capsys, monkeypatch):
+    rows = np.array([[0.5, np.nan, np.inf], [1.0, -0.0, 2.0]])
+    monkeypatch.setattr("nipsqw.cli.ep_scan", lambda n, grid: rows)
+    code, out, err = invoke(capsys, "epscan", "--n", "2", "--r-min", "0.5", "--r-max", "1",
+                            "--samples", "2", "--format", "json")
+    assert code == 0 and "defective_rows=1" in err
+    assert '[\n      0.5,\n      "nan",\n      "inf"\n    ]' in out
+    assert _strict_json(out)["rows"] == [[0.5, "nan", "inf"], [1.0, -0.0, 2.0]]
+    assert "-0.0" in out  # JSON keeps the sign of zero; CSV prints it as 0
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the curve's determinant runs in x86 80-bit long double")
+def test_curve_table_bytes_are_pinned(capsys):
+    # numpy arithmetic only, no LAPACK: the bytes do not depend on the BLAS
+    code, out, _ = invoke(capsys, "curve", "--n", "4", "--e-min", "0.05", "--e-max", "3.95",
+                          "--samples", "14001")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8ec96dd5612ab3bb73993574b902680bc5920848acde109237caf9b7d587e7ec")
+
+
+def _readme_commands():
+    """Every ``nipsqw ...`` line of the README's sh blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        body = block.split("```", 1)[0].replace("\\\n", " ")
+        commands += [" ".join(line.split()) for line in body.splitlines()
+                     if line.strip().startswith("nipsqw ")]
+    return commands
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_commands_run(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)  # the curve example writes band.svg here
+    code, _, err = invoke(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
 
 
 def _fresh_process_run(*argv):
