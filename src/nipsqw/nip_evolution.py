@@ -16,28 +16,29 @@ included, the kernel solves each driven well in closed form at its
 coupling sin phi, with no eigensolver (``metric._well_ketket_stack``).
 Two-site runs on the ketket map skip the kernel: the closed-form map
 family and its exact derivative are evaluated in extended precision for
-every stage at once.
+every stage of a block at once.
 
 ``evolve`` and ``textbook_evolve`` of one drive solve the same blocks at
 bit-identical angles, on either map.  So the map part of the one block
 last solved without a refusal is kept -- H, the ketket basis, Omega,
 Omega^-1, Theta and the c-products of the generic kernel (``_map_stack``),
-or the closed-form two-site map of the whole drive (``_two_site_map``) --
-and a repeat of that block on the same route reuses those read-only
-arrays.  On the generic kernel that covers a trajectory of at most
-``STAGE_BLOCK // 2`` steps, on the two-site route every drive; outputs
-are the same as a fresh solve's.
+or the closed-form two-site map (``_two_site_map``) -- and a repeat of
+that block on the same route reuses those read-only arrays.  That covers
+every trajectory of one block; outputs are the same as a fresh solve's.
 
 The equation is linear in psi, so each RK4 step is a matrix,
-psi_{k+1} = R_k psi_k.  The integrator takes the stages of up to
-``STAGE_BLOCK // 2`` steps from one kernel call, forms their R_k with
-stacked matmuls in the dtype of the stage stack (complex128 for the
-generic kernel, so BLAS does them; extended precision for two sites),
-marches the extended-precision ket with one matrix-vector product per
-step and checks the block's physical norms in one stacked product.  Each
-block writes its rows into arrays allocated once per trajectory, and the
-integrations return them as a ``Trajectory``: read-only stacks that build
-an ``EvolutionState`` only when a row is read.
+psi_{k+1} = R_k psi_k.  The integrator splits a drive into blocks by one
+rule on both routes, sized from N (``STAGE_BLOCK``), and takes each
+block's stages from one kernel call, the edge stage it shares with the
+block before included.  It forms their R_k with stacked matmuls in the
+dtype of the stage stack (complex128 for the generic kernel, so BLAS
+does them; extended precision for two sites), marches the
+extended-precision ket with one matrix-vector product per step and
+checks the block's physical norms against the stack's own Theta in one
+stacked product.  Each block writes its rows into arrays allocated once
+per trajectory, and the integrations return them as a ``Trajectory``:
+read-only stacks that build an ``EvolutionState`` only when a row is
+read.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import _eigen_arrays, _sqrt_hpd_stack, as_square
+from .matrix_core import MAX_DIM, _eigen_arrays, _sqrt_hpd_stack, as_square
 from .metric import (
     _dyson_stack,
     _ketket_slope,
@@ -71,17 +72,11 @@ _CLD = np.clongdouble
 #: -0.6935 on the root map, -1.3983 and -0.6961 on the ketket map.
 MAP_KINDS = ("ketket_columns", "hermitian_root")
 
-#: stages per call of the stage kernel, STAGE_BLOCK // 2 RK4 steps (the
-#: first call also computes the starting stage); bounds the memory of a
-#: long trajectory and the work an early refusal wastes.  2,000 steps of
-#: ``evolve`` (linear phi0 = 0.9, omega = 0.6, dt 0.001) take, beside the
-#: states, in blocks of 32 / in blocks of 128 / in one piece: at N=3
-#: 0.2 / 0.4 / 4.2 MB for 0.09-0.14 / 0.06 / 0.04 s; at N=8 0.7 / 2.1 / 34 MB
-#: for 0.20 / 0.09-0.12 / 0.10-0.13 s; at N=24 4.6 / 17 / 315 MB for
-#: 0.47-0.64 / 0.51-0.57 / 0.98 s (two runs, median of 3 each; 2-core x86
-#: VM, numpy 2.4).  With the closed-form wells the per-block overhead
-#: outweighs the solve up to N=8, but a retune waits for a benchmark op
-#: whose trajectory spans blocks
+#: stage-kernel calls at MAX_DIM sites take STAGE_BLOCK // 2 RK4 steps,
+#: and at N sites (MAX_DIM / N)^2 times as many, so no call holds more
+#: matrix entries than one at MAX_DIM: 16 steps at N=64, 113 at N=24,
+#: 1,024 at N=8 and 16,384 at N=2.  That bounds the memory of a long
+#: trajectory on both stage routes, and a refusal wastes at most one call
 STAGE_BLOCK = 32
 
 
@@ -375,7 +370,7 @@ def _two_site_stack(phis, rates, textbook):
     """``_stage_stack`` for two sites in closed form, in extended precision.
 
     The map (``_two_site_map``) is kept as the generic kernel's is, so the
-    second integration of a drive reuses it; the map's exact angle
+    second integration of a one-block drive reuses it; the map's exact angle
     derivative, times the rate, gives Sigma.  The route stays beside the
     generic kernel for speed: over 801 stages it costs about 0.001 ms per
     stage, the generic kernel 0.010 ms in one piece and 0.020 ms in blocks
@@ -448,40 +443,32 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
     else:
         thetas, omegas = np.empty((2, rows, n, n), dtype=complex)
     two_site = n == 2 and not hermitian_map
-    per_call = max(1, usable if two_site else STAGE_BLOCK // 2)
+    per_call = max(1, (STAGE_BLOCK // 2) * MAX_DIM**2 // n**2)
     edges = [0, *range(per_call, usable, per_call), usable] if rows else []
     psi = psi0.astype(_CLD)
     for lo, hi in zip(edges, edges[1:]):
-        # steps lo..hi-1 take stages 2 lo..2 hi; the block before ends at
-        # stage 2 lo, so only the first block computes its starting state
-        start = int(lo > 0)
-        span = slice(2 * lo + start, 2 * hi + 1)
+        # steps lo..hi-1 take stages 2 lo..2 hi; each stage depends on its
+        # own angle and rate only, so stage 2 lo matches the block before
+        span, block = slice(2 * lo, 2 * hi + 1), slice(lo, hi + 1)
         h, second, theta, omega = (
             _two_site_stack(phis[span], rates[span], textbook) if two_site
             else _stage_stack(n, phis[span], rates[span], tol, textbook, hermitian_map)
         )
         gens = second if textbook else h - second
-        if textbook and not start:
+        if textbook and not lo:
             psi = omega[0] @ psi
-        propagators = _propagators(
-            np.concatenate([last_gen, gens]) if start else gens, steps[lo:hi]
-        )
-        last_gen = gens[-1:]
         kets = np.empty((hi - lo + 1, n), dtype=_CLD)
         kets[0] = psi
-        for k, step in enumerate(propagators.astype(_CLD, copy=False), start=1):
+        for k, step in enumerate(_propagators(gens, steps[lo:hi]).astype(_CLD, copy=False), 1):
             kets[k] = psi = step @ psi
-        kets = kets[start:]
-        at_state = slice(start, None, 2)  # the stack rows at even global stages
-        block = slice(lo + start, hi + 1)
         if not textbook:
-            thetas[block], omegas[block] = theta[at_state], omega[at_state]
-        norms = _metric_norms(kets, thetas[block] if textbook else theta[at_state])
+            thetas[block], omegas[block] = theta[::2], omega[::2]
+        norms = _metric_norms(kets, thetas[block] if textbook else theta[::2])
         for k, why in enumerate(_unreal(norms)):
             if why:
-                time = float(taus[2 * (lo + start + k)])
+                time = float(taus[2 * (lo + k)])
                 raise NonRealNorm(f"metric norm came out {why} at t = {time:.6g}")
-        psis[block], generators[block], phys_norms[block] = kets, gens[at_state], norms.real
+        psis[block], generators[block], phys_norms[block] = kets, gens[::2], norms.real
     states = Trajectory(
         taus[: 2 * rows : 2].astype(float), psis, thetas, phys_norms, generators, omegas
     )

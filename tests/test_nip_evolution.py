@@ -1,5 +1,6 @@
 """Coriolis generator, moving-metric integration, and its cross-checks."""
 
+import hashlib
 from unittest import mock
 
 import mpmath
@@ -497,31 +498,39 @@ def test_margin_abort_keeps_the_prefix_before_the_first_refused_stage(n):
 
 def test_a_complex_norm_names_its_earliest_state(monkeypatch):
     # every stage from t = 0.225 on gets a complex metric; 0.225 is a
-    # half step, so the first refused state is t = 0.23, in the second block
-    kernel = nip_evolution._stage_stack
+    # half step, so the first refused state is t = 0.23, in the second
+    # call of 16 steps
+    kernel, calls = nip_evolution._stage_stack, []
 
     def corrupted(n, phis, rates, tol, textbook=False, hermitian_map=False):
+        calls.append(len(phis))
         h, sigma, theta, omega = kernel(n, phis, rates, tol, textbook, hermitian_map)
         bad = (phis >= 1.0 + 0.1 * 0.2225)[:, None, None]
         return h, sigma, theta + 1e-6j * bad * np.eye(n), omega
 
+    _steps_per_call(monkeypatch, 3, 16)
     monkeypatch.setattr(nip_evolution, "_stage_stack", corrupted)
     with pytest.raises(NonRealNorm, match=r"came out complex .* at t = 0\.23$"):
         evolve(3, PhiProfile.linear(1.0, 0.1), np.ones(3), 0.0, 0.6, 0.01)
+    assert calls == [33, 33]
 
 
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
-def test_a_refusal_in_a_later_block_still_raises(integrate, map_kind):
+def test_a_refusal_in_a_later_block_still_raises(monkeypatch, integrate, map_kind):
     # the smallest per-level reciprocal condition of the N=3 ketket map
     # levels off near 1/3; with this floor the map is first refused near
-    # t = 2.45, several stage blocks in
+    # t = 2.45, in the eighth call of 16 steps; the refusal then solves
+    # that call's clean prefix again
+    _steps_per_call(monkeypatch, 3, 16)
     tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.4)
     profile, psi0 = PhiProfile.linear(1.0, -0.25), np.ones(3)
     states = integrate(3, profile, psi0, 0.0, 2.0, 0.02, tol=tol, map_kind=map_kind)
     assert len(states) == 101
+    blocks = _spy_on_wells(monkeypatch)
     with pytest.raises(SingularDyson, match="reciprocal condition at or below 0.4"):
         integrate(3, profile, psi0, 0.0, 3.0, 0.02, tol=tol, map_kind=map_kind)
+    assert blocks == [33] * 8 + [21]
 
 
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
@@ -822,23 +831,58 @@ def test_the_margin_prefix_is_the_trajectory_of_a_run_that_stops_short(n):
 # ------------------------------------------------------- textbook partner
 
 
+def _steps_per_call(monkeypatch, n, steps):
+    """Make the integrator split an N-site drive into calls of ``steps`` steps.
+
+    With ``MAX_DIM`` set to N the block rule reads ``STAGE_BLOCK // 2``
+    steps per call at this N.
+    """
+    monkeypatch.setattr(nip_evolution, "MAX_DIM", n)
+    monkeypatch.setattr(nip_evolution, "STAGE_BLOCK", 2 * steps)
+
+
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 def test_stage_blocks_do_not_change_the_trajectory(monkeypatch, map_kind):
-    # 25 stages: one block at the default size, several at smaller sizes
+    # 12 steps: one call under the default rule, calls of 3 steps and of 1
+    # step when split; at N=2 the ketket map takes the two-site route
     profile = PhiProfile.sinusoidal(1.1, 0.3, 0.7)
-    psi0 = np.array([1.0, 0.5j, -0.25, 0.5])
-    runs = []
-    for block in (nip_evolution.STAGE_BLOCK, 7, 1):
-        monkeypatch.setattr(nip_evolution, "STAGE_BLOCK", block)
-        runs.append([
-            integrate(4, profile, psi0, 0.0, 0.12, 0.01, map_kind=map_kind)
-            for integrate in (evolve, textbook_evolve)
-        ])
-    for run in runs[1:]:
-        for states, reference in zip(run, runs[0]):
-            for state, ref in zip(states, reference):
-                np.testing.assert_array_equal(state.psi, ref.psi)
-                np.testing.assert_array_equal(state.generator, ref.generator)
+    for n in (2, 4):
+        psi0 = np.array([1.0, 0.5j, -0.25, 0.5])[:n]
+        runs = []
+        for steps in (None, 3, 1):
+            monkeypatch.undo()
+            if steps is not None:
+                _steps_per_call(monkeypatch, n, steps)
+            nip_evolution._map_memo = None
+            runs.append([
+                integrate(n, profile, psi0, 0.0, 0.12, 0.01, map_kind=map_kind)
+                for integrate in (evolve, textbook_evolve)
+            ])
+        for run in runs[1:]:
+            for states, reference in zip(run, runs[0], strict=True):
+                assert_same_states(states, reference)
+
+
+def _stack_digest(states):
+    digest = hashlib.sha256()
+    for field in TRAJECTORY_FIELDS:
+        digest.update(np.ascontiguousarray(getattr(states, field)).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                    reason="the two-site route runs in x86 80-bit long double")
+@pytest.mark.parametrize("steps", [None, 32])
+def test_two_site_stack_bytes_are_pinned(monkeypatch, steps):
+    # numpy clongdouble arithmetic only, no BLAS; the norms are checked in
+    # that dtype, not on the stored complex128 copy of Theta
+    if steps is not None:
+        _steps_per_call(monkeypatch, 2, steps)
+    args = (2, PhiProfile.sinusoidal(1.2, 0.4, 2.0), np.array([1.0, 0.5j]), 0.0, 0.4, 1e-3)
+    assert _stack_digest(evolve(*args)) == (
+        "0983979dadbe584dab08670b550f9602e93e5bd0a6cfb12de8a977fb744293e6")
+    assert _stack_digest(textbook_evolve(*args)) == (
+        "c3b838e25037c3b0e08f3647cc0cd38ae238bb413cbc294d3fffbfe66f9e2805")
 
 
 # ------------------------------------------------------------ map memo
@@ -860,7 +904,7 @@ def _spy_on_wells(monkeypatch):
 
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 def test_both_integrations_of_a_drive_share_each_well_solve(monkeypatch, map_kind):
-    # 16 steps, STAGE_BLOCK // 2: one block of 33 stages for both calls
+    # 16 steps at N=5: one call of 33 stages for both integrations
     blocks = _spy_on_wells(monkeypatch)
     profile, psi0 = PhiProfile.linear(1.2, 0.4), np.ones(5)
     for integrate in (evolve, textbook_evolve):
@@ -902,6 +946,23 @@ def test_both_integrations_of_a_two_site_drive_share_its_map(monkeypatch):
         integrate(2, profile, psi0, 0.0, 0.4, 1e-3)
     assert blocks == [801]
     assert not any(array.flags.writeable for array in nip_evolution._map_memo[1])
+
+
+def test_two_site_calls_are_bounded_by_the_block_rule(monkeypatch):
+    # 400 steps in calls of 32 steps: 13 calls of at most 65 stages each
+    _steps_per_call(monkeypatch, 2, 32)
+    blocks = _spy_on_two_site_maps(monkeypatch)
+    evolve(2, PhiProfile.sinusoidal(1.2, 0.4, 2.0), np.array([1.0, 0.5j]), 0.0, 0.4, 1e-3)
+    assert len(blocks) == 13 and max(blocks) <= 2 * 32 + 1
+
+
+def test_a_long_drive_is_one_call_for_both_integrations(monkeypatch):
+    # the default rule takes 7,281 steps per call at N=3
+    blocks = _spy_on_wells(monkeypatch)
+    profile, psi0 = PhiProfile.linear(0.9, 0.6), np.ones(3)
+    for integrate in (evolve, textbook_evolve):
+        integrate(3, profile, psi0, 0.0, 1.0, 1e-3)
+    assert blocks == [2001]
 
 
 def test_a_two_site_drive_reads_the_same_warm_or_cold():
