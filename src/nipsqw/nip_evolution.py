@@ -22,9 +22,11 @@ every stage of a block at once.
 bit-identical angles, on either map.  So the map part of the one block
 last solved without a refusal is kept -- H, the ketket basis, Omega,
 Omega^-1, Theta and the c-products of the generic kernel (``_map_stack``),
-or the closed-form two-site map (``_two_site_map``) -- and a repeat of
-that block on the same route reuses those read-only arrays.  That covers
-every trajectory of one block; outputs are the same as a fresh solve's.
+with the Hermitian root of Theta and its inverse once a root-map
+integration has taken them (``_root_stack``), or the closed-form two-site
+map (``_two_site_map``) -- and a repeat of that block on the same route
+reuses those read-only arrays.  That covers every trajectory of one
+block; outputs are the same as a fresh solve's.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator splits a drive into blocks by one
@@ -154,7 +156,8 @@ class GeneratorSnapshot:
 
 
 #: the map part of the most recent block solved without a refusal:
-#: ((route, ..., angle dtype, angle bytes), its read-only arrays)
+#: ((route, ..., angle dtype, angle bytes), its read-only arrays), and on
+#: the generic kernel (root, inverse) of its Theta once ``_root_stack`` took them
 _map_memo = None
 
 
@@ -198,6 +201,25 @@ def _map_stack(n, phis, tol, refuse):
     return _kept(("kernel", n, tol, phis.dtype, phis.tobytes()), solve)
 
 
+def _root_stack(theta, tol, tangent, refuse):
+    """The Hermitian root of ``_map_stack``'s Theta, its inverse, and its slope.
+
+    The slope along ``tangent`` is None without one.  Root and inverse
+    join the kept entry of the block whose Theta this is, which
+    ``_map_stack`` has just returned, so ``textbook_evolve`` after
+    ``evolve`` reads them back with no second ``eigh``; ``evolve`` always
+    solves, for the slope.  A refused root keeps nothing.
+    """
+    global _map_memo
+    if tangent is None and len(_map_memo) > 2:
+        return *_map_memo[2], None
+    root, root_inv, slope, errors = _sqrt_hpd_stack(theta, tol, tangent)
+    refuse(errors)
+    root.flags.writeable = root_inv.flags.writeable = False
+    _map_memo = *_map_memo[:2], (root, root_inv)
+    return root, root_inv, slope
+
+
 def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     """H, Sigma, Theta and Omega at every stage angle, each (m, N, N).
 
@@ -222,8 +244,7 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     if hermitian_map:
         lift = None if textbook else slope @ omega
         tangent = None if textbook else lift + lift.conj().swapaxes(-1, -2)
-        omega, omega_inv, omega_dot, errors = _sqrt_hpd_stack(theta, tol, tangent)
-        refuse(errors)
+        omega, omega_inv, omega_dot = _root_stack(theta, tol, tangent, refuse)
     elif not textbook:
         omega_dot = slope.conj().swapaxes(-1, -2)
     if textbook:
@@ -539,15 +560,51 @@ def physical_norm(state: EvolutionState) -> float:
     return float(q[0].real)
 
 
+def _binary_frobenius(stack):
+    """|A|_F = f 2^e of each matrix of a stack, as the arrays f and e.
+
+    Each matrix is scaled by the power of two e of its largest real or
+    imaginary part before its squares are summed, so no square overflows
+    or sinks into the denormals, and f is in [1/2, sqrt(2) N).  A zero
+    matrix has f = 0; a non-finite one a non-finite f.
+    """
+    parts = np.abs(stack.view(float))
+    _, exps = np.frexp(parts.max(axis=(-2, -1)))
+    scaled = np.ldexp(parts, -exps[..., None, None])
+    return np.sqrt((scaled * scaled).sum(axis=(-2, -1))), exps
+
+
 def _expectation_stack(kets, thetas, lams):
     """Metric expectations of each ket, with each row's refusal or None.
 
     Row k is <psi|Theta Lambda|psi> / <psi|Theta|psi> for its own ket,
     metric and operator.  It is refused with ``NotAnObservable`` when
-    Lambda fails quasi-Hermiticity against Theta, else with
+    Lambda fails quasi-Hermiticity against Theta, the 2-norm residual
+    |M|_2 / (|Lambda|_2 |Theta|_2) of M = Lambda^dagger Theta - Theta
+    Lambda above 1e-8 (``metric._quasi_hermiticity_stack``), else with
     ``NonRealNorm`` when the value is not real to rounding or not finite.
+
+    The gate needs no SVD where the Frobenius bound
+    N |M|_F / (|Lambda|_F |Theta|_F), never below the residual, clears it
+    with the slack ``_residual_refusals`` keeps against rounding in either
+    norm.  The bound is taken in binary exponent and fraction
+    (``_binary_frobenius``) and trusted only where the largest parts of
+    Lambda and Theta and their product are within 2^960 of 1, so neither
+    it nor the exact route's norms, whose product is taken in doubles, can
+    overflow, underflow or round apart.  Every other row -- a zero or
+    non-finite matrix, extreme scales, a residual near or past the gate --
+    takes the exact residual, which a refusal quotes.
     """
-    mismatch = _quasi_hermiticity_stack(lams, thetas).tolist()
+    # M as the exact route forms it, so an overflow raises as it does there
+    mismatch = lams.conj().swapaxes(-1, -2) @ thetas - thetas @ lams
+    with np.errstate(all="ignore"):
+        (fm, fl, ft), (em, el, et) = _binary_frobenius(np.stack([mismatch, lams, thetas]))
+        bound = np.ldexp(lams.shape[-1] * fm / (fl * ft), em - el - et)
+    cleared = (bound <= 1e-8 * (1 - 1e-9)) & (np.abs([el, et, el + et]) <= 960).all(axis=0)
+    doubt = np.flatnonzero(~cleared)
+    gaps = np.zeros(len(bound))
+    if doubt.size:
+        gaps[doubt] = _quasi_hermiticity_stack(lams[doubt], thetas[doubt])
     # Python's complex division, which rounds unlike numpy's near the gate
     values = [
         num / den
@@ -559,7 +616,7 @@ def _expectation_stack(kets, thetas, lams):
         if gap > 1e-8
         else NonRealNorm(f"expectation came out {why}") if why
         else None
-        for gap, why in zip(mismatch, _unreal(values, floor=1.0))
+        for gap, why in zip(gaps.tolist(), _unreal(values, floor=1.0))
     ]
     return [value.real for value in values], errors
 

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import nipsqw
 from nipsqw import matrix_core, metric, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, _emit_table, main, run_identity_suite
-from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
+from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
 from nipsqw.n2_oracle import g_eigs
+from nipsqw.nip_evolution import MAP_KINDS
 from nipsqw.spectrum import ep_scan
 
 
@@ -389,6 +390,98 @@ def test_evolve_rejects_metric_incompatible_observable(capsys, tmp_path):
     )
     assert code == 2
     assert "compatibility" in err
+
+
+def _matrix_csv(path, matrix):
+    path.write_text("".join(
+        ",".join(f"{part!r}" for entry in row for part in (entry.real, entry.imag)) + "\n"
+        for row in matrix.tolist()))
+    return f"file:{path}"
+
+
+def _exact_gate_only(monkeypatch):
+    """Send every row of the observable gate to the exact 2-norm residual."""
+    frobenius = nip_evolution._binary_frobenius
+
+    def no_bound(stack):
+        fractions, exponents = frobenius(stack)
+        return np.full_like(fractions, np.nan), exponents
+
+    monkeypatch.setattr(nip_evolution, "_binary_frobenius", no_bound)
+
+
+def test_evolve_observable_gate_reads_as_the_exact_residual(capsys, tmp_path, monkeypatch):
+    # file: observables under a static metric, within 1e-6 of the gate on
+    # either side and at entry scales of 1e-170, 1e150 and 1e300: the same
+    # exit code and bytes as with the exact residual on every row
+    argv = ("evolve", "--n", "3", "--profile", "constant:phi=1.0",
+            "--psi0", "1,0,0.5,0.5,0,-1", "--t1", "0.05", "--dt", "0.01")
+    theta = nip_evolution.evolve(3, PhiProfile.constant(1.0), [1, 0.5 + 0.5j, -1j],
+                                 0.0, 0.05, 0.01).theta[0]
+    rng = np.random.default_rng(5)
+    hermitian = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    compatible = np.linalg.solve(theta, hermitian + hermitian.conj().T)
+    kick = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    unit = metric.quasi_hermiticity_residual(compatible + 1e-6 * kick, theta) / 1e-6
+    observables = [compatible * scale for scale in (1.0, 1e-170, 1e150, 1e300, 0.0)]
+    observables += [compatible + 1e-8 * side / unit * kick for side in (1 - 1e-6, 1 + 1e-6)]
+    observables += [np.diag([1.0, 2.0, 3.0]) * 1e150]
+    runs = []
+    for k, matrix in enumerate(observables):
+        runs.append(invoke(capsys, *argv, "--observable", _matrix_csv(tmp_path / f"o{k}.csv",
+                                                                        matrix)))
+    _exact_gate_only(monkeypatch)
+    for k, run in enumerate(runs):
+        assert invoke(capsys, *argv, "--observable", f"file:{tmp_path / f'o{k}.csv'}") == run
+    codes = [code for code, _, _ in runs]
+    assert codes[:3] == [0, 0, 0] and codes[-1] == 2
+    assert sum("compatibility residual" in err for _, _, err in runs) >= 2
+
+
+def test_a_clean_observable_takes_no_exact_residual(capsys, tmp_path, monkeypatch):
+    calls = []
+    exact = nip_evolution._quasi_hermiticity_stack
+
+    def spy(lams, thetas):
+        calls.append(len(lams))
+        return exact(lams, thetas)
+
+    monkeypatch.setattr(nip_evolution, "_quasi_hermiticity_stack", spy)
+    argv = ("evolve", "--n", "3", "--profile", "linear:phi0=1.0,omega=-0.3",
+            "--psi0", "1,0,0.5,0.5,0,-1", "--t1", "1", "--dt", "0.01")
+    for map_kind in ("ketket_columns", "hermitian_root"):
+        code, out, _ = invoke(capsys, *argv, "--map", map_kind, "--observable", "hamiltonian")
+        assert code == 0 and len(table_of(out)[1]) == 101
+    assert calls == []
+    target = tmp_path / "proj.csv"
+    target.write_text("1,0,0,0,0,0\n0,0,0,0,0,0\n0,0,0,0,0,0\n")
+    code, _, err = invoke(capsys, *argv, "--observable", f"file:{target}")
+    assert code == 2 and "metric compatibility residual" in err
+    assert calls
+
+
+def test_evolve_crosscheck_column_is_each_rows_norm(capsys, monkeypatch):
+    # bit for bit the norm of each row's gap, on both maps, and across the
+    # edges of a drive split into calls of 4 steps; np.linalg.norm(gap,
+    # axis=-1) misses it in 22 of these 459 rows (x86, numpy 2.4)
+    cases = [(n, map_kind, False) for n in (2, 3, 5, 8) for map_kind in MAP_KINDS]
+    cases.append((3, "hermitian_root", True))
+    for n, map_kind, split in cases:
+        if split:
+            monkeypatch.setattr(nip_evolution, "MAX_DIM", n)
+            monkeypatch.setattr(nip_evolution, "STAGE_BLOCK", 8)
+        args = (n, PhiProfile.linear(1.1, -0.4), np.full(n, 1 + 0.5j), 0.0, 0.5, 0.01)
+        code, out, _ = invoke(capsys, "evolve", f"--n={n}", "--profile=linear:phi0=1.1,omega=-0.4",
+                              "--psi0=" + ",".join(["1", "0.5"] * n), "--t1=0.5",
+                              "--dt=0.01", f"--map={map_kind}", "--crosscheck")
+        assert code == 0
+        states = nip_evolution.evolve(*args, map_kind=map_kind)
+        partner = nip_evolution.textbook_evolve(*args[:4], states.t[-1], 0.01,
+                                                map_kind=map_kind)
+        want = [float(np.linalg.norm(omega @ psi - mapped))
+                for omega, psi, mapped in zip(states.omega, states.psi, partner.psi)]
+        assert [float(row[-1]) for row in table_of(out)[1]] == want, (n, map_kind)
+        monkeypatch.undo()
 
 
 def test_evolve_hermitian_root_map(capsys):

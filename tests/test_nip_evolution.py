@@ -15,6 +15,7 @@ from nipsqw.errors import (
     EPProximity,
     NonRealNorm,
     NotAnObservable,
+    NotPositiveDefinite,
     SingularDyson,
 )
 from nipsqw.hamiltonian import PhiProfile, build_h, z_from_phi
@@ -926,6 +927,45 @@ def test_textbook_evolve_reads_the_same_warm_or_cold(map_kind):
         assert (state.t, state.phys_norm) == (ref.t, ref.phys_norm)
 
 
+def _spy_on_roots(monkeypatch):
+    """Blocks whose metric was handed to the Hermitian root, as stage counts."""
+    solve, blocks = nip_evolution._sqrt_hpd_stack, []
+
+    def counted(theta, tol, tangent=None):
+        blocks.append(len(theta))
+        return solve(theta, tol, tangent)
+
+    monkeypatch.setattr(nip_evolution, "_sqrt_hpd_stack", counted)
+    return blocks
+
+
+def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
+    # 16 steps at N=5, one call of 33 stages: evolve takes the root with its
+    # slope and keeps it, textbook_evolve reads it back; warm and cold agree
+    blocks = _spy_on_roots(monkeypatch)
+    args = (5, PhiProfile.linear(1.2, 0.4), np.ones(5), 0.0, 0.16, 0.01)
+    warm = [integrate(*args, map_kind="hermitian_root")
+            for integrate in (evolve, textbook_evolve, evolve)]
+    assert blocks == [33, 33]
+    nip_evolution._map_memo = None
+    cold = [integrate(*args, map_kind="hermitian_root") for integrate in (evolve, textbook_evolve)]
+    nip_evolution._map_memo = None
+    cold.append(evolve(*args, map_kind="hermitian_root"))
+    for states, reference in zip(warm, cold, strict=True):
+        assert_same_states(states, reference)
+    root, root_inv = nip_evolution._map_memo[2]
+    assert not (root.flags.writeable or root_inv.flags.writeable)
+
+
+def test_a_refused_root_is_not_kept():
+    tol = get_tolerances().replace(eps_pd=0.99)
+    args = (3, PhiProfile.linear(1.2, 0.4), np.ones(3), 0.0, 0.04, 0.01)
+    for integrate in (evolve, textbook_evolve):
+        with pytest.raises(NotPositiveDefinite):
+            integrate(*args, tol=tol, map_kind="hermitian_root")
+        assert len(nip_evolution._map_memo) == 2
+
+
 def _spy_on_two_site_maps(monkeypatch):
     """Blocks handed to the closed-form two-site map, as stage counts."""
     build, blocks = nip_evolution._two_site_map, []
@@ -1102,6 +1142,79 @@ def test_expectation_rejects_incompatible_operator():
     state = make_state([1.0, 0.0], theta_s(np.pi / 3))
     with pytest.raises(NotAnObservable):
         expectation(state, np.diag([1.0, 2.0]))
+
+
+def _near_the_gate(rng, n, residual):
+    """(Lambda, Theta) of exact quasi-Hermiticity residual ``residual``, and its
+    tight twin: Lambda = I + i d v v^dagger against Theta = I, where the
+    Frobenius bound is within rounding of the 2-norm residual."""
+    theta = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    theta = theta @ theta.conj().T + n * np.eye(n)
+    hermitian = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    base = np.linalg.solve(theta, hermitian + hermitian.conj().T)
+    kick = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    rows = []
+    for lam_of, metric_of in ((lambda d: base + d * kick, theta),
+                              (lambda d: np.eye(n) + 1j * d * np.outer(v, v.conj()), np.eye(n))):
+        # the residual is linear in d, well above its rounding floor
+        d = 1e-6
+        d *= residual / metric.quasi_hermiticity_residual(lam_of(d), metric_of)
+        rows.append((lam_of(d), metric_of))
+    return rows
+
+
+def test_the_observable_bound_is_sound_at_the_gate(monkeypatch):
+    # rows within 1e-6 of the gate on either side, at entry scales of 1e-170
+    # and 1e150 and beyond what the bound takes, and zero operators: a row is
+    # refused exactly when its exact residual exceeds 1e-8, quoting it
+    rng = np.random.default_rng(23)
+    pairs = []
+    for n in (2, 3, 5):
+        for side in (1 - 1e-6, 1 + 1e-6):
+            pairs += _near_the_gate(rng, n, 1e-8 * side)
+    scaled = [(scale * lam, theta_scale * theta) for lam, theta in pairs
+              for scale, theta_scale in ((1e-170, 1.0), (1e150, 1.0), (1e150, 1e150),
+                                         (1e-170, 1e-170))]
+    zero = [(np.zeros_like(theta), theta) for _, theta in pairs[:4]]
+    rows = pairs + scaled + zero
+    exact_calls = []
+    exact = nip_evolution._quasi_hermiticity_stack
+
+    def spy(lams, thetas):
+        exact_calls.append(len(lams))
+        return exact(lams, thetas)
+
+    monkeypatch.setattr(nip_evolution, "_quasi_hermiticity_stack", spy)
+    for n in (2, 3, 5):
+        group = [(lam, theta) for lam, theta in rows if len(lam) == n]
+        lams, thetas = (np.array(stack) for stack in zip(*group))
+        kets = np.ones((len(group), n), dtype=complex)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):  # as the CLI runs
+            _, errors = nip_evolution._expectation_stack(kets, thetas, lams)
+        for gap, error in zip(exact(lams, thetas).tolist(), errors):
+            assert isinstance(error, NotAnObservable) == (gap > 1e-8), gap
+            if gap > 1e-8:
+                assert f"residual {gap:.3e} exceeds" in str(error)
+        assert sum(isinstance(error, NotAnObservable) for error in errors) >= 4
+    # the tight rows just under the gate cleared without the exact residual
+    assert sum(exact_calls) < len(rows)
+
+
+def test_a_gate_row_whose_norms_overflow_raises_as_the_exact_residual_does():
+    # M = 0, but |Lambda|_2 |Theta|_2 = 1e600: the bound would clear the row,
+    # the exact residual overflows, so the row takes the exact route
+    lams = np.diag([1e300, 1e-300]).astype(complex)[None]
+    thetas = np.diag([1e-300, 1e300]).astype(complex)[None]
+    kets = np.ones((1, 2), dtype=complex)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError) as exact:
+            metric._quasi_hermiticity_stack(lams, thetas)
+        with pytest.raises(FloatingPointError) as gate:
+            nip_evolution._expectation_stack(kets, thetas, lams)
+    assert str(gate.value) == str(exact.value)
+    with np.errstate(over="ignore"):  # the exact residual reads 0 / inf
+        assert nip_evolution._expectation_stack(kets, thetas, lams)[1] == [None]
 
 
 # ------------------------------------------------ properties of every state
