@@ -238,28 +238,27 @@ def sqrt_hpd(matrix, tol: Tolerances | None = None, *, tangent=None):
     """Hermitian positive-definite square root via spectral decomposition.
 
     A stack of one through ``_sqrt_hpd_stack``; with a Hermitian
-    ``tangent`` dA, returns the pair (root, dRoot).
+    ``tangent`` dA, returns the pair (root, dRoot) from ``_root_slope``.
     """
     a = as_square(matrix)
     tol = tol if tol is not None else get_tolerances()
     if spectral_norm(a - a.conj().T) > 1e-12 * max(spectral_norm(a), 1e-300):
         raise NotHermitian("square root requires a Hermitian matrix")
-    lift = None if tangent is None else np.asarray(tangent)[None]
-    root, _, slope, errors = _sqrt_hpd_stack(a[None], tol, lift)
+    root, _, vectors, roots, errors = _sqrt_hpd_stack(a[None], tol)
     if errors[0] is not None:
         raise errors[0]
-    return root[0] if tangent is None else (root[0], slope[0])
+    if tangent is None:
+        return root[0]
+    return root[0], _root_slope(vectors, roots, np.asarray(tangent)[None])[0]
 
 
-def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances, tangent=None):
-    """(root, inverse, slope or None, errors) of an (m, N, N) Hermitian stack.
+def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances):
+    """(root, inverse, U, s, errors) of an (m, N, N) Hermitian stack.
 
     One ``eigh`` per matrix, A = U diag(s^2) U^dagger, gives the root
-    U diag(s) U^dagger, its inverse U diag(1/s) U^dagger and, along a
-    Hermitian ``tangent`` stack dA, the root's slope: the solution X of
-    root X + X root = dA, U [(U^dagger dA U)_ij / (s_i + s_j)] U^dagger
-    (Higham, *Functions of Matrices*, 2008).  errors[k] is None, or
-    NotPositiveDefinite when s_min^2 is under ``eps_pd`` of s_max^2.
+    U diag(s) U^dagger and its inverse U diag(1/s) U^dagger; U and s are
+    what ``_root_slope`` needs.  errors[k] is None, or NotPositiveDefinite
+    when s_min^2 is under ``eps_pd`` of s_max^2 (that matrix's s is then 1).
     """
     values, vectors = np.linalg.eigh(stack)
     flat = values[:, 0] <= tol.eps_pd * np.maximum(np.abs(values).max(axis=-1), 1e-300)
@@ -272,12 +271,20 @@ def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances, tangent=None):
     left = vectors.conj().swapaxes(-1, -2)
     root = (vectors * roots[:, None, :]) @ left
     inv = (vectors / roots[:, None, :]) @ left
-    slope = None
-    if tangent is not None:
-        lift = left @ tangent @ vectors
-        slope = vectors @ (lift / (roots[:, :, None] + roots[:, None, :])) @ left
-        slope = (slope + slope.conj().swapaxes(-1, -2)) / 2
-    return (root + root.conj().swapaxes(-1, -2)) / 2, inv, slope, errors
+    return (root + root.conj().swapaxes(-1, -2)) / 2, inv, vectors, roots, errors
+
+
+def _root_slope(vectors, roots, tangent):
+    """The slope of each root of ``_sqrt_hpd_stack`` along a Hermitian dA.
+
+    The solution X of root X + X root = dA,
+    U [(U^dagger dA U)_ij / (s_i + s_j)] U^dagger (Higham, *Functions of
+    Matrices*, 2008), made exactly Hermitian.
+    """
+    left = vectors.conj().swapaxes(-1, -2)
+    lift = left @ tangent @ vectors
+    slope = vectors @ (lift / (roots[:, :, None] + roots[:, None, :])) @ left
+    return (slope + slope.conj().swapaxes(-1, -2)) / 2
 
 
 def char_poly(matrix) -> np.ndarray:

@@ -20,13 +20,14 @@ every stage of a block at once.
 
 ``evolve`` and ``textbook_evolve`` of one drive solve the same blocks at
 bit-identical angles, on either map.  So the map part of the one block
-last solved without a refusal is kept -- H, the ketket basis, Omega,
-Omega^-1, Theta and the c-products of the generic kernel (``_map_stack``),
-with the Hermitian root of Theta and its inverse once a root-map
-integration has taken them (``_root_stack``), or the closed-form two-site
-map (``_two_site_map``) -- and a repeat of that block on the same route
-reuses those read-only arrays.  That covers every trajectory of one
-block; outputs are the same as a fresh solve's.
+last solved without a refusal is kept as one read-only entry, keyed on
+its route and map -- H, the ketket basis, Theta, the map and its inverse
+and the c-products of the generic kernel (``_map_stack``), with the
+ketket map and the root's eigenbasis on the Hermitian-root map, or the
+closed-form two-site map (``_two_site_map``) -- and a repeat of that
+block reuses it, whichever integration came first.  That covers every
+trajectory of one block; outputs are the same as a fresh solve's, in
+concurrent threads too.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator splits a drive into blocks by one
@@ -53,7 +54,7 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import MAX_DIM, _eigen_arrays, _sqrt_hpd_stack, as_square
+from .matrix_core import MAX_DIM, _eigen_arrays, _root_slope, _sqrt_hpd_stack, as_square
 from .metric import (
     _dyson_stack,
     _ketket_slope,
@@ -155,9 +156,8 @@ class GeneratorSnapshot:
     g_eigs: np.ndarray
 
 
-#: the map part of the most recent block solved without a refusal:
-#: ((route, ..., angle dtype, angle bytes), its read-only arrays), and on
-#: the generic kernel (root, inverse) of its Theta once ``_root_stack`` took them
+#: the map part of the most recent block solved without a refusal, replaced
+#: whole: ((route, ..., angle dtype, angle bytes), its read-only arrays)
 _map_memo = None
 
 
@@ -166,11 +166,14 @@ def _kept(key, solve):
 
     One entry, the last key solved; the key leads with its route, so the
     generic kernel and the two-site route never read each other's arrays.
-    A ``solve`` that raises keeps nothing.
+    The entry is read once and replaced whole, so no thread reads another's
+    block as its own: at worst both solve.  A ``solve`` that raises keeps
+    nothing.
     """
     global _map_memo
-    if _map_memo is not None and _map_memo[0] == key:
-        return _map_memo[1]
+    entry = _map_memo
+    if entry is not None and entry[0] == key:
+        return entry[1]
     arrays = solve()
     for array in arrays:
         array.flags.writeable = False
@@ -178,17 +181,25 @@ def _kept(key, solve):
     return arrays
 
 
-def _map_stack(n, phis, tol, refuse):
-    """H, adjoint levels, ketket columns, Omega, Omega^-1, Theta, c-products.
+def _map_stack(n, phis, tol, hermitian_map):
+    """H, Theta, Omega, Omega^-1, adjoint levels, ketket columns, c-products.
 
-    The part of a block that ``evolve`` and ``textbook_evolve`` share on
-    both maps.  Each stage depends on its own angle alone and the rate
-    enters only after the map, so the most recent block solved without a
-    refusal is kept (``_kept``), keyed on N, the tolerances and the exact
-    bytes of its angles, and a repeat of that block returns the same
-    read-only arrays.  ``refuse`` raises the refusal of a list of
-    per-stage errors; a refused block is never kept.
+    The part of a block that ``evolve`` and ``textbook_evolve`` share.
+    With ``hermitian_map`` Omega is the Hermitian root of Theta, and the
+    ketket map and the root's U and s (``_sqrt_hpd_stack``) follow for the
+    slope.  The rate enters only after the map, so the last block solved
+    without a refusal is kept (``_kept``), keyed on N, the map, the
+    tolerances and the exact bytes of its angles.  A refused block raises
+    its earliest refused stage's error, found by solving the map of the
+    clean prefix before it, and is never kept.
     """
+
+    def refuse(errors):
+        first = next((k for k, error in enumerate(errors) if error is not None), None)
+        if first is not None:
+            if first:  # an earlier stage may still fail a later step
+                _map_stack(n, phis[:first], tol, hermitian_map)
+            raise errors[first]
 
     def solve():
         h = build_h(n, z_from_phi(phis))
@@ -196,28 +207,13 @@ def _map_stack(n, phis, tol, refuse):
         refuse(errors)
         omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
         refuse(errors)
-        return h, values, vectors, omega, omega_inv, theta, cprods
+        if not hermitian_map:
+            return h, theta, omega, omega_inv, values, vectors, cprods
+        root, root_inv, basis, roots, errors = _sqrt_hpd_stack(theta, tol)
+        refuse(errors)
+        return h, theta, root, root_inv, values, vectors, cprods, omega, basis, roots
 
-    return _kept(("kernel", n, tol, phis.dtype, phis.tobytes()), solve)
-
-
-def _root_stack(theta, tol, tangent, refuse):
-    """The Hermitian root of ``_map_stack``'s Theta, its inverse, and its slope.
-
-    The slope along ``tangent`` is None without one.  Root and inverse
-    join the kept entry of the block whose Theta this is, which
-    ``_map_stack`` has just returned, so ``textbook_evolve`` after
-    ``evolve`` reads them back with no second ``eigh``; ``evolve`` always
-    solves, for the slope.  A refused root keeps nothing.
-    """
-    global _map_memo
-    if tangent is None and len(_map_memo) > 2:
-        return *_map_memo[2], None
-    root, root_inv, slope, errors = _sqrt_hpd_stack(theta, tol, tangent)
-    refuse(errors)
-    root.flags.writeable = root_inv.flags.writeable = False
-    _map_memo = *_map_memo[:2], (root, root_inv)
-    return root, root_inv, slope
+    return _kept(("kernel", n, hermitian_map, tol, phis.dtype, phis.tobytes()), solve)
 
 
 def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
@@ -226,29 +222,22 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     The ketket basis of each H, its Dyson map and metric (``_map_stack``),
     and Nelson's slope of the map, times the rate, give Sigma = i Omega^-1
     dOmega/dt; with ``hermitian_map`` the map is the Hermitian root of the
-    same metric, differentiated through its Sylvester equation.  Textbook
-    stages return Omega H Omega^-1 in Sigma's place.  Each stage depends
-    on its own angle and rate alone, so any split into blocks gives the
-    same arrays.  A refused stack raises its earliest stage's refusal.
+    same metric, differentiated through its Sylvester equation
+    (``_root_slope``).  Textbook stages return Omega H Omega^-1 in Sigma's
+    place.  Each stage depends on its own angle and rate alone, so any
+    split into blocks gives the same arrays.  A refused stack raises its
+    earliest stage's refusal.
     """
-
-    def refuse(errors):
-        first = next((k for k, error in enumerate(errors) if error is not None), None)
-        if first is not None:
-            if first:  # an earlier stage may still fail a later step
-                _stage_stack(n, phis[:first], rates[:first], tol, textbook, hermitian_map)
-            raise errors[first]
-
-    h, values, vectors, omega, omega_inv, theta, cprods = _map_stack(n, phis, tol, refuse)
-    slope = None if textbook else _ketket_slope(phis, values, vectors, cprods)
-    if hermitian_map:
-        lift = None if textbook else slope @ omega
-        tangent = None if textbook else lift + lift.conj().swapaxes(-1, -2)
-        omega, omega_inv, omega_dot = _root_stack(theta, tol, tangent, refuse)
-    elif not textbook:
-        omega_dot = slope.conj().swapaxes(-1, -2)
+    h, theta, omega, omega_inv, *ketkets = _map_stack(n, phis, tol, hermitian_map)
     if textbook:
         return h, omega @ h @ omega_inv, theta, omega
+    slope = _ketket_slope(phis, *ketkets[:3])
+    if hermitian_map:
+        ketket_omega, basis, roots = ketkets[3:]
+        lift = slope @ ketket_omega
+        omega_dot = _root_slope(basis, roots, lift + lift.conj().swapaxes(-1, -2))
+    else:
+        omega_dot = slope.conj().swapaxes(-1, -2)
     return h, 1j * (omega_inv @ (omega_dot * rates[:, None, None])), theta, omega
 
 

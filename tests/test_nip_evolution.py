@@ -1,6 +1,8 @@
 """Coriolis generator, moving-metric integration, and its cross-checks."""
 
 import hashlib
+import sys
+import threading
 from unittest import mock
 
 import mpmath
@@ -931,39 +933,100 @@ def _spy_on_roots(monkeypatch):
     """Blocks whose metric was handed to the Hermitian root, as stage counts."""
     solve, blocks = nip_evolution._sqrt_hpd_stack, []
 
-    def counted(theta, tol, tangent=None):
+    def counted(theta, tol):
         blocks.append(len(theta))
-        return solve(theta, tol, tangent)
+        return solve(theta, tol)
 
     monkeypatch.setattr(nip_evolution, "_sqrt_hpd_stack", counted)
     return blocks
 
 
 def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
-    # 16 steps at N=5, one call of 33 stages: evolve takes the root with its
-    # slope and keeps it, textbook_evolve reads it back; warm and cold agree
+    # 16 steps at N=5, one call of 33 stages: whichever integration runs
+    # first takes the root with the eigenbasis of its slope, and the others
+    # read them back; warm and cold agree
     blocks = _spy_on_roots(monkeypatch)
     args = (5, PhiProfile.linear(1.2, 0.4), np.ones(5), 0.0, 0.16, 0.01)
-    warm = [integrate(*args, map_kind="hermitian_root")
-            for integrate in (evolve, textbook_evolve, evolve)]
-    assert blocks == [33, 33]
-    nip_evolution._map_memo = None
-    cold = [integrate(*args, map_kind="hermitian_root") for integrate in (evolve, textbook_evolve)]
-    nip_evolution._map_memo = None
-    cold.append(evolve(*args, map_kind="hermitian_root"))
-    for states, reference in zip(warm, cold, strict=True):
-        assert_same_states(states, reference)
-    root, root_inv = nip_evolution._map_memo[2]
-    assert not (root.flags.writeable or root_inv.flags.writeable)
+    for order in ((evolve, textbook_evolve, evolve), (textbook_evolve, evolve, textbook_evolve)):
+        nip_evolution._map_memo = None
+        warm = [integrate(*args, map_kind="hermitian_root") for integrate in order]
+        assert blocks == [33]
+        assert not any(array.flags.writeable for array in nip_evolution._map_memo[1])
+        for integrate, states in zip(order, warm):
+            nip_evolution._map_memo = None
+            assert_same_states(states, integrate(*args, map_kind="hermitian_root"))
+        blocks.clear()
 
 
-def test_a_refused_root_is_not_kept():
+def test_a_refused_root_is_not_kept(monkeypatch):
+    # the root is refused at the first stage, so nothing is kept and each
+    # repeat solves the block again and raises afresh
+    blocks = _spy_on_roots(monkeypatch)
     tol = get_tolerances().replace(eps_pd=0.99)
     args = (3, PhiProfile.linear(1.2, 0.4), np.ones(3), 0.0, 0.04, 0.01)
-    for integrate in (evolve, textbook_evolve):
-        with pytest.raises(NotPositiveDefinite):
+    refusals = []
+    for integrate in (evolve, evolve, textbook_evolve):
+        with pytest.raises(NotPositiveDefinite) as info:
             integrate(*args, tol=tol, map_kind="hermitian_root")
-        assert len(nip_evolution._map_memo) == 2
+        refusals.append(info.value)
+    assert blocks == [9, 9, 9]
+    assert len({id(refusal) for refusal in refusals}) == 3
+
+
+def test_the_two_maps_of_a_drive_keep_separate_entries(monkeypatch):
+    # 16 steps at N=5: each map's pair of integrations solves the wells of
+    # its one block once, and only the root map takes a root; every run
+    # reads as a cold one
+    wells, roots = _spy_on_wells(monkeypatch), _spy_on_roots(monkeypatch)
+    args = (5, PhiProfile.linear(1.2, 0.4), np.ones(5), 0.0, 0.16, 0.01)
+    calls = [(integrate, map_kind) for map_kind in ("ketket_columns", "hermitian_root")
+             for integrate in (evolve, textbook_evolve)]
+    warm = [integrate(*args, map_kind=map_kind) for integrate, map_kind in calls]
+    assert wells == [33, 33] and roots == [33]
+    for (integrate, map_kind), states in zip(calls, warm):
+        nip_evolution._map_memo = None
+        assert_same_states(states, integrate(*args, map_kind=map_kind))
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+def test_another_threads_block_never_answers_for_this_one(map_kind):
+    # two drives of one shape (N=5, 16 steps): while one thread loops over
+    # the first, the other's every psi of the second is bit for bit its
+    # serial psi.  On the root map one thread runs evolve and the other
+    # textbook_evolve; on the ketket map both alternate them
+    def run(integrate, profile):
+        return integrate(5, profile, np.ones(5), 0.0, 0.16, 0.01, map_kind=map_kind).psi
+
+    theirs, mine = PhiProfile.linear(1.2, 0.4), PhiProfile.linear(0.8, -0.3)
+    if map_kind == "hermitian_root":
+        their_calls, my_calls = (evolve,), (textbook_evolve,)
+    else:
+        their_calls = my_calls = (evolve, textbook_evolve)
+    serial = [run(integrate, mine).tobytes() for integrate in my_calls]
+    stop, failures = threading.Event(), []
+
+    def loop():
+        try:
+            while not stop.is_set():
+                for integrate in their_calls:
+                    run(integrate, theirs)
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    worker = threading.Thread(target=loop)
+    try:
+        worker.start()
+        wrong = sum(
+            run(my_calls[k % len(my_calls)], mine).tobytes() != serial[k % len(my_calls)]
+            for k in range(300)
+        )
+    finally:
+        stop.set()
+        worker.join()
+        sys.setswitchinterval(interval)
+    assert (wrong, failures) == (0, [])
 
 
 def _spy_on_two_site_maps(monkeypatch):
