@@ -175,12 +175,25 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
 
     A matrix whose ``errors`` entry is None and whose defect exceeds
     ``_RESIDUAL_CAP`` |A|_2 gets a NoConvergence there.  Only a defect
-    past the cheaper bound |A|_F / sqrt(N) <= |A|_2 costs an SVD.
+    past the cheaper bound |A|_F / sqrt(N) <= |A|_2 costs an SVD.  A matrix
+    whose |A|_F comes out beyond 2^-400 ... 2^400, where the sums of squares
+    of both norms may overflow or sink into the denormals, takes both again
+    scaled by the power of two of its largest entry, which is exact.
     """
-    defect = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=-2)
-    defect = defect.max(axis=-1)
+    with np.errstate(over="ignore"):
+        defect = _worst_defect(stack, values, vectors)
+        frob = np.linalg.norm(stack, axis=(-2, -1))
+    odd = np.flatnonzero(~((2.0**-400 <= frob) & (frob <= 2.0**400)))
+    if odd.size:
+        _, exps = np.frexp(np.abs(stack[odd]).max(axis=(-2, -1)))
+        scale = np.ldexp(1.0, -np.clip(exps, -1020, 1020))  # a finite power of two
+        scaled = stack[odd] * scale[:, None, None]
+        worst = _worst_defect(scaled, values[odd] * scale[:, None], vectors[odd])
+        with np.errstate(over="ignore"):  # only a norm past the double range
+            defect[odd] = worst / scale
+            frob[odd] = np.linalg.norm(scaled, axis=(-2, -1)) / scale
     # the slack keeps rounding in either norm from passing a refused defect
-    bound = _RESIDUAL_CAP * (1 - 1e-9) * np.linalg.norm(stack, axis=(-2, -1))
+    bound = _RESIDUAL_CAP * (1 - 1e-9) * frob
     bound /= np.sqrt(stack.shape[-1])
     past = [k for k, error in enumerate(errors) if error is None and not defect[k] <= bound[k]]
     norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0] if past else []
@@ -190,6 +203,11 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
                 f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}"
             )
     return defect
+
+
+def _worst_defect(stack, values, vectors):
+    """max_j |A v_j - lambda_j v_j| of each matrix of a stack."""
+    return np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=-2).max(axis=-1)
 
 
 def eig_general(matrix) -> EigenDecomposition:

@@ -11,31 +11,25 @@ Hermitian) cross-checks the whole pipeline.
 The whole chain -- ketket basis, Dyson map, its analytic slope in the
 boundary angle, Coriolis term -- runs on one route, ``_stage_stack``,
 as (m, N, N) expressions over a block of stage angles; ``coriolis`` and
-``generator`` are stacks of one through it.  At every N, two sites
-included, the kernel solves each driven well in closed form at its
-coupling sin phi, with no eigensolver (``metric._well_ketket_stack``).
-Two-site runs on the ketket map skip the kernel: the closed-form map
-family and its exact derivative are evaluated in extended precision for
-every stage of a block at once.
+``generator`` are stacks of one through it.  Each driven well is solved
+in closed form at its coupling sin phi (``metric._well_ketket_stack``),
+and the two-site ketket map with its exact slope in extended precision
+(``_two_site_map``).
 
-``evolve`` and ``textbook_evolve`` of one drive solve the same blocks at
-bit-identical angles, on either map.  So the map part of the one block
-last solved without a refusal is kept as one read-only entry, keyed on
-its route and map -- H, the ketket basis, Theta, the map and its inverse
-and the c-products of the generic kernel (``_map_stack``), with the
-ketket map and the root's eigenbasis on the Hermitian-root map, or the
-closed-form two-site map (``_two_site_map``) -- and a repeat of that
-block reuses it, whichever integration came first.  That covers every
-trajectory of one block; outputs are the same as a fresh solve's, in
-concurrent threads too.
+The map part of the block last solved without a refusal is kept as one
+read-only entry (``_map_stack``): H, Theta, the map, its inverse and a
+lazy slope.  ``evolve`` and ``textbook_evolve`` of one drive solve the
+same blocks at bit-identical angles, so they share it, whichever comes
+first; outputs are the same as a fresh solve's, in concurrent threads
+too.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator splits a drive into blocks by one
-rule on both routes, sized from N (``STAGE_BLOCK``), and takes each
-block's stages from one kernel call, the edge stage it shares with the
-block before included.  It forms their R_k with stacked matmuls in the
-dtype of the stage stack (complex128 for the generic kernel, so BLAS
-does them; extended precision for two sites), marches the
+rule, sized from N (``STAGE_BLOCK``), and takes each block's stages from
+one kernel call, the edge stage it shares with the block before
+included.  It forms their R_k with stacked matmuls in the dtype of the
+stage stack (complex128 from the well solve, so BLAS does them;
+extended precision from the two-site map), marches the
 extended-precision ket with one matrix-vector product per step and
 checks the block's physical norms against the stack's own Theta in one
 stacked product.  Each block writes its rows into arrays allocated once
@@ -48,6 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -55,12 +50,7 @@ from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
 from .matrix_core import MAX_DIM, _eigen_arrays, _root_slope, _sqrt_hpd_stack, as_square
-from .metric import (
-    _dyson_stack,
-    _ketket_slope,
-    _quasi_hermiticity_stack,
-    _well_ketket_stack,
-)
+from .metric import _dyson_stack, _ketket_slope, _quasi_hermiticity_stack, _well_ketket_stack
 
 _CLD = np.clongdouble
 
@@ -79,7 +69,7 @@ MAP_KINDS = ("ketket_columns", "hermitian_root")
 #: and at N sites (MAX_DIM / N)^2 times as many, so no call holds more
 #: matrix entries than one at MAX_DIM: 16 steps at N=64, 113 at N=24,
 #: 1,024 at N=8 and 16,384 at N=2.  That bounds the memory of a long
-#: trajectory on both stage routes, and a refusal wastes at most one call
+#: trajectory, and a refusal wastes at most one call
 STAGE_BLOCK = 32
 
 
@@ -157,41 +147,42 @@ class GeneratorSnapshot:
 
 
 #: the map part of the most recent block solved without a refusal, replaced
-#: whole: ((route, ..., angle dtype, angle bytes), its read-only arrays)
+#: whole: ((N, map, tolerances, angle dtype, angle bytes), its read-only entry)
 _map_memo = None
 
 
 def _kept(key, solve):
-    """The arrays ``solve()`` returns, kept read-only for a repeat of ``key``.
+    """The entry ``solve()`` returns, kept read-only for a repeat of ``key``.
 
-    One entry, the last key solved; the key leads with its route, so the
-    generic kernel and the two-site route never read each other's arrays.
-    The entry is read once and replaced whole, so no thread reads another's
-    block as its own: at worst both solve.  A ``solve`` that raises keeps
-    nothing.
+    One entry, the last key solved; its arrays and the arguments of its
+    closing slope partial are made read-only.  It is read once and replaced
+    whole, so no thread reads another's block as its own: at worst both
+    solve.  A ``solve`` that raises keeps nothing.
     """
     global _map_memo
     entry = _map_memo
     if entry is not None and entry[0] == key:
         return entry[1]
     arrays = solve()
-    for array in arrays:
+    for array in (*arrays[:-1], *arrays[-1].args):
         array.flags.writeable = False
     _map_memo = key, arrays
     return arrays
 
 
 def _map_stack(n, phis, tol, hermitian_map):
-    """H, Theta, Omega, Omega^-1, adjoint levels, ketket columns, c-products.
+    """H, Theta, Omega, Omega^-1 and the slope dOmega/dphi of a block.
 
-    The part of a block that ``evolve`` and ``textbook_evolve`` share.
-    With ``hermitian_map`` Omega is the Hermitian root of Theta, and the
-    ketket map and the root's U and s (``_sqrt_hpd_stack``) follow for the
-    slope.  The rate enters only after the map, so the last block solved
-    without a refusal is kept (``_kept``), keyed on N, the map, the
-    tolerances and the exact bytes of its angles.  A refused block raises
-    its earliest refused stage's error, found by solving the map of the
-    clean prefix before it, and is never kept.
+    The part of a block that ``evolve`` and ``textbook_evolve`` share: the
+    two-site ketket map of ``_two_site_map``, or the ketket basis of each
+    H with its Dyson map and metric, and with ``hermitian_map`` the
+    Hermitian root of Theta as Omega.  The slope is a partial of
+    ``_map_slope`` over the arrays it needs, evaluated only when called,
+    which textbook stages never do.  The rate enters only after the map,
+    so the last block solved without a refusal is kept (``_kept``), keyed
+    on N, the map, the tolerances and the exact bytes of its angles.  A
+    refused block raises its earliest refused stage's error, found by
+    solving the map of the clean prefix before it, and is never kept.
     """
 
     def refuse(errors):
@@ -202,72 +193,76 @@ def _map_stack(n, phis, tol, hermitian_map):
             raise errors[first]
 
     def solve():
+        if n == 2 and not hermitian_map:
+            return _two_site_map(phis)
         h = build_h(n, z_from_phi(phis))
         values, vectors, errors = _well_ketket_stack(h, np.sin(phis))
         refuse(errors)
         omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
         refuse(errors)
+        ketkets = phis, values, vectors, cprods
         if not hermitian_map:
-            return h, theta, omega, omega_inv, values, vectors, cprods
+            return h, theta, omega, omega_inv, partial(_map_slope, *ketkets)
         root, root_inv, basis, roots, errors = _sqrt_hpd_stack(theta, tol)
         refuse(errors)
-        return h, theta, root, root_inv, values, vectors, cprods, omega, basis, roots
+        return h, theta, root, root_inv, partial(_map_slope, *ketkets, omega, basis, roots)
 
-    return _kept(("kernel", n, hermitian_map, tol, phis.dtype, phis.tobytes()), solve)
+    return _kept((n, hermitian_map, tol, phis.dtype, phis.tobytes()), solve)
+
+
+def _map_slope(phis, values, vectors, cprods, ketket_omega=None, basis=None, roots=None):
+    """dOmega/dphi from Nelson's slope dV of the ketket columns V.
+
+    The ketket map V^dagger takes dV^dagger (``_ketket_slope``); the root of
+    its metric, given that map and the root's eigenbasis, is differentiated
+    through its Sylvester equation (``_root_slope``).
+    """
+    slope = _ketket_slope(phis, values, vectors, cprods)
+    if basis is None:
+        return slope.conj().swapaxes(-1, -2)
+    lift = slope @ ketket_omega
+    return _root_slope(basis, roots, lift + lift.conj().swapaxes(-1, -2))
 
 
 def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     """H, Sigma, Theta and Omega at every stage angle, each (m, N, N).
 
-    The ketket basis of each H, its Dyson map and metric (``_map_stack``),
-    and Nelson's slope of the map, times the rate, give Sigma = i Omega^-1
-    dOmega/dt; with ``hermitian_map`` the map is the Hermitian root of the
-    same metric, differentiated through its Sylvester equation
-    (``_root_slope``).  Textbook stages return Omega H Omega^-1 in Sigma's
-    place.  Each stage depends on its own angle and rate alone, so any
-    split into blocks gives the same arrays.  A refused stack raises its
-    earliest stage's refusal.
+    The block's map part (``_map_stack``) and its slope times the rate
+    give Sigma = i Omega^-1 dOmega/dt; textbook stages return
+    Omega H Omega^-1 in Sigma's place.  Each stage depends on its own
+    angle and rate alone, so any split into blocks gives the same arrays.
+    A refused stack raises its earliest stage's refusal.
     """
-    h, theta, omega, omega_inv, *ketkets = _map_stack(n, phis, tol, hermitian_map)
+    h, theta, omega, omega_inv, slope = _map_stack(n, phis, tol, hermitian_map)
     if textbook:
         return h, omega @ h @ omega_inv, theta, omega
-    slope = _ketket_slope(phis, *ketkets[:3])
-    if hermitian_map:
-        ketket_omega, basis, roots = ketkets[3:]
-        lift = slope @ ketket_omega
-        omega_dot = _root_slope(basis, roots, lift + lift.conj().swapaxes(-1, -2))
-    else:
-        omega_dot = slope.conj().swapaxes(-1, -2)
-    return h, 1j * (omega_inv @ (omega_dot * rates[:, None, None])), theta, omega
+    return h, 1j * (omega_inv @ (slope() * rates[:, None, None])), theta, omega
 
 
-def coriolis(
-    n: int,
-    profile: PhiProfile,
-    t: float,
-    tol: Tolerances | None = None,
-) -> np.ndarray:
+def coriolis(n: int, profile: PhiProfile, t: float, tol: Tolerances | None = None) -> np.ndarray:
     """Coriolis generator Sigma(t) = i Omega^-1(t) dOmega/dt.
 
-    The stage kernel on a stack of one: the ketket map is differentiated
-    exactly through the boundary angle (the only route by which time
-    enters), and the chain rule multiplies in the profile's rate.
+    The stage kernel on a stack of one, as ``evolve`` applies it, in
+    complex128: the map is differentiated exactly through the boundary
+    angle (the only route by which time enters), and the chain rule
+    multiplies in the profile's rate.  A non-finite t, phi or rate raises
+    ValueError.
     """
     tol = tol if tol is not None else get_tolerances()
-    phi, phi_dot = profile(float(t))
+    t = float(t)
+    phi, phi_dot = profile(t) if np.isfinite(t) else (t, t)  # no profile at inf or NaN
+    if not np.isfinite([t, phi, phi_dot]).all():
+        raise ValueError(f"t, phi and its rate must be finite, got {t:g}, {phi:g}, {phi_dot:g}")
     if abs(np.sin(phi)) < tol.ep_margin:
         raise EPProximity(
             f"|sin phi| = {abs(np.sin(phi)):.3e} is inside the "
             f"exceptional-point margin {tol.ep_margin:g} at t = {t:.6g}"
         )
-    return _stage_stack(n, np.array([phi]), np.array([phi_dot]), tol)[1][0]
+    return _stage_stack(n, np.array([phi]), np.array([phi_dot]), tol)[1][0].astype(complex)
 
 
 def generator(
-    n: int,
-    profile: PhiProfile,
-    t: float,
-    tol: Tolerances | None = None,
+    n: int, profile: PhiProfile, t: float, tol: Tolerances | None = None
 ) -> GeneratorSnapshot:
     """Snapshot of H, Sigma, and G = H - Sigma with their spectra."""
     sigma = coriolis(n, profile, t, tol=tol)
@@ -357,12 +352,14 @@ def _metric_norms(kets, thetas):
 
 
 def _two_site_map(phis):
-    """Mirror, e^{-i phi}, H, Omega, Omega^-1 and Theta of two sites.
+    """``_map_stack`` of two sites on the ketket map, in extended precision.
 
-    The closed-form ketket map family at every stage angle at once, in
-    extended precision.  Where sin phi < 0 the generic kernel's gauge is
-    the family at -phi; H is even in phi, so the map is taken there
-    (``mirror`` is -1) and its angle derivative changes sign.
+    The closed-form map family at every stage angle at once.  Where
+    sin phi < 0 the well solve's gauge is the family at -phi; H is even
+    in phi, so the map is taken there (``mirror`` is -1) and its angle
+    derivative changes sign.  Over 801 stages it costs about 0.001 ms per
+    stage, the well solve 0.010 ms in one piece and 0.020 ms in blocks
+    of 32 (2-core x86 VM, numpy 2.4).
     """
     phis = np.asarray(phis, dtype=np.longdouble)
     mirror = np.where(np.sin(phis) < 0, -1.0, 1.0)
@@ -373,29 +370,14 @@ def _two_site_map(phis):
     h = _stack_2x2(2.0 - z, hop, hop, 2.0 + z)
     omega = _stack_2x2(one, -1j * e, 1j * e, one)
     omega_inv = _stack_2x2(one, 1j * e, -1j * e, one) / (1.0 - e * e)[:, None, None]
-    return mirror, e, h, omega, omega_inv, omega.conj().swapaxes(-1, -2) @ omega
+    theta = omega.conj().swapaxes(-1, -2) @ omega
+    return h, theta, omega, omega_inv, partial(_two_site_slope, np.where(mirror < 0, -e, e))
 
 
-def _two_site_stack(phis, rates, textbook):
-    """``_stage_stack`` for two sites in closed form, in extended precision.
-
-    The map (``_two_site_map``) is kept as the generic kernel's is, so the
-    second integration of a one-block drive reuses it; the map's exact angle
-    derivative, times the rate, gives Sigma.  The route stays beside the
-    generic kernel for speed: over 801 stages it costs about 0.001 ms per
-    stage, the generic kernel 0.010 ms in one piece and 0.020 ms in blocks
-    of 32 (2-core x86 VM, numpy 2.4).
-    """
-    mirror, e, h, omega, omega_inv, theta = _kept(
-        ("two_site", phis.dtype, phis.tobytes()), lambda: _two_site_map(phis)
-    )
-    if textbook:
-        return h, omega @ h @ omega_inv, theta, omega
-    # d/dphi [[1, -ie], [ie, 1]] = [[0, -e], [e, 0]], times the rate
+def _two_site_slope(e):
+    """d/dphi [[1, -ie], [ie, 1]] = [[0, -e], [e, 0]] of the closed-form map."""
     zero = np.zeros_like(e)
-    omega_dot = _stack_2x2(zero, -e, e, zero)
-    omega_dot *= (mirror * np.asarray(rates, dtype=float)).astype(_CLD)[:, None, None]
-    return h, 1j * (omega_inv @ omega_dot), theta, omega
+    return _stack_2x2(zero, -e, e, zero)
 
 
 def _stack_2x2(a, b, c, d):
@@ -452,7 +434,6 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         thetas = omegas = np.broadcast_to(np.eye(n, dtype=complex), generators.shape)
     else:
         thetas, omegas = np.empty((2, rows, n, n), dtype=complex)
-    two_site = n == 2 and not hermitian_map
     per_call = max(1, (STAGE_BLOCK // 2) * MAX_DIM**2 // n**2)
     edges = [0, *range(per_call, usable, per_call), usable] if rows else []
     psi = psi0.astype(_CLD)
@@ -460,9 +441,8 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         # steps lo..hi-1 take stages 2 lo..2 hi; each stage depends on its
         # own angle and rate only, so stage 2 lo matches the block before
         span, block = slice(2 * lo, 2 * hi + 1), slice(lo, hi + 1)
-        h, second, theta, omega = (
-            _two_site_stack(phis[span], rates[span], textbook) if two_site
-            else _stage_stack(n, phis[span], rates[span], tol, textbook, hermitian_map)
+        h, second, theta, omega = _stage_stack(
+            n, phis[span], rates[span], tol, textbook, hermitian_map
         )
         gens = second if textbook else h - second
         if textbook and not lo:

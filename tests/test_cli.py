@@ -685,13 +685,14 @@ def test_n2verify_default_grid_passes(capsys):
 
 
 def test_n2verify_degraded_difference_step_fails(capsys, monkeypatch):
-    # a map slope off by 1e-6 per entry must show up as a failed identity
-    exact = nip_evolution._ketket_slope
+    # a two-site map slope off by 1e-6 per entry must show up as a failed
+    # identity
+    exact = nip_evolution._two_site_slope
 
     def perturbed(*args, **kwargs):
         return exact(*args, **kwargs) + 1e-6
 
-    monkeypatch.setattr(nip_evolution, "_ketket_slope", perturbed)
+    monkeypatch.setattr(nip_evolution, "_two_site_slope", perturbed)
     code, out, _ = invoke(capsys, "n2verify")
     assert code == 3
     status = {line.split()[0]: line.split()[-1] for line in out.splitlines()[:-1]}

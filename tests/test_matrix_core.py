@@ -308,6 +308,29 @@ def test_residual_cap_takes_the_exact_norm_past_the_frobenius_bound(monkeypatch,
             eig_general(m)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-160, 1e156])
+def test_residual_reads_the_same_at_any_scale(scale):
+    # the sums of squares of |A|_F and of the defect overflow or sink into
+    # the denormals at these scales; such a matrix is taken again scaled by
+    # a power of two, so its residual reads as at unit scale, with no
+    # warning, and a real defect is still refused
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    unit = eig_general(a).residual
+    assert 0.0 < unit <= 1e-15
+    assert 0.2 * unit <= eig_general(a * scale).residual <= 5.0 * unit
+    values, vectors = np.linalg.eig(a)
+    vectors /= np.linalg.norm(vectors, axis=0)
+    values[0] += 1e-8 * np.linalg.norm(a, 2)
+    errors = [None]
+    defect = matrix_core._residual_refusals(
+        (a * scale)[None], (values * scale)[None], vectors[None], errors
+    )
+    assert defect[0] / (scale * np.linalg.norm(a, 2)) == pytest.approx(1e-8, rel=1e-6)
+    assert str(errors[0]).startswith("eigenpair residual 1.000e-08 exceeds")
+
+
 def assert_stack_matches_single_solves(solve, stack, *per_matrix):
     """Each matrix's result from ``solve(stack, *per_matrix)`` equals ``solve``
     of it alone, with its own entries of ``per_matrix``, bit for bit; a

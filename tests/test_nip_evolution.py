@@ -8,7 +8,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nipsqw.config import get_tolerances
@@ -307,6 +307,8 @@ def test_the_closed_form_stage_matches_the_general_route(
         values, vectors, _, failures = _eigen_arrays(h.conj().swapaxes(-1, -2))
         return metric._gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
 
+    # the two-site ketket map is closed-form itself and takes no well solve
+    assume(n > 2 or hermitian_map)
     phis, rates, tol = np.array([sign * phi]), np.array([rate]), get_tolerances()
     got = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
     nip_evolution._map_memo = None  # else the memo answers with the closed form
@@ -327,18 +329,56 @@ def test_two_site_coriolis_keeps_the_closed_form_near_coalescence(sine, rate):
         assert spectral_norm(got - want) <= 1e-9 * spectral_norm(want), phi
 
 
+@pytest.mark.parametrize("rate", [0.7, -1.3])
+def test_two_site_coriolis_is_the_sigma_evolve_applies(rate):
+    # coriolis at two sites takes the closed-form map evolve applies, cast
+    # to complex128: it holds the oracle to 1e-13 at sin phi = 2e-6 and
+    # refuses only at the margin, not at a raised eps_singular
+    for phi in (np.arcsin(2e-6), np.pi - np.arcsin(2e-6)):
+        got, want = coriolis(2, PhiProfile.linear(phi, rate), 0.0), sigma_s(phi, rate)
+        assert got.dtype == np.complex128
+        assert spectral_norm(got - want) <= 1e-13 * spectral_norm(want), phi
+    tol = get_tolerances().replace(eps_singular=0.5)
+    profile = PhiProfile.linear(0.3, 0.5)
+    want = generator(2, profile, 0.0, tol=tol).G
+    got = evolve(2, profile, np.array([1.0, 0.5j]), 0.0, 0.01, 0.01, tol=tol)[0].generator
+    assert spectral_norm(got - want) <= 1e-15 * spectral_norm(want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_coriolis_and_generator_refuse_non_finite_input(n):
+    # an overflowing rate, or a t that is not finite, is refused by name
+    # before it can reach the map or the eigensolver
+    cases = [(PhiProfile.sinusoidal(1.0, 1e308, 10.0), 0.0),
+             (PhiProfile.linear(1.0, 0.5), np.inf), (PhiProfile.linear(1.0, 0.5), np.nan),
+             (PhiProfile.constant(1.0), -np.inf)]
+    for profile, t in cases:
+        for call in (coriolis, generator):
+            with pytest.raises(ValueError, match="must be finite"):
+                call(n, profile, t)
+
+
 @pytest.mark.parametrize("textbook", [False, True])
 def test_two_site_kernel_matches_the_generic_kernel(textbook):
-    # the extended-precision closed form against the generic kernel at two
-    # sites, on both sides of pi/2 and of -pi/2 and down to the
-    # exceptional-point margin; where sin phi < 0 the generic gauge is the
-    # two-site family at -phi
+    # the extended-precision closed form of the two-site ketket map against
+    # the generic kernel's pieces, on both sides of pi/2 and of -pi/2 and
+    # down to the exceptional-point margin; where sin phi < 0 the generic
+    # gauge is the two-site family at -phi
     sines = np.geomspace(0.9, get_tolerances().ep_margin, 13)
     upper = np.concatenate([np.arcsin(sines), np.pi - np.arcsin(sines)])
     phis = np.concatenate([upper, -upper, upper + np.pi])
     rates = np.where(np.arange(len(phis)) % 2, 0.7, -1.3)
-    got = nip_evolution._two_site_stack(phis, rates, textbook)
-    want = nip_evolution._stage_stack(2, phis, rates, get_tolerances(), textbook)
+    got = nip_evolution._stage_stack(2, phis, rates, get_tolerances(), textbook)
+    h = build_h(2, z_from_phi(phis))
+    values, vectors, errors = metric._well_ketket_stack(h, np.sin(phis))
+    omega, omega_inv, theta, cprods, more = metric._dyson_stack(vectors, get_tolerances())
+    assert errors == more == [None] * len(phis)
+    if textbook:
+        second = omega @ h @ omega_inv
+    else:
+        slope = metric._ketket_slope(phis, values, vectors, cprods).conj().swapaxes(-1, -2)
+        second = 1j * (omega_inv @ (slope * rates[:, None, None]))
+    want = h, second, theta, omega
     for name, a, b in zip(("H", "Sigma", "Theta", "Omega"), got, want):
         for phi, a_k, b_k in zip(phis, a.astype(complex), b):
             assert spectral_norm(a_k - b_k) <= 1e-9 * spectral_norm(b_k), (name, phi)
@@ -847,7 +887,7 @@ def _steps_per_call(monkeypatch, n, steps):
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 def test_stage_blocks_do_not_change_the_trajectory(monkeypatch, map_kind):
     # 12 steps: one call under the default rule, calls of 3 steps and of 1
-    # step when split; at N=2 the ketket map takes the two-site route
+    # step when split; at N=2 the ketket map is the two-site closed form
     profile = PhiProfile.sinusoidal(1.1, 0.3, 0.7)
     for n in (2, 4):
         psi0 = np.array([1.0, 0.5j, -0.25, 0.5])[:n]
@@ -874,7 +914,7 @@ def _stack_digest(states):
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
-                    reason="the two-site route runs in x86 80-bit long double")
+                    reason="the two-site map runs in x86 80-bit long double")
 @pytest.mark.parametrize("steps", [None, 32])
 def test_two_site_stack_bytes_are_pinned(monkeypatch, steps):
     # numpy clongdouble arithmetic only, no BLAS; the norms are checked in
@@ -891,6 +931,13 @@ def test_two_site_stack_bytes_are_pinned(monkeypatch, steps):
 # ------------------------------------------------------------ map memo
 
 STATE_FIELDS = ("psi", "theta", "generator", "omega")
+
+
+def _kept_arrays():
+    """Every array of the memo's entry: H, Theta, Omega, Omega^-1 and the
+    arguments of its slope partial."""
+    *arrays, slope = nip_evolution._map_memo[1]
+    return [*arrays, *slope.args]
 
 
 def _spy_on_wells(monkeypatch):
@@ -951,7 +998,8 @@ def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
         nip_evolution._map_memo = None
         warm = [integrate(*args, map_kind="hermitian_root") for integrate in order]
         assert blocks == [33]
-        assert not any(array.flags.writeable for array in nip_evolution._map_memo[1])
+        kept = _kept_arrays()
+        assert len(kept) == 11 and not any(array.flags.writeable for array in kept)
         for integrate, states in zip(order, warm):
             nip_evolution._map_memo = None
             assert_same_states(states, integrate(*args, map_kind="hermitian_root"))
@@ -1048,7 +1096,8 @@ def test_both_integrations_of_a_two_site_drive_share_its_map(monkeypatch):
     for integrate in (evolve, textbook_evolve):
         integrate(2, profile, psi0, 0.0, 0.4, 1e-3)
     assert blocks == [801]
-    assert not any(array.flags.writeable for array in nip_evolution._map_memo[1])
+    kept = _kept_arrays()
+    assert len(kept) == 5 and not any(array.flags.writeable for array in kept)
 
 
 def test_two_site_calls_are_bounded_by_the_block_rule(monkeypatch):
@@ -1112,30 +1161,58 @@ def test_a_refused_block_is_solved_again(monkeypatch):
     assert blocks == [9, 5, 9]
 
 
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+@pytest.mark.parametrize("n", [2, 5])
+def test_a_cold_textbook_evolve_takes_no_map_slope(monkeypatch, n, map_kind):
+    # textbook stages need the map, not its slope: a cold textbook_evolve
+    # takes none, and an evolve of the same drive then takes the kept one
+    calls = []
+    for name in ("_ketket_slope", "_root_slope", "_two_site_slope"):
+        slope = getattr(nip_evolution, name)
+
+        def counted(*args, name=name, slope=slope):
+            calls.append(name)
+            return slope(*args)
+
+        monkeypatch.setattr(nip_evolution, name, counted)
+    args = (n, PhiProfile.linear(1.2, 0.4), np.ones(n), 0.0, 0.16, 0.01)
+    textbook_evolve(*args, map_kind=map_kind)
+    assert calls == []
+    evolve(*args, map_kind=map_kind)
+    assert calls == {
+        "ketket_columns": ["_ketket_slope"] if n > 2 else ["_two_site_slope"],
+        "hermitian_root": ["_ketket_slope", "_root_slope"],
+    }[map_kind]
+
+
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
 def test_kept_arrays_are_read_only(integrate):
-    # the kernel hands out the kept H, Theta and Omega; trajectories hold
+    # the kernel hands out the kept H, Theta and Omega and takes the slope
+    # from kept arrays, on both maps and at two sites too; trajectories hold
     # read-only copies
-    args = (3, PhiProfile.linear(1.0, 0.1), np.ones(3), 0.0, 0.1, 0.01)
-    states = integrate(*args)
-    kept = nip_evolution._map_memo[1]
-    assert not any(array.flags.writeable for array in kept)
-    for field in STATE_FIELDS:
-        stack = getattr(states, field)
-        assert not any(np.shares_memory(stack, array) for array in kept)
-        with pytest.raises(ValueError, match="read-only"):
-            stack[...] = 7.0
-    again = integrate(*args)
-    nip_evolution._map_memo = None
-    for state, ref in zip(again, integrate(*args), strict=True):
+    for n, map_kind in [(n, map_kind) for n in (2, 3) for map_kind in MAP_KINDS]:
+        nip_evolution._map_memo = None
+        args = (n, PhiProfile.linear(1.0, 0.1), np.ones(n), 0.0, 0.1, 0.01)
+        states = integrate(*args, map_kind=map_kind)
+        kept = _kept_arrays()
+        assert not any(array.flags.writeable for array in kept)
         for field in STATE_FIELDS:
-            np.testing.assert_array_equal(getattr(state, field), getattr(ref, field))
-    h, _, theta, omega = nip_evolution._stage_stack(
-        3, np.array([1.0]), np.ones(1), get_tolerances(), integrate is textbook_evolve
-    )
-    for array in (h, theta, omega):
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 7.0
+            stack = getattr(states, field)
+            assert not any(np.shares_memory(stack, array) for array in kept)
+            with pytest.raises(ValueError, match="read-only"):
+                stack[...] = 7.0
+        again = integrate(*args, map_kind=map_kind)
+        nip_evolution._map_memo = None
+        for state, ref in zip(again, integrate(*args, map_kind=map_kind), strict=True):
+            for field in STATE_FIELDS:
+                np.testing.assert_array_equal(getattr(state, field), getattr(ref, field))
+        h, _, theta, omega = nip_evolution._stage_stack(
+            n, np.array([1.0]), np.ones(1), get_tolerances(), integrate is textbook_evolve,
+            map_kind == "hermitian_root",
+        )
+        for array in (h, theta, omega):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 7.0
 
 
 def test_textbook_stationary_profile_rotates_phases():

@@ -1,6 +1,6 @@
-"""Fingerprint what the integrators and ``evolve`` print, to show a refactor moves no bit.
+"""Fingerprint library and CLI outputs, to show a refactor moves no bit.
 
-Prints three sha256 lines:
+Prints five sha256 lines:
 
 * ``library``: all six stacks of every ``evolve`` and ``textbook_evolve``
   of a fixed grid of drives (N = 2, 3, 4, 5, 8, 16; constant, linear through
@@ -11,7 +11,10 @@ Prints three sha256 lines:
   of a clean run) of drives towards the exceptional point under raised
   ``eps_singular``, ``eps_pd`` and ``ep_margin``;
 * ``evolve-cli``: every table, stdout, stderr and exit code of the
-  benchmark's evolve-cli ops, two rounds of seeds 1-3, run in process.
+  benchmark's evolve-cli ops, two rounds of seeds 1-3, run in process;
+* ``snapshots`` and ``two-site snapshots``: H, Sigma, G and both spectra
+  of every ``generator`` snapshot (or its refusal) of a grid of drives,
+  instants and tolerances, at N = 3, 4, 5, 8, 16 and at N = 2.
 
 Run it from any directory on two checkouts and compare the lines:
 
@@ -94,6 +97,27 @@ def refusal_hash():
     return digest.hexdigest()
 
 
+def snapshot_hash(sizes):
+    digest = hashlib.sha256()
+    base = get_tolerances()
+    laws = (PhiProfile.constant(1.3), PhiProfile.linear(1.45, 0.5),
+            PhiProfile.sinusoidal(1.1, 0.3, 0.7), PhiProfile.linear(-0.9, 0.4),
+            PhiProfile.linear(0.3, -0.5))
+    tols = (base, base.replace(eps_singular=0.5), base.replace(ep_margin=0.3))
+    for n in sizes:
+        for law in laws:
+            for t in (0.0, 0.2, 0.4):
+                for tol in tols:
+                    try:
+                        snap = nip_evolution.generator(n, law, t, tol=tol)
+                    except NipsqwError as exc:
+                        digest.update(f"{type(exc).__name__}: {exc}".encode())
+                        continue
+                    for array in (snap.H, snap.Sigma, snap.G, snap.sigma_eigs, snap.g_eigs):
+                        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
 def cli_hash():
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
@@ -117,3 +141,5 @@ if __name__ == "__main__":
     print("library   ", library_hash())
     print("refusals  ", refusal_hash())
     print("evolve-cli", cli_hash())
+    print("snapshots ", snapshot_hash((3, 4, 5, 8, 16)))
+    print("two-site snapshots", snapshot_hash((2,)))
