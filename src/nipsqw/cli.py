@@ -127,8 +127,9 @@ def _flag_problem(args) -> str | None:
     """The usage error among the parsed numbers, or None.
 
     --n needs two sites to ``MAX_DIM`` (any count above one for curve),
-    the numbers of these flags must be finite and the --robin grid spacing
-    positive; ``cmd_evolve`` checks its profile, ket, time grid and observables.
+    the numbers of these flags must be finite, --ep-margin non-negative
+    and the --robin grid spacing positive; ``cmd_evolve`` checks its
+    profile, ket, time grid and observables.
     """
     if getattr(args, "n", 2) < 2:
         return f"need at least two sites, got {args.n}"
@@ -138,6 +139,8 @@ def _flag_problem(args) -> str | None:
         value = getattr(args, name, None)
         if value is not None and not np.all(np.isfinite(value)):
             return f"--{name.replace('_', '-')} takes finite numbers only"
+    if getattr(args, "ep_margin", None) is not None and args.ep_margin < 0:
+        return f"--ep-margin must not be negative, got {args.ep_margin:g}"
     if getattr(args, "robin", None) is not None and not args.robin[2] > 0:
         return f"--robin grid spacing must be positive, got {args.robin[2]:g}"
     return None
@@ -546,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--observable", type=_observable_flag, action="append",
                     help="'hamiltonian' or 'file:PATH' (repeatable)")
     ev.add_argument("--crosscheck", action="store_true",
-                    help="append the mapped-integration agreement column")
+                    help="append |Omega psi - psi'| against the textbook solution: "
+                    "evolve's own error on the ketket map, its agreement with a "
+                    "second RK4 run on hermitian_root")
     ev.add_argument("--map", choices=MAP_KINDS, default="ketket_columns",
                     help="Dyson map (default %(default)s); hermitian_root is a "
                          "different dynamics with the same metric, not a gauge")

@@ -31,15 +31,22 @@ class Tolerances:
     tol_real: |Im E| threshold for classifying an energy as real.
     ep_margin: |sin phi| guard radius around the exceptional point.
 
-    The Dyson map is differentiated analytically, so there is no
-    difference step among them; an override file that names ``fd_step``
-    is refused as an unknown tolerance.
+    Each must be finite and non-negative, else ValueError; zero turns its
+    guard off.  The Dyson map is differentiated analytically, so there is
+    no difference step among them; an override file that names
+    ``fd_step`` is refused as an unknown tolerance.
     """
 
     eps_singular: float = 1e-12
     eps_pd: float = 1e-10
     tol_real: float = 1e-9
     ep_margin: float = 1e-6
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 <= value < float("inf"):
+                raise ValueError(f"{field.name} must be finite and non-negative, got {value!r}")
 
     def replace(self, **changes) -> "Tolerances":
         return dataclasses.replace(self, **changes)
@@ -67,6 +74,8 @@ def load_overrides(path: str) -> dict:
             overrides[key] = float(value)
         except ValueError:
             raise BadOverrides(f"{path}:{lineno}: {key} is not a number") from None
+        if not 0.0 <= overrides[key] < float("inf"):
+            raise BadOverrides(f"{path}:{lineno}: {key} must be finite and non-negative")
     return overrides
 
 

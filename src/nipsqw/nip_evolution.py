@@ -5,7 +5,7 @@ dependence produces a Coriolis generator Sigma = i Omega^-1 dOmega/dt.
 States in the friendly space evolve under G = H - Sigma, and the
 moving metric Theta = Omega^dagger Omega keeps <psi|Theta|psi>
 constant even though neither G nor H is normal.  An independent
-integration in the mapped representation (where the generator is
+solution in the mapped representation (where the generator is
 Hermitian) cross-checks the whole pipeline.
 
 The whole chain -- ketket basis, Dyson map, its analytic slope in the
@@ -17,11 +17,11 @@ and the two-site ketket map with its exact slope in extended precision
 (``_two_site_map``).
 
 The map part of the block last solved without a refusal is kept as one
-read-only entry (``_map_stack``): H, Theta, the map, its inverse and a
-lazy slope.  ``evolve`` and ``textbook_evolve`` of one drive solve the
-same blocks at bit-identical angles, so they share it, whichever comes
-first; outputs are the same as a fresh solve's, in concurrent threads
-too.
+read-only entry (``_map_stack``): H, Theta, the map, its inverse, H's
+levels and a lazy slope.  ``evolve`` and ``textbook_evolve`` of one drive
+solve the same blocks at bit-identical angles, so they share it,
+whichever comes first; outputs are the same as a fresh solve's, in
+concurrent threads too.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator splits a drive into blocks by one
@@ -35,7 +35,9 @@ checks the block's physical norms against the stack's own Theta in one
 stacked product.  Each block writes its rows into arrays allocated once
 per trajectory, and the integrations return them as a ``Trajectory``:
 read-only stacks that build an ``EvolutionState`` only when a row is
-read.
+read.  The textbook route on the ketket map takes no step matrix: there
+Omega H Omega^-1 is the real diagonal of the levels, so each mapped
+component only turns, by a phase summed by Simpson's rule on the stages.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class EvolutionState:
 
     ``generator`` is the matrix the integrator applied to the ket at this
     sample: G = H - Sigma built from the selected map for ``evolve``, the
-    mapped Hamiltonian Omega H Omega^-1 for ``textbook_evolve``.
+    mapped Hamiltonian Omega H Omega^-1 for ``textbook_evolve`` -- on the
+    ketket map exactly diag(levels), H's real levels in descending order.
     ``omega`` is the Dyson map with Theta = Omega^dagger Omega that
     generator was built from.  Textbook states already live in the
     mapped picture, so their ``theta`` and ``omega`` are the identity.
@@ -171,12 +174,14 @@ def _kept(key, solve):
 
 
 def _map_stack(n, phis, tol, hermitian_map):
-    """H, Theta, Omega, Omega^-1 and the slope dOmega/dphi of a block.
+    """H, Theta, Omega, Omega^-1, the levels and the slope dOmega/dphi of a block.
 
     The part of a block that ``evolve`` and ``textbook_evolve`` share: the
     two-site ketket map of ``_two_site_map``, or the ketket basis of each
     H with its Dyson map and metric, and with ``hermitian_map`` the
-    Hermitian root of Theta as Omega.  The slope is a partial of
+    Hermitian root of Theta as Omega.  The levels (m, N) are H's real
+    eigenvalues in the descending order of the ketket map's rows, so that
+    map gives Omega H Omega^-1 = diag(levels).  The slope is a partial of
     ``_map_slope`` over the arrays it needs, evaluated only when called,
     which textbook stages never do.  The rate enters only after the map,
     so the last block solved without a refusal is kept (``_kept``), keyed
@@ -201,11 +206,13 @@ def _map_stack(n, phis, tol, hermitian_map):
         omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
         refuse(errors)
         ketkets = phis, values, vectors, cprods
+        levels = values.real  # H^dagger's levels, real in a well, so H's too
         if not hermitian_map:
-            return h, theta, omega, omega_inv, partial(_map_slope, *ketkets)
+            return h, theta, omega, omega_inv, levels, partial(_map_slope, *ketkets)
         root, root_inv, basis, roots, errors = _sqrt_hpd_stack(theta, tol)
         refuse(errors)
-        return h, theta, root, root_inv, partial(_map_slope, *ketkets, omega, basis, roots)
+        slope = partial(_map_slope, *ketkets, omega, basis, roots)
+        return h, theta, root, root_inv, levels, slope
 
     return _kept((n, hermitian_map, tol, phis.dtype, phis.tobytes()), solve)
 
@@ -229,13 +236,15 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
 
     The block's map part (``_map_stack``) and its slope times the rate
     give Sigma = i Omega^-1 dOmega/dt; textbook stages return
-    Omega H Omega^-1 in Sigma's place.  Each stage depends on its own
-    angle and rate alone, so any split into blocks gives the same arrays.
-    A refused stack raises its earliest stage's refusal.
+    Omega H Omega^-1 in Sigma's place, on the ketket map exactly
+    diag(levels).  Each stage depends on its own angle and rate alone, so
+    any split into blocks gives the same arrays.  A refused stack raises
+    its earliest stage's refusal.
     """
-    h, theta, omega, omega_inv, slope = _map_stack(n, phis, tol, hermitian_map)
+    h, theta, omega, omega_inv, levels, slope = _map_stack(n, phis, tol, hermitian_map)
     if textbook:
-        return h, omega @ h @ omega_inv, theta, omega
+        mapped = omega @ h @ omega_inv if hermitian_map else levels[:, :, None] * np.eye(n)
+        return h, mapped, theta, omega
     return h, 1j * (omega_inv @ (slope() * rates[:, None, None])), theta, omega
 
 
@@ -326,7 +335,8 @@ _DOUBLE_MAX = np.finfo(float).max
 
 
 def _unreal(values, floor=0.0):
-    """The real-value gate: per value None, "non-finite" or "complex (value)".
+    """The real-value gate: {index: "non-finite" or "complex (value)"} of
+    the refused values, in index order.
 
     A value passes when |Im| <= IMAG_GATE max(floor, |Re|) and both parts
     fit a double; NaN or a part past the double range is non-finite,
@@ -335,11 +345,11 @@ def _unreal(values, floor=0.0):
     values = np.asarray(values)
     re, im = np.abs(values.real), np.abs(values.imag)
     finite = (re <= _DOUBLE_MAX) & (im <= _DOUBLE_MAX)
-    real = finite & (im <= IMAG_GATE * np.maximum(floor, re))
-    return [
-        None if ok else f"complex ({complex(values[k]):.3e})" if fin else "non-finite"
-        for k, (ok, fin) in enumerate(zip(real.tolist(), finite.tolist()))
-    ]
+    refused = np.flatnonzero(~(finite & (im <= IMAG_GATE * np.maximum(floor, re))))
+    return {
+        k: f"complex ({complex(values[k]):.3e})" if finite[k] else "non-finite"
+        for k in refused.tolist()
+    }
 
 
 def _metric_norms(kets, thetas):
@@ -371,7 +381,9 @@ def _two_site_map(phis):
     omega = _stack_2x2(one, -1j * e, 1j * e, one)
     omega_inv = _stack_2x2(one, 1j * e, -1j * e, one) / (1.0 - e * e)[:, None, None]
     theta = omega.conj().swapaxes(-1, -2) @ omega
-    return h, theta, omega, omega_inv, partial(_two_site_slope, np.where(mirror < 0, -e, e))
+    levels = np.stack([2.0 - e.imag, 2.0 + e.imag], axis=-1)  # 2 +- |sin phi|
+    slope = partial(_two_site_slope, np.where(mirror < 0, -e, e))
+    return h, theta, omega, omega_inv, levels, slope
 
 
 def _two_site_slope(e):
@@ -436,7 +448,7 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         thetas, omegas = np.empty((2, rows, n, n), dtype=complex)
     per_call = max(1, (STAGE_BLOCK // 2) * MAX_DIM**2 // n**2)
     edges = [0, *range(per_call, usable, per_call), usable] if rows else []
-    psi = psi0.astype(_CLD)
+    psi, phase = psi0.astype(_CLD), np.zeros(n, dtype=np.longdouble)
     for lo, hi in zip(edges, edges[1:]):
         # steps lo..hi-1 take stages 2 lo..2 hi; each stage depends on its
         # own angle and rate only, so stage 2 lo matches the block before
@@ -447,17 +459,26 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         gens = second if textbook else h - second
         if textbook and not lo:
             psi = omega[0] @ psi
-        kets = np.empty((hi - lo + 1, n), dtype=_CLD)
-        kets[0] = psi
-        for k, step in enumerate(_propagators(gens, steps[lo:hi]).astype(_CLD, copy=False), 1):
-            kets[k] = psi = step @ psi
+        if textbook and not hermitian_map:
+            # diagonal: psi' = exp(-i Phi) psi'(t0), Phi by Simpson's rule, the
+            # running phase first in the cumsum so that any split sums alike
+            lam = np.diagonal(gens, axis1=-2, axis2=-1).astype(np.longdouble)
+            simpson = steps[lo:hi, None].astype(np.longdouble) / 6 * (
+                lam[:-1:2] + 4 * lam[1::2] + lam[2::2])
+            phases = np.cumsum(np.concatenate([phase[None], simpson]), axis=0)
+            kets, phase = np.exp(_CLD(-1j) * phases) * psi, phases[-1]
+        else:
+            kets = np.empty((hi - lo + 1, n), dtype=_CLD)
+            kets[0] = psi
+            propagators = _propagators(gens, steps[lo:hi]).astype(_CLD, copy=False)
+            for k, step in enumerate(propagators, 1):
+                kets[k] = psi = step @ psi
         if not textbook:
             thetas[block], omegas[block] = theta[::2], omega[::2]
         norms = _metric_norms(kets, thetas[block] if textbook else theta[::2])
-        for k, why in enumerate(_unreal(norms)):
-            if why:
-                time = float(taus[2 * (lo + k)])
-                raise NonRealNorm(f"metric norm came out {why} at t = {time:.6g}")
+        for k, why in _unreal(norms).items():
+            time = float(taus[2 * (lo + k)])
+            raise NonRealNorm(f"metric norm came out {why} at t = {time:.6g}")
         psis[block], generators[block], phys_norms[block] = kets, gens[::2], norms.real
     states = Trajectory(
         taus[: 2 * rows : 2].astype(float), psis, thetas, phys_norms, generators, omegas
@@ -508,12 +529,18 @@ def textbook_evolve(
     tol: Tolerances | None = None,
     map_kind: str = "ketket_columns",
 ) -> Trajectory:
-    """Integrate the mapped problem i dpsi'/dt = (Omega H Omega^-1) psi'.
+    """Solve the mapped problem i dpsi'/dt = (Omega H Omega^-1) psi'.
 
     The initial ket is mapped through Omega(t0); the generator is
     Hermitian, so the ordinary norm is conserved, making this the
     independent cross-check of the moving-metric integration (states
-    carry theta = identity).  Refuses inputs and norms as ``evolve`` does.
+    carry theta = identity).  On the ketket map the generator is the
+    real diagonal Lambda(t), so psi' = exp(-i Phi) psi'(t0) with no step
+    error but that of Phi = int Lambda dt, summed by Simpson's rule on the
+    RK4 stage grid in extended precision (fourth order, far below
+    ``evolve``'s error at one dt): the crosscheck then reads ``evolve``'s
+    own error.  The Hermitian-root map is not diagonal and takes RK4.
+    Refuses inputs, maps and norms as ``evolve`` does.
     """
     return _integrate(
         n, profile, psi0, t0, t1, dt, tol, textbook=True, map_kind=map_kind
@@ -523,7 +550,7 @@ def textbook_evolve(
 def physical_norm(state: EvolutionState) -> float:
     """Metric norm <psi|Theta|psi>, demanded real to rounding and finite."""
     q = _metric_norms(np.asarray(state.psi)[None], as_square(state.theta)[None])
-    why = _unreal(q)[0]
+    why = _unreal(q).get(0)
     if why:
         raise NonRealNorm(f"metric norm came out {why}")
     return float(q[0].real)
@@ -580,12 +607,13 @@ def _expectation_stack(kets, thetas, lams):
         for num, den in zip(_metric_norms(kets, thetas @ lams).tolist(),
                             _metric_norms(kets, thetas).tolist())
     ]
+    whys = _unreal(values, floor=1.0)
     errors = [
         NotAnObservable(f"metric compatibility residual {gap:.3e} exceeds 1e-08")
         if gap > 1e-8
-        else NonRealNorm(f"expectation came out {why}") if why
+        else NonRealNorm(f"expectation came out {whys[k]}") if k in whys
         else None
-        for gap, why in zip(gaps.tolist(), _unreal(values, floor=1.0))
+        for k, gap in enumerate(gaps.tolist())
     ]
     return [value.real for value in values], errors
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import nipsqw
 from nipsqw import matrix_core, metric, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, _emit_table, main, run_identity_suite
+from nipsqw.config import Tolerances
 from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
 from nipsqw.n2_oracle import g_eigs
 from nipsqw.nip_evolution import MAP_KINDS
@@ -1030,8 +1031,10 @@ def test_tolerance_override_file(capsys, tmp_path, monkeypatch):
         ("fd_step = 1e-4\n", "unknown tolerance 'fd_step'"),
         ("tol_real 1e-9\n", "expected key=value"),
         ("tol_real = abc\n", "tol_real is not a number"),
+        ("ep_margin = nan\n", "ep_margin must be finite and non-negative"),
+        ("eps_pd = -1e-3\n", "eps_pd must be finite and non-negative"),
     ],
-    ids=["unknown_key", "no_equals", "not_a_number"],
+    ids=["unknown_key", "no_equals", "not_a_number", "nan_margin", "negative_floor"],
 )
 def test_bad_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch, text, reason):
     overrides = tmp_path / "tol.cfg"
@@ -1044,6 +1047,28 @@ def test_bad_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch, text,
     assert len(lines) == 1 and "Traceback" not in err
     assert lines[0].startswith(f"nipsqw: error: {overrides}:2: ")
     assert reason in lines[0]
+
+
+@pytest.mark.parametrize("name", ["eps_singular", "eps_pd", "tol_real", "ep_margin"])
+def test_tolerances_are_finite_and_non_negative(name):
+    # zero turns a guard off and is kept; a NaN, infinite or negative
+    # value would turn it off or refuse everything without a word
+    assert getattr(Tolerances(**{name: 0.0}), name) == 0.0
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            Tolerances().replace(**{name: bad})
+
+
+@pytest.mark.parametrize("command", ["evolve", "n2verify"])
+def test_a_negative_ep_margin_is_a_usage_error(capsys, command):
+    argv = ["--ep-margin", "-1"]
+    if command == "evolve":
+        argv += ["--n", "2", "--profile", "constant:phi=1", "--psi0", "1,0,0,0", "--t1", "1",
+                 "--dt", "0.5"]
+    code, out, err = invoke(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    assert err == "nipsqw: error: --ep-margin must not be negative, got -1\n"
+    assert invoke(capsys, command, *argv[:1], "0", *argv[2:])[0] == 0
 
 
 def test_missing_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch):

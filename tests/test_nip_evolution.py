@@ -539,6 +539,25 @@ def test_margin_abort_keeps_the_prefix_before_the_first_refused_stage(n):
         np.testing.assert_array_equal(state.psi, ref.psi)
 
 
+@pytest.mark.parametrize("floor", [0.0, 1.0])
+def test_the_real_value_gate_names_each_refused_value(floor):
+    # the gate value by value, as a loop: a value passes when |Im| <=
+    # IMAG_GATE max(floor, |Re|) and both parts fit a double
+    big = np.finfo(float).max
+    values = np.array([1.0, 1 + 1e-11j, 1 + 1e-9j, 1e-12j, 0.0, np.nan, complex(big, 1.0),
+                       complex(1.0, np.inf), -2.0 + 3e-10j, 1e-300 + 1e-300j])
+    want = {}
+    for k, value in enumerate(values.tolist()):
+        re, im = abs(value.real), abs(value.imag)
+        if not (re <= big and im <= big):
+            want[k] = "non-finite"
+        elif not im <= nip_evolution.IMAG_GATE * max(floor, re):
+            want[k] = f"complex ({value:.3e})"
+    got = nip_evolution._unreal(values, floor)
+    assert got == want and list(got) == sorted(want)
+    assert nip_evolution._unreal(values[:1]) == {}
+
+
 def test_a_complex_norm_names_its_earliest_state(monkeypatch):
     # every stage from t = 0.225 on gets a complex metric; 0.225 is a
     # half step, so the first refused state is t = 0.23, in the second
@@ -620,10 +639,20 @@ def test_evolve_rejects_bad_arguments():
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
 def test_a_non_finite_norm_is_refused_at_its_state(integrate):
     # dt = 3 is far past RK4's stability limit for this generator, so the
-    # norm grows until it leaves the double range at t = 177
+    # norm grows until it leaves the double range at t = 177; textbook
+    # takes RK4 only on the root map
+    map_kind = "hermitian_root" if integrate is textbook_evolve else "ketket_columns"
     psi0 = np.arange(1, 4) + 0.3j
     with pytest.raises(NonRealNorm, match=r"came out non-finite at t = 177$"):
-        integrate(3, PhiProfile.constant(1.3), psi0, 0.0, 600.0, 3.0)
+        integrate(3, PhiProfile.constant(1.3), psi0, 0.0, 600.0, 3.0, map_kind=map_kind)
+
+
+def test_the_exact_textbook_route_keeps_its_norm_at_any_step():
+    # the ketket textbook route takes no RK4 step, so the dt = 3 drive that
+    # overflows RK4 keeps its norm to rounding
+    psi0 = np.arange(1, 4) + 0.3j
+    states = textbook_evolve(3, PhiProfile.constant(1.3), psi0, 0.0, 600.0, 3.0)
+    assert len(states) == 201 and drift_of(states) <= 1e-13
 
 
 def test_evolve_hermitian_root_map_conserves_its_own_norm():
@@ -717,6 +746,28 @@ def test_evolve_matches_the_exact_ketket_map_solution_at_fourth_order(n):
 
     fine = error(0.01, 1)
     assert fine <= 1e-8
+    assert 14.0 <= error(0.02, 2) / fine <= 18.0
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_the_ketket_textbook_route_is_the_exact_map_solution(n):
+    # Omega psi of the reference is the mapped solution; textbook_evolve
+    # takes its phases by Simpson's rule, whose error falls 2^4-fold with
+    # the step, far below RK4's
+    profile = PhiProfile.linear(0.9, 0.6)
+    psi0 = np.ones(n, dtype=complex)
+    times = np.linspace(0.0, 2.0, 201)
+    omegas = [dyson_from_ketkets(ketkets(build_h(n, z_from_phi(profile(t)[0])))).omega
+              for t in times]
+    exact = np.einsum("tij,tj->ti", omegas, ketket_map_exact(n, profile, psi0, 2.0, 0.01))
+
+    def error(dt, stride):
+        got = textbook_evolve(n, profile, psi0, 0.0, 2.0, dt).psi
+        want = exact[::stride]
+        return np.max(np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1))
+
+    fine = error(0.01, 1)
+    assert fine <= 1e-11
     assert 14.0 <= error(0.02, 2) / fine <= 18.0
 
 
@@ -925,7 +976,7 @@ def test_two_site_stack_bytes_are_pinned(monkeypatch, steps):
     assert _stack_digest(evolve(*args)) == (
         "0983979dadbe584dab08670b550f9602e93e5bd0a6cfb12de8a977fb744293e6")
     assert _stack_digest(textbook_evolve(*args)) == (
-        "c3b838e25037c3b0e08f3647cc0cd38ae238bb413cbc294d3fffbfe66f9e2805")
+        "8c6b898cb1986aafa167a4e466b9f13bcc0c3bb82d6c91eae7384e3fdcf1c2e8")
 
 
 # ------------------------------------------------------------ map memo
@@ -934,8 +985,8 @@ STATE_FIELDS = ("psi", "theta", "generator", "omega")
 
 
 def _kept_arrays():
-    """Every array of the memo's entry: H, Theta, Omega, Omega^-1 and the
-    arguments of its slope partial."""
+    """Every array of the memo's entry: H, Theta, Omega, Omega^-1, the
+    levels and the arguments of its slope partial."""
     *arrays, slope = nip_evolution._map_memo[1]
     return [*arrays, *slope.args]
 
@@ -999,7 +1050,7 @@ def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
         warm = [integrate(*args, map_kind="hermitian_root") for integrate in order]
         assert blocks == [33]
         kept = _kept_arrays()
-        assert len(kept) == 11 and not any(array.flags.writeable for array in kept)
+        assert len(kept) == 12 and not any(array.flags.writeable for array in kept)
         for integrate, states in zip(order, warm):
             nip_evolution._map_memo = None
             assert_same_states(states, integrate(*args, map_kind="hermitian_root"))
@@ -1097,7 +1148,7 @@ def test_both_integrations_of_a_two_site_drive_share_its_map(monkeypatch):
         integrate(2, profile, psi0, 0.0, 0.4, 1e-3)
     assert blocks == [801]
     kept = _kept_arrays()
-    assert len(kept) == 5 and not any(array.flags.writeable for array in kept)
+    assert len(kept) == 6 and not any(array.flags.writeable for array in kept)
 
 
 def test_two_site_calls_are_bounded_by_the_block_rule(monkeypatch):
@@ -1216,16 +1267,19 @@ def test_kept_arrays_are_read_only(integrate):
 
 
 def test_textbook_stationary_profile_rotates_phases():
-    phi = np.pi / 3
-    s = np.sin(phi)
+    # a constant drive keeps the levels 2 +- |sin phi|, so each mapped
+    # component only turns, with no step error over 1,000 steps; where
+    # sin phi < 0 the map is the closed-form family at -phi
     psi0 = np.array([0.8, 0.6j])
-    states = textbook_evolve(2, PhiProfile.constant(phi), psi0, 0.0, 1.0, 1e-3)
-    start = states[0].psi
-    np.testing.assert_allclose(start, omega_s(phi) @ psi0, atol=1e-12)
-    for state in states[::250]:
-        expected = start * np.exp(-1j * np.array([2 + s, 2 - s]) * state.t)
-        np.testing.assert_allclose(state.psi, expected, atol=1e-9)
-    assert drift_of(states) <= 1e-10
+    for phi in (np.pi / 3, 2.5, -0.7, 1e-3):
+        s = abs(np.sin(phi))
+        states = textbook_evolve(2, PhiProfile.constant(phi), psi0, 0.0, 10.0, 0.01)
+        start, levels = states.psi[0], np.array([2 + s, 2 - s])
+        np.testing.assert_allclose(start, omega_s(np.sign(np.sin(phi)) * phi) @ psi0, atol=1e-12)
+        want = start * np.exp(-1j * np.outer(states.t, levels))
+        assert np.abs(states.psi - want).max() <= 1e-13 * np.linalg.norm(start), phi
+        assert np.abs(states.generator - np.diag(levels)).max() <= 1e-15, phi
+        assert drift_of(states) <= 1e-13, phi
 
 
 def test_textbook_cross_checks_the_moving_frame():

@@ -1,12 +1,14 @@
 """Fingerprint library and CLI outputs, to show a refactor moves no bit.
 
-Prints five sha256 lines:
+Prints eight sha256 lines:
 
-* ``library``: all six stacks of every ``evolve`` and ``textbook_evolve``
-  of a fixed grid of drives (N = 2, 3, 4, 5, 8, 16; constant, linear through
-  pi/2 and sinusoidal laws, plus an N=16 drive of two stage-kernel calls),
-  on both maps and in three call orders: evolve, textbook, evolve;
-  textbook, evolve, textbook; and each call with the map memo emptied;
+* ``library <integration> <map>``, one line for each of ``evolve`` and
+  ``textbook_evolve`` on each map: all six stacks of every call of that
+  integration on that map over a fixed grid of drives (N = 2, 3, 4, 5, 8,
+  16; constant, linear through pi/2 and sinusoidal laws, plus an N=16 drive
+  of two stage-kernel calls), run in three call orders: evolve, textbook,
+  evolve; textbook, evolve, textbook; and each call with the map memo
+  emptied.  A change to one route moves only its own line;
 * ``refusals``: the error type, message and prefix length (or the stacks
   of a clean run) of drives towards the exceptional point under raised
   ``eps_singular``, ``eps_pd`` and ``ep_margin``;
@@ -53,11 +55,13 @@ def _update(digest, states):
         digest.update(np.ascontiguousarray(getattr(states, name)).tobytes())
 
 
-def _run(digest, order, n, profile, t1, dt, **options):
-    """Feed each call of ``order`` to ``digest``: its stacks or its refusal."""
+def _run(digests, order, n, profile, t1, dt, **options):
+    """Feed each call of ``order`` to ``digests[name]`` of its integration:
+    its stacks or its refusal."""
     psi0 = np.linspace(1.0, 0.5, n) + 0.25j * np.arange(n)
     for call in order:
         cold, _, name = call.rpartition(" ")
+        digest = digests[name]
         if cold:
             nip_evolution._map_memo = None
         try:
@@ -67,8 +71,10 @@ def _run(digest, order, n, profile, t1, dt, **options):
             digest.update(f"{type(exc).__name__}: {exc} [{prefix}]".encode())
 
 
-def library_hash():
-    digest = hashlib.sha256()
+def library_hashes():
+    names = ("evolve", "textbook_evolve")
+    digests = {(name, map_kind): hashlib.sha256()
+               for name in names for map_kind in nip_evolution.MAP_KINDS}
     laws = (PhiProfile.constant(1.3), PhiProfile.linear(1.45, 0.5),
             PhiProfile.sinusoidal(1.1, 0.3, 0.7))
     drives = [(n, law, 0.4) for n in (2, 3, 4, 5, 8, 16) for law in laws]
@@ -77,8 +83,9 @@ def library_hash():
         for map_kind in nip_evolution.MAP_KINDS:
             for order in ORDERS:
                 nip_evolution._map_memo = None
-                _run(digest, order, n, law, t1, 0.01, map_kind=map_kind)
-    return digest.hexdigest()
+                _run({name: digests[name, map_kind] for name in names}, order, n, law, t1,
+                     0.01, map_kind=map_kind)
+    return {key: digest.hexdigest() for key, digest in digests.items()}
 
 
 def refusal_hash():
@@ -92,8 +99,8 @@ def refusal_hash():
             for map_kind in nip_evolution.MAP_KINDS:
                 for order in ORDERS[:2]:
                     nip_evolution._map_memo = None
-                    _run(digest, order, n, PhiProfile.linear(0.9, -0.5), 1.6, 0.02,
-                         tol=tol, map_kind=map_kind)
+                    _run({"evolve": digest, "textbook_evolve": digest}, order, n,
+                         PhiProfile.linear(0.9, -0.5), 1.6, 0.02, tol=tol, map_kind=map_kind)
     return digest.hexdigest()
 
 
@@ -138,7 +145,8 @@ def cli_hash():
 
 
 if __name__ == "__main__":
-    print("library   ", library_hash())
+    for (name, map_kind), line in library_hashes().items():
+        print("library", name, map_kind, line)
     print("refusals  ", refusal_hash())
     print("evolve-cli", cli_hash())
     print("snapshots ", snapshot_hash((3, 4, 5, 8, 16)))
