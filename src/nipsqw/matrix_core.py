@@ -176,14 +176,13 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
     A matrix whose ``errors`` entry is None and whose defect exceeds
     ``_RESIDUAL_CAP`` |A|_2 gets a NoConvergence there.  Only a defect
     past the cheaper bound |A|_F / sqrt(N) <= |A|_2 costs an SVD.  A matrix
-    whose |A|_F comes out beyond 2^-400 ... 2^400, where the sums of squares
-    of both norms may overflow or sink into the denormals, takes both again
-    scaled by the power of two of its largest entry, which is exact.
+    whose |A|_F is not ``_squares_in_range`` takes both norms again scaled
+    by the power of two of its largest entry, which is exact.
     """
     with np.errstate(over="ignore"):
         defect = _worst_defect(stack, values, vectors)
         frob = np.linalg.norm(stack, axis=(-2, -1))
-    odd = np.flatnonzero(~((2.0**-400 <= frob) & (frob <= 2.0**400)))
+    odd = np.flatnonzero(~_squares_in_range(frob))
     if odd.size:
         _, exps = np.frexp(np.abs(stack[odd]).max(axis=(-2, -1)))
         scale = np.ldexp(1.0, -np.clip(exps, -1020, 1020))  # a finite power of two
@@ -203,6 +202,12 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
                 f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}"
             )
     return defect
+
+
+def _squares_in_range(norms) -> np.ndarray:
+    """Where a Frobenius norm, or a product of two, is trusted: in 2^-400 ...
+    2^400 no square of the largest entry overflows or sinks into the denormals."""
+    return (2.0**-400 <= norms) & (norms <= 2.0**400)
 
 
 def _worst_defect(stack, values, vectors):

@@ -312,12 +312,9 @@ def quasi_hermiticity_residual(h, theta) -> float:
 
 def _quasi_hermiticity_stack(h, theta) -> np.ndarray:
     """``quasi_hermiticity_residual`` of each (H, Theta) pair of two stacks."""
-
-    def norms(stack):
-        return np.linalg.norm(stack, 2, axis=(-2, -1))
-
-    mismatch = norms(h.conj().swapaxes(-1, -2) @ theta - theta @ h)
-    scale = norms(h) * norms(theta)
+    mismatch = h.conj().swapaxes(-1, -2) @ theta - theta @ h
+    mismatch, norm_h, norm_theta = np.linalg.norm(np.stack([mismatch, h, theta]), 2, axis=(-2, -1))
+    scale = norm_h * norm_theta
     unscaled = np.where(mismatch == 0.0, 0.0, np.inf)
     return np.divide(mismatch, scale, out=unscaled, where=scale != 0.0)
 
@@ -394,10 +391,15 @@ def _dyson_stack(vectors: np.ndarray, tol: Tolerances):
     usable = np.abs(cprods) > tol.eps_singular * (np.abs(vectors) ** 2).sum(axis=-2)
     omega_inv = vectors.conj() / np.where(usable, cprods, 1.0).conj()[:, None, :]
     theta = vectors @ omega
-    why = f"a level's reciprocal condition at or below {tol.eps_singular:g}"
-    errors = [None if ok else SingularDyson(f"ketket columns nearly dependent: {why}")
-              for ok in usable.all(-1)]
+    errors = _dyson_refusals(usable.all(-1), tol)
     return omega, omega_inv, (theta + theta.conj().swapaxes(-1, -2)) / 2, cprods, errors
+
+
+def _dyson_refusals(usable, tol: Tolerances) -> list:
+    """Per ketket map None, or the SingularDyson of a level at the floor."""
+    why = f"a level's reciprocal condition at or below {tol.eps_singular:g}"
+    return [None if ok else SingularDyson(f"ketket columns nearly dependent: {why}")
+            for ok in usable]
 
 
 def dyson_hermitian(theta) -> MetricBundle:

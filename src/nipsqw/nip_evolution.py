@@ -52,7 +52,9 @@ from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
 from .matrix_core import MAX_DIM, _eigen_arrays, _root_slope, _sqrt_hpd_stack, as_square
-from .metric import _dyson_stack, _ketket_slope, _quasi_hermiticity_stack, _well_ketket_stack
+from .matrix_core import _squares_in_range
+from .metric import _dyson_refusals, _dyson_stack, _ketket_slope, _quasi_hermiticity_stack
+from .metric import _well_ketket_stack
 
 _CLD = np.clongdouble
 
@@ -177,16 +179,17 @@ def _map_stack(n, phis, tol, hermitian_map):
     """H, Theta, Omega, Omega^-1, the levels and the slope dOmega/dphi of a block.
 
     The part of a block that ``evolve`` and ``textbook_evolve`` share: the
-    two-site ketket map of ``_two_site_map``, or the ketket basis of each
-    H with its Dyson map and metric, and with ``hermitian_map`` the
-    Hermitian root of Theta as Omega.  The levels (m, N) are H's real
-    eigenvalues in the descending order of the ketket map's rows, so that
-    map gives Omega H Omega^-1 = diag(levels).  The slope is a partial of
-    ``_map_slope`` over the arrays it needs, evaluated only when called,
-    which textbook stages never do.  The rate enters only after the map,
-    so the last block solved without a refusal is kept (``_kept``), keyed
-    on N, the map, the tolerances and the exact bytes of its angles.  A
-    refused block raises its earliest refused stage's error, found by
+    two-site ketket map of ``_two_site_map``, or the ketket basis of each H
+    with its Dyson map and metric, and with ``hermitian_map`` the Hermitian
+    root of Theta as Omega; both refuse a level's s_j at the
+    ``eps_singular`` floor, at two sites |sin phi|.  The levels (m, N) are
+    H's real eigenvalues in the descending order of the ketket map's rows,
+    so that map gives Omega H Omega^-1 = diag(levels).  The slope is a
+    partial of ``_map_slope`` over the arrays it needs, evaluated only when
+    called, which textbook stages never do.  The rate enters only after the
+    map, so the last block solved without a refusal is kept (``_kept``),
+    keyed on N, the map, the tolerances and the exact bytes of its angles.
+    A refused block raises its earliest refused stage's error, found by
     solving the map of the clean prefix before it, and is never kept.
     """
 
@@ -199,6 +202,7 @@ def _map_stack(n, phis, tol, hermitian_map):
 
     def solve():
         if n == 2 and not hermitian_map:
+            refuse(_dyson_refusals(np.abs(np.sin(phis)) > tol.eps_singular, tol))
             return _two_site_map(phis)
         h = build_h(n, z_from_phi(phis))
         values, vectors, errors = _well_ketket_stack(h, np.sin(phis))
@@ -556,20 +560,6 @@ def physical_norm(state: EvolutionState) -> float:
     return float(q[0].real)
 
 
-def _binary_frobenius(stack):
-    """|A|_F = f 2^e of each matrix of a stack, as the arrays f and e.
-
-    Each matrix is scaled by the power of two e of its largest real or
-    imaginary part before its squares are summed, so no square overflows
-    or sinks into the denormals, and f is in [1/2, sqrt(2) N).  A zero
-    matrix has f = 0; a non-finite one a non-finite f.
-    """
-    parts = np.abs(stack.view(float))
-    _, exps = np.frexp(parts.max(axis=(-2, -1)))
-    scaled = np.ldexp(parts, -exps[..., None, None])
-    return np.sqrt((scaled * scaled).sum(axis=(-2, -1))), exps
-
-
 def _expectation_stack(kets, thetas, lams):
     """Metric expectations of each ket, with each row's refusal or None.
 
@@ -583,20 +573,21 @@ def _expectation_stack(kets, thetas, lams):
     The gate needs no SVD where the Frobenius bound
     N |M|_F / (|Lambda|_F |Theta|_F), never below the residual, clears it
     with the slack ``_residual_refusals`` keeps against rounding in either
-    norm.  The bound is taken in binary exponent and fraction
-    (``_binary_frobenius``) and trusted only where the largest parts of
-    Lambda and Theta and their product are within 2^960 of 1, so neither
-    it nor the exact route's norms, whose product is taken in doubles, can
-    overflow, underflow or round apart.  Every other row -- a zero or
-    non-finite matrix, extreme scales, a residual near or past the gate --
-    takes the exact residual, which a refusal quotes.
+    norm, and only where |Lambda|_F, |Theta|_F and their product are
+    ``_squares_in_range``: there neither route's norms of Lambda and Theta,
+    nor their product, overflow or underflow, squares of M lost to the
+    denormals move the bound by under N^2 2^-111, and an overflowing M
+    never clears.  Every other row -- a zero or non-finite matrix, extreme
+    scales, a residual near or past the gate -- takes the exact residual,
+    which a refusal quotes.
     """
     # M as the exact route forms it, so an overflow raises as it does there
     mismatch = lams.conj().swapaxes(-1, -2) @ thetas - thetas @ lams
     with np.errstate(all="ignore"):
-        (fm, fl, ft), (em, el, et) = _binary_frobenius(np.stack([mismatch, lams, thetas]))
-        bound = np.ldexp(lams.shape[-1] * fm / (fl * ft), em - el - et)
-    cleared = (bound <= 1e-8 * (1 - 1e-9)) & (np.abs([el, et, el + et]) <= 960).all(axis=0)
+        fm, fl, ft = np.linalg.norm(np.stack([mismatch, lams, thetas]), axis=(-2, -1))
+        norms = np.stack([fl, ft, fl * ft])
+        bound = lams.shape[-1] * fm / norms[2]
+    cleared = (bound <= 1e-8 * (1 - 1e-9)) & _squares_in_range(norms).all(axis=0)
     doubt = np.flatnonzero(~cleared)
     gaps = np.zeros(len(bound))
     if doubt.size:

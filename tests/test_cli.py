@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nipsqw
-from nipsqw import matrix_core, metric, nip_evolution
+from nipsqw import cli, matrix_core, metric, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, _emit_table, main, run_identity_suite
 from nipsqw.config import Tolerances
 from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
@@ -402,13 +403,8 @@ def _matrix_csv(path, matrix):
 
 def _exact_gate_only(monkeypatch):
     """Send every row of the observable gate to the exact 2-norm residual."""
-    frobenius = nip_evolution._binary_frobenius
-
-    def no_bound(stack):
-        fractions, exponents = frobenius(stack)
-        return np.full_like(fractions, np.nan), exponents
-
-    monkeypatch.setattr(nip_evolution, "_binary_frobenius", no_bound)
+    monkeypatch.setattr(nip_evolution, "_squares_in_range",
+                        lambda norms: np.zeros(norms.shape, dtype=bool))
 
 
 def test_evolve_observable_gate_reads_as_the_exact_residual(capsys, tmp_path, monkeypatch):
@@ -1013,6 +1009,58 @@ def test_site_count_below_two_is_a_usage_error(capsys, argv, n):
     code, out, err = invoke(capsys, argv[0], "--n", n, *argv[1:])
     assert code == 1 and out == ""
     assert err == f"nipsqw: error: need at least two sites, got {n}\n"
+
+
+EVOLVE_2 = ("evolve", "--n", "2", "--psi0", "1,0,0,0", "--t1", "1", "--dt", "0.1")
+MALFORMED_ARGV = {
+    "robin_count": (("spectrum", "--n", "2", "--robin", "1,1"), "argument --robin: "),
+    "empty_kappa": (("metric", "--n", "2", "--r", "0.5", "--kappa", ","), "argument --kappa: "),
+    "empty_phi_grid": (("n2verify", "--phi-grid", ""), "argument --phi-grid: "),
+    "epscan_no_samples": (("epscan", "--n", "2", "--r-min", "0", "--r-max", "1",
+                           "--samples", "0"), "--samples must be at least 1"),
+    "observable_missing": ((*EVOLVE_2, "--profile", "constant:phi=1",
+                            "--observable", "file:{missing}"), "argument --observable: "),
+    "observable_not_nx2n": ((*EVOLVE_2, "--profile", "constant:phi=1",
+                             "--observable", "file:{wide}"), "argument --observable: "),
+    "observable_kind": ((*EVOLVE_2, "--profile", "constant:phi=1", "--observable", "energy"),
+                        "argument --observable: "),
+    "table_missing": ((*EVOLVE_2, "--profile", "table:{missing}"), "argument --profile: "),
+    "table_three_columns": ((*EVOLVE_2, "--profile", "table:{three}"), "argument --profile: "),
+    "profile_item": ((*EVOLVE_2, "--profile", "linear:phi0=1,omega"), "argument --profile: "),
+}
+
+
+def _malformed_files(tmp_path):
+    (tmp_path / "wide.csv").write_text("1,0,0\n0,0,1\n")
+    (tmp_path / "three.csv").write_text("".join(f"{t},1,2\n" for t in range(4)))
+    return {name: str(tmp_path / f"{name}.csv") for name in ("missing", "wide", "three")}
+
+
+@pytest.mark.parametrize("argv, error", MALFORMED_ARGV.values(), ids=MALFORMED_ARGV.keys())
+def test_malformed_flag_values_are_usage_errors(capsys, tmp_path, argv, error):
+    files = _malformed_files(tmp_path)
+    code, out, err = invoke(capsys, *(item.format(**files) for item in argv))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1].startswith(f"nipsqw: error: {error}"), err
+
+
+FLAG_REASONS = {
+    "robin_count": (cli._robin_flag, "1,1", "expected alpha,beta,h"),
+    "empty_list": (cli._float_list_flag, ",", "comma-separated list"),
+    "observable_missing": (cli._observable_flag, "file:{missing}", "missing.csv not found"),
+    "observable_not_nx2n": (cli._observable_flag, "file:{wide}", "N rows and 2N re,im columns"),
+    "observable_kind": (cli._observable_flag, "energy", "'hamiltonian' or 'file:PATH'"),
+    "table_missing": (cli._profile_flag, "table:{missing}", "missing.csv not found"),
+    "table_three_columns": (cli._profile_flag, "table:{three}", "expected two columns t,phi"),
+    "profile_item": (cli._profile_flag, "linear:phi0=1,omega", "'omega' is not key=value"),
+}
+
+
+@pytest.mark.parametrize("parse, text, reason", FLAG_REASONS.values(), ids=FLAG_REASONS.keys())
+def test_each_malformed_flag_value_names_its_reason(tmp_path, parse, text, reason):
+    # argparse reports only the flag and its value; the parser holds the reason
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        parse(text.format(**_malformed_files(tmp_path)))
 
 
 def test_tolerance_override_file(capsys, tmp_path, monkeypatch):

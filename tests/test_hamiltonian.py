@@ -238,6 +238,18 @@ def test_profile_grammar_table(tmp_path):
     assert dot == pytest.approx(0.2, abs=1e-6)
 
 
+def test_profile_grammar_table_needs_two_columns(tmp_path):
+    path = tmp_path / "three.csv"
+    np.savetxt(path, np.column_stack([np.arange(4.0)] * 3), delimiter=",")
+    with pytest.raises(ValueError, match="expected two columns t,phi"):
+        PhiProfile.from_spec(f"table:{path}")
+
+
+def test_profile_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown profile kind 'bogus'"):
+        PhiProfile("bogus", {})
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -247,6 +259,7 @@ def test_profile_grammar_table(tmp_path):
         "linear:phi0=1.0",
         "linear:phi0=1.0,omega=0.1,omega=0.2",
         "sin:phi0=1,amp=0.3",
+        "linear:phi0=1.0,omega",
     ],
 )
 def test_profile_grammar_rejects(bad):

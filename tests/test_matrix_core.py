@@ -471,6 +471,11 @@ def test_sqrt_rejects_near_degenerate_metric():
         sqrt_hpd(metric_matrix(np.pi - 1e-9))
 
 
+def test_sqrt_rejects_nonhermitian():
+    with pytest.raises(NotHermitian, match="square root requires a Hermitian matrix"):
+        sqrt_hpd(corner_matrix(2, 1j))
+
+
 def test_sqrt_square_roundtrip():
     rng = np.random.default_rng(41)
     for n in (2, 4, 7):

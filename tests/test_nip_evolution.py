@@ -15,6 +15,7 @@ from nipsqw.config import get_tolerances
 from nipsqw.errors import (
     DefectiveAtEP,
     EPProximity,
+    NoConvergence,
     NonRealNorm,
     NotAnObservable,
     NotPositiveDefinite,
@@ -332,17 +333,50 @@ def test_two_site_coriolis_keeps_the_closed_form_near_coalescence(sine, rate):
 @pytest.mark.parametrize("rate", [0.7, -1.3])
 def test_two_site_coriolis_is_the_sigma_evolve_applies(rate):
     # coriolis at two sites takes the closed-form map evolve applies, cast
-    # to complex128: it holds the oracle to 1e-13 at sin phi = 2e-6 and
-    # refuses only at the margin, not at a raised eps_singular
+    # to complex128: it holds the oracle to 1e-13 at sin phi = 2e-6, and
+    # gives evolve's G under a raised eps_singular below |sin phi|
     for phi in (np.arcsin(2e-6), np.pi - np.arcsin(2e-6)):
         got, want = coriolis(2, PhiProfile.linear(phi, rate), 0.0), sigma_s(phi, rate)
         assert got.dtype == np.complex128
         assert spectral_norm(got - want) <= 1e-13 * spectral_norm(want), phi
-    tol = get_tolerances().replace(eps_singular=0.5)
+    tol = get_tolerances().replace(eps_singular=0.2)
     profile = PhiProfile.linear(0.3, 0.5)
     want = generator(2, profile, 0.0, tol=tol).G
     got = evolve(2, profile, np.array([1.0, 0.5j]), 0.0, 0.01, 0.01, tol=tol)[0].generator
     assert spectral_norm(got - want) <= 1e-15 * spectral_norm(want)
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_two_sites_refuse_a_level_at_the_condition_floor(map_kind):
+    # both two-site levels have s_j = |sin phi|: each map refuses the first
+    # stage at or below eps_singular, on a drive that starts there and one
+    # that reaches it (phi = 0.3 at t = 1.2, not yet at 1.16); the ketket
+    # map also on a drive that lands on phi = 0 under the default floor,
+    # before anything divides by zero (the root's well solve refuses there)
+    psi0 = np.array([1.0, 0.5j])
+    drives = [(0.5, PhiProfile.linear(0.3, 0.5), 0.01), (0.3, PhiProfile.linear(0.9, -0.5), 1.2)]
+    if map_kind == "ketket_columns":
+        drives.append((1e-12, PhiProfile.linear(0.1, -1.0), 0.2))
+    for integrate in (evolve, textbook_evolve):
+        for eps, law, t1 in drives:
+            tol = get_tolerances().replace(eps_singular=eps, ep_margin=0.0)
+            with pytest.raises(SingularDyson, match=f"condition at or below {eps:g}$"):
+                integrate(2, law, psi0, 0.0, t1, 0.02, tol=tol, map_kind=map_kind)
+        tol = get_tolerances().replace(eps_singular=0.3)
+        integrate(2, PhiProfile.linear(0.9, -0.5), psi0, 0.0, 1.16, 0.02, tol=tol,
+                  map_kind=map_kind)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_two_site_coriolis_at_the_exceptional_point_is_refused():
+    # with the margin off, phi = 0 and pi reach the condition floor: a
+    # refusal, where the closed form divided by 1 - e^2 = 0 and gave NaN
+    tol = get_tolerances().replace(ep_margin=0.0)
+    for phi in (0.0, np.pi):
+        for call in (coriolis, generator):
+            with pytest.raises(SingularDyson, match="at or below 1e-12"):
+                call(2, PhiProfile.linear(phi, 1.0), 0.0, tol=tol)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -400,6 +434,20 @@ def test_coriolis_guards_the_coalescence_margin():
 
 
 # -------------------------------------------------------------- generator
+
+
+def test_generator_raises_its_eigen_solve_refusal(monkeypatch):
+    # a refused spectrum of Sigma or G is raised, not returned as numbers
+    solve, refusal = nip_evolution._eigen_arrays, NoConvergence("refused spectrum")
+
+    def refusing(stack):
+        values, vectors, defects, _ = solve(stack)
+        return values, vectors, defects, [None, refusal]
+
+    monkeypatch.setattr(nip_evolution, "_eigen_arrays", refusing)
+    with pytest.raises(NoConvergence) as caught:
+        generator(3, PhiProfile.linear(1.0, 0.5), 0.0)
+    assert caught.value is refusal
 
 
 def test_generator_assembles_difference_exactly():
@@ -1393,6 +1441,23 @@ def test_the_observable_bound_is_sound_at_the_gate(monkeypatch):
         assert sum(isinstance(error, NotAnObservable) for error in errors) >= 4
     # the tight rows just under the gate cleared without the exact residual
     assert sum(exact_calls) < len(rows)
+
+
+def test_the_observable_bound_needs_the_product_of_its_norms_in_range():
+    # |Lambda|_F and |Theta|_F of 1e-100 are each in range, but at their
+    # product of 1e-200 every square of M sinks below the denormals, where a
+    # bound of 0 would clear rows past the gate: those take the exact route
+    rng = np.random.default_rng(29)
+    for n in (2, 3):
+        pairs = _near_the_gate(rng, n, 1e-8 * (1 + 1e-6)) + _near_the_gate(rng, n, 1e-6)
+        for scale, theta_scale in ((1e-100, 1e-100), (1e100, 1e100), (1e-100, 1e100)):
+            lams = np.array([scale * lam for lam, _ in pairs])
+            thetas = np.array([theta_scale * theta for _, theta in pairs])
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                _, errors = nip_evolution._expectation_stack(
+                    np.ones((len(pairs), n), dtype=complex), thetas, lams)
+            for gap, error in zip(metric._quasi_hermiticity_stack(lams, thetas), errors):
+                assert gap > 1e-8 and f"residual {gap:.3e} exceeds" in str(error)
 
 
 def test_a_gate_row_whose_norms_overflow_raises_as_the_exact_residual_does():

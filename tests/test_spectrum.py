@@ -81,6 +81,11 @@ def test_secular_needs_two_sites():
         secular_value(1, 0.5j, 1.0)
 
 
+def test_curve_needs_two_sites():
+    with pytest.raises(OutOfRange, match="need at least two sites, got 1"):
+        spectral_curve(1, 2.0)
+
+
 def test_secular_agrees_with_eigensolver():
     # boundary values in the unbroken neighbourhood of z = 1
     z_grid = [1.0, 0.8, 1.2, 1.0 + 0.2j, 1.0 - 0.2j, 0.9 + 0.1j]

@@ -11,7 +11,7 @@ Prints eight sha256 lines:
   emptied.  A change to one route moves only its own line;
 * ``refusals``: the error type, message and prefix length (or the stacks
   of a clean run) of drives towards the exceptional point under raised
-  ``eps_singular``, ``eps_pd`` and ``ep_margin``;
+  ``eps_singular``, ``eps_pd`` and ``ep_margin``, at N = 2 to 6;
 * ``evolve-cli``: every table, stdout, stderr and exit code of the
   benchmark's evolve-cli ops, two rounds of seeds 1-3, run in process;
 * ``snapshots`` and ``two-site snapshots``: H, Sigma, G and both spectra
@@ -94,7 +94,7 @@ def refusal_hash():
     tols = [base.replace(**change) for change in (
         {}, {"eps_singular": 0.2}, {"eps_singular": 0.4}, {"eps_pd": 0.3},
         {"eps_pd": 0.99}, {"ep_margin": 0.3}, {"ep_margin": 0.0, "eps_singular": 0.3})]
-    for n in (3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6):
         for tol in tols:
             for map_kind in nip_evolution.MAP_KINDS:
                 for order in ORDERS[:2]:
