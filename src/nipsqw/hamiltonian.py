@@ -100,10 +100,9 @@ class PhiProfile:
     #: each law's parameter names, in the order of ``params`` and the repr
     LAWS = {"constant": ("phi",), "linear": ("phi0", "omega"),
             "sinusoidal": ("phi0", "amp", "freq"), "tabulated": ("t_min", "t_max")}
-    KINDS = tuple(LAWS)
 
     def __init__(self, kind: str, params: dict, spline: CubicSpline | None = None):
-        if kind not in self.KINDS:
+        if kind not in self.LAWS:
             raise ValueError(f"unknown profile kind {kind!r}")
         self.kind = kind
         self.params = dict(params)

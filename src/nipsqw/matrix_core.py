@@ -61,18 +61,18 @@ def adjoint(matrix) -> np.ndarray:
     return as_square(matrix).conj().T.copy()
 
 
-def inverse(matrix, tol: Tolerances | None = None) -> np.ndarray:
+def inverse(matrix) -> np.ndarray:
     """Invert, refusing matrices that are numerically singular.
 
     The test is scale-invariant and independent of the size: the
-    reciprocal condition s_min / s_max must exceed ``eps_singular``.
-    Failure signals exceptional-point proximity to callers.
+    reciprocal condition s_min / s_max must exceed the process
+    ``eps_singular``.  Failure signals exceptional-point proximity to callers.
     """
-    tol = tol if tol is not None else get_tolerances()
+    eps = get_tolerances().eps_singular
     a = as_square(matrix)
     s = np.linalg.svd(a, compute_uv=False)
-    if not s[-1] > tol.eps_singular * s[0]:
-        raise SingularMatrix(f"reciprocal condition at or below {tol.eps_singular:g}")
+    if not s[-1] > eps * s[0]:
+        raise SingularMatrix(f"reciprocal condition at or below {eps:g}")
     return np.linalg.solve(a, np.eye(len(a), dtype=complex))
 
 
@@ -257,22 +257,16 @@ def eig_hermitian(matrix) -> EigenDecomposition:
     )
 
 
-def sqrt_hpd(matrix, tol: Tolerances | None = None, *, tangent=None):
-    """Hermitian positive-definite square root via spectral decomposition.
-
-    A stack of one through ``_sqrt_hpd_stack``; with a Hermitian
-    ``tangent`` dA, returns the pair (root, dRoot) from ``_root_slope``.
-    """
+def sqrt_hpd(matrix) -> np.ndarray:
+    """Hermitian positive-definite square root via spectral decomposition:
+    a stack of one through ``_sqrt_hpd_stack`` under the process tolerances."""
     a = as_square(matrix)
-    tol = tol if tol is not None else get_tolerances()
     if spectral_norm(a - a.conj().T) > 1e-12 * max(spectral_norm(a), 1e-300):
         raise NotHermitian("square root requires a Hermitian matrix")
-    root, _, vectors, roots, errors = _sqrt_hpd_stack(a[None], tol)
+    root, _, _, _, errors = _sqrt_hpd_stack(a[None], get_tolerances())
     if errors[0] is not None:
         raise errors[0]
-    if tangent is None:
-        return root[0]
-    return root[0], _root_slope(vectors, roots, np.asarray(tangent)[None])[0]
+    return root[0]
 
 
 def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances):

@@ -91,23 +91,17 @@ def _ketket_basis(h: np.ndarray):
     DefectiveAtEP of ``_gauged_bases``, beside the values it keeps.  A
     driven well, build_h(N, i c) with |c| <= 1, is solved in closed form
     at the coupling its corner gives, sqrt((1 - |c|)(1 + |c|))
-    (``_well_ketket_stack``); any other well by ``_eigen_ketket_stack``.
+    (``_well_ketket_stack``); any other well by ``_eigen_arrays`` on H^dagger,
+    whose ascending unit columns are read in reverse.
     """
     c = h[-1, -1].imag
     if abs(c) <= 1.0 and (h == build_h(len(h), 1j * c)).all():
         r = np.sqrt((1.0 - abs(c)) * (1.0 + abs(c)))
         values, vectors, errors = _well_ketket_stack(h[None], [r])
     else:
-        values, vectors, errors = _eigen_ketket_stack(h[None])
+        values, vectors, _, failures = _eigen_arrays(h[None].conj().swapaxes(-1, -2))
+        values, vectors, errors = _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
     return values[0], vectors[0], errors[0]
-
-
-def _eigen_ketket_stack(h: np.ndarray):
-    """Adjoint eigenbases of an (m, N, N) stack of any wells, by
-    ``_eigen_arrays`` on H^dagger, as ``_gauged_bases`` returns them."""
-    values, vectors, _, failures = _eigen_arrays(h.conj().swapaxes(-1, -2))
-    # the solver's ascending unit columns, read in reverse
-    return _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
 
 
 def _gauged_bases(values, unit, failures):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, get_tolerances
+from .config import get_tolerances
 from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h, z_from_r
 from .matrix_core import COND_CEILING, EigenDecomposition, eig_general
@@ -38,12 +38,11 @@ class SpectrumResult:
     eigvecs: np.ndarray
 
 
-def solve_spectrum(h, tol_real: float | None = None) -> SpectrumResult:
-    """Eigendecomposition plus reality classification of each energy."""
-    if tol_real is None:
-        tol_real = get_tolerances().tol_real
+def solve_spectrum(h) -> SpectrumResult:
+    """Eigendecomposition plus reality classification of each energy
+    against the process ``tol_real``."""
     dec: EigenDecomposition = eig_general(h)
-    flags = np.abs(dec.eigenvalues.imag) <= tol_real
+    flags = np.abs(dec.eigenvalues.imag) <= get_tolerances().tol_real
     return SpectrumResult(
         energies=dec.eigenvalues,
         real_flags=flags,

@@ -14,6 +14,7 @@ from nipsqw.errors import (
 )
 from nipsqw import matrix_core, metric
 from nipsqw.hamiltonian import build_h, z_from_phi
+from nipsqw.config import get_tolerances
 from nipsqw.matrix_core import (
     EigenDecomposition,
     _eigen_arrays,
@@ -371,20 +372,27 @@ def test_stack_keeps_a_refused_matrix_from_its_neighbours():
 
 
 def test_each_well_takes_the_route_of_its_kind():
-    # driven wells take the closed form, the other wells LAPACK, each stack
-    # exactly as alone: corners with Re z = 0 inside the unit circle, then
-    # a Robin corner, a corner with |z| > 1 and a real one
+    # driven wells take the closed form, each stack exactly as alone, and
+    # the other wells LAPACK on H^dagger: corners with Re z = 0 inside the
+    # unit circle, then a Robin corner, a corner with |z| > 1 and a real one
     driven, other = np.array([0.6j, -0.95j, 1j * np.cos(2.0)]), [0.3 + 0.5j, 3j, 1.0]
     r = np.sqrt(1 - np.abs(driven) ** 2)
-    routes = ((metric._well_ketket_stack, driven, (r,)), (metric._eigen_ketket_stack, other, ()))
     for n in (2, 4):
-        for solve, corners, args in routes:
-            stack = np.stack([corner_matrix(n, z) for z in corners])
-            values, vectors, _ = assert_stack_matches_single_solves(solve, stack, *args)
-            for matrix, got_values, got_vectors in zip(stack, values, vectors):
-                want_values, want_vectors, _ = metric._ketket_basis(matrix)
-                np.testing.assert_allclose(got_values, want_values, rtol=0, atol=1e-14)
-                np.testing.assert_allclose(got_vectors, want_vectors, rtol=0, atol=1e-14)
+        stack = np.stack([corner_matrix(n, z) for z in driven])
+        values, vectors, _ = assert_stack_matches_single_solves(
+            metric._well_ketket_stack, stack, r)
+        for matrix, got_values, got_vectors in zip(stack, values, vectors):
+            want_values, want_vectors, _ = metric._ketket_basis(matrix)
+            np.testing.assert_allclose(got_values, want_values, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got_vectors, want_vectors, rtol=0, atol=1e-14)
+        for matrix in (corner_matrix(n, z) for z in other):
+            values, vectors, error = metric._ketket_basis(matrix)
+            assert error is None
+            np.testing.assert_allclose(matrix.conj().T @ vectors, vectors * values,
+                                       rtol=0, atol=1e-12 * spectral_norm(matrix))
+            assert (values.real[:-1] >= values.real[1:]).all()
+            np.testing.assert_allclose(vectors[metric._pivot_rows(n), np.arange(n)], 1.0,
+                                       rtol=0, atol=1e-15)
 
 
 def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
@@ -492,7 +500,8 @@ def test_sqrt_tangent_solves_the_sylvester_equation():
         hpd = b.conj().T @ b + np.eye(n)
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         tangent = c + c.conj().T
-        root, slope = sqrt_hpd(hpd, tangent=tangent)
+        root, _, vectors, roots, _ = matrix_core._sqrt_hpd_stack(hpd[None], get_tolerances())
+        root, slope = root[0], matrix_core._root_slope(vectors, roots, tangent[None])[0]
         np.testing.assert_array_equal(root, sqrt_hpd(hpd))
         np.testing.assert_allclose(slope, slope.conj().T, atol=1e-14)
         np.testing.assert_allclose(
