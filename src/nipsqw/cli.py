@@ -61,6 +61,19 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------ flag parsing
 
 
+def _flag(parse):
+    """``parse`` as an argparse ``type=``: its ValueError or OSError becomes
+    the ArgumentTypeError whose message argparse prints as the reason."""
+
+    def adapter(text: str):
+        try:
+            return parse(text)
+        except (ValueError, OSError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return adapter
+
+
 def _complex_flag(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
@@ -94,23 +107,13 @@ def _observable_flag(text: str):
         return ("hamiltonian", None)
     if text.startswith("file:"):
         path = text[len("file:"):]
-        try:
-            data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-        except OSError as exc:
-            raise ValueError(str(exc)) from exc
+        data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
         if data.shape[1] != 2 * data.shape[0]:
             raise ValueError(
                 f"{path}: matrix CSV needs N rows and 2N re,im columns"
             )
         return (Path(path).stem, data[:, 0::2] + 1j * data[:, 1::2])
     raise ValueError(f"observable must be 'hamiltonian' or 'file:PATH', got {text!r}")
-
-
-def _profile_flag(text: str) -> PhiProfile:
-    try:
-        return PhiProfile.from_spec(text)
-    except OSError as exc:
-        raise ValueError(str(exc)) from exc
 
 
 def _resolve_boundary(args) -> complex:
@@ -488,14 +491,14 @@ def cmd_n2verify(args) -> int:
 
 def _add_boundary_flags(sub, phi=False, robin=False):
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--z", type=_complex_flag, metavar="RE,IM",
+    group.add_argument("--z", type=_flag(_complex_flag), metavar="RE,IM",
                        help="corner value z")
     group.add_argument("--r", type=float, help="coupling strength, |r| <= 1")
     if phi:
         group.add_argument("--phi", type=float,
                            help="boundary angle, z = i*cos(phi)")
     if robin:
-        group.add_argument("--robin", type=_robin_flag, metavar="ALPHA,BETA,H",
+        group.add_argument("--robin", type=_flag(_robin_flag), metavar="ALPHA,BETA,H",
                            help="mixed boundary data on spacing H")
 
 
@@ -531,22 +534,22 @@ def build_parser() -> argparse.ArgumentParser:
     mt = subs.add_parser("metric", help="metric and map at one boundary value")
     mt.add_argument("--n", type=int, required=True)
     _add_boundary_flags(mt, phi=True)
-    mt.add_argument("--kappa", type=_float_list_flag, metavar="K1,K2,...",
+    mt.add_argument("--kappa", type=_flag(_float_list_flag), metavar="K1,K2,...",
                     default=None, help="positive metric weights (default all ones)")
     mt.add_argument("--out", metavar="PATH", default=None)
     mt.set_defaults(handler=cmd_metric)
 
     ev = subs.add_parser("evolve", help="moving-metric time evolution")
     ev.add_argument("--n", type=int, required=True)
-    ev.add_argument("--profile", type=_profile_flag, required=True,
+    ev.add_argument("--profile", type=_flag(PhiProfile.from_spec), required=True,
                     help="constant:phi=F | linear:phi0=F,omega=F | "
                          "sin:phi0=F,amp=F,freq=F | table:CSV")
-    ev.add_argument("--psi0", type=_ket_flag, required=True,
+    ev.add_argument("--psi0", type=_flag(_ket_flag), required=True,
                     metavar="RE,IM,...", help="initial ket, re,im pairs")
     ev.add_argument("--t0", type=float, default=0.0)
     ev.add_argument("--t1", type=float, required=True)
     ev.add_argument("--dt", type=float, required=True)
-    ev.add_argument("--observable", type=_observable_flag, action="append",
+    ev.add_argument("--observable", type=_flag(_observable_flag), action="append",
                     help="'hamiltonian' or 'file:PATH' (repeatable)")
     ev.add_argument("--crosscheck", action="store_true",
                     help="append |Omega psi - psi'| against the textbook solution: "
@@ -569,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     nv = subs.add_parser("n2verify", help="two-site closed-form identity suite")
     nv.add_argument("--ep-margin", type=float, default=None)
-    nv.add_argument("--phi-grid", type=_float_list_flag, metavar="P1,P2,...",
+    nv.add_argument("--phi-grid", type=_flag(_float_list_flag), metavar="P1,P2,...",
                     default=None, help="boundary angles to scan")
     nv.add_argument("--out", metavar="PATH", default=None)
     nv.set_defaults(handler=cmd_n2verify)

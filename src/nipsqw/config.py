@@ -29,7 +29,8 @@ class Tolerances:
         or below it.
     eps_pd: relative eigenvalue floor for positive definiteness.
     tol_real: |Im E| threshold for classifying an energy as real.
-    ep_margin: |sin phi| guard radius around the exceptional point.
+    ep_margin: |sin phi| guard radius around the exceptional point that
+        an even N meets at sin phi = 0 (odd N has none there).
 
     Each must be finite and non-negative, else ValueError; zero turns its
     guard off.  The Dyson map is differentiated analytically, so there is

@@ -102,10 +102,18 @@ class PhiProfile:
             "sinusoidal": ("phi0", "amp", "freq"), "tabulated": ("t_min", "t_max")}
 
     def __init__(self, kind: str, params: dict, spline: CubicSpline | None = None):
+        """A law of ``LAWS`` with exactly its parameters, and a spline for
+        ``tabulated`` only; else ValueError."""
         if kind not in self.LAWS:
             raise ValueError(f"unknown profile kind {kind!r}")
+        names = self.LAWS[kind]
+        if set(params) != set(names):
+            raise ValueError(f"profile {kind!r} takes exactly {', '.join(names)}, "
+                             f"got {', '.join(map(str, params)) or 'nothing'}")
+        if (spline is None) == (kind == "tabulated"):
+            raise ValueError("a tabulated profile, and only it, takes a spline")
         self.kind = kind
-        self.params = dict(params)
+        self.params = {name: params[name] for name in names}
         self._spline = spline
         self._spline_dot = spline.derivative() if spline is not None else None
 
@@ -156,19 +164,15 @@ class PhiProfile:
         law = {"constant": "constant", "linear": "linear", "sin": "sinusoidal"}.get(kind)
         if law is None:
             raise ValueError(f"unknown profile kind {kind!r}")
-        keys = cls.LAWS[law]
         values = {}
         for item in rest.split(","):
             key, eq, val = item.partition("=")
             if not eq:
                 raise ValueError(f"profile item {item!r} is not key=value")
-            if key not in keys or key in values:
-                raise ValueError(f"unexpected profile key {key!r} for {kind!r}")
+            if key in values:
+                raise ValueError(f"profile key {key!r} is given twice")
             values[key] = float(val)
-        missing = [k for k in keys if k not in values]
-        if missing:
-            raise ValueError(f"profile {kind!r} is missing keys {missing}")
-        return cls(law, {key: values[key] for key in keys})
+        return cls(law, values)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)

@@ -184,8 +184,7 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
         frob = np.linalg.norm(stack, axis=(-2, -1))
     odd = np.flatnonzero(~_squares_in_range(frob))
     if odd.size:
-        _, exps = np.frexp(np.abs(stack[odd]).max(axis=(-2, -1)))
-        scale = np.ldexp(1.0, -np.clip(exps, -1020, 1020))  # a finite power of two
+        scale = _binary_scales(stack[odd])
         scaled = stack[odd] * scale[:, None, None]
         worst = _worst_defect(scaled, values[odd] * scale[:, None], vectors[odd])
         with np.errstate(over="ignore"):  # only a norm past the double range
@@ -202,6 +201,13 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
                 f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}"
             )
     return defect
+
+
+def _binary_scales(stack) -> np.ndarray:
+    """Per matrix the finite power of two that brings its largest entry
+    into [1/2, 1): a scaling that rounds no entry it keeps normal."""
+    _, exps = np.frexp(np.abs(stack).max(axis=(-2, -1)))
+    return np.ldexp(1.0, -np.clip(exps, -1020, 1020))
 
 
 def _squares_in_range(norms) -> np.ndarray:

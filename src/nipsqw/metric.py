@@ -20,6 +20,7 @@ from .errors import BadWeights, DefectiveAtEP, NoConvergence, SingularDyson
 from .hamiltonian import build_h
 from .matrix_core import (
     COND_CEILING,
+    _binary_scales,
     _eigen_arrays,
     _residual_refusals,
     adjoint,
@@ -305,8 +306,19 @@ def quasi_hermiticity_residual(h, theta) -> float:
 
 
 def _quasi_hermiticity_stack(h, theta) -> np.ndarray:
-    """``quasi_hermiticity_residual`` of each (H, Theta) pair of two stacks."""
+    """``quasi_hermiticity_residual`` of each (H, Theta) pair of two stacks.
+
+    A pair whose M = H^dagger Theta - Theta H is not finite is taken again
+    with H and Theta each scaled by a power of two (``_binary_scales``),
+    under which the residual does not change; the other pairs keep every bit.
+    """
     mismatch = h.conj().swapaxes(-1, -2) @ theta - theta @ h
+    odd = np.flatnonzero(~np.isfinite(mismatch).all(axis=(-2, -1)))
+    if odd.size:
+        h, theta = np.array(h), np.array(theta)  # scaled in copies
+        for a in (h, theta):
+            a[odd] *= _binary_scales(a[odd])[:, None, None]
+        mismatch[odd] = h[odd].conj().swapaxes(-1, -2) @ theta[odd] - theta[odd] @ h[odd]
     mismatch, norm_h, norm_theta = np.linalg.norm(np.stack([mismatch, h, theta]), 2, axis=(-2, -1))
     scale = norm_h * norm_theta
     unscaled = np.where(mismatch == 0.0, 0.0, np.inf)

@@ -252,6 +252,19 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     return h, 1j * (omega_inv @ (slope() * rates[:, None, None])), theta, omega
 
 
+def _inside_margin(n, phis, tol):
+    """The indices of the angles the exceptional-point margin refuses, and
+    the pair of levels that meets there.
+
+    At sin phi = 0 the middle pair of an even N, levels N/2 and N/2 + 1
+    counted from below, meets (``metric._well_angles``, j = 0), so there
+    an angle with |sin phi| under ``ep_margin`` (or NaN) is refused.  An odd
+    N has no such pair: its levels stay apart, so no angle is refused.
+    """
+    inside = ~(np.abs(np.sin(phis)) >= tol.ep_margin) if n % 2 == 0 else []
+    return np.flatnonzero(inside), f"where levels {n // 2} and {n // 2 + 1} meet"
+
+
 def coriolis(n: int, profile: PhiProfile, t: float, tol: Tolerances | None = None) -> np.ndarray:
     """Coriolis generator Sigma(t) = i Omega^-1(t) dOmega/dt.
 
@@ -259,17 +272,18 @@ def coriolis(n: int, profile: PhiProfile, t: float, tol: Tolerances | None = Non
     complex128: the map is differentiated exactly through the boundary
     angle (the only route by which time enters), and the chain rule
     multiplies in the profile's rate.  A non-finite t, phi or rate raises
-    ValueError.
+    ValueError, an angle inside the margin EPProximity (``_inside_margin``).
     """
     tol = tol if tol is not None else get_tolerances()
     t = float(t)
     phi, phi_dot = profile(t) if np.isfinite(t) else (t, t)  # no profile at inf or NaN
     if not np.isfinite([t, phi, phi_dot]).all():
         raise ValueError(f"t, phi and its rate must be finite, got {t:g}, {phi:g}, {phi_dot:g}")
-    if abs(np.sin(phi)) < tol.ep_margin:
+    inside, pair = _inside_margin(n, np.array([phi]), tol)
+    if inside.size:
         raise EPProximity(
             f"|sin phi| = {abs(np.sin(phi)):.3e} is inside the "
-            f"exceptional-point margin {tol.ep_margin:g} at t = {t:.6g}"
+            f"exceptional-point margin {tol.ep_margin:g} at t = {t:.6g}, {pair}"
         )
     return _stage_stack(n, np.array([phi]), np.array([phi_dot]), tol)[1][0].astype(complex)
 
@@ -437,7 +451,7 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
 
     # the prefix ends at the last step whose stages all clear the margin;
     # usable is -1 when the first stage is inside it
-    bad = np.flatnonzero(~(np.abs(np.sin(phis)) >= tol.ep_margin))
+    bad, pair = _inside_margin(n, phis, tol)
     usable, t_fail = len(steps), None
     if bad.size:
         usable, t_fail = (int(bad[0]) - 1) // 2, float(taus[bad[0]])
@@ -490,7 +504,7 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
     if t_fail is not None:
         where = "trajectory reached" if rows else "profile starts inside"
         raise EPProximity(
-            f"{where} the exceptional-point margin at t = {t_fail:.6g}",
+            f"{where} the exceptional-point margin at t = {t_fail:.6g}, {pair}",
             trajectory=states,
             t_fail=t_fail,
         )
@@ -513,8 +527,8 @@ def evolve(
     evaluated at sub-stage times.  The samples come back as a
     ``Trajectory``; every sample carries the metric at its instant and
     the physical norm, which stays constant to the integrator's order.
-    A trajectory that would cross the exceptional-point margin aborts
-    with the completed prefix attached to the raised error; the
+    A trajectory that would cross the exceptional-point margin of an even
+    N aborts with the completed prefix attached to the raised error; the
     earliest state whose norm is complex or non-finite raises
     ``NonRealNorm``.  Bad inputs raise ``ValueError`` (``_check_inputs``).
     """

@@ -1013,20 +1013,30 @@ def test_site_count_below_two_is_a_usage_error(capsys, argv, n):
 
 EVOLVE_2 = ("evolve", "--n", "2", "--psi0", "1,0,0,0", "--t1", "1", "--dt", "0.1")
 MALFORMED_ARGV = {
-    "robin_count": (("spectrum", "--n", "2", "--robin", "1,1"), "argument --robin: "),
-    "empty_kappa": (("metric", "--n", "2", "--r", "0.5", "--kappa", ","), "argument --kappa: "),
-    "empty_phi_grid": (("n2verify", "--phi-grid", ""), "argument --phi-grid: "),
+    "robin_count": (("spectrum", "--n", "2", "--robin", "1,1"),
+                    "argument --robin: expected alpha,beta,h"),
+    "empty_kappa": (("metric", "--n", "2", "--r", "0.5", "--kappa", ","),
+                    "argument --kappa: expected a comma-separated list of numbers"),
+    "empty_phi_grid": (("n2verify", "--phi-grid", ""),
+                       "argument --phi-grid: expected a comma-separated list of numbers"),
     "epscan_no_samples": (("epscan", "--n", "2", "--r-min", "0", "--r-max", "1",
                            "--samples", "0"), "--samples must be at least 1"),
     "observable_missing": ((*EVOLVE_2, "--profile", "constant:phi=1",
-                            "--observable", "file:{missing}"), "argument --observable: "),
+                            "--observable", "file:{missing}"),
+                           "argument --observable: {missing} not found"),
     "observable_not_nx2n": ((*EVOLVE_2, "--profile", "constant:phi=1",
-                             "--observable", "file:{wide}"), "argument --observable: "),
+                             "--observable", "file:{wide}"),
+                            "argument --observable: {wide}: matrix CSV needs N rows and 2N re,im"),
     "observable_kind": ((*EVOLVE_2, "--profile", "constant:phi=1", "--observable", "energy"),
-                        "argument --observable: "),
-    "table_missing": ((*EVOLVE_2, "--profile", "table:{missing}"), "argument --profile: "),
-    "table_three_columns": ((*EVOLVE_2, "--profile", "table:{three}"), "argument --profile: "),
-    "profile_item": ((*EVOLVE_2, "--profile", "linear:phi0=1,omega"), "argument --profile: "),
+                        "argument --observable: observable must be 'hamiltonian' or 'file:PATH'"),
+    "table_missing": ((*EVOLVE_2, "--profile", "table:{missing}"),
+                      "argument --profile: {missing} not found"),
+    "table_three_columns": ((*EVOLVE_2, "--profile", "table:{three}"),
+                            "argument --profile: {three}: expected two columns t,phi"),
+    "profile_item": ((*EVOLVE_2, "--profile", "linear:phi0=1,omegaa"),
+                     "argument --profile: profile item 'omegaa' is not key=value"),
+    "profile_keys": ((*EVOLVE_2, "--profile", "linear:phi0=1,omegaa=2"),
+                     "argument --profile: profile 'linear' takes exactly phi0, omega, got phi0, omegaa"),
 }
 
 
@@ -1041,7 +1051,7 @@ def test_malformed_flag_values_are_usage_errors(capsys, tmp_path, argv, error):
     files = _malformed_files(tmp_path)
     code, out, err = invoke(capsys, *(item.format(**files) for item in argv))
     assert code == 1 and out == ""
-    assert err.splitlines()[-1].startswith(f"nipsqw: error: {error}"), err
+    assert err.splitlines()[-1].startswith(f"nipsqw: error: {error.format(**files)}"), err
 
 
 FLAG_REASONS = {
@@ -1050,17 +1060,18 @@ FLAG_REASONS = {
     "observable_missing": (cli._observable_flag, "file:{missing}", "missing.csv not found"),
     "observable_not_nx2n": (cli._observable_flag, "file:{wide}", "N rows and 2N re,im columns"),
     "observable_kind": (cli._observable_flag, "energy", "'hamiltonian' or 'file:PATH'"),
-    "table_missing": (cli._profile_flag, "table:{missing}", "missing.csv not found"),
-    "table_three_columns": (cli._profile_flag, "table:{three}", "expected two columns t,phi"),
-    "profile_item": (cli._profile_flag, "linear:phi0=1,omega", "'omega' is not key=value"),
+    "table_missing": (PhiProfile.from_spec, "table:{missing}", "missing.csv not found"),
+    "table_three_columns": (PhiProfile.from_spec, "table:{three}", "expected two columns t,phi"),
+    "profile_item": (PhiProfile.from_spec, "linear:phi0=1,omega", "'omega' is not key=value"),
 }
 
 
 @pytest.mark.parametrize("parse, text, reason", FLAG_REASONS.values(), ids=FLAG_REASONS.keys())
 def test_each_malformed_flag_value_names_its_reason(tmp_path, parse, text, reason):
-    # argparse reports only the flag and its value; the parser holds the reason
-    with pytest.raises(ValueError, match=re.escape(reason)):
-        parse(text.format(**_malformed_files(tmp_path)))
+    # argparse prints the message of an ArgumentTypeError only: the adapter
+    # turns each parser's ValueError or OSError into one with its reason
+    with pytest.raises(argparse.ArgumentTypeError, match=re.escape(reason)):
+        cli._flag(parse)(text.format(**_malformed_files(tmp_path)))
 
 
 def test_tolerance_override_file(capsys, tmp_path, monkeypatch):

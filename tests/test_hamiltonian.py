@@ -251,6 +251,29 @@ def test_profile_refuses_an_unknown_kind():
 
 
 @pytest.mark.parametrize(
+    "kind, params, spline, reason",
+    [
+        ("linear", {"phi0": 1.0}, None, "'linear' takes exactly phi0, omega, got phi0"),
+        ("constant", {"phi": 1.0, "extra": 2.0}, None, "takes exactly phi, got phi, extra"),
+        ("sinusoidal", {}, None, "takes exactly phi0, amp, freq, got nothing"),
+        ("tabulated", {"t_min": 0.0, "t_max": 1.0}, None, "only it, takes a spline"),
+        ("constant", {"phi": 1.0}, "spline", "only it, takes a spline"),
+    ],
+)
+def test_profile_refuses_what_it_cannot_evaluate(kind, params, spline, reason):
+    # each would otherwise be built and fail only when called, or show an
+    # extra key in its repr
+    with pytest.raises(ValueError, match=reason):
+        PhiProfile(kind, params, spline)
+
+
+def test_profile_keeps_its_law_order():
+    profile = PhiProfile("linear", {"omega": 0.5, "phi0": 1.0})
+    assert list(profile.params) == ["phi0", "omega"]
+    assert repr(profile) == "PhiProfile.linear(phi0=1, omega=0.5)"
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "constant",

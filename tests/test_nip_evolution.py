@@ -433,6 +433,16 @@ def test_coriolis_guards_the_coalescence_margin():
         coriolis(2, PhiProfile.linear(1e-9, 1.0), t=0.0)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_coriolis_at_odd_n_is_finite_where_sin_phi_vanishes(n):
+    # no pair of an odd N meets at sin phi = 0, so the margin lets it pass;
+    # dH/dphi is proportional to sin phi, so there Sigma vanishes
+    sigma = coriolis(n, PhiProfile.linear(0.0, 1.0), t=0.0)
+    assert np.isfinite(sigma).all() and spectral_norm(sigma) <= 1e-12
+    with pytest.raises(EPProximity, match=f"where levels {n // 2 + 1} and {n // 2 + 2} meet"):
+        coriolis(n + 1, PhiProfile.linear(0.0, 1.0), t=0.0)
+
+
 # -------------------------------------------------------------- generator
 
 
@@ -570,7 +580,7 @@ def test_evolve_aborts_at_margin_with_partial_trajectory():
     assert ts[-1] < err.t_fail
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 4])
 def test_margin_abort_keeps_the_prefix_before_the_first_refused_stage(n):
     # the prefix ends at the last step whose stages all clear the margin,
     # and it is the trajectory a run to that step returns
@@ -757,6 +767,28 @@ def test_evolve_crosses_the_hermitian_angle_at_fourth_order(n, map_kind):
     fine = drift(0.01)
     assert fine <= 1e-8
     assert drift(0.02) / fine >= 8.0
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+@pytest.mark.parametrize("phi0", [-0.5, np.pi - 0.5], ids=["zero", "pi"])
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_an_odd_well_crosses_sin_phi_zero_at_fourth_order(n, phi0, map_kind):
+    # only an even N has a pair of levels that meets at sin phi = 0, so an
+    # odd N drives through phi = 0 or pi under the default margin, and its
+    # gap to the textbook solution falls 2^4-fold with the step
+    profile, psi0 = PhiProfile.linear(phi0, 1.0), np.ones(n, dtype=complex)
+
+    def gap(dt):
+        states = evolve(n, profile, psi0, 0.0, 1.0, dt, map_kind=map_kind)
+        partner = textbook_evolve(n, profile, psi0, 0.0, 1.0, dt, map_kind=map_kind)
+        assert drift_of(states) <= 1e-8
+        mapped = (states.omega @ states.psi[..., None])[..., 0]
+        return np.max(np.linalg.norm(mapped - partner.psi, axis=1)
+                      / np.linalg.norm(partner.psi, axis=1))
+
+    fine = gap(0.01)
+    assert fine <= 1e-8
+    assert 14.0 <= gap(0.02) / fine <= 18.0
 
 
 def ketket_map_exact(n, profile, psi0, t1, dt):
@@ -954,7 +986,7 @@ def test_trajectory_rows_are_read_only(n, integrate):
         np.testing.assert_array_equal(getattr(states, field), copy)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 4])
 def test_the_margin_prefix_is_the_trajectory_of_a_run_that_stops_short(n):
     profile, dt, psi0 = PhiProfile.linear(0.5, -0.25), 0.01, np.ones(n) + 0.25j
     with pytest.raises(EPProximity) as info:
@@ -1474,6 +1506,21 @@ def test_a_gate_row_whose_norms_overflow_raises_as_the_exact_residual_does():
     assert str(gate.value) == str(exact.value)
     with np.errstate(over="ignore"):  # the exact residual reads 0 / inf
         assert nip_evolution._expectation_stack(kets, thetas, lams)[1] == [None]
+
+
+def test_an_overflowing_mismatch_takes_the_residual_at_a_scale_that_fits():
+    # Lambda^dagger Theta overflows: the exact residual scales Lambda and
+    # Theta by powers of two, so the gate reads the true residual and the
+    # expectation, not the SVD of a non-finite M, is what is refused
+    state = evolve(2, PhiProfile.linear(1.0, 0.3), [1, 0.5], 0, 0.02, 0.01)[0]
+    with pytest.warns(RuntimeWarning):  # the overflowing matmul
+        with pytest.raises(NonRealNorm, match="expectation came out non-finite"):
+            expectation(state, np.diag([1e308, 1e308]))
+    h = build_h(3, 0.5j) / 2
+    theta = build_metric(ketkets(build_h(3, 0.8j)), np.ones(3))
+    with pytest.warns(RuntimeWarning):  # the overflowing matmul
+        residual = metric.quasi_hermiticity_residual(1e308 * h, theta)
+    assert residual == pytest.approx(metric.quasi_hermiticity_residual(h, theta), rel=1e-14)
 
 
 # ------------------------------------------------ properties of every state

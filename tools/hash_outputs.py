@@ -1,6 +1,6 @@
 """Fingerprint library and CLI outputs, to show a refactor moves no bit.
 
-Prints eight sha256 lines:
+Prints nine sha256 lines:
 
 * ``library <integration> <map>``, one line for each of ``evolve`` and
   ``textbook_evolve`` on each map: all six stacks of every call of that
@@ -12,8 +12,9 @@ Prints eight sha256 lines:
 * ``refusals``: the error type, message and prefix length (or the stacks
   of a clean run) of drives towards the exceptional point under raised
   ``eps_singular``, ``eps_pd`` and ``ep_margin``, at N = 2 to 6;
-* ``evolve-cli``: every table, stdout, stderr and exit code of the
-  benchmark's evolve-cli ops, two rounds of seeds 1-3, run in process;
+* ``evolve-cli`` and ``scan-cli``: every table, stdout, stderr and exit
+  code of the benchmark's ops of that workload, two rounds of seeds 1-3,
+  run in process;
 * ``snapshots`` and ``two-site snapshots``: H, Sigma, G and both spectra
   of every ``generator`` snapshot (or its refusal) of a grid of drives,
   instants and tolerances, at N = 3, 4, 5, 8, 16 and at N = 2.
@@ -125,12 +126,12 @@ def snapshot_hash(sizes):
     return digest.hexdigest()
 
 
-def cli_hash():
+def cli_hash(workload):
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
         out, table = Path(work) / "op.out", Path(work) / "profile.csv"
         for seed in (1, 2, 3):
-            batches = rounds("evolve-cli", seed)
+            batches = rounds(workload, seed)
             for _ in range(2):
                 for op in next(batches):
                     out.unlink(missing_ok=True)
@@ -148,6 +149,7 @@ if __name__ == "__main__":
     for (name, map_kind), line in library_hashes().items():
         print("library", name, map_kind, line)
     print("refusals  ", refusal_hash())
-    print("evolve-cli", cli_hash())
+    print("evolve-cli", cli_hash("evolve-cli"))
     print("snapshots ", snapshot_hash((3, 4, 5, 8, 16)))
     print("two-site snapshots", snapshot_hash((2,)))
+    print("scan-cli  ", cli_hash("scan-cli"))
