@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nipsqw.config import get_tolerances
 from nipsqw.errors import (
     NoConvergence,
     NotHermitian,
@@ -14,7 +15,6 @@ from nipsqw.errors import (
 )
 from nipsqw import matrix_core, metric
 from nipsqw.hamiltonian import build_h, z_from_phi
-from nipsqw.config import get_tolerances
 from nipsqw.matrix_core import (
     EigenDecomposition,
     _eigen_arrays,
