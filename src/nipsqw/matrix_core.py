@@ -193,7 +193,7 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
     # the slack keeps rounding in either norm from passing a refused defect
     bound = _RESIDUAL_CAP * (1 - 1e-9) * frob
     bound /= np.sqrt(stack.shape[-1])
-    past = [k for k, error in enumerate(errors) if error is None and not defect[k] <= bound[k]]
+    past = [k for k in np.flatnonzero(~(defect <= bound)).tolist() if errors[k] is None]
     norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0] if past else []
     for k, residual in zip(past, defect[past] / norm_a):
         if residual > _RESIDUAL_CAP:

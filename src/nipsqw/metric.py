@@ -122,15 +122,15 @@ def _gauged_bases(values, unit, failures):
     n = unit.shape[-1]
     with np.errstate(divide="ignore"):
         condition = n / np.abs(np.einsum("mij,mij->mj", unit, unit)).min(axis=-1)
-    errors = [
-        DefectiveAtEP(f"adjoint eigenproblem did not converge: {failure}") if failure
-        else None if cond < COND_CEILING
-        else DefectiveAtEP("eigenvector matrix is numerically singular")
-        for failure, cond in zip(failures, condition)
-    ]
+    errors = [None] * len(failures)
+    for k in np.flatnonzero(~(condition < COND_CEILING)).tolist():
+        errors[k] = DefectiveAtEP("eigenvector matrix is numerically singular")
+    failed = [k for k, failure in enumerate(failures) if failure] if any(failures) else []
+    for k in failed:
+        errors[k] = DefectiveAtEP(f"adjoint eigenproblem did not converge: {failures[k]}")
     pivots = unit[:, _pivot_rows(n), np.arange(n)]
     # a failed solve holds identity columns, whose pivot entries may vanish
-    pivots[[error is not None for error in errors]] = 1.0
+    pivots[failed] = 1.0
     return values, unit / pivots[:, None, :], errors
 
 
@@ -154,12 +154,17 @@ def _well_angles(n: int, r):
     precision:
     g(u) = N u - j pi - atan2(kappa cos u, sin u) = 0 on [j pi/N, (j+1) pi/N],
     j = N/2 - k, with g' = N + kappa / (sin^2 u + kappa^2 cos^2 u).
-    Safeguarded Newton: a step that leaves the bracket bisects it instead,
-    and a root stops when the step or the bracket is within 4 eps u.  For
-    j = 0, the pair that meets at r = 0, the start is the root of
-    N u = atan(kappa / u) with atan(q) ~ q / sqrt(1 + (2q/pi)^2), within
-    30% of the true one; otherwise it is one fixed-point step
-    u = (j pi + atan2(kappa cos u, sin u)) / N from the bracket's middle.
+    Plain Newton needs no bracket: for 0 <= kappa <= 1, g is increasing and
+    concave on [0, pi/2], which holds every bracket, as g'' = -kappa
+    (1 - kappa^2) sin 2u / (sin^2 u + kappa^2 cos^2 u)^2 <= 0.  So every
+    iterate lands at or left of the root, and not left of the bracket, as
+    g(u) <= N u - j pi <= g'(u) (u - j pi/N); from there it climbs to the
+    root.  A root stops when its step is within 4 eps u.  For j = 0, the
+    pair that meets at r = 0, the start is the root of N u = atan(kappa / u)
+    with atan(q) ~ q / sqrt(1 + (2q/pi)^2), within 30% of the true one, and
+    at kappa = 0 the root u = 0 itself; otherwise one fixed-point step
+    u = (j pi + atan2(kappa cos u, sin u)) / N from the bracket's middle,
+    left of the root as the atan2 is at most pi/2.
     A root that has stopped no longer moves, so each matrix's angles do not
     depend on the rest of the stack.  Returns the (m, N//2) angles, largest
     first, and per matrix whether all of them converged within
@@ -168,31 +173,24 @@ def _well_angles(n: int, r):
     r = np.asarray(r, dtype=float)[:, None]
     kappa = r * r / (2.0 - r * r)
     j = n / 2 - np.arange(1, n // 2 + 1)
-    lo = np.broadcast_to(j * np.pi / n, (len(r), len(j)))
-    hi = lo + np.pi / n
     t = 2 * n * kappa / np.pi**2
-    mid = (lo + hi) / 2
+    lo = j * np.pi / n
+    mid = (lo + (lo + np.pi / n)) / 2
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(
             j == 0,
             np.sqrt(kappa / n / (t + np.sqrt(1 + t * t))),
             (j * np.pi + np.arctan2(kappa * np.cos(mid), np.sin(mid))) / n,
         )
-        u = np.clip(u, lo, hi)
-        done = np.zeros(u.shape, dtype=bool)
+        done = u == 0  # kappa = 0: the root itself, where g' is 0 / 0
         for _ in range(_ANGLE_STEPS):
             sin_u, cos_u = np.sin(u), np.cos(u)
             g = n * u - j * np.pi - np.arctan2(kappa * cos_u, sin_u)
             step = g / (n + kappa / (sin_u * sin_u + (kappa * cos_u) ** 2))
-            lo = np.where(g <= 0, u, lo)
-            hi = np.where(g >= 0, u, hi)
-            tight = 4 * np.finfo(float).eps * u
-            done |= (np.abs(step) <= tight) | (hi - lo <= tight)
+            done |= np.abs(step) <= 4 * np.finfo(float).eps * u
             if done.all():
                 break
-            nxt = u - step
-            nxt = np.where((nxt > lo) & (nxt < hi), nxt, (lo + hi) / 2)
-            u = np.where(done, u, nxt)
+            u = np.where(done, u, u - step)
     return u, done.all(axis=-1)
 
 
@@ -241,10 +239,9 @@ def _well_ketket_stack(h: np.ndarray, r):
     )
     values = (2.0 + 2.0 * np.concatenate([x[:, odd:][:, ::-1], -x], axis=-1)).astype(complex)
     values[~converged] = np.nan
-    failures = [
-        None if ok else NoConvergence(f"angle solve exhausted {_ANGLE_STEPS} Newton steps")
-        for ok in converged
-    ]
+    failures = [None] * len(converged)
+    for k in np.flatnonzero(~converged).tolist():
+        failures[k] = NoConvergence(f"angle solve exhausted {_ANGLE_STEPS} Newton steps")
     unit = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
     _residual_refusals(h.conj().swapaxes(-1, -2), values, unit, failures)
     return _gauged_bases(values, unit, failures)
@@ -404,8 +401,10 @@ def _dyson_stack(vectors: np.ndarray, tol: Tolerances):
 def _dyson_refusals(usable, tol: Tolerances) -> list:
     """Per ketket map None, or the SingularDyson of a level at the floor."""
     why = f"a level's reciprocal condition at or below {tol.eps_singular:g}"
-    return [None if ok else SingularDyson(f"ketket columns nearly dependent: {why}")
-            for ok in usable]
+    errors = [None] * len(usable)
+    for k in np.flatnonzero(~usable).tolist():
+        errors[k] = SingularDyson(f"ketket columns nearly dependent: {why}")
+    return errors
 
 
 def dyson_hermitian(theta) -> MetricBundle:

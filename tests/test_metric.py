@@ -16,6 +16,7 @@ from nipsqw.matrix_core import adjoint, eig_general, eig_hermitian, inverse, spe
 from nipsqw.metric import (
     KetketBasis,
     _dyson_stack,
+    _well_angles,
     build_metric,
     dyson_from_ketkets,
     dyson_hermitian,
@@ -318,6 +319,51 @@ def test_per_level_condition_matches_high_precision(n):
             for j in range(n)
         )
     assert got == pytest.approx(float(want), rel=1e-12)
+
+
+#: couplings of the angle-solve tests: zero, the smallest scales, and
+#: log-spaced magnitudes of either sign up to the Hermitian end |r| = 1
+ANGLE_COUPLINGS = np.concatenate(
+    [[0.0, 1e-300, -1e-300], np.logspace(-12, 0, 25), -np.logspace(-12, 0, 25)]
+)
+
+
+def _brackets(n):
+    j = n / 2 - np.arange(1, n // 2 + 1)
+    return j, j * np.pi / n, (j + 1) * np.pi / n
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_angle_solve_converges_inside_every_bracket(n):
+    # g is increasing and concave on each bracket, so plain Newton with no
+    # safeguard converges there from every start the solve makes
+    angles, converged = _well_angles(n, ANGLE_COUPLINGS)
+    _, lo, hi = _brackets(n)
+    assert converged.all()
+    assert ((lo <= angles) & (angles <= hi)).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 24, 63, 64])
+def test_angle_solve_matches_high_precision_roots(n):
+    # each angle is within the freeze rule's 4 eps u, plus 2 ulp of rounding,
+    # of the 50-digit root of g(u) = N u - j pi - atan2(kappa cos u, sin u)
+    # at the solve's own kappa: a root stops before a step that small
+    r = np.array([0.0, 1e-300, 1e-12, 1e-5, -0.3, 0.7, 0.99, 1.0])
+    angles, _ = _well_angles(n, r)
+    j_values, _, _ = _brackets(n)
+    with mpmath.workdps(50):
+        for row, k in zip(angles, (r * r / (2.0 - r * r)).tolist()):
+            for u, j in zip(row.tolist(), j_values.tolist()):
+                lo, hi = j * mpmath.pi / n, (j + 1) * mpmath.pi / n
+                if k == 0.0:  # the root is the bracket's left end
+                    root = lo
+                else:  # g is monotonic, so the one root in the bracket
+                    root = mpmath.findroot(
+                        lambda x: n * x - j * mpmath.pi - mpmath.atan2(k * mpmath.cos(x), mpmath.sin(x)),
+                        mpmath.mpf(u))
+                assert lo <= root <= hi
+                bound = 4 * np.finfo(float).eps * float(root) + 2 * np.spacing(float(root))
+                assert abs(u - float(root)) <= bound, (n, k, j, u, root)
 
 
 def test_dyson_refuses_columns_that_are_not_c_orthogonal():

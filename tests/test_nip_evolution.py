@@ -1208,6 +1208,40 @@ def test_another_threads_block_never_answers_for_this_one(map_kind):
     assert (wrong, failures) == (0, [])
 
 
+def _same_bits(a, b):
+    """Equal values, NaNs and signs of zero in both parts of two arrays."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and all(
+        np.array_equal(x, y, equal_nan=True) and (np.signbit(x) == np.signbit(y)).all()
+        for x, y in ((a.real, b.real), (a.imag, b.imag))
+    )
+
+
+def test_two_site_map_matches_its_three_transcendental_reference():
+    # one exponential e = exp(-i phi) per stage gives the mirror sign from
+    # Im e = -sin phi and cos phi from Re e: bit for bit what the long-double
+    # sin for the mirror, exp at the mirrored angle and complex cos give,
+    # the sign rule at sin phi = 0 included
+    cld = np.clongdouble
+    rng = np.random.default_rng(29)
+    phis = np.concatenate([
+        [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 1e-300, -1e-300],
+        rng.uniform(-7.0, 7.0, 400),
+    ])
+    angles = phis.astype(np.longdouble)
+    mirror = np.where(np.sin(angles) < 0, -1.0, 1.0)
+    e = np.exp(cld(-1j) * (mirror * angles).astype(cld))
+    z = 1j * np.cos((mirror * angles).astype(cld))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the map is singular at sin phi = 0
+        h, theta, omega, omega_inv, levels, slope = nip_evolution._two_site_map(phis)
+        inverse_scale = 1.0 / (1.0 - e * e)
+    assert _same_bits(h[:, 0, 0], 2.0 - z) and _same_bits(h[:, 1, 1], 2.0 + z)
+    assert _same_bits(omega[:, 0, 1], -1j * e) and _same_bits(omega[:, 1, 0], 1j * e)
+    assert _same_bits(levels, np.stack([2.0 - e.imag, 2.0 + e.imag], axis=-1))
+    assert _same_bits(omega_inv[:, 0, 0], inverse_scale)
+    assert _same_bits(slope()[:, 1, 0], np.where(mirror < 0, -e, e))
+
+
 def _spy_on_two_site_maps(monkeypatch):
     """Blocks handed to the closed-form two-site map, as stage counts."""
     build, blocks = nip_evolution._two_site_map, []
