@@ -12,15 +12,11 @@ phi with z = i*cos(phi) so that the coupling strength is sin(phi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateBoundary, OutOfRange
 from .matrix_core import as_square, spectral_norm
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 
 @dataclass(frozen=True)
@@ -87,23 +83,59 @@ def build_h(n: int, z) -> np.ndarray:
     return h
 
 
+def _not_a_knot(t, p) -> np.ndarray:
+    """Coefficients (4, K - 1) of the not-a-knot cubic spline through K knots.
+
+    ``CubicSpline``'s default spline: the knot slopes m solve its
+    tridiagonal system, interior rows h_i m_(i-1) + 2 (h_(i-1) + h_i) m_i +
+    h_(i-1) m_(i+1) = 3 (h_i d_(i-1) + h_(i-1) d_i) over the widths h and
+    chord slopes d, and an end row asking one cubic across the two end
+    intervals.  Each end row taken from its neighbour leaves a diagonally
+    dominant system in the interior slopes, solved by one forward and one
+    backward sweep; the end rows then give the end slopes.  Interval i
+    holds ((c_3 s + c_2) s + c_1) s + c_0 at s = t - t_i, so its slope is
+    (3 c_3 s + 2 c_2) s + c_1.
+    """
+    h = np.diff(t)
+    d = np.diff(p) / h
+    first, last = h[0] + h[1], h[-1] + h[-2]
+    ends = (((h[0] + 2 * first) * h[1] * d[0] + h[0] ** 2 * d[1]) / first,
+            (h[-1] ** 2 * d[-2] + (2 * last + h[-1]) * h[-2] * d[-1]) / last)
+    rhs = 3 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+    rhs[[0, -1]] -= ends
+    diag = 2 * (h[:-1] + h[1:])
+    diag[[0, -1]] = first, last
+    widths, diag, rhs = h.tolist(), diag.tolist(), rhs.tolist()
+    for i in range(1, len(diag)):  # forward: row i - 1 clears row i's lower entry
+        w = widths[i + 1] / diag[i - 1]
+        diag[i] -= w * widths[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    m = [rhs[-1] / diag[-1]]  # backward, from the last interior slope
+    for i in range(len(diag) - 2, -1, -1):
+        m.append((rhs[i] - widths[i] * m[-1]) / diag[i])
+    m = np.array([(ends[0] - first * m[-1]) / h[1], *m[::-1], (ends[1] - last * m[0]) / h[-2]])
+    excess = (m[:-1] + m[1:] - 2 * d) / h
+    return np.stack([p[:-1], m[:-1], (d - m[:-1]) / h - excess, excess / h])
+
+
 class PhiProfile:
     """Driving angle phi(t) together with its exact time derivative.
 
     Calling the profile returns the pair (phi, phi_dot); both scalars
     and arrays of times are accepted.  Tabulated profiles interpolate
-    with a cubic spline and differentiate the spline itself, never the
-    raw samples; they refuse times outside the table with ``OutOfRange``
-    instead of extrapolating.
+    with the not-a-knot cubic spline (``_not_a_knot``) and differentiate
+    the spline itself, never the raw samples; they refuse times outside
+    the table with ``OutOfRange`` instead of extrapolating.
     """
 
     #: each law's parameter names, in the order of ``params`` and the repr
     LAWS = {"constant": ("phi",), "linear": ("phi0", "omega"),
             "sinusoidal": ("phi0", "amp", "freq"), "tabulated": ("t_min", "t_max")}
 
-    def __init__(self, kind: str, params: dict, spline: CubicSpline | None = None):
-        """A law of ``LAWS`` with exactly its parameters, and a spline for
-        ``tabulated`` only; else ValueError."""
+    def __init__(self, kind: str, params: dict, spline: tuple | None = None):
+        """A law of ``LAWS`` with exactly its parameters, and a spline, the
+        knots and their ``_not_a_knot`` coefficients, for ``tabulated``
+        only; else ValueError."""
         if kind not in self.LAWS:
             raise ValueError(f"unknown profile kind {kind!r}")
         names = self.LAWS[kind]
@@ -115,7 +147,6 @@ class PhiProfile:
         self.kind = kind
         self.params = {name: params[name] for name in names}
         self._spline = spline
-        self._spline_dot = spline.derivative() if spline is not None else None
 
     @classmethod
     def _law(cls, kind: str, *values, spline=None) -> "PhiProfile":
@@ -135,16 +166,13 @@ class PhiProfile:
 
     @classmethod
     def tabulated(cls, times, phis) -> "PhiProfile":
-        # scipy.interpolate is most of a cold start, so only tables load it
-        from scipy.interpolate import CubicSpline
-
         t = np.asarray(times, dtype=float)
         p = np.asarray(phis, dtype=float)
         if t.ndim != 1 or t.shape != p.shape or t.size < 4:
             raise ValueError("tabulated profile needs matching 1-d arrays, >= 4 samples")
         if np.any(np.diff(t) <= 0):
             raise ValueError("tabulated times must be strictly increasing")
-        return cls._law("tabulated", t[0], t[-1], spline=CubicSpline(t, p))
+        return cls._law("tabulated", t[0], t[-1], spline=(t, _not_a_knot(t, p)))
 
     @classmethod
     def from_spec(cls, text: str) -> "PhiProfile":
@@ -196,8 +224,12 @@ class PhiProfile:
                     f"time {outside.flat[0]:.17g} is outside the table's span "
                     f"[{lo:.17g}, {hi:.17g}]"
                 )
-            phi = self._spline(t_arr)
-            dot = self._spline_dot(t_arr)
+            knots, coefficients = self._spline
+            k = np.clip(np.searchsorted(knots, t_arr, side="right") - 1, 0, len(knots) - 2)
+            s = t_arr - knots[k]
+            c0, c1, c2, c3 = coefficients[:, k]
+            phi = ((c3 * s + c2) * s + c1) * s + c0
+            dot = (3 * c3 * s + 2 * c2) * s + c1
         if t_arr.ndim == 0:
             return float(phi), float(dot)
         return np.asarray(phi, dtype=float), np.asarray(dot, dtype=float)

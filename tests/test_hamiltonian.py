@@ -193,6 +193,24 @@ def test_profile_tabulated_derivative_tracks_analytic():
         assert dot == pytest.approx(0.6 * np.cos(2.0 * tq), abs=1e-5)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_profile_tabulated_matches_scipys_not_a_knot_spline(seed):
+    # the numpy spline is CubicSpline's default one: values and slopes agree
+    # to rounding on random, unevenly spaced tables of 4-400 knots, at the
+    # knots and between them, and past the span both are refused
+    cubic_spline = pytest.importorskip("scipy.interpolate").CubicSpline
+    rng = np.random.default_rng(seed)
+    for knots in rng.integers(4, 401, size=10).tolist() + [4, 5]:
+        t = rng.uniform(-3.0, 3.0) + np.cumsum(rng.uniform(0.1, 1.0, knots)) * rng.uniform(0.01, 100)
+        phis = rng.uniform(-1.0, 1.0) + rng.standard_normal(knots).cumsum() * rng.uniform(0.01, 3)
+        profile, reference = PhiProfile.tabulated(t, phis), cubic_spline(t, phis)
+        grid = np.concatenate([t, rng.uniform(t[0], t[-1], 200)])
+        for got, want in zip(profile(grid), (reference(grid), reference(grid, 1))):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (seed, knots)
+        with pytest.raises(OutOfRange, match="outside the table"):
+            profile(t[-1] + (t[-1] - t[0]) * 1e-6)
+
+
 def test_profile_tabulated_rejects_unsorted():
     with pytest.raises(ValueError):
         PhiProfile.tabulated([0.0, 1.0, 0.5, 2.0], [1.0, 1.1, 1.2, 1.3])
