@@ -172,7 +172,11 @@ class PhiProfile:
             raise ValueError("tabulated profile needs matching 1-d arrays, >= 4 samples")
         if np.any(np.diff(t) <= 0):
             raise ValueError("tabulated times must be strictly increasing")
-        return cls._law("tabulated", t[0], t[-1], spline=(t, _not_a_knot(t, p)))
+        with np.errstate(all="ignore"):  # an overflow shows in the coefficients
+            coefficients = _not_a_knot(t, p)
+        if not np.isfinite(coefficients).all():
+            raise ValueError("tabulated profile takes finite numbers only, spline included")
+        return cls._law("tabulated", t[0], t[-1], spline=(t, coefficients))
 
     @classmethod
     def from_spec(cls, text: str) -> "PhiProfile":

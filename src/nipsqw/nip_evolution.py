@@ -448,6 +448,10 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
 
     steps, taus = _stage_times(t0, t1, dt)
     phis, rates = profile(np.asarray(taus, dtype=float))
+    unfit = np.flatnonzero(~(np.isfinite(phis) & np.isfinite(rates)))
+    if unfit.size:
+        time = float(taus[unfit[0]])
+        raise ValueError(f"profile angle phi or its rate is not finite at t = {time:.6g}")
 
     # the prefix ends at the last step whose stages all clear the margin;
     # usable is -1 when the first stage is inside it
@@ -530,7 +534,9 @@ def evolve(
     A trajectory that would cross the exceptional-point margin of an even
     N aborts with the completed prefix attached to the raised error; the
     earliest state whose norm is complex or non-finite raises
-    ``NonRealNorm``.  Bad inputs raise ``ValueError`` (``_check_inputs``).
+    ``NonRealNorm``.  Bad inputs raise ``ValueError`` (``_check_inputs``),
+    and so does a profile angle or rate that is not finite, at its first
+    stage time, before any stage is solved.
     """
     return _integrate(
         n, profile, psi0, t0, t1, dt, tol, textbook=False, map_kind=map_kind

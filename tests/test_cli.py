@@ -986,6 +986,23 @@ def test_non_finite_numbers_are_usage_errors(capsys, tmp_path, argv):
     assert "finite numbers only" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "rows", ["0,1\n1,nan\n2,1.2\n3,1.3\n", "0,1\n1,-1e308\n2,1e308\n3,-1e308\n"],
+    ids=["nan", "overflowing spline"],
+)
+def test_a_table_that_is_not_finite_is_a_usage_error(capsys, tmp_path, rows):
+    # a table sample, or the spline through finite ones, that is not finite
+    # is refused with the flag, never reaching the integration
+    table = tmp_path / "drive.csv"
+    table.write_text(rows)
+    code, out, err = invoke(capsys, "evolve", "--n", "3", "--profile", f"table:{table}",
+                            "--psi0", "1,0,0,0,0,0", "--t1", "1", "--dt", "0.1")
+    assert code == 1 and out == "" and "Warning" not in err
+    assert err.splitlines()[-1] == (
+        "nipsqw: error: argument --profile: "
+        "tabulated profile takes finite numbers only, spline included"), err
+
+
 @pytest.mark.parametrize("spacing", ["-0.1", "0"])
 def test_non_positive_robin_spacing_is_a_usage_error(capsys, spacing):
     code, out, err = invoke(capsys, "spectrum", "--n", "4", "--robin", f"1,1,{spacing}")

@@ -1208,6 +1208,16 @@ def test_another_threads_block_never_answers_for_this_one(map_kind):
     assert (wrong, failures) == (0, [])
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+def test_a_profile_angle_that_is_not_finite_is_refused_at_its_time(n, integrate):
+    # phi = 0.5 + 1e308 t overflows at the stage t = 2, which is refused by
+    # name before any well solve: N = 3 would exhaust the angle solve's
+    # Newton steps there, and N = 4 report a complex norm or the margin
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite at t = 2$"):
+        integrate(n, PhiProfile.linear(0.5, 1e308), np.ones(n), 0.0, 3.0, 1.0)
+
+
 def _same_bits(a, b):
     """Equal values, NaNs and signs of zero in both parts of two arrays."""
     a, b = np.asarray(a), np.asarray(b)
