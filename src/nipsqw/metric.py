@@ -175,7 +175,7 @@ def _well_angles(n: int, r):
     j = n / 2 - np.arange(1, n // 2 + 1)
     t = 2 * n * kappa / np.pi**2
     lo = j * np.pi / n
-    mid = (lo + (lo + np.pi / n)) / 2
+    mid = (lo + (lo + np.pi / n)) / 2  # rounds unlike (j + 1/2) pi / N
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(
             j == 0,
