@@ -80,9 +80,13 @@ def load_overrides(path: str) -> dict:
     return overrides
 
 
+_DEFAULTS = Tolerances()
+
+
 def get_tolerances() -> Tolerances:
-    """Defaults, with the override file applied when the env var is set."""
+    """Defaults, with the override file applied when the env var is set;
+    the file is read on every call, so an edit to it shows at once."""
     path = os.environ.get(ENV_VAR)
     if not path:
-        return Tolerances()
+        return _DEFAULTS
     return Tolerances(**load_overrides(path))

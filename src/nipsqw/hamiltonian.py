@@ -73,11 +73,11 @@ def build_h(n: int, z) -> np.ndarray:
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
     z = np.asarray(z, dtype=complex)
-    sites = np.arange(n)
-    h = np.zeros(z.shape + (n, n), dtype=complex)
-    h[..., sites, sites] = 2.0
-    h[..., sites[1:], sites[:-1]] = -1.0
-    h[..., sites[:-1], sites[1:]] = -1.0
+    well = np.zeros((n, n), dtype=complex)
+    diagonals = well.reshape(-1)  # main, upper and lower diagonals as strided slices
+    diagonals[:: n + 1], diagonals[1 :: n + 1], diagonals[n :: n + 1] = 2.0, -1.0, -1.0
+    h = np.empty(z.shape + (n, n), dtype=complex)
+    h[...] = well  # one copy of the well per corner value
     h[..., 0, 0] = 2.0 - z
     h[..., -1, -1] = 2.0 - np.conj(z)
     return h

@@ -194,7 +194,9 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
     bound = _RESIDUAL_CAP * (1 - 1e-9) * frob
     bound /= np.sqrt(stack.shape[-1])
     past = [k for k in np.flatnonzero(~(defect <= bound)).tolist() if errors[k] is None]
-    norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0] if past else []
+    if not past:
+        return defect
+    norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0]
     for k, residual in zip(past, defect[past] / norm_a):
         if residual > _RESIDUAL_CAP:
             errors[k] = NoConvergence(

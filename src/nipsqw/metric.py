@@ -129,8 +129,8 @@ def _gauged_bases(values, unit, failures):
     for k in failed:
         errors[k] = DefectiveAtEP(f"adjoint eigenproblem did not converge: {failures[k]}")
     pivots = unit[:, _pivot_rows(n), np.arange(n)]
-    # a failed solve holds identity columns, whose pivot entries may vanish
-    pivots[failed] = 1.0
+    if failed:  # a failed solve holds identity columns, whose pivot entries may vanish
+        pivots[failed] = 1.0
     return values, unit / pivots[:, None, :], errors
 
 
@@ -174,20 +174,21 @@ def _well_angles(n: int, r):
     kappa = r * r / (2.0 - r * r)
     j = n / 2 - np.arange(1, n // 2 + 1)
     t = 2 * n * kappa / np.pi**2
-    lo = j * np.pi / n
+    j_pi, tiny = j * np.pi, 4 * np.finfo(float).eps
+    lo = j_pi / n
     mid = (lo + (lo + np.pi / n)) / 2  # rounds unlike (j + 1/2) pi / N
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(
             j == 0,
             np.sqrt(kappa / n / (t + np.sqrt(1 + t * t))),
-            (j * np.pi + np.arctan2(kappa * np.cos(mid), np.sin(mid))) / n,
+            (j_pi + np.arctan2(kappa * np.cos(mid), np.sin(mid))) / n,
         )
         done = u == 0  # kappa = 0: the root itself, where g' is 0 / 0
         for _ in range(_ANGLE_STEPS):
-            sin_u, cos_u = np.sin(u), np.cos(u)
-            g = n * u - j * np.pi - np.arctan2(kappa * cos_u, sin_u)
-            step = g / (n + kappa / (sin_u * sin_u + (kappa * cos_u) ** 2))
-            done |= np.abs(step) <= 4 * np.finfo(float).eps * u
+            sin_u, kappa_cos = np.sin(u), kappa * np.cos(u)
+            g = n * u - j_pi - np.arctan2(kappa_cos, sin_u)
+            step = g / (n + kappa / (sin_u * sin_u + kappa_cos**2))
+            done |= np.abs(step) <= tiny * u
             if done.all():
                 break
             u = np.where(done, u, u - step)
@@ -238,10 +239,11 @@ def _well_ketket_stack(h: np.ndarray, r):
         [below[:, :, ::-1], above[:, :, :odd], above[:, ::-1, odd:].conj()], axis=-1
     )
     values = (2.0 + 2.0 * np.concatenate([x[:, odd:][:, ::-1], -x], axis=-1)).astype(complex)
-    values[~converged] = np.nan
     failures = [None] * len(converged)
-    for k in np.flatnonzero(~converged).tolist():
-        failures[k] = NoConvergence(f"angle solve exhausted {_ANGLE_STEPS} Newton steps")
+    if not converged.all():
+        values[~converged] = np.nan
+        for k in np.flatnonzero(~converged).tolist():
+            failures[k] = NoConvergence(f"angle solve exhausted {_ANGLE_STEPS} Newton steps")
     unit = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
     _residual_refusals(h.conj().swapaxes(-1, -2), values, unit, failures)
     return _gauged_bases(values, unit, failures)

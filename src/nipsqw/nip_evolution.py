@@ -42,6 +42,7 @@ component only turns, by a phase summed by Simpson's rule on the stages.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -261,8 +262,10 @@ def _inside_margin(n, phis, tol):
     an angle with |sin phi| under ``ep_margin`` (or NaN) is refused.  An odd
     N has no such pair: its levels stay apart, so no angle is refused.
     """
-    inside = ~(np.abs(np.sin(phis)) >= tol.ep_margin) if n % 2 == 0 else []
-    return np.flatnonzero(inside), f"where levels {n // 2} and {n // 2 + 1} meet"
+    pair = f"where levels {n // 2} and {n // 2 + 1} meet"
+    if n % 2:
+        return (), pair
+    return np.flatnonzero(~(np.abs(np.sin(phis)) >= tol.ep_margin)), pair
 
 
 def coriolis(n: int, profile: PhiProfile, t: float, tol: Tolerances | None = None) -> np.ndarray:
@@ -280,7 +283,7 @@ def coriolis(n: int, profile: PhiProfile, t: float, tol: Tolerances | None = Non
     if not np.isfinite([t, phi, phi_dot]).all():
         raise ValueError(f"t, phi and its rate must be finite, got {t:g}, {phi:g}, {phi_dot:g}")
     inside, pair = _inside_margin(n, np.array([phi]), tol)
-    if inside.size:
+    if len(inside):
         raise EPProximity(
             f"|sin phi| = {abs(np.sin(phi)):.3e} is inside the "
             f"exceptional-point margin {tol.ep_margin:g} at t = {t:.6g}, {pair}"
@@ -314,7 +317,7 @@ def _stage_times(t0: float, t1: float, dt: float):
     becomes one final shortened step.
     """
     span = t1 - t0
-    n_full = int(np.floor(span / dt + 1e-9))
+    n_full = math.floor(span / dt + 1e-9)
     remainder = span - n_full * dt
     if remainder <= 1e-9 * dt:
         remainder = 0.0
@@ -362,21 +365,27 @@ def _unreal(values, floor=0.0):
     """
     values = np.asarray(values)
     re, im = np.abs(values.real), np.abs(values.imag)
-    finite = (re <= _DOUBLE_MAX) & (im <= _DOUBLE_MAX)
-    refused = np.flatnonzero(~(finite & (im <= IMAG_GATE * np.maximum(floor, re))))
+    # |Im| within the gate of a |Re| that fits a double fits one too
+    passed = (re <= _DOUBLE_MAX) & (im <= IMAG_GATE * np.maximum(floor, re))
+    if passed.all():
+        return {}
     return {
-        k: f"complex ({complex(values[k]):.3e})" if finite[k] else "non-finite"
-        for k in refused.tolist()
+        k: f"complex ({complex(values[k]):.3e})"
+        if re[k] <= _DOUBLE_MAX and im[k] <= _DOUBLE_MAX else "non-finite"
+        for k in np.flatnonzero(~passed).tolist()
     }
 
 
-def _metric_norms(kets, thetas):
+def _metric_norms(kets, thetas=None):
     """<psi_k|Theta_k|psi_k> of each ket against its metric, complex.
 
     Theta psi first, then the inner product, as stacked matmuls: each row
     rounds as ``np.vdot(psi, theta @ psi)`` does, which einsum would not.
+    No ``thetas`` is the identity metric, whose product would move no bit
+    of a norm's real part.
     """
-    return (kets.conj()[:, None, :] @ (thetas @ kets[..., None]))[:, 0, 0]
+    images = kets[..., None] if thetas is None else thetas @ kets[..., None]
+    return (kets.conj()[:, None, :] @ images)[:, 0, 0]
 
 
 def _two_site_map(phis):
@@ -422,7 +431,10 @@ def _check_inputs(n, profile, psi0, t0, t1, dt):
     dt > 0, t0 <= t1, psi0 nonzero and the horizon under 2^53 steps (a
     count a double holds exactly).
     """
-    if not np.all(np.isfinite(tuple(profile.params.values()))):
+    params = tuple(profile.params.values())
+    # the factories give floats, which skip numpy; any other type keeps numpy's verdict
+    if not (all(type(v) is float and math.isfinite(v) for v in params)
+            or np.all(np.isfinite(params))):
         raise ValueError(f"profile {profile!r} takes finite numbers only")
     t0, t1, dt = float(t0), float(t1), float(dt)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
@@ -457,7 +469,7 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
     # usable is -1 when the first stage is inside it
     bad, pair = _inside_margin(n, phis, tol)
     usable, t_fail = len(steps), None
-    if bad.size:
+    if len(bad):
         usable, t_fail = (int(bad[0]) - 1) // 2, float(taus[bad[0]])
 
     rows = usable + 1
@@ -497,7 +509,7 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
                 kets[k] = psi = step.dot(psi)  # in the order of @, with less call overhead
         if not textbook:
             thetas[block], omegas[block] = theta[::2], omega[::2]
-        norms = _metric_norms(kets, thetas[block] if textbook else theta[::2])
+        norms = _metric_norms(kets, None if textbook else theta[::2])
         for k, why in _unreal(norms).items():
             time = float(taus[2 * (lo + k)])
             raise NonRealNorm(f"metric norm came out {why} at t = {time:.6g}")

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import nipsqw
 from nipsqw import cli, matrix_core, metric, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, _emit_table, main, run_identity_suite
-from nipsqw.config import Tolerances
+from nipsqw.config import Tolerances, get_tolerances
 from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
 from nipsqw.n2_oracle import g_eigs
 from nipsqw.nip_evolution import MAP_KINDS
@@ -1153,6 +1153,21 @@ def test_missing_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
     code, _, err = invoke(capsys, "spectrum", "--n", "2", "--r", "0.5")
     assert code == 1
     assert err.splitlines() == [f"nipsqw: error: {missing}: No such file or directory"]
+
+
+def test_tolerances_follow_the_override_file_from_call_to_call(tmp_path, monkeypatch):
+    # without the variable every call shares one default record; with it,
+    # every call reads the file again, so a later setting or edit shows
+    monkeypatch.delenv("NIPSQW_TOL_OVERRIDES", raising=False)
+    assert get_tolerances() is get_tolerances() == Tolerances()
+    overrides = tmp_path / "tol.cfg"
+    overrides.write_text("tol_real = 1e-3\n")
+    monkeypatch.setenv("NIPSQW_TOL_OVERRIDES", str(overrides))
+    assert get_tolerances() == Tolerances(tol_real=1e-3)
+    overrides.write_text("eps_pd = 0.5\nep_margin = 0\n")
+    assert get_tolerances() == Tolerances(eps_pd=0.5, ep_margin=0.0)
+    monkeypatch.delenv("NIPSQW_TOL_OVERRIDES")
+    assert get_tolerances() == Tolerances()
 
 
 # ------------------------------------------------------------------ any argv

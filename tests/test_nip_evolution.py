@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+from functools import partial
 from unittest import mock
 
 import mpmath
@@ -600,19 +601,25 @@ def test_margin_abort_keeps_the_prefix_before_the_first_refused_stage(n):
 @pytest.mark.parametrize("floor", [0.0, 1.0])
 def test_the_real_value_gate_names_each_refused_value(floor):
     # the gate value by value, as a loop: a value passes when |Im| <=
-    # IMAG_GATE max(floor, |Re|) and both parts fit a double
-    big = np.finfo(float).max
+    # IMAG_GATE max(floor, |Re|) and both parts fit a double; in extended
+    # precision a part may be finite and still past the double range
+    big, beyond = np.finfo(float).max, np.longdouble("1e400")
     values = np.array([1.0, 1 + 1e-11j, 1 + 1e-9j, 1e-12j, 0.0, np.nan, complex(big, 1.0),
-                       complex(1.0, np.inf), -2.0 + 3e-10j, 1e-300 + 1e-300j])
-    want = {}
-    for k, value in enumerate(values.tolist()):
-        re, im = abs(value.real), abs(value.imag)
-        if not (re <= big and im <= big):
-            want[k] = "non-finite"
-        elif not im <= nip_evolution.IMAG_GATE * max(floor, re):
-            want[k] = f"complex ({value:.3e})"
-    got = nip_evolution._unreal(values, floor)
-    assert got == want and list(got) == sorted(want)
+                       complex(1.0, np.inf), complex(-np.inf, 0.0), -2.0 + 3e-10j,
+                       1e-300 + 1e-300j])
+    extended = np.append(values.astype(np.clongdouble),
+                         [1j * beyond + 1, beyond + 0j, 2 + 1j * beyond / 1e300])
+    for stack in (values, extended):
+        want = {}
+        for k, value in enumerate(stack):
+            re, im = abs(value.real), abs(value.imag)
+            if not (re <= big and im <= big):
+                want[k] = "non-finite"
+            elif not im <= nip_evolution.IMAG_GATE * max(floor, re):
+                want[k] = f"complex ({complex(value):.3e})"
+        got = nip_evolution._unreal(stack, floor)
+        assert got == want and list(got) == sorted(want)
+    assert want[len(values)] == want[len(values) + 1] == "non-finite"
     assert nip_evolution._unreal(values[:1]) == {}
 
 
@@ -692,6 +699,49 @@ def test_evolve_rejects_bad_arguments():
         for bad in bad_profiles:
             with pytest.raises(ValueError, match="finite numbers only"):
                 integrate(3, bad, [1.0, 0.0, 0.0], 0.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, np.float64(-np.inf), np.float32(np.nan),
+              complex(np.nan, 0.0), complex(1.0, np.inf), 1j, True, "0.5", None])
+def test_profile_parameters_are_refused_as_numpy_refuses_them(value):
+    # the reference is the check on the whole tuple by numpy: its verdict,
+    # exception type and message for each value, floats as the rest
+    profile = PhiProfile("linear", {"phi0": 1.0, "omega": value})
+    try:
+        want = None
+        if not np.all(np.isfinite(tuple(profile.params.values()))):
+            want = ValueError(f"profile {profile!r} takes finite numbers only")
+    except TypeError as exc:
+        want = exc
+    check = partial(nip_evolution._check_inputs, 3, profile, np.ones(3), 0.0, 1.0, 0.1)
+    if want is None:
+        check()
+    else:
+        with pytest.raises(type(want)) as got:
+            check()
+        assert str(got.value) == str(want)
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_textbook_norms_equal_the_identity_metric_product(monkeypatch, n, map_kind):
+    # the textbook route takes |psi|^2 without its identity metric; the
+    # product with the broadcast identity gives the same bits
+    blocks, norms = [], nip_evolution._metric_norms
+
+    def spy(kets, thetas=None):
+        blocks.append(kets)
+        return norms(kets, thetas)
+
+    monkeypatch.setattr(nip_evolution, "_metric_norms", spy)
+    psi0 = np.linspace(1.0, 0.5, n) + 0.25j * np.arange(n)
+    states = textbook_evolve(n, PhiProfile.linear(1.2, 0.4), psi0, 0.0, 0.5, 0.01,
+                             map_kind=map_kind)
+    (kets,) = blocks
+    identity = np.broadcast_to(np.eye(n, dtype=complex), (len(kets), n, n))
+    want = (kets.conj()[:, None, :] @ (identity @ kets[..., None]))[:, 0, 0]
+    assert states.phys_norm.tobytes() == want.real.astype(float).tobytes()
 
 
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
