@@ -288,11 +288,11 @@ def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances):
     values, vectors = np.linalg.eigh(stack)
     flat = values[:, 0] <= tol.eps_pd * np.maximum(np.abs(values).max(axis=-1), 1e-300)
     roots = np.sqrt(np.where(flat[:, None], 1.0, values))
-    errors = [
-        NotPositiveDefinite(f"smallest eigenvalue {value:.3e} under the definiteness floor")
-        if bad else None
-        for bad, value in zip(flat, values[:, 0])
-    ]
+    errors = [None] * len(flat)
+    for k in np.flatnonzero(flat).tolist():
+        errors[k] = NotPositiveDefinite(
+            f"smallest eigenvalue {values[k, 0]:.3e} under the definiteness floor"
+        )
     left = vectors.conj().swapaxes(-1, -2)
     root = (vectors * roots[:, None, :]) @ left
     inv = (vectors / roots[:, None, :]) @ left
