@@ -19,9 +19,10 @@ and the two-site ketket map with its exact slope in extended precision
 The map part of the block last solved without a refusal is kept as one
 read-only entry (``_map_stack``): H, Theta, the map, its inverse, H's
 levels and a lazy slope.  ``evolve`` and ``textbook_evolve`` of one drive
-solve the same blocks at bit-identical angles, so they share it,
-whichever comes first; outputs are the same as a fresh solve's, in
-concurrent threads too.
+solve the same blocks at bit-identical angles, so on a drive of one block
+they share it, whichever comes first; on a longer drive the second call
+finds only the first's last block there and solves every block again.
+Outputs are the same as a fresh solve's, in concurrent threads too.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator splits a drive into blocks by one
@@ -189,7 +190,9 @@ def _map_stack(n, phis, tol, hermitian_map):
     partial of ``_map_slope`` over the arrays it needs, evaluated only when
     called, which textbook stages never do.  The rate enters only after the
     map, so the last block solved without a refusal is kept (``_kept``),
-    keyed on N, the map, the tolerances and the exact bytes of its angles.
+    keyed on N, the map, the tolerances and the exact bytes of its angles:
+    a second integration of a one-block drive reads it, one of a longer
+    drive solves its blocks again.
     A refused block raises its earliest refused stage's error, found by
     solving the map of the clean prefix before it, and is never kept.
     """
