@@ -84,8 +84,7 @@ _DEFAULTS = Tolerances()
 
 
 def get_tolerances() -> Tolerances:
-    """Defaults, with the override file applied when the env var is set;
-    the file is read on every call, so an edit to it shows at once."""
+    """Defaults, with the override file, read on every call, applied when the env var is set."""
     path = os.environ.get(ENV_VAR)
     if not path:
         return _DEFAULTS

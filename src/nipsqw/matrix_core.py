@@ -205,6 +205,16 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
     return defect
 
 
+def _refusal_list(refused, refusal) -> list:
+    """Per matrix None, or ``refusal(k)`` at each k where ``refused`` holds;
+    a stack with nothing refused is neither scanned nor given a message."""
+    errors = [None] * len(refused)
+    if refused.any():
+        for k in np.flatnonzero(refused).tolist():
+            errors[k] = refusal(k)
+    return errors
+
+
 def _binary_scales(stack) -> np.ndarray:
     """Per matrix the finite power of two that brings its largest entry
     into [1/2, 1): a scaling that rounds no entry it keeps normal."""
@@ -288,11 +298,8 @@ def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances):
     values, vectors = np.linalg.eigh(stack)
     flat = values[:, 0] <= tol.eps_pd * np.maximum(np.abs(values).max(axis=-1), 1e-300)
     roots = np.sqrt(np.where(flat[:, None], 1.0, values))
-    errors = [None] * len(flat)
-    for k in np.flatnonzero(flat).tolist():
-        errors[k] = NotPositiveDefinite(
-            f"smallest eigenvalue {values[k, 0]:.3e} under the definiteness floor"
-        )
+    errors = _refusal_list(flat, lambda k: NotPositiveDefinite(
+        f"smallest eigenvalue {values[k, 0]:.3e} under the definiteness floor"))
     left = vectors.conj().swapaxes(-1, -2)
     root = (vectors * roots[:, None, :]) @ left
     inv = (vectors / roots[:, None, :]) @ left

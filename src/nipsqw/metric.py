@@ -22,6 +22,7 @@ from .matrix_core import (
     COND_CEILING,
     _binary_scales,
     _eigen_arrays,
+    _refusal_list,
     _residual_refusals,
     adjoint,
     as_square,
@@ -57,7 +58,7 @@ def _pivot_rows(n: int) -> np.ndarray:
     row recurrence; an end entry is therefore never zero, unlike the
     diagonal entry, which vanishes at N=3, 7, 8, ... when H is real.
     """
-    return np.where(2 * np.arange(n) < n, 0, n - 1)
+    return np.array([0] * ((n + 1) // 2) + [n - 1] * (n // 2))
 
 
 def ketkets(h) -> KetketBasis:
@@ -122,9 +123,8 @@ def _gauged_bases(values, unit, failures):
     n = unit.shape[-1]
     with np.errstate(divide="ignore"):
         condition = n / np.abs(np.einsum("mij,mij->mj", unit, unit)).min(axis=-1)
-    errors = [None] * len(failures)
-    for k in np.flatnonzero(~(condition < COND_CEILING)).tolist():
-        errors[k] = DefectiveAtEP("eigenvector matrix is numerically singular")
+    errors = _refusal_list(~(condition < COND_CEILING),
+                           lambda k: DefectiveAtEP("eigenvector matrix is numerically singular"))
     failed = [k for k, failure in enumerate(failures) if failure] if any(failures) else []
     for k in failed:
         errors[k] = DefectiveAtEP(f"adjoint eigenproblem did not converge: {failures[k]}")
@@ -239,11 +239,10 @@ def _well_ketket_stack(h: np.ndarray, r):
         [below[:, :, ::-1], above[:, :, :odd], above[:, ::-1, odd:].conj()], axis=-1
     )
     values = (2.0 + 2.0 * np.concatenate([x[:, odd:][:, ::-1], -x], axis=-1)).astype(complex)
-    failures = [None] * len(converged)
+    failures = _refusal_list(~converged, lambda k: NoConvergence(
+        f"angle solve exhausted {_ANGLE_STEPS} Newton steps"))
     if not converged.all():
         values[~converged] = np.nan
-        for k in np.flatnonzero(~converged).tolist():
-            failures[k] = NoConvergence(f"angle solve exhausted {_ANGLE_STEPS} Newton steps")
     unit = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
     _residual_refusals(h.conj().swapaxes(-1, -2), values, unit, failures)
     return _gauged_bases(values, unit, failures)
@@ -402,11 +401,8 @@ def _dyson_stack(vectors: np.ndarray, tol: Tolerances):
 
 def _dyson_refusals(usable, tol: Tolerances) -> list:
     """Per ketket map None, or the SingularDyson of a level at the floor."""
-    why = f"a level's reciprocal condition at or below {tol.eps_singular:g}"
-    errors = [None] * len(usable)
-    for k in np.flatnonzero(~usable).tolist():
-        errors[k] = SingularDyson(f"ketket columns nearly dependent: {why}")
-    return errors
+    why = f"nearly dependent: a level's reciprocal condition at or below {tol.eps_singular:g}"
+    return _refusal_list(~usable, lambda k: SingularDyson(f"ketket columns {why}"))
 
 
 def dyson_hermitian(theta) -> MetricBundle:

@@ -449,7 +449,7 @@ def _check_inputs(n, profile, psi0, t0, t1, dt):
         raise ValueError("dt splits the horizon into 2^53 steps or more")
     if psi0.shape != (n,):
         raise ValueError(f"initial ket must have length {n}, got {psi0.size}")
-    if not (np.all(np.isfinite(psi0)) and np.any(psi0)):
+    if not (np.isfinite(psi0).all() and psi0.any()):
         raise ValueError("initial ket must be finite and nonzero")
     return psi0, t0, t1, dt
 
@@ -463,9 +463,9 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
 
     steps, taus = _stage_times(t0, t1, dt)
     phis, rates = profile(np.asarray(taus, dtype=float))
-    unfit = np.flatnonzero(~(np.isfinite(phis) & np.isfinite(rates)))
-    if unfit.size:
-        time = float(taus[unfit[0]])
+    fit = np.isfinite(phis) & np.isfinite(rates)
+    if not fit.all():
+        time = float(taus[np.flatnonzero(~fit)[0]])
         raise ValueError(f"profile angle phi or its rate is not finite at t = {time:.6g}")
 
     # the prefix ends at the last step whose stages all clear the margin;
