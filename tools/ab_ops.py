@@ -1,8 +1,8 @@
 """Time two checkouts against each other op by op, in one interpreter.
 
-Separate benchmark processes on a shared host can read a tree's
-``rows_per_s`` tens of percent apart from run to run, which hides a
-change of a few percent.  This script loads the package of each checkout
+Separate benchmark processes on a shared host can read one tree's
+``rows_per_s`` more than ten percent apart from run to run, which hides
+a change of a few percent.  This script loads the package of each checkout
 into one interpreter, each with its own ``perfbench.workloads``, and runs
 every template op of a workload's rounds on both sides back to back, the
 side that goes first alternating from op to op, so that drift of the host
