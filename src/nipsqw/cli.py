@@ -39,13 +39,13 @@ from .matrix_core import (
     spectral_norm,
 )
 from .metric import (
-    _ketket_basis, build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual,
+    build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual,
 )
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
 from .nip_evolution import (
     MAP_KINDS, _check_inputs, _expectation_stack, evolve, generator, textbook_evolve,
 )
-from .spectrum import _curve_stack, ep_scan
+from .spectrum import _curve_stack, ep_scan, solve_spectrum
 
 FMT = "%.17g"
 
@@ -266,18 +266,10 @@ def _svg_line_plot(points, x_label, y_label) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    h = build_h(args.n, _resolve_boundary(args))
-    # A defective point fails the eigenvector gate but keeps its energies,
-    # which stay well conditioned; only energies that failed are NaN.  The
-    # well is PT-symmetric, so H^dagger's levels, read ascending, are H's.
-    values, _, error = _ketket_basis(h)
-    energies = values[::-1]
-    if np.isnan(energies).any():
-        raise error
-    flags = np.abs(energies.imag) <= get_tolerances().tol_real
-    columns = (np.arange(1, args.n + 1), energies.real, energies.imag, flags)
+    res = solve_spectrum(build_h(args.n, _resolve_boundary(args)))
+    columns = (np.arange(1, args.n + 1), res.energies.real, res.energies.imag, res.real_flags)
     _emit_table(("index", "energy_re", "energy_im", "is_real"), columns, args)
-    _summary(f"all_real={str(bool(flags.all())).lower()}", args)
+    _summary(f"all_real={str(res.all_real).lower()}", args)
     return 0
 
 

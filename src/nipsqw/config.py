@@ -28,7 +28,7 @@ class Tolerances:
         |v_j| |v_k|); ``inverse`` refuses a matrix with s_min / s_max at
         or below it.
     eps_pd: relative eigenvalue floor for positive definiteness.
-    tol_real: |Im E| threshold for classifying an energy as real.
+    tol_real: |Im E| threshold of ``solve_spectrum`` for calling an energy real.
     ep_margin: |sin phi| guard radius around the exceptional point that
         an even N meets at sin phi = 0 (odd N has none there).
 

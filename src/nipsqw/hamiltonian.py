@@ -11,6 +11,7 @@ phi with z = i*cos(phi) so that the coupling strength is sin(phi).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +134,9 @@ class PhiProfile:
             "sinusoidal": ("phi0", "amp", "freq"), "tabulated": ("t_min", "t_max")}
 
     def __init__(self, kind: str, params: dict, spline: tuple | None = None):
-        """A law of ``LAWS`` with exactly its parameters, and a spline, the
-        knots and their ``_not_a_knot`` coefficients, for ``tabulated``
-        only; else ValueError."""
+        """A law of ``LAWS`` with exactly its parameters, each a real number
+        kept as a float, and a spline, the knots and their ``_not_a_knot``
+        coefficients, for ``tabulated`` only; else ValueError."""
         if kind not in self.LAWS:
             raise ValueError(f"unknown profile kind {kind!r}")
         names = self.LAWS[kind]
@@ -144,13 +145,15 @@ class PhiProfile:
                              f"got {', '.join(map(str, params)) or 'nothing'}")
         if (spline is None) == (kind == "tabulated"):
             raise ValueError("a tabulated profile, and only it, takes a spline")
+        if not all(isinstance(params[name], numbers.Real) for name in names):
+            raise ValueError(f"profile {kind!r} takes real numbers only, got {params!r}")
         self.kind = kind
-        self.params = {name: params[name] for name in names}
+        self.params = {name: float(params[name]) for name in names}
         self._spline = spline
 
     @classmethod
     def _law(cls, kind: str, *values, spline=None) -> "PhiProfile":
-        return cls(kind, dict(zip(cls.LAWS[kind], map(float, values))), spline)
+        return cls(kind, dict(zip(cls.LAWS[kind], values)), spline)
 
     @classmethod
     def constant(cls, phi: float) -> "PhiProfile":

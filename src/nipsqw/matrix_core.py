@@ -8,11 +8,11 @@ and by LAPACK above it, and ``eig_general`` is a stack of one through it
 with the SVD diagnostics added.  Failures are kept per matrix, so one
 failed matrix never fails the rest of its stack.
 
-These solvers serve ``eig_general``, ``solve_spectrum``, every matrix
-that is not a driven well and the spectra of the generators.  Driven
-wells, two sites included, are solved in closed form instead
-(``metric._well_ketket_stack``), and share only the residual cap,
-``_residual_refusals``.
+These solvers serve ``eig_general`` on any matrix, the one well solve of
+``ketkets`` and ``solve_spectrum`` on wells that are not driven, and the
+spectra of the generators.  Driven wells, two sites included, are solved
+in closed form instead (``metric._well_ketket_stack``), and share only
+the residual cap, ``_residual_refusals``.
 """
 
 from __future__ import annotations

@@ -70,26 +70,32 @@ def ketkets(h) -> KetketBasis:
     and refusal (``_gauged_bases``).  It solves the matrix it is given; the
     stage path takes the coupling from the angle instead, and so differs
     near the exceptional point by the rounding of cos phi in H's corner,
-    about 1e-4 relative in kappa at sin phi = 1e-6.  H must be a well:
-    complex symmetric (H^T = H) and tridiagonal with nonzero off-diagonals,
-    as ``build_h`` gives at any corner value.  The end-row gauge and the c-product bound hold only
-    there; else ValueError.
+    about 1e-4 relative in kappa at sin phi = 1e-6.  H must be a well
+    (``_as_well``), else ValueError.
     """
-    a = as_square(h)
-    rows, cols = np.indices(a.shape)
-    offprod = np.diagonal(a, 1) * np.diagonal(a, -1)
-    if not ((a == a.T).all() and (offprod != 0).all() and not a[np.abs(rows - cols) > 1].any()):
-        raise ValueError("ketkets needs a complex symmetric tridiagonal H, no off-diagonal zero")
-    values, vectors, error = _ketket_basis(a)
+    values, vectors, error = _ketket_basis(_as_well(h))
     if error is not None:
         raise error
     return KetketBasis(eigenvalues=values, vectors=vectors)
 
 
+def _as_well(h) -> np.ndarray:
+    """H as a square array if it is a well, else ValueError: complex symmetric
+    (H^T = H) and tridiagonal with nonzero off-diagonals, as ``build_h`` gives
+    at any corner value, where ``_ketket_basis``'s gauge and bound hold."""
+    a = as_square(h)
+    rows, cols = np.indices(a.shape)
+    offprod = np.diagonal(a, 1) * np.diagonal(a, -1)
+    if not ((a == a.T).all() and (offprod != 0).all() and not a[np.abs(rows - cols) > 1].any()):
+        raise ValueError("H must be a complex symmetric tridiagonal well, no off-diagonal zero")
+    return a
+
+
 def _ketket_basis(h: np.ndarray):
     """Adjoint eigenbasis of one well: its values, columns and refusal.
 
-    Ordered and scaled as ``KetketBasis`` says; the refusal is None or the
+    The one well solve of ``ketkets`` and ``spectrum.solve_spectrum``, ordered
+    and scaled as ``KetketBasis`` says; the refusal is None or the
     DefectiveAtEP of ``_gauged_bases``, beside the values it keeps.  A
     driven well, build_h(N, i c) with |c| <= 1, is solved in closed form
     at the coupling its corner gives, sqrt((1 - |c|)(1 + |c|))

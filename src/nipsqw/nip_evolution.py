@@ -434,10 +434,7 @@ def _check_inputs(n, profile, psi0, t0, t1, dt):
     dt > 0, t0 <= t1, psi0 nonzero and the horizon under 2^53 steps (a
     count a double holds exactly).
     """
-    params = tuple(profile.params.values())
-    # the factories give floats, which skip numpy; any other type keeps numpy's verdict
-    if not (all(type(v) is float and math.isfinite(v) for v in params)
-            or np.all(np.isfinite(params))):
+    if not all(map(math.isfinite, profile.params.values())):
         raise ValueError(f"profile {profile!r} takes finite numbers only")
     t0, t1, dt = float(t0), float(t1), float(dt)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)

@@ -1,11 +1,11 @@
 """Spectral machinery for the boundary-controlled well.
 
-Three independent routes to the same eigenvalues live here: the generic
-eigensolver (wrapped with reality classification), a secular function
-built from the polynomial ansatz that solves the interior recurrence
-exactly, and the implicit curve r(E) obtained from the observation that
-det(H(r) - E) is affine in r^2.  Keeping the routes separate is the
-point: they cross-check each other in the test suite.
+Three independent routes to the same eigenvalues live here: the well
+solve of ``ketkets`` with reality classification (any other matrix takes
+``eig_general``), a secular function built from the polynomial ansatz
+that solves the interior recurrence exactly, and the implicit curve r(E)
+from det(H(r) - E) being affine in r^2.  Keeping the routes separate is
+the point: they cross-check each other in the test suite.
 """
 
 from __future__ import annotations
@@ -17,39 +17,38 @@ import numpy as np
 from .config import get_tolerances
 from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h, z_from_r
-from .matrix_core import COND_CEILING, EigenDecomposition, eig_general
-from .metric import _well_ketket_stack
+from .matrix_core import COND_CEILING
+from .metric import _as_well, _ketket_basis, _well_ketket_stack
 
 _CLD = np.clongdouble
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Sorted energies with per-level reality flags.
-
-    ``all_real`` is the indicator that the antilinear symmetry of the
-    well matrix is unbroken at this boundary value.
-    """
+    """Ascending energies with per-level reality flags; ``all_real`` says the
+    antilinear symmetry of the well is unbroken at this boundary value."""
 
     energies: np.ndarray
     real_flags: np.ndarray
     all_real: bool
-    vector_condition: float
-    eigvecs: np.ndarray
 
 
 def solve_spectrum(h) -> SpectrumResult:
-    """Eigendecomposition plus reality classification of each energy
-    against the process ``tol_real``."""
-    dec: EigenDecomposition = eig_general(h)
-    flags = np.abs(dec.eigenvalues.imag) <= get_tolerances().tol_real
-    return SpectrumResult(
-        energies=dec.eigenvalues,
-        real_flags=flags,
-        all_real=bool(flags.all()),
-        vector_condition=dec.vector_condition,
-        eigvecs=dec.right_vectors,
-    )
+    """A well's levels, ascending, each flagged real against ``tol_real``: the
+    solve ``nipsqw spectrum`` prints.  H must be a well (``metric._as_well``)
+    equal to its conjugate reversed on both axes, as ``build_h`` gives, else
+    ValueError; its levels are H^dagger's, read in reverse from
+    ``metric._ketket_basis``.  A defective well keeps its energies; only
+    failed ones raise its refusal."""
+    a = _as_well(h)
+    if not (a == a[::-1, ::-1].conj()).all():
+        raise ValueError("H must equal its conjugate reversed along both axes")
+    values, _, error = _ketket_basis(a)
+    energies = values[::-1]
+    if np.isnan(energies).any():
+        raise error
+    flags = np.abs(energies.imag) <= get_tolerances().tol_real
+    return SpectrumResult(energies=energies, real_flags=flags, all_real=bool(flags.all()))
 
 
 def _cheb_pair(y: complex, count: int):

@@ -25,7 +25,7 @@ from nipsqw.config import Tolerances, get_tolerances
 from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
 from nipsqw.n2_oracle import g_eigs
 from nipsqw.nip_evolution import MAP_KINDS
-from nipsqw.spectrum import ep_scan
+from nipsqw.spectrum import ep_scan, solve_spectrum
 
 
 def invoke(capsys, *argv):
@@ -646,13 +646,14 @@ def test_failed_roots_are_nan_on_every_route(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
 def test_driven_wells_take_no_eigensolver(capsys, monkeypatch, n):
-    # ketkets, ep_scan and the spectrum, metric and epscan commands solve
+    # ketkets, solve_spectrum, ep_scan and the spectrum, metric and epscan commands solve
     # every driven well in closed form, from the coupling alone
     calls = []
     for name in ("eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, lambda *args, name=name: calls.append(name))
     monkeypatch.setattr(matrix_core, "_eig2_closed_form", lambda *args: calls.append("eig2"))
     metric.ketkets(build_h(n, z_from_r(0.4)))
+    solve_spectrum(build_h(n, z_from_r(0.4)))
     ep_scan(n, np.linspace(-1.0, 1.0, 9))
     for argv in (("spectrum", "--r", "0.4"), ("metric", "--phi", "2.5"),
                  ("epscan", "--r-min", "-1", "--r-max", "1", "--samples", "9")):

@@ -1,5 +1,6 @@
 """Secular function, eigenvector ansatz, implicit curve, coalescence scans."""
 
+import json
 import struct
 import warnings
 
@@ -9,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nipsqw import cli
 from nipsqw.errors import NoSlope, NotAnEigenvalue, OutOfRange
-from nipsqw.hamiltonian import build_h, z_from_r
-from nipsqw.matrix_core import spectral_norm
+from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
+from nipsqw.matrix_core import eig_general, spectral_norm
+from nipsqw.metric import ketkets
 from nipsqw.spectrum import (
     _curve_stack,
     chebyshev_eigvec,
@@ -56,6 +59,59 @@ def test_reality_region_small_couplings():
     for n in range(2, 7):
         for r in np.linspace(0.05, 1.0, 12):
             assert solve_spectrum(build_h(n, z_from_r(r))).all_real
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 16])
+def test_driven_wells_stay_real_down_to_the_coalescence(n):
+    # a driven well with |c| <= 1 has real levels; the closed form keeps them
+    # real to rounding where LAPACK's |Im E| reached 3e-8 at r = 1e-8
+    for r in (1e-4, 1e-8, 1e-10, 0.0):
+        assert solve_spectrum(build_h(n, z_from_r(r))).all_real, r
+
+
+ONE_ROUTE_CORNERS = {
+    "r=0.5": ("--r", "0.5"), "r=1e-8": ("--r", "1e-08"), "r=0": ("--r", "0"),
+    "z=3i": ("--z", "0,3"), "robin": ("--robin", "2,1,0.1"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 16])
+@pytest.mark.parametrize("corner", ONE_ROUTE_CORNERS)
+def test_the_spectrum_command_prints_solve_spectrum(capsys, corner, n):
+    flag, value = ONE_ROUTE_CORNERS[corner]
+    assert cli.main(["spectrum", "--n", str(n), flag, value, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    args = cli.build_parser().parse_args(["spectrum", "--n", str(n), flag, value])
+    res = solve_spectrum(build_h(n, cli._resolve_boundary(args)))
+    printed = np.array([row[1:3] for row in rows])  # bytes, so -0.0 is not 0.0
+    assert printed.tobytes() == np.column_stack([res.energies.real, res.energies.imag]).tobytes()
+    assert [row[3] for row in rows] == res.real_flags.tolist()
+
+
+def test_non_wells_are_refused_by_every_well_solve():
+    dense = np.random.default_rng(5).standard_normal((3, 3))
+    for h in (np.diag([1.0, 2.0, 3.0]), dense):
+        for solve in (ketkets, solve_spectrum):
+            with pytest.raises(ValueError, match="complex symmetric tridiagonal"):
+                solve(h)
+    # H^dagger's levels are H's only when conj(H) reversed is H again
+    lopsided = build_h(4, 0.5j)
+    lopsided[-1, -1] = lopsided[0, 0]
+    assert ketkets(lopsided).eigenvalues.size == 4
+    with pytest.raises(ValueError, match="conjugate reversed"):
+        solve_spectrum(lopsided)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16])
+def test_undriven_wells_agree_with_the_general_eigensolver(n):
+    for z in (3j, robin_to_z(RobinParams(2.0, 1.0, 0.1))):
+        h = build_h(n, z)
+        got, want = solve_spectrum(h).energies, eig_general(h).eigenvalues
+        # nearest pairs both ways: conjugate pairs may list in either order
+        gaps = np.abs(got[:, None] - want[None, :])
+        scale = np.abs(want).max()
+        assert gaps.min(axis=0).max() <= 1e-12 * scale
+        assert gaps.min(axis=1).max() <= 1e-12 * scale
 
 
 # ------------------------------------------------------------ secular_value

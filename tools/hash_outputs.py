@@ -1,6 +1,6 @@
 """Fingerprint library and CLI outputs, to show a refactor moves no bit.
 
-Prints nine sha256 lines:
+Prints ten sha256 lines:
 
 * ``library <integration> <map>``, one line for each of ``evolve`` and
   ``textbook_evolve`` on each map: all six stacks of every call of that
@@ -17,7 +17,11 @@ Prints nine sha256 lines:
   run in process;
 * ``snapshots`` and ``two-site snapshots``: H, Sigma, G and both spectra
   of every ``generator`` snapshot (or its refusal) of a grid of drives,
-  instants and tolerances, at N = 3, 4, 5, 8, 16 and at N = 2.
+  instants and tolerances, at N = 3, 4, 5, 8, 16 and at N = 2;
+* ``spectra``: the energies and reality flags of ``solve_spectrum`` and
+  the levels and columns of ``ketkets`` (or each refusal) on wells at
+  N = 2, 3, 4, 6, 8, 16, 64, driven at r = 0.5, 1e-4, 1e-8, 0 and with
+  the corners z = 3i, a Robin corner and z = exp(i pi/3).
 
 Run it from any directory on two checkouts and compare the lines:
 
@@ -42,7 +46,9 @@ import numpy as np  # noqa: E402
 from nipsqw import cli, nip_evolution  # noqa: E402
 from nipsqw.config import get_tolerances  # noqa: E402
 from nipsqw.errors import EPProximity, NipsqwError  # noqa: E402
-from nipsqw.hamiltonian import PhiProfile  # noqa: E402
+from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r  # noqa: E402
+from nipsqw.metric import ketkets  # noqa: E402
+from nipsqw.spectrum import solve_spectrum  # noqa: E402
 from perfbench.workloads import cli_argv, rounds  # noqa: E402
 
 STACKS = ("t", "psi", "theta", "phys_norm", "generator", "omega")
@@ -126,6 +132,25 @@ def snapshot_hash(sizes):
     return digest.hexdigest()
 
 
+def spectra_hash():
+    digest = hashlib.sha256()
+    corners = [z_from_r(r) for r in (0.5, 1e-4, 1e-8, 0.0)]
+    corners += [3j, robin_to_z(RobinParams(2.0, 1.0, 0.1)), np.exp(1j * np.pi / 3)]
+    solves = ((solve_spectrum, ("energies", "real_flags", "all_real")),
+              (ketkets, ("eigenvalues", "vectors")))
+    for n in (2, 3, 4, 6, 8, 16, 64):
+        for z in corners:
+            for solve, fields in solves:
+                try:
+                    result = solve(build_h(n, z))
+                except NipsqwError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}".encode())
+                    continue
+                for name in fields:
+                    digest.update(np.ascontiguousarray(getattr(result, name)).tobytes())
+    return digest.hexdigest()
+
+
 def cli_hash(workload):
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
@@ -153,3 +178,4 @@ if __name__ == "__main__":
     print("snapshots ", snapshot_hash((3, 4, 5, 8, 16)))
     print("two-site snapshots", snapshot_hash((2,)))
     print("scan-cli  ", cli_hash("scan-cli"))
+    print("spectra   ", spectra_hash())
