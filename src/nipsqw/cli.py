@@ -35,7 +35,7 @@ from .hamiltonian import (
     z_from_r,
 )
 from .matrix_core import (
-    MAX_DIM, _eigen_arrays, adjoint, as_square, eig_hermitian,
+    MAX_DIM, _eigen_arrays, _raise_earliest, adjoint, as_square, eig_hermitian,
     spectral_norm,
 )
 from .metric import (
@@ -362,10 +362,7 @@ def cmd_evolve(args) -> int:
         )
         for _, matrix in observables
     ]
-    rows = zip(*(errors for _, errors in stacks), failures)
-    refusal = next((e for row in rows for e in row if e is not None), None)
-    if refusal is not None:
-        raise refusal
+    _raise_earliest(*(errors for _, errors in stacks), failures)
     pairs = [f"{i}_{part}" for i in range(args.n) for part in ("re", "im")]
     header = ["t", *(f"psi{pair}" for pair in pairs), "phys_norm",
               *(f"expect_{name}" for name, _ in observables), *(f"g{pair}" for pair in pairs)]
@@ -419,10 +416,12 @@ def run_identity_suite(phi_grid=None, tol=None):
 
     Every identity is evaluated on the grid of phi by ``DEFAULT_RATES``
     and reduced to its worst absolute residual.  Raises EPProximity if
-    the grid strays inside the coalescence margin.
+    the grid strays inside the coalescence margin, ValueError if it is empty.
     """
     tol = tol if tol is not None else get_tolerances()
     phis = tuple(float(p) for p in (phi_grid if phi_grid is not None else DEFAULT_PHI_GRID))
+    if not phis:
+        raise ValueError("phi_grid must hold at least one angle")
     worst = dict.fromkeys(
         ("map_times_inverse", "metric_factorization", "pipeline_map_matches_columns",
          "metric_eigenvalues", "quasi_hermiticity", "coriolis_difference",

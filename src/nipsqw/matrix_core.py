@@ -215,6 +215,15 @@ def _refusal_list(refused, refusal) -> list:
     return errors
 
 
+def _raise_earliest(*checks) -> None:
+    """Raise the refusal of the earliest matrix that any check refused, the
+    first check's where several refused it; ``checks`` are per-matrix lists
+    of None or a refusal, one per check in check order, all of one length."""
+    refused = [errors for errors in checks if errors.count(None) < len(errors)]
+    if refused:
+        raise next(error for row in zip(*refused) for error in row if error is not None)
+
+
 def _binary_scales(stack) -> np.ndarray:
     """Per matrix the finite power of two that brings its largest entry
     into [1/2, 1): a scaling that rounds no entry it keeps normal."""
@@ -244,8 +253,7 @@ def eig_general(matrix) -> EigenDecomposition:
     """
     a = as_square(matrix)
     values, vectors, defect, errors = _eigen_arrays(a[None])
-    if errors[0] is not None:
-        raise errors[0]
+    _raise_earliest(errors)
     sv = np.linalg.svd(np.concatenate([a[None], vectors]), compute_uv=False)
     norm_a, sv = sv[0, 0], sv[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -282,8 +290,7 @@ def sqrt_hpd(matrix) -> np.ndarray:
     if spectral_norm(a - a.conj().T) > 1e-12 * max(spectral_norm(a), 1e-300):
         raise NotHermitian("square root requires a Hermitian matrix")
     root, _, _, _, errors = _sqrt_hpd_stack(a[None], get_tolerances())
-    if errors[0] is not None:
-        raise errors[0]
+    _raise_earliest(errors)
     return root[0]
 
 

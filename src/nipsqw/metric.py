@@ -22,6 +22,7 @@ from .matrix_core import (
     COND_CEILING,
     _binary_scales,
     _eigen_arrays,
+    _raise_earliest,
     _refusal_list,
     _residual_refusals,
     adjoint,
@@ -80,13 +81,14 @@ def ketkets(h) -> KetketBasis:
 
 
 def _as_well(h) -> np.ndarray:
-    """H as a square array if it is a well, else ValueError: complex symmetric
-    (H^T = H) and tridiagonal with nonzero off-diagonals, as ``build_h`` gives
-    at any corner value, where ``_ketket_basis``'s gauge and bound hold."""
+    """H as a square array if it is a well of two or more sites, else ValueError:
+    complex symmetric (H^T = H) and tridiagonal with nonzero off-diagonals, as
+    ``build_h`` gives at any corner value, where ``_ketket_basis``'s gauge holds."""
     a = as_square(h)
     rows, cols = np.indices(a.shape)
     offprod = np.diagonal(a, 1) * np.diagonal(a, -1)
-    if not ((a == a.T).all() and (offprod != 0).all() and not a[np.abs(rows - cols) > 1].any()):
+    if not (len(a) > 1 and (a == a.T).all() and (offprod != 0).all()
+            and not a[np.abs(rows - cols) > 1].any()):
         raise ValueError("H must be a complex symmetric tridiagonal well, no off-diagonal zero")
     return a
 
@@ -371,8 +373,7 @@ def dyson_from_ketkets(basis: KetketBasis) -> MetricBundle:
     if cross[~np.eye(len(v), dtype=bool)].any():
         raise SingularDyson(f"ketket columns are not c-orthogonal to {tol.eps_singular:g}")
     omega, omega_inv, theta, _, errors = _dyson_stack(v[None], tol)
-    if errors[0] is not None:
-        raise errors[0]
+    _raise_earliest(errors)
     return MetricBundle(
         theta=theta[0],
         kappa=np.ones(v.shape[1]),

@@ -16,13 +16,15 @@ in closed form at its coupling sin phi (``metric._well_ketket_stack``),
 and the two-site ketket map with its exact slope in extended precision
 (``_two_site_map``).
 
-The map part of the block last solved without a refusal is kept as one
-read-only entry (``_map_stack``): H, Theta, the map, its inverse, H's
-levels and a lazy slope.  ``evolve`` and ``textbook_evolve`` of one drive
-solve the same blocks at bit-identical angles, so on a drive of one block
-they share it, whichever comes first; on a longer drive the second call
-finds only the first's last block there and solves every block again.
-Outputs are the same as a fresh solve's, in concurrent threads too.
+The map part of a block -- H, Theta, the map, its inverse, H's levels and
+a lazy slope -- is kept read-only in the standard library's one-entry
+cache (``_map_stack``).  A refused block is solved once and never kept, so
+the last clean block stays kept.  ``evolve`` and ``textbook_evolve`` of
+one drive solve the same blocks at bit-identical angles, so on a drive of
+one block they share it, whichever comes first; on a longer drive the
+second call finds only the first's last block there and solves every
+block again.  Outputs are the same as a fresh solve's, in concurrent
+threads too.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator splits a drive into blocks by one
@@ -46,15 +48,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import MAX_DIM, _eigen_arrays, _root_slope, _sqrt_hpd_stack, as_square
-from .matrix_core import _squares_in_range
+from .matrix_core import MAX_DIM, _eigen_arrays, _raise_earliest, _root_slope, _sqrt_hpd_stack
+from .matrix_core import _squares_in_range, as_square
 from .metric import _dyson_refusals, _dyson_stack, _ketket_slope, _quasi_hermiticity_stack
 from .metric import _well_ketket_stack
 
@@ -153,30 +155,6 @@ class GeneratorSnapshot:
     g_eigs: np.ndarray
 
 
-#: the map part of the most recent block solved without a refusal, replaced
-#: whole: ((N, map, tolerances, angle dtype, angle bytes), its read-only entry)
-_map_memo = None
-
-
-def _kept(key, solve):
-    """The entry ``solve()`` returns, kept read-only for a repeat of ``key``.
-
-    One entry, the last key solved; its arrays and the arguments of its
-    closing slope partial are made read-only.  It is read once and replaced
-    whole, so no thread reads another's block as its own: at worst both
-    solve.  A ``solve`` that raises keeps nothing.
-    """
-    global _map_memo
-    entry = _map_memo
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    arrays = solve()
-    for array in (*arrays[:-1], *arrays[-1].args):
-        array.flags.writeable = False
-    _map_memo = key, arrays
-    return arrays
-
-
 def _map_stack(n, phis, tol, hermitian_map):
     """H, Theta, Omega, Omega^-1, the levels and the slope dOmega/dphi of a block.
 
@@ -189,40 +167,42 @@ def _map_stack(n, phis, tol, hermitian_map):
     so that map gives Omega H Omega^-1 = diag(levels).  The slope is a
     partial of ``_map_slope`` over the arrays it needs, evaluated only when
     called, which textbook stages never do.  The rate enters only after the
-    map, so the last block solved without a refusal is kept (``_kept``),
-    keyed on N, the map, the tolerances and the exact bytes of its angles:
-    a second integration of a one-block drive reads it, one of a longer
-    drive solves its blocks again.
-    A refused block raises its earliest refused stage's error, found by
-    solving the map of the clean prefix before it, and is never kept.
+    map, so ``_map_block`` keeps it in the standard library's one-entry
+    cache, keyed on N, the map, the tolerances and the exact bytes of the
+    angles: a second integration of a one-block drive reads it, one of a
+    longer drive solves its blocks again.  A refused block is solved once,
+    raises its earliest refused stage's error and is never kept, so the
+    last clean block stays kept.
     """
+    return _map_block(n, hermitian_map, tol, phis.dtype, phis.tobytes())
 
-    def refuse(errors):
-        if errors.count(None) < len(errors):
-            first = next(k for k, error in enumerate(errors) if error is not None)
-            if first:  # an earlier stage may still fail a later step
-                _map_stack(n, phis[:first], tol, hermitian_map)
-            raise errors[first]
 
-    def solve():
-        if n == 2 and not hermitian_map:
-            refuse(_dyson_refusals(np.abs(np.sin(phis)) > tol.eps_singular, tol))
-            return _two_site_map(phis)
+@lru_cache(maxsize=1)
+def _map_block(n, hermitian_map, tol, dtype, angles):
+    """``_map_stack`` of the angles with the bytes ``angles``: each check runs
+    once over the block and ``_raise_earliest`` picks the refusal; the arrays
+    and slope arguments of the entry it keeps are made read-only."""
+    phis = np.frombuffer(angles, dtype=dtype)
+    if n == 2 and not hermitian_map:
+        _raise_earliest(_dyson_refusals(np.abs(np.sin(phis)) > tol.eps_singular, tol))
+        arrays = _two_site_map(phis)
+    else:
         h = build_h(n, z_from_phi(phis))
-        values, vectors, errors = _well_ketket_stack(h, np.sin(phis))
-        refuse(errors)
-        omega, omega_inv, theta, cprods, errors = _dyson_stack(vectors, tol)
-        refuse(errors)
+        values, vectors, wells = _well_ketket_stack(h, np.sin(phis))
+        omega, omega_inv, theta, cprods, dysons = _dyson_stack(vectors, tol)
         ketkets = phis, values, vectors, cprods
         levels = values.real  # H^dagger's levels, real in a well, so H's too
-        if not hermitian_map:
-            return h, theta, omega, omega_inv, levels, partial(_map_slope, *ketkets)
-        root, root_inv, basis, roots, errors = _sqrt_hpd_stack(theta, tol)
-        refuse(errors)
-        slope = partial(_map_slope, *ketkets, omega, basis, roots)
-        return h, theta, root, root_inv, levels, slope
-
-    return _kept((n, hermitian_map, tol, phis.dtype, phis.tobytes()), solve)
+        if hermitian_map:
+            root, root_inv, basis, roots, flats = _sqrt_hpd_stack(theta, tol)
+            _raise_earliest(wells, dysons, flats)
+            slope = partial(_map_slope, *ketkets, omega, basis, roots)
+            arrays = h, theta, root, root_inv, levels, slope
+        else:
+            _raise_earliest(wells, dysons)
+            arrays = h, theta, omega, omega_inv, levels, partial(_map_slope, *ketkets)
+    for array in (*arrays[:-1], *arrays[-1].args):
+        array.flags.writeable = False
+    return arrays
 
 
 def _map_slope(phis, values, vectors, cprods, ketket_omega=None, basis=None, roots=None):
@@ -302,9 +282,7 @@ def generator(
     h = build_h_at_time(n, profile, float(t))
     g = h - sigma
     values, _, _, errors = _eigen_arrays(np.stack([sigma, g]))
-    for error in errors:
-        if error is not None:
-            raise error
+    _raise_earliest(errors)
     return GeneratorSnapshot(
         t=float(t), H=h, Sigma=sigma, G=g, sigma_eigs=values[0], g_eigs=values[1]
     )
@@ -650,6 +628,5 @@ def expectation(state: EvolutionState, lam) -> float:
     values, errors = _expectation_stack(
         np.asarray(state.psi)[None], as_square(state.theta)[None], as_square(lam)[None]
     )
-    if errors[0] is not None:
-        raise errors[0]
+    _raise_earliest(errors)
     return values[0]

@@ -711,6 +711,13 @@ def test_identity_suite_importable():
     assert "quasi_hermiticity" in names and "coriolis_difference" in names
 
 
+def test_identity_suite_refuses_an_empty_grid():
+    # an empty grid checks nothing, so it cannot read as eight passes
+    for grid in ([], ()):
+        with pytest.raises(ValueError, match="at least one angle"):
+            run_identity_suite(phi_grid=grid)
+
+
 # ----------------------------------------------------------------- plumbing
 
 

@@ -18,6 +18,7 @@ from nipsqw.hamiltonian import build_h, z_from_phi
 from nipsqw.matrix_core import (
     EigenDecomposition,
     _eigen_arrays,
+    _raise_earliest,
     adjoint,
     char_poly,
     eig_general,
@@ -533,3 +534,20 @@ def test_decomposition_is_frozen():
     assert isinstance(dec, EigenDecomposition)
     with pytest.raises(AttributeError):
         dec.residual = 0.5
+
+
+def test_raise_earliest_takes_the_earliest_matrix_then_the_first_check():
+    first, second, third = NoConvergence("a"), NotPositiveDefinite("b"), SingularMatrix("c")
+    clean = [None] * 3
+    assert _raise_earliest() is None
+    assert _raise_earliest(clean, clean) is None
+    cases = [
+        (([None, None, first],), first),
+        (([None, first, None], [second, None, None]), second),  # the earlier matrix
+        (([None, first, None], [None, second, None]), first),   # the earlier check
+        ((clean, [None, None, third], [None, second, first]), second),
+    ]
+    for checks, want in cases:
+        with pytest.raises(type(want)) as info:
+            _raise_earliest(*checks)
+        assert info.value is want

@@ -17,6 +17,7 @@ from nipsqw.config import get_tolerances
 from nipsqw.errors import (
     DefectiveAtEP,
     EPProximity,
+    NipsqwError,
     NoConvergence,
     NonRealNorm,
     NotAnObservable,
@@ -231,7 +232,6 @@ def test_kernel_refuses_with_its_earliest_refused_stage(monkeypatch):
     monkeypatch.setattr(metric, "_well_angles", no_convergence_at_3)
     with pytest.raises(DefectiveAtEP, match="angle solve exhausted"):
         nip_evolution._stage_stack(4, phis, rates, tol)
-    nip_evolution._map_memo = None  # the first phase kept the clean 3-stage prefix
     monkeypatch.setattr(nip_evolution, "_dyson_stack", singular_at_1)
     with pytest.raises(SingularDyson):
         nip_evolution._stage_stack(4, phis, rates, tol)
@@ -314,7 +314,7 @@ def test_the_closed_form_stage_matches_the_general_route(
     assume(n > 2 or hermitian_map)
     phis, rates, tol = np.array([sign * phi]), np.array([rate]), get_tolerances()
     got = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
-    nip_evolution._map_memo = None  # else the memo answers with the closed form
+    nip_evolution._map_block.cache_clear()  # else the memo answers with the closed form
     with mock.patch.object(nip_evolution, "_well_ketket_stack", lapack_bases):
         want = nip_evolution._stage_stack(n, phis, rates, tol, textbook, hermitian_map)
     for name, a, b in zip(("H", "Sigma", "Theta", "Omega"), got, want):
@@ -648,8 +648,7 @@ def test_a_complex_norm_names_its_earliest_state(monkeypatch):
 def test_a_refusal_in_a_later_block_still_raises(monkeypatch, integrate, map_kind):
     # the smallest per-level reciprocal condition of the N=3 ketket map
     # levels off near 1/3; with this floor the map is first refused near
-    # t = 2.45, in the eighth call of 16 steps; the refusal then solves
-    # that call's clean prefix again
+    # t = 2.45, in the eighth call of 16 steps, which is solved once
     _steps_per_call(monkeypatch, 3, 16)
     tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.4)
     profile, psi0 = PhiProfile.linear(1.0, -0.25), np.ones(3)
@@ -658,7 +657,7 @@ def test_a_refusal_in_a_later_block_still_raises(monkeypatch, integrate, map_kin
     blocks = _spy_on_wells(monkeypatch)
     with pytest.raises(SingularDyson, match="reciprocal condition at or below 0.4"):
         integrate(3, profile, psi0, 0.0, 3.0, 0.02, tol=tol, map_kind=map_kind)
-    assert blocks == [33] * 8 + [21]
+    assert blocks == [33] * 8
 
 
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
@@ -1085,7 +1084,7 @@ def test_stage_blocks_do_not_change_the_trajectory(monkeypatch, map_kind):
             monkeypatch.undo()
             if steps is not None:
                 _steps_per_call(monkeypatch, n, steps)
-            nip_evolution._map_memo = None
+            nip_evolution._map_block.cache_clear()
             runs.append([
                 integrate(n, profile, psi0, 0.0, 0.12, 0.01, map_kind=map_kind)
                 for integrate in (evolve, textbook_evolve)
@@ -1122,10 +1121,18 @@ def test_two_site_stack_bytes_are_pinned(monkeypatch, steps):
 STATE_FIELDS = ("psi", "theta", "generator", "omega")
 
 
-def _kept_arrays():
-    """Every array of the memo's entry: H, Theta, Omega, Omega^-1, the
-    levels and the arguments of its slope partial."""
-    *arrays, slope = nip_evolution._map_memo[1]
+def _kept_arrays(n, profile, psi0, t0, t1, dt, map_kind="ketket_columns"):
+    """Every array of the memo's entry for a one-block drive of these
+    integration arguments: H, Theta, Omega, Omega^-1, the levels and the
+    arguments of its slope partial, read back through ``_map_stack`` on the
+    drive's stage angles, which must find them kept."""
+    _, taus = nip_evolution._stage_times(t0, t1, dt)
+    phis = profile(np.asarray(taus, dtype=float))[0]
+    before = nip_evolution._map_block.cache_info()
+    *arrays, slope = nip_evolution._map_stack(
+        n, phis, get_tolerances(), map_kind == "hermitian_root")
+    after = nip_evolution._map_block.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     return [*arrays, *slope.args]
 
 
@@ -1157,7 +1164,7 @@ def test_textbook_evolve_reads_the_same_warm_or_cold(map_kind):
     args = (4, profile, psi0, 0.0, 0.12, 0.01)
     evolve(*args, map_kind=map_kind)
     warm = textbook_evolve(*args, map_kind=map_kind)
-    nip_evolution._map_memo = None
+    nip_evolution._map_block.cache_clear()
     cold = textbook_evolve(*args, map_kind=map_kind)
     for state, ref in zip(warm, cold, strict=True):
         for field in STATE_FIELDS:
@@ -1184,13 +1191,13 @@ def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
     blocks = _spy_on_roots(monkeypatch)
     args = (5, PhiProfile.linear(1.2, 0.4), np.ones(5), 0.0, 0.16, 0.01)
     for order in ((evolve, textbook_evolve, evolve), (textbook_evolve, evolve, textbook_evolve)):
-        nip_evolution._map_memo = None
+        nip_evolution._map_block.cache_clear()
         warm = [integrate(*args, map_kind="hermitian_root") for integrate in order]
         assert blocks == [33]
-        kept = _kept_arrays()
+        kept = _kept_arrays(*args, map_kind="hermitian_root")
         assert len(kept) == 12 and not any(array.flags.writeable for array in kept)
         for integrate, states in zip(order, warm):
-            nip_evolution._map_memo = None
+            nip_evolution._map_block.cache_clear()
             assert_same_states(states, integrate(*args, map_kind="hermitian_root"))
         blocks.clear()
 
@@ -1221,7 +1228,7 @@ def test_the_two_maps_of_a_drive_keep_separate_entries(monkeypatch):
     warm = [integrate(*args, map_kind=map_kind) for integrate, map_kind in calls]
     assert wells == [33, 33] and roots == [33]
     for (integrate, map_kind), states in zip(calls, warm):
-        nip_evolution._map_memo = None
+        nip_evolution._map_block.cache_clear()
         assert_same_states(states, integrate(*args, map_kind=map_kind))
 
 
@@ -1329,7 +1336,7 @@ def test_both_integrations_of_a_two_site_drive_share_its_map(monkeypatch):
     for integrate in (evolve, textbook_evolve):
         integrate(2, profile, psi0, 0.0, 0.4, 1e-3)
     assert blocks == [801]
-    kept = _kept_arrays()
+    kept = _kept_arrays(2, profile, psi0, 0.0, 0.4, 1e-3)
     assert len(kept) == 6 and not any(array.flags.writeable for array in kept)
 
 
@@ -1353,10 +1360,10 @@ def test_a_long_drive_is_one_call_for_both_integrations(monkeypatch):
 def test_a_two_site_drive_reads_the_same_warm_or_cold():
     profile, psi0 = PhiProfile.linear(2.0, -0.5), np.array([1.0, 0.5j])
     args = (2, profile, psi0, 0.0, 0.4, 1e-3)
-    nip_evolution._map_memo = None
+    nip_evolution._map_block.cache_clear()
     cold_evolve = evolve(*args)
     warm_textbook, warm_evolve = textbook_evolve(*args), evolve(*args)
-    nip_evolution._map_memo = None
+    nip_evolution._map_block.cache_clear()
     assert_same_states(warm_textbook, textbook_evolve(*args))
     assert_same_states(warm_evolve, cold_evolve)
 
@@ -1369,7 +1376,7 @@ def test_the_two_site_route_and_the_kernel_keep_separate_maps(monkeypatch):
     args = (2, profile, psi0, 0.0, 0.1, 0.01)
     runs = []
     for _ in range(2):
-        nip_evolution._map_memo = None
+        nip_evolution._map_block.cache_clear()
         runs.append([integrate(*args, map_kind=map_kind)
                      for map_kind in ("ketket_columns", "hermitian_root", "ketket_columns")
                      for integrate in (evolve, textbook_evolve)])
@@ -1380,8 +1387,8 @@ def test_the_two_site_route_and_the_kernel_keep_separate_maps(monkeypatch):
 
 
 def test_a_refused_block_is_solved_again(monkeypatch):
-    # the N=3 map is first refused at the sixth stage; the refusal checks the
-    # clean 5-stage prefix, which is kept, and the refused block is not
+    # the N=3 map is first refused at the sixth stage; the refused block is
+    # solved once per call and never kept
     blocks = _spy_on_wells(monkeypatch)
     tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.4)
     phis = np.linspace(0.6, 0.2, 9)
@@ -1391,7 +1398,50 @@ def test_a_refused_block_is_solved_again(monkeypatch):
             nip_evolution._stage_stack(3, phis, np.ones(9), tol)
         refusals.append(info.value)
     assert refusals[0] is not refusals[1]
-    assert blocks == [9, 5, 9]
+    assert blocks == [9, 9]
+
+
+def test_a_refused_block_does_not_evict_the_last_clean_one(monkeypatch):
+    # clean, refused, clean: the refused block keeps nothing, so the clean
+    # block is read back, not solved again
+    blocks = _spy_on_wells(monkeypatch)
+    tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.4)
+    clean, refused = np.linspace(0.6, 0.9, 7), np.linspace(0.6, 0.2, 9)
+    first = nip_evolution._stage_stack(3, clean, np.ones(7), tol)
+    with pytest.raises(SingularDyson):
+        nip_evolution._stage_stack(3, refused, np.ones(9), tol)
+    again = nip_evolution._stage_stack(3, clean, np.ones(7), tol)
+    assert blocks == [7, 9]
+    for a, b in zip(first, again, strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(("stages", "raised"), [
+    ({"well": 5, "dyson": 3, "root": 1}, "root"),
+    ({"well": 2, "root": 2}, "well"),
+    ({"well": 4, "dyson": 2, "root": 2}, "dyson"),
+    ({"dyson": 0, "well": 1}, "dyson"),
+    ({"root": 6}, "root"),
+])
+def test_a_block_raises_its_earliest_stages_first_check(monkeypatch, stages, raised):
+    # on the root map the well solve, the Dyson map and the root each refuse
+    # a stage of one 7-stage block: the earliest refused stage wins, and at
+    # one stage the check that runs first
+    refusals = {"well": DefectiveAtEP("well"), "dyson": SingularDyson("dyson"),
+                "root": NotPositiveDefinite("root")}
+    for check, name in (("well", "_well_ketket_stack"), ("dyson", "_dyson_stack"),
+                        ("root", "_sqrt_hpd_stack")):
+        if check in stages:
+            def injected(*args, solve=getattr(nip_evolution, name), check=check):
+                *arrays, errors = solve(*args)
+                errors[stages[check]] = refusals[check]
+                return *arrays, errors
+
+            monkeypatch.setattr(nip_evolution, name, injected)
+    phis, tol = np.linspace(0.8, 1.2, 7), get_tolerances()
+    with pytest.raises(NipsqwError) as info:
+        nip_evolution._stage_stack(3, phis, np.ones(7), tol, hermitian_map=True)
+    assert info.value is refusals[raised]
 
 
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
@@ -1424,10 +1474,10 @@ def test_kept_arrays_are_read_only(integrate):
     # from kept arrays, on both maps and at two sites too; trajectories hold
     # read-only copies
     for n, map_kind in [(n, map_kind) for n in (2, 3) for map_kind in MAP_KINDS]:
-        nip_evolution._map_memo = None
+        nip_evolution._map_block.cache_clear()
         args = (n, PhiProfile.linear(1.0, 0.1), np.ones(n), 0.0, 0.1, 0.01)
         states = integrate(*args, map_kind=map_kind)
-        kept = _kept_arrays()
+        kept = _kept_arrays(*args, map_kind=map_kind)
         assert not any(array.flags.writeable for array in kept)
         for field in STATE_FIELDS:
             stack = getattr(states, field)
@@ -1435,7 +1485,7 @@ def test_kept_arrays_are_read_only(integrate):
             with pytest.raises(ValueError, match="read-only"):
                 stack[...] = 7.0
         again = integrate(*args, map_kind=map_kind)
-        nip_evolution._map_memo = None
+        nip_evolution._map_block.cache_clear()
         for state, ref in zip(again, integrate(*args, map_kind=map_kind), strict=True):
             for field in STATE_FIELDS:
                 np.testing.assert_array_equal(getattr(state, field), getattr(ref, field))

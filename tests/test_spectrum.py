@@ -89,8 +89,10 @@ def test_the_spectrum_command_prints_solve_spectrum(capsys, corner, n):
 
 
 def test_non_wells_are_refused_by_every_well_solve():
+    # one site is no well either, whether LAPACK or the driven closed form
+    # would take its corner
     dense = np.random.default_rng(5).standard_normal((3, 3))
-    for h in (np.diag([1.0, 2.0, 3.0]), dense):
+    for h in (np.diag([1.0, 2.0, 3.0]), dense, [[2 + 5j]], [[2 + 0.5j]], [[2.0]]):
         for solve in (ketkets, solve_spectrum):
             with pytest.raises(ValueError, match="complex symmetric tridiagonal"):
                 solve(h)
