@@ -130,9 +130,9 @@ def _flag_problem(args) -> str | None:
     """The usage error among the parsed numbers, or None.
 
     --n needs two sites to ``MAX_DIM`` (any count above one for curve),
-    the numbers of these flags must be finite, --ep-margin non-negative
-    and the --robin grid spacing positive; ``cmd_evolve`` checks its
-    profile, ket, time grid and observables.
+    the numbers of these flags must be finite, --r at most 1 in size,
+    --ep-margin non-negative and the --robin grid spacing positive;
+    ``cmd_evolve`` checks its profile, ket, time grid and observables.
     """
     if getattr(args, "n", 2) < 2:
         return f"need at least two sites, got {args.n}"
@@ -142,6 +142,8 @@ def _flag_problem(args) -> str | None:
         value = getattr(args, name, None)
         if value is not None and not np.all(np.isfinite(value)):
             return f"--{name.replace('_', '-')} takes finite numbers only"
+    if getattr(args, "r", None) is not None and not abs(args.r) <= 1.0:
+        return f"--r must satisfy |r| <= 1, got {args.r:g}"
     if getattr(args, "ep_margin", None) is not None and args.ep_margin < 0:
         return f"--ep-margin must not be negative, got {args.ep_margin:g}"
     if getattr(args, "robin", None) is not None and not args.robin[2] > 0:
@@ -304,10 +306,7 @@ def cmd_metric(args) -> int:
         "theta": _matrix_json(theta),
         "omega": _matrix_json(omega),
         "omega_kind": "ketket_columns",
-        "h_diag": {
-            "re": np.conj(basis.eigenvalues).real.tolist(),
-            "im": np.conj(basis.eigenvalues).imag.tolist(),
-        },
+        "h_diag": _matrix_json(np.conj(basis.eigenvalues)),
         "positivity_eigs": np.real(eig_hermitian(theta).eigenvalues).tolist(),
         "qh_residual": quasi_hermiticity_residual(h, theta),
     }
@@ -493,8 +492,8 @@ def _add_boundary_flags(sub, phi=False, robin=False):
                            help="mixed boundary data on spacing H")
 
 
-def _add_output_flags(sub, formats=("csv", "json")):
-    sub.add_argument("--format", choices=formats, default=formats[0],
+def _add_output_flags(sub):
+    sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="table encoding (default %(default)s)")
     sub.add_argument("--out", metavar="PATH", default=None,
                      help="write the table to a file instead of stdout")

@@ -48,7 +48,7 @@ def robin_to_z(params: RobinParams) -> complex:
 def z_from_r(r: float) -> complex:
     """Corner value on the positive imaginary axis, z = i*sqrt(1 - r^2)."""
     r = float(r)
-    if abs(r) > 1.0:
+    if not abs(r) <= 1.0:
         raise OutOfRange(f"coupling strength must satisfy |r| <= 1, got {r}")
     return 1j * np.sqrt(1.0 - r * r)
 

@@ -17,7 +17,7 @@ and the two-site ketket map with its exact slope in extended precision
 (``_two_site_map``).
 
 The map part of a block -- H, Theta, the map, its inverse, H's levels and
-a lazy slope -- is kept read-only in the standard library's one-entry
+the map's slope -- is kept read-only in the standard library's one-entry
 cache (``_map_stack``).  A refused block is solved once and never kept, so
 the last clean block stays kept.  ``evolve`` and ``textbook_evolve`` of
 one drive solve the same blocks at bit-identical angles, so on a drive of
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,12 +164,12 @@ def _map_stack(n, phis, tol, hermitian_map):
     root of Theta as Omega; both refuse a level's s_j at the
     ``eps_singular`` floor, at two sites |sin phi|.  The levels (m, N) are
     H's real eigenvalues in the descending order of the ketket map's rows,
-    so that map gives Omega H Omega^-1 = diag(levels).  The slope is a
-    partial of ``_map_slope`` over the arrays it needs, evaluated only when
-    called, which textbook stages never do.  The rate enters only after the
-    map, so ``_map_block`` keeps it in the standard library's one-entry
+    so that map gives Omega H Omega^-1 = diag(levels).  The slope is solved
+    with the clean block, so a textbook integration that finds no kept block
+    solves one it does not read.  The rate enters only after the map, so
+    ``_map_block`` keeps the six arrays in the standard library's one-entry
     cache, keyed on N, the map, the tolerances and the exact bytes of the
-    angles: a second integration of a one-block drive reads it, one of a
+    angles: a second integration of a one-block drive reads them, one of a
     longer drive solves its blocks again.  A refused block is solved once,
     raises its earliest refused stage's error and is never kept, so the
     last clean block stays kept.
@@ -180,8 +180,10 @@ def _map_stack(n, phis, tol, hermitian_map):
 @lru_cache(maxsize=1)
 def _map_block(n, hermitian_map, tol, dtype, angles):
     """``_map_stack`` of the angles with the bytes ``angles``: each check runs
-    once over the block and ``_raise_earliest`` picks the refusal; the arrays
-    and slope arguments of the entry it keeps are made read-only."""
+    once over the block and ``_raise_earliest`` picks the refusal before the
+    slope is solved.  The ketket map V^dagger takes dV^dagger of Nelson's
+    slope dV (``_ketket_slope``), the root of its metric the slope of its
+    Sylvester equation (``_root_slope``); the six arrays kept are read-only."""
     phis = np.frombuffer(angles, dtype=dtype)
     if n == 2 and not hermitian_map:
         _raise_earliest(_dyson_refusals(np.abs(np.sin(phis)) > tol.eps_singular, tol))
@@ -190,33 +192,20 @@ def _map_block(n, hermitian_map, tol, dtype, angles):
         h = build_h(n, z_from_phi(phis))
         values, vectors, wells = _well_ketket_stack(h, np.sin(phis))
         omega, omega_inv, theta, cprods, dysons = _dyson_stack(vectors, tol)
-        ketkets = phis, values, vectors, cprods
         levels = values.real  # H^dagger's levels, real in a well, so H's too
         if hermitian_map:
             root, root_inv, basis, roots, flats = _sqrt_hpd_stack(theta, tol)
             _raise_earliest(wells, dysons, flats)
-            slope = partial(_map_slope, *ketkets, omega, basis, roots)
+            lift = _ketket_slope(phis, values, vectors, cprods) @ omega
+            slope = _root_slope(basis, roots, lift + lift.conj().swapaxes(-1, -2))
             arrays = h, theta, root, root_inv, levels, slope
         else:
             _raise_earliest(wells, dysons)
-            arrays = h, theta, omega, omega_inv, levels, partial(_map_slope, *ketkets)
-    for array in (*arrays[:-1], *arrays[-1].args):
+            slope = _ketket_slope(phis, values, vectors, cprods).conj().swapaxes(-1, -2)
+            arrays = h, theta, omega, omega_inv, levels, slope
+    for array in arrays:
         array.flags.writeable = False
     return arrays
-
-
-def _map_slope(phis, values, vectors, cprods, ketket_omega=None, basis=None, roots=None):
-    """dOmega/dphi from Nelson's slope dV of the ketket columns V.
-
-    The ketket map V^dagger takes dV^dagger (``_ketket_slope``); the root of
-    its metric, given that map and the root's eigenbasis, is differentiated
-    through its Sylvester equation (``_root_slope``).
-    """
-    slope = _ketket_slope(phis, values, vectors, cprods)
-    if basis is None:
-        return slope.conj().swapaxes(-1, -2)
-    lift = slope @ ketket_omega
-    return _root_slope(basis, roots, lift + lift.conj().swapaxes(-1, -2))
 
 
 def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
@@ -233,7 +222,7 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     if textbook:
         mapped = omega @ h @ omega_inv if hermitian_map else levels[:, :, None] * np.eye(n)
         return h, mapped, theta, omega
-    return h, 1j * (omega_inv @ (slope() * rates[:, None, None])), theta, omega
+    return h, 1j * (omega_inv @ (slope * rates[:, None, None])), theta, omega
 
 
 def _inside_margin(n, phis, tol):
@@ -390,8 +379,7 @@ def _two_site_map(phis):
     omega_inv = _stack_2x2(one, 1j * e, -1j * e, one) / (1.0 - e * e)[:, None, None]
     theta = omega.conj().swapaxes(-1, -2) @ omega
     levels = np.stack([2.0 - e.imag, 2.0 + e.imag], axis=-1)  # 2 +- |sin phi|
-    slope = partial(_two_site_slope, np.where(mirror, -e, e))
-    return h, theta, omega, omega_inv, levels, slope
+    return h, theta, omega, omega_inv, levels, _two_site_slope(np.where(mirror, -e, e))
 
 
 def _two_site_slope(e):

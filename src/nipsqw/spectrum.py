@@ -122,7 +122,7 @@ def chebyshev_eigvec(n: int, z: complex, e: complex) -> ChebyshevSolution:
     first site, which solves the same problem for any y.
     """
     s = secular_value(n, z, e)
-    if abs(s) > 1e-8:
+    if not abs(s) <= 1e-8:
         raise NotAnEigenvalue(f"|secular value| = {abs(s):.3e} at energy {e}")
     y, t, u, m = _boundary_system(n, z, e)
     _, sv, vh = np.linalg.svd(m)
@@ -186,11 +186,14 @@ def _curve_stack(n: int, energies) -> tuple[np.ndarray, np.ndarray]:
     table whose row k holds the fields of ``SpectralCurvePoint`` at
     ``energies[k]``, and an (m, 5) mask of the cells a field leaves
     undefined (they hold nan): r_plus and r_minus off the band, every
-    field but the energy where the determinant has no slope.
+    field but the energy where the determinant has no slope.  A non-finite
+    energy raises ValueError.
     """
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
     e = np.atleast_1d(np.asarray(energies, dtype=float))
+    if not np.isfinite(e).all():
+        raise ValueError("the curve takes finite energies only")
     det0 = _corner_det(n, 1j, e)   # r^2 = 0
     slope = _corner_det(n, 0.0, e) - det0  # det at r^2 = 1 minus det at 0
     rounded = slope.astype(complex)
@@ -242,7 +245,7 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     as one stack.
     """
     r_values = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    if np.any(np.abs(r_values) > 1.0):
+    if not np.all(np.abs(r_values) <= 1.0):
         raise OutOfRange("coupling grid must stay within [-1, 1]")
 
     def min_gap(w: np.ndarray) -> np.ndarray:

@@ -959,6 +959,10 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         code, _, err = invoke(capsys, *argv)
         assert code == 1, argv
         assert "Traceback" not in err, argv
+    for argv in (("spectrum", "--n", "2", "--r", "2"), ("metric", "--n", "3", "--r", "-1.5")):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err == f"nipsqw: error: --r must satisfy |r| <= 1, got {argv[-1]}\n"
 
 
 NON_FINITE_ARGV = {

@@ -1122,18 +1122,17 @@ STATE_FIELDS = ("psi", "theta", "generator", "omega")
 
 
 def _kept_arrays(n, profile, psi0, t0, t1, dt, map_kind="ketket_columns"):
-    """Every array of the memo's entry for a one-block drive of these
+    """The six arrays of the memo's entry for a one-block drive of these
     integration arguments: H, Theta, Omega, Omega^-1, the levels and the
-    arguments of its slope partial, read back through ``_map_stack`` on the
-    drive's stage angles, which must find them kept."""
+    slope, read back through ``_map_stack`` on the drive's stage angles,
+    which must find them kept."""
     _, taus = nip_evolution._stage_times(t0, t1, dt)
     phis = profile(np.asarray(taus, dtype=float))[0]
     before = nip_evolution._map_block.cache_info()
-    *arrays, slope = nip_evolution._map_stack(
-        n, phis, get_tolerances(), map_kind == "hermitian_root")
+    arrays = nip_evolution._map_stack(n, phis, get_tolerances(), map_kind == "hermitian_root")
     after = nip_evolution._map_block.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    return [*arrays, *slope.args]
+    return list(arrays)
 
 
 def _spy_on_wells(monkeypatch):
@@ -1186,8 +1185,8 @@ def _spy_on_roots(monkeypatch):
 
 def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
     # 16 steps at N=5, one call of 33 stages: whichever integration runs
-    # first takes the root with the eigenbasis of its slope, and the others
-    # read them back; warm and cold agree
+    # first takes the root and its slope, and the others read them back;
+    # warm and cold agree
     blocks = _spy_on_roots(monkeypatch)
     args = (5, PhiProfile.linear(1.2, 0.4), np.ones(5), 0.0, 0.16, 0.01)
     for order in ((evolve, textbook_evolve, evolve), (textbook_evolve, evolve, textbook_evolve)):
@@ -1195,7 +1194,7 @@ def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
         warm = [integrate(*args, map_kind="hermitian_root") for integrate in order]
         assert blocks == [33]
         kept = _kept_arrays(*args, map_kind="hermitian_root")
-        assert len(kept) == 12 and not any(array.flags.writeable for array in kept)
+        assert len(kept) == 6 and not any(array.flags.writeable for array in kept)
         for integrate, states in zip(order, warm):
             nip_evolution._map_block.cache_clear()
             assert_same_states(states, integrate(*args, map_kind="hermitian_root"))
@@ -1314,7 +1313,7 @@ def test_two_site_map_matches_its_three_transcendental_reference():
     assert _same_bits(omega[:, 0, 1], -1j * e) and _same_bits(omega[:, 1, 0], 1j * e)
     assert _same_bits(levels, np.stack([2.0 - e.imag, 2.0 + e.imag], axis=-1))
     assert _same_bits(omega_inv[:, 0, 0], inverse_scale)
-    assert _same_bits(slope()[:, 1, 0], np.where(mirror < 0, -e, e))
+    assert _same_bits(slope[:, 1, 0], np.where(mirror < 0, -e, e))
 
 
 def _spy_on_two_site_maps(monkeypatch):
@@ -1446,9 +1445,10 @@ def test_a_block_raises_its_earliest_stages_first_check(monkeypatch, stages, rai
 
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 @pytest.mark.parametrize("n", [2, 5])
-def test_a_cold_textbook_evolve_takes_no_map_slope(monkeypatch, n, map_kind):
-    # textbook stages need the map, not its slope: a cold textbook_evolve
-    # takes none, and an evolve of the same drive then takes the kept one
+def test_a_one_block_drive_solves_its_slope_once(monkeypatch, n, map_kind):
+    # the slope is solved with the clean block: whichever integration of a
+    # one-block drive runs first solves it, and the other reads it kept.  A
+    # block refused under eps_singular 0.4 solves none
     calls = []
     for name in ("_ketket_slope", "_root_slope", "_two_site_slope"):
         slope = getattr(nip_evolution, name)
@@ -1459,19 +1459,28 @@ def test_a_cold_textbook_evolve_takes_no_map_slope(monkeypatch, n, map_kind):
 
         monkeypatch.setattr(nip_evolution, name, counted)
     args = (n, PhiProfile.linear(1.2, 0.4), np.ones(n), 0.0, 0.16, 0.01)
-    textbook_evolve(*args, map_kind=map_kind)
-    assert calls == []
-    evolve(*args, map_kind=map_kind)
-    assert calls == {
+    once = {
         "ketket_columns": ["_ketket_slope"] if n > 2 else ["_two_site_slope"],
         "hermitian_root": ["_ketket_slope", "_root_slope"],
     }[map_kind]
+    for order in ((evolve, textbook_evolve), (textbook_evolve, evolve)):
+        nip_evolution._map_block.cache_clear()
+        for integrate in order:
+            integrate(*args, map_kind=map_kind)
+            assert calls == once
+        calls.clear()
+    tol = get_tolerances().replace(ep_margin=0.0, eps_singular=0.4)
+    args = (n, PhiProfile.linear(0.6, -2.5), np.ones(n), 0.0, 0.16, 0.01)
+    for integrate in (evolve, textbook_evolve):
+        with pytest.raises(SingularDyson):
+            integrate(*args, tol=tol, map_kind=map_kind)
+    assert calls == []
 
 
 @pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
 def test_kept_arrays_are_read_only(integrate):
-    # the kernel hands out the kept H, Theta and Omega and takes the slope
-    # from kept arrays, on both maps and at two sites too; trajectories hold
+    # the kernel hands out the kept H, Theta and Omega and reads the kept
+    # slope, on both maps and at two sites too; trajectories hold
     # read-only copies
     for n, map_kind in [(n, map_kind) for n in (2, 3) for map_kind in MAP_KINDS]:
         nip_evolution._map_block.cache_clear()

@@ -116,6 +116,30 @@ def test_undriven_wells_agree_with_the_general_eigensolver(n):
         assert gaps.min(axis=1).max() <= 1e-12 * scale
 
 
+
+def _circle_angles(n):
+    """Angles gamma of z = exp(i gamma) halfway between neighbouring meetings
+    gamma = +-k pi / N, k = 1 ... N-1, where the corner's level 2 - 2 cos gamma
+    crosses another: the farthest any angle gets from them, 0.05 or more up
+    to N = 31.  Both signs of gamma, and z = 1 and z = -1."""
+    ks = sorted({0, 1, n // 3, n // 2, n - 1})
+    return [0.0, np.pi, *(sign * (k + 0.5) * np.pi / n for k in ks for sign in (1, -1))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 24, 64])
+def test_unit_circle_corners_have_the_closed_form_levels(n):
+    # off the driven axis z = i cos phi: on |z| = 1 the levels are
+    # 2 - 2 cos gamma and 2 - 2 cos(k pi / N), k = 1 ... N-1, all real
+    for gamma in _circle_angles(n):
+        exact = np.sort(np.append(2 - 2 * np.cos(np.arange(1, n) * np.pi / n),
+                                  2 - 2 * np.cos(gamma)))
+        h = build_h(n, np.exp(1j * gamma))
+        res = solve_spectrum(h)
+        assert res.all_real and res.real_flags.all(), gamma
+        np.testing.assert_allclose(res.energies, exact, rtol=0, atol=2e-13)
+        np.testing.assert_allclose(ketkets(h).eigenvalues, exact[::-1], rtol=0, atol=2e-13)
+
+
 # ------------------------------------------------------------ secular_value
 
 
@@ -476,3 +500,17 @@ def test_ep_scan_condition_ceiling_reads_as_defective():
 def test_ep_scan_domain_guard():
     with pytest.raises(OutOfRange):
         ep_scan(2, [0.5, 1.5])
+
+
+@pytest.mark.parametrize(("call", "refusal"), [
+    (lambda: z_from_r(np.nan), OutOfRange),
+    (lambda: ep_scan(4, [np.nan]), OutOfRange),
+    (lambda: spectral_curve(3, np.nan), ValueError),
+    (lambda: spectral_curve(3, np.inf), ValueError),
+    (lambda: chebyshev_eigvec(3, 0.5j, np.nan), NotAnEigenvalue),
+], ids=["z_from_r", "ep_scan", "curve_nan", "curve_inf", "chebyshev_eigvec"])
+def test_nan_fails_each_domain_check(call, refusal):
+    # each check holds only where its comparison is true, so NaN, which
+    # compares false, is refused rather than carried into the arithmetic
+    with pytest.raises(refusal):
+        call()
