@@ -107,6 +107,8 @@ def _observable_flag(text: str):
         return ("hamiltonian", None)
     if text.startswith("file:"):
         path = text[len("file:"):]
+        if any(mark in Path(path).stem for mark in ",\r\n"):  # it heads a CSV column
+            raise ValueError(f"{path!r}: observable name holds a comma or line break")
         data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
         if data.shape[1] != 2 * data.shape[0]:
             raise ValueError(
@@ -165,16 +167,24 @@ def _tolerances(args):
 # ---------------------------------------------------------------- emission
 
 
-def _csv_cells(column, gap) -> list:
-    """One column's CSV text: 17 significant digits with -0.0 as 0, or
-    true/false for booleans, and an empty cell wherever ``gap`` is set."""
-    if column.dtype == bool:
-        return np.where(column, "true", "false").tolist()
-    if gap is None:
-        return list(map(FMT.__mod__, (column + 0.0).tolist()))  # +0.0 folds -0.0 into 0.0
-    cells = np.full(column.shape, "", dtype=object)
-    cells[~gap] = _csv_cells(column[~gap], None)
-    return cells.tolist()
+#: the CSV text of each cell kind, a nonzero byte so that numpy's "S" row keys drop none
+_CELL_TEXT = {1: "", 2: FMT, 3: "false", 4: "true"}
+
+
+def _csv_text(header, columns, absent) -> str:
+    """A table's CSV text in one ``%``: a format string of the header and one
+    line per row, spelled by the kinds of that row's cells, applied once to
+    the numbers in row order.  A number takes 17 significant digits with
+    -0.0 as 0, a boolean true or false, and a cell ``absent`` marks is empty."""
+    table = np.asarray(columns).T + 0.0  # +0.0 folds -0.0 into 0.0
+    flags = [np.asarray(column).dtype == bool for column in columns]
+    kinds = np.where(flags, (table != 0) + np.int8(3), np.int8(2))
+    if absent is not None:
+        kinds[np.asarray(absent).T] = 1
+    keys = np.ascontiguousarray(kinds).view(f"S{len(flags)}").ravel().tolist()  # row by row
+    lines = {key: "\n" + ",".join([_CELL_TEXT[kind] for kind in key]) for key in set(keys)}
+    text = ",".join(header).replace("%", "%%") + "".join(map(lines.__getitem__, keys))
+    return text % tuple(table[kinds == 2].tolist())
 
 
 def _json_cells(column, gap) -> list:
@@ -188,25 +198,18 @@ def _json_cells(column, gap) -> list:
     return cells.tolist()
 
 
-def _emit_table(header, columns, args, absent=None, mirror=None) -> None:
+def _emit_table(header, columns, args, absent=None) -> None:
     """Write a table given column by column, each value formatted once.
 
-    ``columns`` holds one 1-D array per header name, and ``absent`` one
-    boolean mask per column marking its empty cells.  ``mirror = (j, k)``
-    says column j is never negative and column k is -column j where that
-    is positive, 0 elsewhere, so its CSV text is column j's with a minus sign.
+    ``columns`` holds one 1-D array per header name, and ``absent``, when
+    given, one boolean mask per column marking its empty cells.
     """
-    gaps = [None] * len(header) if absent is None else absent
     if args.format == "json":
+        gaps = [None] * len(header) if absent is None else absent
         rows = list(zip(*map(_json_cells, columns, gaps)))
         text = json.dumps({"columns": list(header), "rows": rows}, indent=2, sort_keys=True)
     else:
-        skip = mirror[1] if mirror else None
-        cells = [None if k == skip else _csv_cells(column, gap)
-                 for k, (column, gap) in enumerate(zip(columns, gaps))]
-        if mirror:  # "%.17g" is symmetric in sign
-            cells[skip] = [c if c in ("", "0") else "-" + c for c in cells[mirror[0]]]
-        text = "\n".join([",".join(header), *map(",".join, zip(*cells))])
+        text = _csv_text(header, columns, absent)
     _write_text(text + "\n", args.out)
 
 
@@ -281,8 +284,7 @@ def cmd_curve(args) -> int:
     if args.samples < 2:
         return _usage_error("--samples must be at least 2")
     table, absent = _curve_stack(args.n, np.linspace(args.e_min, args.e_max, args.samples))
-    _emit_table(("energy", "r_squared", "r_plus", "r_minus", "residual"), table.T, args,
-                absent.T, mirror=(2, 3))
+    _emit_table(("energy", "r_squared", "r_plus", "r_minus", "residual"), table.T, args, absent.T)
     if args.svg is not None:
         curve_pts = table[~absent[:, 1], :2].tolist()
         _write_text(_svg_line_plot(curve_pts, "energy", "coupling^2"), args.svg)

@@ -394,6 +394,31 @@ def test_evolve_rejects_metric_incompatible_observable(capsys, tmp_path):
     assert "compatibility" in err
 
 
+@pytest.mark.parametrize("stem", ["a,b", "a\nb"], ids=["comma", "newline"])
+def test_an_observable_name_that_would_split_the_table_is_a_usage_error(capsys, tmp_path, stem):
+    # the file's stem heads the observable's column: a comma or a line break
+    # in it would shift every column after it
+    target = tmp_path / f"{stem}.csv"
+    target.write_text("1,0,0,0\n0,0,1,0\n")
+    code, out, err = invoke(capsys, "evolve", "--n", "2", "--profile", "constant:phi=1.0",
+                            "--psi0", "1,0,0,0", "--t1", "0.1", "--dt", "0.05",
+                            "--observable", f"file:{target}")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (f"nipsqw: error: argument --observable: {str(target)!r}: "
+                                    "observable name holds a comma or line break"), err
+
+
+def test_an_observable_name_with_a_percent_sign_heads_its_column(capsys, tmp_path):
+    target = tmp_path / "p%d.csv"
+    target.write_text("1,0,0,0\n0,0,1,0\n")
+    code, out, _ = invoke(capsys, "evolve", "--n", "2", "--profile", "constant:phi=1.0",
+                          "--psi0", "1,0,0,0", "--t1", "0.1", "--dt", "0.05",
+                          "--observable", f"file:{target}")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "t,psi0_re,psi0_im,psi1_re,psi1_im,phys_norm,expect_p%d,g0_re,g0_im,g1_re,g1_im")
+
+
 def _matrix_csv(path, matrix):
     path.write_text("".join(
         ",".join(f"{part!r}" for entry in row for part in (entry.real, entry.imag)) + "\n"
@@ -766,12 +791,17 @@ def _reference_json(value, gap):
 
 @st.composite
 def _tables(draw):
-    """(columns, absent, mirror): float, integer and boolean columns with
-    edge values and empty cells, and sometimes a mirrored pair of columns."""
+    """(header, columns, absent): float, integer and boolean columns, up to
+    70 of them, with edge values, empty cells and header names holding
+    ``%``, and sometimes a non-negative column followed by its mirror, as
+    the curve's r_plus and r_minus."""
     rows = draw(st.integers(0, 6))
     floats = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                        st.sampled_from(SPECIAL_FLOATS))
-    kinds = draw(st.lists(st.sampled_from(("float", "int", "bool")), min_size=1, max_size=5))
+    width = draw(st.integers(1, 70))
+    kinds = draw(st.lists(st.sampled_from(("float", "int", "bool")),
+                          min_size=width, max_size=width))
+    no_gaps = np.zeros(rows, dtype=bool)
     columns, absent = [], []
     for kind in kinds:
         cells = {"float": floats, "int": st.integers(-1000, 1000), "bool": st.booleans()}[kind]
@@ -779,26 +809,24 @@ def _tables(draw):
                                 dtype={"float": float, "int": np.int64, "bool": bool}[kind]))
         gaps = st.lists(st.booleans(), min_size=rows, max_size=rows)
         absent.append(np.array(draw(gaps), dtype=bool) if kind == "float"
-                      and draw(st.booleans()) else None)
-    mirror = None
-    if draw(st.booleans()):  # a non-negative column and its mirror, as r_plus and r_minus
+                      and draw(st.booleans()) else no_gaps)
+    if draw(st.booleans()):
         plus = draw(st.lists(st.one_of(st.floats(min_value=0.0), st.sampled_from((-0.0, 0.0))),
                              min_size=rows, max_size=rows))
         plus = np.array(plus, dtype=float)
         gap = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), dtype=bool)
-        mirror = (len(columns), len(columns) + 1)
         columns += [plus, np.where(plus > 0, -plus, 0.0)]
         absent += [gap, gap]
-    return columns, absent, mirror
+    names = st.sampled_from(("c", "%", "%%", "p%d", "%s%", "x%(a)s", "100%"))
+    header = [f"{draw(names)}{k}" for k in range(len(columns))]
+    return header, columns, absent
 
 
-def _write_table(columns, absent, mirror, fmt):
-    header = [f"c{k}" for k in range(len(columns))]
+def _write_table(header, columns, absent, fmt):
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink):
-        _emit_table(header, columns, argparse.Namespace(format=fmt, out=None),
-                    absent, mirror=mirror)
-    return header, sink.getvalue()
+        _emit_table(header, columns, argparse.Namespace(format=fmt, out=None), absent)
+    return sink.getvalue()
 
 
 def _strict_json(text):
@@ -807,20 +835,29 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def _gapped_wide_table():
+    """70 float columns over 3 rows whose rows' gaps differ only past
+    column 63, where a 64-bit key of a row's gaps would wrap."""
+    columns = [np.array([1.5, -0.0, np.nan]) * k for k in range(70)]
+    absent = [np.array([k > 63, k == 69, False]) for k in range(70)]
+    return [f"c{k}" for k in range(70)], columns, absent
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_tables())
+@example(_gapped_wide_table())
+@example((["100%", "p%d"], [np.zeros(0), np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)] * 2))
 def test_table_writer_matches_the_per_cell_reference(table):
-    columns, absent, mirror = table
+    header, columns, absent = table
     values = [column.tolist() for column in columns]
-    gaps = [[False] * len(column) if gap is None else gap.tolist()
-            for column, gap in zip(columns, absent)]
-    header, csv = _write_table(columns, absent, mirror, "csv")
+    gaps = [gap.tolist() for gap in absent]
+    csv = _write_table(header, columns, absent, "csv")
     lines = [",".join(header)] + [
         ",".join(_reference_cell(v, g) for v, g in zip(row, row_gaps))
         for row, row_gaps in zip(zip(*values), zip(*gaps))
     ]
     assert csv == "\n".join(lines) + "\n"
-    _, text = _write_table(columns, absent, mirror, "json")
+    text = _write_table(header, columns, absent, "json")
     rows = [[_reference_json(v, g) for v, g in zip(row, row_gaps)]
             for row, row_gaps in zip(zip(*values), zip(*gaps))]
     assert text == json.dumps({"columns": header, "rows": rows}, indent=2, sort_keys=True) + "\n"

@@ -140,6 +140,28 @@ def test_unit_circle_corners_have_the_closed_form_levels(n):
         np.testing.assert_allclose(ketkets(h).eigenvalues, exact[::-1], rtol=0, atol=2e-13)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 24, 64])
+def test_unit_circle_moving_level_is_a_plane_wave(n):
+    # on |z| = 1 the level 2 - 2 cos gamma belongs to H's plane wave
+    # exp(-i gamma j), j = 1 ... N, and so its ketket, an eigenvector of
+    # H^dagger, is the conjugate wave exp(i gamma j); eig_general meets the
+    # closed-form levels with no imaginary part
+    j = np.arange(1, n + 1)
+    for gamma in _circle_angles(n):
+        moving = 2 - 2 * np.cos(gamma)
+        exact = np.sort(np.append(2 - 2 * np.cos(np.arange(1, n) * np.pi / n), moving))
+        h = build_h(n, np.exp(1j * gamma))
+        wave = np.exp(-1j * gamma * j)
+        # the phase gamma j of entry j is rounded by about j ulps
+        assert np.linalg.norm(h @ wave - moving * wave) <= 1e-15 * n * np.sqrt(n), gamma
+        np.testing.assert_allclose(eig_general(h).eigenvalues, exact, rtol=0, atol=2e-13)
+        basis = ketkets(h)
+        column = basis.vectors[:, np.argmin(np.abs(basis.eigenvalues - moving))]
+        ket = np.conj(wave)
+        fit = np.vdot(ket, column) / n * ket  # |ket|^2 = N
+        assert np.linalg.norm(column - fit) <= 1e-11 * np.linalg.norm(column), gamma
+
+
 # ------------------------------------------------------------ secular_value
 
 

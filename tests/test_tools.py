@@ -9,16 +9,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_ab_ops_times_a_checkout_against_itself():
-    # one round of evolve-lib with the tree on both sides: the outputs agree,
-    # so it times them and ends with the JSON summary line
+def _ab_ops_one_round(workload):
+    """Run one round of ``workload`` with the tree on both sides: the tool
+    exits 0 and ends with its JSON summary line."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_ops.py"), str(ROOT), str(ROOT),
-         "--workload", "evolve-lib", "--seed", "1", "--rounds", "1"],
+         "--workload", workload, "--seed", "1", "--rounds", "1"],
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
     summary = json.loads(run.stdout.splitlines()[-1])
-    assert summary["workload"] == "evolve-lib" and summary["rounds"] == 1
+    assert summary["workload"] == workload and summary["rounds"] == 1
     assert set(summary["rows_per_s"]) == {"parent", "change"}
+
+
+def test_ab_ops_times_a_checkout_against_itself():
+    # one round of evolve-lib: the stacks of both sides agree, so it times
+    # them and ends with the JSON summary line
+    _ab_ops_one_round("evolve-lib")
+
+
+def test_ab_ops_fingerprints_the_tables_of_a_cli_workload():
+    # one round of scan-cli: every table each side writes is compared byte
+    # for byte before any timing, the check a table-writer change relies on
+    _ab_ops_one_round("scan-cli")
