@@ -177,7 +177,7 @@ def _csv_text(header, columns, absent) -> str:
     the numbers in row order.  A number takes 17 significant digits with
     -0.0 as 0, a boolean true or false, and a cell ``absent`` marks is empty."""
     table = np.asarray(columns).T + 0.0  # +0.0 folds -0.0 into 0.0
-    flags = [np.asarray(column).dtype == bool for column in columns]
+    flags = [column.dtype == bool for column in columns]
     kinds = np.where(flags, (table != 0) + np.int8(3), np.int8(2))
     if absent is not None:
         kinds[np.asarray(absent).T] = 1
