@@ -131,38 +131,30 @@ def _dense_eig(a: np.ndarray):
     return np.concatenate(values), np.concatenate(vecs), [error for (error,) in errors]
 
 
-def _eig_stack(stack: np.ndarray):
-    """Unsorted eigenpairs of an (m, N, N) stack, with failures per matrix.
-
-    Returns the (m, N) eigenvalues, the (m, N, N) right eigenvectors and,
-    per matrix, None or the NoConvergence its solve ended in.  Closed form
-    at N=2, LAPACK (``_dense_eig``) above it, so a matrix's result does not
-    depend on the others in its stack.  A matrix LAPACK fails holds NaN
-    values and identity vectors, so it never spoils its neighbours.
-    """
-    m, n, _ = stack.shape
-    if n > MAX_DIM:
-        raise OutOfRange(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    if n == 1:
-        return stack[:, 0].copy(), np.ones((m, 1, 1), dtype=complex), [None] * m
-    if n == 2:
-        values, vecs = _eig2_closed_form(stack)
-        return values, vecs, [None] * m
-    return _dense_eig(stack)
-
-
 def _eigen_arrays(stack: np.ndarray):
     """Sorted eigenpairs of an (m, N, N) stack and their refusals, no SVD.
 
     Returns the ascending eigenvalues (m, N), the unit right vectors
     (m, N, N), each matrix's worst eigenpair defect |A v - lambda v| (m,)
     and per matrix None or the NoConvergence that ``eig_general(stack[k])``
-    raises.  A refused matrix still has its eigenvalues, so a defective
-    point keeps its energies; they are NaN only where the values
-    themselves failed (``_eig_stack``).  A defect above ``_RESIDUAL_CAP``
-    |A|_2 is refused too.
+    raises.  The entry itself at N=1 (LAPACK would move it by an ulp),
+    closed form at N=2 (it keeps a defective pair defective), LAPACK
+    (``_dense_eig``) above it, so a matrix's result does not depend on the
+    others in its stack.  A refused matrix still has its eigenvalues, so a
+    defective point keeps its energies; they are NaN only where LAPACK
+    failed the values themselves.  A defect above ``_RESIDUAL_CAP`` |A|_2
+    is refused too.
     """
-    values, vectors, errors = _eig_stack(stack)
+    m, n, _ = stack.shape
+    if n > MAX_DIM:
+        raise OutOfRange(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
+    errors = [None] * m
+    if n == 1:
+        values, vectors = stack[:, 0], np.ones((m, 1, 1), dtype=complex)
+    elif n == 2:
+        values, vectors = _eig2_closed_form(stack)
+    else:
+        values, vectors, errors = _dense_eig(stack)
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)

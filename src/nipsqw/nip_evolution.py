@@ -17,13 +17,13 @@ and the two-site ketket map with its exact slope in extended precision
 (``_two_site_map``).
 
 The map part of a block -- H, Theta, the map, its inverse, H's levels and
-the map's slope -- is kept read-only in the standard library's one-entry
-cache (``_map_stack``).  A refused block is solved once and never kept, so
-the last clean block stays kept.  ``evolve`` and ``textbook_evolve`` of
-one drive solve the same blocks at bit-identical angles, so on a drive of
-one block they share it, whichever comes first; on a longer drive the
-second call finds only the first's last block there and solves every
-block again.  Outputs are the same as a fresh solve's, in concurrent
+the map's slope -- is six read-only arrays kept in the standard library's
+one-entry cache (``_map_block``).  A refused block is solved once and
+never kept, so the last clean block stays kept.  ``evolve`` and
+``textbook_evolve`` of one drive solve the same blocks at bit-identical
+angles, so on a drive of one block they share it, whichever comes first;
+on a longer drive the second call finds only the first's last block there
+and solves every block again.  Outputs are the same as a fresh solve's, in concurrent
 threads too.
 
 The equation is linear in psi, so each RK4 step is a matrix,
@@ -155,8 +155,10 @@ class GeneratorSnapshot:
     g_eigs: np.ndarray
 
 
-def _map_stack(n, phis, tol, hermitian_map):
-    """H, Theta, Omega, Omega^-1, the levels and the slope dOmega/dphi of a block.
+@lru_cache(maxsize=1)
+def _map_block(n, hermitian_map, tol, dtype, angles):
+    """H, Theta, Omega, Omega^-1, the levels and the slope dOmega/dphi of
+    the block of angles whose ``dtype`` array has the bytes ``angles``.
 
     The part of a block that ``evolve`` and ``textbook_evolve`` share: the
     two-site ketket map of ``_two_site_map``, or the ketket basis of each H
@@ -164,26 +166,16 @@ def _map_stack(n, phis, tol, hermitian_map):
     root of Theta as Omega; both refuse a level's s_j at the
     ``eps_singular`` floor, at two sites |sin phi|.  The levels (m, N) are
     H's real eigenvalues in the descending order of the ketket map's rows,
-    so that map gives Omega H Omega^-1 = diag(levels).  The slope is solved
-    with the clean block, so a textbook integration that finds no kept block
-    solves one it does not read.  The rate enters only after the map, so
-    ``_map_block`` keeps the six arrays in the standard library's one-entry
-    cache, keyed on N, the map, the tolerances and the exact bytes of the
-    angles: a second integration of a one-block drive reads them, one of a
-    longer drive solves its blocks again.  A refused block is solved once,
-    raises its earliest refused stage's error and is never kept, so the
-    last clean block stays kept.
+    so that map gives Omega H Omega^-1 = diag(levels).  Each check runs
+    once over the block and ``_raise_earliest`` picks the refusal before
+    the slope is solved: the ketket map V^dagger takes dV^dagger of
+    Nelson's slope dV (``_ketket_slope``), the root of its metric the slope
+    of its Sylvester equation (``_root_slope``).  The memo keeps one entry,
+    the six arrays read-only, keyed on N, the map, the tolerances, the
+    angles' dtype and their exact bytes; a refused block raises its
+    earliest refused stage's error and is never kept, so the last clean
+    block stays kept.
     """
-    return _map_block(n, hermitian_map, tol, phis.dtype, phis.tobytes())
-
-
-@lru_cache(maxsize=1)
-def _map_block(n, hermitian_map, tol, dtype, angles):
-    """``_map_stack`` of the angles with the bytes ``angles``: each check runs
-    once over the block and ``_raise_earliest`` picks the refusal before the
-    slope is solved.  The ketket map V^dagger takes dV^dagger of Nelson's
-    slope dV (``_ketket_slope``), the root of its metric the slope of its
-    Sylvester equation (``_root_slope``); the six arrays kept are read-only."""
     phis = np.frombuffer(angles, dtype=dtype)
     if n == 2 and not hermitian_map:
         _raise_earliest(_dyson_refusals(np.abs(np.sin(phis)) > tol.eps_singular, tol))
@@ -211,14 +203,15 @@ def _map_block(n, hermitian_map, tol, dtype, angles):
 def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     """H, Sigma, Theta and Omega at every stage angle, each (m, N, N).
 
-    The block's map part (``_map_stack``) and its slope times the rate
-    give Sigma = i Omega^-1 dOmega/dt; textbook stages return
+    The block's map part, kept by ``_map_block``, and its slope times the
+    rate give Sigma = i Omega^-1 dOmega/dt; textbook stages return
     Omega H Omega^-1 in Sigma's place, on the ketket map exactly
     diag(levels).  Each stage depends on its own angle and rate alone, so
     any split into blocks gives the same arrays.  A refused stack raises
     its earliest stage's refusal.
     """
-    h, theta, omega, omega_inv, levels, slope = _map_stack(n, phis, tol, hermitian_map)
+    h, theta, omega, omega_inv, levels, slope = _map_block(
+        n, hermitian_map, tol, phis.dtype, phis.tobytes())
     if textbook:
         mapped = omega @ h @ omega_inv if hermitian_map else levels[:, :, None] * np.eye(n)
         return h, mapped, theta, omega
@@ -359,7 +352,7 @@ def _metric_norms(kets, thetas=None):
 
 
 def _two_site_map(phis):
-    """``_map_stack`` of two sites on the ketket map, in extended precision.
+    """``_map_block``'s arrays of two sites on the ketket map, in extended precision.
 
     The closed-form map family at every stage angle at once, from one
     e = exp(-i phi) per stage: Re e = cos phi, Im e = -sin phi.  Where

@@ -1124,12 +1124,13 @@ STATE_FIELDS = ("psi", "theta", "generator", "omega")
 def _kept_arrays(n, profile, psi0, t0, t1, dt, map_kind="ketket_columns"):
     """The six arrays of the memo's entry for a one-block drive of these
     integration arguments: H, Theta, Omega, Omega^-1, the levels and the
-    slope, read back through ``_map_stack`` on the drive's stage angles,
-    which must find them kept."""
+    slope, read back through ``_map_block`` under the key the stage kernel
+    builds from the drive's stage angles, which must find them kept."""
     _, taus = nip_evolution._stage_times(t0, t1, dt)
     phis = profile(np.asarray(taus, dtype=float))[0]
     before = nip_evolution._map_block.cache_info()
-    arrays = nip_evolution._map_stack(n, phis, get_tolerances(), map_kind == "hermitian_root")
+    arrays = nip_evolution._map_block(
+        n, map_kind == "hermitian_root", get_tolerances(), phis.dtype, phis.tobytes())
     after = nip_evolution._map_block.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     return list(arrays)
