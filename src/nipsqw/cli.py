@@ -322,7 +322,9 @@ def cmd_evolve(args) -> int:
     except ValueError as exc:
         return _usage_error(str(exc))
     observables = args.observable or []
-    for name, matrix in observables:
+    for k, (name, matrix) in enumerate(observables):
+        if any(name == other for other, _ in observables[:k]):
+            return _usage_error(f"two observables head the column expect_{name}")
         if matrix is not None and matrix.shape != (args.n, args.n):
             return _usage_error(
                 f"observable {name!r} is {matrix.shape[0]}x{matrix.shape[1]}, "

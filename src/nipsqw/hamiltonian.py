@@ -29,6 +29,8 @@ class RobinParams:
     grid_h: float
 
     def __post_init__(self):
+        if not np.isfinite([self.alpha, self.beta, self.grid_h]).all():
+            raise OutOfRange(f"alpha, beta and grid spacing must be finite, got {self}")
         if not self.grid_h > 0:
             raise OutOfRange(f"grid spacing must be positive, got {self.grid_h}")
 

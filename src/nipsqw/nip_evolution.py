@@ -315,6 +315,9 @@ def _propagators(gens, steps):
 #: largest |Im| / |Re| a metric norm or expectation may show and still
 #: count as real to rounding
 IMAG_GATE = 1e-10
+#: largest quasi-Hermiticity residual |M|_2 / (|Lambda|_2 |Theta|_2) of an
+#: operator Lambda that still counts as an observable of the metric Theta
+OBSERVABLE_GATE = 1e-8
 _DOUBLE_MAX = np.finfo(float).max
 
 
@@ -558,8 +561,9 @@ def _expectation_stack(kets, thetas, lams):
     metric and operator.  It is refused with ``NotAnObservable`` when
     Lambda fails quasi-Hermiticity against Theta, the 2-norm residual
     |M|_2 / (|Lambda|_2 |Theta|_2) of M = Lambda^dagger Theta - Theta
-    Lambda above 1e-8 (``metric._quasi_hermiticity_stack``), else with
-    ``NonRealNorm`` when the value is not real to rounding or not finite.
+    Lambda above ``OBSERVABLE_GATE`` (``metric._quasi_hermiticity_stack``),
+    else with ``NonRealNorm`` when the value is not real to rounding or not
+    finite.
 
     The gate needs no SVD where the Frobenius bound
     N |M|_F / (|Lambda|_F |Theta|_F), never below the residual, clears it
@@ -578,7 +582,7 @@ def _expectation_stack(kets, thetas, lams):
         fm, fl, ft = np.linalg.norm(np.stack([mismatch, lams, thetas]), axis=(-2, -1))
         norms = np.stack([fl, ft, fl * ft])
         bound = lams.shape[-1] * fm / norms[2]
-    cleared = (bound <= 1e-8 * (1 - 1e-9)) & _squares_in_range(norms).all(axis=0)
+    cleared = (bound <= OBSERVABLE_GATE * (1 - 1e-9)) & _squares_in_range(norms).all(axis=0)
     doubt = np.flatnonzero(~cleared)
     gaps = np.zeros(len(bound))
     if doubt.size:
@@ -591,8 +595,8 @@ def _expectation_stack(kets, thetas, lams):
     ]
     whys = _unreal(values, floor=1.0)
     errors = [
-        NotAnObservable(f"metric compatibility residual {gap:.3e} exceeds 1e-08")
-        if gap > 1e-8
+        NotAnObservable(f"metric compatibility residual {gap:.3e} exceeds {OBSERVABLE_GATE:g}")
+        if gap > OBSERVABLE_GATE
         else NonRealNorm(f"expectation came out {whys[k]}") if k in whys
         else None
         for k, gap in enumerate(gaps.tolist())

@@ -408,6 +408,26 @@ def test_an_observable_name_that_would_split_the_table_is_a_usage_error(capsys, 
                                     "observable name holds a comma or line break"), err
 
 
+@pytest.mark.parametrize("second", ["file:sub/hamiltonian.csv", "file:b/x.csv"],
+                         ids=["hamiltonian-and-file", "two-files"])
+def test_a_repeated_observable_column_is_a_usage_error(capsys, tmp_path, monkeypatch, second):
+    # two columns of one name would let a reader that looks columns up by
+    # name take one observable for the other; refused before integrating
+    first = "hamiltonian" if "hamiltonian" in second else "file:a/x.csv"
+    for flag in (first, second):
+        if flag.startswith("file:"):
+            (tmp_path / flag[5:]).parent.mkdir(exist_ok=True)
+            (tmp_path / flag[5:]).write_text("1,0,0,0\n0,0,1,0\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "evolve", lambda *args, **kwargs: pytest.fail("integrated"))
+    column = "expect_" + Path(second).stem
+    code, out, err = invoke(capsys, "evolve", "--n", "2", "--profile", "constant:phi=1.0",
+                            "--psi0", "1,0,0,0", "--t1", "0.1", "--dt", "0.05",
+                            "--observable", first, "--observable", second)
+    assert (code, out) == (1, "")
+    assert err == f"nipsqw: error: two observables head the column {column}\n"
+
+
 def test_an_observable_name_with_a_percent_sign_heads_its_column(capsys, tmp_path):
     target = tmp_path / "p%d.csv"
     target.write_text("1,0,0,0\n0,0,1,0\n")
@@ -937,21 +957,23 @@ def _fresh_process_run(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
-def test_one_process_runs_commands_as_fresh_ones_do(capsys):
+def test_one_process_runs_commands_as_fresh_ones_do(capsys, tmp_path):
     # the parser is built once per process; an appended flag, a usage error
     # or another subcommand must not carry over into the next command
+    ident = tmp_path / "ident.csv"
+    ident.write_text("1,0,0,0,0,0\n0,0,1,0,0,0\n0,0,0,0,1,0\n")
     evolve = ("evolve", "--n", "3", "--profile", "linear:phi0=1.0,omega=0.1",
               "--psi0", "1,0,0,0.5,0,0", "--t1", "0.1", "--dt", "0.05")
     commands = [
-        (*evolve, "--observable", "hamiltonian", "--observable", "hamiltonian"),
+        (*evolve, "--observable", "hamiltonian", "--observable", f"file:{ident}"),
         ("epscan", "--n", "4", "--r-min", "0.1", "--r-max", "1", "--samples", "5"),
         ("evolve", "--n", "3", "--t1", "1"),
         (*evolve, "--observable", "hamiltonian"),
     ]
     runs = [invoke(capsys, *argv) for argv in commands]
     assert [code for code, _, _ in runs] == [0, 0, 1, 0]
-    assert runs[0][1].splitlines()[0].count("hamiltonian") == 2
-    assert runs[3][1].splitlines()[0].count("hamiltonian") == 1
+    assert runs[0][1].splitlines()[0].count("expect_") == 2
+    assert runs[3][1].splitlines()[0].count("expect_") == 1
     assert runs == [_fresh_process_run(*argv) for argv in commands]
 
 
@@ -1075,6 +1097,16 @@ def test_site_count_below_two_is_a_usage_error(capsys, argv, n):
     code, out, err = invoke(capsys, argv[0], "--n", n, *argv[1:])
     assert code == 1 and out == ""
     assert err == f"nipsqw: error: need at least two sites, got {n}\n"
+
+
+@pytest.mark.parametrize("argv", [("curve", "--e-min", "0", "--e-max", "1"),
+                                  ("epscan", "--r-min", "0", "--r-max", "1")],
+                         ids=lambda argv: argv[0])
+def test_samples_beyond_memory_are_a_usage_error(capsys, argv):
+    # 10^15 doubles are 7.1 PiB, which numpy refuses to allocate at once
+    code, out, err = invoke(capsys, *argv, "--n", "4", "--samples", "1000000000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("nipsqw: error: out of memory: ") and err.count("\n") == 1, err
 
 
 EVOLVE_2 = ("evolve", "--n", "2", "--psi0", "1,0,0,0", "--t1", "1", "--dt", "0.1")

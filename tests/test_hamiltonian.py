@@ -38,6 +38,15 @@ def test_robin_requires_positive_spacing():
         RobinParams(0.0, 0.0, -0.1)
 
 
+@pytest.mark.parametrize("params", [(np.nan, 0.0, 0.1), (1.0, 1.0, np.inf),
+                                    (0.0, np.inf, 0.1), (-np.inf, 0.0, 0.1)],
+                         ids=["nan-alpha", "inf-spacing", "inf-beta", "minus-inf-alpha"])
+def test_robin_refuses_non_finite_parameters(params):
+    # robin_to_z would read these as a corner of nan+nanj or -0-0j
+    with pytest.raises(OutOfRange, match="must be finite"):
+        RobinParams(*params)
+
+
 def test_robin_is_locally_lipschitz():
     delta = 1e-3
     for h in (0.1, 1.0):

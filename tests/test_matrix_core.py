@@ -204,6 +204,12 @@ def test_eig_general_one_by_one():
     dec = eig_general(np.array([[2.5 + 1j]]))
     np.testing.assert_allclose(dec.eigenvalues, [2.5 + 1j])
     assert dec.residual == 0.0
+    # the entry itself, bit for bit: LAPACK returns 9.47080963129242e+207 here,
+    # one ulp off, as it does for about a fifth of random 1x1 entries
+    entry = 9.470809631292421e+207 + 1.3179951094209236e+208j
+    dec = eig_general(np.array([[entry]]))
+    assert dec.eigenvalues.tolist() == [entry] and dec.right_vectors.tolist() == [[1.0]]
+    assert (dec.residual, dec.vector_condition) == (0.0, 1.0)
 
 
 @st.composite

@@ -1631,7 +1631,7 @@ def test_the_observable_bound_is_sound_at_the_gate(monkeypatch):
         for gap, error in zip(exact(lams, thetas).tolist(), errors):
             assert isinstance(error, NotAnObservable) == (gap > 1e-8), gap
             if gap > 1e-8:
-                assert f"residual {gap:.3e} exceeds" in str(error)
+                assert str(error) == f"metric compatibility residual {gap:.3e} exceeds 1e-08"
         assert sum(isinstance(error, NotAnObservable) for error in errors) >= 4
     # the tight rows just under the gate cleared without the exact residual
     assert sum(exact_calls) < len(rows)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,14 @@ def test_ab_ops_fingerprints_the_tables_of_a_cli_workload():
     # one round of scan-cli: every table each side writes is compared byte
     # for byte before any timing, the check a table-writer change relies on
     _ab_ops_one_round("scan-cli")
+
+
+def test_hash_outputs_prints_its_ten_fingerprints():
+    # the fingerprints every refactor compares against its parent's; the
+    # tool reaches into the map memo, so a rename there must show here
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "hash_outputs.py")],
+                         capture_output=True, text=True, env=env, timeout=300, check=False)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 10 and all(re.fullmatch(r"\S.* +[0-9a-f]{64}", line) for line in lines)
