@@ -23,8 +23,8 @@ never kept, so the last clean block stays kept.  ``evolve`` and
 ``textbook_evolve`` of one drive solve the same blocks at bit-identical
 angles, so on a drive of one block they share it, whichever comes first;
 on a longer drive the second call finds only the first's last block there
-and solves every block again.  Outputs are the same as a fresh solve's, in concurrent
-threads too.
+and solves every block again.  Outputs are the same as a fresh solve's,
+in concurrent threads too.
 
 The equation is linear in psi, so each RK4 step is a matrix,
 psi_{k+1} = R_k psi_k.  The integrator splits a drive into blocks by one

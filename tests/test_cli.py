@@ -408,19 +408,20 @@ def test_an_observable_name_that_would_split_the_table_is_a_usage_error(capsys, 
                                     "observable name holds a comma or line break"), err
 
 
-@pytest.mark.parametrize("second", ["file:sub/hamiltonian.csv", "file:b/x.csv"],
-                         ids=["hamiltonian-and-file", "two-files"])
-def test_a_repeated_observable_column_is_a_usage_error(capsys, tmp_path, monkeypatch, second):
+@pytest.mark.parametrize("first, second, column", [
+    ("hamiltonian", "file:sub/hamiltonian.csv", "expect_hamiltonian"),
+    ("file:a/x.csv", "file:b/x.csv", "expect_x"),
+], ids=["hamiltonian-and-file", "two-files"])
+def test_a_repeated_observable_column_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                                       first, second, column):
     # two columns of one name would let a reader that looks columns up by
     # name take one observable for the other; refused before integrating
-    first = "hamiltonian" if "hamiltonian" in second else "file:a/x.csv"
+    monkeypatch.chdir(tmp_path)
     for flag in (first, second):
         if flag.startswith("file:"):
-            (tmp_path / flag[5:]).parent.mkdir(exist_ok=True)
-            (tmp_path / flag[5:]).write_text("1,0,0,0\n0,0,1,0\n")
-    monkeypatch.chdir(tmp_path)
+            Path(flag[5:]).parent.mkdir()
+            Path(flag[5:]).write_text("1,0,0,0\n0,0,1,0\n")
     monkeypatch.setattr(cli, "evolve", lambda *args, **kwargs: pytest.fail("integrated"))
-    column = "expect_" + Path(second).stem
     code, out, err = invoke(capsys, "evolve", "--n", "2", "--profile", "constant:phi=1.0",
                             "--psi0", "1,0,0,0", "--t1", "0.1", "--dt", "0.05",
                             "--observable", first, "--observable", second)
