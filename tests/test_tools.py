@@ -37,7 +37,7 @@ def test_ab_ops_fingerprints_the_tables_of_a_cli_workload():
     _ab_ops_one_round("scan-cli")
 
 
-def test_hash_outputs_prints_its_ten_fingerprints():
+def test_hash_outputs_prints_its_eleven_fingerprints():
     # the fingerprints every refactor compares against its parent's; the
     # tool reaches into the map memo, so a rename there must show here
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
@@ -45,4 +45,4 @@ def test_hash_outputs_prints_its_ten_fingerprints():
                          capture_output=True, text=True, env=env, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 10 and all(re.fullmatch(r"\S.* +[0-9a-f]{64}", line) for line in lines)
+    assert len(lines) == 11 and all(re.fullmatch(r"\S.* +[0-9a-f]{64}", line) for line in lines)

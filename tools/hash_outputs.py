@@ -1,6 +1,6 @@
 """Fingerprint library and CLI outputs, to show a refactor moves no bit.
 
-Prints ten sha256 lines:
+Prints eleven sha256 lines:
 
 * ``library <integration> <map>``, one line for each of ``evolve`` and
   ``textbook_evolve`` on each map: all six stacks of every call of that
@@ -21,7 +21,13 @@ Prints ten sha256 lines:
 * ``spectra``: the energies and reality flags of ``solve_spectrum`` and
   the levels and columns of ``ketkets`` (or each refusal) on wells at
   N = 2, 3, 4, 6, 8, 16, 64, driven at r = 0.5, 1e-4, 1e-8, 0 and with
-  the corners z = 3i, a Robin corner and z = exp(i pi/3).
+  the corners z = 3i, a Robin corner and z = exp(i pi/3);
+* ``secular``: the closed-form Chebyshev route at N = 2, 3, 4, 5, 6, 8, 13,
+  16, 33, 64 on the corners z = 0, 0.5i, i, 3i, 0.3 + 0.4i, exp(i pi/3) and
+  ``z_from_r(1e-8)``: ``secular_value`` at 23 energies over [-0.5, 4.5],
+  ``chebyshev_eigvec`` (or its refusal) at each LAPACK eigenvalue of the
+  well, and ``ep_scan`` of each N on the grids [], [0], [1e-8, -1e-8, 1]
+  and 41 points over [-1, 1].
 
 Run it from any directory on two checkouts and compare the lines:
 
@@ -48,7 +54,7 @@ from nipsqw.config import get_tolerances  # noqa: E402
 from nipsqw.errors import EPProximity, NipsqwError  # noqa: E402
 from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r  # noqa: E402
 from nipsqw.metric import ketkets  # noqa: E402
-from nipsqw.spectrum import solve_spectrum  # noqa: E402
+from nipsqw.spectrum import chebyshev_eigvec, ep_scan, secular_value, solve_spectrum  # noqa: E402
 from perfbench.workloads import cli_argv, rounds  # noqa: E402
 
 STACKS = ("t", "psi", "theta", "phys_norm", "generator", "omega")
@@ -158,6 +164,27 @@ def spectra_hash():
     return digest.hexdigest()
 
 
+def secular_hash():
+    digest = hashlib.sha256()
+    corners = (0.0, 0.5j, 1j, 3j, 0.3 + 0.4j, np.exp(1j * np.pi / 3), z_from_r(1e-8))
+    grids = ([], [0.0], [1e-8, -1e-8, 1.0], np.linspace(-1.0, 1.0, 41))
+    energies = np.linspace(-0.5, 4.5, 23)
+    for n in (2, 3, 4, 5, 6, 8, 13, 16, 33, 64):
+        for grid in grids:
+            digest.update(ep_scan(n, grid).tobytes())
+        for z in corners:
+            digest.update(np.array([secular_value(n, z, e) for e in energies]).tobytes())
+            for e in np.linalg.eigvals(build_h(n, z)):
+                try:
+                    solution = chebyshev_eigvec(n, z, e)
+                except NipsqwError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}".encode())
+                    continue
+                digest.update(np.array([solution.y, solution.a, solution.b]).tobytes())
+                digest.update(solution.components.tobytes())
+    return digest.hexdigest()
+
+
 def cli_hash(workload):
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
@@ -186,3 +213,4 @@ if __name__ == "__main__":
     print("two-site snapshots", snapshot_hash((2,)))
     print("scan-cli  ", cli_hash("scan-cli"))
     print("spectra   ", spectra_hash())
+    print("secular   ", secular_hash())
