@@ -51,20 +51,15 @@ def solve_spectrum(h) -> SpectrumResult:
     return SpectrumResult(energies=energies, real_flags=flags, all_real=bool(flags.all()))
 
 
-def _cheb_pair(y: complex, count: int):
-    """First- and second-kind polynomial sequences T_0..T_{count-1},
-    U_0..U_{count-1} at a complex argument, by the three-term recurrence."""
-    t = np.empty(count, dtype=complex)
-    u = np.empty(count, dtype=complex)
-    t[0] = 1.0
-    u[0] = 1.0
-    if count > 1:
-        t[1] = y
-        u[1] = 2.0 * y
+def _three_term(y: complex, second: complex, count: int) -> np.ndarray:
+    """x_0..x_{count-1} of x_k = 2y x_(k-1) - x_(k-2) from the seeds (1, second):
+    T_k for second = y, U_k for 2y, and a well's components for 2y - z."""
+    x = np.empty(count, dtype=complex)
+    x[0] = 1.0
+    x[1] = second
     for k in range(2, count):
-        t[k] = 2.0 * y * t[k - 1] - t[k - 2]
-        u[k] = 2.0 * y * u[k - 1] - u[k - 2]
-    return t, u
+        x[k] = 2.0 * y * x[k - 1] - x[k - 2]
+    return x
 
 
 def _boundary_system(n: int, z: complex, e: complex):
@@ -74,7 +69,7 @@ def _boundary_system(n: int, z: complex, e: complex):
     reduces to A(z - y) + B z = 0); row two imposes the last line.
     """
     y = (2.0 - e) / 2.0
-    t, u = _cheb_pair(y, n)
+    t, u = _three_term(y, y, n), _three_term(y, 2.0 * y, n)
     zc = np.conj(z)
     m = np.array(
         [
@@ -133,12 +128,7 @@ def chebyshev_eigvec(n: int, z: complex, e: complex) -> ChebyshevSolution:
     ab = ab / ab[np.argmax(np.abs(ab))]
     components = ab[0] * t + ab[1] * u
     if np.abs(components).max() <= 1e-10 * max(1.0, np.abs(ab).max()):
-        components = np.empty(n, dtype=complex)
-        components[0] = 1.0
-        if n > 1:
-            components[1] = 2.0 * y - z
-        for k in range(2, n):
-            components[k] = 2.0 * y * components[k - 1] - components[k - 2]
+        components = _three_term(y, 2.0 * y - z, n)
     return ChebyshevSolution(y=complex(y), a=ab[0], b=ab[1], components=components)
 
 
@@ -248,20 +238,14 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     if not np.all(np.abs(r_values) <= 1.0):
         raise OutOfRange("coupling grid must stay within [-1, 1]")
 
-    def min_gap(w: np.ndarray) -> np.ndarray:
-        pair_gaps = np.abs(w[:, :, None] - w[:, None, :])
-        pair_gaps[:, np.eye(w.shape[1], dtype=bool)] = np.inf
-        return pair_gaps.min(axis=(1, 2))
-
     stack = build_h(n, [z_from_r(r) for r in r_values])
     values, vectors, errors = _well_ketket_stack(stack, r_values)
     sv = np.linalg.svd(vectors / np.linalg.norm(vectors, axis=-2, keepdims=True),
                        compute_uv=False)
-    rows = np.empty((r_values.size, 3), dtype=float)
-    rows[:, 0] = r_values
-    rows[:, 1] = min_gap(values)
+    pair_gaps = np.abs(values[:, :, None] - values[:, None, :])
+    pair_gaps[:, np.eye(n, dtype=bool)] = np.inf
     with np.errstate(divide="ignore"):
-        rows[:, 2] = sv[:, 0] / sv[:, -1]
-    rows[[error is not None for error in errors], 2] = np.inf
-    rows[rows[:, 2] >= COND_CEILING, 2] = np.inf
-    return rows
+        condition = sv[:, 0] / sv[:, -1]
+    refused = np.array([error is not None for error in errors], dtype=bool)
+    condition[refused | (condition >= COND_CEILING)] = np.inf
+    return np.column_stack([r_values, pair_gaps.min(axis=(1, 2)), condition])
