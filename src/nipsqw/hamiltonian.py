@@ -44,8 +44,11 @@ def robin_to_z(params: RobinParams) -> complex:
     alpha = 1.3, beta = 0 and h = pi / N the n = 1 level of H / h^2 is off
     by 0.066, 0.035 and 0.018 at N = 64, 128 and 256.  The cell-centred corner
     z = exp(i gamma) with tan(gamma / 2) = alpha h / 2 converges at second order.
+    Finite data whose products overflow the denominator raise OutOfRange.
     """
     w = 1.0 - params.beta * params.grid_h - 1j * params.alpha * params.grid_h
+    if not np.isfinite(w):
+        raise OutOfRange(f"1 - beta*h - i*alpha*h = {w} is not finite")
     if abs(w) <= 1e-12:
         raise DegenerateBoundary(f"1 - beta*h - i*alpha*h = {w} is too small")
     return 1.0 / w

@@ -90,6 +90,13 @@ def test_spectrum_robin_matches_explicit_corner_value(capsys):
     assert out_r == out_z
 
 
+def test_spectrum_refuses_a_robin_corner_that_overflows(capsys):
+    # finite flags whose products overflow are a numerical failure, not a traceback
+    code, out, err = invoke(capsys, "spectrum", "--n", "3", "--robin", "1e200,1e200,1e200")
+    assert code == 2 and out == ""
+    assert err == "error: 1 - beta*h - i*alpha*h = (-inf-infj) is not finite\n"
+
+
 def test_spectrum_json_payload(capsys):
     code, out, err = invoke(
         capsys, "spectrum", "--n", "2", "--r", "0.5", "--format", "json"

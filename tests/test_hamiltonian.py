@@ -47,6 +47,15 @@ def test_robin_refuses_non_finite_parameters(params):
         RobinParams(*params)
 
 
+@pytest.mark.parametrize("params", [(1e200, 1e200, 1e200), (1e160, 1e160, 1e160),
+                                    (0.0, 1e200, 1e200)],
+                         ids=["both-1e200", "both-1e160", "beta-1e200"])
+def test_robin_refuses_a_corner_that_overflows(params):
+    # finite data whose products overflow would read as nan+nanj or -0-0j
+    with pytest.raises(OutOfRange, match="is not finite"):
+        robin_to_z(RobinParams(*params))
+
+
 def test_robin_is_locally_lipschitz():
     delta = 1e-3
     for h in (0.1, 1.0):
