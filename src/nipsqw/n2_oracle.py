@@ -5,6 +5,11 @@ and its rate phi_dot: the Dyson map and its derivative, the metric,
 the Coriolis generator, and the full interaction-picture generator,
 each with hand-solved eigenvalues.  The only numerics is a square
 root, so these serve as oracles for the matrix pipelines.
+
+They state the package's gauge.  Where sin phi < 0 the package's ketket
+map is the family at -phi with rate -phi_dot, so every Omega-, Sigma- or
+G-valued form evaluates there; the metric, its eigenvalues and the regime
+are even under that map.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ def _require_off_ep(phi: float) -> float:
     return s
 
 
+def _gauge(phi: float, phi_dot: float = 0.0) -> tuple[float, float]:
+    """(phi, phi_dot) in the package's gauge: (-phi, -phi_dot) where sin phi < 0."""
+    return (-phi, -phi_dot) if np.sin(phi) < 0 else (phi, phi_dot)
+
+
 @dataclass(frozen=True)
 class N2Params:
     """Boundary angle and rate, with the derived stationarity ratio D.
@@ -47,17 +57,20 @@ class N2Params:
 
 def omega_s(phi: float) -> np.ndarray:
     """Closed-form Dyson map; its adjoint carries the ketkets as columns."""
+    phi, _ = _gauge(phi)
     off = -1j * np.exp(-1j * phi)
     return np.array([[1.0, off], [-off, 1.0]])
 
 
 def omega_s_dagger(phi: float) -> np.ndarray:
+    phi, _ = _gauge(phi)
     off = 1j * np.exp(1j * phi)
     return np.array([[1.0, -off], [off, 1.0]])
 
 
 def omega_s_inv(phi: float) -> np.ndarray:
     """Exact inverse; blows up at the exceptional point sin phi = 0."""
+    phi, _ = _gauge(phi)
     _require_off_ep(phi)
     off = 1j * np.exp(-1j * phi)
     return np.array([[1.0, off], [-off, 1.0]]) / (2j * np.sin(phi) * np.exp(-1j * phi))
@@ -65,6 +78,7 @@ def omega_s_inv(phi: float) -> np.ndarray:
 
 def omega_s_dot(phi: float, phi_dot: float) -> np.ndarray:
     """Time derivative of the Dyson map along phi(t)."""
+    phi, phi_dot = _gauge(phi, phi_dot)
     off = np.exp(-1j * phi)
     return phi_dot * np.array([[0.0, -off], [off, 0.0]])
 
@@ -83,6 +97,7 @@ def theta_eigs(phi: float) -> tuple[float, float]:
 
 def sigma_s(phi: float, phi_dot: float) -> np.ndarray:
     """Coriolis generator i Omega^-1 dOmega/dt in closed form."""
+    phi, phi_dot = _gauge(phi, phi_dot)
     s = _require_off_ep(phi)
     d = phi_dot / (2.0 * s)
     diag = 1j * np.exp(-1j * phi)
@@ -91,6 +106,7 @@ def sigma_s(phi: float, phi_dot: float) -> np.ndarray:
 
 def sigma_eigs(phi: float, phi_dot: float) -> tuple[complex, complex]:
     """Coriolis eigenvalues, (plus, minus) branch order."""
+    phi, phi_dot = _gauge(phi, phi_dot)
     s = _require_off_ep(phi)
     c = np.cos(phi)
     plus = (1.0 + 1j * (c + 1.0) / s) * phi_dot / 2.0
@@ -108,6 +124,7 @@ def _w_pair(phi: float, phi_dot: float) -> tuple[complex, complex]:
 
 def g_s(phi: float, phi_dot: float) -> np.ndarray:
     """Full interaction-picture generator G = H - Sigma in closed form."""
+    phi, phi_dot = _gauge(phi, phi_dot)
     s = _require_off_ep(phi)
     d = phi_dot / (2.0 * s)
     c = np.cos(phi)
@@ -129,6 +146,7 @@ def g_eigs(phi: float, phi_dot: float) -> tuple[complex, complex]:
     branch, so the pair splits along the real axis in the almost
     stationary regime and along the imaginary axis past it.
     """
+    phi, phi_dot = _gauge(phi, phi_dot)
     s = _require_off_ep(phi)
     d = phi_dot / (2.0 * s)
     w_plus, w_minus = _w_pair(phi, phi_dot)

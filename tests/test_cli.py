@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nipsqw
-from nipsqw import cli, matrix_core, metric, nip_evolution
+from nipsqw import cli, matrix_core, metric, n2_oracle, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, _emit_table, main, run_identity_suite
 from nipsqw.config import Tolerances, get_tolerances
 from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
@@ -733,6 +733,27 @@ def test_n2verify_default_grid_passes(capsys):
     assert out.count("PASS") == 8 and "FAIL" not in out
     for line in out.strip().splitlines()[:-1]:
         assert float(line.split()[1]) <= IDENTITY_THRESHOLD
+
+
+def test_n2verify_passes_at_a_negative_sine(capsys):
+    # the oracle states the package's gauge, the family at -phi, so
+    # sin phi < 0 passes as the default grid does
+    code, out, _ = invoke(capsys, "n2verify", "--phi-grid=-1")
+    assert code == 0 and out.count("PASS") == 8 and "failures=0" in out
+
+
+def test_identity_suite_passes_over_the_whole_circle():
+    # 40 angles with |sin phi| >= 0.05, both signs of the sine, rates as by default
+    circle = np.linspace(-np.pi + 0.15, np.pi - 0.15, 41)
+    grid = circle[np.abs(np.sin(circle)) >= 0.05]
+    assert [r.passed for r in run_identity_suite(phi_grid=grid)] == [True] * 8
+
+
+def test_n2verify_default_grid_is_unmoved_by_the_gauge(capsys, monkeypatch):
+    # every default angle has sin phi > 0, where the gauge is the identity
+    _, gauged, _ = invoke(capsys, "n2verify")
+    monkeypatch.setattr(n2_oracle, "_gauge", lambda phi, phi_dot=0.0: (phi, phi_dot))
+    assert invoke(capsys, "n2verify") == (0, gauged, "")
 
 
 def test_n2verify_degraded_difference_step_fails(capsys, monkeypatch):

@@ -57,6 +57,19 @@ def test_omega_dot_finite_difference():
     np.testing.assert_allclose(omega_s_dot(phi, rate), fd, atol=1e-8)
 
 
+def test_forms_take_the_package_gauge_where_the_sine_is_negative():
+    # the map, Coriolis and generator forms read (phi, phi_dot) as
+    # (-phi, -phi_dot) where sin phi < 0; the metric is even
+    for phi in (-1.0, -2.5, 4.0):
+        for form in (omega_s, omega_s_dagger, omega_s_inv, theta_s):
+            np.testing.assert_array_equal(form(phi), form(-phi))
+        for form in (omega_s_dot, sigma_s, g_s):
+            np.testing.assert_array_equal(form(phi, 0.7), form(-phi, -0.7))
+        for form in (sigma_eigs, g_eigs):
+            assert form(phi, 0.7) == form(-phi, -0.7)
+        assert theta_eigs(phi) == theta_eigs(-phi)
+
+
 def test_omega_inverse_guards_the_ep():
     with pytest.raises(EPProximity):
         omega_s_inv(1e-13)

@@ -1511,13 +1511,13 @@ def test_kept_arrays_are_read_only(integrate):
 def test_textbook_stationary_profile_rotates_phases():
     # a constant drive keeps the levels 2 +- |sin phi|, so each mapped
     # component only turns, with no step error over 1,000 steps; where
-    # sin phi < 0 the map is the closed-form family at -phi
+    # sin phi < 0 the map is the closed-form family at -phi, as omega_s states
     psi0 = np.array([0.8, 0.6j])
     for phi in (np.pi / 3, 2.5, -0.7, 1e-3):
         s = abs(np.sin(phi))
         states = textbook_evolve(2, PhiProfile.constant(phi), psi0, 0.0, 10.0, 0.01)
         start, levels = states.psi[0], np.array([2 + s, 2 - s])
-        np.testing.assert_allclose(start, omega_s(np.sign(np.sin(phi)) * phi) @ psi0, atol=1e-12)
+        np.testing.assert_allclose(start, omega_s(phi) @ psi0, atol=1e-12)
         want = start * np.exp(-1j * np.outer(states.t, levels))
         assert np.abs(states.psi - want).max() <= 1e-13 * np.linalg.norm(start), phi
         assert np.abs(states.generator - np.diag(levels)).max() <= 1e-15, phi
