@@ -88,6 +88,8 @@ def secular_value(n: int, z: complex, e: complex) -> complex:
     """Determinant of the boundary system; zero exactly on the spectrum."""
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
+    if not (np.isfinite(z) and np.isfinite(e)):
+        raise OutOfRange(f"corner and energy must be finite, got z = {z}, E = {e}")
     _, _, _, m = _boundary_system(n, z, e)
     return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 

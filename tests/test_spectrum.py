@@ -529,10 +529,18 @@ def test_ep_scan_domain_guard():
     (lambda: ep_scan(4, [np.nan]), OutOfRange),
     (lambda: spectral_curve(3, np.nan), ValueError),
     (lambda: spectral_curve(3, np.inf), ValueError),
-    (lambda: chebyshev_eigvec(3, 0.5j, np.nan), NotAnEigenvalue),
-], ids=["z_from_r", "ep_scan", "curve_nan", "curve_inf", "chebyshev_eigvec"])
+    (lambda: chebyshev_eigvec(3, 0.5j, np.nan), OutOfRange),
+    (lambda: secular_value(3, 1j, np.nan), OutOfRange),
+    (lambda: secular_value(3, 1j, np.inf), OutOfRange),
+    (lambda: secular_value(3, np.nan, 1.0), OutOfRange),
+    (lambda: secular_value(3, complex(0.0, np.inf), 1.0), OutOfRange),
+    (lambda: chebyshev_eigvec(3, np.inf, 1.0), OutOfRange),
+], ids=["z_from_r", "ep_scan", "curve_nan", "curve_inf", "chebyshev_eigvec",
+        "secular_nan_energy", "secular_inf_energy", "secular_nan_corner", "secular_inf_corner",
+        "chebyshev_eigvec_inf_corner"])
 def test_nan_fails_each_domain_check(call, refusal):
     # each check holds only where its comparison is true, so NaN, which
-    # compares false, is refused rather than carried into the arithmetic
+    # compares false, is refused rather than carried into the arithmetic;
+    # so is inf in the secular route
     with pytest.raises(refusal):
         call()
