@@ -174,16 +174,24 @@ _CELL_TEXT = {1: "", 2: FMT, 3: "false", 4: "true"}
 def _csv_text(header, columns, absent) -> str:
     """A table's CSV text in one ``%``: a format string of the header and one
     line per row, spelled by the kinds of that row's cells, applied once to
-    the numbers in row order.  A number takes 17 significant digits with
-    -0.0 as 0, a boolean true or false, and a cell ``absent`` marks is empty."""
+    the numbers in row order.  Consecutive rows of equal kinds form a run;
+    each distinct line is spelled once and written once per run, times the
+    run's length.  A number takes 17 significant digits with -0.0 as 0, a
+    boolean true or false, and a cell ``absent`` marks is empty."""
     table = np.asarray(columns).T + 0.0  # +0.0 folds -0.0 into 0.0
     flags = [column.dtype == bool for column in columns]
     kinds = np.where(flags, (table != 0) + np.int8(3), np.int8(2))
     if absent is not None:
         kinds[np.asarray(absent).T] = 1
-    keys = np.ascontiguousarray(kinds).view(f"S{len(flags)}").ravel().tolist()  # row by row
+    rows = np.ascontiguousarray(kinds).view(f"S{len(flags)}").ravel()  # a key per row
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(starts)
+    keys = rows[starts].tolist()  # a key per run
     lines = {key: "\n" + ",".join([_CELL_TEXT[kind] for kind in key]) for key in set(keys)}
-    text = ",".join(header).replace("%", "%%") + "".join(map(lines.__getitem__, keys))
+    lengths = np.diff(starts, append=len(rows)).tolist()
+    text = ",".join(header).replace("%", "%%") + "".join(
+        [lines[key] * length for key, length in zip(keys, lengths)])
     return text % tuple(table[kinds == 2].tolist())
 
 

@@ -162,8 +162,15 @@ def _eigen_arrays(stack: np.ndarray):
     return values, vectors, _residual_refusals(stack, values, vectors, errors), errors
 
 
-def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
-    """Each matrix's worst eigenpair defect |A v - lambda v| over unit columns.
+def _dense_mismatch(stack, values, vectors):
+    """A V - V diag(values) of each matrix of a stack, by the dense product."""
+    return stack @ vectors - vectors * values[:, None, :]
+
+
+def _residual_refusals(stack, values, vectors, errors, mismatch=_dense_mismatch) -> np.ndarray:
+    """Each matrix's worst eigenpair defect |A v - lambda v| over unit columns,
+    from ``mismatch(A, values, V)``, A V - V diag(values): dense by default,
+    cheaper where a caller knows A's structure.
 
     A matrix whose ``errors`` entry is None and whose defect exceeds
     ``_RESIDUAL_CAP`` |A|_2 gets a NoConvergence there.  Only a defect
@@ -172,13 +179,13 @@ def _residual_refusals(stack, values, vectors, errors) -> np.ndarray:
     by the power of two of its largest entry, which is exact.
     """
     with np.errstate(over="ignore"):
-        defect = _worst_defect(stack, values, vectors)
+        defect = _worst_defect(stack, values, vectors, mismatch)
         frob = np.linalg.norm(stack, axis=(-2, -1))
     odd = np.flatnonzero(~_squares_in_range(frob))
     if odd.size:
         scale = _binary_scales(stack[odd])
         scaled = stack[odd] * scale[:, None, None]
-        worst = _worst_defect(scaled, values[odd] * scale[:, None], vectors[odd])
+        worst = _worst_defect(scaled, values[odd] * scale[:, None], vectors[odd], mismatch)
         with np.errstate(over="ignore"):  # only a norm past the double range
             defect[odd] = worst / scale
             frob[odd] = np.linalg.norm(scaled, axis=(-2, -1)) / scale
@@ -229,9 +236,9 @@ def _squares_in_range(norms) -> np.ndarray:
     return (2.0**-400 <= norms) & (norms <= 2.0**400)
 
 
-def _worst_defect(stack, values, vectors):
+def _worst_defect(stack, values, vectors, mismatch):
     """max_j |A v_j - lambda_j v_j| of each matrix of a stack."""
-    return np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=-2).max(axis=-1)
+    return np.linalg.norm(mismatch(stack, values, vectors), axis=-2).max(axis=-1)
 
 
 def eig_general(matrix) -> EigenDecomposition:

@@ -96,22 +96,30 @@ def _as_well(h) -> np.ndarray:
 def _ketket_basis(h: np.ndarray):
     """Adjoint eigenbasis of one well: its values, columns and refusal.
 
-    The one well solve of ``ketkets`` and ``spectrum.solve_spectrum``, ordered
-    and scaled as ``KetketBasis`` says; the refusal is None or the
-    DefectiveAtEP of ``_gauged_bases``, beside the values it keeps.  A
-    driven well, build_h(N, i c) with |c| <= 1, is solved in closed form
-    at the coupling its corner gives, sqrt((1 - |c|)(1 + |c|))
-    (``_well_ketket_stack``); any other well by ``_eigen_arrays`` on H^dagger,
-    whose ascending unit columns are read in reverse.
+    The one well solve of ``ketkets``, and of ``spectrum.solve_spectrum`` on
+    wells that are not driven, ordered and scaled as ``KetketBasis`` says;
+    the refusal is None or the DefectiveAtEP of ``_gauged_bases``, beside the
+    values it keeps.  A driven well is solved in closed form at the coupling
+    its corner gives (``_driven_coupling``, ``_well_ketket_stack``); any
+    other well by ``_eigen_arrays`` on H^dagger, whose ascending unit columns
+    are read in reverse.
     """
-    c = h[-1, -1].imag
-    if abs(c) <= 1.0 and (h == build_h(len(h), 1j * c)).all():
-        r = np.sqrt((1.0 - abs(c)) * (1.0 + abs(c)))
+    r = _driven_coupling(h)
+    if r is not None:
         values, vectors, errors = _well_ketket_stack(h[None], [r])
     else:
         values, vectors, _, failures = _eigen_arrays(h[None].conj().swapaxes(-1, -2))
         values, vectors, errors = _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
     return values[0], vectors[0], errors[0]
+
+
+def _driven_coupling(h: np.ndarray):
+    """The coupling sqrt((1 - |c|)(1 + |c|)) of a driven well, build_h(N, i c)
+    with |c| <= 1, from its corner; None for any other well."""
+    c = h[-1, -1].imag
+    if abs(c) <= 1.0 and (h == build_h(len(h), 1j * c)).all():
+        return np.sqrt((1.0 - abs(c)) * (1.0 + abs(c)))
+    return None
 
 
 def _gauged_bases(values, unit, failures):
@@ -135,11 +143,16 @@ def _gauged_bases(values, unit, failures):
                            lambda k: DefectiveAtEP("eigenvector matrix is numerically singular"))
     failed = [k for k, failure in enumerate(failures) if failure] if any(failures) else []
     for k in failed:
-        errors[k] = DefectiveAtEP(f"adjoint eigenproblem did not converge: {failures[k]}")
+        errors[k] = _unsolved(failures[k])
     pivots = unit[:, _pivot_rows(n), np.arange(n)]
     if failed:  # a failed solve holds identity columns, whose pivot entries may vanish
         pivots[failed] = 1.0
     return values, unit / pivots[:, None, :], errors
+
+
+def _unsolved(failure) -> DefectiveAtEP:
+    """The refusal of a well whose eigen solve failed with ``failure``."""
+    return DefectiveAtEP(f"adjoint eigenproblem did not converge: {failure}")
 
 
 #: Newton steps the angle solve of ``_well_angles`` may take
@@ -203,13 +216,35 @@ def _well_angles(n: int, r):
     return u, done.all(axis=-1)
 
 
+def _well_levels(n: int, r):
+    """Levels of an (m,) stack of driven wells at the couplings ``r``.
+
+    With x = cos theta of each level (``_well_angles``), the levels are
+    E = 2 - 2 x, symmetric about E = 2.  Returns the (m, (N + 1) // 2) values
+    x >= 0, ascending (the middle level 0 of an odd N first), the (m, N)
+    levels in descending order, NaN where the angle solve did not converge,
+    and per matrix None or the NoConvergence of that solve.
+    """
+    angles, converged = _well_angles(n, r)
+    odd = n % 2
+    x = np.sin(angles[:, ::-1])
+    if odd:
+        x = np.concatenate([np.zeros((len(x), 1)), x], axis=1)
+    values = (2.0 + 2.0 * np.concatenate([x[:, odd:][:, ::-1], -x], axis=-1)).astype(complex)
+    failures = _refusal_list(~converged, lambda k: NoConvergence(
+        f"angle solve exhausted {_ANGLE_STEPS} Newton steps"))
+    if not converged.all():
+        values[~converged] = np.nan
+    return x, values, failures
+
+
 def _well_ketket_stack(h: np.ndarray, r):
     """Adjoint eigenbases of an (m, N, N) stack of driven wells, in closed form.
 
     ``h`` is build_h(N, z) with z = i c, |c| <= 1, and ``r`` its coupling
-    sqrt(1 - c^2) (sin phi for z = i cos phi), from which the angles come;
-    conj(z) = conj(i c) is read from H's last corner, 2 + i c.  With
-    x = cos theta of each level (``_well_angles``), the column of H^dagger
+    sqrt(1 - c^2) (sin phi for z = i cos phi), from which the levels come
+    (``_well_levels``); conj(z) = conj(i c) is read from H's last corner,
+    2 + i c.  With x = cos theta of each level, the column of H^dagger
     has the Chebyshev form v_i = U_(i-1)(x) - conj(z) U_(i-2)(x), rows
     i = 1 ... N, from the recurrence v_0 = conj(z), v_1 = 1, v_(i+1) =
     2 x v_i - v_(i-1); it is one on row 1.  U_k(-x) = (-1)^k U_k(x), so one
@@ -217,17 +252,13 @@ def _well_ketket_stack(h: np.ndarray, r):
     refused as the other wells are (``_gauged_bases``), with angles that
     did not converge as its failed solve, and with the eigenpair defect of
     the unit columns against H^dagger held to the residual cap of
-    ``matrix_core._eigen_arrays``; the values of an angle solve that did
-    not converge are NaN.  It serves every N >= 2; at r = 0 the middle
-    pair of an even N meets, and that well is refused.  Returns what
-    ``_gauged_bases`` does.
+    ``matrix_core._eigen_arrays``, formed from H^dagger's three diagonals
+    (``_well_mismatch``); the values of an angle solve that did not converge
+    are NaN.  It serves every N >= 2; at r = 0 the middle pair of an even N
+    meets, and that well is refused.  Returns what ``_gauged_bases`` does.
     """
     n, odd = h.shape[-1], h.shape[-1] % 2
-    angles, converged = _well_angles(n, r)
-    # x >= 0 ascending: the middle level of an odd N, then the levels below 2
-    x = np.sin(angles[:, ::-1])
-    if odd:
-        x = np.concatenate([np.zeros((len(x), 1)), x], axis=1)
+    x, values, failures = _well_levels(n, r)
     cheb = np.empty((n + 1,) + x.shape)  # U_-1 ... U_(N-1) at each x
     cheb[0], cheb[1] = 0.0, 1.0
     twice = 2 * x
@@ -246,14 +277,25 @@ def _well_ketket_stack(h: np.ndarray, r):
     columns = np.concatenate(
         [below[:, :, ::-1], above[:, :, :odd], above[:, ::-1, odd:].conj()], axis=-1
     )
-    values = (2.0 + 2.0 * np.concatenate([x[:, odd:][:, ::-1], -x], axis=-1)).astype(complex)
-    failures = _refusal_list(~converged, lambda k: NoConvergence(
-        f"angle solve exhausted {_ANGLE_STEPS} Newton steps"))
-    if not converged.all():
-        values[~converged] = np.nan
     unit = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
-    _residual_refusals(h.conj().swapaxes(-1, -2), values, unit, failures)
+    _residual_refusals(h.conj().swapaxes(-1, -2), values, unit, failures, _well_mismatch)
     return _gauged_bases(values, unit, failures)
+
+
+def _well_mismatch(a: np.ndarray, values, v: np.ndarray) -> np.ndarray:
+    """A V - V diag(values) for an (m, N, N) stack of wells A, each given whole
+    or scaled, from its three diagonals: every off-diagonal entry equals the
+    hop t = A[1, 0], the main diagonal is -2 t inside and the two corners at
+    its ends: a few passes over V in place of the dense product."""
+    hop = a[:, 1:2, :1]
+    ends = slice(None, None, a.shape[-1] - 1)  # rows 0 and N-1
+    mismatch = v * (-2.0 * hop - values[:, None, :])
+    hopped = hop * v
+    mismatch[:, 1:] += hopped[:, :-1]
+    mismatch[:, :-1] += hopped[:, 1:]
+    corners = np.diagonal(a, axis1=-2, axis2=-1)[:, ends, None]
+    mismatch[:, ends] += (corners + 2.0 * hop) * v[:, ends]
+    return mismatch
 
 
 def _ketket_slope(phis, values, vectors, cprods) -> np.ndarray:

@@ -16,9 +16,11 @@ import numpy as np
 
 from .config import get_tolerances
 from .errors import NoSlope, NotAnEigenvalue, OutOfRange
-from .hamiltonian import build_h, z_from_r
+from .hamiltonian import build_h
 from .matrix_core import COND_CEILING
-from .metric import _as_well, _ketket_basis, _well_ketket_stack
+from .metric import (
+    _as_well, _driven_coupling, _ketket_basis, _unsolved, _well_ketket_stack, _well_levels,
+)
 
 _CLD = np.clongdouble
 
@@ -37,13 +39,20 @@ def solve_spectrum(h) -> SpectrumResult:
     """A well's levels, ascending, each flagged real against ``tol_real``: the
     solve ``nipsqw spectrum`` prints.  H must be a well (``metric._as_well``)
     equal to its conjugate reversed on both axes, as ``build_h`` gives, else
-    ValueError; its levels are H^dagger's, read in reverse from
-    ``metric._ketket_basis``.  A defective well keeps its energies; only
-    failed ones raise its refusal."""
+    ValueError; its levels are H^dagger's, in reverse of the order
+    ``metric._ketket_basis`` gives.  A driven well's come from its angles
+    alone (``metric._well_levels``), with no columns; any other well's from
+    ``_ketket_basis``.  A defective well keeps its energies; only failed ones
+    raise its refusal."""
     a = _as_well(h)
     if not (a == a[::-1, ::-1].conj()).all():
         raise ValueError("H must equal its conjugate reversed along both axes")
-    values, _, error = _ketket_basis(a)
+    r = _driven_coupling(a)
+    if r is None:
+        values, _, error = _ketket_basis(a)
+    else:
+        _, values, failures = _well_levels(len(a), [r])
+        values, error = values[0], failures[0] and _unsolved(failures[0])
     energies = values[::-1]
     if np.isnan(energies).any():
         raise error
@@ -85,13 +94,18 @@ def _boundary_system(n: int, z: complex, e: complex):
 
 
 def secular_value(n: int, z: complex, e: complex) -> complex:
-    """Determinant of the boundary system; zero exactly on the spectrum."""
+    """Determinant of the boundary system; zero exactly on the spectrum.
+    OutOfRange where the recurrence or the determinant leaves the double range."""
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
     if not (np.isfinite(z) and np.isfinite(e)):
         raise OutOfRange(f"corner and energy must be finite, got z = {z}, E = {e}")
-    _, _, _, m = _boundary_system(n, z, e)
-    return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, _, m = _boundary_system(n, z, e)
+        value = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    if not (np.isfinite(m).all() and np.isfinite(value)):
+        raise OutOfRange(f"secular value leaves the double range at N = {n}, z = {z}, E = {e}")
+    return complex(value)
 
 
 @dataclass(frozen=True)
@@ -240,7 +254,7 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     if not np.all(np.abs(r_values) <= 1.0):
         raise OutOfRange("coupling grid must stay within [-1, 1]")
 
-    stack = build_h(n, [z_from_r(r) for r in r_values])
+    stack = build_h(n, 1j * np.sqrt(1.0 - r_values * r_values))  # z_from_r of each point
     values, vectors, errors = _well_ketket_stack(stack, r_values)
     sv = np.linalg.svd(vectors / np.linalg.norm(vectors, axis=-2, keepdims=True),
                        compute_uv=False)

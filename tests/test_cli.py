@@ -892,9 +892,20 @@ def _gapped_wide_table():
     return [f"c{k}" for k in range(70)], columns, absent
 
 
+def _alternating_table():
+    """Cell kinds that change on every row, so that every run is one row long:
+    a gap on every other row, a flag that flips and a gap on every third."""
+    k = np.arange(9)
+    columns = [np.linspace(-1.0, 1.0, 9), k % 2 == 0, k * 0.5, np.full(9, -0.0)]
+    absent = [k % 2 == 1, np.zeros(9, dtype=bool), k % 3 == 0, np.zeros(9, dtype=bool)]
+    return ["x", "flag", "y%", "zero"], columns, absent
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_tables())
 @example(_gapped_wide_table())
+@example(_alternating_table())
+@example((["one run", "flag"], [np.arange(6.0), np.ones(6, dtype=bool)], [np.zeros(6, dtype=bool)] * 2))
 @example((["100%", "p%d"], [np.zeros(0), np.zeros(0, dtype=bool)], [np.zeros(0, dtype=bool)] * 2))
 def test_table_writer_matches_the_per_cell_reference(table):
     header, columns, absent = table

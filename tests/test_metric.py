@@ -4,15 +4,19 @@ import mpmath
 import numpy as np
 import pytest
 
+from nipsqw import matrix_core, metric
 from nipsqw.config import get_tolerances
 from nipsqw.errors import (
     BadWeights,
     DefectiveAtEP,
+    NoConvergence,
     NotPositiveDefinite,
     SingularDyson,
 )
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_phi, z_from_r
-from nipsqw.matrix_core import adjoint, eig_general, eig_hermitian, inverse, spectral_norm
+from nipsqw.matrix_core import (
+    _RESIDUAL_CAP, adjoint, eig_general, eig_hermitian, inverse, spectral_norm,
+)
 from nipsqw.metric import (
     KetketBasis,
     _dyson_stack,
@@ -364,6 +368,52 @@ def test_angle_solve_matches_high_precision_roots(n):
                 assert lo <= root <= hi
                 bound = 4 * np.finfo(float).eps * float(root) + 2 * np.spacing(float(root))
                 assert abs(u - float(root)) <= bound, (n, k, j, u, root)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+@pytest.mark.parametrize("bend", [0.0, 1e-7])
+def test_three_diagonal_defect_refuses_as_the_dense_product(monkeypatch, n, bend):
+    # the closed-form route forms H^dagger V from the well's three diagonals;
+    # with one unit column bent past the residual cap it refuses the well
+    # with the type and message that the dense product H^dagger @ V gives,
+    # and a clean well is refused by neither
+    check, dense = metric._residual_refusals, []
+
+    def bent(stack, values, unit, errors, mismatch):
+        assert mismatch is metric._well_mismatch
+        unit = unit.copy()
+        unit[:, 0, n // 2] += bend
+        dense.append(list(errors))
+        check(stack, values, unit, dense[-1])  # H^dagger @ V
+        return check(stack, values, unit, errors, mismatch)
+
+    monkeypatch.setattr(metric, "_residual_refusals", bent)
+    r = np.array([0.9, 0.5])
+    _, _, errors = metric._well_ketket_stack(build_h(n, 1j * np.sqrt(1.0 - r * r)), r)
+    assert len(dense) == 1
+    for error, reference in zip(errors, dense[0]):
+        if not bend:
+            assert error is None and reference is None
+            continue
+        assert isinstance(reference, NoConvergence)
+        assert type(error) is DefectiveAtEP
+        assert str(error) == f"adjoint eigenproblem did not converge: {reference}"
+        assert f"exceeds {_RESIDUAL_CAP:g}" in str(error)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_well_mismatch_is_the_dense_one(n):
+    # on wells, their adjoints and power-of-two scalings, to rounding
+    rng = np.random.default_rng(n)
+    wells = build_h(n, [0.3j, -1j, 0.0, 0.7 + 0.2j])
+    v = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    values = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    for a in (wells, wells.conj().swapaxes(-1, -2), wells * 2.0**-600):
+        scale = np.abs(a).max()
+        lam = values * scale
+        np.testing.assert_allclose(metric._well_mismatch(a, lam, v) / scale,
+                                   matrix_core._dense_mismatch(a, lam, v) / scale,
+                                   rtol=0, atol=1e-13 * n)
 
 
 def test_dyson_refuses_columns_that_are_not_c_orthogonal():

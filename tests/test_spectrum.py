@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nipsqw import cli
-from nipsqw.errors import NoSlope, NotAnEigenvalue, OutOfRange
+from nipsqw import cli, metric
+from nipsqw.config import get_tolerances
+from nipsqw.errors import DefectiveAtEP, NoSlope, NotAnEigenvalue, OutOfRange
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
 from nipsqw.matrix_core import eig_general, spectral_norm
 from nipsqw.metric import ketkets
@@ -67,6 +68,55 @@ def test_driven_wells_stay_real_down_to_the_coalescence(n):
     # real to rounding where LAPACK's |Im E| reached 3e-8 at r = 1e-8
     for r in (1e-4, 1e-8, 1e-10, 0.0):
         assert solve_spectrum(build_h(n, z_from_r(r))).all_real, r
+
+
+DRIVEN_COUPLINGS = (1.0, 0.5, 1e-4, 1e-8, 0.0)
+
+
+def _driven_wells(n):
+    """(r, H): driven wells at N sites over couplings down to the coalescence,
+    with either sign of the corner."""
+    return [(r, build_h(n, sign * z_from_r(r))) for r in DRIVEN_COUPLINGS for sign in (1.0, -1.0)]
+
+
+def _basis_route(h):
+    """What solve_spectrum printed while it read every well's levels from the
+    whole ketket basis: ascending energies and flags, or the refusal."""
+    values, _, error = metric._ketket_basis(h)
+    energies = values[::-1]
+    if np.isnan(energies).any():
+        return error
+    return energies, np.abs(energies.imag) <= get_tolerances().tol_real
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 24, 64])
+def test_driven_levels_equal_the_basis_route(monkeypatch, n):
+    # bit for bit, with no columns built
+    wells = _driven_wells(n)
+    references = [_basis_route(h) for _, h in wells]
+    built = []
+    for name in ("_well_ketket_stack", "_gauged_bases", "_residual_refusals", "_eigen_arrays"):
+        monkeypatch.setattr(metric, name, lambda *args, name=name: built.append(name))
+    for (_, h), (energies, flags) in zip(wells, references):
+        res = solve_spectrum(h)
+        assert res.energies.tobytes() == energies.tobytes()
+        assert res.real_flags.tolist() == flags.tolist()
+    assert built == []
+    monkeypatch.undo()
+    # angles that stop after one Newton step: both routes refuse alike every
+    # well whose start is not its root within the stopping rule, r = 0.5 among them
+    monkeypatch.setattr(metric, "_ANGLE_STEPS", 1)
+    for r, h in wells:
+        reference = _basis_route(h)
+        if isinstance(reference, tuple):
+            assert r != 0.5
+            assert solve_spectrum(h).energies.tobytes() == reference[0].tobytes()
+            continue
+        with pytest.raises(DefectiveAtEP) as caught:
+            solve_spectrum(h)
+        assert type(caught.value) is type(reference)
+        assert str(caught.value) == str(reference)
+        assert str(reference).endswith("angle solve exhausted 1 Newton steps")
 
 
 ONE_ROUTE_CORNERS = {
@@ -183,6 +233,19 @@ def test_secular_off_spectrum_value():
 def test_secular_needs_two_sites():
     with pytest.raises(OutOfRange):
         secular_value(1, 0.5j, 1.0)
+
+
+@pytest.mark.parametrize("call", [secular_value, chebyshev_eigvec])
+@pytest.mark.parametrize(("n", "z", "e"), [(64, 1j, 1e6), (3, 1j, 1e200), (3, 1e200j, 1.0)],
+                         ids=["recurrence_n64", "recurrence_huge_energy", "determinant"])
+def test_secular_refuses_leaving_the_double_range(call, n, z, e):
+    # the recurrence overflows in the first two, the determinant's products
+    # in the last; each is refused, naming its inputs, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="leaves the double range") as refusal:
+            call(n, z, e)
+    assert f"N = {n}, z = {z}, E = {e}" in str(refusal.value)
 
 
 def test_curve_needs_two_sites():
