@@ -373,10 +373,10 @@ def test_angle_solve_matches_high_precision_roots(n):
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 @pytest.mark.parametrize("bend", [0.0, 1e-7])
 def test_three_diagonal_defect_refuses_as_the_dense_product(monkeypatch, n, bend):
-    # the closed-form route forms H^dagger V from the well's three diagonals;
-    # with one unit column bent past the residual cap it refuses the well
-    # with the type and message that the dense product H^dagger @ V gives,
-    # and a clean well is refused by neither
+    # the closed-form route forms H^dagger V - V diag(E) from the well's
+    # three diagonals; with one unit column bent past the residual cap it
+    # refuses the well with the type and message that the dense product
+    # H^dagger @ V gives, and a clean well is refused by neither
     check, dense = metric._residual_refusals, []
 
     def bent(stack, values, unit, errors, mismatch):
