@@ -168,9 +168,9 @@ def _dense_mismatch(stack, values, vectors):
 
 
 def _residual_refusals(stack, values, vectors, errors, mismatch=_dense_mismatch) -> np.ndarray:
-    """Each matrix's worst eigenpair defect |A v - lambda v| over unit columns,
-    from ``mismatch(A, values, V)``, A V - V diag(values): dense by default,
-    cheaper where a caller knows A's structure.
+    """Each matrix's worst eigenpair defect |B v - lambda v| over unit columns,
+    from ``mismatch(A, values, V)``, B V - V diag(values): B = A, dense, by
+    default, or A^dagger from A's structure, as the two share every norm read here.
 
     A matrix whose ``errors`` entry is None and whose defect exceeds
     ``_RESIDUAL_CAP`` |A|_2 gets a NoConvergence there.  Only a defect

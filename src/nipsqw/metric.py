@@ -222,8 +222,9 @@ def _well_levels(n: int, r):
     With x = cos theta of each level (``_well_angles``), the levels are
     E = 2 - 2 x, symmetric about E = 2.  Returns the (m, (N + 1) // 2) values
     x >= 0, ascending (the middle level 0 of an odd N first), the (m, N)
-    levels in descending order, NaN where the angle solve did not converge,
-    and per matrix None or the NoConvergence of that solve.
+    levels, real and non-increasing as every consumer reads them (the angles
+    lie in disjoint brackets), a row NaN throughout where its angle solve did
+    not converge, and per matrix None or the NoConvergence of that solve.
     """
     angles, converged = _well_angles(n, r)
     odd = n % 2
@@ -252,10 +253,9 @@ def _well_ketket_stack(h: np.ndarray, r):
     refused as the other wells are (``_gauged_bases``), with angles that
     did not converge as its failed solve, and with the eigenpair defect of
     the unit columns against H^dagger held to the residual cap of
-    ``matrix_core._eigen_arrays``, formed from H^dagger's three diagonals
-    (``_well_mismatch``); the values of an angle solve that did not converge
-    are NaN.  It serves every N >= 2; at r = 0 the middle pair of an even N
-    meets, and that well is refused.  Returns what ``_gauged_bases`` does.
+    ``matrix_core._eigen_arrays``, formed from H's own diagonals
+    (``_well_mismatch``).  It serves every N >= 2; at r = 0 the middle pair
+    of an even N meets, and that well is refused.  Returns what ``_gauged_bases`` does.
     """
     n, odd = h.shape[-1], h.shape[-1] % 2
     x, values, failures = _well_levels(n, r)
@@ -278,22 +278,22 @@ def _well_ketket_stack(h: np.ndarray, r):
         [below[:, :, ::-1], above[:, :, :odd], above[:, ::-1, odd:].conj()], axis=-1
     )
     unit = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
-    _residual_refusals(h.conj().swapaxes(-1, -2), values, unit, failures, _well_mismatch)
+    _residual_refusals(h, values, unit, failures, _well_mismatch)
     return _gauged_bases(values, unit, failures)
 
 
-def _well_mismatch(a: np.ndarray, values, v: np.ndarray) -> np.ndarray:
-    """A V - V diag(values) for an (m, N, N) stack of wells A, each given whole
-    or scaled, from its three diagonals: every off-diagonal entry equals the
-    hop t = A[1, 0], the main diagonal is -2 t inside and the two corners at
-    its ends: a few passes over V in place of the dense product."""
-    hop = a[:, 1:2, :1]
-    ends = slice(None, None, a.shape[-1] - 1)  # rows 0 and N-1
+def _well_mismatch(h: np.ndarray, values, v: np.ndarray) -> np.ndarray:
+    """H^dagger V - V diag(values) for an (m, N, N) stack of wells H, each given
+    whole or scaled, from H's three diagonals: every off-diagonal entry is the
+    real hop t = H[1, 0], the main diagonal -2 t inside, and H^dagger holds
+    H's two corners conjugated: a few passes over V, no adjoint or product."""
+    hop = h[:, 1:2, :1].real
+    ends = slice(None, None, h.shape[-1] - 1)  # rows 0 and N-1
     mismatch = v * (-2.0 * hop - values[:, None, :])
     hopped = hop * v
     mismatch[:, 1:] += hopped[:, :-1]
     mismatch[:, :-1] += hopped[:, 1:]
-    corners = np.diagonal(a, axis1=-2, axis2=-1)[:, ends, None]
+    corners = np.diagonal(h, axis1=-2, axis2=-1)[:, ends, None].conj()
     mismatch[:, ends] += (corners + 2.0 * hop) * v[:, ends]
     return mismatch
 

@@ -148,22 +148,21 @@ def chebyshev_eigvec(n: int, z: complex, e: complex) -> ChebyshevSolution:
     return ChebyshevSolution(y=complex(y), a=ab[0], b=ab[1], components=components)
 
 
-def _corner_det(n: int, z, e, z_last=None) -> np.ndarray:
-    """det(H(z) - E) by the continuant recurrence in extended precision.
-
-    Corner values and energies broadcast against each other, and the
-    recurrence runs once over the whole grid.  The off-diagonal products
-    are all one, so intermediates stay O(1) and clustered roots remain
-    resolvable.  ``z_last`` overrides the conjugate in the far corner,
-    for analytic continuation off the physical coupling band.
+def _corner_det(n: int, z, e) -> np.ndarray:
+    """det(H - E) of the well with corners 2 - z and 2 + z, by the continuant
+    recurrence in extended precision.  The corner pair (z, -z) keeps its sum 0
+    and product 1 - r^2 on every branch of z = i sqrt(1 - r^2), and is
+    (z, conj z) on the physical band, where z is imaginary.  Corner values and
+    energies broadcast, and the recurrence runs once over the whole grid; the
+    off-diagonal products are all one, so intermediates stay O(1) and
+    clustered roots remain resolvable.
     """
-    if z_last is None:
-        z_last = np.conj(z)
+    z = np.asarray(z, dtype=_CLD)
     d = _CLD(2.0) - np.asarray(e, dtype=_CLD)
-    p_prev, p = _CLD(1.0), d - np.asarray(z, dtype=_CLD)  # empty block, first site
+    p_prev, p = _CLD(1.0), d - z  # empty block, first site
     for _ in range(n - 2):
         p, p_prev = d * p - p_prev, p
-    return (d - np.asarray(z_last, dtype=_CLD)) * p - p_prev
+    return (d + z) * p - p_prev
 
 
 @dataclass(frozen=True)
@@ -210,11 +209,8 @@ def _curve_stack(n: int, energies) -> tuple[np.ndarray, np.ndarray]:
     # np.where, not np.maximum, so a -0.0 r_squared keeps its sign in r_plus.
     capped = np.where(r_squared > 1.0, 1.0, r_squared)
     r_plus = np.sqrt(np.where(r_squared < 0.0, 0.0, capped))
-    # Fresh determinant at the solved coupling; the corner pair (z, -z)
-    # keeps z + z_last = 0 and z*z_last = 1 - r^2 on every branch and
-    # reduces to (z, conj z) on the physical band where z is imaginary.
     z = 1j * np.sqrt((1.0 - r_squared).astype(complex))
-    rebuilt = _corner_det(n, z, e, z_last=-z).astype(complex)
+    rebuilt = _corner_det(n, z, e).astype(complex)
     residual = np.hypot(rebuilt.real, rebuilt.imag)
     table = np.column_stack(
         [e, r_squared, r_plus, np.where(r_plus > 0, -r_plus, 0.0), residual]
@@ -247,8 +243,10 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     the solve refuses the point (defective), or the condition reaches
     ``COND_CEILING``, the condition is the +inf sentinel.  The gaps come
     from the same solve, which keeps the levels of a defective point; a
-    nan gap means the levels themselves failed.  The whole grid is solved
-    as one stack.
+    nan gap means the levels themselves failed.  The levels come real and
+    descending (``metric._well_levels``), so, rounding being monotone, the
+    smallest gap of neighbours is the all-pairs one to the bit.  One stack
+    holds the grid.
     """
     r_values = np.atleast_1d(np.asarray(r_grid, dtype=float))
     if not np.all(np.abs(r_values) <= 1.0):
@@ -258,10 +256,9 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     values, vectors, errors = _well_ketket_stack(stack, r_values)
     sv = np.linalg.svd(vectors / np.linalg.norm(vectors, axis=-2, keepdims=True),
                        compute_uv=False)
-    pair_gaps = np.abs(values[:, :, None] - values[:, None, :])
-    pair_gaps[:, np.eye(n, dtype=bool)] = np.inf
     with np.errstate(divide="ignore"):
         condition = sv[:, 0] / sv[:, -1]
     refused = np.array([error is not None for error in errors], dtype=bool)
     condition[refused | (condition >= COND_CEILING)] = np.inf
-    return np.column_stack([r_values, pair_gaps.min(axis=(1, 2)), condition])
+    gaps = values.real[:, :-1] - values.real[:, 1:]
+    return np.column_stack([r_values, gaps.min(axis=-1), condition])

@@ -373,10 +373,11 @@ def test_angle_solve_matches_high_precision_roots(n):
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 @pytest.mark.parametrize("bend", [0.0, 1e-7])
 def test_three_diagonal_defect_refuses_as_the_dense_product(monkeypatch, n, bend):
-    # the closed-form route forms H^dagger V - V diag(E) from the well's
-    # three diagonals; with one unit column bent past the residual cap it
-    # refuses the well with the type and message that the dense product
-    # H^dagger @ V gives, and a clean well is refused by neither
+    # the closed-form route hands the check H itself and forms
+    # H^dagger V - V diag(E) from H's three diagonals; with one unit column
+    # bent past the residual cap it refuses the well with the type and
+    # message that the dense product H^dagger @ V gives, and a clean well is
+    # refused by neither
     check, dense = metric._residual_refusals, []
 
     def bent(stack, values, unit, errors, mismatch):
@@ -384,7 +385,7 @@ def test_three_diagonal_defect_refuses_as_the_dense_product(monkeypatch, n, bend
         unit = unit.copy()
         unit[:, 0, n // 2] += bend
         dense.append(list(errors))
-        check(stack, values, unit, dense[-1])  # H^dagger @ V
+        check(stack.conj().swapaxes(-1, -2), values, unit, dense[-1])  # H^dagger @ V
         return check(stack, values, unit, errors, mismatch)
 
     monkeypatch.setattr(metric, "_residual_refusals", bent)
@@ -403,16 +404,17 @@ def test_three_diagonal_defect_refuses_as_the_dense_product(monkeypatch, n, bend
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64])
 def test_well_mismatch_is_the_dense_one(n):
-    # on wells, their adjoints and power-of-two scalings, to rounding
+    # H^dagger V - V diag(E) from H alone, on wells, their adjoints and
+    # power-of-two scalings, to rounding
     rng = np.random.default_rng(n)
     wells = build_h(n, [0.3j, -1j, 0.0, 0.7 + 0.2j])
     v = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
     values = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
     for a in (wells, wells.conj().swapaxes(-1, -2), wells * 2.0**-600):
         scale = np.abs(a).max()
-        lam = values * scale
+        lam, adjoint = values * scale, a.conj().swapaxes(-1, -2)
         np.testing.assert_allclose(metric._well_mismatch(a, lam, v) / scale,
-                                   matrix_core._dense_mismatch(a, lam, v) / scale,
+                                   matrix_core._dense_mismatch(adjoint, lam, v) / scale,
                                    rtol=0, atol=1e-13 * n)
 
 

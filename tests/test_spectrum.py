@@ -499,6 +499,46 @@ def test_ep_scan_whole_grid_equals_point_by_point(n):
     assert ep_scan(n, []).shape == (0, 3)
 
 
+LEVEL_ORDER_GRID = np.concatenate([np.linspace(-1.0, 1.0, 41), [0.0, 1e-8, -1e-8]])
+
+
+def _gap_bits(gaps):
+    return [struct.pack("<d", g) if g == g else "nan" for g in gaps.tolist()]
+
+
+def _all_pairs_gaps(values):
+    """The smallest |E_i - E_j| over all pairs i != j of each row."""
+    pairs = np.abs(values[:, :, None] - values[:, None, :])
+    pairs[:, np.eye(values.shape[-1], dtype=bool)] = np.inf
+    return pairs.min(axis=(1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 64])
+def test_ep_scan_gap_of_neighbours_is_the_all_pairs_gap(n):
+    # the driven levels come back real and non-increasing, so the gap of
+    # neighbours that ep_scan takes is the all-pairs minimum to the bit
+    _, values, failures = metric._well_levels(n, LEVEL_ORDER_GRID)
+    assert failures == [None] * len(LEVEL_ORDER_GRID)
+    assert (values.imag == 0).all()
+    assert (np.diff(values.real, axis=-1) <= 0).all()
+    gaps = ep_scan(n, LEVEL_ORDER_GRID)[:, 1]
+    assert _gap_bits(gaps) == _gap_bits(_all_pairs_gaps(values))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64])
+def test_ep_scan_gap_is_nan_where_the_angle_solve_fails(monkeypatch, n):
+    # with no Newton step only the two-site well at r = 0, whose one start
+    # u = 0 is its root, converges
+    monkeypatch.setattr(metric, "_ANGLE_STEPS", 0)
+    _, values, failures = metric._well_levels(n, LEVEL_ORDER_GRID)
+    failed = np.array([failure is not None for failure in failures])
+    assert failed.tolist() == ((LEVEL_ORDER_GRID != 0) | (n > 2)).tolist()
+    assert np.isnan(values[failed]).all() and not np.isnan(values[~failed]).any()
+    gaps = ep_scan(n, LEVEL_ORDER_GRID)[:, 1]
+    assert np.isnan(gaps[failed]).all()
+    assert _gap_bits(gaps) == _gap_bits(_all_pairs_gaps(values))
+
+
 def _mp_condition(n, r):
     """cond_2 of the unit eigenvectors of the well at the exact coupling r.
 
