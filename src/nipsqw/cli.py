@@ -188,12 +188,12 @@ class _RunText(dict):
 
 
 def _csv_text(header, columns, absent) -> str:
-    """A table's CSV text in one ``%``: a format string of the header and one
-    line per row, spelled by the kinds of that row's cells, applied once to
-    the numbers in row order.  Consecutive rows of equal kinds form a run,
-    looked up and written once (``_RunText``).  A number takes 17
-    significant digits with -0.0 as 0, a boolean true or false, and a cell
-    ``absent`` marks is empty."""
+    """A table's CSV text in one ``%``: a format string of the header, one
+    line per row, spelled by the kinds of that row's cells, and the closing
+    newline, applied once to the numbers in row order.  Consecutive rows of
+    equal kinds form a run, looked up and written once (``_RunText``).  A
+    number takes 17 significant digits with -0.0 as 0, a boolean true or
+    false, and a cell ``absent`` marks is empty."""
     table = np.asarray(columns).T + 0.0  # +0.0 folds -0.0 into 0.0
     flags = [column.dtype == bool for column in columns]
     kinds = np.where(flags, (table != 0) + np.int8(3), np.int8(2))
@@ -208,7 +208,8 @@ def _csv_text(header, columns, absent) -> str:
     runs[:, :width] = rows[bounds[:-1]].view(np.uint8).reshape(-1, width)
     runs[:, width:] = (bounds[1:] - bounds[:-1]).astype("<u8").view(np.uint8).reshape(-1, 8)
     keys = runs.view(f"S{width + 8}").ravel().tolist()
-    text = ",".join(header).replace("%", "%%") + "".join(map(_RunText(width).__getitem__, keys))
+    head = ",".join(header).replace("%", "%%")
+    text = "".join([head, *map(_RunText(width).__getitem__, keys), "\n"])
     return text % tuple(table[kinds == 2].tolist())
 
 
@@ -232,10 +233,10 @@ def _emit_table(header, columns, args, absent=None) -> None:
     if args.format == "json":
         gaps = [None] * len(header) if absent is None else absent
         rows = list(zip(*map(_json_cells, columns, gaps)))
-        text = json.dumps({"columns": list(header), "rows": rows}, indent=2, sort_keys=True)
+        text = json.dumps({"columns": list(header), "rows": rows}, indent=2, sort_keys=True) + "\n"
     else:
         text = _csv_text(header, columns, absent)
-    _write_text(text + "\n", args.out)
+    _write_text(text, args.out)
 
 
 def _write_text(text: str, path: str | None) -> None:

@@ -44,7 +44,7 @@ class KetketBasis:
     entries of an eigenvector of the well's H^dagger never vanish, so
     the gauge is smooth wherever the levels stay apart.  A driven well
     takes the closed form at every N (``_well_ketket_stack``), every other
-    well the eigensolver of ``matrix_core`` (``_ketket_basis``).
+    well the eigensolver of ``matrix_core`` on H^dagger (``ketkets``).
     """
 
     eigenvalues: np.ndarray
@@ -65,25 +65,32 @@ def _pivot_rows(n: int) -> np.ndarray:
 def ketkets(h) -> KetketBasis:
     """Solve the adjoint eigenvector problem that seeds every metric.
 
-    Through ``_ketket_basis``: a driven well, two sites included, in
-    closed form at the coupling its corner gives, any other well by the
-    eigensolver of ``matrix_core`` on H^dagger, with the stage path's gauge
-    and refusal (``_gauged_bases``).  It solves the matrix it is given; the
-    stage path takes the coupling from the angle instead, and so differs
-    near the exceptional point by the rounding of cos phi in H's corner,
-    about 1e-4 relative in kappa at sin phi = 1e-6.  H must be a well
-    (``_as_well``), else ValueError.
+    H must be a well (``_as_well``), else ValueError.  A driven well, two
+    sites included, is solved in closed form at the coupling its corner
+    gives (``_driven_coupling``, ``_well_ketket_stack``); any other well by
+    ``_eigen_arrays`` on H^dagger, whose ascending unit columns are read in
+    reverse, with the stage path's gauge and refusal (``_gauged_bases``).
+    It solves the matrix it is given; the stage path takes the coupling
+    from the angle instead, and so differs near the exceptional point by
+    the rounding of cos phi in H's corner, about 1e-4 relative in kappa at
+    sin phi = 1e-6.  A refused well raises DefectiveAtEP.
     """
-    values, vectors, error = _ketket_basis(_as_well(h))
-    if error is not None:
-        raise error
-    return KetketBasis(eigenvalues=values, vectors=vectors)
+    a = _as_well(h)
+    r = _driven_coupling(a)
+    if r is not None:
+        values, vectors, errors = _well_ketket_stack(a[None], [r])
+    else:
+        values, vectors, _, failures = _eigen_arrays(a[None].conj().swapaxes(-1, -2))
+        values, vectors, errors = _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
+    if errors[0] is not None:
+        raise errors[0]
+    return KetketBasis(eigenvalues=values[0], vectors=vectors[0])
 
 
 def _as_well(h) -> np.ndarray:
     """H as a square array if it is a well of two or more sites, else ValueError:
     complex symmetric (H^T = H) and tridiagonal with nonzero off-diagonals, as
-    ``build_h`` gives at any corner value, where ``_ketket_basis``'s gauge holds."""
+    ``build_h`` gives at any corner value, where ``ketkets``'s gauge holds."""
     a = as_square(h)
     rows, cols = np.indices(a.shape)
     offprod = np.diagonal(a, 1) * np.diagonal(a, -1)
@@ -91,26 +98,6 @@ def _as_well(h) -> np.ndarray:
             and not a[np.abs(rows - cols) > 1].any()):
         raise ValueError("H must be a complex symmetric tridiagonal well, no off-diagonal zero")
     return a
-
-
-def _ketket_basis(h: np.ndarray):
-    """Adjoint eigenbasis of one well: its values, columns and refusal.
-
-    The one well solve of ``ketkets``, and of ``spectrum.solve_spectrum`` on
-    wells that are not driven, ordered and scaled as ``KetketBasis`` says;
-    the refusal is None or the DefectiveAtEP of ``_gauged_bases``, beside the
-    values it keeps.  A driven well is solved in closed form at the coupling
-    its corner gives (``_driven_coupling``, ``_well_ketket_stack``); any
-    other well by ``_eigen_arrays`` on H^dagger, whose ascending unit columns
-    are read in reverse.
-    """
-    r = _driven_coupling(h)
-    if r is not None:
-        values, vectors, errors = _well_ketket_stack(h[None], [r])
-    else:
-        values, vectors, _, failures = _eigen_arrays(h[None].conj().swapaxes(-1, -2))
-        values, vectors, errors = _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
-    return values[0], vectors[0], errors[0]
 
 
 def _driven_coupling(h: np.ndarray):

@@ -386,7 +386,9 @@ def _two_site_slope(e):
 
 def _stack_2x2(a, b, c, d):
     """The (m, 2, 2) stack [[a, b], [c, d]] of four length-m arrays."""
-    return np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+    out = np.empty((len(a), 2, 2), dtype=np.result_type(a, b, c, d))
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = a, b, c, d
+    return out
 
 
 def _check_inputs(n, profile, psi0, t0, t1, dt):

@@ -17,10 +17,8 @@ import numpy as np
 from .config import get_tolerances
 from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h
-from .matrix_core import COND_CEILING
-from .metric import (
-    _as_well, _driven_coupling, _ketket_basis, _unsolved, _well_ketket_stack, _well_levels,
-)
+from .matrix_core import COND_CEILING, _eigen_arrays
+from .metric import _as_well, _driven_coupling, _unsolved, _well_ketket_stack, _well_levels
 
 _CLD = np.clongdouble
 
@@ -39,23 +37,23 @@ def solve_spectrum(h) -> SpectrumResult:
     """A well's levels, ascending, each flagged real against ``tol_real``: the
     solve ``nipsqw spectrum`` prints.  H must be a well (``metric._as_well``)
     equal to its conjugate reversed on both axes, as ``build_h`` gives, else
-    ValueError; its levels are H^dagger's, in reverse of the order
-    ``metric._ketket_basis`` gives.  A driven well's come from its angles
-    alone (``metric._well_levels``), with no columns; any other well's from
-    ``_ketket_basis``.  A defective well keeps its energies; only failed ones
-    raise its refusal."""
+    ValueError; its levels are H^dagger's.  A driven well's come from its
+    angles alone (``metric._well_levels``), any other well's are the
+    ascending values of H^dagger's eigen solve (``matrix_core._eigen_arrays``),
+    with no ketket columns gauged or checked.  A defective well keeps its
+    energies; only failed ones raise its refusal."""
     a = _as_well(h)
     if not (a == a[::-1, ::-1].conj()).all():
         raise ValueError("H must equal its conjugate reversed along both axes")
     r = _driven_coupling(a)
     if r is None:
-        values, _, error = _ketket_basis(a)
+        values, _, _, failures = _eigen_arrays(a[None].conj().swapaxes(-1, -2))
+        energies = values[0]
     else:
         _, values, failures = _well_levels(len(a), [r])
-        values, error = values[0], failures[0] and _unsolved(failures[0])
-    energies = values[::-1]
+        energies = values[0, ::-1]
     if np.isnan(energies).any():
-        raise error
+        raise _unsolved(failures[0])
     flags = np.abs(energies.imag) <= get_tolerances().tol_real
     return SpectrumResult(energies=energies, real_flags=flags, all_real=bool(flags.all()))
 

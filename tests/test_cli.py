@@ -646,7 +646,9 @@ def test_epscan_exact_coalescence_is_a_defective_row(capsys):
 
 def test_defective_energies_come_from_the_one_solve(capsys):
     # the six-site well at r = 0 is refused as defective, yet keeps its energies
-    values, _, error = metric._ketket_basis(build_h(6, z_from_r(0.0)))
+    h = build_h(6, z_from_r(0.0))
+    values, _, errors = metric._well_ketket_stack(h[None], [metric._driven_coupling(h)])
+    values, error = values[0], errors[0]
     assert str(error) == "eigenvector matrix is numerically singular"
     code, out, _ = invoke(capsys, "spectrum", "--n", "6", "--r", "0")
     assert code == 0

@@ -389,12 +389,13 @@ def test_each_well_takes_the_route_of_its_kind():
         values, vectors, _ = assert_stack_matches_single_solves(
             metric._well_ketket_stack, stack, r)
         for matrix, got_values, got_vectors in zip(stack, values, vectors):
-            want_values, want_vectors, _ = metric._ketket_basis(matrix)
-            np.testing.assert_allclose(got_values, want_values, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(got_vectors, want_vectors, rtol=0, atol=1e-14)
+            want_values, want_vectors, _ = metric._well_ketket_stack(
+                matrix[None], [metric._driven_coupling(matrix)])
+            np.testing.assert_allclose(got_values, want_values[0], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(got_vectors, want_vectors[0], rtol=0, atol=1e-14)
         for matrix in (corner_matrix(n, z) for z in other):
-            values, vectors, error = metric._ketket_basis(matrix)
-            assert error is None
+            basis = metric.ketkets(matrix)  # raises if refused
+            values, vectors = basis.eigenvalues, basis.vectors
             np.testing.assert_allclose(matrix.conj().T @ vectors, vectors * values,
                                        rtol=0, atol=1e-12 * spectral_norm(matrix))
             assert (values.real[:-1] >= values.real[1:]).all()

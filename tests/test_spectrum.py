@@ -14,7 +14,7 @@ from nipsqw import cli, metric
 from nipsqw.config import get_tolerances
 from nipsqw.errors import DefectiveAtEP, NoSlope, NotAnEigenvalue, OutOfRange
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
-from nipsqw.matrix_core import eig_general, spectral_norm
+from nipsqw.matrix_core import _eigen_arrays, eig_general, spectral_norm
 from nipsqw.metric import ketkets
 from nipsqw.spectrum import (
     _curve_stack,
@@ -82,8 +82,8 @@ def _driven_wells(n):
 def _basis_route(h):
     """What solve_spectrum printed while it read every well's levels from the
     whole ketket basis: ascending energies and flags, or the refusal."""
-    values, _, error = metric._ketket_basis(h)
-    energies = values[::-1]
+    values, _, errors = metric._well_ketket_stack(h[None], [metric._driven_coupling(h)])
+    energies, error = values[0, ::-1], errors[0]
     if np.isnan(energies).any():
         return error
     return energies, np.abs(energies.imag) <= get_tolerances().tol_real
@@ -164,6 +164,24 @@ def test_undriven_wells_agree_with_the_general_eigensolver(n):
         scale = np.abs(want).max()
         assert gaps.min(axis=0).max() <= 1e-12 * scale
         assert gaps.min(axis=1).max() <= 1e-12 * scale
+
+
+UNDRIVEN_CORNERS = (3j, np.exp(1j * np.pi / 3), 0.3 + 0.5j, 1.0,
+                    robin_to_z(RobinParams(2.0, 1.0, 0.1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16, 64])
+def test_undriven_levels_are_the_eigen_solve_values(monkeypatch, n):
+    # bit for bit H^dagger's ascending values, with no ketket column
+    # reversed, gauged or checked
+    wells = [build_h(n, z) for z in UNDRIVEN_CORNERS]
+    references = [_eigen_arrays(h[None].conj().swapaxes(-1, -2))[0][0] for h in wells]
+    built = []
+    for name in ("_gauged_bases", "_well_ketket_stack"):
+        monkeypatch.setattr(metric, name, lambda *args, name=name: built.append(name))
+    for h, want in zip(wells, references):
+        assert solve_spectrum(h).energies.tobytes() == want.tobytes()
+    assert built == []
 
 
 

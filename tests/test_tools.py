@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _ab_ops_one_round(workload):
     """Run one round of ``workload`` with the tree on both sides: the tool
-    exits 0 and ends with its JSON summary line."""
+    exits 0 and ends with its JSON summary line, the per-round ratio's
+    quartiles included."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_ops.py"), str(ROOT), str(ROOT),
@@ -20,9 +21,13 @@ def _ab_ops_one_round(workload):
         capture_output=True, text=True, env=env, timeout=300, check=False,
     )
     assert run.returncode == 0, run.stderr
-    summary = json.loads(run.stdout.splitlines()[-1])
+    lines = run.stdout.splitlines()
+    assert lines[0].split()[-2:] == ["q1", "q3"]
+    summary = json.loads(lines[-1])
     assert summary["workload"] == workload and summary["rounds"] == 1
     assert set(summary["rows_per_s"]) == {"parent", "change"}
+    q1, median, q3 = summary["round_ratio_quartiles"]
+    assert 0 < q1 <= median <= q3
 
 
 def test_ab_ops_times_a_checkout_against_itself():

@@ -12,11 +12,13 @@ It first runs the first round of ``--seed`` once on each side, untimed,
 and stops unless both give the same outputs: every stack of every
 trajectory (``evolve-lib``), or every exit status, error and written table
 (the CLI workloads).  Then it times ``--rounds`` rounds and prints, per
-template op, the median milliseconds of each side and their ratio, and
-last the ``rows_per_s`` of each side in the benchmark's way (rows of a
-round over the sum of per-op medians, uncalibrated) and their ratio, as
-one JSON line.  Tables go to a temporary directory; nothing is written
-under ``perfbench/``.
+template op, the median milliseconds of each side, their ratio and the
+quartiles of the op's per-round change/parent ratio, and last, as one JSON
+line, the ``rows_per_s`` of each side in the benchmark's way (rows of a
+round over the sum of per-op medians, uncalibrated), their ratio and the
+quartiles of the per-round ``rows_per_s`` ratio.  A whole-round ratio that
+falls between those quartiles is not resolved from the spread.  Tables go
+to a temporary directory; nothing is written under ``perfbench/``.
 
     python3 tools/ab_ops.py PARENT_CHECKOUT CHANGE_CHECKOUT \\
         --workload evolve-lib --seed 1 --rounds 30
@@ -78,6 +80,11 @@ class Side:
         return self.runner.out_path.read_bytes()
 
 
+def quartiles(ratios) -> list:
+    """The 25th, 50th and 75th percentiles of per-round ratios, one round included."""
+    return np.percentile(ratios, [25, 50, 75]).tolist()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -98,8 +105,9 @@ def main(argv=None) -> int:
             if prints["parent"] != prints["change"]:
                 print(f"outputs differ on {op.label}; nothing timed", file=sys.stderr)
                 return 1
-        times, rows = {}, {}
+        times, rows, totals = {}, {}, []
         for number, ops in zip(range(args.rounds), source):
+            totals.append(dict.fromkeys(SIDES, 0.0))
             for index, op in enumerate(ops):
                 for name in SIDES if (number + index) % 2 else SIDES[::-1]:
                     seconds, outcome = sides[name].run(op)
@@ -107,19 +115,24 @@ def main(argv=None) -> int:
                         print(f"{name} failed {op.label}: {outcome.error}", file=sys.stderr)
                         return 1
                     times.setdefault((index, op.label), {}).setdefault(name, []).append(seconds)
+                    totals[-1][name] += seconds
                 rows[index] = op.rows
 
     medians = {key: {name: statistics.median(samples[name]) for name in SIDES}
                for key, samples in times.items()}
-    print(f"{'op':<40} {'parent ms':>10} {'change ms':>10} {'ratio':>7}")
-    for (_, label), median in medians.items():
-        print(f"{label:<40} {median['parent'] * 1e3:>10.3f} {median['change'] * 1e3:>10.3f} "
-              f"{median['change'] / median['parent']:>7.3f}")
+    print(f"{'op':<40} {'parent ms':>10} {'change ms':>10} {'ratio':>7} {'q1':>7} {'q3':>7}")
+    for key, median in medians.items():
+        q1, _, q3 = quartiles(np.divide(times[key]["change"], times[key]["parent"]))
+        print(f"{key[1]:<40} {median['parent'] * 1e3:>10.3f} {median['change'] * 1e3:>10.3f} "
+              f"{median['change'] / median['parent']:>7.3f} {q1:>7.3f} {q3:>7.3f}")
     goodput = {name: sum(rows.values()) / sum(median[name] for median in medians.values())
                for name in SIDES}
+    # a round's rows_per_s ratio is its parent seconds over its change seconds
+    round_ratios = [total["parent"] / total["change"] for total in totals]
     print(json.dumps({"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
                       "rows_per_s": goodput,
-                      "change_over_parent": goodput["change"] / goodput["parent"]}))
+                      "change_over_parent": goodput["change"] / goodput["parent"],
+                      "round_ratio_quartiles": quartiles(round_ratios)}))
     return 0
 
 
