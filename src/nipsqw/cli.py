@@ -167,50 +167,29 @@ def _tolerances(args):
 # ---------------------------------------------------------------- emission
 
 
-#: the CSV text of each cell kind, a nonzero byte so that numpy's "S" row keys drop none
+#: the CSV text of each cell kind
 _CELL_TEXT = {1: "", 2: FMT, 3: "false", 4: "true"}
-
-
-class _RunText(dict):
-    """The CSV text of a run of equal rows by its key, spelled on first use:
-    the key holds the rows' ``width`` cell kinds, then the run's length in
-    eight little-endian bytes, of which numpy's "S" drops the trailing zeros
-    that ``int.from_bytes`` does not need."""
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, key: bytes) -> str:
-        line = "\n" + ",".join([_CELL_TEXT[kind] for kind in key[:self.width]])
-        self[key] = text = line * int.from_bytes(key[self.width:], "little")
-        return text
 
 
 def _csv_text(header, columns, absent) -> str:
     """A table's CSV text in one ``%``: a format string of the header, one
     line per row, spelled by the kinds of that row's cells, and the closing
     newline, applied once to the numbers in row order.  Consecutive rows of
-    equal kinds form a run, looked up and written once (``_RunText``).  A
-    number takes 17 significant digits with -0.0 as 0, a boolean true or
-    false, and a cell ``absent`` marks is empty."""
+    equal kinds form a run, whose line is spelled once and repeated by the
+    run's length.  A number takes 17 significant digits with -0.0 as 0, a
+    boolean true or false, and a cell ``absent`` marks is empty."""
     table = np.asarray(columns).T + 0.0  # +0.0 folds -0.0 into 0.0
     flags = [column.dtype == bool for column in columns]
     kinds = np.where(flags, (table != 0) + np.int8(3), np.int8(2))
     if absent is not None:
         kinds[np.asarray(absent).T] = 1
-    width = len(flags)
-    rows = np.ascontiguousarray(kinds).view(f"S{width}").ravel()  # a key per row
-    bounds = np.ones(len(rows) + 1, dtype=bool)  # where a run of equal rows starts or ends
-    bounds[1:-1] = rows[1:] != rows[:-1]
-    bounds = np.flatnonzero(bounds)
-    runs = np.empty((len(bounds) - 1, width + 8), dtype=np.uint8)  # a key per run
-    runs[:, :width] = rows[bounds[:-1]].view(np.uint8).reshape(-1, width)
-    runs[:, width:] = (bounds[1:] - bounds[:-1]).astype("<u8").view(np.uint8).reshape(-1, 8)
-    keys = runs.view(f"S{width + 8}").ravel().tolist()
+    bounds = np.ones(len(kinds) + 1, dtype=bool)  # where a run of equal rows starts or ends
+    bounds[1:-1] = (kinds[1:] != kinds[:-1]).any(axis=1)
+    bounds = np.flatnonzero(bounds).tolist()
+    runs = [("\n" + ",".join([_CELL_TEXT[kind] for kind in row])) * (end - start)
+            for row, start, end in zip(kinds[bounds[:-1]].tolist(), bounds, bounds[1:])]
     head = ",".join(header).replace("%", "%%")
-    text = "".join([head, *map(_RunText(width).__getitem__, keys), "\n"])
-    return text % tuple(table[kinds == 2].tolist())
+    return "".join([head, *runs, "\n"]) % tuple(table[kinds == 2].tolist())
 
 
 def _json_cells(column, gap) -> list:

@@ -67,13 +67,18 @@ def inverse(matrix) -> np.ndarray:
     The test is scale-invariant and independent of the size: the
     reciprocal condition s_min / s_max must exceed the process
     ``eps_singular``.  Failure signals exceptional-point proximity to callers.
+    A well-conditioned matrix whose inverse leaves the double range, as
+    subnormal entries give, raises OutOfRange.
     """
     eps = get_tolerances().eps_singular
     a = as_square(matrix)
     s = np.linalg.svd(a, compute_uv=False)
     if not s[-1] > eps * s[0]:
         raise SingularMatrix(f"reciprocal condition at or below {eps:g}")
-    return np.linalg.solve(a, np.eye(len(a), dtype=complex))
+    result = np.linalg.solve(a, np.eye(len(a), dtype=complex))
+    if not np.isfinite(result).all():
+        raise OutOfRange("inverse leaves the double range")
+    return result
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, get_tolerances
-from .errors import BadWeights, DefectiveAtEP, NoConvergence, SingularDyson
+from .errors import BadWeights, DefectiveAtEP, NoConvergence, OutOfRange, SingularDyson
 from .hamiltonian import build_h
 from .matrix_core import (
     COND_CEILING,
@@ -73,7 +73,8 @@ def ketkets(h) -> KetketBasis:
     It solves the matrix it is given; the stage path takes the coupling
     from the angle instead, and so differs near the exceptional point by
     the rounding of cos phi in H's corner, about 1e-4 relative in kappa at
-    sin phi = 1e-6.  A refused well raises DefectiveAtEP.
+    sin phi = 1e-6.  A refused well raises DefectiveAtEP, or OutOfRange
+    where an end entry rounds to zero.
     """
     a = _as_well(h)
     r = _driven_coupling(a)
@@ -119,21 +120,27 @@ def _gauged_bases(values, unit, failures):
     cond_2(V) <= N / min_j s_j, with s_j = |c_j| level j's reciprocal
     eigenvalue condition.  A failed solve becomes DefectiveAtEP, and so
     does a matrix whose SVD-free bound reaches ``COND_CEILING``: that
-    refuses every matrix whose cond_2(V) does.  Returns the values, the
-    columns scaled as ``KetketBasis`` says and per matrix None or its
-    DefectiveAtEP.
+    refuses every matrix whose cond_2(V) does.  Any other matrix with a
+    pivot entry below the smallest normal double, NaN included, becomes
+    OutOfRange: far outside the unit circle a level localized at one
+    corner can have its far end entry round to zero.  A vanished pivot,
+    as a failed solve's identity columns hold, is taken as one.  Returns
+    the values, the columns scaled as ``KetketBasis`` says and per matrix
+    None or its refusal.
     """
     n = unit.shape[-1]
     with np.errstate(divide="ignore"):
         condition = n / np.abs(np.einsum("mij,mij->mj", unit, unit)).min(axis=-1)
-    errors = _refusal_list(~(condition < COND_CEILING),
-                           lambda k: DefectiveAtEP("eigenvector matrix is numerically singular"))
+    singular = ~(condition < COND_CEILING)
+    pivots = unit[:, _pivot_rows(n), np.arange(n)]
+    vanished = ~(np.abs(pivots) >= np.finfo(float).tiny)
+    errors = _refusal_list(singular | vanished.any(axis=-1), lambda k: (
+        DefectiveAtEP("eigenvector matrix is numerically singular") if singular[k]
+        else OutOfRange(f"end entry of level {np.argmax(vanished[k])} rounds to zero")))
     failed = [k for k, failure in enumerate(failures) if failure] if any(failures) else []
     for k in failed:
         errors[k] = _unsolved(failures[k])
-    pivots = unit[:, _pivot_rows(n), np.arange(n)]
-    if failed:  # a failed solve holds identity columns, whose pivot entries may vanish
-        pivots[failed] = 1.0
+    pivots[vanished] = 1.0
     return values, unit / pivots[:, None, :], errors
 
 

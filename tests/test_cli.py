@@ -25,7 +25,7 @@ from nipsqw.config import Tolerances, get_tolerances
 from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
 from nipsqw.n2_oracle import g_eigs
 from nipsqw.nip_evolution import MAP_KINDS
-from nipsqw.spectrum import ep_scan, solve_spectrum
+from nipsqw.spectrum import _curve_stack, ep_scan, solve_spectrum
 
 
 def invoke(capsys, *argv):
@@ -225,6 +225,13 @@ def test_metric_two_site_third_pi_entries(capsys):
     doc = json.loads(out)
     theta = np.array(doc["theta"]["re"]) + 1j * np.array(doc["theta"]["im"])
     np.testing.assert_allclose(theta, [[2.0, -1j], [1j, 2.0]], atol=1e-9)
+
+
+def test_metric_refuses_an_end_entry_that_rounds_to_zero(capsys):
+    # the far corner's level of a 64-site well at z = 1e4 has a zero end entry
+    code, out, err = invoke(capsys, "metric", "--n", "64", "--z", "10000,0")
+    assert code == 2 and out == ""
+    assert err == "error: end entry of level 63 rounds to zero\n"
 
 
 def test_metric_at_exceptional_point_exits_two(capsys):
@@ -903,8 +910,16 @@ def _alternating_table():
     return ["x", "flag", "y%", "zero"], columns, absent
 
 
+def _curve_table():
+    """A real curve table laid out as ``nipsqw curve`` writes it: 401 rows in
+    seven runs, whose kinds change where an energy crosses a band edge."""
+    table, absent = _curve_stack(4, np.linspace(0.05, 3.95, 401))
+    return ["energy", "r_squared", "r_plus", "r_minus", "residual"], list(table.T), list(absent.T)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_tables())
+@example(_curve_table())
 @example(_gapped_wide_table())
 @example(_alternating_table())
 @example((["one run", "flag"], [np.arange(6.0), np.ones(6, dtype=bool)], [np.zeros(6, dtype=bool)] * 2))

@@ -1,5 +1,7 @@
 """Core linear-algebra layer: adjoints, inverses, eigensolvers, roots."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,15 @@ def test_inverse_of_similarity_map():
 def test_inverse_flags_degenerate_map():
     with pytest.raises(SingularMatrix):
         inverse(map_matrix(1e-14))
+
+
+def test_inverse_refuses_leaving_the_double_range():
+    # a well-conditioned subnormal matrix passes the condition test, but its
+    # inverse overflows; refused with no warning instead of returned as NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="inverse leaves the double range"):
+            inverse(np.eye(2) * 1e-320)
 
 
 def test_inverse_roundtrip_random():

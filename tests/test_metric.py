@@ -1,5 +1,7 @@
 """Metric family, Dyson factorizations, and observable eligibility."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from nipsqw.errors import (
     DefectiveAtEP,
     NoConvergence,
     NotPositiveDefinite,
+    OutOfRange,
     SingularDyson,
 )
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_phi, z_from_r
@@ -104,6 +107,33 @@ def test_ketkets_defective_at_coalescence():
         ketkets(build_h(2, z_from_r(0.0)))
     with pytest.raises(DefectiveAtEP):
         ketkets(build_h(6, z_from_r(0.0)))
+
+
+@pytest.mark.parametrize("n, z", [(64, 1e4), (8, 1e6), (2, 1e12), (8, 1e20j)])
+def test_ketkets_refuses_an_end_entry_that_rounds_to_zero(n, z):
+    # far outside the unit circle a level localized at one corner has its
+    # far end entry round to zero, so its column cannot be gauged there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match=r"end entry of level \d+ rounds to zero"):
+            ketkets(build_h(n, z))
+
+
+def test_ketkets_outside_the_unit_circle_gives_finite_columns_or_refuses():
+    # seeded corners with |z| in [1, 1e4] at N = 8-64: each well is gauged
+    # with finite columns or refused, never returned with a zero pivot
+    rng = np.random.default_rng(40)
+    refused = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(60):
+            n = int(rng.integers(8, 65))
+            z = 10 ** rng.uniform(0, 4) * np.exp(2j * np.pi * rng.random())
+            try:
+                assert np.isfinite(ketkets(build_h(n, z)).vectors).all()
+            except OutOfRange:
+                refused += 1
+    assert 0 < refused < 60
 
 
 def test_ketkets_refuses_inputs_outside_the_well_domain():

@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def _ab_ops_one_round(workload):
     """Run one round of ``workload`` with the tree on both sides: the tool
     exits 0 and ends with its JSON summary line, the per-round ratio's
-    quartiles included."""
+    quartiles included, whose median is the headline ratio."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_ops.py"), str(ROOT), str(ROOT),
@@ -28,6 +28,7 @@ def _ab_ops_one_round(workload):
     assert set(summary["rows_per_s"]) == {"parent", "change"}
     q1, median, q3 = summary["round_ratio_quartiles"]
     assert 0 < q1 <= median <= q3
+    assert summary["change_over_parent"] == median
 
 
 def test_ab_ops_times_a_checkout_against_itself():

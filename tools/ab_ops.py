@@ -15,10 +15,11 @@ trajectory (``evolve-lib``), or every exit status, error and written table
 template op, the median milliseconds of each side, their ratio and the
 quartiles of the op's per-round change/parent ratio, and last, as one JSON
 line, the ``rows_per_s`` of each side in the benchmark's way (rows of a
-round over the sum of per-op medians, uncalibrated), their ratio and the
-quartiles of the per-round ``rows_per_s`` ratio.  A whole-round ratio that
-falls between those quartiles is not resolved from the spread.  Tables go
-to a temporary directory; nothing is written under ``perfbench/``.
+round over the sum of per-op medians, uncalibrated) and the quartiles of
+the per-round ``rows_per_s`` change/parent ratio, whose median is the
+headline ``change_over_parent``.  Where 1 lies between the outer
+quartiles, the change is not resolved from the spread.  Tables go to a
+temporary directory; nothing is written under ``perfbench/``.
 
     python3 tools/ab_ops.py PARENT_CHECKOUT CHANGE_CHECKOUT \\
         --workload evolve-lib --seed 1 --rounds 30
@@ -128,11 +129,11 @@ def main(argv=None) -> int:
     goodput = {name: sum(rows.values()) / sum(median[name] for median in medians.values())
                for name in SIDES}
     # a round's rows_per_s ratio is its parent seconds over its change seconds
-    round_ratios = [total["parent"] / total["change"] for total in totals]
+    round_quartiles = quartiles([total["parent"] / total["change"] for total in totals])
     print(json.dumps({"workload": args.workload, "seed": args.seed, "rounds": args.rounds,
                       "rows_per_s": goodput,
-                      "change_over_parent": goodput["change"] / goodput["parent"],
-                      "round_ratio_quartiles": quartiles(round_ratios)}))
+                      "change_over_parent": round_quartiles[1],
+                      "round_ratio_quartiles": round_quartiles}))
     return 0
 
 
