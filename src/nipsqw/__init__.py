@@ -30,7 +30,6 @@ from .hamiltonian import (
     RobinParams,
     build_h,
     build_h_at_time,
-    pt_residual,
     robin_to_z,
     z_from_phi,
     z_from_r,
@@ -79,66 +78,3 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BadOverrides",
-    "BadWeights",
-    "ChebyshevSolution",
-    "DefectiveAtEP",
-    "DegenerateBoundary",
-    "EigenDecomposition",
-    "EPProximity",
-    "EvolutionState",
-    "GeneratorSnapshot",
-    "KetketBasis",
-    "MAP_KINDS",
-    "MetricBundle",
-    "NipsqwError",
-    "NoConvergence",
-    "NonRealNorm",
-    "NoSlope",
-    "NotAnEigenvalue",
-    "NotAnObservable",
-    "NotHermitian",
-    "NotPositiveDefinite",
-    "OutOfRange",
-    "PhiProfile",
-    "RobinParams",
-    "SingularDyson",
-    "SingularMatrix",
-    "SpectralCurvePoint",
-    "SpectrumResult",
-    "Tolerances",
-    "Trajectory",
-    "adjoint",
-    "as_square",
-    "build_h",
-    "build_h_at_time",
-    "build_metric",
-    "char_poly",
-    "chebyshev_eigvec",
-    "coriolis",
-    "dyson_from_ketkets",
-    "dyson_hermitian",
-    "eig_general",
-    "eig_hermitian",
-    "ep_scan",
-    "evolve",
-    "expectation",
-    "generator",
-    "get_tolerances",
-    "inverse",
-    "ketkets",
-    "physical_norm",
-    "pt_residual",
-    "quasi_hermiticity_residual",
-    "robin_to_z",
-    "secular_value",
-    "solve_spectrum",
-    "spectral_curve",
-    "spectral_norm",
-    "sqrt_hpd",
-    "textbook_evolve",
-    "z_from_phi",
-    "z_from_r",
-]

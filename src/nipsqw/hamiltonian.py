@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBoundary, OutOfRange
-from .matrix_core import as_square, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -259,14 +258,3 @@ def build_h_at_time(n: int, profile: PhiProfile, t: float) -> np.ndarray:
     """Well matrix along a driving profile: build_h with z = i*cos(phi(t))."""
     phi, _ = profile(t)
     return build_h(n, z_from_phi(phi))
-
-
-def pt_residual(h) -> float:
-    """Deviation from symmetry under index reversal plus conjugation.
-
-    Returns ||P conj(H) P - H|| with P the antidiagonal permutation.
-    Zero for every matrix produced by build_h, whatever z is.
-    """
-    a = as_square(h)
-    flipped = a.conj()[::-1, ::-1]
-    return spectral_norm(flipped - a)
