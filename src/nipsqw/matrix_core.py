@@ -105,8 +105,8 @@ def _eig2_closed_form(a: np.ndarray):
     """
     m = a.astype(_CLD)
     a00, a01, a10, a11 = (m[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    half_trace = (a00 + a11) / 2
-    disc = np.sqrt(half_trace * half_trace - (a00 * a11 - a01 * a10))
+    half_trace, half_gap = (a00 + a11) / 2, (a00 - a11) / 2
+    disc = np.sqrt(half_gap * half_gap + a01 * a10)  # half_trace**2 - det cancels
     lam = np.concatenate([half_trace - disc, half_trace + disc], axis=1)
     # [matrix, component, root]
     row_first = np.stack(np.broadcast_arrays(a01, lam - a00), axis=1)

@@ -63,6 +63,14 @@ def test_spectrum_two_site_rows(capsys):
     assert "all_real=true" in err
 
 
+def test_spectrum_keeps_a_far_two_site_pair_apart(capsys):
+    code, out, err = invoke(capsys, "spectrum", "--n", "2", "--z", "1e12,0")
+    assert code == 0
+    _, rows = table_of(out)
+    assert [row[1] for row in rows] == ["-999999999999", "-999999999997"]
+    assert "all_real=true" in err
+
+
 def test_spectrum_six_site_middle_merger(capsys):
     code, out, err = invoke(capsys, "spectrum", "--n", "6", "--r", "0")
     assert code == 0

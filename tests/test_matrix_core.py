@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,33 @@ def test_eig_general_two_site_spectrum():
     dec = eig_general(corner_matrix(2, 0.8j))  # boundary strength 0.6
     np.testing.assert_allclose(dec.eigenvalues, [1.4, 2.6], atol=1e-12)
     assert dec.residual <= 1e-10
+
+
+@pytest.mark.parametrize("z, levels", [(1e12, [-999999999999.0, -999999999997.0]),
+                                       (-1e12, [1000000000001.0, 1000000000003.0])])
+def test_a_far_two_site_corner_keeps_its_levels_apart(z, levels):
+    # half the trace squared less the determinant would cancel to one level twice
+    h = build_h(2, z)
+    np.testing.assert_array_equal(solve_spectrum(h).energies, levels)
+    np.testing.assert_array_equal(ketkets(h).eigenvalues, levels[::-1])
+
+
+def test_two_site_levels_are_within_two_ulps_at_every_scale():
+    # 2 - Re z +- sqrt(1 - (Im z)^2) at 50 digits; |Im z| near 1 is ill-conditioned
+    rng = np.random.default_rng(41)
+    re = rng.choice([-1.0, 1.0], 2000) * 10 ** rng.uniform(-3, 12, 2000)
+    im = rng.uniform(-3, 3, 2000)
+    keep = np.abs(1 - np.abs(im)) > 1e-3
+    z = re[keep] + 1j * im[keep]
+    values, _, _, _ = _eigen_arrays(build_h(2, z))
+    with mpmath.workdps(50):
+        for level, x, y in zip(values, z.real, z.imag):
+            root = mpmath.sqrt(1 - mpmath.mpf(y) ** 2)
+            want = sorted([2 - mpmath.mpf(x) - root, 2 - mpmath.mpf(x) + root],
+                          key=lambda w: (mpmath.re(w), mpmath.im(w)))
+            for got, exact in zip(level, want):
+                ulp = np.spacing(max(float(abs(exact)), 1.0))
+                assert float(abs(mpmath.mpc(got) - exact)) <= 2 * ulp, (x, y, got, exact)
 
 
 def test_eig_general_diagonal_input():

@@ -109,7 +109,7 @@ def test_ketkets_defective_at_coalescence():
         ketkets(build_h(6, z_from_r(0.0)))
 
 
-@pytest.mark.parametrize("n, z", [(64, 1e4), (8, 1e6), (2, 1e12), (8, 1e20j)])
+@pytest.mark.parametrize("n, z", [(64, 1e4), (8, 1e6), (8, 1e20j)])
 def test_ketkets_refuses_an_end_entry_that_rounds_to_zero(n, z):
     # far outside the unit circle a level localized at one corner has its
     # far end entry round to zero, so its column cannot be gauged there
