@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,7 +52,13 @@ FMT = "%.17g"
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage failures exit with code 1."""
+    """Argument parser whose usage failures exit with code 1, and which reads
+    a token that starts with - and a digit, or with -. and a digit, as a
+    value: a negative number, exponent or comma list after a space."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

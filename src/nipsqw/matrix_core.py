@@ -123,17 +123,19 @@ def _eig2_closed_form(a: np.ndarray):
 def _dense_eig(a: np.ndarray):
     """LAPACK on the whole stack; one matrix at a time if any one fails.
 
-    A matrix that LAPACK fails gets NaN values and identity vectors.
+    A matrix that LAPACK fails gets NaN values, identity vectors and its
+    NoConvergence in the map of refusals returned with them.
     """
     try:
         values, vecs = np.linalg.eig(a)
-        return values, vecs, [None] * len(a)
+        return values, vecs, {}
     except np.linalg.LinAlgError as exc:
         if len(a) == 1:
             values = np.full(a.shape[:2], np.nan, dtype=complex)
-            return values, np.eye(a.shape[-1], dtype=complex)[None], [NoConvergence(str(exc))]
+            return values, np.eye(a.shape[-1], dtype=complex)[None], {0: NoConvergence(str(exc))}
     values, vecs, errors = zip(*(_dense_eig(matrix[None]) for matrix in a))
-    return np.concatenate(values), np.concatenate(vecs), [error for (error,) in errors]
+    failures = {k: error[0] for k, error in enumerate(errors) if error}
+    return np.concatenate(values), np.concatenate(vecs), failures
 
 
 def _eigen_arrays(stack: np.ndarray):
@@ -141,30 +143,30 @@ def _eigen_arrays(stack: np.ndarray):
 
     Returns the ascending eigenvalues (m, N), the unit right vectors
     (m, N, N), each matrix's worst eigenpair defect |A v - lambda v| (m,)
-    and per matrix None or the NoConvergence that ``eig_general(stack[k])``
-    raises.  The entry itself at N=1 (LAPACK would move it by an ulp),
-    closed form at N=2 (it keeps a defective pair defective), LAPACK
-    (``_dense_eig``) above it, so a matrix's result does not depend on the
-    others in its stack.  A refused matrix still has its eigenvalues, so a
-    defective point keeps its energies; they are NaN only where LAPACK
-    failed the values themselves.  A defect above ``_RESIDUAL_CAP`` |A|_2
-    is refused too.
+    and the map from each refused index k to the NoConvergence that
+    ``eig_general(stack[k])`` raises.  The entry itself at N=1 (LAPACK
+    would move it by an ulp), closed form at N=2 (it keeps a defective
+    pair defective), LAPACK (``_dense_eig``) above it, so a matrix's
+    result does not depend on the others in its stack.  A refused matrix
+    still has its eigenvalues, so a defective point keeps its energies;
+    they are NaN only where LAPACK failed the values themselves.  A defect
+    above ``_RESIDUAL_CAP`` |A|_2 is refused too.
     """
     m, n, _ = stack.shape
     if n > MAX_DIM:
         raise OutOfRange(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    errors = [None] * m
+    failures = {}
     if n == 1:
         values, vectors = stack[:, 0], np.ones((m, 1, 1), dtype=complex)
     elif n == 2:
         values, vectors = _eig2_closed_form(stack)
     else:
-        values, vectors, errors = _dense_eig(stack)
+        values, vectors, failures = _dense_eig(stack)
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
     vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
-    return values, vectors, _residual_refusals(stack, values, vectors, errors), errors
+    return values, vectors, *_residual_refusals(stack, values, vectors, failures)
 
 
 def _dense_mismatch(stack, values, vectors):
@@ -172,16 +174,18 @@ def _dense_mismatch(stack, values, vectors):
     return stack @ vectors - vectors * values[:, None, :]
 
 
-def _residual_refusals(stack, values, vectors, errors, mismatch=_dense_mismatch) -> np.ndarray:
+def _residual_refusals(stack, values, vectors, failures, mismatch=_dense_mismatch):
     """Each matrix's worst eigenpair defect |B v - lambda v| over unit columns,
     from ``mismatch(A, values, V)``, B V - V diag(values): B = A, dense, by
-    default, or A^dagger from A's structure, as the two share every norm read here.
+    default, or A^dagger from A's structure, as the two share every norm read here,
+    and the map from each refused matrix to its refusal: ``failures``, the map
+    from each matrix whose solve failed to that failure, over a NoConvergence
+    at each other matrix whose defect exceeds ``_RESIDUAL_CAP`` |A|_2.
 
-    A matrix whose ``errors`` entry is None and whose defect exceeds
-    ``_RESIDUAL_CAP`` |A|_2 gets a NoConvergence there.  Only a defect
-    past the cheaper bound |A|_F / sqrt(N) <= |A|_2 costs an SVD.  A matrix
-    whose |A|_F is not ``_squares_in_range`` takes both norms again scaled
-    by the power of two of its largest entry, which is exact.
+    Only a defect past the cheaper bound |A|_F / sqrt(N) <= |A|_2 costs an
+    SVD, and none of a failed matrix.  A matrix whose |A|_F is not
+    ``_squares_in_range`` takes both norms again scaled by the power of two
+    of its largest entry, which is exact.
     """
     with np.errstate(over="ignore"):
         defect = _worst_defect(stack, values, vectors, mismatch)
@@ -197,35 +201,24 @@ def _residual_refusals(stack, values, vectors, errors, mismatch=_dense_mismatch)
     # the slack keeps rounding in either norm from passing a refused defect
     bound = _RESIDUAL_CAP * (1 - 1e-9) * frob
     bound /= np.sqrt(stack.shape[-1])
-    past = [k for k in np.flatnonzero(~(defect <= bound)).tolist() if errors[k] is None]
+    past = [k for k in np.flatnonzero(~(defect <= bound)).tolist() if k not in failures]
     if not past:
-        return defect
+        return defect, failures
     norm_a = np.linalg.svd(stack[past], compute_uv=False)[:, 0]
-    for k, residual in zip(past, defect[past] / norm_a):
-        if residual > _RESIDUAL_CAP:
-            errors[k] = NoConvergence(
-                f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}"
-            )
-    return defect
-
-
-def _refusal_list(refused, refusal) -> list:
-    """Per matrix None, or ``refusal(k)`` at each k where ``refused`` holds;
-    a stack with nothing refused is neither scanned nor given a message."""
-    errors = [None] * len(refused)
-    if refused.any():
-        for k in np.flatnonzero(refused).tolist():
-            errors[k] = refusal(k)
-    return errors
+    capped = {
+        k: NoConvergence(f"eigenpair residual {residual:.3e} exceeds {_RESIDUAL_CAP:g}")
+        for k, residual in zip(past, defect[past] / norm_a) if residual > _RESIDUAL_CAP
+    }
+    return defect, {**capped, **failures}
 
 
 def _raise_earliest(*checks) -> None:
-    """Raise the refusal of the earliest matrix that any check refused, the
-    first check's where several refused it; ``checks`` are per-matrix lists
-    of None or a refusal, one per check in check order, all of one length."""
-    refused = [errors for errors in checks if errors.count(None) < len(errors)]
-    if refused:
-        raise next(error for row in zip(*refused) for error in row if error is not None)
+    """Raise the refusal at the smallest index that any check refused, the
+    first check's where several refused it; ``checks`` are maps from each
+    refused index to its refusal, one per check in check order."""
+    if any(checks):
+        k, order = min((min(errors), order) for order, errors in enumerate(checks) if errors)
+        raise checks[order][k]
 
 
 def _binary_scales(stack) -> np.ndarray:
@@ -303,14 +296,15 @@ def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances):
 
     One ``eigh`` per matrix, A = U diag(s^2) U^dagger, gives the root
     U diag(s) U^dagger and its inverse U diag(1/s) U^dagger; U and s are
-    what ``_root_slope`` needs.  errors[k] is None, or NotPositiveDefinite
-    when s_min^2 is under ``eps_pd`` of s_max^2 (that matrix's s is then 1).
+    what ``_root_slope`` needs.  ``errors`` maps each matrix whose s_min^2
+    is under ``eps_pd`` of s_max^2 (its s is then 1) to NotPositiveDefinite.
     """
     values, vectors = np.linalg.eigh(stack)
     flat = values[:, 0] <= tol.eps_pd * np.maximum(np.abs(values).max(axis=-1), 1e-300)
     roots = np.sqrt(np.where(flat[:, None], 1.0, values))
-    errors = _refusal_list(flat, lambda k: NotPositiveDefinite(
-        f"smallest eigenvalue {values[k, 0]:.3e} under the definiteness floor"))
+    why = "under the definiteness floor"
+    errors = {k: NotPositiveDefinite(f"smallest eigenvalue {values[k, 0]:.3e} {why}")
+              for k in np.flatnonzero(flat).tolist()}
     left = vectors.conj().swapaxes(-1, -2)
     root = (vectors * roots[:, None, :]) @ left
     inv = (vectors / roots[:, None, :]) @ left

@@ -23,7 +23,6 @@ from .matrix_core import (
     _binary_scales,
     _eigen_arrays,
     _raise_earliest,
-    _refusal_list,
     _residual_refusals,
     adjoint,
     as_square,
@@ -83,8 +82,7 @@ def ketkets(h) -> KetketBasis:
     else:
         values, vectors, _, failures = _eigen_arrays(a[None].conj().swapaxes(-1, -2))
         values, vectors, errors = _gauged_bases(values[:, ::-1], vectors[:, :, ::-1], failures)
-    if errors[0] is not None:
-        raise errors[0]
+    _raise_earliest(errors)
     return KetketBasis(eigenvalues=values[0], vectors=vectors[0])
 
 
@@ -114,8 +112,8 @@ def _gauged_bases(values, unit, failures):
     """Descending adjoint eigenbases in the end-row gauge, with their refusals.
 
     ``unit`` (m, N, N) holds one unit eigenvector of H^dagger per value of
-    ``values`` (m, N), both in descending order; ``failures`` holds per
-    matrix None or the NoConvergence of its solve.  The well's H^dagger is
+    ``values`` (m, N), both in descending order; ``failures`` maps each
+    matrix whose solve failed to its NoConvergence.  The well's H^dagger is
     complex symmetric, so its unit eigenvectors have V^T V = diag(c) and
     cond_2(V) <= N / min_j s_j, with s_j = |c_j| level j's reciprocal
     eigenvalue condition.  A failed solve becomes DefectiveAtEP, and so
@@ -125,8 +123,8 @@ def _gauged_bases(values, unit, failures):
     OutOfRange: far outside the unit circle a level localized at one
     corner can have its far end entry round to zero.  A vanished pivot,
     as a failed solve's identity columns hold, is taken as one.  Returns
-    the values, the columns scaled as ``KetketBasis`` says and per matrix
-    None or its refusal.
+    the values, the columns scaled as ``KetketBasis`` says and the map from
+    each refused matrix to its refusal, a failed solve's over the others.
     """
     n = unit.shape[-1]
     with np.errstate(divide="ignore"):
@@ -134,14 +132,14 @@ def _gauged_bases(values, unit, failures):
     singular = ~(condition < COND_CEILING)
     pivots = unit[:, _pivot_rows(n), np.arange(n)]
     vanished = ~(np.abs(pivots) >= np.finfo(float).tiny)
-    errors = _refusal_list(singular | vanished.any(axis=-1), lambda k: (
-        DefectiveAtEP("eigenvector matrix is numerically singular") if singular[k]
-        else OutOfRange(f"end entry of level {np.argmax(vanished[k])} rounds to zero")))
-    failed = [k for k, failure in enumerate(failures) if failure] if any(failures) else []
-    for k in failed:
-        errors[k] = _unsolved(failures[k])
+    errors = {
+        k: DefectiveAtEP("eigenvector matrix is numerically singular") if singular[k]
+        else OutOfRange(f"end entry of level {np.argmax(vanished[k])} rounds to zero")
+        for k in np.flatnonzero(singular | vanished.any(axis=-1)).tolist()
+    }
     pivots[vanished] = 1.0
-    return values, unit / pivots[:, None, :], errors
+    unsolved = {k: _unsolved(failure) for k, failure in failures.items()}
+    return values, unit / pivots[:, None, :], {**errors, **unsolved}
 
 
 def _unsolved(failure) -> DefectiveAtEP:
@@ -218,7 +216,7 @@ def _well_levels(n: int, r):
     x >= 0, ascending (the middle level 0 of an odd N first), the (m, N)
     levels, real and non-increasing as every consumer reads them (the angles
     lie in disjoint brackets), a row NaN throughout where its angle solve did
-    not converge, and per matrix None or the NoConvergence of that solve.
+    not converge, and the map from each such row to its NoConvergence.
     """
     angles, converged = _well_angles(n, r)
     odd = n % 2
@@ -226,9 +224,9 @@ def _well_levels(n: int, r):
     if odd:
         x = np.concatenate([np.zeros((len(x), 1)), x], axis=1)
     values = (2.0 + 2.0 * np.concatenate([x[:, odd:][:, ::-1], -x], axis=-1)).astype(complex)
-    failures = _refusal_list(~converged, lambda k: NoConvergence(
-        f"angle solve exhausted {_ANGLE_STEPS} Newton steps"))
-    if not converged.all():
+    why = f"angle solve exhausted {_ANGLE_STEPS} Newton steps"
+    failures = {k: NoConvergence(why) for k in np.flatnonzero(~converged).tolist()}
+    if failures:
         values[~converged] = np.nan
     return x, values, failures
 
@@ -272,7 +270,7 @@ def _well_ketket_stack(h: np.ndarray, r):
         [below[:, :, ::-1], above[:, :, :odd], above[:, ::-1, odd:].conj()], axis=-1
     )
     unit = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
-    _residual_refusals(h, values, unit, failures, _well_mismatch)
+    _, failures = _residual_refusals(h, values, unit, failures, _well_mismatch)
     return _gauged_bases(values, unit, failures)
 
 
@@ -429,9 +427,9 @@ def _dyson_stack(vectors: np.ndarray, tol: Tolerances):
     V^dagger has the inverse conj(V) diag(1/conj(c)).  s_j = |c_j| /
     |v_j|^2 is the reciprocal condition of level j (Wilkinson), 1/s_j^2
     its Petermann factor.  Returns Omega, its inverse, the all-ones
-    metric Theta = Omega^dagger Omega, the c-products (m, N) and, per
-    matrix, None or the SingularDyson that refuses a map with some s_j
-    at or below ``eps_singular``.
+    metric Theta = Omega^dagger Omega, the c-products (m, N) and the map
+    from each index whose map has some s_j at or below ``eps_singular`` to
+    the SingularDyson that refuses it.
     """
     omega = vectors.conj().swapaxes(-1, -2)
     cprods = np.einsum("mij,mij->mj", vectors, vectors)
@@ -442,10 +440,10 @@ def _dyson_stack(vectors: np.ndarray, tol: Tolerances):
     return omega, omega_inv, (theta + theta.conj().swapaxes(-1, -2)) / 2, cprods, errors
 
 
-def _dyson_refusals(usable, tol: Tolerances) -> list:
-    """Per ketket map None, or the SingularDyson of a level at the floor."""
+def _dyson_refusals(usable, tol: Tolerances) -> dict:
+    """Each ketket map not ``usable`` mapped to the SingularDyson of a level at the floor."""
     why = f"nearly dependent: a level's reciprocal condition at or below {tol.eps_singular:g}"
-    return _refusal_list(~usable, lambda k: SingularDyson(f"ketket columns {why}"))
+    return {k: SingularDyson(f"ketket columns {why}") for k in np.flatnonzero(~usable).tolist()}
 
 
 def dyson_hermitian(theta) -> MetricBundle:

@@ -557,7 +557,7 @@ def physical_norm(state: EvolutionState) -> float:
 
 
 def _expectation_stack(kets, thetas, lams):
-    """Metric expectations of each ket, with each row's refusal or None.
+    """Metric expectations of each ket and the map from each refused row to its refusal.
 
     Row k is <psi|Theta Lambda|psi> / <psi|Theta|psi> for its own ket,
     metric and operator.  It is refused with ``NotAnObservable`` when
@@ -585,25 +585,21 @@ def _expectation_stack(kets, thetas, lams):
         norms = np.stack([fl, ft, fl * ft])
         bound = lams.shape[-1] * fm / norms[2]
     cleared = (bound <= OBSERVABLE_GATE * (1 - 1e-9)) & _squares_in_range(norms).all(axis=0)
-    doubt = np.flatnonzero(~cleared)
-    gaps = np.zeros(len(bound))
-    if doubt.size:
-        gaps[doubt] = _quasi_hermiticity_stack(lams[doubt], thetas[doubt])
+    doubt = np.flatnonzero(~cleared).tolist()
+    gaps = _quasi_hermiticity_stack(lams[doubt], thetas[doubt]).tolist() if doubt else []
     # Python's complex division, which rounds unlike numpy's near the gate
     values = [
         num / den
         for num, den in zip(_metric_norms(kets, thetas @ lams).tolist(),
                             _metric_norms(kets, thetas).tolist())
     ]
-    whys = _unreal(values, floor=1.0)
-    errors = [
-        NotAnObservable(f"metric compatibility residual {gap:.3e} exceeds {OBSERVABLE_GATE:g}")
-        if gap > OBSERVABLE_GATE
-        else NonRealNorm(f"expectation came out {whys[k]}") if k in whys
-        else None
-        for k, gap in enumerate(gaps.tolist())
-    ]
-    return [value.real for value in values], errors
+    unreal = {k: NonRealNorm(f"expectation came out {why}")
+              for k, why in _unreal(values, floor=1.0).items()}
+    gated = {
+        k: NotAnObservable(f"metric compatibility residual {gap:.3e} exceeds {OBSERVABLE_GATE:g}")
+        for k, gap in zip(doubt, gaps) if gap > OBSERVABLE_GATE
+    }
+    return [value.real for value in values], {**unreal, **gated}
 
 
 def expectation(state: EvolutionState, lam) -> float:

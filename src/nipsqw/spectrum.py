@@ -53,7 +53,7 @@ def solve_spectrum(h) -> SpectrumResult:
         _, values, failures = _well_levels(len(a), [r])
         energies = values[0, ::-1]
     if np.isnan(energies).any():
-        raise _unsolved(failures[0])
+        raise _unsolved(failures.get(0))
     flags = np.abs(energies.imag) <= get_tolerances().tol_real
     return SpectrumResult(energies=energies, real_flags=flags, all_real=bool(flags.all()))
 
@@ -256,7 +256,7 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
                        compute_uv=False)
     with np.errstate(divide="ignore"):
         condition = sv[:, 0] / sv[:, -1]
-    refused = np.array([error is not None for error in errors], dtype=bool)
-    condition[refused | (condition >= COND_CEILING)] = np.inf
+    condition[list(errors)] = np.inf
+    condition[condition >= COND_CEILING] = np.inf
     gaps = values.real[:, :-1] - values.real[:, 1:]
     return np.column_stack([r_values, gaps.min(axis=-1), condition])

@@ -22,6 +22,7 @@ import nipsqw
 from nipsqw import cli, matrix_core, metric, n2_oracle, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, _emit_table, main, run_identity_suite
 from nipsqw.config import Tolerances, get_tolerances
+from nipsqw.errors import NoConvergence
 from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
 from nipsqw.n2_oracle import g_eigs
 from nipsqw.nip_evolution import MAP_KINDS
@@ -416,6 +417,29 @@ def test_evolve_rejects_metric_incompatible_observable(capsys, tmp_path):
     assert "compatibility" in err
 
 
+def test_an_observables_refusal_comes_before_the_spectrums_in_its_row(capsys, tmp_path,
+                                                                       monkeypatch):
+    # the generator spectrum is refused at row 0, where the projector is
+    # refused too: its refusal is printed; with a clean observable the
+    # spectrum's is
+    target = tmp_path / "proj.csv"
+    target.write_text("1,0,0,0\n0,0,0,0\n")
+    solve = cli._eigen_arrays
+
+    def refuse_the_first_row(stack):
+        values, vectors, defect, _ = solve(stack)
+        return values, vectors, defect, {0: NoConvergence("spectrum refused")}
+
+    monkeypatch.setattr(cli, "_eigen_arrays", refuse_the_first_row)
+    evolve = ("evolve", "--n", "2", "--profile", "constant:phi=1.0", "--psi0", "1,0,0,0",
+              "--t1", "0.5", "--dt", "0.01")
+    code, out, err = invoke(capsys, *evolve, "--observable", f"file:{target}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: metric compatibility residual")
+    code, out, err = invoke(capsys, *evolve, "--observable", "hamiltonian")
+    assert (code, out, err) == (2, "", "error: spectrum refused\n")
+
+
 @pytest.mark.parametrize("stem", ["a,b", "a\nb"], ids=["comma", "newline"])
 def test_an_observable_name_that_would_split_the_table_is_a_usage_error(capsys, tmp_path, stem):
     # the file's stem heads the observable's column: a comma or a line break
@@ -704,7 +728,7 @@ def test_failed_roots_are_nan_on_every_route(capsys, monkeypatch):
         alone = metric._well_ketket_stack(stack[k:k + 1], grid[k:k + 1])
         for got, want in zip((values, vectors), alone):
             np.testing.assert_array_equal(got[k], want[0])
-        assert errors[k] is None and alone[2][0] is None
+        assert k not in errors and 0 not in alone[2]
     assert np.isnan(rows[1, 1]) and rows[1, 2] == np.inf
     rows_alone = np.vstack([ep_scan(5, [r]) for r in grid[::2]])
     np.testing.assert_array_equal(rows[[0, 2]], rows_alone)
@@ -1291,6 +1315,53 @@ def test_a_negative_ep_margin_is_a_usage_error(capsys, command):
     assert (code, out) == (1, "")
     assert err == "nipsqw: error: --ep-margin must not be negative, got -1\n"
     assert invoke(capsys, command, *argv[:1], "0", *argv[2:])[0] == 0
+
+
+EVOLVE_FLAGS = {"--n": "2", "--profile": "constant:phi=1", "--psi0": "1,0,0,0", "--t1": "0.1",
+                "--dt": "0.05"}
+
+
+@pytest.mark.parametrize("command, given, flag, value", [
+    ("spectrum", {"--r": "0.5"}, "--n", "-2"),
+    ("spectrum", {"--n": "2"}, "--z", "-0.5,0.3"),
+    ("spectrum", {"--n": "3"}, "--z", "-.5,-1e-3"),
+    ("spectrum", {"--n": "3"}, "--r", "-1e-3"),
+    ("spectrum", {"--n": "3"}, "--robin", "-1,0,0.1"),
+    ("metric", {"--n": "2"}, "--phi", "-1.2"),
+    ("metric", {"--n": "2", "--r": "0.5"}, "--kappa", "-1,2"),
+    ("curve", {"--n": "3", "--e-max": "1", "--samples": "3"}, "--e-min", "-1e-3"),
+    ("curve", {"--n": "3", "--e-min": "-2", "--samples": "3"}, "--e-max", "-.5"),
+    ("curve", {"--n": "3", "--e-min": "0", "--e-max": "1"}, "--samples", "-3"),
+    ("epscan", {"--n": "2", "--r-max": "0.5", "--samples": "3"}, "--r-min", "-1e-1"),
+    ("epscan", {"--n": "2", "--r-min": "-1", "--samples": "3"}, "--r-max", "-0.5"),
+    ("evolve", EVOLVE_FLAGS, "--psi0", "-1,0,0.5,0"),
+    ("evolve", EVOLVE_FLAGS, "--t0", "-1e-3"),
+    ("evolve", EVOLVE_FLAGS, "--t1", "-0.1"),
+    ("evolve", EVOLVE_FLAGS, "--dt", "-0.05"),
+    ("evolve", EVOLVE_FLAGS, "--ep-margin", "-1e-3"),
+    ("n2verify", {}, "--phi-grid", "-0.5,0.5"),
+    ("n2verify", {}, "--ep-margin", "-1e-3"),
+])
+def test_a_value_may_follow_its_flag_after_a_space(capsys, command, given, flag, value):
+    # a number that starts with a minus sign reads the same after a space as
+    # after "=": the same stdout, stderr and exit code
+    argv = [command, *(f"{name}={text}" for name, text in given.items() if name != flag)]
+    spaced = invoke(capsys, *argv, flag, value)
+    assert spaced == invoke(capsys, *argv, f"{flag}={value}")
+    assert "expected one argument" not in spaced[2]
+
+
+def test_a_flag_is_not_taken_as_the_value_of_another(capsys):
+    # only a token that starts with a minus and a digit, or a minus, a dot and
+    # a digit, reads as a value: a flag after a flag is still a usage error
+    for argv, flag in ((("--z", "--r", "0.5"), "--z"), (("--r", "--n", "2"), "--r")):
+        code, out, err = invoke(capsys, "spectrum", "--n", "2", *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"nipsqw: error: argument {flag}: expected one argument\n")
+    evolve = [f"{name}={text}" for name, text in EVOLVE_FLAGS.items()]
+    code, out, err = invoke(capsys, "evolve", *evolve, "--ep-margin", "-1e-3")
+    assert (code, out) == (1, "")
+    assert err == "nipsqw: error: --ep-margin must not be negative, got -0.001\n"
 
 
 def test_missing_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch):

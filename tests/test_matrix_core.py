@@ -347,7 +347,7 @@ def test_residual_cap_takes_the_exact_norm_past_the_frobenius_bound(monkeypatch,
     residual = defect[0] / norm_a
     assert abs(residual / (share * 1e-10) - 1.0) < 1e-3
     if share < 1:
-        assert errors == [None]
+        assert errors == {}
         assert eig_general(m).residual == pytest.approx(residual, rel=1e-12)
     else:
         assert str(errors[0]) == f"eigenpair residual {residual:.3e} exceeds 1e-10"
@@ -370,12 +370,27 @@ def test_residual_reads_the_same_at_any_scale(scale):
     values, vectors = np.linalg.eig(a)
     vectors /= np.linalg.norm(vectors, axis=0)
     values[0] += 1e-8 * np.linalg.norm(a, 2)
-    errors = [None]
-    defect = matrix_core._residual_refusals(
-        (a * scale)[None], (values * scale)[None], vectors[None], errors
+    defect, errors = matrix_core._residual_refusals(
+        (a * scale)[None], (values * scale)[None], vectors[None], {}
     )
     assert defect[0] / (scale * np.linalg.norm(a, 2)) == pytest.approx(1e-8, rel=1e-6)
     assert str(errors[0]).startswith("eigenpair residual 1.000e-08 exceeds")
+
+
+def test_a_failed_solve_keeps_its_failure_over_the_residual_cap(monkeypatch):
+    # both matrices carry a defect past the cap; the one whose solve failed
+    # keeps that failure, the other gets the cap's refusal, and only the
+    # other one's norm is taken by SVD
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    values, vectors = np.linalg.eig(a)
+    vectors /= np.linalg.norm(vectors, axis=-2, keepdims=True)
+    values[:, 0] += 1e-6 * np.linalg.norm(a, 2, axis=(-2, -1))
+    failure, svd, shapes = NoConvergence("LAPACK failed"), np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: shapes.append(m.shape) or svd(m, **kw))
+    _, errors = matrix_core._residual_refusals(a, values, vectors, {0: failure})
+    assert errors[0] is failure and sorted(errors) == [0, 1]
+    assert str(errors[1]).startswith("eigenpair residual") and shapes == [(1, 4, 4)]
 
 
 def assert_stack_matches_single_solves(solve, stack, *per_matrix):
@@ -386,8 +401,9 @@ def assert_stack_matches_single_solves(solve, stack, *per_matrix):
     for k in range(len(stack)):
         alone = solve(stack[k:k + 1], *(arg[k:k + 1] for arg in per_matrix))
         for got, want in zip(together, alone):
-            if isinstance(got, list):
-                assert type(got[k]) is type(want[0]) and str(got[k]) == str(want[0])
+            if isinstance(got, dict):
+                got_error, want_error = got.get(k), want.get(0)
+                assert type(got_error) is type(want_error) and str(got_error) == str(want_error)
             else:
                 np.testing.assert_array_equal(got[k], want[0])
     return together
@@ -398,7 +414,7 @@ def test_stack_with_singular_shifts_matches_single_solves():
     wells = [corner_matrix(3, 1j * np.cos(phi)) for phi in (0.4, 1.1, 2.3)]
     stack = np.stack([wells[0], np.diag([1.0, 2.0, 3.0]).astype(complex), *wells[1:]])
     values, vectors, _, errors = assert_stack_matches_single_solves(_eigen_arrays, stack)
-    assert errors == [None] * 4
+    assert errors == {}
     for matrix, got_values, got_vectors in zip(stack, values, vectors):
         dec = eig_general(matrix)
         np.testing.assert_array_equal(got_values, dec.eigenvalues)
@@ -413,7 +429,7 @@ def test_stack_keeps_a_refused_matrix_from_its_neighbours():
     stack = np.stack([corner_matrix(6, z) for z in corners])
     r = np.sqrt(1 - np.abs(corners) ** 2)
     _, _, errors = assert_stack_matches_single_solves(metric._well_ketket_stack, stack, r)
-    assert [error is None for error in errors] == [True, False, True, False, True]
+    assert sorted(errors) == [1, 3]
     assert str(errors[1]) == "eigenvector matrix is numerically singular"
 
 
@@ -459,7 +475,7 @@ def test_stack_dense_refusal_stays_with_its_matrix(monkeypatch):
     assert np.isnan(values[1]).all()
     np.testing.assert_array_equal(vectors[1], np.eye(4))
     for k in (0, 2):
-        assert errors[k] is None
+        assert k not in errors
         np.testing.assert_array_equal(values[k], expected[k].eigenvalues)
         np.testing.assert_array_equal(vectors[k], expected[k].right_vectors)
 
@@ -480,7 +496,7 @@ def test_failed_vectors_keep_their_eigenvalues(monkeypatch):
     values, vectors, _, errors = _eigen_arrays(stack)
     np.testing.assert_array_equal(values, want_values)
     np.testing.assert_array_equal(vectors[[0, 2]], want_vectors[[0, 2]])
-    assert errors[0] is None and errors[2] is None
+    assert 0 not in errors and 2 not in errors
     assert str(errors[1]).startswith("eigenpair residual") and "exceeds 1e-10" in str(errors[1])
 
 
@@ -584,16 +600,33 @@ def test_decomposition_is_frozen():
 
 def test_raise_earliest_takes_the_earliest_matrix_then_the_first_check():
     first, second, third = NoConvergence("a"), NotPositiveDefinite("b"), SingularMatrix("c")
-    clean = [None] * 3
+    clean = {}
     assert _raise_earliest() is None
     assert _raise_earliest(clean, clean) is None
     cases = [
-        (([None, None, first],), first),
-        (([None, first, None], [second, None, None]), second),  # the earlier matrix
-        (([None, first, None], [None, second, None]), first),   # the earlier check
-        ((clean, [None, None, third], [None, second, first]), second),
+        (({2: first},), first),
+        (({1: first}, {0: second}), second),  # the earlier matrix
+        (({1: first}, {1: second}), first),   # the earlier check
+        ((clean, {2: third}, {1: second, 2: first}), second),
     ]
     for checks, want in cases:
         with pytest.raises(type(want)) as info:
             _raise_earliest(*checks)
         assert info.value is want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.dictionaries(st.integers(0, 19), st.sampled_from(
+    (NoConvergence, NotPositiveDefinite, SingularMatrix))), max_size=4))
+def test_raise_earliest_matches_a_scan_of_every_row(kinds):
+    # 0-4 sparse maps over at most 20 rows against the plain scan: row by
+    # row, check by check, the first refusal met is the one raised
+    checks = [{k: kind(f"check {order} row {k}") for k, kind in refusals.items()}
+              for order, refusals in enumerate(kinds)]
+    want = next((check[k] for k in range(20) for check in checks if k in check), None)
+    if want is None:
+        assert _raise_earliest(*checks) is None
+        return
+    with pytest.raises(type(want)) as info:
+        _raise_earliest(*checks)
+    assert info.value is want

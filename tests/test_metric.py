@@ -109,6 +109,26 @@ def test_ketkets_defective_at_coalescence():
         ketkets(build_h(6, z_from_r(0.0)))
 
 
+def test_gauged_bases_take_a_failed_solve_then_the_condition_then_the_pivot():
+    # two-site columns: (1, i)/sqrt(2) has c-product 0, so its matrix is
+    # singular, and (1, 0) in column 1, whose pivot is row 1, has a vanished
+    # pivot; matrix 0 also failed its solve, matrix 3 is clean
+    null, vanished = np.array([1.0, 1j]) / np.sqrt(2.0), np.array([1.0, 0.0])
+    both = np.column_stack([null, vanished])
+    unit = np.array([both, both, np.eye(2)[::-1], np.eye(2)], dtype=complex)
+    values = np.zeros((4, 2), dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, errors = metric._gauged_bases(values, unit, {0: NoConvergence("no way")})
+    assert sorted(errors) == [0, 1, 2]
+    assert type(errors[0]) is DefectiveAtEP
+    assert str(errors[0]) == "adjoint eigenproblem did not converge: no way"
+    assert type(errors[1]) is DefectiveAtEP
+    assert str(errors[1]) == "eigenvector matrix is numerically singular"
+    assert type(errors[2]) is OutOfRange
+    assert str(errors[2]) == "end entry of level 0 rounds to zero"
+
+
 @pytest.mark.parametrize("n, z", [(64, 1e4), (8, 1e6), (8, 1e20j)])
 def test_ketkets_refuses_an_end_entry_that_rounds_to_zero(n, z):
     # far outside the unit circle a level localized at one corner has its
@@ -410,19 +430,19 @@ def test_three_diagonal_defect_refuses_as_the_dense_product(monkeypatch, n, bend
     # refused by neither
     check, dense = metric._residual_refusals, []
 
-    def bent(stack, values, unit, errors, mismatch):
+    def bent(stack, values, unit, failures, mismatch):
         assert mismatch is metric._well_mismatch
         unit = unit.copy()
         unit[:, 0, n // 2] += bend
-        dense.append(list(errors))
-        check(stack.conj().swapaxes(-1, -2), values, unit, dense[-1])  # H^dagger @ V
-        return check(stack, values, unit, errors, mismatch)
+        # the dense product H^dagger @ V
+        dense.append(check(stack.conj().swapaxes(-1, -2), values, unit, failures)[1])
+        return check(stack, values, unit, failures, mismatch)
 
     monkeypatch.setattr(metric, "_residual_refusals", bent)
     r = np.array([0.9, 0.5])
     _, _, errors = metric._well_ketket_stack(build_h(n, 1j * np.sqrt(1.0 - r * r)), r)
     assert len(dense) == 1
-    for error, reference in zip(errors, dense[0]):
+    for error, reference in ((errors.get(k), dense[0].get(k)) for k in range(len(r))):
         if not bend:
             assert error is None and reference is None
             continue

@@ -284,7 +284,7 @@ def test_closed_form_wells_match_fifty_digits_down_to_the_margin(n):
     phis = np.concatenate([np.arcsin(sines), np.pi - np.arcsin(sines)])
     h = build_h(n, z_from_phi(phis))
     values, vectors, errors = metric._well_ketket_stack(h, np.sin(phis))
-    assert errors == [None] * len(phis)
+    assert errors == {}
     for phi, got_values, got_vectors in zip(phis, values, vectors):
         want_values, want_vectors = _mp_levels(n, phi)
         assert np.abs(got_values - want_values).max() <= 1e-14, phi
@@ -408,7 +408,7 @@ def test_two_site_kernel_matches_the_generic_kernel(textbook):
     h = build_h(2, z_from_phi(phis))
     values, vectors, errors = metric._well_ketket_stack(h, np.sin(phis))
     omega, omega_inv, theta, cprods, more = metric._dyson_stack(vectors, get_tolerances())
-    assert errors == more == [None] * len(phis)
+    assert errors == more == {}
     if textbook:
         second = omega @ h @ omega_inv
     else:
@@ -454,7 +454,7 @@ def test_generator_raises_its_eigen_solve_refusal(monkeypatch):
 
     def refusing(stack):
         values, vectors, defects, _ = solve(stack)
-        return values, vectors, defects, [None, refusal]
+        return values, vectors, defects, {1: refusal}
 
     monkeypatch.setattr(nip_evolution, "_eigen_arrays", refusing)
     with pytest.raises(NoConvergence) as caught:
@@ -1580,6 +1580,20 @@ def test_expectation_rejects_incompatible_operator():
         expectation(state, np.diag([1.0, 2.0]))
 
 
+def test_a_row_past_the_gate_and_not_real_is_not_an_observable():
+    # Lambda = [[1, 1], [0, 1]] against Theta = I fails the gate, and its
+    # expectation at psi = (1, i) is 1 + i/2: the gate's refusal is kept
+    lams = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
+    thetas = np.broadcast_to(np.eye(2, dtype=complex), lams.shape)
+    kets = np.array([[1.0, 1j], [1.0, 1j]])
+    values, errors = nip_evolution._expectation_stack(kets, thetas, lams)
+    assert values[1] == 1.0 and list(errors) == [1]
+    assert str(errors[1]).startswith("metric compatibility residual")
+    assert type(errors[1]) is NotAnObservable
+    with pytest.raises(NotAnObservable):
+        expectation(make_state(kets[1], thetas[1]), lams[1])
+
+
 def _near_the_gate(rng, n, residual):
     """(Lambda, Theta) of exact quasi-Hermiticity residual ``residual``, and its
     tight twin: Lambda = I + i d v v^dagger against Theta = I, where the
@@ -1628,11 +1642,12 @@ def test_the_observable_bound_is_sound_at_the_gate(monkeypatch):
         kets = np.ones((len(group), n), dtype=complex)
         with np.errstate(over="raise", invalid="raise", divide="raise"):  # as the CLI runs
             _, errors = nip_evolution._expectation_stack(kets, thetas, lams)
-        for gap, error in zip(exact(lams, thetas).tolist(), errors):
+        for k, gap in enumerate(exact(lams, thetas).tolist()):
+            error = errors.get(k)
             assert isinstance(error, NotAnObservable) == (gap > 1e-8), gap
             if gap > 1e-8:
                 assert str(error) == f"metric compatibility residual {gap:.3e} exceeds 1e-08"
-        assert sum(isinstance(error, NotAnObservable) for error in errors) >= 4
+        assert sum(isinstance(error, NotAnObservable) for error in errors.values()) >= 4
     # the tight rows just under the gate cleared without the exact residual
     assert sum(exact_calls) < len(rows)
 
@@ -1650,7 +1665,8 @@ def test_the_observable_bound_needs_the_product_of_its_norms_in_range():
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 _, errors = nip_evolution._expectation_stack(
                     np.ones((len(pairs), n), dtype=complex), thetas, lams)
-            for gap, error in zip(metric._quasi_hermiticity_stack(lams, thetas), errors):
+            for k, gap in enumerate(metric._quasi_hermiticity_stack(lams, thetas)):
+                error = errors.get(k)
                 assert gap > 1e-8 and f"residual {gap:.3e} exceeds" in str(error)
 
 
@@ -1667,7 +1683,7 @@ def test_a_gate_row_whose_norms_overflow_raises_as_the_exact_residual_does():
             nip_evolution._expectation_stack(kets, thetas, lams)
     assert str(gate.value) == str(exact.value)
     with np.errstate(over="ignore"):  # the exact residual reads 0 / inf
-        assert nip_evolution._expectation_stack(kets, thetas, lams)[1] == [None]
+        assert nip_evolution._expectation_stack(kets, thetas, lams)[1] == {}
 
 
 def test_an_overflowing_mismatch_takes_the_residual_at_a_scale_that_fits():

@@ -83,7 +83,7 @@ def _basis_route(h):
     """What solve_spectrum printed while it read every well's levels from the
     whole ketket basis: ascending energies and flags, or the refusal."""
     values, _, errors = metric._well_ketket_stack(h[None], [metric._driven_coupling(h)])
-    energies, error = values[0, ::-1], errors[0]
+    energies, error = values[0, ::-1], errors.get(0)
     if np.isnan(energies).any():
         return error
     return energies, np.abs(energies.imag) <= get_tolerances().tol_real
@@ -536,7 +536,7 @@ def test_ep_scan_gap_of_neighbours_is_the_all_pairs_gap(n):
     # the driven levels come back real and non-increasing, so the gap of
     # neighbours that ep_scan takes is the all-pairs minimum to the bit
     _, values, failures = metric._well_levels(n, LEVEL_ORDER_GRID)
-    assert failures == [None] * len(LEVEL_ORDER_GRID)
+    assert failures == {}
     assert (values.imag == 0).all()
     assert (np.diff(values.real, axis=-1) <= 0).all()
     gaps = ep_scan(n, LEVEL_ORDER_GRID)[:, 1]
@@ -549,7 +549,7 @@ def test_ep_scan_gap_is_nan_where_the_angle_solve_fails(monkeypatch, n):
     # u = 0 is its root, converges
     monkeypatch.setattr(metric, "_ANGLE_STEPS", 0)
     _, values, failures = metric._well_levels(n, LEVEL_ORDER_GRID)
-    failed = np.array([failure is not None for failure in failures])
+    failed = np.isin(np.arange(len(LEVEL_ORDER_GRID)), [*failures])
     assert failed.tolist() == ((LEVEL_ORDER_GRID != 0) | (n > 2)).tolist()
     assert np.isnan(values[failed]).all() and not np.isnan(values[~failed]).any()
     gaps = ep_scan(n, LEVEL_ORDER_GRID)[:, 1]
