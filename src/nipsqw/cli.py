@@ -53,12 +53,13 @@ FMT = "%.17g"
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures exit with code 1, and which reads
-    a token that starts with - and a digit, or with -. and a digit, as a
-    value: a negative number, exponent or comma list after a space."""
+    a token that starts with - and a digit, with -. and a digit, or with -inf
+    or -nan in any case, as a value: a negative number, exponent or comma
+    list after a space, which the flag checks then take or refuse."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)

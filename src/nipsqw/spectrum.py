@@ -4,8 +4,9 @@ Three independent routes to the same eigenvalues live here: the well
 solve of ``ketkets`` with reality classification (any other matrix takes
 ``eig_general``), a secular function built from the polynomial ansatz
 that solves the interior recurrence exactly, and the implicit curve r(E)
-from det(H(r) - E) being affine in r^2.  Keeping the routes separate is
-the point: they cross-check each other in the test suite.
+from det(H(r) - E) being affine in r^2 with real coefficients.  Keeping
+the routes separate is the point: they cross-check each other in the
+test suite.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h
 from .matrix_core import COND_CEILING, _eigen_arrays
 from .metric import _as_well, _driven_coupling, _unsolved, _well_ketket_stack, _well_levels
-
-_CLD = np.clongdouble
-
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -146,31 +144,15 @@ def chebyshev_eigvec(n: int, z: complex, e: complex) -> ChebyshevSolution:
     return ChebyshevSolution(y=complex(y), a=ab[0], b=ab[1], components=components)
 
 
-def _corner_det(n: int, z, e) -> np.ndarray:
-    """det(H - E) of the well with corners 2 - z and 2 + z, by the continuant
-    recurrence in extended precision.  The corner pair (z, -z) keeps its sum 0
-    and product 1 - r^2 on every branch of z = i sqrt(1 - r^2), and is
-    (z, conj z) on the physical band, where z is imaginary.  Corner values and
-    energies broadcast, and the recurrence runs once over the whole grid; the
-    off-diagonal products are all one, so intermediates stay O(1) and
-    clustered roots remain resolvable.
-    """
-    z = np.asarray(z, dtype=_CLD)
-    d = _CLD(2.0) - np.asarray(e, dtype=_CLD)
-    p_prev, p = _CLD(1.0), d - z  # empty block, first site
-    for _ in range(n - 2):
-        p, p_prev = d * p - p_prev, p
-    return (d + z) * p - p_prev
-
-
 @dataclass(frozen=True)
 class SpectralCurvePoint:
     """One sample of the implicit curve r(E).
 
     ``r_plus``/``r_minus`` are present only when r_squared lands in
-    [0, 1]; the rebuilt determinant residual is always reported, using
-    the principal branch of the corner parameter when r_squared falls
-    outside that band.
+    [0, 1]; ``residual`` is always reported: |det(H(r) - E)| at the
+    printed r_squared, from the affine form of ``_curve_stack``, so it
+    reads rounding in r_squared times the slope and grows like |E|^N off
+    the band.
     """
 
     energy: float
@@ -183,33 +165,47 @@ class SpectralCurvePoint:
 def _curve_stack(n: int, energies) -> tuple[np.ndarray, np.ndarray]:
     """The curve r^2(E) over a whole energy grid in one vectorized pass.
 
-    Because z + z* = 0 and z z* = 1 - r^2 hold along z = i*sqrt(1-r^2),
-    the determinant det(H(r) - E) is affine in r^2; two evaluations at
-    r^2 = 0 and 1 fix the line and its root.  Returns an (m, 5) float
-    table whose row k holds the fields of ``SpectralCurvePoint`` at
-    ``energies[k]``, and an (m, 5) mask of the cells a field leaves
-    undefined (they hold nan): r_plus and r_minus off the band, every
-    field but the energy where the determinant has no slope.  A non-finite
-    energy raises ValueError.
+    With d = 2 - E, det(H(r) - E) = det0 + r^2 beta with real coefficients:
+    the corners d - z and d + z enter only through z + z* = 0 and
+    z z* = 1 - r^2 along z = i*sqrt(1-r^2).  The continuant alpha over the
+    sites, from (1, d), gives det0 = d alpha - (alpha' + beta), alpha' one
+    step behind, and the slope beta runs the same recurrence from (0, -1),
+    so beta = -alpha' to the bit and det0 = d alpha.  One real recurrence in
+    extended precision thus gives both coefficients, the slope exactly
+    rather than as a difference of two determinants that cancels off the
+    band, and r^2 = -det0 / beta.  The residual is |det0 + r^2 beta| at the
+    printed r^2, in extended precision.
+
+    Returns an (m, 5) float table whose row k holds the fields of
+    ``SpectralCurvePoint`` at ``energies[k]``, and an (m, 5) mask of the
+    cells a field leaves undefined (they hold nan): r_plus and r_minus off
+    the band, every field but the energy where the slope is at most 1e-13.
+    A non-finite energy raises ValueError, and a row whose r^2 or residual
+    leaves the double range raises OutOfRange naming the first such energy.
     """
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
     e = np.atleast_1d(np.asarray(energies, dtype=float))
     if not np.isfinite(e).all():
         raise ValueError("the curve takes finite energies only")
-    det0 = _corner_det(n, 1j, e)   # r^2 = 0
-    slope = _corner_det(n, 0.0, e) - det0  # det at r^2 = 1 minus det at 0
-    rounded = slope.astype(complex)
-    flat = np.hypot(rounded.real, rounded.imag) <= 1e-13
-    # Flat rows divide by one instead, so no sentinel or warning arises.
-    r_squared = (-det0 / np.where(flat, _CLD(1.0), slope)).real.astype(float)
+    d = 2.0 - e.astype(np.longdouble)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row past the range is refused below
+        alpha_prev, alpha = np.ones_like(d), d
+        for _ in range(n - 2):
+            alpha, alpha_prev = d * alpha - alpha_prev, alpha
+        det0 = d * alpha
+        flat = np.abs(alpha_prev) <= 1e-13
+        # -det0 / beta and det0 + r^2 beta with beta = -alpha', to the bit;
+        # flat rows divide by one instead, so no sentinel or warning arises.
+        r_squared = (det0 / np.where(flat, 1.0, alpha_prev)).astype(float)
+        residual = np.abs((det0 - r_squared * alpha_prev).astype(float))
+    unfit = ~flat & ~(np.isfinite(r_squared) & np.isfinite(residual))
+    if unfit.any():
+        raise OutOfRange(f"curve leaves the double range at N = {n}, E = {e[unfit.argmax()]}")
     band = (r_squared >= -1e-12) & (r_squared <= 1.0 + 1e-12)
     # np.where, not np.maximum, so a -0.0 r_squared keeps its sign in r_plus.
     capped = np.where(r_squared > 1.0, 1.0, r_squared)
     r_plus = np.sqrt(np.where(r_squared < 0.0, 0.0, capped))
-    z = 1j * np.sqrt((1.0 - r_squared).astype(complex))
-    rebuilt = _corner_det(n, z, e).astype(complex)
-    residual = np.hypot(rebuilt.real, rebuilt.imag)
     table = np.column_stack(
         [e, r_squared, r_plus, np.where(r_plus > 0, -r_plus, 0.0), residual]
     )

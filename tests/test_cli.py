@@ -213,6 +213,25 @@ def test_curve_svg_of_only_flat_rows_is_an_empty_frame(capsys, tmp_path):
     assert '<polyline points=""' in target.read_text()
 
 
+def test_curve_far_off_the_band_prints_the_root_of_the_determinant(capsys):
+    # det(r^2 = 1) - det(r^2 = 0) cancelled here: the slope of the affine
+    # determinant is formed exactly, so r^2 is within an ulp of the root
+    code, out, err = invoke(
+        capsys, "curve", "--n", "4", "--e-min", "1e5", "--e-max", "1e6", "--samples", "2"
+    )
+    assert code == 0, err
+    _, rows = table_of(out)
+    assert [row[:2] for row in rows] == [["100000", "9999600003"], ["1000000", "999996000003"]]
+
+
+def test_curve_refuses_a_row_past_the_double_range(capsys):
+    code, out, err = invoke(
+        capsys, "curve", "--n", "4", "--e-min", "-1e300", "--e-max", "1e300", "--samples", "5"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: curve leaves the double range at N = 4, E = -1e+300\n"
+
+
 def test_curve_range_validation(capsys):
     code, _, err = invoke(
         capsys, "curve", "--n", "4", "--e-min", "3", "--e-max", "1", "--samples", "5"
@@ -1011,7 +1030,7 @@ def test_curve_table_bytes_are_pinned(capsys):
                           "--samples", "14001")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "8ec96dd5612ab3bb73993574b902680bc5920848acde109237caf9b7d587e7ec")
+        "ed52c5b9c2f76ecd04ad12ce98c238e314a88c836e009abc9ebff93c62632dc4")
 
 
 def _readme_commands():
@@ -1341,6 +1360,9 @@ EVOLVE_FLAGS = {"--n": "2", "--profile": "constant:phi=1", "--psi0": "1,0,0,0", 
     ("evolve", EVOLVE_FLAGS, "--ep-margin", "-1e-3"),
     ("n2verify", {}, "--phi-grid", "-0.5,0.5"),
     ("n2verify", {}, "--ep-margin", "-1e-3"),
+    ("spectrum", {"--n": "3"}, "--r", "-inf"),
+    ("spectrum", {"--n": "3"}, "--r", "-nan"),
+    ("spectrum", {"--n": "3"}, "--z", "-inf,0"),
 ])
 def test_a_value_may_follow_its_flag_after_a_space(capsys, command, given, flag, value):
     # a number that starts with a minus sign reads the same after a space as
@@ -1349,11 +1371,13 @@ def test_a_value_may_follow_its_flag_after_a_space(capsys, command, given, flag,
     spaced = invoke(capsys, *argv, flag, value)
     assert spaced == invoke(capsys, *argv, f"{flag}={value}")
     assert "expected one argument" not in spaced[2]
+    assert ("takes finite numbers only" in spaced[2]) == value.startswith(("-inf", "-nan"))
 
 
 def test_a_flag_is_not_taken_as_the_value_of_another(capsys):
-    # only a token that starts with a minus and a digit, or a minus, a dot and
-    # a digit, reads as a value: a flag after a flag is still a usage error
+    # only a token that starts with a minus and a digit, a minus, a dot and a
+    # digit, or -inf or -nan, reads as a value: a flag after a flag is still a
+    # usage error
     for argv, flag in ((("--z", "--r", "0.5"), "--z"), (("--r", "--n", "2"), "--r")):
         code, out, err = invoke(capsys, "spectrum", "--n", "2", *argv)
         assert (code, out) == (1, "")

@@ -386,35 +386,28 @@ def test_curve_spectrum_duality():
             assert np.min(np.abs(res.energies - e)) <= 1e-8
 
 
-def _scalar_corner_det(n, z, e, z_last=None):
-    """The point-by-point continuant that the stacked kernel replaced."""
-    cld = np.clongdouble
-    if z_last is None:
-        z_last = np.conj(z)
-    diag = np.full(n, cld(2.0) - cld(e), dtype=cld)
-    diag[0] -= cld(z)
-    diag[-1] -= cld(z_last)
-    p_prev = cld(1.0)
-    p = diag[0]
-    for k in range(1, n):
-        p, p_prev = diag[k] * p - p_prev, p
-    return p
-
-
 def _scalar_curve_row(n, e):
-    """One curve row the point-by-point way; None fields where undefined."""
-    det0 = _scalar_corner_det(n, 1j, e)
-    det1 = _scalar_corner_det(n, 0.0, e)
-    slope = det1 - det0
-    if abs(complex(slope)) <= 1e-13:
+    """One curve row the point-by-point way; None fields where undefined.
+
+    The continuants alpha from (1, d) and beta from (0, -1), d = 2 - E, run
+    side by side in extended precision; det(H(r) - E) = det0 + r^2 beta with
+    det0 = d alpha - (alpha' + beta), alpha' being alpha one step behind.
+    """
+    ld = np.longdouble
+    d = ld(2.0) - ld(e)
+    alpha_prev, alpha, beta_prev, beta = ld(1.0), d, ld(0.0), ld(-1.0)
+    for _ in range(n - 2):
+        alpha, alpha_prev = d * alpha - alpha_prev, alpha
+        beta, beta_prev = d * beta - beta_prev, beta
+    det0 = d * alpha - (alpha_prev + beta)
+    if abs(beta) <= 1e-13:
         return (e, None, None, None, None)
-    r_squared = float((-det0 / slope).real)
+    r_squared = float(-det0 / beta)
     r_plus = r_minus = None
     if -1e-12 <= r_squared <= 1.0 + 1e-12:
         r_plus = float(np.sqrt(min(max(r_squared, 0.0), 1.0)))
         r_minus = -r_plus if r_plus > 0 else 0.0
-    z = 1j * np.sqrt(complex(1.0 - r_squared))
-    residual = float(abs(complex(_scalar_corner_det(n, z, e, z_last=-z))))
+    residual = float(abs(det0 + ld(r_squared) * beta))
     return (e, r_squared, r_plus, r_minus, residual)
 
 
@@ -479,6 +472,66 @@ def test_curve_rows_satisfy_the_dense_eigenproblem(grid):
         elif r_plus is not None:
             values = np.linalg.eigvals(build_h(n, z_from_r(r_plus)))
             assert np.min(np.abs(values - e)) <= 1e-8
+
+
+def _mp_curve_root(n, e):
+    """The 50-digit root r^2 at a double energy and |slope|, where the slope is
+    det(r^2 = 1) - det(r^2 = 0), from the corner continuant of det(H - E)
+    with corners d - z and d + z in complex arithmetic."""
+    d = 2 - mpmath.mpf(e)
+
+    def det(z):
+        p_prev, p = mpmath.mpf(1), d - z
+        for _ in range(n - 2):
+            p, p_prev = d * p - p_prev, p
+        return (d + z) * p - p_prev
+
+    det0 = det(mpmath.mpc(0, 1))
+    slope = det(0) - det0
+    return mpmath.re(-det0 / slope), abs(slope)
+
+
+def test_curve_r_squared_is_within_an_ulp_of_fifty_digits():
+    # seeded energies in the band and out to |E| = 1e6 on both sides, with
+    # the four where the difference of two determinants cancelled.  Rounding
+    # in the extended continuant reaches r^2 as at most 2N eps (|d| + |r^2|)
+    # over the slope, below an ulp except next to a zero of alpha or of the
+    # slope; off the band every row is within one ulp
+    rng = np.random.default_rng(4301)
+    out = 10.0 ** rng.uniform(0.5, 6.0, 40) * rng.choice([-1.0, 1.0], 40)
+    energies = np.concatenate([rng.uniform(0.0, 4.0, 80), 2.0 + out, [1e5, 2e5, 1e6, -1e3]])
+    eps = float(np.finfo(np.longdouble).eps)
+    rounded = checked = 0
+    with mpmath.workdps(50):
+        for n in (2, 3, 4, 5, 6, 8, 13, 16, 24, 33, 48):
+            for e, r_squared, *_ in _curve_rows(n, energies):
+                if r_squared is None:
+                    continue
+                exact, slope = _mp_curve_root(n, e)
+                error = float(abs(mpmath.mpf(r_squared) - exact))
+                ulp = float(np.spacing(abs(float(exact))))
+                slack = 2 * n * eps * float((abs(2 - mpmath.mpf(e)) + abs(exact)) / slope)
+                assert error <= ulp + (slack if abs(e - 2.0) <= 2.0 else 0.0), (n, e, r_squared)
+                checked += 1
+                rounded += error <= ulp
+    assert rounded >= 0.99 * checked
+    pinned = _curve_rows(4, [1e5, 1e6])
+    assert [row[1] for row in pinned] == [9999600003.0, 999996000003.0]
+
+
+def test_curve_refuses_a_row_past_the_double_range():
+    # r^2 of the first overflows a double, the residual of the second; the
+    # r^2 of the third, about 1e80, is printed with its residual
+    for n, e in ((4, -1e300), (8, 1e41)):
+        for call in (lambda: _curve_stack(n, [0.5, e, 1e300]), lambda: spectral_curve(n, e)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OutOfRange, match="leaves the double range") as refusal:
+                    call()
+            assert str(refusal.value).endswith(f"at N = {n}, E = {e}")
+    point = spectral_curve(8, 1e40)
+    assert point.r_squared == pytest.approx(1e80, rel=1e-15)
+    assert np.isfinite(point.residual) and point.r_plus is None
 
 
 # ----------------------------------------------------------------- ep_scan
