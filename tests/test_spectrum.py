@@ -515,8 +515,6 @@ def test_curve_r_squared_is_within_an_ulp_of_fifty_digits():
                 checked += 1
                 rounded += error <= ulp
     assert rounded >= 0.99 * checked
-    pinned = _curve_rows(4, [1e5, 1e6])
-    assert [row[1] for row in pinned] == [9999600003.0, 999996000003.0]
 
 
 def test_curve_refuses_a_row_past_the_double_range():
