@@ -50,7 +50,6 @@ from .metric import (
     MetricBundle,
     build_metric,
     dyson_from_ketkets,
-    dyson_hermitian,
     ketkets,
     quasi_hermiticity_residual,
 )

@@ -3,10 +3,10 @@
 The eigenvectors of the adjoint operator (the "ketkets") generate an
 N-parametric family of positive metrics Theta = sum_n kappa_n
 |xi_n><xi_n|.  Every such metric factorizes through a Dyson map Omega
-with Theta = Omega^dagger Omega; the map is built here two ways --
-stacking the ketkets row-wise, or taking the Hermitian square root of
-Theta -- and either one transforms the non-Hermitian Hamiltonian into
-a Hermitian partner.
+with Theta = Omega^dagger Omega, which maps the non-Hermitian Hamiltonian
+to a Hermitian partner.  ``dyson_from_ketkets`` builds the map whose rows
+are the ketkets, for the all-ones metric; ``matrix_core.sqrt_hpd`` gives
+the Hermitian square root of any metric.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .matrix_core import (
     adjoint,
     as_square,
     eig_hermitian,
-    sqrt_hpd,
 )
 
 
@@ -367,22 +366,17 @@ def _quasi_hermiticity_stack(h, theta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricBundle:
-    """A metric with its Dyson factorization Theta = Omega^dagger Omega.
+    """The all-ones ketket metric with its map Theta = Omega^dagger Omega.
 
-    ``omega_kind`` records which factorization produced ``omega``:
-    ``ketket_columns`` (rows of Omega are the ketkets, diagonalizes the
+    The rows of Omega are the ketkets, so Omega diagonalizes the
     Hamiltonian into ``h_diag``; ``omega_inv`` comes from the columns'
-    c-products, see ``_dyson_stack``) or ``hermitian_root`` (Omega = sqrt
-    of Theta, Hermitian but not diagonalizing; ``h_diag``, ``kappa`` and
-    ``omega_inv`` are absent).
+    c-products (``_dyson_stack``).  ``dyson_from_ketkets`` builds it.
     """
 
     theta: np.ndarray
-    kappa: np.ndarray | None
     omega: np.ndarray
-    omega_inv: np.ndarray | None
-    omega_kind: str
-    h_diag: np.ndarray | None
+    omega_inv: np.ndarray
+    h_diag: np.ndarray
 
     @property
     def positivity_eigs(self) -> np.ndarray:
@@ -410,10 +404,8 @@ def dyson_from_ketkets(basis: KetketBasis) -> MetricBundle:
     _raise_earliest(errors)
     return MetricBundle(
         theta=theta[0],
-        kappa=np.ones(v.shape[1]),
         omega=omega[0],
         omega_inv=omega_inv[0],
-        omega_kind="ketket_columns",
         h_diag=np.diag(np.conj(basis.eigenvalues)),
     )
 
@@ -444,22 +436,3 @@ def _dyson_refusals(usable, tol: Tolerances) -> dict:
     """Each ketket map not ``usable`` mapped to the SingularDyson of a level at the floor."""
     why = f"nearly dependent: a level's reciprocal condition at or below {tol.eps_singular:g}"
     return {k: SingularDyson(f"ketket columns {why}") for k in np.flatnonzero(~usable).tolist()}
-
-
-def dyson_hermitian(theta) -> MetricBundle:
-    """Factorize a given metric through its Hermitian square root.
-
-    The root is the unique positive solution of Omega^2 = Theta; it
-    maps the Hamiltonian to a Hermitian (generally non-diagonal)
-    partner, so no diagonal representative or weight vector is
-    attached to the bundle.
-    """
-    a = as_square(theta)
-    return MetricBundle(
-        theta=(a + adjoint(a)) / 2,
-        kappa=None,
-        omega=sqrt_hpd(a),
-        omega_inv=None,
-        omega_kind="hermitian_root",
-        h_diag=None,
-    )

@@ -152,7 +152,8 @@ class SpectralCurvePoint:
     [0, 1]; ``residual`` is always reported: |det(H(r) - E)| at the
     printed r_squared, from the affine form of ``_curve_stack``, so it
     reads rounding in r_squared times the slope and grows like |E|^N off
-    the band.
+    the band.  It resolves only to about eps_ld |det(H(0) - E)|, with
+    eps_ld = 2^-63: a smaller value, 0 included, reads as rounding.
     """
 
     energy: float
@@ -174,14 +175,14 @@ def _curve_stack(n: int, energies) -> tuple[np.ndarray, np.ndarray]:
     extended precision thus gives both coefficients, the slope exactly
     rather than as a difference of two determinants that cancels off the
     band, and r^2 = -det0 / beta.  The residual is |det0 + r^2 beta| at the
-    printed r^2, in extended precision.
+    printed r^2, in extended precision; it resolves to about 2^-63 |det0|.
 
     Returns an (m, 5) float table whose row k holds the fields of
     ``SpectralCurvePoint`` at ``energies[k]``, and an (m, 5) mask of the
     cells a field leaves undefined (they hold nan): r_plus and r_minus off
     the band, every field but the energy where the slope is at most 1e-13.
-    A non-finite energy raises ValueError, and a row whose r^2 or residual
-    leaves the double range raises OutOfRange naming the first such energy.
+    A non-finite energy raises ValueError, and a row past the double range, in
+    r^2, residual or 2^-63 |det0|, raises OutOfRange naming the first one.
     """
     if n < 2:
         raise OutOfRange(f"need at least two sites, got {n}")
@@ -199,7 +200,8 @@ def _curve_stack(n: int, energies) -> tuple[np.ndarray, np.ndarray]:
         # flat rows divide by one instead, so no sentinel or warning arises.
         r_squared = (det0 / np.where(flat, 1.0, alpha_prev)).astype(float)
         residual = np.abs((det0 - r_squared * alpha_prev).astype(float))
-    unfit = ~flat & ~(np.isfinite(r_squared) & np.isfinite(residual))
+        resolved = np.abs(det0) <= np.finfo(float).max / np.finfo(d.dtype).eps
+    unfit = ~flat & ~(np.isfinite(r_squared) & np.isfinite(residual) & resolved)
     if unfit.any():
         raise OutOfRange(f"curve leaves the double range at N = {n}, E = {e[unfit.argmax()]}")
     band = (r_squared >= -1e-12) & (r_squared <= 1.0 + 1e-12)

@@ -225,11 +225,13 @@ def test_curve_far_off_the_band_prints_the_root_of_the_determinant(capsys):
 
 
 def test_curve_refuses_a_row_past_the_double_range(capsys):
-    code, out, err = invoke(
-        capsys, "curve", "--n", "4", "--e-min", "-1e300", "--e-max", "1e300", "--samples", "5"
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: curve leaves the double range at N = 4, E = -1e+300\n"
+    # the N = 64 rows' residuals resolve only to ~1e365 and ~1e384
+    for n, e_min, e_max, samples, first in (("4", "-1e300", "1e300", "5", "-1e+300"),
+                                            ("64", "1e6", "2e6", "2", "1000000.0")):
+        code, out, err = invoke(capsys, "curve", "--n", n, "--e-min", e_min, "--e-max", e_max,
+                                "--samples", samples)
+        assert (code, out) == (2, "")
+        assert err == f"error: curve leaves the double range at N = {n}, E = {first}\n"
 
 
 def test_curve_range_validation(capsys):
@@ -1049,6 +1051,15 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)  # the curve example writes band.svg here
     code, _, err = invoke(capsys, *shlex.split(command)[1:])
     assert code == 0, err
+
+
+def test_readme_library_tour_prints_what_its_comments_state(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    exec(text.split("```python\n")[1].split("```", 1)[0], {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "True"  # all_real
+    assert float(printed[1]) < 1e-14  # the quasi-Hermiticity residual, ~1e-16
+    assert float(printed[2]) < 1e-11  # np.ptp(states.phys_norm), ~1e-13
 
 
 def _fresh_process_run(*argv):

@@ -12,13 +12,12 @@ from nipsqw.errors import (
     BadWeights,
     DefectiveAtEP,
     NoConvergence,
-    NotPositiveDefinite,
     OutOfRange,
     SingularDyson,
 )
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_phi, z_from_r
 from nipsqw.matrix_core import (
-    _RESIDUAL_CAP, adjoint, eig_general, eig_hermitian, inverse, spectral_norm,
+    _RESIDUAL_CAP, adjoint, eig_general, eig_hermitian, inverse, spectral_norm, sqrt_hpd,
 )
 from nipsqw.metric import (
     KetketBasis,
@@ -26,7 +25,6 @@ from nipsqw.metric import (
     _well_angles,
     build_metric,
     dyson_from_ketkets,
-    dyson_hermitian,
     ketkets,
     quasi_hermiticity_residual,
 )
@@ -298,10 +296,8 @@ def test_observable_check_rejects_bare_position_weights():
 def test_dyson_two_site_closed_form():
     phi = np.pi / 3
     bundle = dyson_from_ketkets(ketkets(corner_matrix(phi)))
-    assert bundle.omega_kind == "ketket_columns"
     np.testing.assert_allclose(bundle.omega, map_matrix(phi), atol=1e-12)
     np.testing.assert_allclose(bundle.theta, metric_matrix(phi), atol=1e-12)
-    np.testing.assert_allclose(bundle.kappa, [1.0, 1.0], atol=0)
     s = np.sin(phi)
     np.testing.assert_allclose(
         bundle.h_diag, np.diag([2.0 + s, 2.0 - s]), atol=1e-12
@@ -494,42 +490,20 @@ def test_dyson_diagonalizes_to_h_diag():
     np.testing.assert_allclose(transformed, bundle.h_diag, atol=1e-9)
 
 
-# ------------------------------------------------- Dyson map: Hermitian root
-
-
-def test_hermitian_root_scalar_metric():
-    bundle = dyson_hermitian(4.0 * np.eye(3))
-    assert bundle.omega_kind == "hermitian_root"
-    np.testing.assert_allclose(bundle.omega, 2.0 * np.eye(3), atol=1e-14)
-    assert bundle.kappa is None and bundle.h_diag is None
-
-
-def test_hermitian_root_squares_back():
-    theta = metric_matrix(np.pi / 3)
-    bundle = dyson_hermitian(theta)
-    np.testing.assert_allclose(bundle.omega, adjoint(bundle.omega), atol=1e-12)
-    np.testing.assert_allclose(bundle.omega @ bundle.omega, theta, atol=1e-10)
-
-
-def test_hermitian_root_rejects_boundary_metric():
-    with pytest.raises(NotPositiveDefinite):
-        dyson_hermitian(metric_matrix(np.pi - 1e-9))
-
-
 # --------------------------------------------------- factorization agreement
 
 
 def test_both_factorizations_satisfy_bundle_contract():
     for n, r in [(2, np.sin(np.pi / 3)), (4, 0.6), (6, 0.8)]:
         h = build_h(n, z_from_r(r))
-        first = dyson_from_ketkets(ketkets(h))
-        second = dyson_hermitian(first.theta)
-        for bundle in (first, second):
-            theta_norm = spectral_norm(bundle.theta)
-            assert spectral_norm(bundle.theta - adjoint(bundle.theta)) <= 1e-12 * theta_norm
-            assert np.all(bundle.positivity_eigs > 0)
-            rebuilt = adjoint(bundle.omega) @ bundle.omega
-            assert spectral_norm(rebuilt - bundle.theta) <= 1e-10 * theta_norm
-            assert quasi_hermiticity_residual(h, bundle.theta) <= 1e-9
-            mapped = bundle.omega @ h @ inverse(bundle.omega)
+        bundle = dyson_from_ketkets(ketkets(h))
+        theta = bundle.theta
+        theta_norm = spectral_norm(theta)
+        assert spectral_norm(theta - adjoint(theta)) <= 1e-12 * theta_norm
+        assert np.all(bundle.positivity_eigs > 0)
+        assert quasi_hermiticity_residual(h, theta) <= 1e-9
+        # the ketket map and the Hermitian root both factorize the one metric
+        for omega in (bundle.omega, sqrt_hpd(theta)):
+            assert spectral_norm(adjoint(omega) @ omega - theta) <= 1e-10 * theta_norm
+            mapped = omega @ h @ inverse(omega)
             assert spectral_norm(mapped - adjoint(mapped)) <= 1e-9

@@ -518,9 +518,11 @@ def test_curve_r_squared_is_within_an_ulp_of_fifty_digits():
 
 
 def test_curve_refuses_a_row_past_the_double_range():
-    # r^2 of the first overflows a double, the residual of the second; the
-    # r^2 of the third, about 1e80, is printed with its residual
-    for n, e in ((4, -1e300), (8, 1e41)):
+    # r^2 of the first overflows a double, the residual of the second, and
+    # the residual's resolution 2^-63 |det0| of the third (|det0| ~ 1e384);
+    # the r^2 of the fourth, about 1e80, is printed with its residual, and
+    # so is the fifth's, whose |det0| ~ 1e288 is resolved
+    for n, e in ((4, -1e300), (8, 1e41), (64, 1e6)):
         for call in (lambda: _curve_stack(n, [0.5, e, 1e300]), lambda: spectral_curve(n, e)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -530,6 +532,7 @@ def test_curve_refuses_a_row_past_the_double_range():
     point = spectral_curve(8, 1e40)
     assert point.r_squared == pytest.approx(1e80, rel=1e-15)
     assert np.isfinite(point.residual) and point.r_plus is None
+    assert np.isfinite(spectral_curve(48, 1e6).residual)
 
 
 # ----------------------------------------------------------------- ep_scan
