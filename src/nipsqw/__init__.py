@@ -62,7 +62,6 @@ from .nip_evolution import (
     evolve,
     expectation,
     generator,
-    physical_norm,
     textbook_evolve,
 )
 from .spectrum import (

@@ -165,7 +165,6 @@ def _eigen_arrays(stack: np.ndarray):
     order = np.lexsort((values.imag, values.real), axis=-1)
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
-    vectors = vectors / np.linalg.norm(vectors, axis=-2, keepdims=True)
     return values, vectors, *_residual_refusals(stack, values, vectors, failures)
 
 

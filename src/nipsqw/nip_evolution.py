@@ -156,9 +156,9 @@ class GeneratorSnapshot:
 
 
 @lru_cache(maxsize=1)
-def _map_block(n, hermitian_map, tol, dtype, angles):
+def _map_block(n, hermitian_map, tol, angles):
     """H, Theta, Omega, Omega^-1, the levels and the slope dOmega/dphi of
-    the block of angles whose ``dtype`` array has the bytes ``angles``.
+    the block of angles whose float64 array has the bytes ``angles``.
 
     The part of a block that ``evolve`` and ``textbook_evolve`` share: the
     two-site ketket map of ``_two_site_map``, or the ketket basis of each H
@@ -171,12 +171,11 @@ def _map_block(n, hermitian_map, tol, dtype, angles):
     the slope is solved: the ketket map V^dagger takes dV^dagger of
     Nelson's slope dV (``_ketket_slope``), the root of its metric the slope
     of its Sylvester equation (``_root_slope``).  The memo keeps one entry,
-    the six arrays read-only, keyed on N, the map, the tolerances, the
-    angles' dtype and their exact bytes; a refused block raises its
-    earliest refused stage's error and is never kept, so the last clean
-    block stays kept.
+    the six arrays read-only, keyed on N, the map, the tolerances and the
+    angles' exact bytes; a refused block raises its earliest refused
+    stage's error and is never kept, so the last clean block stays kept.
     """
-    phis = np.frombuffer(angles, dtype=dtype)
+    phis = np.frombuffer(angles)
     if n == 2 and not hermitian_map:
         _raise_earliest(_dyson_refusals(np.abs(np.sin(phis)) > tol.eps_singular, tol))
         arrays = _two_site_map(phis)
@@ -211,7 +210,7 @@ def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     its earliest stage's refusal.
     """
     h, theta, omega, omega_inv, levels, slope = _map_block(
-        n, hermitian_map, tol, phis.dtype, phis.tobytes())
+        n, hermitian_map, tol, np.asarray(phis, dtype=float).tobytes())
     if textbook:
         mapped = omega @ h @ omega_inv if hermitian_map else levels[:, :, None] * np.eye(n)
         return h, mapped, theta, omega
@@ -545,15 +544,6 @@ def textbook_evolve(
     return _integrate(
         n, profile, psi0, t0, t1, dt, tol, textbook=True, map_kind=map_kind
     )
-
-
-def physical_norm(state: EvolutionState) -> float:
-    """Metric norm <psi|Theta|psi>, demanded real to rounding and finite."""
-    q = _metric_norms(np.asarray(state.psi)[None], as_square(state.theta)[None])
-    why = _unreal(q).get(0)
-    if why:
-        raise NonRealNorm(f"metric norm came out {why}")
-    return float(q[0].real)
 
 
 def _expectation_stack(kets, thetas, lams):

@@ -37,7 +37,6 @@ from nipsqw.nip_evolution import (
     evolve,
     expectation,
     generator,
-    physical_norm,
     textbook_evolve,
 )
 
@@ -562,7 +561,7 @@ def test_evolve_sampling_grid_and_cache():
     states = evolve(2, PhiProfile.constant(1.2), [1.0, 1.0j], 0.0, 0.35, 0.1)
     np.testing.assert_allclose([s.t for s in states], [0.0, 0.1, 0.2, 0.3, 0.35])
     for s in states:
-        assert abs(physical_norm(s) - s.phys_norm) <= 1e-12 * s.phys_norm
+        assert abs(np.vdot(s.psi, s.theta @ s.psi).real - s.phys_norm) <= 1e-12 * s.phys_norm
 
 
 def test_evolve_starts_where_asked():
@@ -666,7 +665,8 @@ def test_an_empty_horizon_returns_the_initial_state(n, integrate):
     states = integrate(n, PhiProfile.linear(1.0, 0.1), np.ones(n), 0.5, 0.5, 0.1)
     assert len(states) == 1
     assert states[0].t == 0.5
-    assert physical_norm(states[0]) == pytest.approx(states[0].phys_norm, rel=1e-12)
+    psi, theta = states[0].psi, states[0].theta
+    assert np.vdot(psi, theta @ psi).real == pytest.approx(states[0].phys_norm, rel=1e-12)
 
 
 def test_evolve_rejects_bad_arguments():
@@ -998,7 +998,8 @@ def test_trajectory_rows_are_the_states_of_its_stacks(n, integrate, map_kind):
             value = getattr(state, field)
             assert value.dtype == np.complex128, field
             np.testing.assert_array_equal(value, getattr(states, field)[k])
-        assert physical_norm(state) == pytest.approx(state.phys_norm, rel=1e-12)
+        norm = np.vdot(state.psi, state.theta @ state.psi).real
+        assert norm == pytest.approx(state.phys_norm, rel=1e-12)
     assert_same_states([states[k] for k in range(len(states))], rows)
     assert_same_states([states[k - len(states)] for k in range(len(states))], rows)
     if integrate is textbook_evolve:
@@ -1130,7 +1131,7 @@ def _kept_arrays(n, profile, psi0, t0, t1, dt, map_kind="ketket_columns"):
     phis = profile(np.asarray(taus, dtype=float))[0]
     before = nip_evolution._map_block.cache_info()
     arrays = nip_evolution._map_block(
-        n, map_kind == "hermitian_root", get_tolerances(), phis.dtype, phis.tobytes())
+        n, map_kind == "hermitian_root", get_tolerances(), phis.tobytes())
     after = nip_evolution._map_block.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     return list(arrays)
@@ -1538,25 +1539,6 @@ def test_textbook_cross_checks_the_moving_frame():
 
 
 # ------------------------------------------------ norms and expectations
-
-
-def test_physical_norm_doubled_identity():
-    state = make_state([1.0, 0.0], 2.0 * np.eye(2))
-    assert physical_norm(state) == pytest.approx(2.0, abs=1e-15)
-
-
-def test_physical_norm_cross_terms_cancel():
-    psi = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    state = make_state(psi, theta_s(np.pi / 3))
-    assert physical_norm(state) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_physical_norm_rejects_corrupted_metric():
-    theta = 2.0 * np.eye(2, dtype=complex)
-    theta[0, 0] += 1e-6j
-    state = make_state([1.0, 0.0], theta)
-    with pytest.raises(NonRealNorm):
-        physical_norm(state)
 
 
 def test_expectation_normalizes_identity():

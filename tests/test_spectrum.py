@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nipsqw import cli, metric
@@ -228,6 +228,25 @@ def test_unit_circle_moving_level_is_a_plane_wave(n):
         ket = np.conj(wave)
         fit = np.vdot(ket, column) / n * ket  # |ket|^2 = N
         assert np.linalg.norm(column - fit) <= 1e-11 * np.linalg.norm(column), gamma
+
+
+def test_cell_centred_corner_converges_at_second_order():
+    # -psi'' on (0, pi) with psi' + i alpha psi = 0 at both ends has the level
+    # alpha^2 (Krejcirik, Bila and Znojil, J. Phys. A 39, 10143, 2006); the
+    # corner tan(gamma / 2) = alpha h / 2 puts the well's level 2 - 2 cos gamma
+    # at h^2 alpha^2 / (1 + alpha^2 h^2 / 4), second order in h = pi / N
+    alpha = 1.3
+    errors = []
+    for n in (16, 32, 64):
+        h = np.pi / n
+        want = alpha**2 / (1 + (alpha * h) ** 2 / 4)
+        gamma = 2 * np.arctan(alpha * h / 2)
+        levels = solve_spectrum(build_h(n, np.exp(1j * gamma))).energies.real / h**2
+        level = levels[np.argmin(np.abs(levels - want))]
+        assert abs(level - want) <= 1e-11 * want, n
+        errors.append(alpha**2 - level)
+    ratios = np.array(errors[:-1]) / errors[1:]
+    assert ((3.9 <= ratios) & (ratios <= 4.1)).all(), ratios
 
 
 # ------------------------------------------------------------ secular_value
@@ -462,6 +481,9 @@ def _curve_grids(draw):
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(_curve_grids())
+@example((3, [2.0]))  # the middle level of an odd well
+@example((5, [0.5, 2.0]))
+@example((6, [(3 - 5 ** 0.5) / 2]))  # the no-slope energy at N = 6
 def test_curve_rows_satisfy_the_dense_eigenproblem(grid):
     n, energies = grid
     eye = np.eye(n)
