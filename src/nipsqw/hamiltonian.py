@@ -53,12 +53,17 @@ def robin_to_z(params: RobinParams) -> complex:
     return 1.0 / w
 
 
-def z_from_r(r: float) -> complex:
-    """Corner value on the positive imaginary axis, z = i*sqrt(1 - r^2)."""
-    r = float(r)
-    if not abs(r) <= 1.0:
-        raise OutOfRange(f"coupling strength must satisfy |r| <= 1, got {r}")
-    return 1j * np.sqrt(1.0 - r * r)
+def z_from_r(r):
+    """Corner value on the positive imaginary axis, z = i*sqrt(1 - r^2), the one
+    statement of the driven corner, formed as i*sqrt((1 - |r|)(1 + |r|)), which
+    does not cancel near |r| = 1.  An array of couplings gives an array of corner
+    values; |r| > 1 or NaN anywhere raises OutOfRange naming the first."""
+    r = np.asarray(r, dtype=float)
+    refused = np.flatnonzero(~(np.abs(r) <= 1.0))
+    if refused.size:
+        raise OutOfRange(f"coupling strength must satisfy |r| <= 1, got {r.flat[refused[0]]}")
+    z = 1j * np.sqrt((1.0 - np.abs(r)) * (1.0 + np.abs(r)))
+    return z if r.ndim else complex(z)
 
 
 def z_from_phi(phi):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import Tolerances, get_tolerances
 from .errors import BadWeights, DefectiveAtEP, NoConvergence, OutOfRange, SingularDyson
-from .hamiltonian import build_h
+from .hamiltonian import build_h, z_from_r
 from .matrix_core import (
     COND_CEILING,
     _binary_scales,
@@ -99,11 +99,11 @@ def _as_well(h) -> np.ndarray:
 
 
 def _driven_coupling(h: np.ndarray):
-    """The coupling sqrt((1 - |c|)(1 + |c|)) of a driven well, build_h(N, i c)
-    with |c| <= 1, from its corner; None for any other well."""
+    """The coupling sqrt(1 - c^2) of a driven well, build_h(N, i c) with |c| <= 1,
+    by ``z_from_r`` (c and r enter alike); None for any other well."""
     c = h[-1, -1].imag
     if abs(c) <= 1.0 and (h == build_h(len(h), 1j * c)).all():
-        return np.sqrt((1.0 - abs(c)) * (1.0 + abs(c)))
+        return z_from_r(c).imag
     return None
 
 

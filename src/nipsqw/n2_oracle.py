@@ -62,12 +62,6 @@ def omega_s(phi: float) -> np.ndarray:
     return np.array([[1.0, off], [-off, 1.0]])
 
 
-def omega_s_dagger(phi: float) -> np.ndarray:
-    phi, _ = _gauge(phi)
-    off = 1j * np.exp(1j * phi)
-    return np.array([[1.0, -off], [off, 1.0]])
-
-
 def omega_s_inv(phi: float) -> np.ndarray:
     """Exact inverse; blows up at the exceptional point sin phi = 0."""
     phi, _ = _gauge(phi)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import get_tolerances
 from .errors import NoSlope, NotAnEigenvalue, OutOfRange
-from .hamiltonian import build_h
+from .hamiltonian import build_h, z_from_r
 from .matrix_core import COND_CEILING, _eigen_arrays
 from .metric import _as_well, _driven_coupling, _unsolved, _well_ketket_stack, _well_levels
 
@@ -245,10 +245,7 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     holds the grid.
     """
     r_values = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    if not np.all(np.abs(r_values) <= 1.0):
-        raise OutOfRange("coupling grid must stay within [-1, 1]")
-
-    stack = build_h(n, 1j * np.sqrt(1.0 - r_values * r_values))  # z_from_r of each point
+    stack = build_h(n, z_from_r(r_values))
     values, vectors, errors = _well_ketket_stack(stack, r_values)
     sv = np.linalg.svd(vectors / np.linalg.norm(vectors, axis=-2, keepdims=True),
                        compute_uv=False)

@@ -278,6 +278,15 @@ def test_metric_four_site_residual_small(capsys):
     assert doc["qh_residual"] <= 1e-9
 
 
+def test_metric_prints_the_corner_of_a_coupling_near_one(capsys):
+    # z.im = sqrt(1 - r^2) without cancellation: 1.4142136208440159e-05 to
+    # 50 digits, where sqrt(1.0 - r * r) gives 1.4142136208793713e-05
+    code, out, _ = invoke(capsys, "metric", "--n", "4", "--r", "0.9999999999")
+    assert code == 0
+    assert '"im": 1.414213620844016e-05' in out
+    assert json.loads(out)["z"] == {"re": 0.0, "im": 1.414213620844016e-05}
+
+
 def test_metric_payload_round_trips(capsys):
     code, out, _ = invoke(capsys, "metric", "--n", "4", "--r", "0.8")
     assert code == 0

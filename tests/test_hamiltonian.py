@@ -1,5 +1,6 @@
 """Well-matrix construction, boundary parametrizations, drive profiles."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,31 @@ def test_z_from_r_endpoints_and_interior():
 def test_z_from_r_domain():
     with pytest.raises(OutOfRange):
         z_from_r(1.2)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, -0.5, *(sign * (1 - 10.0**-k)
+                                                 for k in range(1, 16) for sign in (1, -1))])
+def test_z_from_r_is_within_an_ulp_near_the_band_edge(r):
+    # sqrt(1 - r^2) cancels as |r| -> 1, by up to 1.65e6 ulp at 1 - 1e-9;
+    # (1 - |r|)(1 + |r|) is exact to a rounding or two, so the root is
+    # within an ulp of the 50-digit one
+    with mpmath.workdps(50):
+        root = mpmath.sqrt(1 - mpmath.mpf(r) ** 2)
+    z = z_from_r(r)
+    assert z.real == 0.0
+    assert abs(mpmath.mpf(z.imag) - root) <= np.spacing(float(root)), r
+
+
+def test_z_from_r_maps_arrays_and_refuses_the_first_bad_coupling():
+    r = np.array([[0.6, -1.0], [0.0, 1e-8]])
+    z = z_from_r(r)
+    assert isinstance(z, np.ndarray) and z.shape == r.shape
+    np.testing.assert_array_equal(z, [[z_from_r(0.6), 0.0], [1j, z_from_r(1e-8)]])
+    assert type(z_from_r(0.6)) is complex and type(z_from_r(np.float64(0.6))) is complex
+    for bad, named in (([0.5, np.nan, 2.0], "nan"), ([0.5, -1.5, np.nan], "-1.5"),
+                       (np.nan, "nan"), ([[0.0], [np.inf]], "inf")):
+        with pytest.raises(OutOfRange, match=f"got {named}$"):
+            z_from_r(bad)
 
 
 def test_z_from_phi_matches_unsigned_map_on_first_quadrant():

@@ -11,7 +11,6 @@ from nipsqw.n2_oracle import (
     g_eigs,
     g_s,
     omega_s,
-    omega_s_dagger,
     omega_s_dot,
     omega_s_inv,
     regime,
@@ -37,14 +36,8 @@ def test_omega_inverse_identity():
 def test_omega_factorizes_the_metric():
     for phi in np.linspace(0.1, np.pi - 0.1, 15):
         np.testing.assert_allclose(
-            omega_s_dagger(phi) @ omega_s(phi), theta_s(phi), atol=1e-14
+            adjoint(omega_s(phi)) @ omega_s(phi), theta_s(phi), atol=1e-14
         )
-
-
-def test_omega_dagger_is_the_adjoint():
-    np.testing.assert_allclose(
-        omega_s_dagger(0.7), adjoint(omega_s(0.7)), atol=1e-16
-    )
 
 
 def test_omega_dot_stationary_limit():
@@ -61,7 +54,7 @@ def test_forms_take_the_package_gauge_where_the_sine_is_negative():
     # the map, Coriolis and generator forms read (phi, phi_dot) as
     # (-phi, -phi_dot) where sin phi < 0; the metric is even
     for phi in (-1.0, -2.5, 4.0):
-        for form in (omega_s, omega_s_dagger, omega_s_inv, theta_s):
+        for form in (omega_s, omega_s_inv, theta_s):
             np.testing.assert_array_equal(form(phi), form(-phi))
         for form in (omega_s_dot, sigma_s, g_s):
             np.testing.assert_array_equal(form(phi, 0.7), form(-phi, -0.7))
@@ -175,7 +168,7 @@ def test_generator_is_hamiltonian_minus_coriolis():
 def test_intertwining_with_diagonal_partner():
     for phi in (0.4, 1.0, 2.2):
         h = build_h(2, z_from_phi(phi))
-        omega_dag = omega_s_dagger(phi)
+        omega_dag = adjoint(omega_s(phi))
         s = np.sin(phi)
         h_diag = np.diag([2.0 + s, 2.0 - s])
         defect = adjoint(h) @ omega_dag - omega_dag @ h_diag

@@ -230,6 +230,32 @@ def test_unit_circle_moving_level_is_a_plane_wave(n):
         assert np.linalg.norm(column - fit) <= 1e-11 * np.linalg.norm(column), gamma
 
 
+def test_unit_circle_levels_near_a_meeting_hold_their_condition_bound():
+    # at gamma = k pi / 6 the corner's level 2 - 2 cos gamma meets the level
+    # 2 - 2 cos(k pi / 6) and the pair's eigenvectors coalesce, s_j -> 1.15
+    # |gamma - k pi / 6|, so no fixed bound fits a ladder towards it.  QR's
+    # levels are exact for some H + E with |E|_2 <= p(N) eps |H|_2, p(N) a
+    # modest function of N taken as N (LAPACK Users' Guide, sec. 4.8), and a
+    # level moves by at most |E|_2 / s_j to first order (Wilkinson), with
+    # s_j = |v_j^T v_j| of its unit column, the left vector of a complex
+    # symmetric H being conj(v_j).  Where that bound passes the gap, the
+    # pair moves by about sqrt(|E|_2) instead, still inside it.  So each
+    # level lies within 8 N eps |H|_2 / s_j of its closed form, a margin of 8
+    n = 6
+    eps = np.finfo(float).eps
+    fixed = 2 - 2 * np.cos(np.arange(1, n) * np.pi / n)
+    deltas = [float(f"{m}e-{e}") for e in range(2, 13) for m in (3, 1)]
+    for k in range(1, n):
+        for gamma in (k * np.pi / n + sign * delta for delta in deltas for sign in (1, -1)):
+            h = build_h(n, np.exp(1j * gamma))
+            dec = eig_general(h)
+            exact = np.sort(np.append(fixed, 2 - 2 * np.cos(gamma)))
+            unit = dec.right_vectors / np.linalg.norm(dec.right_vectors, axis=0)
+            s = np.abs(np.einsum("ij,ij->j", unit, unit))
+            bound = 8 * n * eps * np.linalg.norm(h, 2) / s
+            assert (np.abs(dec.eigenvalues - exact) <= bound).all(), (k, gamma)
+
+
 def test_cell_centred_corner_converges_at_second_order():
     # -psi'' on (0, pi) with psi' + i alpha psi = 0 at both ends has the level
     # alpha^2 (Krejcirik, Bila and Znojil, J. Phys. A 39, 10143, 2006); the

@@ -52,3 +52,10 @@ def test_hash_outputs_prints_its_eleven_fingerprints():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert len(lines) == 11 and all(re.fullmatch(r"\S.* +[0-9a-f]{64}", line) for line in lines)
+
+
+def test_readme_names_the_newest_benchmark_record():
+    # each performance change adds a BENCH_<pr>.json; README's benchmark
+    # paragraph lists the records, so the newest must be among them
+    newest = max(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    assert f"`{newest.name}`" in (ROOT / "README.md").read_text(encoding="utf-8")
