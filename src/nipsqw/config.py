@@ -27,7 +27,8 @@ class Tolerances:
         at or below it (and a basis with some |v_j^T v_k| above it times
         |v_j| |v_k|); ``inverse`` refuses a matrix with s_min / s_max at
         or below it.
-    eps_pd: relative eigenvalue floor for positive definiteness.
+    eps_pd: relative eigenvalue floor of ``sqrt_hpd``'s positive
+        definiteness; no integration reads it.
     tol_real: |Im E| threshold of ``solve_spectrum`` for calling an energy real.
     ep_margin: |sin phi| guard radius around the exceptional point that
         an even N meets at sin phi = 0 (odd N has none there).

@@ -12,7 +12,9 @@ These solvers serve ``eig_general`` on any matrix, the one well solve of
 ``ketkets`` and ``solve_spectrum`` on wells that are not driven, and the
 spectra of the generators.  Driven wells, two sites included, are solved
 in closed form instead (``metric._well_ketket_stack``), and share only
-the residual cap, ``_residual_refusals``.
+the residual cap, ``_residual_refusals``.  ``sqrt_hpd`` roots the one
+metric it is given; the integrator's root map, the polar factor of its
+ketket map, shares only ``_root_slope``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, get_tolerances
+from .config import get_tolerances
 from .errors import (
     NoConvergence,
     NotHermitian,
@@ -280,38 +282,22 @@ def eig_hermitian(matrix) -> EigenDecomposition:
 
 
 def sqrt_hpd(matrix) -> np.ndarray:
-    """Hermitian positive-definite square root via spectral decomposition:
-    a stack of one through ``_sqrt_hpd_stack`` under the process tolerances."""
+    """Hermitian positive-definite square root U diag(s) U^dagger of A =
+    U diag(s^2) U^dagger from one ``eigh``; NotPositiveDefinite where s_min^2
+    is at or under the process tolerances' ``eps_pd`` of s_max^2."""
     a = as_square(matrix)
     if spectral_norm(a - a.conj().T) > 1e-12 * max(spectral_norm(a), 1e-300):
         raise NotHermitian("square root requires a Hermitian matrix")
-    root, _, _, _, errors = _sqrt_hpd_stack(a[None], get_tolerances())
-    _raise_earliest(errors)
-    return root[0]
-
-
-def _sqrt_hpd_stack(stack: np.ndarray, tol: Tolerances):
-    """(root, inverse, U, s, errors) of an (m, N, N) Hermitian stack.
-
-    One ``eigh`` per matrix, A = U diag(s^2) U^dagger, gives the root
-    U diag(s) U^dagger and its inverse U diag(1/s) U^dagger; U and s are
-    what ``_root_slope`` needs.  ``errors`` maps each matrix whose s_min^2
-    is under ``eps_pd`` of s_max^2 (its s is then 1) to NotPositiveDefinite.
-    """
-    values, vectors = np.linalg.eigh(stack)
-    flat = values[:, 0] <= tol.eps_pd * np.maximum(np.abs(values).max(axis=-1), 1e-300)
-    roots = np.sqrt(np.where(flat[:, None], 1.0, values))
-    why = "under the definiteness floor"
-    errors = {k: NotPositiveDefinite(f"smallest eigenvalue {values[k, 0]:.3e} {why}")
-              for k in np.flatnonzero(flat).tolist()}
-    left = vectors.conj().swapaxes(-1, -2)
-    root = (vectors * roots[:, None, :]) @ left
-    inv = (vectors / roots[:, None, :]) @ left
-    return (root + root.conj().swapaxes(-1, -2)) / 2, inv, vectors, roots, errors
+    values, vectors = np.linalg.eigh(a)
+    if values[0] <= get_tolerances().eps_pd * max(np.abs(values).max(), 1e-300):
+        why = "under the definiteness floor"
+        raise NotPositiveDefinite(f"smallest eigenvalue {values[0]:.3e} {why}")
+    root = (vectors * np.sqrt(values)) @ vectors.conj().T
+    return (root + root.conj().T) / 2
 
 
 def _root_slope(vectors, roots, tangent):
-    """The slope of each root of ``_sqrt_hpd_stack`` along a Hermitian dA.
+    """The slope of each Hermitian root U diag(s) U^dagger along a Hermitian dA.
 
     The solution X of root X + X root = dA,
     U [(U^dagger dA U)_ij / (s_i + s_j)] U^dagger (Higham, *Functions of

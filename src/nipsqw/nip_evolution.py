@@ -14,7 +14,8 @@ as (m, N, N) expressions over a block of stage angles; ``coriolis`` and
 ``generator`` are stacks of one through it.  Each driven well is solved
 in closed form at its coupling sin phi (``metric._well_ketket_stack``),
 and the two-site ketket map with its exact slope in extended precision
-(``_two_site_map``).
+(``_two_site_map``).  The Hermitian root map is the ketket map's polar
+factor, from one SVD of it, so both maps share their refusals.
 
 The map part of a block -- H, Theta, the map, its inverse, H's levels and
 the map's slope -- is six read-only arrays kept in the standard library's
@@ -55,7 +56,7 @@ import numpy as np
 from .config import Tolerances, get_tolerances
 from .errors import EPProximity, NonRealNorm, NotAnObservable
 from .hamiltonian import PhiProfile, build_h, build_h_at_time, z_from_phi
-from .matrix_core import MAX_DIM, _eigen_arrays, _raise_earliest, _root_slope, _sqrt_hpd_stack
+from .matrix_core import MAX_DIM, _eigen_arrays, _raise_earliest, _root_slope
 from .matrix_core import _squares_in_range, as_square
 from .metric import _dyson_refusals, _dyson_stack, _ketket_slope, _quasi_hermiticity_stack
 from .metric import _well_ketket_stack
@@ -162,14 +163,19 @@ def _map_block(n, hermitian_map, tol, angles):
 
     The part of a block that ``evolve`` and ``textbook_evolve`` share: the
     two-site ketket map of ``_two_site_map``, or the ketket basis of each H
-    with its Dyson map and metric, and with ``hermitian_map`` the Hermitian
-    root of Theta as Omega; both refuse a level's s_j at the
-    ``eps_singular`` floor, at two sites |sin phi|.  The levels (m, N) are
+    with its Dyson map V^dagger and metric, refused at a level's s_j at the
+    ``eps_singular`` floor (at two sites |sin phi|).  The levels (m, N) are
     H's real eigenvalues in the descending order of the ketket map's rows,
-    so that map gives Omega H Omega^-1 = diag(levels).  Each check runs
-    once over the block and ``_raise_earliest`` picks the refusal before
-    the slope is solved: the ketket map V^dagger takes dV^dagger of
-    Nelson's slope dV (``_ketket_slope``), the root of its metric the slope
+    so that map gives Omega H Omega^-1 = diag(levels).  With
+    ``hermitian_map`` Omega is Theta's Hermitian root, the polar factor
+    Y S Y^dagger of V^dagger = X S Y^dagger (Higham, *Functions of
+    Matrices*, 2008, ch. 8), from one SVD.  It needs no check of its own:
+    the well route keeps every kept V^dagger nonsingular, so S^-1 is
+    finite, by N / min_j s_j under ``COND_CEILING``, a normal pivot in
+    every column (``metric._gauged_bases``) and the ``eps_singular`` floor
+    (``metric._dyson_stack``).  Each check runs once over the block and
+    ``_raise_earliest`` picks the refusal before the slope is solved:
+    dV^dagger of Nelson's slope dV (``_ketket_slope``), for the root that
     of its Sylvester equation (``_root_slope``).  The memo keeps one entry,
     the six arrays read-only, keyed on N, the map, the tolerances and the
     angles' exact bytes; a refused block raises its earliest refused
@@ -184,16 +190,18 @@ def _map_block(n, hermitian_map, tol, angles):
         values, vectors, wells = _well_ketket_stack(h, np.sin(phis))
         omega, omega_inv, theta, cprods, dysons = _dyson_stack(vectors, tol)
         levels = values.real  # H^dagger's levels, real in a well, so H's too
+        _raise_earliest(wells, dysons)
+        dv = _ketket_slope(phis, values, vectors, cprods)
         if hermitian_map:
-            root, root_inv, basis, roots, flats = _sqrt_hpd_stack(theta, tol)
-            _raise_earliest(wells, dysons, flats)
-            lift = _ketket_slope(phis, values, vectors, cprods) @ omega
+            _, roots, right = np.linalg.svd(omega)
+            basis = right.conj().swapaxes(-1, -2)
+            root = (basis * roots[:, None, :]) @ right
+            root_inv = (basis / roots[:, None, :]) @ right
+            lift = dv @ omega
             slope = _root_slope(basis, roots, lift + lift.conj().swapaxes(-1, -2))
-            arrays = h, theta, root, root_inv, levels, slope
+            arrays = h, theta, (root + root.conj().swapaxes(-1, -2)) / 2, root_inv, levels, slope
         else:
-            _raise_earliest(wells, dysons)
-            slope = _ketket_slope(phis, values, vectors, cprods).conj().swapaxes(-1, -2)
-            arrays = h, theta, omega, omega_inv, levels, slope
+            arrays = h, theta, omega, omega_inv, levels, dv.conj().swapaxes(-1, -2)
     for array in arrays:
         array.flags.writeable = False
     return arrays

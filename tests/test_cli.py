@@ -415,6 +415,25 @@ def test_evolve_ep_margin_flag_tightens_the_abort(capsys):
     assert float(rows[-1][0]) < 3.1
 
 
+def test_evolve_root_map_runs_to_the_margin_with_its_rows(capsys):
+    # the root map shares the ketket map's refusals: at N=4 it runs to the
+    # margin at t = 1 and prints the 1,000 rows before it; no definiteness
+    # floor on Theta (cond 1.4e11 at sin phi = 1e-5) cuts it short
+    code, out, err = invoke(
+        capsys,
+        "evolve", "--n", "4",
+        "--profile", "linear:phi0=0.01,omega=-0.01",
+        "--psi0", "1,0,1,0,1,0,1,0", "--t1", "1", "--dt", "1e-3",
+        "--map", "hermitian_root",
+    )
+    assert code == 2
+    _, rows = table_of(out)
+    assert len(rows) == 1000 and float(rows[-1][0]) == 0.999
+    assert "aborted_at=1\n" in err
+    assert "error: trajectory reached the exceptional-point margin at t = 1," in err
+    assert "definiteness" not in err
+
+
 def test_evolve_observable_columns(capsys, tmp_path):
     target = tmp_path / "ident.csv"
     target.write_text("1,0,0,0\n0,0,1,0\n")

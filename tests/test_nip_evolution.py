@@ -25,7 +25,7 @@ from nipsqw.errors import (
     SingularDyson,
 )
 from nipsqw.hamiltonian import PhiProfile, build_h, z_from_phi
-from nipsqw.matrix_core import _eigen_arrays, adjoint, eig_general, spectral_norm
+from nipsqw.matrix_core import _eigen_arrays, adjoint, eig_general, spectral_norm, sqrt_hpd
 from nipsqw.metric import _pivot_rows, build_metric, dyson_from_ketkets, ketkets
 from nipsqw.n2_oracle import N2Params, g_eigs, omega_s, regime, sigma_s, theta_s
 from nipsqw import metric, nip_evolution
@@ -176,24 +176,38 @@ def test_map_slope_matches_a_high_precision_difference(n, phi):
 
 def test_the_stage_path_runs_no_svd(monkeypatch):
     # the stage path refuses on the per-level c-products and checks the
-    # eigenpair residual against |H|_F, so a healthy block needs no SVD
-    def no_svd(*args, **kwargs):
-        raise AssertionError("an SVD ran on the stage path")
+    # eigenpair residual against |H|_F, so a healthy ketket block needs no
+    # SVD.  The root map takes one per solved block, of its ketket map, for
+    # the root and for no check: the drive is one block of 61 stages, and
+    # the textbook integration reads it kept
+    svd, taken = np.linalg.svd, []
+
+    def spied(a, *args, **kwargs):
+        taken.append(a)
+        return svd(a, *args, **kwargs)
 
     inner = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    monkeypatch.setattr(inner, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", spied)
+    monkeypatch.setattr(inner, "svd", spied)
     profile = PhiProfile.linear(1.3, 0.2)  # crosses pi/2 at t = 1.35
     for n in (3, 8):
         psi0 = np.arange(1, n + 1) + 0.3j
+        runs = {}
         for map_kind in MAP_KINDS:
             for integrate in (evolve, textbook_evolve):
                 states = integrate(n, profile, psi0, 0.0, 1.5, 0.05, map_kind=map_kind)
                 assert len(states) == 31 and drift_of(states) < 1e-6
+                runs[integrate, map_kind] = states
+            assert len(taken) == (1 if map_kind == "hermitian_root" else 0)
+        (omega,) = taken
+        assert omega.shape == (61, n, n)
+        np.testing.assert_array_equal(omega[::2], runs[evolve, "ketket_columns"].omega)
+        taken.clear()
         assert np.isfinite(coriolis(n, profile, 1.35)).all()
         assert np.isfinite(generator(n, profile, 1.35).g_eigs).all()
         basis = ketkets(build_h(n, z_from_phi(1.3)))
         assert np.isfinite(dyson_from_ketkets(basis).omega_inv).all()
+        assert taken == []
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -1174,14 +1188,15 @@ def test_textbook_evolve_reads_the_same_warm_or_cold(map_kind):
 
 
 def _spy_on_roots(monkeypatch):
-    """Blocks whose metric was handed to the Hermitian root, as stage counts."""
-    solve, blocks = nip_evolution._sqrt_hpd_stack, []
+    """Blocks whose ketket map was factorized for the Hermitian root, as
+    stage counts: the stage path's one SVD."""
+    svd, blocks = np.linalg.svd, []
 
-    def counted(theta, tol):
-        blocks.append(len(theta))
-        return solve(theta, tol)
+    def counted(omega, *args, **kwargs):
+        blocks.append(len(omega))
+        return svd(omega, *args, **kwargs)
 
-    monkeypatch.setattr(nip_evolution, "_sqrt_hpd_stack", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     return blocks
 
 
@@ -1204,17 +1219,18 @@ def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
 
 
 def test_a_refused_root_is_not_kept(monkeypatch):
-    # the root is refused at the first stage, so nothing is kept and each
-    # repeat solves the block again and raises afresh
-    blocks = _spy_on_roots(monkeypatch)
-    tol = get_tolerances().replace(eps_pd=0.99)
+    # the root map's block is refused at the first stage by the well
+    # route's floor (there min_j s_j = 0.877), before its SVD, so nothing is
+    # kept and each repeat solves the block again and raises afresh
+    wells, roots = _spy_on_wells(monkeypatch), _spy_on_roots(monkeypatch)
+    tol = get_tolerances().replace(eps_singular=0.9)
     args = (3, PhiProfile.linear(1.2, 0.4), np.ones(3), 0.0, 0.04, 0.01)
     refusals = []
     for integrate in (evolve, evolve, textbook_evolve):
-        with pytest.raises(NotPositiveDefinite) as info:
+        with pytest.raises(SingularDyson) as info:
             integrate(*args, tol=tol, map_kind="hermitian_root")
         refusals.append(info.value)
-    assert blocks == [9, 9, 9]
+    assert wells == [9, 9, 9] and roots == []
     assert len({id(refusal) for refusal in refusals}) == 3
 
 
@@ -1231,6 +1247,64 @@ def test_the_two_maps_of_a_drive_keep_separate_entries(monkeypatch):
     for (integrate, map_kind), states in zip(calls, warm):
         nip_evolution._map_block.cache_clear()
         assert_same_states(states, integrate(*args, map_kind=map_kind))
+
+
+def _mp_root(omega):
+    """The Hermitian root of Omega^dagger Omega for a double Omega, in
+    60-digit arithmetic, rounded to double."""
+    with mpmath.workdps(60):
+        w = mpmath.matrix(omega.tolist())
+        values, vectors = mpmath.eighe(w.H * w)
+        root = vectors * mpmath.diag([mpmath.sqrt(value) for value in values]) * vectors.H
+        return np.array(root.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize(("n", "coupling"), [
+    (4, 1e-3), (4, 1e-4), (4, 1e-5), (8, 1e-4), (8, 1e-6),
+])
+def test_the_root_map_is_the_60_digit_root_of_its_ketket_map(n, coupling):
+    # the root is the polar factor of the ketket map, so its error stays at
+    # rounding while Theta's condition grows to 5.8e13 (N=8 at |sin phi| =
+    # ep_margin); an eigh of Theta would square the map's condition and
+    # lose cond(Theta) times the rounding here
+    phis, tol = np.array([np.arcsin(coupling)]), get_tolerances()
+    omega = nip_evolution._stage_stack(n, phis, np.ones(1), tol)[3][0]
+    root = nip_evolution._stage_stack(n, phis, np.ones(1), tol, hermitian_map=True)[3][0]
+    reference = _mp_root(omega)
+    assert spectral_norm(root - reference) <= 1e-14 * spectral_norm(reference)
+
+
+def test_a_root_map_drive_to_the_margin_keeps_its_prefix():
+    # N=4 from sin phi = 0.01 down at rate 0.01: both maps run to the
+    # margin at t = 1 and return the same 1,000 rows of time and metric
+    args = (4, PhiProfile.linear(0.01, -0.01), np.ones(4), 0.0, 1.0, 1e-3)
+    prefixes = {}
+    for map_kind in MAP_KINDS:
+        with pytest.raises(EPProximity, match="margin at t = 1,") as info:
+            evolve(*args, map_kind=map_kind)
+        prefixes[map_kind] = info.value.trajectory
+        assert len(prefixes[map_kind]) == 1000 and drift_of(prefixes[map_kind]) < 1e-9
+    root, ketket = prefixes["hermitian_root"], prefixes["ketket_columns"]
+    np.testing.assert_array_equal(root.t, ketket.t)
+    np.testing.assert_array_equal(root.theta, ketket.theta)
+
+
+def test_the_root_map_reads_no_definiteness_floor(tmp_path, monkeypatch):
+    # eps_pd is sqrt_hpd's floor alone: a root-map drive under eps_pd 0.99
+    # is bit for bit the default one, while sqrt_hpd under the same process
+    # tolerance refuses that drive's own metric
+    args = (3, PhiProfile.linear(1.2, 0.4), np.ones(3), 0.0, 0.04, 0.01)
+    for integrate in (evolve, textbook_evolve):
+        default = integrate(*args, map_kind="hermitian_root")
+        floored = integrate(*args, tol=get_tolerances().replace(eps_pd=0.99),
+                            map_kind="hermitian_root")
+        assert_same_states(floored, default)
+    overrides = tmp_path / "tol.cfg"
+    overrides.write_text("eps_pd = 0.99\n")
+    monkeypatch.setenv("NIPSQW_TOL_OVERRIDES", str(overrides))
+    theta = evolve(*args, map_kind="hermitian_root").theta[0]
+    with pytest.raises(NotPositiveDefinite, match="under the definiteness floor"):
+        sqrt_hpd(theta)
 
 
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
@@ -1418,20 +1492,17 @@ def test_a_refused_block_does_not_evict_the_last_clean_one(monkeypatch):
 
 
 @pytest.mark.parametrize(("stages", "raised"), [
-    ({"well": 5, "dyson": 3, "root": 1}, "root"),
-    ({"well": 2, "root": 2}, "well"),
-    ({"well": 4, "dyson": 2, "root": 2}, "dyson"),
+    ({"well": 5, "dyson": 3}, "dyson"),
+    ({"well": 2, "dyson": 2}, "well"),
+    ({"well": 4, "dyson": 2}, "dyson"),
     ({"dyson": 0, "well": 1}, "dyson"),
-    ({"root": 6}, "root"),
 ])
 def test_a_block_raises_its_earliest_stages_first_check(monkeypatch, stages, raised):
-    # on the root map the well solve, the Dyson map and the root each refuse
-    # a stage of one 7-stage block: the earliest refused stage wins, and at
-    # one stage the check that runs first
-    refusals = {"well": DefectiveAtEP("well"), "dyson": SingularDyson("dyson"),
-                "root": NotPositiveDefinite("root")}
-    for check, name in (("well", "_well_ketket_stack"), ("dyson", "_dyson_stack"),
-                        ("root", "_sqrt_hpd_stack")):
+    # on the root map the well solve and the Dyson map each refuse a stage
+    # of one 7-stage block: the earliest refused stage wins, and at one
+    # stage the check that runs first
+    refusals = {"well": DefectiveAtEP("well"), "dyson": SingularDyson("dyson")}
+    for check, name in (("well", "_well_ketket_stack"), ("dyson", "_dyson_stack")):
         if check in stages:
             def injected(*args, solve=getattr(nip_evolution, name), check=check):
                 *arrays, errors = solve(*args)

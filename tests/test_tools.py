@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,28 @@ def test_ab_ops_fingerprints_the_tables_of_a_cli_workload():
     # one round of scan-cli: every table each side writes is compared byte
     # for byte before any timing, the check a table-writer change relies on
     _ab_ops_one_round("scan-cli")
+
+
+def test_ab_ops_times_nothing_when_the_outputs_differ(tmp_path):
+    # a copy whose CSV writer prints 16 digits in place of 17: the first
+    # untimed round finds the tables differ, so the tool stops with exit 1
+    # before any timing and prints no summary line
+    change = tmp_path / "change"
+    for tree in ("src", "perfbench"):
+        shutil.copytree(ROOT / tree, change / tree, ignore=shutil.ignore_patterns("__pycache__"))
+    writer = change / "src" / "nipsqw" / "cli.py"
+    text = writer.read_text(encoding="utf-8")
+    assert text.count('FMT = "%.17g"') == 1
+    writer.write_text(text.replace('FMT = "%.17g"', 'FMT = "%.16g"'), encoding="utf-8")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_ops.py"), str(ROOT), str(change),
+         "--workload", "scan-cli", "--rounds", "1"],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert run.returncode == 1
+    assert "outputs differ on epscan n=4; nothing timed" in run.stderr
+    assert not any(line.startswith("{") for line in run.stdout.splitlines())
 
 
 def test_hash_outputs_prints_its_eleven_fingerprints():

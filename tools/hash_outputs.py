@@ -11,7 +11,8 @@ Prints eleven sha256 lines:
   emptied.  A change to one route moves only its own line;
 * ``refusals``: the error type, message and prefix length (or the stacks
   of a clean run) of drives towards the exceptional point under raised
-  ``eps_singular``, ``eps_pd`` and ``ep_margin``, at N = 2 to 6;
+  ``eps_singular``, ``eps_pd`` and ``ep_margin``, at N = 2 to 6; drives
+  read no ``eps_pd``, so its cases show that raising it refuses nothing;
 * ``evolve-cli`` and ``scan-cli``: every table, stdout, stderr and exit
   code of the benchmark's ops of that workload, two rounds of seeds 1-3,
   run in process;
