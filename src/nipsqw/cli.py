@@ -44,7 +44,7 @@ from .metric import (
 )
 from .n2_oracle import g_eigs, g_s, omega_s, omega_s_inv, sigma_s, theta_eigs, theta_s
 from .nip_evolution import (
-    MAP_KINDS, _check_inputs, _expectation_stack, evolve, generator, textbook_evolve,
+    MAP_KINDS, _expectation_stack, evolve, generator, textbook_evolve,
 )
 from .spectrum import _curve_stack, ep_scan, solve_spectrum
 
@@ -330,10 +330,6 @@ def cmd_metric(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    try:
-        _check_inputs(args.n, args.profile, args.psi0, args.t0, args.t1, args.dt)
-    except ValueError as exc:
-        return _usage_error(str(exc))
     observables = args.observable or []
     for k, (name, matrix) in enumerate(observables):
         if any(name == other for other, _ in observables[:k]):
@@ -355,6 +351,10 @@ def cmd_evolve(args) -> int:
         if not states:
             _summary(f"aborted_at={exc.t_fail:.17g}", args)
             raise
+    except np.linalg.LinAlgError:
+        raise
+    except ValueError as exc:  # evolve's input checks
+        return _usage_error(str(exc))
     crosscheck = []
     if args.crosscheck:
         partner = textbook_evolve(*start, states.t[-1], args.dt, tol=tol, map_kind=args.map)

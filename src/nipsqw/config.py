@@ -26,9 +26,7 @@ class Tolerances:
         level whose eigenvalue condition s_j = |v_j^T v_j| / |v_j|^2 is
         at or below it (and a basis with some |v_j^T v_k| above it times
         |v_j| |v_k|); ``inverse`` refuses a matrix with s_min / s_max at
-        or below it.
-    eps_pd: relative eigenvalue floor of ``sqrt_hpd``'s positive
-        definiteness; no integration reads it.
+        or below it, and ``sqrt_hpd`` one with lambda_min / lambda_max.
     tol_real: |Im E| threshold of ``solve_spectrum`` for calling an energy real.
     ep_margin: |sin phi| guard radius around the exceptional point that
         an even N meets at sin phi = 0 (odd N has none there).
@@ -40,7 +38,6 @@ class Tolerances:
     """
 
     eps_singular: float = 1e-12
-    eps_pd: float = 1e-10
     tol_real: float = 1e-9
     ep_margin: float = 1e-6
 

@@ -67,8 +67,8 @@ def inverse(matrix) -> np.ndarray:
     """Invert, refusing matrices that are numerically singular.
 
     The test is scale-invariant and independent of the size: the
-    reciprocal condition s_min / s_max must exceed the process
-    ``eps_singular``.  Failure signals exceptional-point proximity to callers.
+    reciprocal condition s_min / s_max must exceed the ``eps_singular`` that
+    ``sqrt_hpd`` reads too.  Failure signals exceptional-point proximity.
     A well-conditioned matrix whose inverse leaves the double range, as
     subnormal entries give, raises OutOfRange.
     """
@@ -284,12 +284,12 @@ def eig_hermitian(matrix) -> EigenDecomposition:
 def sqrt_hpd(matrix) -> np.ndarray:
     """Hermitian positive-definite square root U diag(s) U^dagger of A =
     U diag(s^2) U^dagger from one ``eigh``; NotPositiveDefinite where s_min^2
-    is at or under the process tolerances' ``eps_pd`` of s_max^2."""
+    is at or under ``eps_singular`` times s_max^2, the floor of ``inverse``."""
     a = as_square(matrix)
     if spectral_norm(a - a.conj().T) > 1e-12 * max(spectral_norm(a), 1e-300):
         raise NotHermitian("square root requires a Hermitian matrix")
     values, vectors = np.linalg.eigh(a)
-    if values[0] <= get_tolerances().eps_pd * max(np.abs(values).max(), 1e-300):
+    if values[0] <= get_tolerances().eps_singular * max(np.abs(values).max(), 1e-300):
         why = "under the definiteness floor"
         raise NotPositiveDefinite(f"smallest eigenvalue {values[0]:.3e} {why}")
     root = (vectors * np.sqrt(values)) @ vectors.conj().T

@@ -585,9 +585,10 @@ def _expectation_stack(kets, thetas, lams):
     cleared = (bound <= OBSERVABLE_GATE * (1 - 1e-9)) & _squares_in_range(norms).all(axis=0)
     doubt = np.flatnonzero(~cleared).tolist()
     gaps = _quasi_hermiticity_stack(lams[doubt], thetas[doubt]).tolist() if doubt else []
-    # Python's complex division, which rounds unlike numpy's near the gate
+    # Python's complex division, which rounds unlike numpy's near the gate;
+    # a norm that underflows to zero gives NaN, which the gate refuses
     values = [
-        num / den
+        num / den if den else complex("nan")
         for num, den in zip(_metric_norms(kets, thetas @ lams).tolist(),
                             _metric_norms(kets, thetas).tolist())
     ]

@@ -1171,6 +1171,21 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert err == f"nipsqw: error: --r must satisfy |r| <= 1, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv, code, line", [
+    # every parameter is finite, but amp sin(freq t) overflows at t = 0:
+    # evolve's own input check, read once, is the usage error
+    (("--profile", "sin:phi0=1,amp=1e308,freq=1e308", "--psi0", "1,0,0,0", "--t1", "1",
+      "--dt", "0.5"),
+     1, "nipsqw: error: profile angle phi or its rate is not finite at t = 0"),
+    # <psi|Theta|psi> underflows to zero, so the expectation is not finite
+    (("--profile", "constant:phi=0.5", "--psi0", "1e-300,0,0,1e-300", "--t1", "0", "--dt",
+      "1", "--observable", "hamiltonian"),
+     2, "error: expectation came out non-finite"),
+], ids=["profile_not_finite_at_a_stage", "norm_underflows"])
+def test_an_evolve_refusal_is_one_error_line(capsys, argv, code, line):
+    assert invoke(capsys, "evolve", "--n", "2", *argv) == (code, "", line + "\n")
+
+
 NON_FINITE_ARGV = {
     "spectrum_r": ("spectrum", "--n", "2", "--r", "nan"),
     "spectrum_z": ("spectrum", "--n", "2", "--z", "inf,0"),
@@ -1336,9 +1351,11 @@ def test_tolerance_override_file(capsys, tmp_path, monkeypatch):
         ("tol_real 1e-9\n", "expected key=value"),
         ("tol_real = abc\n", "tol_real is not a number"),
         ("ep_margin = nan\n", "ep_margin must be finite and non-negative"),
-        ("eps_pd = -1e-3\n", "eps_pd must be finite and non-negative"),
+        ("eps_singular = -1e-3\n", "eps_singular must be finite and non-negative"),
+        ("eps_pd = 1e-10\n", "unknown tolerance 'eps_pd'"),
     ],
-    ids=["unknown_key", "no_equals", "not_a_number", "nan_margin", "negative_floor"],
+    ids=["unknown_key", "no_equals", "not_a_number", "nan_margin", "negative_floor",
+         "retired_floor"],
 )
 def test_bad_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch, text, reason):
     overrides = tmp_path / "tol.cfg"
@@ -1353,7 +1370,7 @@ def test_bad_override_file_is_a_usage_error(capsys, tmp_path, monkeypatch, text,
     assert reason in lines[0]
 
 
-@pytest.mark.parametrize("name", ["eps_singular", "eps_pd", "tol_real", "ep_margin"])
+@pytest.mark.parametrize("name", ["eps_singular", "tol_real", "ep_margin"])
 def test_tolerances_are_finite_and_non_negative(name):
     # zero turns a guard off and is kept; a NaN, infinite or negative
     # value would turn it off or refuse everything without a word
@@ -1444,8 +1461,8 @@ def test_tolerances_follow_the_override_file_from_call_to_call(tmp_path, monkeyp
     overrides.write_text("tol_real = 1e-3\n")
     monkeypatch.setenv("NIPSQW_TOL_OVERRIDES", str(overrides))
     assert get_tolerances() == Tolerances(tol_real=1e-3)
-    overrides.write_text("eps_pd = 0.5\nep_margin = 0\n")
-    assert get_tolerances() == Tolerances(eps_pd=0.5, ep_margin=0.0)
+    overrides.write_text("eps_singular = 0.5\nep_margin = 0\n")
+    assert get_tolerances() == Tolerances(eps_singular=0.5, ep_margin=0.0)
     monkeypatch.delenv("NIPSQW_TOL_OVERRIDES")
     assert get_tolerances() == Tolerances()
 
@@ -1458,8 +1475,9 @@ EDGE_SAMPLES = ("-1", "0", "1", "1000000000000000", "2.5", "x")
 EDGE_LISTS = ("", ",", "1,", "1,2,3", "nan,1", "1,inf", "x,1", "-1,2", "1e308,1", "0,0.5")
 EDGE_PROFILES = (
     "constant:phi=0", "constant:phi=", "linear:phi0=1", "linear:phi0=1,omega=0.3,omega=1",
-    "sin:phi0=1,amp=0.2,freq=1e308", "bogus:phi=1", "linear", "", "table:{short}",
-    "table:{text}", "table:{empty}", "table:{missing}", "table:{folder}",
+    "sin:phi0=1,amp=0.2,freq=1e308", "sin:phi0=1,amp=1e308,freq=1e308", "bogus:phi=1",
+    "linear", "", "table:{short}", "table:{text}", "table:{empty}", "table:{missing}",
+    "table:{folder}",
 )
 EDGE_OBSERVABLES = ("energy", "file:{text}", "file:{empty}", "file:{ragged}", "file:{missing}",
                     "file:")
@@ -1511,7 +1529,8 @@ def _argvs(draw):
             ("--profile", pick(("constant:phi=1.2", "linear:phi0=1,omega=0.3",
                                 "linear:phi0=0.3,omega=-0.5", "sin:phi0=1,amp=0.2,freq=3",
                                 "table:{table}"), EDGE_PROFILES)),
-            ("--psi0", pick((",".join(["1", "0.5"] * size),), ("0,0", "nan,0", "", "1"))),
+            ("--psi0", pick((",".join(["1", "0.5"] * size),),
+                            ("0,0", "nan,0", "", "1", ",".join(["1e-300"] * 2 * size)))),
             ("--t1", number("0.3", "1")),
             ("--dt", number("0.1", "0.25", "1e308")),
         ]
@@ -1554,6 +1573,10 @@ def cli_files(tmp_path_factory):
           "--t1=1", "--dt=0.1"])
 @example(["evolve", "--n=2", "--profile=constant:phi=0", "--psi0=1,0,0,0", "--t1=1",
           "--dt=0.1", "--out={folder}/table.out"])
+@example(["evolve", "--n=2", "--profile=sin:phi0=1,amp=1e308,freq=1e308", "--psi0=1,0,0,0",
+          "--t1=1", "--dt=0.5"])
+@example(["evolve", "--n=2", "--profile=constant:phi=0.5", "--psi0=1e-300,0,0,1e-300",
+          "--t1=0", "--dt=1", "--observable=hamiltonian"])
 def test_no_argv_ends_in_a_traceback(cli_files, argv):
     # exit codes stay in the contract, and a failure is one error line:
     # "nipsqw: error: " for flag misuse, "error: " for a numerical failure

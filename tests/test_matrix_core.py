@@ -541,6 +541,26 @@ def test_sqrt_rejects_near_degenerate_metric():
         sqrt_hpd(metric_matrix(np.pi - 1e-9))
 
 
+@pytest.mark.parametrize("n", [4, 8])
+def test_sqrt_reads_the_singularity_floor_of_inverse(n, tmp_path, monkeypatch):
+    # the all-ones metric of the well at |sin phi| = 1e-5 has lambda_min /
+    # lambda_max near 7e-12 (N=4) and 2e-12 (N=8): above eps_singular, so its
+    # root holds to (eps/2) / sqrt(lambda_min / lambda_max) of a 50-digit root,
+    # and at or under an eps_singular of 1e-11, so refused as inverse refuses
+    theta = metric.build_metric(ketkets(build_h(n, z_from_phi(np.arcsin(1e-5)))), np.ones(n))
+    with mpmath.workdps(50):
+        values, vectors = mpmath.eighe(mpmath.matrix(theta.tolist()))
+        exact = vectors * mpmath.diag([mpmath.sqrt(value) for value in values]) * vectors.H
+        reference = np.array(exact.tolist(), dtype=complex)
+    root = sqrt_hpd(theta)
+    assert spectral_norm(root - reference) <= 1e-10 * spectral_norm(reference)
+    overrides = tmp_path / "tol.cfg"
+    overrides.write_text("eps_singular = 1e-11\n")
+    monkeypatch.setenv("NIPSQW_TOL_OVERRIDES", str(overrides))
+    with pytest.raises(NotPositiveDefinite, match="under the definiteness floor"):
+        sqrt_hpd(theta)
+
+
 def test_sqrt_rejects_nonhermitian():
     with pytest.raises(NotHermitian, match="square root requires a Hermitian matrix"):
         sqrt_hpd(corner_matrix(2, 1j))

@@ -21,11 +21,10 @@ from nipsqw.errors import (
     NoConvergence,
     NonRealNorm,
     NotAnObservable,
-    NotPositiveDefinite,
     SingularDyson,
 )
 from nipsqw.hamiltonian import PhiProfile, build_h, z_from_phi
-from nipsqw.matrix_core import _eigen_arrays, adjoint, eig_general, spectral_norm, sqrt_hpd
+from nipsqw.matrix_core import _eigen_arrays, adjoint, eig_general, spectral_norm
 from nipsqw.metric import _pivot_rows, build_metric, dyson_from_ketkets, ketkets
 from nipsqw.n2_oracle import N2Params, g_eigs, omega_s, regime, sigma_s, theta_s
 from nipsqw import metric, nip_evolution
@@ -1289,24 +1288,6 @@ def test_a_root_map_drive_to_the_margin_keeps_its_prefix():
     np.testing.assert_array_equal(root.theta, ketket.theta)
 
 
-def test_the_root_map_reads_no_definiteness_floor(tmp_path, monkeypatch):
-    # eps_pd is sqrt_hpd's floor alone: a root-map drive under eps_pd 0.99
-    # is bit for bit the default one, while sqrt_hpd under the same process
-    # tolerance refuses that drive's own metric
-    args = (3, PhiProfile.linear(1.2, 0.4), np.ones(3), 0.0, 0.04, 0.01)
-    for integrate in (evolve, textbook_evolve):
-        default = integrate(*args, map_kind="hermitian_root")
-        floored = integrate(*args, tol=get_tolerances().replace(eps_pd=0.99),
-                            map_kind="hermitian_root")
-        assert_same_states(floored, default)
-    overrides = tmp_path / "tol.cfg"
-    overrides.write_text("eps_pd = 0.99\n")
-    monkeypatch.setenv("NIPSQW_TOL_OVERRIDES", str(overrides))
-    theta = evolve(*args, map_kind="hermitian_root").theta[0]
-    with pytest.raises(NotPositiveDefinite, match="under the definiteness floor"):
-        sqrt_hpd(theta)
-
-
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 def test_another_threads_block_never_answers_for_this_one(map_kind):
     # two drives of one shape (N=5, 16 steps): while one thread loops over
@@ -1752,6 +1733,15 @@ def test_an_overflowing_mismatch_takes_the_residual_at_a_scale_that_fits():
     with pytest.warns(RuntimeWarning):  # the overflowing matmul
         residual = metric.quasi_hermiticity_residual(1e308 * h, theta)
     assert residual == pytest.approx(metric.quasi_hermiticity_residual(h, theta), rel=1e-14)
+
+
+def test_a_ket_whose_metric_norm_underflows_has_no_expectation():
+    # <psi|Theta|psi> of a ket of 1e-200 entries underflows to zero, so the
+    # quotient is refused as non-finite rather than divided by zero
+    state = evolve(3, PhiProfile.linear(1.0, 0.1), np.full(3, 1e-200), 0, 0.1, 0.05)[0]
+    assert state.phys_norm == 0.0
+    with pytest.raises(NonRealNorm, match="^expectation came out non-finite$"):
+        expectation(state, build_h(3, z_from_phi(1.0)))
 
 
 # ------------------------------------------------ properties of every state

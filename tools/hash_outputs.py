@@ -11,8 +11,7 @@ Prints eleven sha256 lines:
   emptied.  A change to one route moves only its own line;
 * ``refusals``: the error type, message and prefix length (or the stacks
   of a clean run) of drives towards the exceptional point under raised
-  ``eps_singular``, ``eps_pd`` and ``ep_margin``, at N = 2 to 6; drives
-  read no ``eps_pd``, so its cases show that raising it refuses nothing;
+  ``eps_singular`` and raised or zero ``ep_margin``, at N = 2 to 6;
 * ``evolve-cli`` and ``scan-cli``: every table, stdout, stderr and exit
   code of the benchmark's ops of that workload, two rounds of seeds 1-3,
   run in process;
@@ -113,8 +112,8 @@ def refusal_hash():
     digest = hashlib.sha256()
     base = get_tolerances()
     tols = [base.replace(**change) for change in (
-        {}, {"eps_singular": 0.2}, {"eps_singular": 0.4}, {"eps_pd": 0.3},
-        {"eps_pd": 0.99}, {"ep_margin": 0.3}, {"ep_margin": 0.0, "eps_singular": 0.3})]
+        {}, {"eps_singular": 0.2}, {"eps_singular": 0.4}, {"ep_margin": 0.3},
+        {"ep_margin": 0.0, "eps_singular": 0.3})]
     for n in (2, 3, 4, 5, 6):
         for tol in tols:
             for map_kind in nip_evolution.MAP_KINDS:
