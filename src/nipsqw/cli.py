@@ -36,8 +36,7 @@ from .hamiltonian import (
     z_from_r,
 )
 from .matrix_core import (
-    MAX_DIM, _eigen_arrays, _raise_earliest, adjoint, as_square, eig_hermitian,
-    spectral_norm,
+    MAX_DIM, _eigen_arrays, _raise_earliest, adjoint, eig_hermitian, spectral_norm,
 )
 from .metric import (
     build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual,
@@ -107,7 +106,7 @@ def _ket_flag(text: str) -> np.ndarray:
     values = _float_list_flag(text)
     if values.size % 2:
         raise ValueError("ket needs an even count of numbers (re,im pairs)")
-    return values[0::2] + 1j * values[1::2]
+    return values.view(complex)
 
 
 def _observable_flag(text: str):
@@ -122,7 +121,7 @@ def _observable_flag(text: str):
             raise ValueError(
                 f"{path}: matrix CSV needs N rows and 2N re,im columns"
             )
-        return (Path(path).stem, data[:, 0::2] + 1j * data[:, 1::2])
+        return (Path(path).stem, data.view(complex))
     raise ValueError(f"observable must be 'hamiltonian' or 'file:PATH', got {text!r}")
 
 
@@ -374,7 +373,7 @@ def cmd_evolve(args) -> int:
     stacks = [
         _expectation_stack(
             kets, thetas,
-            energy if matrix is None else np.broadcast_to(as_square(matrix), thetas.shape),
+            energy if matrix is None else np.broadcast_to(matrix, thetas.shape),
         )
         for _, matrix in observables
     ]
@@ -420,11 +419,10 @@ class IdentityResult:
 
     name: str
     residual: float
-    threshold: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.threshold
+        return self.residual <= IDENTITY_THRESHOLD
 
 
 def run_identity_suite(phi_grid=None, tol=None):
@@ -472,10 +470,7 @@ def run_identity_suite(phi_grid=None, tol=None):
             straight = float(np.max(np.abs(got - want)))
             swapped = float(np.max(np.abs(got - want[::-1])))
             note("generator_eigenvalues", min(straight, swapped))
-    return [
-        IdentityResult(name, residual, IDENTITY_THRESHOLD)
-        for name, residual in worst.items()
-    ]
+    return [IdentityResult(name, residual) for name, residual in worst.items()]
 
 
 def cmd_n2verify(args) -> int:

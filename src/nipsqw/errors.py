@@ -70,7 +70,9 @@ class EPProximity(NipsqwError):
 
 
 class NonRealNorm(NipsqwError):
-    """A quadratic form that must be real came back complex or non-finite."""
+    """A quadratic form that must be real came back complex or non-finite,
+    or a metric norm came out not positive: its real part rounds to zero or
+    below as a double, as a tiny ket's can, so no quotient by it is taken."""
 
 
 class NotAnObservable(NipsqwError):

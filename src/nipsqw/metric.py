@@ -26,7 +26,6 @@ from .matrix_core import (
     _residual_refusals,
     adjoint,
     as_square,
-    eig_hermitian,
 )
 
 
@@ -377,11 +376,6 @@ class MetricBundle:
     omega: np.ndarray
     omega_inv: np.ndarray
     h_diag: np.ndarray
-
-    @property
-    def positivity_eigs(self) -> np.ndarray:
-        """Metric eigenvalues, all positive for an admissible inner product."""
-        return np.real(eig_hermitian(self.theta).eigenvalues)
 
 
 def dyson_from_ketkets(basis: KetketBasis) -> MetricBundle:

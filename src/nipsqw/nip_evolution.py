@@ -124,21 +124,15 @@ class Trajectory(Sequence):
             array.flags.writeable = False
             setattr(self, name, array)
 
-    def _stacks(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __len__(self):
         return len(self.t)
 
     def __getitem__(self, k):
+        rows = [getattr(self, name)[k] for name in self.__slots__]
         if isinstance(k, slice):
-            return Trajectory(*(array[k] for array in self._stacks()))
-        t, psi, theta, phys_norm, generator, omega = (array[k] for array in self._stacks())
+            return Trajectory(*rows)
+        t, psi, theta, phys_norm, generator, omega = rows
         return EvolutionState(float(t), psi, theta, float(phys_norm), generator, omega)
-
-    def __iter__(self):
-        t, psi, theta, phys_norm, generator, omega = self._stacks()
-        return map(EvolutionState, t.tolist(), psi, theta, phys_norm.tolist(), generator, omega)
 
     def __add__(self, other):
         return [*self, *other]
@@ -326,6 +320,10 @@ IMAG_GATE = 1e-10
 #: operator Lambda that still counts as an observable of the metric Theta
 OBSERVABLE_GATE = 1e-8
 _DOUBLE_MAX = np.finfo(float).max
+#: half the smallest subnormal double, in the norms' extended precision
+#: (0.0 where long double is double): a norm whose real part is not above
+#: it rounds to zero or below as a double
+_HALF_SUBNORMAL = np.longdouble(np.finfo(float).smallest_subnormal) / 2
 
 
 def _unreal(values, floor=0.0):
@@ -481,9 +479,14 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         if not textbook:
             thetas[block], omegas[block] = theta[::2], omega[::2]
         norms = _metric_norms(kets, None if textbook else theta[::2])
-        for k, why in _unreal(norms).items():
+        positive, refused = norms.real > _HALF_SUBNORMAL, _unreal(norms)
+        if not positive.all():  # a NaN row keeps the gate's reason
+            refused = {**dict.fromkeys(np.flatnonzero(~positive).tolist(), "not positive"),
+                       **refused}
+        if refused:
+            k = min(refused)
             time = float(taus[2 * (lo + k)])
-            raise NonRealNorm(f"metric norm came out {why} at t = {time:.6g}")
+            raise NonRealNorm(f"metric norm came out {refused[k]} at t = {time:.6g}")
         psis[block], generators[block], phys_norms[block] = kets, gens[::2], norms.real
     states = Trajectory(
         taus[: 2 * rows : 2].astype(float), psis, thetas, phys_norms, generators, omegas
@@ -516,10 +519,11 @@ def evolve(
     the physical norm, which stays constant to the integrator's order.
     A trajectory that would cross the exceptional-point margin of an even
     N aborts with the completed prefix attached to the raised error; the
-    earliest state whose norm is complex or non-finite raises
-    ``NonRealNorm``.  Bad inputs raise ``ValueError`` (``_check_inputs``),
-    and so does a profile angle or rate that is not finite, at its first
-    stage time, before any stage is solved.
+    earliest state whose norm is complex, non-finite or not positive as a
+    double (it rounds to zero or below) raises ``NonRealNorm``.  Bad inputs
+    raise ``ValueError`` (``_check_inputs``), and so does a profile angle or
+    rate that is not finite, at its first stage time, before any stage is
+    solved.
     """
     return _integrate(
         n, profile, psi0, t0, t1, dt, tol, textbook=False, map_kind=map_kind

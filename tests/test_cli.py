@@ -1177,13 +1177,45 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     (("--profile", "sin:phi0=1,amp=1e308,freq=1e308", "--psi0", "1,0,0,0", "--t1", "1",
       "--dt", "0.5"),
      1, "nipsqw: error: profile angle phi or its rate is not finite at t = 0"),
-    # <psi|Theta|psi> underflows to zero, so the expectation is not finite
+    # <psi|Theta|psi> rounds to zero as a double: evolve refuses the row,
+    # before an expectation or the norm drift divides by it
     (("--profile", "constant:phi=0.5", "--psi0", "1e-300,0,0,1e-300", "--t1", "0", "--dt",
       "1", "--observable", "hamiltonian"),
-     2, "error: expectation came out non-finite"),
-], ids=["profile_not_finite_at_a_stage", "norm_underflows"])
+     2, "error: metric norm came out not positive at t = 0"),
+    (("--profile", "constant:phi=0.5", "--psi0", "1e-300,0,0,1e-300", "--t1", "0", "--dt",
+      "1"),
+     2, "error: metric norm came out not positive at t = 0"),
+    # re,im pairs are read as complex numbers, not as re + 1j * im, whose
+    # 1j * inf = nan + inf j would warn before the usage error
+    (("--profile", "constant:phi=1", "--psi0", "1,inf,0,0", "--t1", "1", "--dt", "0.1"),
+     1, "nipsqw: error: initial ket must be finite and nonzero"),
+], ids=["profile_not_finite_at_a_stage", "norm_underflows", "norm_underflows_unobserved",
+        "infinite_imaginary_part"])
 def test_an_evolve_refusal_is_one_error_line(capsys, argv, code, line):
     assert invoke(capsys, "evolve", "--n", "2", *argv) == (code, "", line + "\n")
+
+
+def test_an_infinite_imaginary_part_of_an_observable_is_one_usage_line(capsys, tmp_path):
+    # read as a complex view of the re,im columns, as --psi0 is
+    matrix = tmp_path / "infimag.csv"
+    matrix.write_text("1,0,0,inf\n0,0,1,0\n")
+    argv = ("evolve", "--n", "2", "--profile", "constant:phi=1", "--psi0", "1,0,0,0",
+            "--t1", "1", "--dt", "0.1", "--observable", f"file:{matrix}")
+    line = "nipsqw: error: observable 'infimag' takes finite numbers only\n"
+    assert invoke(capsys, *argv) == (1, "", line)
+
+
+def test_a_linear_algebra_failure_is_not_a_usage_error(monkeypatch):
+    # LinAlgError is a ValueError, which cmd_evolve reads as evolve's input
+    # checks; it propagates instead, so it never reads as flag misuse
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    argv = ["evolve", "--n", "3", "--profile", "constant:phi=1.2", "--psi0", "1,0,0,0,0,0",
+            "--t1", "0.1", "--dt", "0.05", "--map", "hermitian_root"]
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        main(argv)
 
 
 NON_FINITE_ARGV = {
@@ -1480,7 +1512,7 @@ EDGE_PROFILES = (
     "table:{folder}",
 )
 EDGE_OBSERVABLES = ("energy", "file:{text}", "file:{empty}", "file:{ragged}", "file:{missing}",
-                    "file:")
+                    "file:", "file:{infimag}")
 EDGE_PATHS = ("{missing}/table.out", "{folder}")
 
 
@@ -1530,7 +1562,8 @@ def _argvs(draw):
                                 "linear:phi0=0.3,omega=-0.5", "sin:phi0=1,amp=0.2,freq=3",
                                 "table:{table}"), EDGE_PROFILES)),
             ("--psi0", pick((",".join(["1", "0.5"] * size),),
-                            ("0,0", "nan,0", "", "1", ",".join(["1e-300"] * 2 * size)))),
+                            ("0,0", "nan,0", "", "1", ",".join(["1e-300"] * 2 * size),
+                             ",".join(["1", "inf"] * size)))),
             ("--t1", number("0.3", "1")),
             ("--dt", number("0.1", "0.25", "1e308")),
         ]
@@ -1560,6 +1593,7 @@ def cli_files(tmp_path_factory):
         "empty": "",
         "matrix": "1,0,0,0\n0,0,1,0\n",
         "ragged": "1,0\n0,0,1\n",
+        "infimag": "1,0,0,inf\n0,0,1,0\n",
     }
     for name, text in contents.items():
         (folder / f"{name}.csv").write_text(text)
@@ -1577,6 +1611,12 @@ def cli_files(tmp_path_factory):
           "--t1=1", "--dt=0.5"])
 @example(["evolve", "--n=2", "--profile=constant:phi=0.5", "--psi0=1e-300,0,0,1e-300",
           "--t1=0", "--dt=1", "--observable=hamiltonian"])
+@example(["evolve", "--n=2", "--profile=constant:phi=0.5", "--psi0=1e-300,0,0,1e-300",
+          "--t1=0", "--dt=1"])
+@example(["evolve", "--n=2", "--profile=constant:phi=1", "--psi0=1,inf,0,0", "--t1=1",
+          "--dt=0.1"])
+@example(["evolve", "--n=2", "--profile=constant:phi=1", "--psi0=1,0,0,0", "--t1=1",
+          "--dt=0.1", "--observable=file:{infimag}"])
 def test_no_argv_ends_in_a_traceback(cli_files, argv):
     # exit codes stay in the contract, and a failure is one error line:
     # "nipsqw: error: " for flag misuse, "error: " for a numerical failure
@@ -1590,3 +1630,7 @@ def test_no_argv_ends_in_a_traceback(cli_files, argv):
         prefix = "nipsqw: error: " if code == 1 else "error: "
         lines = err.getvalue().splitlines()
         assert sum(line.startswith(prefix) for line in lines) == 1, (argv, lines)
+    # a numerical failure writes no table, unless a drive reached the
+    # exceptional-point margin and printed its prefix
+    if code == 2 and "aborted_at=" not in out.getvalue() + err.getvalue():
+        assert out.getvalue() == "", argv

@@ -1735,10 +1735,19 @@ def test_an_overflowing_mismatch_takes_the_residual_at_a_scale_that_fits():
     assert residual == pytest.approx(metric.quasi_hermiticity_residual(h, theta), rel=1e-14)
 
 
+@pytest.mark.parametrize("integrate", [evolve, textbook_evolve])
+def test_a_ket_whose_metric_norm_underflows_is_refused(integrate):
+    # <psi|Theta|psi> of a ket of 1e-200 entries is about 1e-400, which
+    # rounds to zero as a double: the first row is refused, not returned
+    # with a zero norm that a later quotient divides by
+    with pytest.raises(NonRealNorm, match="^metric norm came out not positive at t = 0$"):
+        integrate(3, PhiProfile.linear(1.0, 0.1), np.full(3, 1e-200), 0, 0.1, 0.05)
+
+
 def test_a_ket_whose_metric_norm_underflows_has_no_expectation():
-    # <psi|Theta|psi> of a ket of 1e-200 entries underflows to zero, so the
-    # quotient is refused as non-finite rather than divided by zero
-    state = evolve(3, PhiProfile.linear(1.0, 0.1), np.full(3, 1e-200), 0, 0.1, 0.05)[0]
+    # a state built by hand may still hold such a ket: its expectation is
+    # refused as non-finite rather than divided by zero
+    state = make_state(np.full(3, 1e-200), _metric_at(3, 1.0))
     assert state.phys_norm == 0.0
     with pytest.raises(NonRealNorm, match="^expectation came out non-finite$"):
         expectation(state, build_h(3, z_from_phi(1.0)))
