@@ -66,7 +66,7 @@ def test_ab_ops_times_nothing_when_the_outputs_differ(tmp_path):
     assert not any(line.startswith("{") for line in run.stdout.splitlines())
 
 
-def test_hash_outputs_prints_its_eleven_fingerprints():
+def test_hash_outputs_prints_its_twelve_fingerprints():
     # the fingerprints every refactor compares against its parent's; the
     # tool reaches into the map memo, so a rename there must show here
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
@@ -74,7 +74,7 @@ def test_hash_outputs_prints_its_eleven_fingerprints():
                          capture_output=True, text=True, env=env, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 11 and all(re.fullmatch(r"\S.* +[0-9a-f]{64}", line) for line in lines)
+    assert len(lines) == 12 and all(re.fullmatch(r"\S.* +[0-9a-f]{64}", line) for line in lines)
 
 
 def test_readme_names_the_newest_benchmark_record():

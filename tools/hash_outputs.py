@@ -1,6 +1,6 @@
 """Fingerprint library and CLI outputs, to show a refactor moves no bit.
 
-Prints eleven sha256 lines:
+Prints twelve sha256 lines:
 
 * ``library <integration> <map>``, one line for each of ``evolve`` and
   ``textbook_evolve`` on each map: all six stacks of every call of that
@@ -26,8 +26,10 @@ Prints eleven sha256 lines:
   16, 33, 64 on the corners z = 0, 0.5i, i, 3i, 0.3 + 0.4i, exp(i pi/3) and
   ``z_from_r(1e-8)``: ``secular_value`` at 23 energies over [-0.5, 4.5],
   ``chebyshev_eigvec`` (or its refusal) at each LAPACK eigenvalue of the
-  well, and ``ep_scan`` of each N on the grids [], [0], [1e-8, -1e-8, 1]
-  and 41 points over [-1, 1].
+  well;
+* ``epscan``: ``ep_scan`` at the same N on the grids [], [0],
+  [1e-8, -1e-8, 1] and 41 points over [-1, 1], apart from ``secular`` so
+  that a change to the scan's solve leaves the Chebyshev route's line.
 
 Run it from any directory on two checkouts and compare the lines:
 
@@ -61,6 +63,7 @@ STACKS = ("t", "psi", "theta", "phys_norm", "generator", "omega")
 ORDERS = (("evolve", "textbook_evolve", "evolve"),
           ("textbook_evolve", "evolve", "textbook_evolve"),
           ("cold evolve", "cold textbook_evolve"))
+SECULAR_SIZES = (2, 3, 4, 5, 6, 8, 13, 16, 33, 64)
 
 
 def _cold():
@@ -167,11 +170,8 @@ def spectra_hash():
 def secular_hash():
     digest = hashlib.sha256()
     corners = (0.0, 0.5j, 1j, 3j, 0.3 + 0.4j, np.exp(1j * np.pi / 3), z_from_r(1e-8))
-    grids = ([], [0.0], [1e-8, -1e-8, 1.0], np.linspace(-1.0, 1.0, 41))
     energies = np.linspace(-0.5, 4.5, 23)
-    for n in (2, 3, 4, 5, 6, 8, 13, 16, 33, 64):
-        for grid in grids:
-            digest.update(ep_scan(n, grid).tobytes())
+    for n in SECULAR_SIZES:
         for z in corners:
             digest.update(np.array([secular_value(n, z, e) for e in energies]).tobytes())
             for e in np.linalg.eigvals(build_h(n, z)):
@@ -182,6 +182,15 @@ def secular_hash():
                     continue
                 digest.update(np.array([solution.y, solution.a, solution.b]).tobytes())
                 digest.update(solution.components.tobytes())
+    return digest.hexdigest()
+
+
+def epscan_hash():
+    digest = hashlib.sha256()
+    grids = ([], [0.0], [1e-8, -1e-8, 1.0], np.linspace(-1.0, 1.0, 41))
+    for n in SECULAR_SIZES:
+        for grid in grids:
+            digest.update(ep_scan(n, grid).tobytes())
     return digest.hexdigest()
 
 
@@ -214,3 +223,4 @@ if __name__ == "__main__":
     print("scan-cli  ", cli_hash("scan-cli"))
     print("spectra   ", spectra_hash())
     print("secular   ", secular_hash())
+    print("epscan    ", epscan_hash())
