@@ -35,9 +35,7 @@ from .hamiltonian import (
     z_from_phi,
     z_from_r,
 )
-from .matrix_core import (
-    MAX_DIM, _eigen_arrays, _raise_earliest, adjoint, eig_hermitian, spectral_norm,
-)
+from .matrix_core import MAX_DIM, _eigen_arrays, _raise_earliest, adjoint, spectral_norm
 from .metric import (
     build_metric, dyson_from_ketkets, ketkets, quasi_hermiticity_residual,
 )
@@ -321,7 +319,7 @@ def cmd_metric(args) -> int:
         "omega": _matrix_json(omega),
         "omega_kind": "ketket_columns",
         "h_diag": _matrix_json(np.conj(basis.eigenvalues)),
-        "positivity_eigs": np.real(eig_hermitian(theta).eigenvalues).tolist(),
+        "positivity_eigs": np.linalg.eigh(theta).eigenvalues.tolist(),
         "qh_residual": quasi_hermiticity_residual(h, theta),
     }
     _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -453,7 +451,7 @@ def run_identity_suite(phi_grid=None, tol=None):
         h = build_h(2, z_from_phi(phi))
         bundle = dyson_from_ketkets(ketkets(h))
         note("pipeline_map_matches_columns", spectral_norm(bundle.omega - omega))
-        got_eigs = np.sort(np.real(eig_hermitian(bundle.theta).eigenvalues))
+        got_eigs = np.linalg.eigh(bundle.theta).eigenvalues
         want_eigs = np.sort(np.array(theta_eigs(phi)))
         note("metric_eigenvalues", float(np.max(np.abs(got_eigs - want_eigs))))
         note("quasi_hermiticity", quasi_hermiticity_residual(h, bundle.theta))

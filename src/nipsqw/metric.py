@@ -272,6 +272,36 @@ def _well_ketket_stack(h: np.ndarray, r):
     return _gauged_bases(values, unit, failures)
 
 
+def _pt_blocks(vectors: np.ndarray):
+    """Two square blocks whose singular values, together, are those of the unit
+    columns of an (m, N, N) stack of ``_well_ketket_stack`` bases V.
+
+    That layout is V = [B, m, QB]: column N-1-c is Q times column c, with
+    (Qx)_i = (-1)^(N-1-i) x_(N-1-i), and at odd N the middle column m has
+    Q m = mu m, mu = (-1)^((N-1)/2).  Q is orthogonal, Q^2 = (-1)^(N-1), so
+    its eigenspaces (lambda = +-i at even N, +-1 at odd N) are orthogonal,
+    spanned by (e_i + lambda (-1)^(N-1-i) e_(N-1-i)) / sqrt(2), i < N/2, and
+    by e_mid for lambda = mu.  There columns c and N-1-c read x and lambda x,
+    which a unitary turn of the two makes sqrt(2) x and 0.  So each block
+    holds the row pairs r_i + conj(lambda) (-1)^(N-1-i) r_(N-1-i) of the
+    first ceil(N/2) unit columns; mu's block adds the middle row times
+    sqrt(2) and divides the m column by sqrt(2), as m enters V once.
+    """
+    n = vectors.shape[-1]
+    half, odd = n // 2, n % 2
+    first = vectors[:, :, : n - half]
+    first = first / np.linalg.norm(first, axis=-2, keepdims=True)
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
+    top, mirror = first[:, :half], (signs * first)[:, ::-1][:, :half]
+    turn = (-1.0) ** half if odd else 1j  # conj(lambda) of the second block
+    apart, own = top - turn * mirror, top + turn * mirror
+    if odd:  # the middle row and m belong to mu's block alone
+        apart = apart[..., :half]
+        own = np.concatenate([own, np.sqrt(2.0) * first[:, half:half + 1]], axis=-2)
+        own[..., half] /= np.sqrt(2.0)
+    return apart, own
+
+
 def _well_mismatch(h: np.ndarray, values, v: np.ndarray) -> np.ndarray:
     """H^dagger V - V diag(values) for an (m, N, N) stack of wells H, each given
     whole or scaled, from H's three diagonals: every off-diagonal entry is the

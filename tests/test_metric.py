@@ -464,6 +464,24 @@ def test_well_mismatch_is_the_dense_one(n):
                                    rtol=0, atol=1e-13 * n)
 
 
+
+@pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 24, 33, 48, 63, 64])
+def test_well_columns_mirror_under_q(n):
+    # metric._pt_blocks splits the closed-form columns by this layout:
+    # column N-1-c is Q times column c, (Qx)_i = (-1)^(N-1-i) x_(N-1-i), and
+    # at odd N the middle column is Q's eigenvector of value (-1)^((N-1)/2)
+    grid = np.array([1.0, -1.0, 0.5, -0.3, 1e-3, -1e-3, 1e-6, -1e-6, 1e-9, 0.0])
+    _, vectors, _ = metric._well_ketket_stack(build_h(n, z_from_r(grid)), grid)
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
+    q_vectors = (signs * vectors)[:, ::-1]
+    size = np.abs(vectors).max(axis=1, keepdims=True)
+    half = n // 2
+    mirrored = np.abs(q_vectors[..., :half] - vectors[..., ::-1][..., :half])
+    assert (mirrored <= 4 * np.finfo(float).eps * size[..., :half]).all()
+    if n % 2:
+        middle = np.abs(q_vectors[..., half] - (-1.0) ** half * vectors[..., half])
+        assert (middle <= 4 * np.finfo(float).eps * size[:, 0, half:half + 1]).all()
+
 def test_dyson_refuses_columns_that_are_not_c_orthogonal():
     # eigenvectors of a tridiagonal matrix with unequal off-diagonals are
     # not c-orthogonal, so the c-product inverse would be silently wrong;

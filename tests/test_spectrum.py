@@ -14,7 +14,7 @@ from nipsqw import cli, metric
 from nipsqw.config import get_tolerances
 from nipsqw.errors import DefectiveAtEP, NoSlope, NotAnEigenvalue, OutOfRange
 from nipsqw.hamiltonian import RobinParams, build_h, robin_to_z, z_from_r
-from nipsqw.matrix_core import _eigen_arrays, eig_general, spectral_norm
+from nipsqw.matrix_core import COND_CEILING, _eigen_arrays, eig_general, spectral_norm
 from nipsqw.metric import ketkets
 from nipsqw.spectrum import (
     _curve_stack,
@@ -624,6 +624,36 @@ def test_ep_scan_whole_grid_equals_point_by_point(n):
     np.testing.assert_array_equal(ep_scan(n, grid), expected)
     assert ep_scan(n, []).shape == (0, 3)
 
+
+
+def _full_svd_scan(n, grid):
+    """ep_scan by one SVD of all N unit columns: the reference its two blocks
+    (``metric._pt_blocks``) must reproduce."""
+    r_values = np.asarray(grid, dtype=float)
+    values, vectors, errors = metric._well_ketket_stack(build_h(n, z_from_r(r_values)), r_values)
+    sv = np.linalg.svd(vectors / np.linalg.norm(vectors, axis=-2, keepdims=True),
+                       compute_uv=False)
+    with np.errstate(divide="ignore"):
+        condition = sv[:, 0] / sv[:, -1]
+    condition[list(errors)] = np.inf
+    condition[condition >= COND_CEILING] = np.inf
+    gaps = values.real[:, :-1] - values.real[:, 1:]
+    return np.column_stack([r_values, gaps.min(axis=-1), condition])
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 24, 33, 48, 63, 64])
+def test_ep_scan_blocks_give_the_full_svd_condition(n):
+    # the two PT blocks hold the singular values of the whole unit basis,
+    # so the condition moves only by rounding, ~eps x condition per level
+    grid = np.concatenate([np.linspace(-1.0, 1.0, 21),
+                           [1e-3, -1e-3, 1e-6, -1e-6, 0.0, 1e-9, -1e-9]])
+    got, want = ep_scan(n, grid), _full_svd_scan(n, grid)
+    assert got[:, :2].tobytes() == want[:, :2].tobytes()
+    finite = np.isfinite(want[:, 2])
+    assert (np.isfinite(got[:, 2]) == finite).all()
+    assert (got[~finite, 2] == np.inf).all()
+    cond = want[finite, 2]
+    assert (np.abs(got[finite, 2] - cond) <= 4 * n * np.finfo(float).eps * cond * cond).all()
 
 LEVEL_ORDER_GRID = np.concatenate([np.linspace(-1.0, 1.0, 41), [0.0, 1e-8, -1e-8]])
 
