@@ -464,7 +464,6 @@ def test_well_mismatch_is_the_dense_one(n):
                                    rtol=0, atol=1e-13 * n)
 
 
-
 @pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 24, 33, 48, 63, 64])
 def test_well_columns_mirror_under_q(n):
     # metric._pt_blocks splits the closed-form columns by this layout:
@@ -481,6 +480,7 @@ def test_well_columns_mirror_under_q(n):
     if n % 2:
         middle = np.abs(q_vectors[..., half] - (-1.0) ** half * vectors[..., half])
         assert (middle <= 4 * np.finfo(float).eps * size[:, 0, half:half + 1]).all()
+
 
 def test_dyson_refuses_columns_that_are_not_c_orthogonal():
     # eigenvectors of a tridiagonal matrix with unequal off-diagonals are

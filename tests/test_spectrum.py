@@ -625,7 +625,6 @@ def test_ep_scan_whole_grid_equals_point_by_point(n):
     assert ep_scan(n, []).shape == (0, 3)
 
 
-
 def _full_svd_scan(n, grid):
     """ep_scan by one SVD of all N unit columns: the reference its two blocks
     (``metric._pt_blocks``) must reproduce."""
@@ -654,6 +653,7 @@ def test_ep_scan_blocks_give_the_full_svd_condition(n):
     assert (got[~finite, 2] == np.inf).all()
     cond = want[finite, 2]
     assert (np.abs(got[finite, 2] - cond) <= 4 * n * np.finfo(float).eps * cond * cond).all()
+
 
 LEVEL_ORDER_GRID = np.concatenate([np.linspace(-1.0, 1.0, 41), [0.0, 1e-8, -1e-8]])
 
