@@ -38,7 +38,6 @@ from .matrix_core import (
     EigenDecomposition,
     adjoint,
     as_square,
-    char_poly,
     eig_general,
     eig_hermitian,
     inverse,

@@ -35,7 +35,6 @@ from .errors import (
 _CLD = np.clongdouble
 
 MAX_DIM = 64
-CHAR_POLY_MAX_DIM = 16  # coefficient growth guard
 _RESIDUAL_CAP = 1e-10   # accepted-decomposition bound
 
 #: eigenvector conditions at or above this read as infinite (a singular V
@@ -307,26 +306,3 @@ def _root_slope(vectors, roots, tangent):
     lift = left @ tangent @ vectors
     slope = vectors @ (lift / (roots[:, :, None] + roots[:, None, :])) @ left
     return (slope + slope.conj().swapaxes(-1, -2)) / 2
-
-
-def char_poly(matrix) -> np.ndarray:
-    """Monic characteristic polynomial det(lambda I - M), descending powers.
-
-    Faddeev-LeVerrier recursion; deliberately independent of the
-    eigensolvers so the two routes can cross-check each other.
-    """
-    a = as_square(matrix)
-    n = a.shape[0]
-    if n > CHAR_POLY_MAX_DIM:
-        raise OutOfRange(
-            f"dimension {n} exceeds the coefficient-growth guard {CHAR_POLY_MAX_DIM}"
-        )
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    work = a.copy()
-    for k in range(1, n + 1):
-        c_k = -np.trace(work) / k
-        coeffs[k] = c_k
-        if k < n:
-            work = a @ (work + c_k * np.eye(n, dtype=complex))
-    return coeffs

@@ -22,7 +22,6 @@ from nipsqw.matrix_core import (
     _eigen_arrays,
     _raise_earliest,
     adjoint,
-    char_poly,
     eig_general,
     eig_hermitian,
     inverse,
@@ -223,14 +222,14 @@ def test_eig_general_residual_contract_tridiagonal():
         assert dec.residual <= 1e-10
 
 
-def test_eig_general_char_poly_cross_check():
+def test_eig_general_determinant_cross_check():
+    # det(M - lambda I) by LU, a route that shares nothing with the eigen solve
     rng = np.random.default_rng(37)
     for n in (3, 5, 8):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        coeffs = char_poly(m)
         scale = spectral_norm(m) ** n
         for lam in eig_general(m).eigenvalues:
-            assert abs(np.polyval(coeffs, lam)) <= 1e-8 * scale
+            assert abs(np.linalg.det(m - lam * np.eye(n))) <= 1e-8 * scale
 
 
 def test_eig_general_dimension_guard():
@@ -360,11 +359,14 @@ def test_residual_reads_the_same_at_any_scale(scale):
     # the sums of squares of |A|_F and of the defect overflow or sink into
     # the denormals at these scales; such a matrix is taken again scaled by
     # a power of two, so its residual reads as at unit scale, with no
-    # warning, and a real defect is still refused
+    # warning, and a real defect is still refused; at unit scale the residual
+    # is the solve's backward error, a few eps that moves with the BLAS kernel
+    # (4.96 eps under OpenBLAS's Haswell kernel), so it is held to 2 n eps
     rng = np.random.default_rng(7)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    n = 4
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     unit = eig_general(a).residual
-    assert 0.0 < unit <= 1e-15
+    assert 0.0 < unit <= 2 * n * np.finfo(float).eps
     assert 0.2 * unit <= eig_general(a * scale).residual <= 5.0 * unit
     values, vectors = np.linalg.eig(a)
     vectors /= np.linalg.norm(vectors, axis=0)
@@ -589,25 +591,6 @@ def test_sqrt_tangent_solves_the_sylvester_equation():
         np.testing.assert_allclose(
             root @ slope + slope @ root, tangent, atol=1e-12 * spectral_norm(tangent)
         )
-
-
-# -------------------------------------------------------------- char_poly
-
-
-def test_char_poly_identity():
-    np.testing.assert_allclose(char_poly(np.eye(3)), [1, -3, 3, -1], atol=1e-14)
-
-
-def test_char_poly_six_site_boundary_cases():
-    got = char_poly(corner_matrix(6, 1j))  # boundary strength 0
-    np.testing.assert_allclose(got, [1, -12, 56, -128, 147, -76, 12], atol=1e-12)
-    got = char_poly(corner_matrix(6, 0.0))  # boundary strength 1
-    np.testing.assert_allclose(got, [1, -12, 55, -120, 126, -56, 7], atol=1e-12)
-
-
-def test_char_poly_dimension_guard():
-    with pytest.raises(OutOfRange):
-        char_poly(np.eye(17))
 
 
 def test_decomposition_is_frozen():

@@ -73,7 +73,8 @@ def test_hash_outputs_prints_its_twelve_fingerprints():
     run = subprocess.run([sys.executable, str(ROOT / "tools" / "hash_outputs.py")],
                          capture_output=True, text=True, env=env, timeout=300, check=False)
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
+    kernel, *lines = run.stdout.splitlines()
+    assert re.fullmatch(r"kernel numpy=\S+ blas=\S+", kernel), kernel
     assert len(lines) == 12 and all(re.fullmatch(r"\S.* +[0-9a-f]{64}", line) for line in lines)
 
 

@@ -1,6 +1,8 @@
 """Fingerprint library and CLI outputs, to show a refactor moves no bit.
 
-Prints twelve sha256 lines:
+Prints first ``kernel numpy=<version> blas=<core>``, the OpenBLAS core that
+numpy's bundled library runs (``unknown`` where there is none), since most
+lines move with the BLAS kernel, and then twelve sha256 lines:
 
 * ``library <integration> <map>``, one line for each of ``evolve`` and
   ``textbook_evolve`` on each map: all six stacks of every call of that
@@ -31,7 +33,8 @@ Prints twelve sha256 lines:
   [1e-8, -1e-8, 1] and 41 points over [-1, 1], apart from ``secular`` so
   that a change to the scan's solve leaves the Chebyshev route's line.
 
-Run it from any directory on two checkouts and compare the lines:
+Run it from any directory on two checkouts and compare the lines, on one
+kernel:
 
     python3 tools/hash_outputs.py
 """
@@ -39,6 +42,7 @@ Run it from any directory on two checkouts and compare the lines:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import sys
@@ -64,6 +68,16 @@ ORDERS = (("evolve", "textbook_evolve", "evolve"),
           ("textbook_evolve", "evolve", "textbook_evolve"),
           ("cold evolve", "cold textbook_evolve"))
 SECULAR_SIZES = (2, 3, 4, 5, 6, 8, 13, 16, 33, 64)
+
+
+def kernel_line():
+    core = "unknown"
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+        with contextlib.suppress(OSError, AttributeError):
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return f"kernel numpy={np.__version__} blas={core}"
 
 
 def _cold():
@@ -214,6 +228,7 @@ def cli_hash(workload):
 
 
 if __name__ == "__main__":
+    print(kernel_line())
     for (name, map_kind), line in library_hashes().items():
         print("library", name, map_kind, line)
     print("refusals  ", refusal_hash())
