@@ -172,17 +172,19 @@ def _tolerances(args):
 # ---------------------------------------------------------------- emission
 
 
-#: the CSV text of each cell kind
-_CELL_TEXT = {1: "", 2: FMT, 3: "false", 4: "true"}
+#: the CSV bytes of each cell kind
+_CELL_TEXT = {1: b"", 2: FMT.encode(), 3: b"false", 4: b"true"}
 
 
-def _csv_text(header, columns, absent) -> str:
-    """A table's CSV text in one ``%``: a format string of the header, one
+def _csv_text(header, columns, absent) -> bytes:
+    """A table's CSV bytes in one ``%``: a format string of the header, one
     line per row, spelled by the kinds of that row's cells, and the closing
     newline, applied once to the numbers in row order.  Consecutive rows of
     equal kinds form a run, whose line is spelled once and repeated by the
     run's length.  A number takes 17 significant digits with -0.0 as 0, a
-    boolean true or false, and a cell ``absent`` marks is empty."""
+    boolean true or false, and a cell ``absent`` marks is empty.  The
+    header is encoded as UTF-8 and the rest is ASCII, so the bytes are
+    written as they come, with no second pass to encode them."""
     table = np.asarray(columns).T + 0.0  # +0.0 folds -0.0 into 0.0
     flags = [column.dtype == bool for column in columns]
     kinds = np.where(flags, (table != 0) + np.int8(3), np.int8(2))
@@ -191,10 +193,10 @@ def _csv_text(header, columns, absent) -> str:
     bounds = np.ones(len(kinds) + 1, dtype=bool)  # where a run of equal rows starts or ends
     bounds[1:-1] = (kinds[1:] != kinds[:-1]).any(axis=1)
     bounds = np.flatnonzero(bounds).tolist()
-    runs = [("\n" + ",".join([_CELL_TEXT[kind] for kind in row])) * (end - start)
+    runs = [(b"\n" + b",".join([_CELL_TEXT[kind] for kind in row])) * (end - start)
             for row, start, end in zip(kinds[bounds[:-1]].tolist(), bounds, bounds[1:])]
-    head = ",".join(header).replace("%", "%%")
-    return "".join([head, *runs, "\n"]) % tuple(table[kinds == 2].tolist())
+    head = ",".join(header).replace("%", "%%").encode()
+    return b"".join([head, *runs, b"\n"]) % tuple(table[kinds == 2].tolist())
 
 
 def _json_cells(column, gap) -> list:
@@ -218,16 +220,19 @@ def _emit_table(header, columns, args, absent=None) -> None:
         gaps = [None] * len(header) if absent is None else absent
         rows = list(zip(*map(_json_cells, columns, gaps)))
         text = json.dumps({"columns": list(header), "rows": rows}, indent=2, sort_keys=True) + "\n"
+        data = text.encode()
     else:
-        text = _csv_text(header, columns, absent)
-    _write_text(text, args.out)
+        data = _csv_text(header, columns, absent)
+    _write_text(data, args.out)
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _write_text(data: bytes, path: str | None) -> None:
+    """Write UTF-8 ``data`` as it is to ``path``, so its line ends are
+    ``\\n`` on every platform, or as text to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        Path(path).write_bytes(data)
 
 
 def _summary(line: str, args) -> None:
@@ -297,7 +302,7 @@ def cmd_curve(args) -> int:
     _emit_table(("energy", "r_squared", "r_plus", "r_minus", "residual"), table.T, args, absent.T)
     if args.svg is not None:
         curve_pts = table[~absent[:, 1], :2].tolist()
-        _write_text(_svg_line_plot(curve_pts, "energy", "coupling^2"), args.svg)
+        _write_text(_svg_line_plot(curve_pts, "energy", "coupling^2").encode(), args.svg)
     _summary(f"samples={len(table)} flat_rows={np.count_nonzero(absent[:, 1])}", args)
     return 0
 
@@ -322,7 +327,7 @@ def cmd_metric(args) -> int:
         "positivity_eigs": np.linalg.eigh(theta).eigenvalues.tolist(),
         "qh_residual": quasi_hermiticity_residual(h, theta),
     }
-    _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write_text((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode(), args.out)
     return 0
 
 
@@ -482,7 +487,7 @@ def cmd_n2verify(args) -> int:
     lines.append(
         f"identities={len(results)} failures={failures} threshold={IDENTITY_THRESHOLD:g}"
     )
-    _write_text("\n".join(lines) + "\n", args.out)
+    _write_text(("\n".join(lines) + "\n").encode(), args.out)
     return 3 if failures else 0
 
 

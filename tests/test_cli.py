@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import shlex
 import subprocess
@@ -535,6 +536,20 @@ def test_an_observable_name_with_a_percent_sign_heads_its_column(capsys, tmp_pat
         "t,psi0_re,psi0_im,psi1_re,psi1_im,phys_norm,expect_p%d,g0_re,g0_im,g1_re,g1_im")
 
 
+def test_a_non_ascii_observable_name_heads_its_column_in_utf8(capsys, tmp_path):
+    # the table is formatted as bytes; --out writes them as they are, and
+    # stdout gets the same text
+    observable = _matrix_csv(tmp_path / "énergie.csv", build_h(2, cli.z_from_phi(1.0)))
+    argv = ("evolve", "--n", "2", "--profile", "constant:phi=1.0", "--psi0", "1,0,0,0",
+            "--t1", "0.1", "--dt", "0.05", "--observable", observable)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0].split(",")[6] == "expect_énergie"
+    target = tmp_path / "table.csv"
+    assert invoke(capsys, *argv, "--out", str(target))[0] == 0
+    assert target.read_bytes() == out.encode("utf-8")
+
+
 def _matrix_csv(path, matrix):
     path.write_text("".join(
         ",".join(f"{part!r}" for entry in row for part in (entry.real, entry.imag)) + "\n"
@@ -1061,6 +1076,37 @@ def test_curve_table_bytes_are_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ed52c5b9c2f76ecd04ad12ce98c238e314a88c836e009abc9ebff93c62632dc4")
+
+
+_NO_BLAS_TABLES = r"""
+import sys
+from nipsqw.cli import main
+
+out = sys.argv[1]
+main(["curve", "--n", "6", "--e-min", "-0.5", "--e-max", "4.5", "--samples", "2001",
+      "--out", out + "curve.csv"])
+main(["spectrum", "--n", "33", "--r", "0.37", "--out", out + "spectrum.csv"])
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_tables_that_call_no_blas_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the curve's continuant and a driven well's levels, taken from its
+    # angles, call no BLAS or LAPACK, so their --out files hold the same
+    # bytes under any OpenBLAS kernel; epscan and metric do and may move
+    root = str(Path(nipsqw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    tables = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        out = tmp_path / (kernel.get("OPENBLAS_CORETYPE", "default") + "_")
+        subprocess.run([sys.executable, "-c", _NO_BLAS_TABLES, str(out)],
+                       env={**env, **kernel}, capture_output=True, timeout=300, check=True)
+        tables.append([(tmp_path / f"{out.name}{name}.csv").read_bytes()
+                       for name in ("curve", "spectrum")])
+    assert tables[0] == tables[1]
 
 
 def _readme_commands():
