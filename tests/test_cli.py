@@ -24,7 +24,7 @@ from nipsqw import cli, matrix_core, metric, n2_oracle, nip_evolution
 from nipsqw.cli import IDENTITY_THRESHOLD, _emit_table, main, run_identity_suite
 from nipsqw.config import Tolerances, get_tolerances
 from nipsqw.errors import NoConvergence
-from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_r
+from nipsqw.hamiltonian import PhiProfile, RobinParams, build_h, robin_to_z, z_from_phi, z_from_r
 from nipsqw.n2_oracle import g_eigs
 from nipsqw.nip_evolution import MAP_KINDS
 from nipsqw.spectrum import _curve_stack, ep_scan, solve_spectrum
@@ -539,7 +539,7 @@ def test_an_observable_name_with_a_percent_sign_heads_its_column(capsys, tmp_pat
 def test_a_non_ascii_observable_name_heads_its_column_in_utf8(capsys, tmp_path):
     # the table is formatted as bytes; --out writes them as they are, and
     # stdout gets the same text
-    observable = _matrix_csv(tmp_path / "énergie.csv", build_h(2, cli.z_from_phi(1.0)))
+    observable = _matrix_csv(tmp_path / "énergie.csv", build_h(2, z_from_phi(1.0)))
     argv = ("evolve", "--n", "2", "--profile", "constant:phi=1.0", "--psi0", "1,0,0,0",
             "--t1", "0.1", "--dt", "0.05", "--observable", observable)
     code, out, _ = invoke(capsys, *argv)
@@ -1080,12 +1080,13 @@ def test_curve_table_bytes_are_pinned(capsys):
 
 _NO_BLAS_TABLES = r"""
 import sys
+from pathlib import Path
 from nipsqw.cli import main
 
-out = sys.argv[1]
+out = Path(sys.argv[1])
 main(["curve", "--n", "6", "--e-min", "-0.5", "--e-max", "4.5", "--samples", "2001",
-      "--out", out + "curve.csv"])
-main(["spectrum", "--n", "33", "--r", "0.37", "--out", out + "spectrum.csv"])
+      "--out", str(out / "curve.csv")])
+main(["spectrum", "--n", "33", "--r", "0.37", "--out", str(out / "spectrum.csv")])
 """
 
 
@@ -1101,11 +1102,11 @@ def test_tables_that_call_no_blas_do_not_depend_on_the_blas_kernel(tmp_path):
     env.update(PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
     tables = []
     for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
-        out = tmp_path / (kernel.get("OPENBLAS_CORETYPE", "default") + "_")
+        out = tmp_path / kernel.get("OPENBLAS_CORETYPE", "default")
+        out.mkdir()
         subprocess.run([sys.executable, "-c", _NO_BLAS_TABLES, str(out)],
                        env={**env, **kernel}, capture_output=True, timeout=300, check=True)
-        tables.append([(tmp_path / f"{out.name}{name}.csv").read_bytes()
-                       for name in ("curve", "spectrum")])
+        tables.append([(out / name).read_bytes() for name in ("curve.csv", "spectrum.csv")])
     assert tables[0] == tables[1]
 
 
