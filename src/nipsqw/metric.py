@@ -107,28 +107,32 @@ def _driven_coupling(h: np.ndarray):
 
 
 def _gauged_bases(values, unit, failures):
-    """Descending adjoint eigenbases in the end-row gauge, with their refusals.
+    """The values, the unit columns of their descending adjoint eigenbases scaled
+    as ``KetketBasis`` says, and the refusals of ``_gauge_refusals``."""
+    pivots, errors = _gauge_refusals(unit, failures)
+    return values, unit / pivots[:, None, :], errors
 
-    ``unit`` (m, N, N) holds one unit eigenvector of H^dagger per value of
-    ``values`` (m, N), both in descending order; ``failures`` maps each
-    matrix whose solve failed to its NoConvergence.  The well's H^dagger is
-    complex symmetric, so its unit eigenvectors have V^T V = diag(c) and
-    cond_2(V) <= N / min_j s_j, with s_j = |c_j| level j's reciprocal
-    eigenvalue condition.  A failed solve becomes DefectiveAtEP, and so
-    does a matrix whose SVD-free bound reaches ``COND_CEILING``: that
-    refuses every matrix whose cond_2(V) does.  Any other matrix with a
-    pivot entry below the smallest normal double, NaN included, becomes
-    OutOfRange: far outside the unit circle a level localized at one
-    corner can have its far end entry round to zero.  A vanished pivot,
-    as a failed solve's identity columns hold, is taken as one.  Returns
-    the values, the columns scaled as ``KetketBasis`` says and the map from
-    each refused matrix to its refusal, a failed solve's over the others.
+
+def _gauge_refusals(unit, failures):
+    """The pivots of the first k <= N descending unit adjoint eigenvectors
+    ``unit`` (m, N, k), and the map from each refused matrix to its refusal,
+    a failed solve's (``failures``, each a NoConvergence) over the others.  N
+    is read from the rows and the pivots from the first k of ``_pivot_rows``,
+    so a driven well's half (``_well_half``) can be refused.  H^dagger is
+    complex symmetric, so V^T V = diag(c) and cond_2(V) <= N / min_j s_j,
+    with s_j = |c_j| level j's reciprocal eigenvalue condition.  A failed
+    solve becomes DefectiveAtEP, and so does a matrix whose SVD-free bound
+    reaches ``COND_CEILING``: that refuses every matrix whose cond_2(V) does.
+    Any other matrix with a pivot below the smallest normal double, NaN
+    included, becomes OutOfRange: far outside the unit circle a level
+    localized at one corner can have its far end entry round to zero.  A
+    vanished pivot, as a failed solve's identity columns hold, is taken as one.
     """
-    n = unit.shape[-1]
+    n, columns = unit.shape[-2:]
     with np.errstate(divide="ignore"):
         condition = n / np.abs(np.einsum("mij,mij->mj", unit, unit)).min(axis=-1)
     singular = ~(condition < COND_CEILING)
-    pivots = unit[:, _pivot_rows(n), np.arange(n)]
+    pivots = unit[:, _pivot_rows(n)[:columns], np.arange(columns)]
     vanished = ~(np.abs(pivots) >= np.finfo(float).tiny)
     errors = {
         k: DefectiveAtEP("eigenvector matrix is numerically singular") if singular[k]
@@ -137,7 +141,7 @@ def _gauged_bases(values, unit, failures):
     }
     pivots[vanished] = 1.0
     unsolved = {k: _unsolved(failure) for k, failure in failures.items()}
-    return values, unit / pivots[:, None, :], {**errors, **unsolved}
+    return pivots, {**errors, **unsolved}
 
 
 def _unsolved(failure) -> DefectiveAtEP:
@@ -229,8 +233,9 @@ def _well_levels(n: int, r):
     return x, values, failures
 
 
-def _well_ketket_stack(h: np.ndarray, r):
-    """Adjoint eigenbases of an (m, N, N) stack of driven wells, in closed form.
+def _well_half(h: np.ndarray, r):
+    """The checked unit half of the adjoint eigenbases of an (m, N, N) stack of
+    driven wells, in closed form: the columns of the first ceil(N/2) levels.
 
     ``h`` is build_h(N, z) with z = i c, |c| <= 1, and ``r`` its coupling
     sqrt(1 - c^2) (sin phi for z = i cos phi), from which the levels come
@@ -239,13 +244,17 @@ def _well_ketket_stack(h: np.ndarray, r):
     has the Chebyshev form v_i = U_(i-1)(x) - conj(z) U_(i-2)(x), rows
     i = 1 ... N, from the recurrence v_0 = conj(z), v_1 = 1, v_(i+1) =
     2 x v_i - v_(i-1); it is one on row 1.  U_k(-x) = (-1)^k U_k(x), so one
-    real recurrence over the x >= 0 half gives every column.  A well is
-    refused as the other wells are (``_gauged_bases``), with angles that
-    did not converge as its failed solve, and with the eigenpair defect of
-    the unit columns against H^dagger held to the residual cap of
-    ``matrix_core._eigen_arrays``, formed from H's own diagonals
-    (``_well_mismatch``).  It serves every N >= 2; at r = 0 the middle pair
-    of an even N meets, and that well is refused.  Returns what ``_gauged_bases`` does.
+    real recurrence gives the -x levels and, at odd N, the middle one.  A
+    well is refused as the other wells are (``_gauge_refusals``), with angles
+    that did not converge as its failed solve, and with the eigenpair defect
+    of the unit columns against H^dagger, formed from H's own diagonals
+    (``_well_mismatch``), held to the residual cap of ``_eigen_arrays``.  The
+    other half, their exact Q images (``_well_ketket_stack``), loses no
+    check: Q is a signed permutation and H^dagger Q = Q (4 I - H^dagger) on
+    the driven axis, so column N-1-c has the c-product, pivot size and
+    eigenpair defect of column c.  At r = 0 the middle pair of an even N
+    meets, and that well is refused.  Returns the (m, N) levels, the
+    (m, N, ceil(N/2)) unit columns, their pivots and the refusals.
     """
     n, odd = h.shape[-1], h.shape[-1] % 2
     x, values, failures = _well_levels(n, r)
@@ -260,46 +269,70 @@ def _well_ketket_stack(h: np.ndarray, r):
     zbar = np.conj(1j * h[:, -1, -1].imag)[:, None, None]
     signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
     below = signs * (now[:, :, odd:] + zbar * before[:, :, odd:])
-    above = now - zbar * before
-    # descending energy is ascending x: -x, then 0, then +x, whose pivot row
-    # N-1 takes the reversed conjugate (H^dagger = P conj(H^dagger) P under
-    # the row reversal P), one there by the recurrence's start
-    columns = np.concatenate(
-        [below[:, :, ::-1], above[:, :, :odd], above[:, ::-1, odd:].conj()], axis=-1
-    )
+    # descending energy is ascending x: -x, then the middle 0
+    columns = np.concatenate([below[:, :, ::-1], now[:, :, :odd] - zbar * before[:, :, :odd]],
+                             axis=-1)
     unit = columns / np.linalg.norm(columns, axis=-2, keepdims=True)
-    _, failures = _residual_refusals(h, values, unit, failures, _well_mismatch)
-    return _gauged_bases(values, unit, failures)
+    _, failures = _residual_refusals(h, values[:, :n - n // 2], unit, failures, _well_mismatch)
+    return values, unit, *_gauge_refusals(unit, failures)
 
 
-def _pt_blocks(vectors: np.ndarray):
+def _well_ketket_stack(h: np.ndarray, r):
+    """Adjoint eigenbases of an (m, N, N) stack of driven wells, in closed form:
+    ``_well_half``'s columns divided by their pivots on row 0, then column
+    N-1-c as Q times column c (``_q_map``), one on row N-1.  So V = [B, m, QB],
+    with Q m = (-1)^((N-1)/2) m for the middle column at odd N.  Returns what
+    ``_gauged_bases`` does."""
+    values, unit, pivots, errors = _well_half(h, r)
+    half = unit / pivots[:, None, :]
+    return values, np.concatenate([half, _q_map(half[..., :h.shape[-1] // 2])[..., ::-1]],
+                                  axis=-1), errors
+
+
+def _q_map(columns: np.ndarray) -> np.ndarray:
+    """Q x for each column x of an (m, N, k) stack, (Qx)_i = (-1)^(N-1-i) x_(N-1-i):
+    the signed row reversal that pairs a driven well's levels E and 4 - E."""
+    signs = np.where(np.arange(columns.shape[-2]) % 2, -1.0, 1.0)[:, None]
+    return (signs * columns)[:, ::-1]
+
+
+def _pt_blocks(unit: np.ndarray):
     """Two square blocks whose singular values, together, are those of the unit
-    columns of an (m, N, N) stack of ``_well_ketket_stack`` bases V.
+    columns of an (m, N, N) stack of ``_well_ketket_stack`` bases V = [B, m, QB],
+    formed from their unit half (m, N, ceil(N/2)) as ``_well_half`` gives it.
 
-    That layout is V = [B, m, QB]: column N-1-c is Q times column c, with
-    (Qx)_i = (-1)^(N-1-i) x_(N-1-i), and at odd N the middle column m has
-    Q m = mu m, mu = (-1)^((N-1)/2).  Q is orthogonal, Q^2 = (-1)^(N-1), so
-    its eigenspaces (lambda = +-i at even N, +-1 at odd N) are orthogonal,
-    spanned by (e_i + lambda (-1)^(N-1-i) e_(N-1-i)) / sqrt(2), i < N/2, and
-    by e_mid for lambda = mu.  There columns c and N-1-c read x and lambda x,
-    which a unitary turn of the two makes sqrt(2) x and 0.  So each block
-    holds the row pairs r_i + conj(lambda) (-1)^(N-1-i) r_(N-1-i) of the
-    first ceil(N/2) unit columns; mu's block adds the middle row times
-    sqrt(2) and divides the m column by sqrt(2), as m enters V once.
+    Q is orthogonal, Q^2 = (-1)^(N-1), so its eigenspaces (lambda = +-i at
+    even N, +-1 at odd N) are orthogonal, spanned by (e_i + lambda
+    (-1)^(N-1-i) e_(N-1-i)) / sqrt(2), i < N/2, and by e_mid for lambda =
+    mu = (-1)^((N-1)/2), m's value.  There columns c and N-1-c read x and
+    lambda x, which a unitary turn of the two makes sqrt(2) x and 0.  So each
+    block holds the row pairs r_i + conj(lambda) (-1)^(N-1-i) r_(N-1-i) of
+    the half; mu's block adds the middle row times sqrt(2) and divides the
+    m column by sqrt(2), as m enters V once.  Each block is then turned by
+    unitary phases, i on its odd rows and on each column the conjugate
+    phase of its largest entry, which leaves it real to within a few N eps
+    of that entry.  Returns the real and imaginary parts of each turned
+    block; the real parts keep the singular values to that rounding.
     """
-    n = vectors.shape[-1]
+    n = unit.shape[-2]
     half, odd = n // 2, n % 2
-    first = vectors[:, :, : n - half]
-    first = first / np.linalg.norm(first, axis=-2, keepdims=True)
-    signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
-    top, mirror = first[:, :half], (signs * first)[:, ::-1][:, :half]
+    top, mirror = unit[:, :half], _q_map(unit)[:, :half]
     turn = (-1.0) ** half if odd else 1j  # conj(lambda) of the second block
     apart, own = top - turn * mirror, top + turn * mirror
     if odd:  # the middle row and m belong to mu's block alone
         apart = apart[..., :half]
-        own = np.concatenate([own, np.sqrt(2.0) * first[:, half:half + 1]], axis=-2)
+        own = np.concatenate([own, np.sqrt(2.0) * unit[:, half:half + 1]], axis=-2)
         own[..., half] /= np.sqrt(2.0)
-    return apart, own
+    blocks = []
+    for block in (apart, own):  # the column turn in real arithmetic, alike at any stack size
+        block = block * np.where(np.arange(block.shape[-2]) % 2, 1j, 1.0)[:, None]
+        re, im = block.real, block.imag
+        size = re * re + im * im
+        lead = size.argmax(axis=-2)[:, None]
+        scale = np.sqrt(np.maximum(np.take_along_axis(size, lead, axis=-2), np.finfo(float).tiny))
+        cos, sin = (np.take_along_axis(part, lead, axis=-2) / scale for part in (re, im))
+        blocks.append((re * cos + im * sin, im * cos - re * sin))
+    return blocks
 
 
 def _well_mismatch(h: np.ndarray, values, v: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import NoSlope, NotAnEigenvalue, OutOfRange
 from .hamiltonian import build_h, z_from_r
 from .matrix_core import COND_CEILING, _eigen_arrays
 from .metric import (
-    _as_well, _driven_coupling, _pt_blocks, _unsolved, _well_ketket_stack, _well_levels,
+    _as_well, _driven_coupling, _pt_blocks, _unsolved, _well_half, _well_levels,
 )
 
 @dataclass(frozen=True)
@@ -236,23 +236,24 @@ def ep_scan(n: int, r_grid) -> np.ndarray:
     Returns rows (r, min_gap, vector_condition); the condition number
     blowing up as r -> 0 while the smallest gap closes is the
     exceptional-point signature.  Each well is solved at the coupling r
-    it is given, in closed form at every N (``metric._well_ketket_stack``),
-    and its condition is cond_2 of the unit eigenvectors: the largest over
-    the smallest singular value of the two half-size blocks that the
-    well's PT symmetry splits them into (``metric._pt_blocks``), within
-    15 eps cond of one SVD of all N columns at N <= 64.  Where
-    the solve refuses the point (defective), or the condition reaches
-    ``COND_CEILING``, the condition is the +inf sentinel.  The gaps come
-    from the same solve, which keeps the levels of a defective point; a
-    nan gap means the levels themselves failed.  The levels come real and
-    descending (``metric._well_levels``), so, rounding being monotone, the
-    smallest gap of neighbours is the all-pairs one to the bit.  One stack
-    holds the grid.
+    it is given, in closed form at every N, as the checked unit half of its
+    eigenvectors that the other half mirrors (``metric._well_half``).  Its
+    condition is cond_2 of all N unit eigenvectors: the largest over the
+    smallest singular value of the two half-size blocks that the well's PT
+    symmetry splits them into, turned real (``metric._pt_blocks``), by real
+    values-only SVDs, within 4 N eps cond^2 of one SVD of all N columns at
+    N <= 64.  Where the solve refuses the point (defective), or the
+    condition reaches ``COND_CEILING``, the condition is the +inf sentinel.
+    The gaps come from the same solve, which keeps the levels of a defective
+    point; a nan gap means the levels themselves failed.  The levels come
+    real and descending (``metric._well_levels``), so, rounding being
+    monotone, the smallest gap of neighbours is the all-pairs one to the
+    bit.  One stack holds the grid.
     """
     r_values = np.atleast_1d(np.asarray(r_grid, dtype=float))
     stack = build_h(n, z_from_r(r_values))
-    values, vectors, errors = _well_ketket_stack(stack, r_values)
-    sv = np.concatenate([np.linalg.svd(block, compute_uv=False) for block in _pt_blocks(vectors)],
+    values, unit, _, errors = _well_half(stack, r_values)
+    sv = np.concatenate([np.linalg.svd(real, compute_uv=False) for real, _ in _pt_blocks(unit)],
                         axis=-1)
     with np.errstate(divide="ignore"):
         condition = sv.max(axis=-1) / sv.min(axis=-1)

@@ -1090,12 +1090,9 @@ main(["spectrum", "--n", "33", "--r", "0.37", "--out", str(out / "spectrum.csv")
 """
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
-def test_tables_that_call_no_blas_do_not_depend_on_the_blas_kernel(tmp_path):
-    # the curve's continuant and a driven well's levels, taken from its
-    # angles, call no BLAS or LAPACK, so their --out files hold the same
-    # bytes under any OpenBLAS kernel; epscan and metric do and may move
+def _tables_under_two_kernels(tmp_path, script, names):
+    """The --out files ``names`` that ``script`` writes, once in a subprocess
+    under the default OpenBLAS kernel and once in one under Prescott."""
     root = str(Path(nipsqw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
@@ -1104,10 +1101,56 @@ def test_tables_that_call_no_blas_do_not_depend_on_the_blas_kernel(tmp_path):
     for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
         out = tmp_path / kernel.get("OPENBLAS_CORETYPE", "default")
         out.mkdir()
-        subprocess.run([sys.executable, "-c", _NO_BLAS_TABLES, str(out)],
+        subprocess.run([sys.executable, "-c", script, str(out)],
                        env={**env, **kernel}, capture_output=True, timeout=300, check=True)
-        tables.append([(out / name).read_bytes() for name in ("curve.csv", "spectrum.csv")])
+        tables.append([(out / name).read_bytes() for name in names])
+    return tables
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_tables_that_call_no_blas_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the curve's continuant and a driven well's levels, taken from its
+    # angles, call no BLAS or LAPACK, so their --out files hold the same
+    # bytes under any OpenBLAS kernel; epscan and metric do and may move
+    tables = _tables_under_two_kernels(tmp_path, _NO_BLAS_TABLES, ("curve.csv", "spectrum.csv"))
     assert tables[0] == tables[1]
+
+
+# a grid holding -1 ... 1 by 0.1, +-1e-3, +-1e-6, 1e-9 and 0, in pieces
+_EPSCAN_PIECES = ((-1.0, 1.0, 21), (-1e-3, 1e-3, 3), (-1e-6, 1e-6, 3), (1e-9, 1e-9, 1))
+
+_EPSCAN_TABLES = r"""
+import sys
+from pathlib import Path
+from nipsqw.cli import main
+
+out = Path(sys.argv[1])
+for n in (16, 33):
+    for k, (r_min, r_max, samples) in enumerate(%r):
+        main(["epscan", "--n", str(n), "--r-min", repr(r_min), "--r-max", repr(r_max),
+              "--samples", str(samples), "--out", str(out / f"epscan{n}_{k}.csv")])
+""" % (_EPSCAN_PIECES,)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_epscan_holds_its_condition_bound_under_another_blas_kernel(tmp_path):
+    # r, min_gap and the +inf rows come from the angles alone and keep their
+    # bytes under any kernel; the condition comes from LAPACK's SVD of the PT
+    # blocks, and moves by rounding, within 4 N eps cond relative
+    tables = [(n, f"epscan{n}_{k}.csv") for n in (16, 33) for k in range(len(_EPSCAN_PIECES))]
+    default, other = _tables_under_two_kernels(tmp_path, _EPSCAN_TABLES, [t for _, t in tables])
+    for (n, _), mine, theirs in zip(tables, default, other):
+        lines = [table.splitlines() for table in (mine, theirs)]
+        assert [[line.rsplit(b",", 1)[0] for line in side] for side in lines] == [
+            [line.rsplit(b",", 1)[0] for line in lines[0]]] * 2
+        want, got = (np.array([line.split(b",") for line in side[1:]], dtype=float)[:, 2]
+                     for side in lines)
+        finite = np.isfinite(want)
+        assert (got[~finite] == np.inf).all() and (want[~finite] == np.inf).all()
+        bound = 4 * n * np.finfo(float).eps * want[finite] ** 2
+        assert (np.abs(got[finite] - want[finite]) <= bound).all()
 
 
 def _readme_commands():

@@ -127,6 +127,18 @@ def test_gauged_bases_take_a_failed_solve_then_the_condition_then_the_pivot():
     assert str(errors[2]) == "end entry of level 0 rounds to zero"
 
 
+def test_gauge_refusals_hold_a_half_to_the_whole_bound():
+    # a four-row half of two columns: the bound is N / min s_j with N = 4 read
+    # from the rows, so s_j = 3e-15 reaches COND_CEILING (4 / 3e-15 > 1e15)
+    # where the column count 2 would not; both pivots are on row 0
+    angle = np.arccos(3e-15) / 2  # cos^2 - sin^2 = 3e-15
+    near = np.array([np.cos(angle), 1j * np.sin(angle), 0.0, 0.0])
+    unit = np.column_stack([near, np.eye(4)[0]])[None].astype(complex)
+    pivots, errors = metric._gauge_refusals(unit, {})
+    assert pivots.tolist() == [[np.cos(angle), 1.0]]
+    assert str(errors[0]) == "eigenvector matrix is numerically singular"
+
+
 @pytest.mark.parametrize("n, z", [(64, 1e4), (8, 1e6), (8, 1e20j)])
 def test_ketkets_refuses_an_end_entry_that_rounds_to_zero(n, z):
     # far outside the unit circle a level localized at one corner has its
@@ -423,13 +435,15 @@ def test_three_diagonal_defect_refuses_as_the_dense_product(monkeypatch, n, bend
     # H^dagger V - V diag(E) from H's three diagonals; with one unit column
     # bent past the residual cap it refuses the well with the type and
     # message that the dense product H^dagger @ V gives, and a clean well is
-    # refused by neither
+    # refused by neither; the route checks only the first ceil(N/2) columns
+    # (the rest are their exact Q images), so the bent column is the last
+    # checked one at every N
     check, dense = metric._residual_refusals, []
 
     def bent(stack, values, unit, failures, mismatch):
         assert mismatch is metric._well_mismatch
         unit = unit.copy()
-        unit[:, 0, n // 2] += bend
+        unit[:, 0, (n - 1) // 2] += bend
         # the dense product H^dagger @ V
         dense.append(check(stack.conj().swapaxes(-1, -2), values, unit, failures)[1])
         return check(stack, values, unit, failures, mismatch)
@@ -471,15 +485,57 @@ def test_well_columns_mirror_under_q(n):
     # at odd N the middle column is Q's eigenvector of value (-1)^((N-1)/2)
     grid = np.array([1.0, -1.0, 0.5, -0.3, 1e-3, -1e-3, 1e-6, -1e-6, 1e-9, 0.0])
     _, vectors, _ = metric._well_ketket_stack(build_h(n, z_from_r(grid)), grid)
+    # to the bit: the second half is built as the Q image of the first
     signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
     q_vectors = (signs * vectors)[:, ::-1]
-    size = np.abs(vectors).max(axis=1, keepdims=True)
     half = n // 2
-    mirrored = np.abs(q_vectors[..., :half] - vectors[..., ::-1][..., :half])
-    assert (mirrored <= 4 * np.finfo(float).eps * size[..., :half]).all()
+    assert (q_vectors[..., :half] == vectors[..., ::-1][..., :half]).all()
     if n % 2:
-        middle = np.abs(q_vectors[..., half] - (-1.0) ** half * vectors[..., half])
-        assert (middle <= 4 * np.finfo(float).eps * size[:, 0, half:half + 1]).all()
+        assert (q_vectors[..., half] == (-1.0) ** half * vectors[..., half]).all()
+
+
+HALF_GRID = np.array([1.0, -1.0, 0.5, -0.5, 1e-3, -1e-3, 1e-6, -1e-6, 1e-9, -1e-9, 0.0])
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 33, 64])
+@pytest.mark.parametrize("bend", [0.0, 1e-7])
+def test_half_check_refuses_as_the_whole_basis(monkeypatch, n, bend):
+    # the closed form checks only its first ceil(N/2) unit columns; the check
+    # of all N, the half and its Q image, refuses the same wells with the same
+    # type and message, also where every other well has one half column bent
+    # past the residual cap, which bends its image in the other half too
+    check, seen = metric._residual_refusals, []
+
+    def bent(stack, values, unit, failures, mismatch):
+        unit = unit.copy()
+        for k in range(1, len(unit), 2):
+            unit[k, 0, k % unit.shape[-1]] += bend
+        seen.append((unit, failures))
+        return check(stack, values, unit, failures, mismatch)
+
+    monkeypatch.setattr(metric, "_residual_refusals", bent)
+    h = build_h(n, z_from_r(HALF_GRID))
+    _, _, errors = metric._well_ketket_stack(h, HALF_GRID)
+    (unit, failures), = seen
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]
+    whole = np.concatenate([unit, (signs * unit[..., :n // 2])[:, ::-1, ::-1]], axis=-1)
+    _, values, _ = metric._well_levels(n, HALF_GRID)
+    _, whole_failures = check(h, values, whole, failures, metric._well_mismatch)
+    _, _, reference = metric._gauged_bases(values, whole, whole_failures)
+    assert sorted(errors) == sorted(reference)
+    assert bool(errors) == (bend > 0 or n % 2 == 0)
+    for k, error in errors.items():
+        assert (type(error), str(error)) == (type(reference[k]), str(reference[k]))
+
+
+@pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 24, 33, 48, 63, 64])
+def test_pt_blocks_are_real_to_rounding(n):
+    # the phases that turn each block real leave an imaginary part of a few
+    # N eps of the block's largest entry, which ep_scan drops
+    _, unit, _, _ = metric._well_half(build_h(n, z_from_r(HALF_GRID)), HALF_GRID)
+    for real, imag in metric._pt_blocks(unit):
+        size = np.abs(real + 1j * imag).max(axis=(-2, -1))
+        assert (np.abs(imag).max(axis=(-2, -1)) <= 4 * n * np.finfo(float).eps * size).all()
 
 
 def test_dyson_refuses_columns_that_are_not_c_orthogonal():
