@@ -112,7 +112,8 @@ class ChebyshevSolution:
 
     ``a`` and ``b`` weight the first- and second-kind polynomial
     sequences; ``components`` is the resulting site amplitude vector.
-    The pair (a, b) is scaled so its max-modulus entry equals one.
+    The pair (a, b) is scaled so a equals one, or b where |b| exceeds |a| by
+    more than 8 eps relative: where |a| = |b| to rounding, a is the one.
     """
 
     y: complex
@@ -139,7 +140,7 @@ def chebyshev_eigvec(n: int, z: complex, e: complex) -> ChebyshevSolution:
         ab = np.array([1.0, 0.0], dtype=complex)  # whole plane is kernel
     else:
         ab = vh[1].conj()
-    ab = ab / ab[np.argmax(np.abs(ab))]
+    ab = ab / (ab[1] if abs(ab[1]) > (1.0 + 8.0 * np.finfo(float).eps) * abs(ab[0]) else ab[0])
     components = ab[0] * t + ab[1] * u
     if np.abs(components).max() <= 1e-10 * max(1.0, np.abs(ab).max()):
         components = _three_term(y, 2.0 * y - z, n)

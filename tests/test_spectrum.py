@@ -377,6 +377,16 @@ def test_eigvec_coefficients_reproduce_components():
     np.testing.assert_allclose(rebuilt, sol.components, atol=1e-13)
 
 
+@pytest.mark.parametrize("n, z", [(13, 3j), (64, np.exp(1j * np.pi / 3))])
+def test_eigvec_scale_takes_a_where_the_pair_ties(n, z):
+    # at E ~ 2 the kernel pair has |a| = |b| to rounding, so the last bit of
+    # the SVD must not pick the entry scaled to one: a is, within 8 eps
+    values = np.linalg.eigvals(build_h(n, z))
+    sol = chebyshev_eigvec(n, z, complex(values[np.argmin(np.abs(values - 2.0))]))
+    assert sol.a == 1.0
+    assert abs(abs(sol.b) - 1.0) <= 8 * np.finfo(float).eps
+
+
 # ------------------------------------------------------------ spectral_curve
 
 
