@@ -39,7 +39,7 @@ _RESIDUAL_CAP = 1e-10   # accepted-decomposition bound
 
 #: eigenvector conditions at or above this read as infinite (a singular V
 #: rounds to ~1/eps, not inf, under the SVD); every ketket solve holds its
-#: SVD-free bound N / min_j s_j to it (``metric._gauged_bases``)
+#: SVD-free bound N / min_j s_j to it (``metric._gauge_refusals``)
 COND_CEILING = 1e15
 
 

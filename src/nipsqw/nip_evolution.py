@@ -166,7 +166,7 @@ def _map_block(n, hermitian_map, tol, angles):
     Matrices*, 2008, ch. 8), from one SVD.  It needs no check of its own:
     the well route keeps every kept V^dagger nonsingular, so S^-1 is
     finite, by N / min_j s_j under ``COND_CEILING``, a normal pivot in
-    every column (``metric._gauged_bases``) and the ``eps_singular`` floor
+    every column (``metric._gauge_refusals``) and the ``eps_singular`` floor
     (``metric._dyson_stack``).  Each check runs once over the block and
     ``_raise_earliest`` picks the refusal before the slope is solved:
     dV^dagger of Nelson's slope dV (``_ketket_slope``), for the root that
