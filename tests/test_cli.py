@@ -1142,11 +1142,11 @@ def test_epscan_holds_its_condition_bound_under_another_blas_kernel(tmp_path):
     tables = [(n, f"epscan{n}_{k}.csv") for n in (16, 33) for k in range(len(_EPSCAN_PIECES))]
     default, other = _tables_under_two_kernels(tmp_path, _EPSCAN_TABLES, [t for _, t in tables])
     for (n, _), mine, theirs in zip(tables, default, other):
-        lines = [table.splitlines() for table in (mine, theirs)]
-        assert [[line.rsplit(b",", 1)[0] for line in side] for side in lines] == [
-            [line.rsplit(b",", 1)[0] for line in lines[0]]] * 2
+        mine, theirs = mine.splitlines(), theirs.splitlines()
+        assert [line.rsplit(b",", 1)[0] for line in mine] == [
+            line.rsplit(b",", 1)[0] for line in theirs]  # the header, r and min_gap
         want, got = (np.array([line.split(b",") for line in side[1:]], dtype=float)[:, 2]
-                     for side in lines)
+                     for side in (mine, theirs))
         finite = np.isfinite(want)
         assert (got[~finite] == np.inf).all() and (want[~finite] == np.inf).all()
         bound = 4 * n * np.finfo(float).eps * want[finite] ** 2
