@@ -8,18 +8,21 @@ constant even though neither G nor H is normal.  An independent
 solution in the mapped representation (where the generator is
 Hermitian) cross-checks the whole pipeline.
 
-The whole chain -- ketket basis, Dyson map, its analytic slope in the
-boundary angle, Coriolis term -- runs on one route, ``_stage_stack``,
-as (m, N, N) expressions over a block of stage angles; ``coriolis`` and
-``generator`` are stacks of one through it.  Each driven well is solved
-in closed form at its coupling sin phi (``metric._well_ketket_stack``),
-and the two-site ketket map with its exact slope in extended precision
-(``_two_site_map``).  The Hermitian root map is the ketket map's polar
-factor, from one SVD of it, so both maps share their refusals.
+The whole chain -- ketket basis, Dyson map, its connection
+A = Omega^-1 dOmega/dphi in the boundary angle, Coriolis term
+Sigma = i phi' A -- runs on one route, ``_stage_stack``, as (m, N, N)
+expressions over a block of stage angles; ``coriolis`` and ``generator``
+are stacks of one through it.  Each driven well is solved in closed form
+at its coupling sin phi (``metric._well_ketket_stack``), and the two-site
+ketket map, its metric and its connection are written in closed form in
+extended precision (``_two_site_map``).  The Hermitian root map is the
+ketket map's polar factor, from one SVD of it, so both maps share their
+refusals.
 
-The map part of a block -- H, Theta, the map, its inverse, H's levels and
-the map's slope -- is six read-only arrays kept in the standard library's
-one-entry cache (``_map_block``).  A refused block is solved once and
+The map part of a block -- H, Theta, the map, the textbook generator
+Omega H Omega^-1 and the connection -- is five read-only arrays kept in
+the standard library's one-entry cache (``_map_block``): what the two
+integrations apply, each formed once.  A refused block is solved once and
 never kept, so the last clean block stays kept.  ``evolve`` and
 ``textbook_evolve`` of one drive solve the same blocks at bit-identical
 angles, so on a drive of one block they share it, whichever comes first;
@@ -33,15 +36,17 @@ rule, sized from N (``STAGE_BLOCK``), and takes each block's stages from
 one kernel call, the edge stage it shares with the block before
 included.  It forms their R_k with stacked matmuls in the dtype of the
 stage stack (complex128 from the well solve, so BLAS does them;
-extended precision from the two-site map), marches the
-extended-precision ket with one matrix-vector product per step and
-checks the block's physical norms against the stack's own Theta in one
-stacked product.  Each block writes its rows into arrays allocated once
-per trajectory, and the integrations return them as a ``Trajectory``:
-read-only stacks that build an ``EvolutionState`` only when a row is
-read.  The textbook route on the ketket map takes no step matrix: there
-Omega H Omega^-1 is the real diagonal of the levels, so each mapped
-component only turns, by a phase summed by Simpson's rule on the stages.
+extended precision from the two-site map) and marches the
+extended-precision ket: at N = 2 in runs of ``RUN`` steps, with stacked
+prefix products (``_run_march``), above it with one matrix-vector
+product per step.  It checks the block's physical norms against the
+stack's own Theta in one stacked product.  Each block writes its rows
+into arrays allocated once per trajectory, and the integrations return
+them as a ``Trajectory``: read-only stacks that build an
+``EvolutionState`` only when a row is read.  The textbook route on the
+ketket map takes no step matrix: there Omega H Omega^-1 is the real
+diagonal of the levels, so each mapped component only turns, by a phase
+summed by Simpson's rule on the stages.
 """
 
 from __future__ import annotations
@@ -152,26 +157,28 @@ class GeneratorSnapshot:
 
 @lru_cache(maxsize=1)
 def _map_block(n, hermitian_map, tol, angles):
-    """H, Theta, Omega, Omega^-1, the levels and the slope dOmega/dphi of
-    the block of angles whose float64 array has the bytes ``angles``.
+    """H, Theta, Omega, the textbook generator and the connection
+    A = Omega^-1 dOmega/dphi of the block of angles whose float64 array has
+    the bytes ``angles``: what the two integrations apply.
 
     The part of a block that ``evolve`` and ``textbook_evolve`` share: the
     two-site ketket map of ``_two_site_map``, or the ketket basis of each H
     with its Dyson map V^dagger and metric, refused at a level's s_j at the
-    ``eps_singular`` floor (at two sites |sin phi|).  The levels (m, N) are
-    H's real eigenvalues in the descending order of the ketket map's rows,
-    so that map gives Omega H Omega^-1 = diag(levels).  With
-    ``hermitian_map`` Omega is Theta's Hermitian root, the polar factor
+    ``eps_singular`` floor (at two sites |sin phi|).  The textbook
+    generator Omega H Omega^-1 is, on the ketket map, Lambda = diag(levels)
+    with H's real eigenvalues in the descending order of the map's rows.
+    With ``hermitian_map`` Omega is Theta's Hermitian root, the polar factor
     Y S Y^dagger of V^dagger = X S Y^dagger (Higham, *Functions of
     Matrices*, 2008, ch. 8), from one SVD.  It needs no check of its own:
     the well route keeps every kept V^dagger nonsingular, so S^-1 is
     finite, by N / min_j s_j under ``COND_CEILING``, a normal pivot in
     every column (``metric._gauge_refusals``) and the ``eps_singular`` floor
     (``metric._dyson_stack``).  Each check runs once over the block and
-    ``_raise_earliest`` picks the refusal before the slope is solved:
+    ``_raise_earliest`` picks the refusal before the map's slope is solved:
     dV^dagger of Nelson's slope dV (``_ketket_slope``), for the root that
-    of its Sylvester equation (``_root_slope``).  The memo keeps one entry,
-    the six arrays read-only, keyed on N, the map, the tolerances and the
+    of its Sylvester equation (``_root_slope``); Omega^-1 times it is the
+    connection, and Omega^-1 is not kept.  The memo keeps one entry, the
+    five arrays read-only, keyed on N, the map, the tolerances and the
     angles' exact bytes; a refused block raises its earliest refused
     stage's error and is never kept, so the last clean block stays kept.
     """
@@ -183,19 +190,22 @@ def _map_block(n, hermitian_map, tol, angles):
         h = build_h(n, z_from_phi(phis))
         values, vectors, wells = _well_ketket_stack(h, np.sin(phis))
         omega, omega_inv, theta, cprods, dysons = _dyson_stack(vectors, tol)
-        levels = values.real  # H^dagger's levels, real in a well, so H's too
         _raise_earliest(wells, dysons)
         dv = _ketket_slope(phis, values, vectors, cprods)
         if hermitian_map:
             _, roots, right = np.linalg.svd(omega)
             basis = right.conj().swapaxes(-1, -2)
             root = (basis * roots[:, None, :]) @ right
-            root_inv = (basis / roots[:, None, :]) @ right
+            omega_inv = (basis / roots[:, None, :]) @ right
             lift = dv @ omega
             slope = _root_slope(basis, roots, lift + lift.conj().swapaxes(-1, -2))
-            arrays = h, theta, (root + root.conj().swapaxes(-1, -2)) / 2, root_inv, levels, slope
+            omega = (root + root.conj().swapaxes(-1, -2)) / 2
+            mapped = omega @ h @ omega_inv
         else:
-            arrays = h, theta, omega, omega_inv, levels, dv.conj().swapaxes(-1, -2)
+            slope = dv.conj().swapaxes(-1, -2)
+            # H^dagger's levels, real in a well, so H's too
+            mapped = values.real[:, :, None] * np.eye(n)
+        arrays = h, theta, omega, mapped, omega_inv @ slope
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -204,19 +214,18 @@ def _map_block(n, hermitian_map, tol, angles):
 def _stage_stack(n, phis, rates, tol, textbook=False, hermitian_map=False):
     """H, Sigma, Theta and Omega at every stage angle, each (m, N, N).
 
-    The block's map part, kept by ``_map_block``, and its slope times the
-    rate give Sigma = i Omega^-1 dOmega/dt; textbook stages return
-    Omega H Omega^-1 in Sigma's place, on the ketket map exactly
-    diag(levels).  Each stage depends on its own angle and rate alone, so
-    any split into blocks gives the same arrays.  A refused stack raises
-    its earliest stage's refusal.
+    The block's map part, kept by ``_map_block``, gives Sigma = i Omega^-1
+    dOmega/dt as its connection times i and the rate, with no matrix
+    product; textbook stages return the kept Omega H Omega^-1 in Sigma's
+    place, on the ketket map exactly diag(levels).  Each stage depends on
+    its own angle and rate alone, so any split into blocks gives the same
+    arrays.  A refused stack raises its earliest stage's refusal.
     """
-    h, theta, omega, omega_inv, levels, slope = _map_block(
+    h, theta, omega, mapped, connection = _map_block(
         n, hermitian_map, tol, np.asarray(phis, dtype=float).tobytes())
     if textbook:
-        mapped = omega @ h @ omega_inv if hermitian_map else levels[:, :, None] * np.eye(n)
         return h, mapped, theta, omega
-    return h, 1j * (omega_inv @ (slope * rates[:, None, None])), theta, omega
+    return h, (1j * rates)[:, None, None] * connection, theta, omega
 
 
 def _inside_margin(n, phis, tol):
@@ -275,21 +284,23 @@ def generator(
 
 
 def _stage_times(t0: float, t1: float, dt: float):
-    """Step sizes and the RK stage grid t0, t0+dt/2, t0+dt, ...
+    """Step sizes and the RK stage grid t0, t0+dt/2, t0+dt, ..., t1.
 
-    The horizon end is always hit exactly; a remainder shorter than dt
-    becomes one final shortened step.
+    In extended precision.  A remainder shorter than dt becomes one final
+    shortened step.  The last stage time is t1 itself, and the last step
+    takes its size and midpoint from its own span, so the horizon end is
+    hit exactly.
     """
     span = t1 - t0
     n_full = math.floor(span / dt + 1e-9)
-    remainder = span - n_full * dt
-    if remainder <= 1e-9 * dt:
-        remainder = 0.0
-    steps = np.full(n_full + bool(remainder), dt)
-    taus = np.longdouble(t0) + np.arange(2 * n_full + 1) * (np.longdouble(dt) / 2)
-    if remainder:
-        steps[-1] = remainder
-        taus = np.append(taus, [taus[-1] + np.longdouble(remainder) / 2, np.longdouble(t1)])
+    count = n_full + (span - n_full * dt > 1e-9 * dt)
+    half = np.longdouble(dt) / 2
+    taus = np.longdouble(t0) + np.arange(2 * count + 1) * half
+    steps = np.full(count, 2 * half)
+    if count:
+        taus[-1] = t1
+        steps[-1] = taus[-1] - taus[-3]
+        taus[-2] = taus[-3] + steps[-1] / 2
     return steps, taus
 
 
@@ -300,17 +311,76 @@ def _propagators(gens, steps):
     steps in order, 2m + 1 of them.  The ODE is linear, so the classic
     stages K_1 = -i G_0, K_2 = -i G_1/2 (I + h/2 K_1),
     K_3 = -i G_1/2 (I + h/2 K_2) and K_4 = -i G_1 (I + h K_3) are
-    matrices and R = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4).  The
-    propagators take the dtype of the stage stack: complex128 keeps the
-    matmuls on BLAS, which extended precision would not be.
+    matrices and R = I + h/6 (K_1 + 2 K_2 + 2 K_3 + K_4).  Each step's
+    h is taken into its stage generators once, B = -i h/2 G, so that with
+    B_h the half stage's, h K_1 = 2 B_0, h K_2 = 2 Y_2, h K_3 = 2 Y_3 and
+    h K_4 = 2 Y_4 for Y_2 = B_h (I + B_0), Y_3 = B_h (I + Y_2) and
+    Y_4 = B_1 (I + 2 Y_3), and R = I + (B_0 + 2 (Y_2 + Y_3) + Y_4) / 3:
+    twelve elementwise passes beside the three products, where the
+    textbook stages took seventeen.  The propagators take the dtype of
+    the stage stack: complex128 keeps the matmuls on BLAS, which extended
+    precision would not be.
     """
-    g0, g_half, g1 = gens[:-1:2], gens[1::2], gens[2::2]
-    h = np.asarray(steps, dtype=np.finfo(gens.dtype).dtype)[:, None, None]
-    k1 = -1j * g0
-    k2 = -1j * (g_half + (h / 2) * (g_half @ k1))
-    k3 = -1j * (g_half + (h / 2) * (g_half @ k2))
-    k4 = -1j * (g1 + h * (g1 @ k3))
-    return np.eye(gens.shape[-1], dtype=gens.dtype) + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    scale = -0.5j * np.asarray(steps, dtype=np.finfo(gens.dtype).dtype)[:, None, None]
+    b0, b_half, b1 = scale * gens[:-1:2], scale * gens[1::2], scale * gens[2::2]
+    y2 = b_half @ b0
+    y2 += b_half
+    y3 = b_half @ y2
+    y3 += b_half
+    y4 = b1 @ y3
+    y4 *= 2
+    y4 += b1
+    y2 += y3
+    y2 *= 2
+    y2 += b0
+    y2 += y4
+    y2 /= 3
+    diagonal = np.arange(gens.shape[-1])
+    y2[:, diagonal, diagonal] += 1
+    return y2
+
+
+#: the two-site march takes its steps in runs of RUN, counted from t0
+#: (``_run_march``)
+RUN = 16
+
+
+def _run_march(propagators, lo, head, prefix):
+    """The kets after steps lo, lo+1, ... of a drive, marched in runs.
+
+    Steps are grouped into runs of ``RUN``, counted from t0, so step k sits
+    at position k % RUN of its run (Blelloch, "Prefix sums and their
+    applications", 1990).  One stacked product per run position forms
+    every run's prefix products P_j = R_j ... R_0, the run heads (the kets
+    at run starts) advance in sequence, each by its run's full product,
+    and one stacked product P_j head gives all rows.  ``head`` is the ket
+    at the start of the run that step lo is in, and ``prefix`` that run's
+    product of the steps before lo (None at a run start); the returned
+    head and prefix are those of the run that step lo + m is in, so that
+    the next call continues the open run and any split into calls gives
+    the same bits.  In the dtype of the propagators, extended precision.
+    """
+    count, n = len(propagators), propagators.shape[-1]
+    off = lo % RUN
+    runs = -(-(off + count) // RUN)
+    products = np.empty((runs * RUN, n, n), dtype=propagators.dtype)
+    products[off:off + count] = propagators
+    grid = products.reshape(runs, RUN, n, n)
+    if off:
+        grid[0, off - 1] = prefix
+    for j in range(1, RUN):  # the runs holding position j, from this call or carried
+        first, last = int(j < off), -(-(off + count - j) // RUN)
+        grid[first:last, j] = grid[first:last, j] @ grid[first:last, j - 1]
+    heads = np.empty((runs + 1, n), dtype=propagators.dtype)
+    heads[0] = head
+    end = (off + count) % RUN
+    for r in range(runs - bool(end)):  # the runs that close in this call
+        heads[r + 1] = grid[r, -1].dot(heads[r])
+    runs_of_steps = np.arange(off, off + count) // RUN
+    kets = (products[off:off + count] @ heads[runs_of_steps, :, None])[:, :, 0]
+    if end:
+        return kets, heads[runs - 1], grid[runs - 1, end - 1].copy()
+    return kets, heads[runs], None
 
 
 #: largest |Im| / |Re| a metric norm or expectation may show and still
@@ -366,9 +436,11 @@ def _two_site_map(phis):
     e = exp(-i phi) per stage: Re e = cos phi, Im e = -sin phi.  Where
     sin phi < 0 the well solve's gauge is the family at -phi; H is even in
     phi, so the map is taken there (``mirror``: e conjugated) and its angle
-    derivative changes sign.  Over 801 stages it costs about 0.001 ms per
-    stage, the N = 3 well solve 0.004-0.006 ms in one piece and 0.009-0.016
-    ms in blocks of 32 (2-core x86 VM, numpy 2.4, best of 7).
+    derivative changes sign, e' = -e in place of e.  Omega = [[1, -ie],
+    [ie, 1]] gives Theta = [[1 + |e|^2, -2i Re e], [2i Re e, 1 + |e|^2]]
+    and the connection A = [[i e e', -e'], [e', i e e']] / (1 - e^2), each
+    entry written in closed form; no Omega^-1 and no matrix product is
+    formed.  The textbook generator is diag(2 + |sin phi|, 2 - |sin phi|).
     """
     e = np.exp(_CLD(-1j) * np.asarray(phis, dtype=_CLD))
     mirror = e.imag > 0  # sin phi < 0: the family at -phi, whose e is conj(e)
@@ -377,16 +449,15 @@ def _two_site_map(phis):
     z = 1j * e.real  # i cos phi
     h = _stack_2x2(2.0 - z, hop, hop, 2.0 + z)
     omega = _stack_2x2(one, -1j * e, 1j * e, one)
-    omega_inv = _stack_2x2(one, 1j * e, -1j * e, one) / (1.0 - e * e)[:, None, None]
-    theta = omega.conj().swapaxes(-1, -2) @ omega
-    levels = np.stack([2.0 - e.imag, 2.0 + e.imag], axis=-1)  # 2 +- |sin phi|
-    return h, theta, omega, omega_inv, levels, _two_site_slope(np.where(mirror, -e, e))
-
-
-def _two_site_slope(e):
-    """d/dphi [[1, -ie], [ie, 1]] = [[0, -e], [e, 0]] of the closed-form map."""
-    zero = np.zeros_like(e)
-    return _stack_2x2(zero, -e, e, zero)
+    diagonal = 1.0 + (e.real * e.real + e.imag * e.imag)
+    across = np.zeros_like(e)
+    across.imag = 2.0 * e.real  # 2i Re e, with the real zero positive as a product gives it
+    theta = _stack_2x2(diagonal, across.conj(), across, diagonal)
+    lower = np.where(mirror, -e, e) / (1.0 - e * e)  # e' / (1 - e^2)
+    connection = _stack_2x2(1j * e * lower, -lower, lower, 1j * e * lower)
+    mapped = np.zeros((len(e), 2, 2), dtype=np.longdouble)
+    mapped[:, 0, 0], mapped[:, 1, 1] = 2.0 - e.imag, 2.0 + e.imag  # 2 +- |sin phi|
+    return h, theta, omega, mapped, connection
 
 
 def _stack_2x2(a, b, c, d):
@@ -434,12 +505,17 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
         time = float(taus[np.flatnonzero(~fit)[0]])
         raise ValueError(f"profile angle phi or its rate is not finite at t = {time:.6g}")
 
-    # the prefix ends at the last step whose stages all clear the margin;
-    # usable is -1 when the first stage is inside it
+    # the prefix ends at the last step whose stages all clear the margin,
+    # as a run to that step's time would; usable is -1 when the first stage
+    # is inside it
     bad, pair = _inside_margin(n, phis, tol)
     usable, t_fail = len(steps), None
     if len(bad):
         usable, t_fail = (int(bad[0]) - 1) // 2, float(taus[bad[0]])
+        if usable > 0:
+            steps, taus = _stage_times(t0, float(taus[2 * usable]), dt)
+            phis, rates = profile(np.asarray(taus, dtype=float))
+            usable = len(steps)
 
     rows = usable + 1
     psis = np.empty((rows, n), dtype=complex)
@@ -452,6 +528,7 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
     per_call = max(1, (STAGE_BLOCK // 2) * MAX_DIM**2 // n**2)
     edges = [0, *range(per_call, usable, per_call), usable] if rows else []
     psi, phase = psi0.astype(_CLD), np.zeros(n, dtype=np.longdouble)
+    head = prefix = None  # the two-site march's open run (``_run_march``)
     for lo, hi in zip(edges, edges[1:]):
         # steps lo..hi-1 take stages 2 lo..2 hi; each stage depends on its
         # own angle and rate only, so stage 2 lo matches the block before
@@ -474,8 +551,12 @@ def _integrate(n, profile, psi0, t0, t1, dt, tol, textbook, map_kind):
             kets = np.empty((hi - lo + 1, n), dtype=_CLD)
             kets[0] = psi
             propagators = _propagators(gens, steps[lo:hi]).astype(_CLD, copy=False)
-            for k, step in enumerate(propagators, 1):
-                kets[k] = psi = step.dot(psi)  # in the order of @, with less call overhead
+            if n == 2:
+                kets[1:], head, prefix = _run_march(propagators, lo, head if lo else psi, prefix)
+                psi = kets[-1]
+            else:
+                for k, step in enumerate(propagators, 1):
+                    kets[k] = psi = step.dot(psi)  # in the order of @, with less call overhead
         if not textbook:
             thetas[block], omegas[block] = theta[::2], omega[::2]
         norms = _metric_norms(kets, None if textbook else theta[::2])

@@ -862,14 +862,15 @@ def test_n2verify_default_grid_is_unmoved_by_the_gauge(capsys, monkeypatch):
 
 
 def test_n2verify_degraded_difference_step_fails(capsys, monkeypatch):
-    # a two-site map slope off by 1e-6 per entry must show up as a failed
-    # identity
-    exact = nip_evolution._two_site_slope
+    # a two-site connection Omega^-1 dOmega/dphi off by 1e-6 per entry must
+    # show up as a failed identity
+    exact = nip_evolution._two_site_map
 
-    def perturbed(*args, **kwargs):
-        return exact(*args, **kwargs) + 1e-6
+    def perturbed(phis):
+        *arrays, connection = exact(phis)
+        return *arrays, connection + 1e-6
 
-    monkeypatch.setattr(nip_evolution, "_two_site_slope", perturbed)
+    monkeypatch.setattr(nip_evolution, "_two_site_map", perturbed)
     code, out, _ = invoke(capsys, "n2verify")
     assert code == 3
     status = {line.split()[0]: line.split()[-1] for line in out.splitlines()[:-1]}
@@ -1115,6 +1116,31 @@ def test_tables_that_call_no_blas_do_not_depend_on_the_blas_kernel(tmp_path):
     # bytes under any OpenBLAS kernel; epscan and metric do and may move
     tables = _tables_under_two_kernels(tmp_path, _NO_BLAS_TABLES, ("curve.csv", "spectrum.csv"))
     assert tables[0] == tables[1]
+
+
+_TWO_SITE_EVOLVE_TABLES = r"""
+import sys
+from pathlib import Path
+from nipsqw.cli import main
+
+out = Path(sys.argv[1])
+for k, profile in enumerate(("sin:phi0=1.2,amp=0.4,freq=2", "linear:phi0=-1.0,omega=0.3")):
+    main(["evolve", "--n", "2", "--profile", profile, "--psi0", "1,0,0,0.5", "--t1", "0.4",
+          "--dt", "1e-3", "--out", str(out / f"evolve{k}.csv")])
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_two_site_evolve_tables_do_not_depend_on_the_blas_kernel(tmp_path):
+    # the two-site ketket route forms its map, stages, propagators and
+    # march in numpy's extended precision and its spectra in closed form,
+    # so with no --observable or --crosscheck, whose complex128 products
+    # run on BLAS, its table holds the same bytes under any kernel
+    names = ("evolve0.csv", "evolve1.csv")
+    tables = _tables_under_two_kernels(tmp_path, _TWO_SITE_EVOLVE_TABLES, names)
+    assert tables[0] == tables[1]
+    assert all(len(table.splitlines()) == 402 for table in tables[0])
 
 
 # a grid holding -1 ... 1 by 0.1, +-1e-3, +-1e-6, 1e-9 and 0, in pieces

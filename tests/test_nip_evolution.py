@@ -577,6 +577,28 @@ def test_evolve_sampling_grid_and_cache():
         assert abs(np.vdot(s.psi, s.theta @ s.psi).real - s.phys_norm) <= 1e-12 * s.phys_norm
 
 
+def test_the_last_row_is_at_the_horizon_end():
+    # t1 = t0 + k dt for t0 in [-2, 2], dt log-uniform in [1e-4, 1e-1] and
+    # k <= 2,000: the grid t0 + k dt/2, in extended precision, ended off t1
+    # on about a quarter of such horizons (0.30000000000000004 for t1 = 0.3,
+    # dt = 0.1), by up to 1.2e-13 relative; the last stage time is t1 itself
+    rng = np.random.default_rng(55)
+    t0, dt = rng.uniform(-2.0, 2.0, 4000), 10.0 ** rng.uniform(-4.0, -1.0, 4000)
+    t1 = t0 + rng.integers(0, 2001, 4000) * dt
+    for start, end, step in zip(t0.tolist(), t1.tolist(), dt.tolist()):
+        steps, taus = nip_evolution._stage_times(start, end, step)
+        assert float(taus[-1]) == end and len(taus) == 2 * len(steps) + 1
+    profile, psi0 = PhiProfile.constant(1.0), np.array([1.0, 0.5j])
+    for start, step, k in zip(t0[:300].tolist(), dt[:300].tolist(),
+                              rng.integers(0, 41, 300).tolist()):
+        end = start + k * step
+        for integrate in (evolve, textbook_evolve):
+            states = integrate(2, profile, psi0, start, end, step)
+            assert states.t[-1] == end and len(states) == k + 1, (start, end, step)
+    assert evolve(2, PhiProfile.linear(1.0, -0.1), psi0, 0.0, 0.3, 0.1).t[-1] == 0.3
+    assert evolve(2, PhiProfile.linear(1.0, -0.1), psi0, 0.0, 0.9, 0.3).t[-1] == 0.9
+
+
 def test_evolve_starts_where_asked():
     states = evolve(2, PhiProfile.constant(1.0), [1.0, 0.0], 2.0, 2.25, 0.05)
     assert states[0].t == 2.0
@@ -1088,24 +1110,54 @@ def _steps_per_call(monkeypatch, n, steps):
 
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 def test_stage_blocks_do_not_change_the_trajectory(monkeypatch, map_kind):
-    # 12 steps: one call under the default rule, calls of 3 steps and of 1
-    # step when split; at N=2 the ketket map is the two-site closed form
+    # one call under the default rule against split calls: 12 steps at N=4
+    # in calls of 3 steps and of 1 step; 48 steps at N=2 in calls of 1, 7,
+    # 16 and 32 steps, which cut the two-site march's 16-step runs mid-way.
+    # At N=2 the ketket map is the two-site closed form
     profile = PhiProfile.sinusoidal(1.1, 0.3, 0.7)
-    for n in (2, 4):
+    for n, t1, splits in ((2, 0.48, (1, 7, 16, 32)), (4, 0.12, (3, 1))):
         psi0 = np.array([1.0, 0.5j, -0.25, 0.5])[:n]
         runs = []
-        for steps in (None, 3, 1):
+        for steps in (None, *splits):
             monkeypatch.undo()
             if steps is not None:
                 _steps_per_call(monkeypatch, n, steps)
             nip_evolution._map_block.cache_clear()
             runs.append([
-                integrate(n, profile, psi0, 0.0, 0.12, 0.01, map_kind=map_kind)
+                integrate(n, profile, psi0, 0.0, t1, 0.01, map_kind=map_kind)
                 for integrate in (evolve, textbook_evolve)
             ])
         for run in runs[1:]:
             for states, reference in zip(run, runs[0], strict=True):
+                assert len(states) == round(t1 / 0.01) + 1
                 assert_same_states(states, reference)
+
+
+@pytest.mark.parametrize("map_kind", MAP_KINDS)
+def test_the_run_march_is_the_per_step_march_to_rounding(map_kind):
+    # 100 two-site steps, so six full 16-step runs and an open one: the
+    # march's rows against psi_{k+1} = R_k psi_k taken one step at a time
+    # over the same R_k, in extended precision, from a run start and from
+    # mid-run with the carried head and prefix; and evolve's rows
+    profile, psi0 = PhiProfile.sinusoidal(1.2, 0.4, 2.0), np.array([1.0, 0.5j])
+    steps, taus = nip_evolution._stage_times(0.0, 0.1, 1e-3)
+    phis, rates = profile(taus.astype(float))
+    h, sigma, _, _ = nip_evolution._stage_stack(
+        2, phis, rates, get_tolerances(), hermitian_map=map_kind == "hermitian_root")
+    propagators = nip_evolution._propagators(h - sigma, steps).astype(np.clongdouble)
+    kets = [psi0.astype(np.clongdouble)]
+    for step in propagators:
+        kets.append(step @ kets[-1])
+    want = np.array(kets)
+    scale = np.abs(want).max(axis=-1)
+    rows, head, prefix = nip_evolution._run_march(propagators, 0, want[0], None)
+    assert (np.abs(rows - want[1:]).max(axis=-1) <= 1e-15 * scale[1:]).all()
+    cut = 37
+    first, head, prefix = nip_evolution._run_march(propagators[:cut], 0, want[0], None)
+    rest, _, _ = nip_evolution._run_march(propagators[cut:], cut, head, prefix)
+    assert _same_bits(np.concatenate([first, rest]), rows)
+    got = evolve(2, profile, psi0, 0.0, 0.1, 1e-3, map_kind=map_kind).psi
+    assert (np.abs(got - want).max(axis=-1) <= 1e-15 * scale).all()
 
 
 def _stack_digest(states):
@@ -1120,14 +1172,18 @@ def _stack_digest(states):
 @pytest.mark.parametrize("steps", [None, 32])
 def test_two_site_stack_bytes_are_pinned(monkeypatch, steps):
     # numpy clongdouble arithmetic only, no BLAS; the norms are checked in
-    # that dtype, not on the stored complex128 copy of Theta
+    # that dtype, not on the stored complex128 copy of Theta.  Re-pinned
+    # when Sigma came from the kept connection, the march went to 16-step
+    # runs and the last stage time became t1 itself: psi moved at most
+    # 1.1e-16 and phys_norm 1.4e-16 of their largest entries, the textbook
+    # psi 4.4e-17, in the last row only; t, Theta and Omega kept their bytes
     if steps is not None:
         _steps_per_call(monkeypatch, 2, steps)
     args = (2, PhiProfile.sinusoidal(1.2, 0.4, 2.0), np.array([1.0, 0.5j]), 0.0, 0.4, 1e-3)
     assert _stack_digest(evolve(*args)) == (
-        "0983979dadbe584dab08670b550f9602e93e5bd0a6cfb12de8a977fb744293e6")
+        "4545f507f72b35287532525b307d0f0ea1c9c3dc3c6d649383a18ddbaa427d33")
     assert _stack_digest(textbook_evolve(*args)) == (
-        "8c6b898cb1986aafa167a4e466b9f13bcc0c3bb82d6c91eae7384e3fdcf1c2e8")
+        "2a0de224c88f9620a27c0574056e7969e791fe161e1eb52c8842e68ce760faf7")
 
 
 # ------------------------------------------------------------ map memo
@@ -1136,9 +1192,9 @@ STATE_FIELDS = ("psi", "theta", "generator", "omega")
 
 
 def _kept_arrays(n, profile, psi0, t0, t1, dt, map_kind="ketket_columns"):
-    """The six arrays of the memo's entry for a one-block drive of these
-    integration arguments: H, Theta, Omega, Omega^-1, the levels and the
-    slope, read back through ``_map_block`` under the key the stage kernel
+    """The five arrays of the memo's entry for a one-block drive of these
+    integration arguments: H, Theta, Omega, the textbook generator and the
+    connection, read back through ``_map_block`` under the key the stage kernel
     builds from the drive's stage angles, which must find them kept."""
     _, taus = nip_evolution._stage_times(t0, t1, dt)
     phis = profile(np.asarray(taus, dtype=float))[0]
@@ -1210,7 +1266,7 @@ def test_both_integrations_of_a_root_map_drive_share_its_root(monkeypatch):
         warm = [integrate(*args, map_kind="hermitian_root") for integrate in order]
         assert blocks == [33]
         kept = _kept_arrays(*args, map_kind="hermitian_root")
-        assert len(kept) == 6 and not any(array.flags.writeable for array in kept)
+        assert len(kept) == 5 and not any(array.flags.writeable for array in kept)
         for integrate, states in zip(order, warm):
             nip_evolution._map_block.cache_clear()
             assert_same_states(states, integrate(*args, map_kind="hermitian_root"))
@@ -1352,7 +1408,9 @@ def test_two_site_map_matches_its_three_transcendental_reference():
     # one exponential e = exp(-i phi) per stage gives the mirror sign from
     # Im e = -sin phi and cos phi from Re e: bit for bit what the long-double
     # sin for the mirror, exp at the mirrored angle and complex cos give,
-    # the sign rule at sin phi = 0 included
+    # the sign rule at sin phi = 0 included.  Theta and the connection are
+    # written in closed form: Theta is Omega^dagger Omega to the bit, and
+    # Omega times the connection is the map's angle derivative to rounding
     cld = np.clongdouble
     rng = np.random.default_rng(29)
     phis = np.concatenate([
@@ -1364,13 +1422,20 @@ def test_two_site_map_matches_its_three_transcendental_reference():
     e = np.exp(cld(-1j) * (mirror * angles).astype(cld))
     z = 1j * np.cos((mirror * angles).astype(cld))
     with np.errstate(divide="ignore", invalid="ignore"):  # the map is singular at sin phi = 0
-        h, theta, omega, omega_inv, levels, slope = nip_evolution._two_site_map(phis)
-        inverse_scale = 1.0 / (1.0 - e * e)
+        h, theta, omega, mapped, connection = nip_evolution._two_site_map(phis)
+        lower = np.where(mirror < 0, -e, e) / (1.0 - e * e)
     assert _same_bits(h[:, 0, 0], 2.0 - z) and _same_bits(h[:, 1, 1], 2.0 + z)
     assert _same_bits(omega[:, 0, 1], -1j * e) and _same_bits(omega[:, 1, 0], 1j * e)
-    assert _same_bits(levels, np.stack([2.0 - e.imag, 2.0 + e.imag], axis=-1))
-    assert _same_bits(omega_inv[:, 0, 0], inverse_scale)
-    assert _same_bits(slope[:, 1, 0], np.where(mirror < 0, -e, e))
+    assert _same_bits(np.diagonal(mapped, axis1=1, axis2=2),
+                      np.stack([2.0 - e.imag, 2.0 + e.imag], axis=-1))
+    assert _same_bits(theta, omega.conj().swapaxes(-1, -2) @ omega)
+    assert _same_bits(connection[:, 1, 0], lower) and _same_bits(connection[:, 0, 1], -lower)
+    regular = np.abs(np.sin(phis)) > 1e-3
+    derivative = np.zeros_like(omega)
+    derivative[:, 0, 1], derivative[:, 1, 0] = -mirror * e, mirror * e
+    omega, connection, derivative = omega[regular], connection[regular], derivative[regular]
+    gap = np.abs(omega @ connection - derivative).max(axis=(-1, -2))
+    assert (gap <= 1e-15 * np.abs(derivative).max(axis=(-1, -2))).all()
 
 
 def _spy_on_two_site_maps(monkeypatch):
@@ -1393,7 +1458,7 @@ def test_both_integrations_of_a_two_site_drive_share_its_map(monkeypatch):
         integrate(2, profile, psi0, 0.0, 0.4, 1e-3)
     assert blocks == [801]
     kept = _kept_arrays(2, profile, psi0, 0.0, 0.4, 1e-3)
-    assert len(kept) == 6 and not any(array.flags.writeable for array in kept)
+    assert len(kept) == 5 and not any(array.flags.writeable for array in kept)
 
 
 def test_two_site_calls_are_bounded_by_the_block_rule(monkeypatch):
@@ -1500,11 +1565,12 @@ def test_a_block_raises_its_earliest_stages_first_check(monkeypatch, stages, rai
 @pytest.mark.parametrize("map_kind", MAP_KINDS)
 @pytest.mark.parametrize("n", [2, 5])
 def test_a_one_block_drive_solves_its_slope_once(monkeypatch, n, map_kind):
-    # the slope is solved with the clean block: whichever integration of a
-    # one-block drive runs first solves it, and the other reads it kept.  A
-    # block refused under eps_singular 0.4 solves none
+    # the connection is solved with the clean block (its slope on the well
+    # route, in closed form by the two-site map): whichever integration of
+    # a one-block drive runs first solves it, and the other reads it kept.
+    # A block refused under eps_singular 0.4 solves none
     calls = []
-    for name in ("_ketket_slope", "_root_slope", "_two_site_slope"):
+    for name in ("_ketket_slope", "_root_slope", "_two_site_map"):
         slope = getattr(nip_evolution, name)
 
         def counted(*args, name=name, slope=slope):
@@ -1514,7 +1580,7 @@ def test_a_one_block_drive_solves_its_slope_once(monkeypatch, n, map_kind):
         monkeypatch.setattr(nip_evolution, name, counted)
     args = (n, PhiProfile.linear(1.2, 0.4), np.ones(n), 0.0, 0.16, 0.01)
     once = {
-        "ketket_columns": ["_ketket_slope"] if n > 2 else ["_two_site_slope"],
+        "ketket_columns": ["_ketket_slope"] if n > 2 else ["_two_site_map"],
         "hermitian_root": ["_ketket_slope", "_root_slope"],
     }[map_kind]
     for order in ((evolve, textbook_evolve), (textbook_evolve, evolve)):

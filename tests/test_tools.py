@@ -66,6 +66,46 @@ def test_ab_ops_times_nothing_when_the_outputs_differ(tmp_path):
     assert not any(line.startswith("{") for line in run.stdout.splitlines())
 
 
+def _ab_ops_against_a_scaled_ket(tmp_path, scale):
+    """One round of evolve-lib, the tree against a copy whose integrations
+    multiply the initial ket by ``scale``."""
+    change = tmp_path / "change"
+    for tree in ("src", "perfbench"):
+        shutil.copytree(ROOT / tree, change / tree, ignore=shutil.ignore_patterns("__pycache__"))
+    module = change / "src" / "nipsqw" / "nip_evolution.py"
+    text = module.read_text(encoding="utf-8")
+    line = "psi0 = np.asarray(psi0, dtype=complex).reshape(-1)"
+    assert text.count(line) == 1
+    module.write_text(text.replace(line, f"{line} * {scale!r}"), encoding="utf-8")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_ops.py"), str(ROOT), str(change),
+         "--workload", "evolve-lib", "--rounds", "1"],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+
+
+def test_ab_ops_times_a_copy_moved_by_rounding(tmp_path):
+    # a ket scaled by 1 + 2^-50 moves every drive's kets and norms by a few
+    # ulps, inside the 1e-12 bound: the tool times the copy and prints each
+    # op's largest relative move, its first column after the label
+    run = _ab_ops_against_a_scaled_ket(tmp_path, 1 + 2**-50)
+    assert run.returncode == 0, run.stderr
+    header, *rows, summary = run.stdout.splitlines()
+    assert header.split()[1] == "move" and json.loads(summary)["rounds"] == 1
+    moves = [float(row.split()[-6]) for row in rows]
+    assert len(moves) == 19 and all(1e-16 < move < 1e-14 for move in moves), moves
+
+
+def test_ab_ops_refuses_a_copy_moved_past_its_bound(tmp_path):
+    # a ket scaled by 1 + 1e-9 moves the first drive past the bound: exit 1
+    # before any timing, with no summary line
+    run = _ab_ops_against_a_scaled_ket(tmp_path, 1 + 1e-9)
+    assert run.returncode == 1
+    assert "outputs differ on drive n=2 ketket_columns linear; nothing timed" in run.stderr
+    assert not any(line.startswith("{") for line in run.stdout.splitlines())
+
+
 def test_hash_outputs_prints_its_twelve_fingerprints():
     # the fingerprints every refactor compares against its parent's; the
     # tool reaches into the map memo, so a rename there must show here

@@ -9,10 +9,13 @@ side that goes first alternating from op to op, so that drift of the host
 hits both alike.
 
 It first runs the first round of ``--seed`` once on each side, untimed,
-and stops unless both give the same outputs: every stack of every
-trajectory (``evolve-lib``), or every exit status, error and written table
-(the CLI workloads).  Then it times ``--rounds`` rounds and prints, per
-template op, the median milliseconds of each side, their ratio and the
+and stops unless both give the same outputs: every exit status, error and
+written table byte for byte (the CLI workloads), and every stack of every
+trajectory within ``BOUND`` of the stack's largest entry (``evolve-lib``),
+so that a change which moves ``evolve`` by rounding can still be timed.
+Then it times ``--rounds`` rounds and prints, per template op, the largest
+move of any of its stacks relative to that stack's largest entry (0 for
+equal outputs), the median milliseconds of each side, their ratio and the
 quartiles of the op's per-round change/parent ratio, and last, as one JSON
 line, the ``rows_per_s`` of each side in the benchmark's way (rows of a
 round over the sum of per-op medians, uncalibrated) and the quartiles of
@@ -43,6 +46,10 @@ import numpy as np
 
 SIDES = ("parent", "change")
 STACKS = ("t", "psi", "theta", "phys_norm", "generator", "omega")
+#: largest move of a drive's stack, relative to the stack's largest entry,
+#: that still counts as the same output: the bound
+#: ``test_evolve_is_classic_rk4_on_the_generator`` holds ``evolve`` to
+BOUND = 1e-12
 
 
 def load(root: Path):
@@ -71,14 +78,32 @@ class Side:
         outcome = self.runner.run(op, argv)
         return time.perf_counter() - start, outcome
 
-    def fingerprint(self, op, outcome):
-        """What the op gave, as bytes: stacks of a drive, else its table."""
+    def outputs(self, op, outcome):
+        """What the op gave: its error or its table as bytes, else the stacks
+        of a drive."""
         if outcome.error is not None:
             return outcome.error.encode()
         if op.kind == "drive":
-            return b"".join(np.ascontiguousarray(getattr(states, name)).tobytes()
-                            for states in outcome.output for name in STACKS)
+            return [np.asarray(getattr(states, name))
+                    for states in outcome.output for name in STACKS]
         return self.runner.out_path.read_bytes()
+
+
+def move(parent, change) -> float:
+    """The largest move of the change's outputs from the parent's, each
+    stack's relative to its largest entry: 0.0 for equal outputs, inf for
+    bytes that differ, stacks of other shapes or a non-finite move."""
+    if isinstance(parent, bytes) or isinstance(change, bytes):
+        return 0.0 if parent == change else np.inf
+    if [a.shape for a in parent] != [b.shape for b in change]:
+        return np.inf
+    worst = 0.0
+    for a, b in zip(parent, change):
+        if not np.array_equal(a, b, equal_nan=True):
+            with np.errstate(all="ignore"):
+                gap = np.abs(a - b).max() / np.abs(a).max()
+            worst = max(worst, float(gap) if np.isfinite(gap) else np.inf)
+    return worst
 
 
 def quartiles(ratios) -> list:
@@ -101,9 +126,10 @@ def main(argv=None) -> int:
                  for name, root in zip(SIDES, (args.parent, args.change))}
         # both sides draw the same ops from the same seed; take the parent's
         source = sides["parent"].workloads.rounds(args.workload, args.seed)
+        moves = []
         for op in next(source):
-            prints = {name: side.fingerprint(op, side.run(op)[1]) for name, side in sides.items()}
-            if prints["parent"] != prints["change"]:
+            moves.append(move(*(side.outputs(op, side.run(op)[1]) for side in sides.values())))
+            if not moves[-1] <= BOUND:
                 print(f"outputs differ on {op.label}; nothing timed", file=sys.stderr)
                 return 1
         times, rows, totals = {}, {}, []
@@ -121,11 +147,13 @@ def main(argv=None) -> int:
 
     medians = {key: {name: statistics.median(samples[name]) for name in SIDES}
                for key, samples in times.items()}
-    print(f"{'op':<40} {'parent ms':>10} {'change ms':>10} {'ratio':>7} {'q1':>7} {'q3':>7}")
+    print(f"{'op':<40} {'move':>8} {'parent ms':>10} {'change ms':>10} {'ratio':>7} "
+          f"{'q1':>7} {'q3':>7}")
     for key, median in medians.items():
         q1, _, q3 = quartiles(np.divide(times[key]["change"], times[key]["parent"]))
-        print(f"{key[1]:<40} {median['parent'] * 1e3:>10.3f} {median['change'] * 1e3:>10.3f} "
-              f"{median['change'] / median['parent']:>7.3f} {q1:>7.3f} {q3:>7.3f}")
+        print(f"{key[1]:<40} {moves[key[0]]:>8.1e} {median['parent'] * 1e3:>10.3f} "
+              f"{median['change'] * 1e3:>10.3f} {median['change'] / median['parent']:>7.3f} "
+              f"{q1:>7.3f} {q3:>7.3f}")
     goodput = {name: sum(rows.values()) / sum(median[name] for median in medians.values())
                for name in SIDES}
     # a round's rows_per_s ratio is its parent seconds over its change seconds
