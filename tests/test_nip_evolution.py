@@ -1169,10 +1169,12 @@ def _stack_digest(states):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                     reason="the two-site map runs in x86 80-bit long double")
-@pytest.mark.parametrize("steps", [None, 32])
+@pytest.mark.parametrize("steps", [None, 1, 7, 16, 32])
 def test_two_site_stack_bytes_are_pinned(monkeypatch, steps):
     # numpy clongdouble arithmetic only, no BLAS; the norms are checked in
-    # that dtype, not on the stored complex128 copy of Theta.  Re-pinned
+    # that dtype, not on the stored complex128 copy of Theta.  Calls of 1,
+    # 7, 16 and 32 steps and the default 16,384 give one digest, however
+    # they cut the march's 16-step runs.  Re-pinned
     # when Sigma came from the kept connection, the march went to 16-step
     # runs and the last stage time became t1 itself: psi moved at most
     # 1.1e-16 and phys_norm 1.4e-16 of their largest entries, the textbook
